@@ -8,36 +8,45 @@ import "fairrw/internal/memmodel"
 //
 // All ways live in one flat backing slice (set i occupies
 // ways[i*assoc:(i+1)*assoc]), so building a cache is a single allocation
-// and a set probe walks contiguous memory.
+// and a set probe walks contiguous memory. The slice is built by the first
+// insert: a machine pays for the caches its threads touch, not for every
+// core and chip of the model.
 type cacheArray struct {
 	ways  []cacheWay // nsets * assoc entries
 	nsets int
 	assoc int
 	clock uint64
+	// epoch is the stamp of a live way. A way holds a line only while its
+	// stamp equals it, so reset empties the whole array by bumping it.
+	epoch uint64
 
 	Hits, Misses, Evictions uint64
 }
 
 type cacheWay struct {
 	line  memmodel.Addr
-	valid bool
+	epoch uint64 // valid iff equal to the array's epoch; 0 is never live
 	used  uint64
 }
 
 func newCacheArray(sets, ways int) *cacheArray {
-	return &cacheArray{ways: make([]cacheWay, sets*ways), nsets: sets, assoc: ways}
+	return &cacheArray{nsets: sets, assoc: ways, epoch: 1}
 }
 
+// setOf returns line's set: nil while the array has never held a line.
 func (c *cacheArray) setOf(line memmodel.Addr) []cacheWay {
+	if c.ways == nil {
+		return nil
+	}
 	s := int((line >> memmodel.LineShift) % uint64(c.nsets))
 	return c.ways[s*c.assoc : (s+1)*c.assoc]
 }
 
 // findWay returns the index of line within set, or -1. It is the single
 // scan shared by has, peek and invalidate.
-func findWay(set []cacheWay, line memmodel.Addr) int {
+func (c *cacheArray) findWay(set []cacheWay, line memmodel.Addr) int {
 	for i := range set {
-		if set[i].valid && set[i].line == line {
+		if set[i].epoch == c.epoch && set[i].line == line {
 			return i
 		}
 	}
@@ -47,7 +56,7 @@ func findWay(set []cacheWay, line memmodel.Addr) int {
 // has reports whether line is present, updating LRU on hit.
 func (c *cacheArray) has(line memmodel.Addr) bool {
 	set := c.setOf(line)
-	if i := findWay(set, line); i >= 0 {
+	if i := c.findWay(set, line); i >= 0 {
 		c.clock++
 		set[i].used = c.clock
 		c.Hits++
@@ -59,22 +68,25 @@ func (c *cacheArray) has(line memmodel.Addr) bool {
 
 // peek reports presence without touching LRU or statistics.
 func (c *cacheArray) peek(line memmodel.Addr) bool {
-	return findWay(c.setOf(line), line) >= 0
+	return c.findWay(c.setOf(line), line) >= 0
 }
 
 // insert installs line, returning the evicted line (if any).
 func (c *cacheArray) insert(line memmodel.Addr) (victim memmodel.Addr, evicted bool) {
+	if c.ways == nil {
+		c.ways = make([]cacheWay, c.nsets*c.assoc)
+	}
 	set := c.setOf(line)
 	c.clock++
 	// Already present (e.g. upgrade): refresh.
-	if i := findWay(set, line); i >= 0 {
+	if i := c.findWay(set, line); i >= 0 {
 		set[i].used = c.clock
 		return 0, false
 	}
 	// Free way.
 	for i := range set {
-		if !set[i].valid {
-			set[i] = cacheWay{line: line, valid: true, used: c.clock}
+		if set[i].epoch != c.epoch {
+			set[i] = cacheWay{line: line, epoch: c.epoch, used: c.clock}
 			return 0, false
 		}
 	}
@@ -86,7 +98,7 @@ func (c *cacheArray) insert(line memmodel.Addr) (victim memmodel.Addr, evicted b
 		}
 	}
 	victim = set[lru].line
-	set[lru] = cacheWay{line: line, valid: true, used: c.clock}
+	set[lru] = cacheWay{line: line, epoch: c.epoch, used: c.clock}
 	c.Evictions++
 	return victim, true
 }
@@ -94,17 +106,18 @@ func (c *cacheArray) insert(line memmodel.Addr) (victim memmodel.Addr, evicted b
 // invalidate removes line if present, reporting whether it was.
 func (c *cacheArray) invalidate(line memmodel.Addr) bool {
 	set := c.setOf(line)
-	if i := findWay(set, line); i >= 0 {
-		set[i].valid = false
+	if i := c.findWay(set, line); i >= 0 {
+		set[i].epoch = 0
 		return true
 	}
 	return false
 }
 
-// reset clears all ways and statistics in place, keeping the backing
-// slice, so a reused machine rebuilds no cache arrays.
+// reset empties the array and clears its statistics without touching the
+// ways: every stamp falls out of date at once, and insert takes stale ways
+// first exactly as it took cleared ones.
 func (c *cacheArray) reset() {
-	clear(c.ways)
+	c.epoch++
 	c.clock = 0
 	c.Hits, c.Misses, c.Evictions = 0, 0, 0
 }

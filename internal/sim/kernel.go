@@ -2,9 +2,9 @@
 //
 // The kernel advances a virtual clock measured in cycles and executes
 // scheduled events in (time, insertion-order) order. Simulated threads are
-// modelled as Procs: goroutine-backed coroutines of which exactly one is
-// runnable at any instant, so simulation state needs no locking and every
-// run is bit-for-bit reproducible.
+// modelled as Procs: runtime coroutines (iter.Pull) of which exactly one
+// is runnable at any instant, so simulation state needs no locking and
+// every run is bit-for-bit reproducible.
 package sim
 
 import (
@@ -70,11 +70,6 @@ type Kernel struct {
 	// limit is the current RunUntil horizon; the Wait fast path must not
 	// advance the clock beyond it.
 	limit Time
-	// yield is the rendezvous the running Proc uses to hand control back.
-	// A single buffered channel suffices because at most one Proc runs at
-	// a time, and the buffer lets the yielding side continue to its park
-	// point without blocking on the kernel's wakeup.
-	yield chan struct{}
 
 	// nEvents counts executed events, for diagnostics and runaway guards.
 	nEvents uint64
@@ -89,7 +84,7 @@ type Kernel struct {
 
 // New returns an empty kernel at time 0.
 func New() *Kernel {
-	return &Kernel{limit: ^Time(0), yield: make(chan struct{}, 1)}
+	return &Kernel{limit: ^Time(0)}
 }
 
 // Now returns the current virtual time.
@@ -225,9 +220,15 @@ func (k *Kernel) Idle() bool { return len(k.events) == 0 }
 
 // Reset returns the kernel to its post-New state — time zero, no events,
 // no procs — while keeping the event heap's backing array, so a reused
-// machine pays no kernel rebuild. Any still-queued events are dropped;
-// callers reset only after a run has drained.
+// machine pays no kernel rebuild. Procs still parked (blocked forever, or
+// cut off by a RunUntil horizon or a panic) are unwound so their
+// coroutines exit, and any still-queued events are dropped.
 func (k *Kernel) Reset() {
+	for _, p := range k.procs {
+		if !p.finished {
+			p.stop()
+		}
+	}
 	clear(k.events) // release fn/proc/recv references
 	k.events = k.events[:0]
 	clear(k.procs)

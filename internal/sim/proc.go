@@ -1,21 +1,32 @@
+//go:build go1.23
+
+// The constraint sets this file's language version: iter.Pull is go1.23
+// API while go.mod stays at go 1.22 (README, "Toolchain").
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
-// Proc is a simulated thread of execution. Its body runs on a dedicated
-// goroutine, but the kernel guarantees that at most one Proc (or event
-// callback) executes at a time: a Proc runs only between a resume signal
-// from the kernel and its next call to a blocking primitive (Wait, Block,
-// or returning from the body). Simulation state therefore needs no locks.
+// Proc is a simulated thread of execution. Its body runs as a runtime
+// coroutine (iter.Pull), so at most one Proc (or event callback) executes
+// at a time: a Proc runs only between a next() from the kernel and its
+// next call to a blocking primitive (Wait, Block, or returning from the
+// body), and each switch hands the thread straight over, bypassing the
+// scheduler's run queue. Simulation state therefore needs no locks.
 type Proc struct {
 	k    *Kernel
 	name string
 	id   int
 
-	// resume parks the Proc's goroutine between dispatches. Buffered so
-	// the kernel's wakeup send never blocks; yields go to the kernel's
-	// shared yield channel.
-	resume chan struct{}
+	// next and stop are the pull side of the coroutine: next runs the body
+	// up to its next yield, stop unwinds a parked body (Kernel.Reset).
+	// yield is the body's side, handing control back to next's caller.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 
 	blocked  bool // waiting for an explicit Wake
 	finished bool
@@ -25,22 +36,26 @@ type Proc struct {
 	wakeSeq uint64
 }
 
+// procStopped is the panic value that unwinds a body whose Proc was
+// stopped while parked.
+type procStopped struct{}
+
 // Spawn creates a Proc running body, scheduled to start at the current
-// time (after already-queued events for this instant).
+// time (after already-queued events for this instant). A panic in body
+// surfaces from the Run/RunUntil call that dispatched the Proc.
 func (k *Kernel) Spawn(name string, body func(p *Proc)) *Proc {
-	p := &Proc{
-		k:      k,
-		name:   name,
-		id:     len(k.procs),
-		resume: make(chan struct{}, 1),
-	}
+	p := &Proc{k: k, name: name, id: len(k.procs)}
 	k.procs = append(k.procs, p)
-	go func() {
-		<-p.resume // wait for first dispatch
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer func() {
+			p.finished = true
+			if r := recover(); r != nil && r != (procStopped{}) {
+				panic(r)
+			}
+		}()
 		body(p)
-		p.finished = true
-		k.yield <- struct{}{}
-	}()
+	})
 	k.pushDispatch(0, p)
 	return p
 }
@@ -50,8 +65,7 @@ func (k *Kernel) dispatch(p *Proc) {
 	if p.finished {
 		return
 	}
-	p.resume <- struct{}{}
-	<-k.yield
+	p.next()
 }
 
 // Name returns the Proc's name.
@@ -125,9 +139,12 @@ func (p *Proc) Finished() bool { return p.finished }
 // Yield lets all other events at the current instant run before resuming.
 func (p *Proc) Yield() { p.Wait(0) }
 
+// yieldToKernel parks the body until the next dispatch. A false return
+// from yield means the Proc was stopped: unwind the body.
 func (p *Proc) yieldToKernel() {
-	p.k.yield <- struct{}{}
-	<-p.resume
+	if !p.yield(struct{}{}) {
+		panic(procStopped{})
+	}
 }
 
 // WaitGroup counts outstanding Procs and lets a coordinator Proc join them.

@@ -34,6 +34,8 @@ type Stats struct {
 	TableFull uint64
 }
 
+// bankEntry is the table state of one lock, stored by value in the bank's
+// map so allocating and freeing an entry costs no heap object.
 type bankEntry struct {
 	writeHeld bool
 	ownerTid  uint64
@@ -41,15 +43,45 @@ type bankEntry struct {
 }
 
 type bank struct {
-	entries map[memmodel.Addr]*bankEntry
+	entries map[memmodel.Addr]bankEntry
 	cap     int
 }
 
-// Device is the SSB lock unit; it implements machine.LockDevice.
+// pendingOp is one in-flight remote operation, stored by value in the
+// device's slab so issuing one allocates nothing at steady state.
+type pendingOp struct {
+	p     *sim.Proc // Acq: the requester, blocked until the reply
+	addr  memmodel.Addr
+	tid   uint64
+	core  int
+	home  int
+	rel   bool // release (no reply) rather than acquire
+	write bool
+	ok    bool // Acq outcome, decided at the bank
+	done  bool // Acq reply delivered
+}
+
+// Stages of an operation's journey, carried in the low bits of the
+// delivery tag so every event of one operation shares its slab slot.
+const (
+	stageArrive = iota // request reached the home controller
+	stageBank          // bank lookup latency elapsed: run the operation
+	stageReply         // Acq reply reached the requesting core
+	stageBits   = 2
+	stageMask   = 1<<stageBits - 1
+)
+
+// Device is the SSB lock unit; it implements machine.LockDevice and
+// receives its own messages as a sim.Receiver.
 type Device struct {
 	M     *machine.Machine
 	Opt   Options
 	banks []*bank
+
+	// ops holds the in-flight operations; freeOps lists its vacant slots.
+	// The slab grows only until it covers the peak number in flight.
+	ops     []pendingOp
+	freeOps []int32
 
 	attempt map[uint64]uint64 // per-thread retry counter for jitter
 
@@ -70,36 +102,56 @@ func New(m *machine.Machine, opt Options) *Device {
 	d := &Device{M: m, Opt: opt, attempt: make(map[uint64]uint64)}
 	d.banks = make([]*bank, m.P.NumMem)
 	for i := range d.banks {
-		d.banks[i] = &bank{entries: make(map[memmodel.Addr]*bankEntry), cap: opt.EntriesPerBank}
+		d.banks[i] = &bank{entries: make(map[memmodel.Addr]bankEntry), cap: opt.EntriesPerBank}
 	}
 	m.Lock = d
 	return d
 }
 
-// roundTrip performs a remote operation at addr's home bank: the request
-// travels to the controller, op runs there, and the reply returns. The
-// calling proc blocks for the full latency.
-func (d *Device) roundTrip(p *sim.Proc, core int, addr memmodel.Addr, op func(b *bank) bool) bool {
-	home := d.M.Mem.HomeOf(addr)
-	src, dst := topo.Core(core), topo.Mem(home)
-	ok := false
-	done := false
-	d.M.Net.Send(src, dst, func() {
-		d.M.K.Schedule(d.Opt.BankLat, func() {
-			ok = op(d.banks[home])
-			// Reply message.
-			d.M.Net.Send(dst, src, func() {
-				done = true
-				if p.Blocked() {
-					p.Wake(0)
-				}
-			})
-		})
-	})
-	for !done {
-		p.Block()
+// send parks op in a slab slot and sends its request to the home
+// controller, returning the slot.
+func (d *Device) send(op pendingOp) int32 {
+	var slot int32
+	if n := len(d.freeOps); n > 0 {
+		slot = d.freeOps[n-1]
+		d.freeOps = d.freeOps[:n-1]
+		d.ops[slot] = op
+	} else {
+		d.ops = append(d.ops, op)
+		slot = int32(len(d.ops) - 1)
 	}
-	return ok
+	d.M.Net.SendTo(topo.Core(op.core), topo.Mem(op.home), d, uint64(slot)<<stageBits|stageArrive)
+	return slot
+}
+
+func (d *Device) free(slot int32) {
+	d.ops[slot] = pendingOp{}
+	d.freeOps = append(d.freeOps, slot)
+}
+
+// Recv implements sim.Receiver: it advances the operation in the tagged
+// slot by one stage. An acquire's slot is freed by Acq once the requester
+// has read the outcome; a release's when it has run at the bank.
+func (d *Device) Recv(tag uint64) {
+	slot := int32(tag >> stageBits)
+	op := &d.ops[slot]
+	switch tag & stageMask {
+	case stageArrive:
+		d.M.K.ScheduleRecv(d.Opt.BankLat, d, uint64(slot)<<stageBits|stageBank)
+	case stageBank:
+		if op.rel {
+			d.release(op)
+			d.free(slot)
+			return
+		}
+		op.ok = d.acquire(op)
+		d.M.Net.SendTo(topo.Mem(op.home), topo.Core(op.core), d, uint64(slot)<<stageBits|stageReply)
+	case stageReply:
+		op.done = true
+		if op.p.Blocked() {
+			op.p.Wake(0)
+		}
+	}
 }
 
 // rec records one protocol event when the machine has tracing attached.
@@ -109,42 +161,75 @@ func (d *Device) rec(node int32, k obs.Kind, addr memmodel.Addr, tid, aux uint64
 	}
 }
 
-// Acq requests the lock: one full remote round trip per attempt.
-func (d *Device) Acq(p *sim.Proc, core int, tid uint64, addr memmodel.Addr, write bool) bool {
-	d.Stats.Requests++
-	var w uint64
+func writeBit(write bool) uint64 {
 	if write {
-		w = 1
+		return 1
 	}
-	d.rec(obs.CoreNode(core), obs.KReq, addr, tid, w)
-	home := int(d.M.Mem.HomeOf(addr))
-	granted := d.roundTrip(p, core, addr, func(b *bank) bool {
-		d.rec(obs.LRTNode(home), obs.KLRTReq, addr, tid, w)
-		e := b.entries[addr]
-		if e == nil {
-			if len(b.entries) >= b.cap {
-				d.Stats.TableFull++
-				return false
-			}
-			e = &bankEntry{}
-			b.entries[addr] = e
+	return 0
+}
+
+// acquire runs an acquire at its home bank and reports whether it was
+// granted.
+func (d *Device) acquire(op *pendingOp) bool {
+	d.rec(obs.LRTNode(op.home), obs.KLRTReq, op.addr, op.tid, writeBit(op.write))
+	b := d.banks[op.home]
+	e, present := b.entries[op.addr]
+	if !present && len(b.entries) >= b.cap {
+		d.Stats.TableFull++
+		return false
+	}
+	if op.write {
+		if e.writeHeld || e.readers > 0 {
+			return false
 		}
-		if write {
-			if e.writeHeld || e.readers > 0 {
-				return false
-			}
-			e.writeHeld = true
-			e.ownerTid = tid
-			return true
-		}
+		e.writeHeld = true
+		e.ownerTid = op.tid
+	} else {
 		// Reader preference: join whenever no writer holds (even if writers
 		// are retrying — the SSB keeps no queue to know about them).
 		if e.writeHeld {
 			return false
 		}
 		e.readers++
-		return true
-	})
+	}
+	b.entries[op.addr] = e
+	return true
+}
+
+// release runs a release at its home bank.
+func (d *Device) release(op *pendingOp) {
+	d.rec(obs.LRTNode(op.home), obs.KLRTRel, op.addr, op.tid, writeBit(op.write))
+	b := d.banks[op.home]
+	e, present := b.entries[op.addr]
+	if !present {
+		return // idempotent
+	}
+	if op.write {
+		e.writeHeld = false
+	} else if e.readers > 0 {
+		e.readers--
+	}
+	if !e.writeHeld && e.readers == 0 {
+		delete(b.entries, op.addr)
+	} else {
+		b.entries[op.addr] = e
+	}
+}
+
+// Acq requests the lock: one full remote round trip per attempt. The
+// request travels to addr's home controller, runs there after the bank
+// latency, and the reply returns; the calling proc blocks throughout.
+func (d *Device) Acq(p *sim.Proc, core int, tid uint64, addr memmodel.Addr, write bool) bool {
+	d.Stats.Requests++
+	w := writeBit(write)
+	d.rec(obs.CoreNode(core), obs.KReq, addr, tid, w)
+	slot := d.send(pendingOp{p: p, addr: addr, tid: tid, core: core,
+		home: d.M.Mem.HomeOf(addr), write: write})
+	for !d.ops[slot].done {
+		p.Block()
+	}
+	granted := d.ops[slot].ok
+	d.free(slot)
 	if granted {
 		d.Stats.Grants++
 		d.rec(obs.CoreNode(core), obs.KGrant, addr, tid, w)
@@ -168,33 +253,12 @@ func (d *Device) Acq(p *sim.Proc, core int, tid uint64, addr memmodel.Addr, writ
 // only the one-way latency sits on the hand-off critical path.
 func (d *Device) Rel(p *sim.Proc, core int, tid uint64, addr memmodel.Addr, write bool) bool {
 	d.Stats.Releases++
-	home := d.M.Mem.HomeOf(addr)
-	var w uint64
-	if write {
-		w = 1
-	}
-	d.rec(obs.CoreNode(core), obs.KRel, addr, tid, w)
+	d.rec(obs.CoreNode(core), obs.KRel, addr, tid, writeBit(write))
 	if o := d.M.Obs; o != nil {
 		o.TransferStart(uint64(d.M.K.Now()), uint64(addr))
 	}
-	d.M.Net.Send(topo.Core(core), topo.Mem(home), func() {
-		d.M.K.Schedule(d.Opt.BankLat, func() {
-			d.rec(obs.LRTNode(int(home)), obs.KLRTRel, addr, tid, w)
-			b := d.banks[home]
-			e := b.entries[addr]
-			if e == nil {
-				return // idempotent
-			}
-			if write {
-				e.writeHeld = false
-			} else if e.readers > 0 {
-				e.readers--
-			}
-			if !e.writeHeld && e.readers == 0 {
-				delete(b.entries, addr)
-			}
-		})
-	})
+	d.send(pendingOp{addr: addr, tid: tid, core: core,
+		home: d.M.Mem.HomeOf(addr), rel: true, write: write})
 	p.Wait(d.M.P.LCULat) // local issue cost
 	return true
 }

@@ -161,3 +161,29 @@ func TestTableCapacityNACKs(t *testing.T) {
 		t.Fatal("TableFull stat not incremented")
 	}
 }
+
+// TestAcqRelNoAllocs asserts that a steady-state acquire/release pair —
+// request, bank lookup, reply, fire-and-forget release — allocates nothing
+// once the pending-op slab and the bank's table are warm.
+func TestAcqRelNoAllocs(t *testing.T) {
+	m := machine.ModelA()
+	d := New(m, Options{})
+	lock := m.Mem.AllocLine()
+	m.Spawn("t", 1, 0, func(c *machine.Ctx) {
+		pair := func() {
+			if !d.Acq(c.P, 0, c.TID, lock, true) {
+				t.Error("uncontended Acq was refused")
+			}
+			d.Rel(c.P, 0, c.TID, lock, true)
+			c.Compute(200) // let the release reach the bank
+		}
+		pair()
+		if avg := testing.AllocsPerRun(100, pair); avg != 0 {
+			t.Errorf("Acq/Rel pair allocates %.1f objects, want 0", avg)
+		}
+	})
+	m.Run()
+	if d.Stats.Grants != d.Stats.Requests || d.Stats.Releases != d.Stats.Grants {
+		t.Errorf("stats = %+v, want every request granted and released", d.Stats)
+	}
+}
