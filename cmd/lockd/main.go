@@ -86,31 +86,33 @@ func buildInfo() server.BuildInfo {
 	return bi
 }
 
+// The daemon's knobs, registered at package level so TestFlagBudget can
+// count them.
+var (
+	addr         = flag.String("addr", "127.0.0.1:7600", "TCP listen address")
+	adminAddr    = flag.String("admin", "", "admin HTTP listen address (Prometheus /metrics, /metrics.json, /hotlocks, /flight, /debug/pprof); empty = disabled")
+	shards       = flag.Int("shards", 32, "lock-table shards (rounded up to a power of two)")
+	sweep        = flag.Duration("sweep", 10*time.Millisecond, "lease reaper / entry GC period")
+	defaultLease = flag.Duration("default-lease", 10*time.Second, "lease for sessions that open without one")
+	maxLease     = flag.Duration("max-lease", time.Minute, "cap on requested leases")
+	idle         = flag.Duration("idle", 2*time.Second, "idle time before an unused lock entry is collected")
+	grace        = flag.Duration("grace", 5*time.Second, "drain grace period on shutdown")
+	workers      = flag.Int("workers", 0, "event-loop workers (0 = GOMAXPROCS)")
+	flushPass    = flag.Duration("flushpass", 0, "flusher writev pass budget before a stalled conn escalates to its own writer (0 = default 20ms)")
+	metricsPath  = flag.String("metrics", "", "write metrics JSON here on shutdown, SIGUSR1, and every -metrics-interval (\"-\" = stdout, shutdown only)")
+	metricsIvl   = flag.Duration("metrics-interval", 0, "periodic metrics flush period (0 = shutdown/SIGUSR1 only)")
+	slowlock     = flag.Duration("slowlock", 0, "log acquires whose queue wait reaches this threshold (0 = off)")
+	cohortB      = flag.Int("cohort", 0, "cohort grant-batch bound B: prefer up to B consecutive grants from the releaser's locality domain before strict FIFO (0 = strict FIFO)")
+	flightN      = flag.Int("flight-events", 256, "flight-recorder ring size per worker (0 = recorder off)")
+	hotK         = flag.Int("hotlocks", 20, "hot-lock table depth in metrics payloads")
+	clusterArg   = flag.String("cluster", "", "comma-separated member list, this node first (e.g. self:7600,peer:7600,...); enables clustered mode")
+	hbIvl        = flag.Duration("hb", 250*time.Millisecond, "cluster heartbeat period")
+	suspectAfter = flag.Int("suspect-after", 3, "consecutive heartbeat failures before a peer is declared dead")
+	failWindow   = flag.Duration("failover-window", 0, "ghost-hold quarantine after a member death; must be >= -max-lease, which must be homogeneous across the cluster, so every lease the dead node could have granted has expired (0 = -max-lease; smaller values are rejected at startup)")
+	showVersion  = flag.Bool("version", false, "print build info and exit")
+)
+
 func main() {
-	var (
-		addr         = flag.String("addr", "127.0.0.1:7600", "TCP listen address")
-		adminAddr    = flag.String("admin", "", "admin HTTP listen address (Prometheus /metrics, /metrics.json, /hotlocks, /flight, /debug/pprof); empty = disabled")
-		shards       = flag.Int("shards", 32, "lock-table shards (rounded up to a power of two)")
-		sweep        = flag.Duration("sweep", 10*time.Millisecond, "lease reaper / entry GC period")
-		defaultLease = flag.Duration("default-lease", 10*time.Second, "lease for sessions that open without one")
-		maxLease     = flag.Duration("max-lease", time.Minute, "cap on requested leases")
-		idle         = flag.Duration("idle", 2*time.Second, "idle time before an unused lock entry is collected")
-		grace        = flag.Duration("grace", 5*time.Second, "drain grace period on shutdown")
-		workers      = flag.Int("workers", 0, "event-loop workers (0 = GOMAXPROCS; rounded down to a power of two when -affinity is on)")
-		affinity     = flag.Bool("affinity", true, "shard-affine execution: route each op to the worker owning its lock's shard")
-		flushPass    = flag.Duration("flushpass", 0, "flusher writev pass budget before a stalled conn escalates to its own writer (0 = default 20ms)")
-		metricsPath  = flag.String("metrics", "", "write metrics JSON here on shutdown, SIGUSR1, and every -metrics-interval (\"-\" = stdout, shutdown only)")
-		metricsIvl   = flag.Duration("metrics-interval", 0, "periodic metrics flush period (0 = shutdown/SIGUSR1 only)")
-		slowlock     = flag.Duration("slowlock", 0, "log acquires whose queue wait reaches this threshold (0 = off)")
-		cohortB      = flag.Int("cohort", 0, "cohort grant-batch bound B: prefer up to B consecutive grants from the releaser's locality domain before strict FIFO (0 = strict FIFO)")
-		flightN      = flag.Int("flight-events", 256, "flight-recorder ring size per worker (0 = recorder off)")
-		hotK         = flag.Int("hotlocks", 20, "hot-lock table depth in metrics payloads")
-		clusterArg   = flag.String("cluster", "", "comma-separated member list, this node first (e.g. self:7600,peer:7600,...); enables clustered mode")
-		hbIvl        = flag.Duration("hb", 250*time.Millisecond, "cluster heartbeat period")
-		suspectAfter = flag.Int("suspect-after", 3, "consecutive heartbeat failures before a peer is declared dead")
-		failWindow   = flag.Duration("failover-window", 0, "ghost-hold quarantine after a member death; must be >= -max-lease, which must be homogeneous across the cluster, so every lease the dead node could have granted has expired (0 = -max-lease; smaller values are rejected at startup)")
-		showVersion  = flag.Bool("version", false, "print build info and exit")
-	)
 	flag.Parse()
 
 	bi := buildInfo()
@@ -188,10 +190,9 @@ func main() {
 		}
 	}
 	srvCfg := server.Config{
-		Workers:    *workers,
-		NoAffinity: !*affinity,
-		FlushPass:  *flushPass,
-		Recorder:   rec,
+		Workers:   *workers,
+		FlushPass: *flushPass,
+		Recorder:  rec,
 	}
 	if node != nil {
 		srvCfg.Cluster = node
@@ -294,17 +295,13 @@ func main() {
 		srv.Shutdown(*grace)
 	}()
 
-	mode := "affinity"
-	if !srv.Affinity() {
-		mode = "no-affinity"
-	}
 	if node != nil {
 		node.Start()
 		log.Printf("lockd: cluster member %s of %v (hb %v, suspect after %d, failover window %v)",
 			node.Self(), node.Current().Members(), *hbIvl, *suspectAfter, *failWindow)
 	}
-	log.Printf("lockd: %s %s serving on %s (%d shards, sweep %v, %d workers, %s)",
-		bi.Version, bi.GoVersion, ln.Addr(), *shards, *sweep, srv.Workers(), mode)
+	log.Printf("lockd: %s %s serving on %s (%d shards, sweep %v, %d workers)",
+		bi.Version, bi.GoVersion, ln.Addr(), *shards, *sweep, srv.Workers())
 	if err := srv.Serve(ln); err != nil {
 		log.Fatalf("lockd: serve: %v", err)
 	}

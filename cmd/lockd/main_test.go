@@ -1,0 +1,24 @@
+package main
+
+import (
+	"flag"
+	"strings"
+	"testing"
+)
+
+// maxFlags is the knob budget. It only ever goes down: ROADMAP wants the
+// daemon at 12 flags or fewer, so a change that adds a flag must retire
+// one first.
+const maxFlags = 21
+
+func TestFlagBudget(t *testing.T) {
+	var names []string
+	flag.VisitAll(func(f *flag.Flag) {
+		if !strings.HasPrefix(f.Name, "test.") {
+			names = append(names, f.Name)
+		}
+	})
+	if len(names) > maxFlags {
+		t.Fatalf("lockd registers %d flags, budget is %d: %v", len(names), maxFlags, names)
+	}
+}

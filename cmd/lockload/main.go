@@ -87,12 +87,11 @@ type point struct {
 
 	// Host/server metadata, so a committed row is self-describing: a
 	// "workers=4" number means nothing without knowing how many
-	// schedulable CPUs the generator and the daemon actually had, or
-	// whether shard-affinity routing was on.
-	GoMaxProcs     int  `json:"gomaxprocs,omitempty"`
-	NumCPU         int  `json:"num_cpu,omitempty"`
-	ServerWorkers  int  `json:"server_workers,omitempty"`
-	ServerAffinity bool `json:"server_affinity,omitempty"`
+	// schedulable CPUs the generator and the daemon actually had.
+	// (Rows recorded before PR 14 carry one more field here; it is ignored.)
+	GoMaxProcs    int `json:"gomaxprocs,omitempty"`
+	NumCPU        int `json:"num_cpu,omitempty"`
+	ServerWorkers int `json:"server_workers,omitempty"`
 
 	Pairs        uint64  `json:"pairs"`
 	OpsPerSec    float64 `json:"ops_per_sec"` // wire ops: 2 per pair
@@ -283,7 +282,7 @@ func main() {
 		fmt.Printf("%7s %10s %12s %12s %9s %9s %9s %9s %9s %7s %7s\n",
 			"read%", "rate", "pairs", "ops/s", "p50(us)", "p95(us)", "p99(us)", "p999(us)", "timeouts", "errors", "failov")
 	}
-	srvWorkers, srvAffinity := serverInfo(cfg.addr)
+	srvWorkers := serverWorkers(cfg.addr)
 	var results []point
 	var hists []stats.Histogram
 	var failed bool
@@ -293,7 +292,7 @@ func main() {
 		p, lat := run(c)
 		p.GoMaxProcs = runtime.GOMAXPROCS(0)
 		p.NumCPU = runtime.NumCPU()
-		p.ServerWorkers, p.ServerAffinity = srvWorkers, srvAffinity
+		p.ServerWorkers = srvWorkers
 		results = append(results, p)
 		hists = append(hists, lat)
 		if p.Errors > 0 {
@@ -337,28 +336,26 @@ func main() {
 	}
 }
 
-// serverInfo asks the target daemon to describe itself through the
-// Stats payload (worker count, affinity mode). Best effort: a server
-// predating those fields, or no server at all, yields zeros and the
-// bench rows simply omit the metadata.
-func serverInfo(addr string) (workers int, affinity bool) {
+// serverWorkers asks the target daemon for its worker count through the
+// Stats payload. Best effort: a server predating the field, or no server
+// at all, yields zero and the bench rows simply omit the metadata.
+func serverWorkers(addr string) int {
 	c, err := client.Dial(addr)
 	if err != nil {
-		return 0, false
+		return 0
 	}
 	defer c.Close()
 	raw, err := c.Stats()
 	if err != nil {
-		return 0, false
+		return 0
 	}
 	var info struct {
-		ServerWorkers  int  `json:"server_workers"`
-		ServerAffinity bool `json:"server_affinity"`
+		ServerWorkers int `json:"server_workers"`
 	}
 	if json.Unmarshal(raw, &info) != nil {
-		return 0, false
+		return 0
 	}
-	return info.ServerWorkers, info.ServerAffinity
+	return info.ServerWorkers
 }
 
 // checkBenchDoc enforces BENCH_lockd.json's contract: it parses, it

@@ -414,8 +414,8 @@ func (m *Manager) keepAliveSession(s *Session, lease time.Duration, now time.Tim
 	return nil
 }
 
-// fnv32b is fnv32 over bytes (alloc-free shard hash for ring-aliased
-// names).
+// fnv32b is fnv32 over bytes (alloc-free shard hash for names that
+// alias a parse buffer).
 func fnv32b(b []byte) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(b); i++ {
@@ -423,13 +423,3 @@ func fnv32b(b []byte) uint32 {
 	}
 	return h
 }
-
-// ShardCount reports the number of lock-table shards (a power of two).
-func (m *Manager) ShardCount() int { return len(m.shards) }
-
-// ShardIndex returns the shard a lock name hashes to, without
-// allocating. This is the partitioning key an affinity-aware runtime
-// uses to route an op to the worker that owns the shard — the software
-// analogue of the paper's per-memory-controller LRT banks, where a lock
-// address picks exactly one bank.
-func (m *Manager) ShardIndex(name []byte) uint32 { return fnv32b(name) & m.mask }

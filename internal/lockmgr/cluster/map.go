@@ -1,7 +1,6 @@
 // Package cluster distributes the lockmgr namespace across N lockd
 // nodes — the software analogue of the paper's per-memory-controller
-// Lock Reservation Table banks, extended from PR 8's intra-process shard
-// affinity to whole processes.
+// Lock Reservation Table banks, with a whole process as the bank.
 //
 // Ownership is rendezvous (highest-random-weight) hashing: every node
 // scores every name as mix64(hash(name) ^ hash(member)) and the highest

@@ -49,15 +49,11 @@ type WorkerStats struct {
 	FlushStallUS float64 `json:"flush_stall_us"`
 	Backpressure uint64  `json:"backpressure"`
 
-	// Shard-affinity counters: the cross-worker forwarding plane.
-	HomeOps      uint64 `json:"home_ops"`      // named ops decoded on their home worker
-	FwdRuns      uint64 `json:"fwd_runs"`      // runs forwarded to a peer
-	FwdOps       uint64 `json:"fwd_ops"`       // ops summed over those runs
-	FwdIn        uint64 `json:"fwd_in"`        // foreign ops executed for peers
-	FwdInline    uint64 `json:"fwd_inline"`    // peer cycles run inline after a forward
-	FwdFallbacks uint64 `json:"fwd_fallbacks"` // runs executed locally (ring full/draining)
-	RingDepth    uint64 `json:"ring_depth"`    // published-but-unconsumed inbound runs
-	OutBlocked   uint64 `json:"out_blocked"`   // parse pauses on the flusher backlog bound
+	HomeOps    uint64 `json:"home_ops"`    // acquire/release ops decoded
+	OutBlocked uint64 `json:"out_blocked"` // parse pauses on the flusher backlog bound
+
+	// Always zero: the shard-affinity forwarding they counted is gone; benchmark/svc.go still reads them.
+	FwdRuns, FwdOps, FwdInline uint64 `json:"-"`
 
 	// Flusher-stage counters: the writev plane.
 	Writevs          uint64 `json:"writevs"`           // writev passes issued
@@ -87,14 +83,8 @@ func (s *Server) WorkerStats() []WorkerStats {
 			FlushStallUS: float64(w.st.flushStallNS.Load()) / 1e3,
 			Backpressure: w.st.backpressure.Load(),
 
-			HomeOps:      w.st.homeOps.Load(),
-			FwdRuns:      w.st.fwdRuns.Load(),
-			FwdOps:       w.st.fwdOps.Load(),
-			FwdIn:        w.st.fwdIn.Load(),
-			FwdInline:    w.st.fwdInline.Load(),
-			FwdFallbacks: w.st.fwdFallbacks.Load(),
-			RingDepth:    w.ring.depth(),
-			OutBlocked:   w.st.outBlocked.Load(),
+			HomeOps:    w.st.namedOps.Load(),
+			OutBlocked: w.st.outBlocked.Load(),
 
 			Writevs:          w.fl.writevs.Load(),
 			WritevChunks:     w.fl.writevBufs.Load(),
@@ -139,7 +129,6 @@ func (s *Server) Recorder() *introspect.Recorder { return s.rec }
 // cmd/lockd writes as its -metrics file.
 type MetricsPayload struct {
 	Build    BuildInfo             `json:"build"`
-	Affinity bool                  `json:"affinity"`
 	Manager  lockmgr.Snapshot      `json:"manager"`
 	Workers  []WorkerStats         `json:"workers"`
 	HotLocks []lockmgr.LockProfile `json:"hot_locks"`
@@ -155,7 +144,6 @@ type MetricsPayload struct {
 func (s *Server) Metrics(bi BuildInfo, topK int) MetricsPayload {
 	p := MetricsPayload{
 		Build:    bi,
-		Affinity: s.Affinity(),
 		Manager:  s.m.Stats(),
 		Workers:  s.WorkerStats(),
 		HotLocks: s.m.HotLocks(topK),
@@ -194,8 +182,6 @@ func (s *Server) WriteProm(w io.Writer, bi BuildInfo, topK int) {
 	pw.Gauge("lockd_sessions", "", float64(snap.Sessions))
 	pw.Gauge("lockd_waiting", "", float64(snap.Waiting))
 
-	pw.Gauge("lockd_affinity", "", boolGauge(s.Affinity()))
-
 	if s.cluster != nil {
 		pw.Gauge("lockd_cluster_epoch", "", float64(s.cluster.Epoch()))
 		pw.Gauge("lockd_cluster_members", "", float64(s.cluster.MemberCount()))
@@ -226,12 +212,6 @@ func (s *Server) WriteProm(w io.Writer, bi BuildInfo, topK int) {
 		pw.Gauge("lockd_worker_flush_stall_seconds_total", l, ws.FlushStallUS*1e-6)
 		pw.Counter("lockd_worker_backpressure_total", l, ws.Backpressure)
 		pw.Counter("lockd_worker_home_ops_total", l, ws.HomeOps)
-		pw.Counter("lockd_worker_fwd_runs_total", l, ws.FwdRuns)
-		pw.Counter("lockd_worker_fwd_ops_total", l, ws.FwdOps)
-		pw.Counter("lockd_worker_fwd_in_total", l, ws.FwdIn)
-		pw.Counter("lockd_worker_fwd_inline_total", l, ws.FwdInline)
-		pw.Counter("lockd_worker_fwd_fallbacks_total", l, ws.FwdFallbacks)
-		pw.Gauge("lockd_worker_ring_depth", l, float64(ws.RingDepth))
 		pw.Counter("lockd_worker_out_blocked_total", l, ws.OutBlocked)
 		pw.Counter("lockd_worker_writevs_total", l, ws.Writevs)
 		pw.Counter("lockd_worker_writev_chunks_total", l, ws.WritevChunks)
@@ -305,14 +285,6 @@ func (s *Server) AdminHandler(bi BuildInfo) http.Handler {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
-}
-
-// boolGauge renders a bool as the conventional 0/1 gauge value.
-func boolGauge(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // hotK parses the ?k= hot-lock depth, defaulting to defaultHotLocks.

@@ -3,7 +3,6 @@ package server
 import (
 	"io"
 	"net"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -26,77 +25,67 @@ func quietCfg() lockmgr.Config {
 	}
 }
 
-// TestForwardRoundTripAllocs pins the steady-state forward→execute→
-// reap round trip at zero allocations: parse a foreign run, push it
-// through the home worker's ring via the inline-donation path, and
-// encode the completed responses — all without a single malloc. This is
-// the affinity tentpole's hot path; an allocation here is paid once per
-// cross-worker run at saturation.
+// TestPipelinedReadAllocs pins the steady-state round — parse a 16-op
+// pipelined read, execute it as one ExecBatch, encode the 16 responses —
+// at zero allocations. This is the server's hot path; an allocation here
+// is paid once per read at saturation.
 //
-// The test is the loop: it holds the source worker's loopMu for the
-// duration (being the loop, exactly as a donating reader goroutine
-// would) and drives parseConn/reapFwd directly against a fabricated
-// conn, so the whole trip runs synchronously on this goroutine.
-func TestForwardRoundTripAllocs(t *testing.T) {
+// The test is the loop: it holds the worker's loopMu for the duration
+// (being the loop, exactly as a donating reader goroutine would) and
+// drives round directly against a fabricated conn, stopping short of
+// the flusher hand-off (TestWritevFlushPassAllocs covers that stage).
+func TestPipelinedReadAllocs(t *testing.T) {
 	srv := NewWithConfig(lockmgr.New(quietCfg()), Config{Workers: 2})
 	defer srv.Shutdown(time.Second)
-	if !srv.Affinity() || srv.Workers() != 2 {
-		t.Fatalf("want 2 workers with affinity, got %d affinity=%v", srv.Workers(), srv.Affinity())
-	}
 	sid, err := srv.m.Open(time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// A name homed on worker 1, parsed by worker 0: every op forwards.
-	var name string
-	for i := 0; ; i++ {
-		name = "fwd-alloc-" + string(rune('a'+i%26)) + string(rune('a'+i/26))
-		if srv.owner[srv.m.ShardIndex([]byte(name))] == 1 {
-			break
-		}
+	var frames []byte
+	for i := 0; i < 8; i++ {
+		name := "read-alloc-" + string(rune('a'+i))
+		frames, _ = wire.AppendRequestFrame(frames, &wire.Request{Op: wire.OpAcquire, SID: sid, Excl: i == 0, Name: name})
+		frames, _ = wire.AppendRequestFrame(frames, &wire.Request{Op: wire.OpRelease, SID: sid, Excl: i == 0, Name: name})
 	}
 
-	var frames []byte
-	frames, _ = wire.AppendRequestFrame(frames, &wire.Request{Op: wire.OpAcquire, SID: sid, Excl: true, Name: name})
-	frames, _ = wire.AppendRequestFrame(frames, &wire.Request{Op: wire.OpRelease, SID: sid, Excl: true, Name: name})
-
-	src := srv.workers[0]
-	c := &conn{id: 1, w: src}
+	w := srv.workers[0]
+	c := &conn{id: 1, w: w}
 	c.cond = sync.NewCond(&c.mu)
 	wb := wire.GetBuffer()
 	c.wb, c.wbuf = wb, wb.B
 
-	src.loopMu.Lock()
-	defer src.loopMu.Unlock()
+	w.loopMu.Lock()
+	defer w.loopMu.Unlock()
+	w.ready = append(w.ready, c)
+	defer func() { w.ready = w.ready[:0] }()
 
-	trip := func() {
+	batches := w.st.batches.Load()
+	rounds := uint64(0)
+	read := func() {
 		c.pending = append(c.pending[:0], frames...)
 		c.parsePos = 0
-		src.parseConn(c) // builds the run, dispatches, usually donates inline
-		for c.fwd.state.Load() != fwdDone {
-			runtime.Gosched() // home loop was busy; it will nudge via its own cycle
+		if !w.round() || c.dead || c.parked || c.parsePos != 0 || len(c.pending) != 0 {
+			t.Fatalf("round did not consume the read (dead=%v parked=%v pos=%d left=%d)",
+				c.dead, c.parked, c.parsePos, len(c.pending))
 		}
-		src.reapFwd() // finishRun: encode both responses into c.wbuf
 		if len(c.wbuf) == 0 {
 			t.Fatal("no responses encoded")
 		}
 		c.wbuf = c.wbuf[:0]
-		c.inReady = false
-		src.ready = src.ready[:0]
+		rounds++
 	}
 	for i := 0; i < 64; i++ {
-		trip() // warm: run record, batch scratch, wbuf, conn registration
+		read() // warm: batch scratch, op slices, wbuf, lock entries
 	}
-	if allocs := testing.AllocsPerRun(100, trip); allocs != 0 {
-		t.Fatalf("forward round trip allocates %.1f times per op run, want 0", allocs)
+	if allocs := testing.AllocsPerRun(100, read); allocs != 0 {
+		t.Fatalf("16-op read round allocates %.1f times, want 0", allocs)
 	}
-	fwd := src.st.fwdRuns.Load()
-	if fwd == 0 {
-		t.Fatal("runs were not forwarded")
+	if got := w.st.batches.Load() - batches; got != rounds {
+		t.Fatalf("%d reads took %d batches, want one each", rounds, got)
 	}
-	if fb := src.st.fwdFallbacks.Load(); fb != 0 {
-		t.Fatalf("%d runs fell back to local execution", fb)
+	if got := w.st.batchOps.Load(); got != 16*rounds {
+		t.Fatalf("%d reads executed %d ops, want 16 each", rounds, got)
 	}
 }
 

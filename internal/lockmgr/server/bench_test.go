@@ -1,7 +1,10 @@
 package server
 
 import (
+	"fmt"
+	"math/rand"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -102,4 +105,81 @@ func BenchmarkManagerAcquireRelease(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkPipelinedTwoClients is the go-test twin of the repo
+// benchmark's svc-pipelined-read workload, so that workload's server path
+// can be profiled (-cpuprofile) without touching benchmark/: two
+// closed-loop clients, each flushing 8 acquire+release pairs per round
+// trip over 64 keys, 90 % shared, against a two-worker server on loopback
+// TCP. One iteration is one pair.
+func BenchmarkPipelinedTwoClients(b *testing.B) {
+	const (
+		clients   = 2
+		depth     = 8
+		keys      = 64
+		sharedPct = 90
+	)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := NewWithConfig(lockmgr.New(lockmgr.Config{}), Config{Workers: 2})
+	go srv.Serve(ln)
+	defer srv.Shutdown(time.Second)
+
+	names := make([]string, keys)
+	for i := range names {
+		names[i] = fmt.Sprintf("bench/key-%02d", i)
+	}
+	type cl struct {
+		c   *client.Conn
+		sid uint64
+		rng *rand.Rand
+	}
+	var cls [clients]cl
+	for i := range cls {
+		c, err := client.Dial(ln.Addr().String())
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer c.Close()
+		sid, err := c.Open(time.Minute)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cls[i] = cl{c: c, sid: sid, rng: rand.New(rand.NewSource(int64(i) + 1))}
+	}
+	rounds := (b.N + clients*depth - 1) / (clients * depth)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for i := range cls {
+		wg.Add(1)
+		go func(k cl) {
+			defer wg.Done()
+			var errs []error
+			for r := 0; r < rounds; r++ {
+				for j := 0; j < depth; j++ {
+					name := names[k.rng.Intn(keys)]
+					excl := k.rng.Intn(100) >= sharedPct
+					k.c.QueueAcquire(k.sid, name, excl, 10*time.Second)
+					k.c.QueueRelease(k.sid, name, excl)
+				}
+				var err error
+				errs, err = k.c.Flush(errs[:0])
+				if err != nil {
+					b.Error(err)
+					return
+				}
+				for _, e := range errs {
+					if e != nil {
+						b.Error(e)
+						return
+					}
+				}
+			}
+		}(cls[i])
+	}
+	wg.Wait()
 }

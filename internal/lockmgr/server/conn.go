@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"fairrw/internal/lockmgr"
 	"fairrw/internal/lockmgr/wire"
 )
 
@@ -50,28 +49,18 @@ type conn struct {
 	closed bool       // worker dropped the conn; reader must not block
 
 	// Worker-owned state; no other goroutine touches these.
-	pending     []byte       // unparsed frame bytes (inbox is appended here)
-	parsePos    int          // parse cursor into pending
-	wb          *wire.Buffer // pooled backing store for wbuf
-	wbuf        []byte       // encoded responses awaiting the wakeup's flush
-	parked      bool         // a blocking acquire is in flight for this conn
-	want        uint8        // parse stopped at a frame answered inline between batches
-	dead        bool         // connection condemned; cleanup pending
-	removed     bool         // retired from the worker; ignore late events
-	eofSeen     bool         // worker has observed the reader's eof
-	inReady     bool         // already collected into the worker's ready set
-	flushMark   bool         // wbuf touched this wakeup; flush before sleeping
-	fwdInFlight bool         // a forwarded run is at its home worker
-	wblocked    bool         // flusher backlog over maxOutq; parse paused
-
-	// fwd is the conn's forwarding record: the payload behind a *conn
-	// pushed onto a home worker's opRing. The source worker fills ops
-	// and ends and publishes state=fwdPending; the home worker executes,
-	// writes Err/OutSID back into ops in place, and publishes
-	// state=fwdDone; the source reaps it on its next wakeup. One record
-	// per conn suffices because per-conn order admits at most one
-	// outstanding run.
-	fwd fwdRun
+	pending   []byte       // unparsed frame bytes (inbox is appended here)
+	parsePos  int          // parse cursor into pending
+	wb        *wire.Buffer // pooled backing store for wbuf
+	wbuf      []byte       // encoded responses awaiting the wakeup's flush
+	parked    bool         // a blocking acquire is in flight for this conn
+	want      uint8        // parse stopped at a frame answered inline between batches
+	dead      bool         // connection condemned; cleanup pending
+	removed   bool         // retired from the worker; ignore late events
+	eofSeen   bool         // worker has observed the reader's eof
+	inReady   bool         // already collected into the worker's ready set
+	flushMark bool         // wbuf touched this wakeup; flush before sleeping
+	wblocked  bool         // flusher backlog over maxOutq; parse paused
 
 	// Flusher handoff, guarded by fmu (worker appends, flusher drains).
 	fmu          sync.Mutex
@@ -94,22 +83,6 @@ type conn struct {
 	outBytes    atomic.Int64 // bytes in outq not yet written (worker reads for wblocked)
 	writeFailed atomic.Bool  // flusher hit a write error; worker must condemn
 }
-
-// fwdRun carries one run of consecutive same-home ops from the worker
-// that decoded them to the worker that owns their shard. ends[i] is the
-// parse cursor just past ops[i]'s frame, so the source can park exactly
-// at a would-block acquire when it reaps the completed run.
-type fwdRun struct {
-	state atomic.Uint32 // fwdFree → fwdPending (source) → fwdDone (home)
-	ops   []lockmgr.BatchOp
-	ends  []int
-}
-
-const (
-	fwdFree    = 0
-	fwdPending = 1
-	fwdDone    = 2
-)
 
 // want values: frames the parse loop cannot answer from the batch
 // results. They stop the parse (preserving per-connection response
@@ -199,12 +172,8 @@ func (c *conn) take() (eof bool) {
 
 // compact drops the consumed prefix of pending. Called only after the
 // batch referencing pending's bytes has been executed and encoded.
-// While a forwarded run is in flight the home worker still reads op
-// names that alias pending's backing array, so the in-place copy-down
-// must wait (appends are fine — they leave the old array intact — but
-// compaction is destructive).
 func (c *conn) compact() {
-	if c.parsePos == 0 || c.fwdInFlight {
+	if c.parsePos == 0 {
 		return
 	}
 	n := copy(c.pending, c.pending[c.parsePos:])

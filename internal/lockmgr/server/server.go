@@ -30,16 +30,10 @@ import (
 
 // Config tunes the runtime. The zero value is ready to use.
 type Config struct {
-	// Workers is the number of event loops. Default GOMAXPROCS. With
-	// affinity on (the default) the count is rounded down to a power of
-	// two and capped at the manager's shard count, so the power-of-two
-	// shard space partitions exactly across workers.
+	// Workers is the number of event loops, used as given. Default
+	// GOMAXPROCS. Connections are dealt to loops round-robin and a loop
+	// executes everything its connections send.
 	Workers int
-	// NoAffinity disables shard→worker ownership: every worker executes
-	// every op it decodes, taking whatever shard mutexes the batch
-	// needs (the pre-affinity behaviour, and the automatic mode at one
-	// worker, where routing would be a no-op).
-	NoAffinity bool
 	// WriteTimeout bounds the total time a conn's escalated write may
 	// take before the conn is condemned. Default 10s.
 	WriteTimeout time.Duration
@@ -108,11 +102,6 @@ type Server struct {
 	cluster Cluster              // alias of cfg.Cluster (nil = not clustered)
 
 	workers []*worker
-	// owner maps manager shard index → home worker index, the
-	// shard-affinity partition (the paper's lock-address → LRT-bank
-	// mapping in software). nil when affinity is off or there is only
-	// one worker; then every op is local to whichever worker decodes it.
-	owner   []int32
 	drainCh chan struct{} // closed once by Shutdown; observed by workers
 	wg      sync.WaitGroup
 
@@ -134,19 +123,6 @@ func New(m *lockmgr.Manager) *Server {
 // their flusher stages.
 func NewWithConfig(m *lockmgr.Manager, cfg Config) *Server {
 	cfg.fill()
-	if !cfg.NoAffinity {
-		// Exact partitioning needs workers to divide the power-of-two
-		// shard count: round down to a power of two and cap at the shard
-		// count. (6 workers → 4; never below 1.)
-		w := 1
-		for w*2 <= cfg.Workers {
-			w *= 2
-		}
-		if sc := m.ShardCount(); w > sc {
-			w = sc
-		}
-		cfg.Workers = w
-	}
 	s := &Server{
 		m:       m,
 		cfg:     cfg,
@@ -158,12 +134,6 @@ func NewWithConfig(m *lockmgr.Manager, cfg Config) *Server {
 	s.workers = make([]*worker, cfg.Workers)
 	for i := range s.workers {
 		s.workers[i] = newWorker(s, i)
-	}
-	if !cfg.NoAffinity && cfg.Workers > 1 {
-		s.owner = make([]int32, m.ShardCount())
-		for si := range s.owner {
-			s.owner[si] = int32(si % cfg.Workers)
-		}
 	}
 	s.wg.Add(2 * len(s.workers))
 	for _, w := range s.workers {
@@ -228,13 +198,8 @@ func (s *Server) Serve(ln net.Listener) error {
 // Workers reports the number of event loops the server runs.
 func (s *Server) Workers() int { return len(s.workers) }
 
-// Affinity reports whether shard→worker ownership routing is active.
-func (s *Server) Affinity() bool { return s.owner != nil }
-
 // connsEmpty reports whether every connection on the server has been
-// retired. This is the workers' drain-exit condition: with affinity on,
-// a worker whose own conns are gone may still be the shard home for
-// runs forwarded by peers whose conns are not.
+// retired. This is the workers' drain-exit condition (see worker.run).
 func (s *Server) connsEmpty() bool {
 	s.mu.Lock()
 	n := len(s.conns)

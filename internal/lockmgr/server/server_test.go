@@ -15,11 +15,18 @@ import (
 // the address. Shutdown runs in cleanup and is verified to terminate.
 func startServer(t *testing.T, cfg lockmgr.Config) (addr string, srv *Server) {
 	t.Helper()
+	return startServerCfg(t, cfg, Config{})
+}
+
+// startServerCfg is startServer with an explicit server Config, for
+// tests that pin worker count or flusher budgets.
+func startServerCfg(t *testing.T, mcfg lockmgr.Config, scfg Config) (addr string, srv *Server) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
-	srv = New(lockmgr.New(cfg))
+	srv = NewWithConfig(lockmgr.New(mcfg), scfg)
 	served := make(chan error, 1)
 	go func() { served <- srv.Serve(ln) }()
 	t.Cleanup(func() {

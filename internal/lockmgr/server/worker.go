@@ -42,24 +42,10 @@ type wstats struct {
 	flushStalls  atomic.Uint64 // flusher passes that exceeded FlushPass
 	flushStallNS atomic.Uint64 // time spent inside escalated writes
 	backpressure atomic.Uint64 // reader blocked on the full-inbox bound
-	homeOps      atomic.Uint64 // named ops that decoded on their home worker
-	fwdRuns      atomic.Uint64 // runs forwarded to a peer's op ring
-	fwdOps       atomic.Uint64 // ops summed over those runs
-	fwdIn        atomic.Uint64 // foreign ops this worker executed for peers
-	fwdInline    atomic.Uint64 // peer cycles run inline right after a forward
-	fwdFallbacks atomic.Uint64 // runs executed locally (ring full / draining)
+	namedOps     atomic.Uint64 // acquire/release ops decoded (WorkerStats.HomeOps)
 	outBlocked   atomic.Uint64 // times a conn's parse paused on maxOutq
 	conns        atomic.Int64  // connections currently owned
 	_            [32]byte
-}
-
-// fwdSeg maps a slice of this worker's batch back to the foreign run it
-// came from, so results can be copied into the source conn's fwd record
-// after ExecBatch.
-type fwdSeg struct {
-	c     *conn
-	start int
-	n     int
 }
 
 // worker is one event loop. It owns a set of connections outright;
@@ -71,29 +57,17 @@ type fwdSeg struct {
 // coalesced bytes to the worker's flusher stage (socket writes never
 // happen under loopMu).
 //
-// With affinity on, the worker is also a shard home: lock names hash to
-// shards and shards partition across workers (the paper's
-// per-memory-controller LRT banks in software), so a worker decoding an
-// op whose shard lives elsewhere forwards a run of such ops through the
-// home's opRing instead of taking the foreign shard mutex itself. In
-// steady state each shard mutex is only ever taken by its home worker's
-// batches — uncontended except for parked continuations.
-//
 // The loop has two executors. The dedicated goroutine (run) blocks on
 // the event channels and is the fallback that guarantees liveness. On
 // top of it, a reader that lands new bytes donates its own goroutine
-// when loopMu is free (donate), and a worker that just forwarded a run
-// donates its goroutine to the idle home loop the same way (dispatch),
-// so the cross-worker hop costs a function call, not a context switch,
-// whenever the home is free.
+// when loopMu is free (donate), so a request usually costs a function
+// call, not a context switch.
 type worker struct {
 	srv  *Server
 	idx  int            // worker index, the admin plane's `worker` label
 	q    chan *conn     // readiness: conn has new bytes (or hit EOF); nil = recheck exit
 	injq chan injection // grant completions from parked continuations
-	note chan struct{}  // coalesced cross-worker nudge: ring or completions pending
 	dead chan struct{}  // closed when the worker exits (unblocks senders)
-	ring *opRing        // runs forwarded to this worker (it is their shard home)
 	fl   *flusher       // this worker's write stage
 
 	st     wstats
@@ -106,15 +80,12 @@ type worker struct {
 	conns    map[*conn]struct{}
 	draining bool
 
-	sc      *lockmgr.BatchScratch
-	ops     []lockmgr.BatchOp
-	opConn  []*conn  // opConn[i] owns ops[i] (local ops only)
-	opEnd   []int    // parse cursor just past ops[i]'s frame (local ops only)
-	ready   []*conn  // conns to service this wakeup
-	wantCs  []*conn  // conns whose parse stopped at an inline-answered frame
-	fwdWait []*conn  // source side: conns with a run in flight at a peer
-	fwdExec []*conn  // home side: runs popped from the ring this round
-	segs    []fwdSeg // home side: batch segments owned by foreign runs
+	sc     *lockmgr.BatchScratch
+	ops    []lockmgr.BatchOp
+	opConn []*conn // opConn[i] owns ops[i]
+	opEnd  []int   // parse cursor just past ops[i]'s frame
+	ready  []*conn // conns to service this wakeup
+	wantCs []*conn // conns whose parse stopped at an inline-answered frame
 }
 
 func newWorker(s *Server, idx int) *worker {
@@ -123,9 +94,7 @@ func newWorker(s *Server, idx int) *worker {
 		idx:   idx,
 		q:     make(chan *conn, 256),
 		injq:  make(chan injection, 256),
-		note:  make(chan struct{}, 1),
 		dead:  make(chan struct{}),
-		ring:  newOpRing(),
 		conns: make(map[*conn]struct{}),
 		sc:    s.m.NewBatchScratch(),
 	}
@@ -136,8 +105,8 @@ func newWorker(s *Server, idx int) *worker {
 // run is the fallback loop executor: block for one event, take the
 // loop, drain everything queued, process it as one batch, sleep. The
 // exit condition is global — every connection on the server retired —
-// not local: with affinity on, a worker with no conns of its own may
-// still be the shard home for runs forwarded by peers that do.
+// not local: a conn accepted just before the drain is in the server's
+// set before its registration event reaches this worker's queue.
 func (w *worker) run() {
 	defer func() {
 		close(w.dead)
@@ -156,20 +125,12 @@ func (w *worker) run() {
 			w.st.wakeups.Add(1)
 			w.loopMu.Lock()
 			w.noteReady(c)
-			w.drainEvents()
 			w.process()
 			w.loopMu.Unlock()
 		case inj := <-w.injq:
 			w.st.wakeups.Add(1)
 			w.loopMu.Lock()
 			w.unpark(inj)
-			w.drainEvents()
-			w.process()
-			w.loopMu.Unlock()
-		case <-w.note:
-			w.st.wakeups.Add(1)
-			w.loopMu.Lock()
-			w.drainEvents()
 			w.process()
 			w.loopMu.Unlock()
 		case <-drainCh:
@@ -190,20 +151,9 @@ func (w *worker) donate(c *conn) bool {
 	}
 	w.st.donations.Add(1)
 	w.noteReady(c)
-	w.drainEvents()
 	w.process()
 	w.loopMu.Unlock()
 	return true
-}
-
-// nudge delivers a coalesced cross-worker wakeup (ring push or run
-// completion). Never blocks: a full note channel means a wakeup is
-// already pending and the receiver will find this event too.
-func (w *worker) nudge() {
-	select {
-	case w.note <- struct{}{}:
-	default:
-	}
 }
 
 // wake re-delivers a conn to its worker from outside the loop (the
@@ -225,8 +175,6 @@ func (w *worker) drainEvents() {
 			w.noteReady(c)
 		case inj := <-w.injq:
 			w.unpark(inj)
-		case <-w.note:
-			// The ring and completion scans happen every process round.
 		default:
 			return
 		}
@@ -275,51 +223,12 @@ func (w *worker) unpark(inj injection) {
 	w.noteReady(c)
 }
 
-// process services every ready conn: parse → execute → encode rounds
-// until no conn can make progress, then one flusher handoff per touched
-// conn and lifecycle cleanup. Each round also reaps completed forwarded
-// runs (ours, back from peers) and takes newly arrived foreign runs
-// (theirs, from our ring) so cross-worker traffic advances at round
-// granularity, not wakeup granularity.
+// process is one loop cycle: take every queued event, then service the
+// ready conns — parse → execute → encode rounds until none can make
+// progress, one flusher handoff per touched conn, lifecycle cleanup.
 func (w *worker) process() {
-	for {
-		w.reapFwd()
-		w.takeRing()
-		w.ops = w.ops[:0]
-		w.opConn = w.opConn[:0]
-		w.opEnd = w.opEnd[:0]
-		w.wantCs = w.wantCs[:0]
-		for _, c := range w.ready {
-			w.parseConn(c)
-		}
-		localN := len(w.ops)
-		w.segs = w.segs[:0]
-		for _, fc := range w.fwdExec {
-			start := len(w.ops)
-			w.ops = append(w.ops, fc.fwd.ops...)
-			w.segs = append(w.segs, fwdSeg{c: fc, start: start, n: len(fc.fwd.ops)})
-			w.st.fwdIn.Add(uint64(len(fc.fwd.ops)))
-		}
-		w.fwdExec = w.fwdExec[:0]
-		if len(w.ops) == 0 && len(w.wantCs) == 0 {
-			break
-		}
-		if n := len(w.ops); n > 0 {
-			w.st.batches.Add(1)
-			w.st.batchOps.Add(uint64(n))
-			w.bhMu.Lock()
-			w.batchH.Add(uint64(n))
-			w.bhMu.Unlock()
-		}
-		w.srv.m.ExecBatch(w.ops, w.sc)
-		w.completeForwards()
-		w.encode(localN)
-		for _, c := range w.wantCs {
-			w.answerWant(c)
-		}
-		for _, c := range w.ready {
-			c.compact()
-		}
+	w.drainEvents()
+	for w.round() {
 	}
 	for _, c := range w.ready {
 		w.flush(c)
@@ -331,44 +240,48 @@ func (w *worker) process() {
 	w.ready = w.ready[:0]
 }
 
-// homeOf routes a decoded request: the worker index owning the shard
-// its lock name hashes to, or -1 for ops any worker may execute
-// (session ops, stats, names ExecBatch will reject). With affinity off
-// there are no homes and every op is local.
-func (w *worker) homeOf(req *wire.RawRequest) int {
-	owner := w.srv.owner
-	if owner == nil {
-		return -1
+// round takes every complete frame of every ready conn into one
+// ExecBatch and encodes the responses; it reports whether it found any
+// work. Later rounds pick up what a want frame held back.
+func (w *worker) round() bool {
+	w.ops = w.ops[:0]
+	w.opConn = w.opConn[:0]
+	w.opEnd = w.opEnd[:0]
+	w.wantCs = w.wantCs[:0]
+	for _, c := range w.ready {
+		w.parseConn(c)
 	}
-	if req.Op != wire.OpAcquire && req.Op != wire.OpRelease {
-		return -1
+	if len(w.ops) == 0 && len(w.wantCs) == 0 {
+		return false
 	}
-	if len(req.Name) == 0 || len(req.Name) > lockmgr.MaxNameLen {
-		return -1
+	if n := len(w.ops); n > 0 {
+		w.st.batches.Add(1)
+		w.st.batchOps.Add(uint64(n))
+		w.bhMu.Lock()
+		w.batchH.Add(uint64(n))
+		w.bhMu.Unlock()
 	}
-	return int(owner[w.srv.m.ShardIndex(req.Name)])
+	w.srv.m.ExecBatch(w.ops, w.sc)
+	w.encode()
+	for _, c := range w.wantCs {
+		w.answerWant(c)
+	}
+	for _, c := range w.ready {
+		c.compact()
+	}
+	return true
 }
 
-// parseConn decodes complete frames from c's pending buffer, stopping
-// at a parked acquire, an in-flight forwarded run, a paused
-// write-backlog (wblocked), a want frame — OpStats, OpClusterInfo, or a
-// named op the cluster gate refuses, all answered between batches to
-// keep per-connection order — the first malformed frame (which condemns
-// the stream), or the first incomplete frame.
-//
-// Routing happens here: an op homed on this worker (or homeless) joins
-// the local batch; a foreign op starts a run — the maximal prefix of
-// consecutive ops with the same home — which dispatch() forwards.
-// Per-conn order admits at most one route per round: local ops parsed
-// this round bar a foreign run from starting (it would execute on the
-// peer before this round's batch runs), and a home switch ends the run.
-// The conn makes one hop per round; pipelined frames behind it stay
-// buffered and re-parse next round, exactly like frames behind a park.
+// parseConn decodes every complete frame in c's pending buffer into the
+// worker's batch, stopping at a parked acquire, a paused write-backlog
+// (wblocked), a want frame — OpStats, OpClusterInfo, or a named op the
+// cluster gate refuses, all answered between batches to keep
+// per-connection order — the first malformed frame (which condemns the
+// stream), or the first incomplete frame.
 func (w *worker) parseConn(c *conn) {
 	var req wire.RawRequest
-	runHome := -1
-	localSeen := false
-	for !c.parked && !c.dead && c.want == wantNone && !c.fwdInFlight && !c.wblocked {
+	named := uint64(0)
+	for !c.parked && !c.dead && c.want == wantNone && !c.wblocked {
 		buf := c.pending[c.parsePos:]
 		if len(buf) < 4 {
 			break
@@ -385,40 +298,16 @@ func (w *worker) parseConn(c *conn) {
 			c.dead = true
 			break
 		}
+		c.parsePos += 4 + n
 		// Want frames stop the parse and are answered between batches
-		// (after this round's encode, so per-connection order holds). A
-		// pending foreign run defers them unconsumed to the round after
-		// it completes. The cluster gate runs here, before routing: a
-		// name this node does not own must never reach a shard.
+		// (after this round's encode, so per-connection order holds). The
+		// cluster gate runs here: a name this node does not own must
+		// never reach a shard.
 		if wk := w.wantOf(&req); wk != wantNone {
-			if runHome >= 0 {
-				break // answer after the run completes
-			}
-			c.parsePos += 4 + n
 			c.want = wk
 			w.wantCs = append(w.wantCs, c)
 			break
 		}
-		// Route before consuming: a frame that cannot join this round's
-		// batch or run stays buffered for the next round.
-		home := w.homeOf(&req)
-		if home >= 0 && home != w.idx {
-			if localSeen || (runHome >= 0 && runHome != home) {
-				break
-			}
-			runHome = home
-		} else {
-			if home == w.idx {
-				w.st.homeOps.Add(1)
-			}
-			if runHome >= 0 && home >= 0 {
-				break // a home-local op ends the foreign run
-			}
-			// Homeless ops (session management) ride along in whichever
-			// route is active, preserving order without a round-trip of
-			// their own.
-		}
-		c.parsePos += 4 + n
 		op := lockmgr.BatchOp{Tag: c.id, SID: req.SID, Excl: req.Excl,
 			Wait: req.Wait, Lease: req.Lease, Name: req.Name}
 		switch req.Op {
@@ -430,148 +319,27 @@ func (w *worker) parseConn(c *conn) {
 			op.Kind = lockmgr.BatchCloseSession
 		case wire.OpAcquire:
 			op.Kind = lockmgr.BatchAcquire
+			named++
 		case wire.OpRelease:
 			op.Kind = lockmgr.BatchRelease
+			named++
 		}
-		if runHome >= 0 {
-			c.fwd.ops = append(c.fwd.ops, op)
-			c.fwd.ends = append(c.fwd.ends, c.parsePos)
-		} else {
-			localSeen = true
-			w.ops = append(w.ops, op)
-			w.opConn = append(w.opConn, c)
-			w.opEnd = append(w.opEnd, c.parsePos)
-		}
+		w.ops = append(w.ops, op)
+		w.opConn = append(w.opConn, c)
+		w.opEnd = append(w.opEnd, c.parsePos)
 	}
-	if runHome >= 0 && len(c.fwd.ops) > 0 {
-		w.dispatch(c, runHome)
+	if named > 0 {
+		w.st.namedOps.Add(named)
 	}
 }
 
-// dispatch forwards c's parsed run to its home worker's ring, then — if
-// the home loop is idle — runs the home's cycle inline on this
-// goroutine, the cross-worker form of reader donation: the run
-// executes, completes, and nudges us back without a context switch.
-// When the ring is full or the server is draining, the run executes
-// locally instead; the shard mutexes make that correct, it only forgoes
-// the affinity win.
-func (w *worker) dispatch(c *conn, home int) {
-	b := w.srv.workers[home]
-	c.fwd.state.Store(fwdPending)
-	c.fwdInFlight = true
-	if w.draining || !b.ring.push(c) {
-		c.fwd.state.Store(fwdFree)
-		c.fwdInFlight = false
-		w.st.fwdFallbacks.Add(1)
-		for i := range c.fwd.ops {
-			w.ops = append(w.ops, c.fwd.ops[i])
-			w.opConn = append(w.opConn, c)
-			w.opEnd = append(w.opEnd, c.fwd.ends[i])
-		}
-		c.fwd.ops = c.fwd.ops[:0]
-		c.fwd.ends = c.fwd.ends[:0]
-		return
-	}
-	w.fwdWait = append(w.fwdWait, c)
-	w.st.fwdRuns.Add(1)
-	w.st.fwdOps.Add(uint64(len(c.fwd.ops)))
-	if b.loopMu.TryLock() {
-		w.st.fwdInline.Add(1)
-		b.drainEvents()
-		b.process()
-		b.loopMu.Unlock()
-	} else {
-		b.nudge()
-	}
-}
-
-// takeRing collects runs peers forwarded to this worker since the last
-// round. They join this round's batch as segments and their results are
-// copied back by completeForwards.
-func (w *worker) takeRing() {
-	for {
-		c := w.ring.pop()
-		if c == nil {
-			return
-		}
-		w.fwdExec = append(w.fwdExec, c)
-	}
-}
-
-// completeForwards publishes executed foreign segments back to their
-// source conns: results are copied into the conn's fwd record in place,
-// the record flips to done, and the source worker is nudged to reap it.
-func (w *worker) completeForwards() {
-	for _, sg := range w.segs {
-		c := sg.c
-		res := w.ops[sg.start : sg.start+sg.n]
-		for i := range res {
-			c.fwd.ops[i].Err = res[i].Err
-			c.fwd.ops[i].OutSID = res[i].OutSID
-		}
-		c.fwd.state.Store(fwdDone)
-		c.w.nudge()
-	}
-	w.segs = w.segs[:0]
-}
-
-// reapFwd finalizes runs that came back from their home worker:
-// responses are encoded (or a would-block acquire parks, exactly as it
-// would from a local batch) and the conn rejoins the parse rotation.
-func (w *worker) reapFwd() {
-	if len(w.fwdWait) == 0 {
-		return
-	}
-	keep := w.fwdWait[:0]
-	for _, c := range w.fwdWait {
-		if c.fwd.state.Load() != fwdDone {
-			keep = append(keep, c)
-			continue
-		}
-		w.finishRun(c)
-	}
-	w.fwdWait = keep
-}
-
-// finishRun encodes one completed run's responses in op order. A
-// would-block acquire parks the conn and rewinds its parse cursor to
-// just past the parked op, so frames after it (including the tail of
-// this run, deferred by ExecBatch) re-execute after the grant — the
-// same continuation discipline the local batch path uses.
-func (w *worker) finishRun(c *conn) {
-	c.fwdInFlight = false
-	c.fwd.state.Store(fwdFree)
-	ops, ends := c.fwd.ops, c.fwd.ends
-	for i := range ops {
-		op := &ops[i]
-		if c.dead || op.Err == lockmgr.ErrDeferred {
-			continue
-		}
-		if op.Err == lockmgr.ErrWouldBlock {
-			w.park(c, op, ends[i])
-			continue
-		}
-		resp := wire.Response{Status: statusOf(op.Err), SID: op.OutSID}
-		var err error
-		c.wbuf, err = wire.AppendResponseFrame(c.wbuf, &resp)
-		if err != nil {
-			c.dead = true
-			continue
-		}
-		c.flushMark = true
-	}
-	c.fwd.ops = ops[:0]
-	c.fwd.ends = ends[:0]
-	w.noteReady(c)
-}
-
-// encode turns the local half of the batch into response frames in each
-// conn's write buffer. A would-block acquire parks here: its
+// encode turns the executed batch into response frames in each conn's
+// write buffer. A would-block acquire parks here: its
 // continuation goroutine waits FIFO on the lock while the loop moves
 // on, and the conn's parse cursor rewinds so deferred frames re-execute
 // after the grant.
-func (w *worker) encode(localN int) {
-	for i := 0; i < localN; i++ {
+func (w *worker) encode() {
+	for i := range w.ops {
 		op := &w.ops[i]
 		c := w.opConn[i]
 		if c.dead || op.Err == lockmgr.ErrDeferred {
@@ -648,11 +416,10 @@ func (w *worker) wantOf(req *wire.RawRequest) uint8 {
 
 // statsPayload is the wire Stats response: the manager snapshot plus
 // the runtime facts a load generator needs to self-describe its bench
-// rows (worker count, affinity mode, cluster shape).
+// rows (worker count, cluster shape).
 type statsPayload struct {
 	lockmgr.Snapshot
 	ServerWorkers  int    `json:"server_workers"`
-	ServerAffinity bool   `json:"server_affinity"`
 	ClusterMembers int    `json:"cluster_members,omitempty"`
 	ClusterEpoch   uint64 `json:"cluster_epoch,omitempty"`
 }
@@ -677,11 +444,7 @@ func (w *worker) answerWant(c *conn) {
 	var resp wire.Response
 	switch kind {
 	case wantStats:
-		sp := statsPayload{
-			Snapshot:       w.srv.m.Stats(),
-			ServerWorkers:  len(w.srv.workers),
-			ServerAffinity: w.srv.owner != nil,
-		}
+		sp := statsPayload{Snapshot: w.srv.m.Stats(), ServerWorkers: len(w.srv.workers)}
 		if cl := w.srv.cluster; cl != nil {
 			sp.ClusterMembers = cl.MemberCount()
 			sp.ClusterEpoch = cl.Epoch()
@@ -764,11 +527,9 @@ func (w *worker) flush(c *conn) {
 // cleanupIfDone retires a conn whose stream is finished: condemned
 // (malformed frame, write error) or cleanly drained (reader hit EOF and
 // no complete frame remains). A parked conn always waits for its
-// injection first so the continuation never posts to a forgotten conn;
-// a conn with a run in flight likewise waits for the home worker's
-// completion.
+// injection first so the continuation never posts to a forgotten conn.
 func (w *worker) cleanupIfDone(c *conn) {
-	if c.parked || c.fwdInFlight {
+	if c.parked {
 		return
 	}
 	if c.dead || (c.eofSeen && !c.hasFrame()) {
