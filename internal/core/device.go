@@ -97,10 +97,10 @@ func (d *Device) rec(node int32, k obs.Kind, addr memmodel.Addr, tid, aux uint64
 // obsCap returns the machine's capture, or nil when tracing is off.
 func (d *Device) obsCap() *obs.Capture { return d.M.Obs }
 
+// trace emits one line. Every call site sits behind `Opt.Trace != nil`, so
+// a disabled trace neither evaluates nor boxes its arguments.
 func (d *Device) trace(format string, args ...interface{}) {
-	if d.Opt.Trace != nil {
-		d.Opt.Trace(fmt.Sprintf("[%8d] %s", d.M.K.Now(), fmt.Sprintf(format, args...)))
-	}
+	d.Opt.Trace(fmt.Sprintf("[%8d] %s", d.M.K.Now(), fmt.Sprintf(format, args...)))
 }
 
 // homeLRT returns the LRT owning addr.

@@ -711,3 +711,60 @@ func TestManyLocksManyThreads(t *testing.T) {
 		t.Fatalf("done = %d, want 16 (wedged?)", done)
 	}
 }
+
+// TestLCUAcqRelNoAllocs asserts that a steady-state lock/unlock pair on the
+// LCU/LRT — request, LRT entry, grant, grant timer, release, ack; plus the
+// queue, direct transfer and head notification when contended — allocates
+// nothing once the message slab, the LRT's spare entries and the event heap
+// are warm. Tracing is off, as in every measured run.
+func TestLCUAcqRelNoAllocs(t *testing.T) {
+	t.Run("uncontended", func(t *testing.T) {
+		m, d := newA(t, Options{})
+		lock := m.Mem.AllocLine()
+		m.Spawn("t", 1, 0, func(c *machine.Ctx) {
+			pair := func() {
+				c.HwLock(lock, true)
+				c.HwUnlock(lock, true)
+				c.Compute(400) // let the release reach the LRT and its ack return
+			}
+			for i := 0; i < 8; i++ {
+				pair()
+			}
+			if avg := testing.AllocsPerRun(100, pair); avg != 0 {
+				t.Errorf("uncontended Acq/Rel pair allocates %.1f objects, want 0", avg)
+			}
+		})
+		m.Run()
+		if d.Stats.Grants != d.Stats.Requests || d.Stats.LRTDeletes != d.Stats.LRTCreates {
+			t.Errorf("stats = %+v, want every request granted and every LRT entry freed", d.Stats)
+		}
+	})
+	t.Run("contended", func(t *testing.T) {
+		m, d := newA(t, Options{})
+		lock := m.Mem.AllocLine()
+		pair := func(c *machine.Ctx) {
+			c.HwLock(lock, true)
+			c.Compute(60)
+			c.HwUnlock(lock, true)
+		}
+		done := false
+		m.Spawn("rival", 2, 1, func(c *machine.Ctx) {
+			for !done {
+				pair(c)
+			}
+		})
+		m.Spawn("t", 1, 0, func(c *machine.Ctx) {
+			for i := 0; i < 32; i++ {
+				pair(c)
+			}
+			if avg := testing.AllocsPerRun(100, func() { pair(c) }); avg != 0 {
+				t.Errorf("contended Acq/Rel pair allocates %.1f objects, want 0", avg)
+			}
+			done = true
+		})
+		m.Run()
+		if d.Stats.DirectXfers < 100 {
+			t.Errorf("direct transfers = %d, want the measured pairs to have contended", d.Stats.DirectXfers)
+		}
+	})
+}

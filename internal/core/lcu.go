@@ -135,7 +135,9 @@ func (u *lcu) acquire(p *sim.Proc, tid uint64, addr memmodel.Addr, write bool) b
 		e.status = StatusIssued
 		e.nb = e.class != ClassOrdinary
 		d.Stats.Requests++
-		d.trace("lcu%d REQUEST %s t%d %#x nb=%v", u.core, mode(write), tid, addr, e.nb)
+		if d.Opt.Trace != nil {
+			d.trace("lcu%d REQUEST %s t%d %#x nb=%v", u.core, mode(write), tid, addr, e.nb)
+		}
 		d.rec(obs.CoreNode(u.core), obs.KReq, addr, tid, flagBits(write, e.nb))
 		d.coreToLRT(u.core, msgOfReq(reqMsg{
 			addr: addr, req: nodeRef{valid: true, tid: tid, lcu: u.core, write: write}, nb: e.nb}))
@@ -154,7 +156,9 @@ func (u *lcu) acquire(p *sim.Proc, tid uint64, addr memmodel.Addr, write bool) b
 		if e.overflow || (e.head && !e.next.valid && e.viaLRT) {
 			// Uncontended (or overflow-mode) acquisition: drop the entry to
 			// free the slot; the LRT still records the lock (Section III-A).
-			d.trace("lcu%d DROP t%d %#x", u.core, tid, addr)
+			if d.Opt.Trace != nil {
+				d.trace("lcu%d DROP t%d %#x", u.core, tid, addr)
+			}
 			e.reset()
 		}
 		return true
@@ -227,7 +231,9 @@ func (u *lcu) release(p *sim.Proc, tid uint64, addr memmodel.Addr, write bool) b
 		}
 		// Intermediate reader: hold position until the Head token passes
 		// (Section III-B). No messages.
-		d.trace("lcu%d RDREL t%d %#x next=%s", u.core, tid, addr, e.next)
+		if d.Opt.Trace != nil {
+			d.trace("lcu%d RDREL t%d %#x next=%s", u.core, tid, addr, e.next)
+		}
 		e.status = StatusRdRel
 		return true
 	default:
@@ -246,7 +252,9 @@ func (u *lcu) transferLock(e *entry) {
 		xfer: e.xfer + 1,
 		prev: nodeRef{valid: true, tid: e.tid, lcu: u.core, write: e.write},
 	}
-	d.trace("lcu%d XFER %#x -> %s", u.core, e.addr, e.next)
+	if d.Opt.Trace != nil {
+		d.trace("lcu%d XFER %#x -> %s", u.core, e.addr, e.next)
+	}
 	d.rec(obs.CoreNode(u.core), obs.KXfer, e.addr, e.tid, e.next.tid)
 	if o := d.obsCap(); o != nil {
 		o.TransferStart(uint64(d.M.K.Now()), uint64(e.addr))
@@ -275,7 +283,9 @@ func (u *lcu) onGrant(g grantMsg) {
 	if g.overflow {
 		d.Stats.OverflowGrants++
 	}
-	d.trace("lcu%d GRANT t%d %#x head=%v ovf=%v xfer=%d st=%s", u.core, g.tid, g.addr, g.head, g.overflow, g.xfer, e.status)
+	if d.Opt.Trace != nil {
+		d.trace("lcu%d GRANT t%d %#x head=%v ovf=%v xfer=%d st=%s", u.core, g.tid, g.addr, g.head, g.overflow, g.xfer, e.status)
+	}
 	d.rec(obs.CoreNode(u.core), obs.KGrant, g.addr, g.tid, flagBits(g.head, g.overflow, g.fromLRT))
 	if o := d.obsCap(); o != nil {
 		now := uint64(d.M.K.Now())
@@ -371,7 +381,9 @@ func (u *lcu) onRetryReq(addr memmodel.Addr, tid uint64) {
 // queue tail (Figure 4b/4c).
 func (u *lcu) onFwdRequest(m fwdReqMsg) {
 	d := u.d
-	d.trace("lcu%d FWDREQ target t%d %#x req=%s", u.core, m.targetTid, m.addr, m.req)
+	if d.Opt.Trace != nil {
+		d.trace("lcu%d FWDREQ target t%d %#x req=%s", u.core, m.targetTid, m.addr, m.req)
+	}
 	d.rec(obs.CoreNode(u.core), obs.KFwdReq, m.addr, m.req.tid, m.targetTid)
 	e := u.find(m.addr, m.targetTid)
 	if e == nil {
@@ -458,7 +470,9 @@ func (u *lcu) onFwdRelease(m fwdRelMsg) {
 // that the queue head moved on or the lock is free.
 func (u *lcu) onRelDone(addr memmodel.Addr, tid uint64) {
 	e := u.find(addr, tid)
-	u.d.trace("lcu%d RELDONE t%d %#x found=%v", u.core, tid, addr, e != nil)
+	if u.d.Opt.Trace != nil {
+		u.d.trace("lcu%d RELDONE t%d %#x found=%v", u.core, tid, addr, e != nil)
+	}
 	u.d.rec(obs.CoreNode(u.core), obs.KRelDone, addr, tid, 0)
 	if e != nil && e.status == StatusRel {
 		w := e.waiter
@@ -484,18 +498,25 @@ func (u *lcu) onRetryRel(addr memmodel.Addr, tid uint64) {
 func (u *lcu) armGrantTimer(e *entry) {
 	d := u.d
 	e.timerSeq++
-	seq := e.timerSeq
-	addr, tid := e.addr, e.tid
-	d.M.K.Schedule(d.M.P.GrantTimeout, func() {
-		cur := u.find(addr, tid)
-		if cur != e || e.timerSeq != seq || e.status != StatusRcv {
-			return
-		}
-		d.Stats.GrantTimeouts++
+	d.armTimer(d.M.P.GrantTimeout, devMsg{kind: msgGrantTimer, to: int32(u.core),
+		addr: e.addr, tid: e.tid, aux: e.timerSeq, ent: e})
+}
+
+// onGrantTimer fires a grant timer armed for entry e at generation seq. It
+// is stale unless e still serves (addr, tid), unacquired, in that
+// generation. reset restarts timerSeq, so a generation alone does not name
+// an arming: the entry's identity is part of the check.
+func (u *lcu) onGrantTimer(e *entry, addr memmodel.Addr, tid, seq uint64) {
+	d := u.d
+	if u.find(addr, tid) != e || e.timerSeq != seq || e.status != StatusRcv {
+		return
+	}
+	d.Stats.GrantTimeouts++
+	if d.Opt.Trace != nil {
 		d.trace("lcu%d TIMEOUT t%d %#x", u.core, tid, addr)
-		d.rec(obs.CoreNode(u.core), obs.KTimeout, addr, tid, 0)
-		u.timeoutEntry(e)
-	})
+	}
+	d.rec(obs.CoreNode(u.core), obs.KTimeout, addr, tid, 0)
+	u.timeoutEntry(e)
 }
 
 // timeoutEntry passes a timed-out grant along, as if the absent thread had
@@ -525,7 +546,9 @@ func (u *lcu) timeoutEntry(e *entry) {
 
 // sendRelease emits a RELEASE to the LRT.
 func (d *Device) sendRelease(u *lcu, tid uint64, addr memmodel.Addr, write, headDrain bool, origHead nodeRef) {
-	d.trace("lcu%d RELEASE %s t%d %#x drain=%v", u.core, mode(write), tid, addr, headDrain)
+	if d.Opt.Trace != nil {
+		d.trace("lcu%d RELEASE %s t%d %#x drain=%v", u.core, mode(write), tid, addr, headDrain)
+	}
 	d.rec(obs.CoreNode(u.core), obs.KRel, addr, tid, flagBits(write, headDrain))
 	if o := d.obsCap(); o != nil {
 		o.TransferStart(uint64(d.M.K.Now()), uint64(addr))

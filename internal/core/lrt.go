@@ -20,7 +20,7 @@ type lrtEntry struct {
 	xfer uint64 // highest observed head-transfer count
 
 	resv    nodeRef // reservation for a starving nonblocking requestor
-	resvSeq uint64
+	resvSeq uint64  // generation of the pending reservation timer
 
 	lastUse uint64
 }
@@ -43,13 +43,15 @@ type lrtOvfPage [memmodel.PageWords]*lrtEntry
 // The overflow table is paged like the backing store: displaced entries
 // for word-aligned heap addresses land in a slot table indexed by page and
 // word, so the (rare) overflow path still does no hashing; addresses
-// outside the simulated heap fall back to a sparse map. Entries keep
-// pointer identity across displacement — armResvTimer relies on it.
+// outside the simulated heap fall back to a sparse map.
 type lrt struct {
 	d     *Device
 	index int
 	assoc int
 	sets  [][]*lrtEntry
+	// spare holds removed entries for create to reuse.
+	spare   []*lrtEntry
+	resvSeq uint64 // last reservation-timer generation handed out
 
 	ovfPages  []*lrtOvfPage               // indexed by PageOf(addr)
 	ovfSparse map[memmodel.Addr]*lrtEntry // unaligned / out-of-heap
@@ -120,20 +122,21 @@ func (l *lrt) ovfPeek(addr memmodel.Addr) *lrtEntry {
 	return l.ovfSparse[addr]
 }
 
-// ovfDel removes the overflow entry for addr, reporting whether one was
-// present.
-func (l *lrt) ovfDel(addr memmodel.Addr) bool {
+// ovfDel removes and returns the overflow entry for addr, or nil. It looks
+// where ovfPeek looks, in the same order.
+func (l *lrt) ovfDel(addr memmodel.Addr) *lrtEntry {
 	if s := l.ovfSlot(addr, false); s != nil && *s != nil {
+		e := *s
 		*s = nil
 		l.ovfCount--
-		return true
+		return e
 	}
-	if _, ok := l.ovfSparse[addr]; ok {
+	e := l.ovfSparse[addr]
+	if e != nil {
 		delete(l.ovfSparse, addr)
 		l.ovfCount--
-		return true
 	}
-	return false
+	return e
 }
 
 // ovfEach calls f for every overflow entry (page-walk order; used only by
@@ -178,11 +181,10 @@ func (l *lrt) lookup(addr memmodel.Addr) (ent *lrtEntry, extra sim.Time) {
 	}
 	// The overflow flag is set: the memory table must be consulted.
 	extra = l.d.M.P.MemLat
-	e := l.ovfPeek(addr)
+	e := l.ovfDel(addr)
 	if e == nil {
 		return nil, extra
 	}
-	l.ovfDel(addr)
 	l.d.Stats.LRTOverflowHits++
 	extra += l.place(e)
 	return e, extra
@@ -221,9 +223,15 @@ func (l *lrt) place(e *lrtEntry) sim.Time {
 	return l.d.M.P.MemLat
 }
 
-// create allocates a fresh entry for addr.
+// create allocates a fresh entry for addr, reusing a removed one if any.
 func (l *lrt) create(addr memmodel.Addr) (*lrtEntry, sim.Time) {
-	e := &lrtEntry{addr: addr}
+	var e *lrtEntry
+	if n := len(l.spare); n > 0 {
+		e, l.spare = l.spare[n-1], l.spare[:n-1]
+		*e = lrtEntry{addr: addr}
+	} else {
+		e = &lrtEntry{addr: addr}
+	}
 	l.d.Stats.LRTCreates++
 	return e, l.place(e)
 }
@@ -234,11 +242,13 @@ func (l *lrt) remove(addr memmodel.Addr) {
 	for i, e := range l.sets[si] {
 		if e.addr == addr {
 			l.sets[si] = append(l.sets[si][:i], l.sets[si][i+1:]...)
+			l.spare = append(l.spare, e)
 			l.d.Stats.LRTDeletes++
 			return
 		}
 	}
-	if l.ovfDel(addr) {
+	if e := l.ovfDel(addr); e != nil {
+		l.spare = append(l.spare, e)
 		l.d.Stats.LRTDeletes++
 	}
 }
@@ -260,7 +270,9 @@ func (l *lrt) onRequest(m reqMsg) {
 		ent.head, ent.tail = m.req, m.req
 		ent.granted = true
 		g := grantMsg{addr: m.addr, tid: m.req.tid, head: true, xfer: ent.xfer, fromLRT: true}
-		d.trace("lrt%d GRANT-free %s", l.index, m.req)
+		if d.Opt.Trace != nil {
+			d.trace("lrt%d GRANT-free %s", l.index, m.req)
+		}
 		d.rec(obs.LRTNode(l.index), obs.KLRTGrant, m.addr, m.req.tid, 0)
 		l.reply(extra, m.req.lcu, msgOfGrant(g))
 		return
@@ -344,7 +356,9 @@ func (l *lrt) onRequest(m reqMsg) {
 		targetIsHead: sameRef(oldTail, ent.head),
 		lrtXfer:      ent.xfer,
 	}
-	d.trace("lrt%d FWD %s -> tail %s", l.index, m.req, oldTail)
+	if d.Opt.Trace != nil {
+		d.trace("lrt%d FWD %s -> tail %s", l.index, m.req, oldTail)
+	}
 	d.rec(obs.LRTNode(l.index), obs.KFwdReq, m.addr, m.req.tid, oldTail.tid)
 	l.reply(extra, oldTail.lcu, msgOfFwdReq(fw))
 }
@@ -476,19 +490,25 @@ func (l *lrt) onHeadNotify(m headNotifyMsg) {
 }
 
 // armResvTimer bounds a reservation's lifetime (e.g. the holder's trylock
-// expired and it will never re-request).
+// expired and it will never re-request). The generation is drawn from a
+// per-LRT counter, so it names this arming on this entry even after the
+// entry has been recycled.
 func (l *lrt) armResvTimer(ent *lrtEntry) {
-	ent.resvSeq++
-	seq := ent.resvSeq
-	addr := ent.addr
-	l.d.M.K.Schedule(l.d.Opt.ResvTimeout, func() {
-		cur := l.peek(addr)
-		if cur != ent || ent.resvSeq != seq || !ent.resv.valid {
-			return
-		}
-		ent.resv = nodeRef{}
-		if ent.free() {
-			l.remove(addr)
-		}
-	})
+	l.resvSeq++
+	ent.resvSeq = l.resvSeq
+	l.d.armTimer(l.d.Opt.ResvTimeout, devMsg{kind: msgResvTimer, to: int32(l.index),
+		addr: ent.addr, aux: ent.resvSeq})
+}
+
+// onResvTimer drops the reservation armed at generation seq, if it is
+// still the one pending on addr.
+func (l *lrt) onResvTimer(addr memmodel.Addr, seq uint64) {
+	ent := l.peek(addr)
+	if ent == nil || ent.resvSeq != seq || !ent.resv.valid {
+		return
+	}
+	ent.resv = nodeRef{}
+	if ent.free() {
+		l.remove(addr)
+	}
 }

@@ -9,6 +9,7 @@ import (
 // msgKind discriminates the protocol messages travelling between LCUs and
 // LRTs. Kinds up to and including msgHeadNotify are LRT-bound; the rest
 // are LCU-bound — the split selects the second-stage pipeline latency.
+// The two timer kinds never travel: a unit arms them on itself.
 type msgKind uint8
 
 const (
@@ -22,6 +23,8 @@ const (
 	msgRetryReq                  // (addr, tid)   → LCU
 	msgRelDone                   // (addr, tid)   → LCU
 	msgRetryRel                  // (addr, tid)   → LCU
+	msgGrantTimer                // LCU grant timer (Section III-C)
+	msgResvTimer                 // LRT reservation timer (Section III-D)
 )
 
 // devMsg is one in-flight protocol message, stored by value in the
@@ -34,7 +37,7 @@ type devMsg struct {
 
 	addr memmodel.Addr
 	tid  uint64  // tid / fwdReq targetTid
-	aux  uint64  // xfer / lrtXfer / fwdRel searchTid
+	aux  uint64  // xfer / lrtXfer / fwdRel searchTid / timer generation
 	refA nodeRef // req / grant prev / headNotify newHead / rel origHead
 	refB nodeRef // headNotify prev
 	lcu  int32   // rel lcu / fwdRel replyLCU
@@ -42,6 +45,7 @@ type devMsg struct {
 	b1   bool    // req nb / rel headDrain / grant head / fwdReq targetIsHead
 	b2   bool    // grant overflow
 	b3   bool    // grant fromLRT
+	ent  *entry  // grant timer: the armed entry
 }
 
 func msgOfReq(m reqMsg) devMsg {
@@ -114,6 +118,12 @@ func (d *Device) coreToCore(fromCore, toCore int, m devMsg) {
 	d.M.Net.SendTo(topo.Core(fromCore), topo.Core(toCore), d, uint64(d.allocMsg(m))<<1)
 }
 
+// armTimer delivers m to its own unit after delay: one event, no network
+// and no pipeline stage.
+func (d *Device) armTimer(delay sim.Time, m devMsg) {
+	d.M.K.ScheduleRecv(delay, d, uint64(d.allocMsg(m))<<1|1)
+}
+
 // Recv implements sim.Receiver. Stage 0 (tag bit clear) is network
 // arrival: charge the receiving unit's pipeline latency by re-arming the
 // slot. Stage 1 frees the slot and dispatches to the protocol handler.
@@ -160,6 +170,10 @@ func (d *Device) dispatch(m devMsg) {
 		d.lcus[m.to].onRelDone(m.addr, m.tid)
 	case msgRetryRel:
 		d.lcus[m.to].onRetryRel(m.addr, m.tid)
+	case msgGrantTimer:
+		d.lcus[m.to].onGrantTimer(m.ent, m.addr, m.tid, m.aux)
+	case msgResvTimer:
+		d.lrts[m.to].onResvTimer(m.addr, m.aux)
 	}
 }
 

@@ -1,21 +1,46 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
-// BenchmarkSchedule measures one push+pop cycle through the event queue at
-// a steady-state depth of 256 pending events — the kernel's single hottest
-// operation.
-func BenchmarkSchedule(b *testing.B) {
+// scheduleLoop returns BenchmarkSchedule's step: one push+pop cycle at a
+// steady-state depth of 256 pending events.
+func scheduleLoop() func() {
 	k := New()
 	fn := func() {}
 	for i := 0; i < 256; i++ {
 		k.Schedule(Time(i), fn)
 	}
+	return func() {
+		k.Schedule(256, fn)
+		k.RunUntil(k.Now() + 1)
+	}
+}
+
+// BenchmarkSchedule measures one push+pop cycle through the event queue at
+// a steady-state depth of 256 pending events — the kernel's single hottest
+// operation.
+func BenchmarkSchedule(b *testing.B) {
+	step := scheduleLoop()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k.Schedule(256, fn)
-		k.RunUntil(k.Now() + 1)
+		step()
+	}
+}
+
+// TestEventSizeAndScheduleAllocs pins what every heap sift pays for: an
+// event is five words, and scheduling one (a closure included — a func
+// value is pointer-shaped, so the Receiver slot holds it unboxed)
+// allocates nothing.
+func TestEventSizeAndScheduleAllocs(t *testing.T) {
+	if sz := unsafe.Sizeof(event{}); sz > 40 {
+		t.Errorf("sizeof(event) = %d bytes, want <= 40", sz)
+	}
+	if n := testing.AllocsPerRun(1000, scheduleLoop()); n != 0 {
+		t.Errorf("Schedule+pop allocates %.1f objects per event, want 0", n)
 	}
 }
 

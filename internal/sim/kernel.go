@@ -16,17 +16,18 @@ import (
 // Time is a point in virtual time, in cycles.
 type Time uint64
 
-// Event kinds. The Proc hot paths (Wait, Wake, BlockTimeout) push
-// specialized kinds carrying the target Proc as plain value fields, so no
-// closure is allocated per context switch. evRecv extends the same idea to
-// message delivery: the event carries a Receiver plus an opaque tag, so
-// senders that key their in-flight state by tag schedule without any
-// closure allocation.
+// Event kinds. Every event carries one Receiver and one tag word: a
+// closure (funcRecv), the target Proc of the hot paths (Wait, Wake,
+// BlockTimeout), or a message receiver that keys its in-flight state by
+// tag. All three are pointer-shaped, so none is boxed and nothing is
+// allocated per event.
 const (
-	evFn       byte = iota // run fn
-	evDispatch             // dispatch proc
-	evTimeout              // dispatch proc if still blocked with wakeSeq == wseq
+	evFn       byte = iota // run the funcRecv
+	evDispatch             // dispatch the Proc
+	evTimeout              // Proc.Recv(wseq): dispatch if still blocked on wseq
 	evRecv                 // recv.Recv(tag)
+
+	kindBits = 2
 )
 
 // Receiver consumes tagged deliveries scheduled with ScheduleRecv. The tag
@@ -36,18 +37,22 @@ type Receiver interface {
 	Recv(tag uint64)
 }
 
-// event is a scheduled callback, stored by value in the heap.
+// funcRecv adapts a closure to the event's Receiver slot.
+type funcRecv func()
+
+func (f funcRecv) Recv(uint64) { f() }
+
+// event is a scheduled callback, stored by value in the heap: 40 bytes, so
+// a sift moves five words.
 type event struct {
 	at   Time
-	seq  uint64   // tie-breaker: insertion order
-	wseq uint64   // evTimeout: Proc.wakeSeq guard; evRecv: delivery tag
-	fn   func()   // evFn only
-	proc *Proc    // evDispatch, evTimeout
-	recv Receiver // evRecv only
-	kind byte
+	seq  uint64   // insertion order (the tie-breaker) << kindBits | kind
+	tag  uint64   // evTimeout: Proc.wakeSeq guard; evRecv: delivery tag
+	recv Receiver // funcRecv, *Proc or the message receiver
 }
 
-// eventLess orders events by (time, insertion order).
+// eventLess orders events by (time, insertion order); the kind bits sit
+// below a unique insertion number and never decide.
 func eventLess(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -93,9 +98,11 @@ func (k *Kernel) Now() Time { return k.now }
 // Events returns the number of events executed so far.
 func (k *Kernel) Events() uint64 { return k.nEvents }
 
-// push inserts e into the heap (sift-up).
-func (k *Kernel) push(e event) {
-	h := append(k.events, e)
+// push stamps a new event with the next insertion number and inserts it
+// into the heap (sift-up).
+func (k *Kernel) push(at Time, kind byte, r Receiver, tag uint64) {
+	k.seq++
+	h := append(k.events, event{at: at, seq: k.seq<<kindBits | uint64(kind), tag: tag, recv: r})
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / 2
@@ -114,7 +121,7 @@ func (k *Kernel) pop() event {
 	top := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
-	h[n] = event{} // release fn/proc references
+	h[n] = event{} // release the receiver
 	h = h[:n]
 	i := 0
 	for {
@@ -139,8 +146,7 @@ func (k *Kernel) pop() event {
 // Schedule runs fn at now+delay. Events scheduled for the same instant run
 // in the order they were scheduled.
 func (k *Kernel) Schedule(delay Time, fn func()) {
-	k.seq++
-	k.push(event{at: k.now + delay, seq: k.seq, fn: fn, kind: evFn})
+	k.push(k.now+delay, evFn, funcRecv(fn), 0)
 }
 
 // ScheduleAt runs fn at absolute time at, which must not be in the past.
@@ -148,29 +154,25 @@ func (k *Kernel) ScheduleAt(at Time, fn func()) {
 	if at < k.now {
 		panic(fmt.Sprintf("sim: ScheduleAt(%d) in the past (now=%d)", at, k.now))
 	}
-	k.seq++
-	k.push(event{at: at, seq: k.seq, fn: fn, kind: evFn})
+	k.push(at, evFn, funcRecv(fn), 0)
 }
 
 // pushDispatch schedules a dispatch of p at now+delay without allocating.
 func (k *Kernel) pushDispatch(delay Time, p *Proc) {
-	k.seq++
-	k.push(event{at: k.now + delay, seq: k.seq, proc: p, kind: evDispatch})
+	k.push(k.now+delay, evDispatch, p, 0)
 }
 
 // pushTimeout schedules a conditional dispatch of p at now+delay, valid
 // only while p is still blocked on wait-sequence wseq.
 func (k *Kernel) pushTimeout(delay Time, p *Proc, wseq uint64) {
-	k.seq++
-	k.push(event{at: k.now + delay, seq: k.seq, proc: p, wseq: wseq, kind: evTimeout})
+	k.push(k.now+delay, evTimeout, p, wseq)
 }
 
 // ScheduleRecv schedules r.Recv(tag) at now+delay without allocating: the
 // receiver and tag travel as plain event fields. It is the closure-free
 // counterpart of Schedule for message-passing senders.
 func (k *Kernel) ScheduleRecv(delay Time, r Receiver, tag uint64) {
-	k.seq++
-	k.push(event{at: k.now + delay, seq: k.seq, recv: r, wseq: tag, kind: evRecv})
+	k.push(k.now+delay, evRecv, r, tag)
 }
 
 // Run executes events until the queue is empty or every Proc has finished.
@@ -189,26 +191,20 @@ func (k *Kernel) RunUntil(limit Time) Time {
 			k.now = e.at
 		}
 		k.nEvents++
+		kind := byte(e.seq & (1<<kindBits - 1))
 		if k.Obs != nil {
-			k.Obs.KernelEvent(uint64(k.now), e.kind)
+			k.Obs.KernelEvent(uint64(k.now), kind)
 		}
 		if k.MaxEvents != 0 && k.nEvents > k.MaxEvents {
 			panic(fmt.Sprintf("sim: event budget exceeded (%d events, now=%d)", k.nEvents, k.now))
 		}
-		switch e.kind {
+		switch kind {
 		case evFn:
-			e.fn()
+			e.recv.(funcRecv)()
 		case evDispatch:
-			k.dispatch(e.proc)
-		case evRecv:
-			e.recv.Recv(e.wseq)
-		default: // evTimeout
-			p := e.proc
-			if p.blocked && p.wakeSeq == e.wseq {
-				p.timedOut = true
-				p.blocked = false
-				k.dispatch(p)
-			}
+			k.dispatch(e.recv.(*Proc))
+		default: // evRecv, evTimeout
+			e.recv.Recv(e.tag)
 		}
 	}
 	k.limit = ^Time(0)
@@ -229,7 +225,7 @@ func (k *Kernel) Reset() {
 			p.stop()
 		}
 	}
-	clear(k.events) // release fn/proc/recv references
+	clear(k.events) // release the receivers
 	k.events = k.events[:0]
 	clear(k.procs)
 	k.procs = k.procs[:0]

@@ -68,6 +68,16 @@ func (k *Kernel) dispatch(p *Proc) {
 	p.next()
 }
 
+// Recv makes a Proc the Receiver of its own BlockTimeout expiry: it
+// resumes the Proc only if it is still blocked on wait-sequence wseq.
+func (p *Proc) Recv(wseq uint64) {
+	if p.blocked && p.wakeSeq == wseq {
+		p.timedOut = true
+		p.blocked = false
+		p.k.dispatch(p)
+	}
+}
+
 // Name returns the Proc's name.
 func (p *Proc) Name() string { return p.name }
 

@@ -9,6 +9,7 @@ import (
 type objMode struct {
 	o     *Obj
 	write bool
+	got   bool // hwLockOps: the device has granted this lock
 }
 
 // lockOps abstracts the per-object reader-writer trylock used by the
@@ -76,28 +77,28 @@ const (
 )
 
 func (hwLockOps) acquireSet(c *machine.Ctx, set []objMode) bool {
-	got := make([]bool, len(set))
 	// Phase 1: pipeline the requests (acq is non-blocking).
-	for i, om := range set {
-		got[i] = c.Acq(om.o.hdr, om.write)
+	for i := range set {
+		om := &set[i]
+		om.got = c.Acq(om.o.hdr, om.write)
 	}
 	// Phase 2: collect grants round-robin with a bounded total budget.
 	for spin := 0; ; spin++ {
 		pending := 0
-		for i, om := range set {
-			if !got[i] {
-				got[i] = c.Acq(om.o.hdr, om.write)
-				if !got[i] {
+		for i := range set {
+			om := &set[i]
+			if !om.got {
+				om.got = c.Acq(om.o.hdr, om.write)
+				if !om.got {
 					pending++
 				}
 			}
-			_ = om
 		}
 		if pending == 0 {
 			return true
 		}
 		if spin >= hwCollectRetries {
-			(hwLockOps{}).releaseHeld(c, set, got)
+			(hwLockOps{}).releaseHeld(c, set)
 			return false
 		}
 		c.Compute(hwCollectSlice)
@@ -109,21 +110,22 @@ func (hwLockOps) acquireSet(c *machine.Ctx, set []objMode) bool {
 // releases it the moment it is granted. Abandoning them instead would be
 // correct (the grant timer skips them, Section III-C) but injects dead
 // timeout cycles into every queue the transaction touched.
-func (hwLockOps) releaseHeld(c *machine.Ctx, set []objMode, got []bool) {
-	for i, om := range set {
-		if got[i] {
+func (hwLockOps) releaseHeld(c *machine.Ctx, set []objMode) {
+	for _, om := range set {
+		if om.got {
 			c.HwUnlock(om.o.hdr, om.write)
 		}
 	}
 	for {
 		pending := 0
-		for i, om := range set {
-			if got[i] {
+		for i := range set {
+			om := &set[i]
+			if om.got {
 				continue
 			}
 			if c.Acq(om.o.hdr, om.write) {
 				c.HwUnlock(om.o.hdr, om.write)
-				got[i] = true
+				om.got = true
 				continue
 			}
 			pending++
@@ -152,19 +154,22 @@ type lockEngine struct {
 func (e *lockEngine) Name() string { return e.name }
 
 func (e *lockEngine) Commit(t *Txn) bool {
-	objs := sortedObjs(t)
-	set := make([]objMode, len(objs))
-	for i, o := range objs {
-		_, w := t.writes[o]
-		set[i] = objMode{o, w}
+	// Lock in descending id order — a canonical acquisition order
+	// (deadlock-free among committers) that takes the oldest, hottest
+	// objects (roots, entry points) last, so they are held for the
+	// shortest time.
+	reads := t.sortSet()
+	set := t.locks[:0]
+	for i := len(reads) - 1; i >= 0; i-- {
+		set = append(set, objMode{o: reads[i].o, write: reads[i].write()})
 	}
+	t.locks = set
 	if !e.ops.acquireSet(t.c, set) {
 		return false
 	}
 	// Validate: every opened object still at its recorded version.
-	for _, o := range sortedReads(t) {
-		t.c.Load(o.ver)
-		if o.version != t.reads[o] || o.version&1 == 1 {
+	for i := range reads {
+		if !t.validate(&reads[i]) {
 			e.ops.releaseSet(t.c, set, len(set))
 			return false
 		}
@@ -183,52 +188,43 @@ type fraserEngine struct{}
 func (e *fraserEngine) Name() string { return "fraser" }
 
 func (e *fraserEngine) Commit(t *Txn) bool {
-	objs := make([]*Obj, 0, len(t.writes))
-	for o := range t.writes {
-		objs = append(objs, o)
-	}
-	sortByID(objs)
-	acquired := 0
-	rollback := func() {
-		for i := 0; i < acquired; i++ {
-			t.c.Store(objs[i].hdr, 0)
+	set := t.sortSet()
+	// disown clears the ownership word of the first n objects written.
+	disown := func(n int) {
+		for i := 0; n > 0; i++ {
+			if set[i].write() {
+				t.c.Store(set[i].o.hdr, 0)
+				n--
+			}
 		}
 	}
-	for _, o := range objs {
-		if !t.c.CAS(o.hdr, 0, t.c.TID) {
-			rollback()
+	acquired := 0
+	for i := range set {
+		if !set[i].write() {
+			continue
+		}
+		if !t.c.CAS(set[i].o.hdr, 0, t.c.TID) {
+			disown(acquired)
 			return false
 		}
 		acquired++
 	}
-	for _, o := range sortedReads(t) {
-		if _, w := t.writes[o]; w {
-			continue // acquisition already protects it; version checked below
-		}
-		t.c.Load(o.ver)
-		if o.version != t.reads[o] || o.version&1 == 1 {
-			rollback()
+	for i := range set {
+		// Acquisition already protects a written object; its version is
+		// checked below.
+		if !set[i].write() && !t.validate(&set[i]) {
+			disown(acquired)
 			return false
 		}
 	}
 	// Acquired writes: confirm we saw the latest version at open.
-	for _, o := range objs {
-		if o.version != t.reads[o] {
-			rollback()
+	for i := range set {
+		if set[i].write() && set[i].o.version != set[i].ver {
+			disown(acquired)
 			return false
 		}
 	}
 	writeBack(t)
-	for _, o := range objs {
-		t.c.Store(o.hdr, 0)
-	}
+	disown(acquired)
 	return true
-}
-
-func sortByID(objs []*Obj) {
-	for i := 1; i < len(objs); i++ {
-		for j := i; j > 0 && objs[j].id < objs[j-1].id; j-- {
-			objs[j], objs[j-1] = objs[j-1], objs[j]
-		}
-	}
 }

@@ -16,8 +16,9 @@
 package stm
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"fairrw/internal/machine"
 	"fairrw/internal/memmodel"
@@ -49,6 +50,8 @@ type TM struct {
 	// payload size. Without it an abort storm leaks simulated memory and
 	// real heap alike.
 	freed map[int][]*Obj
+	// txns holds idle Txns for Atomic to reuse.
+	txns []*Txn
 
 	// Stats
 	Commits, Aborts uint64
@@ -109,16 +112,92 @@ func (o *Obj) RawRead(w int) uint64 { return o.vals[w] }
 // RawWrite writes a committed word without simulation cost (setup only).
 func (o *Obj) RawWrite(w int, v uint64) { o.vals[w] = v }
 
-// Txn is one transaction attempt.
+// access is one element of a transaction's access set. Every object an
+// attempt opens is in the set exactly once (Write and Alloc open for
+// reading too), so the write set is the elements that have a shadow.
+type access struct {
+	o   *Obj
+	ver uint64 // version at first open
+	sh  int32  // offset of the shadow copy in Txn.words; noShadow until written
+}
+
+const noShadow = -1
+
+func (a *access) write() bool { return a.sh != noShadow }
+
+// linearSet is the access-set size up to which a lookup scans the set.
+// Measured sets stay under it (EXPERIMENTS.md, "Where sim-stm's host time
+// went": max 41); a doomed attempt chasing mixed-version pointers can open
+// up to StepBudget objects, and past this size lookups go through an
+// index instead.
+const linearSet = 64
+
+// Txn is one transaction attempt. Txns are pooled per TM: a body must not
+// retain its Txn after Atomic returns.
 type Txn struct {
 	tm *TM
 	c  *machine.Ctx
 
-	reads   map[*Obj]uint64 // object -> version at first open
-	writes  map[*Obj][]uint64
+	// set is the access set: in open order while the body runs, sorted by
+	// ascending id once commit starts.
+	set   []access
+	words []uint64 // the shadow copies, back to back
+	// index maps an object's id to its position in set, plus one, for
+	// set[:indexed]. It is built only when a set outgrows linearSet.
+	index   map[int]int32
+	indexed int
+	locks   []objMode // commit scratch: the set in lock-acquisition order
+
 	allocs  []*Obj // objects created by this attempt (recycled on abort)
 	aborted bool
 	steps   int
+}
+
+// reset empties t for the next attempt, keeping its storage.
+func (t *Txn) reset() {
+	t.set, t.words, t.allocs = t.set[:0], t.words[:0], t.allocs[:0]
+	clear(t.index)
+	t.indexed = 0
+	t.aborted, t.steps = false, 0
+}
+
+// find returns o's position in the access set, or -1.
+func (t *Txn) find(o *Obj) int {
+	if len(t.set) <= linearSet {
+		// Newest first: a walk re-reads the node it has just opened.
+		for i := len(t.set) - 1; i >= 0; i-- {
+			if t.set[i].o == o {
+				return i
+			}
+		}
+		return -1
+	}
+	if t.index == nil {
+		t.index = make(map[int]int32)
+	}
+	for ; t.indexed < len(t.set); t.indexed++ {
+		t.index[t.set[t.indexed].o.id] = int32(t.indexed + 1)
+	}
+	return int(t.index[o.id]) - 1
+}
+
+// open appends o to the access set at its current version, after fetching
+// the version word. It returns -1, dooming the attempt, when a committer
+// is mid-writeback on o: the data would be torn.
+func (t *Txn) open(o *Obj) int {
+	t.c.Load(o.ver)
+	if o.version&1 == 1 {
+		t.aborted = true
+		return -1
+	}
+	t.set = append(t.set, access{o: o, ver: o.version, sh: noShadow})
+	return len(t.set) - 1
+}
+
+// shadow returns the shadow copy of the i-th element of the access set.
+func (t *Txn) shadow(i int) []uint64 {
+	a := &t.set[i]
+	return t.words[a.sh : int(a.sh)+a.o.nWords]
 }
 
 // Aborted reports whether this attempt has been doomed (conflict or step
@@ -139,19 +218,15 @@ func (t *Txn) Read(o *Obj, w int) uint64 {
 		t.aborted = true
 		return 0
 	}
-	if sh, ok := t.writes[o]; ok {
+	i := t.find(o)
+	if i >= 0 && t.set[i].write() {
 		t.c.Compute(1)
-		return sh[w]
+		return t.shadow(i)[w]
 	}
-	if _, ok := t.reads[o]; !ok {
-		t.c.Load(o.ver) // open-for-read: fetch the version word
-		if o.version&1 == 1 {
-			// A committer is mid-writeback on this object: the data would
-			// be torn. Doom the attempt now.
-			t.aborted = true
+	if i < 0 {
+		if t.open(o) < 0 {
 			return 0
 		}
-		t.reads[o] = o.version
 		t.c.Compute(12) // open-for-read bookkeeping instructions
 	}
 	t.c.Load(o.data + memmodel.Addr(w)*8)
@@ -169,25 +244,21 @@ func (t *Txn) Write(o *Obj, w int, v uint64) {
 		t.aborted = true
 		return
 	}
-	sh, ok := t.writes[o]
-	if !ok {
+	i := t.find(o)
+	if i < 0 || !t.set[i].write() {
 		// Open for write: copy the payload into a shadow.
-		if _, seen := t.reads[o]; !seen {
-			t.c.Load(o.ver)
-			if o.version&1 == 1 {
-				t.aborted = true
+		if i < 0 {
+			if i = t.open(o); i < 0 {
 				return
 			}
-			t.reads[o] = o.version
 		}
-		sh = make([]uint64, o.nWords)
-		copy(sh, o.vals)
+		t.set[i].sh = int32(len(t.words))
+		t.words = append(t.words, o.vals...)
 		t.c.Load(o.data) // fetch the object payload
 		t.c.Compute(20)  // open-for-write bookkeeping + shadow copy
-		t.writes[o] = sh
 	}
 	t.c.Compute(1)
-	sh[w] = v
+	t.shadow(i)[w] = v
 }
 
 // Alloc creates a new object inside the transaction. Fresh objects are
@@ -201,8 +272,8 @@ func (t *Txn) Alloc(nWords int) *Obj {
 	} else {
 		o = t.tm.NewObj(nWords)
 	}
-	t.reads[o] = o.version
-	t.writes[o] = make([]uint64, nWords)
+	t.set = append(t.set, access{o: o, ver: o.version, sh: int32(len(t.words))})
+	t.words = append(t.words, make([]uint64, nWords)...)
 	t.allocs = append(t.allocs, o)
 	t.c.Compute(10) // allocator cost
 	return o
@@ -211,11 +282,19 @@ func (t *Txn) Alloc(nWords int) *Obj {
 // Atomic runs body as a transaction, retrying on conflict, and returns the
 // number of attempts it took.
 func (tm *TM) Atomic(c *machine.Ctx, body func(t *Txn)) int {
+	// Procs interleave inside Atomic, so each call takes its own Txn.
+	var t *Txn
+	if n := len(tm.txns); n > 0 {
+		t, tm.txns = tm.txns[n-1], tm.txns[:n-1]
+		t.c = c
+	} else {
+		t = &Txn{tm: tm, c: c}
+	}
 	attempts := 0
 	backoff := 0
 	for {
 		attempts++
-		t := &Txn{tm: tm, c: c, reads: make(map[*Obj]uint64), writes: make(map[*Obj][]uint64)}
+		t.reset()
 		t0 := c.P.Now()
 		body(t)
 		t1 := c.P.Now()
@@ -228,6 +307,7 @@ func (tm *TM) Atomic(c *machine.Ctx, body func(t *Txn)) int {
 		tm.CommitCycles += t2 - t1
 		if ok {
 			tm.Commits++
+			tm.txns = append(tm.txns, t)
 			return attempts
 		}
 		tm.Aborts++
@@ -255,35 +335,29 @@ type Engine interface {
 	Commit(t *Txn) bool
 }
 
-// sortedObjs returns the union of read and write sets in descending id
-// order — a canonical acquisition order (deadlock-free among committers)
-// that locks the oldest, hottest objects (roots, entry points) last so
-// they are held for the shortest time.
-func sortedObjs(t *Txn) []*Obj {
-	set := make([]*Obj, 0, len(t.reads)+len(t.writes))
-	for o := range t.reads {
-		set = append(set, o)
-	}
-	for o := range t.writes {
-		if _, ok := t.reads[o]; !ok {
-			set = append(set, o)
-		}
-	}
-	sort.Slice(set, func(i, j int) bool { return set[i].id > set[j].id })
-	return set
+// sortSet puts the access set in ascending id order, the canonical order
+// of validation and write-back (open order would differ from attempt to
+// attempt). Ids are unique, so the result does not depend on the sort.
+func (t *Txn) sortSet() []access {
+	slices.SortFunc(t.set, func(a, b access) int { return cmp.Compare(a.o.id, b.o.id) })
+	return t.set
 }
 
-// writeBack publishes the shadow copies and bumps versions, in canonical
-// id order (map iteration order would break run determinism). Call with
-// all write locks held (lock engines) or ownership CASed (fraser).
+// validate reports whether a is still at the version it was opened at.
+func (t *Txn) validate(a *access) bool {
+	t.c.Load(a.o.ver)
+	return a.o.version == a.ver && a.o.version&1 == 0
+}
+
+// writeBack publishes the shadow copies and bumps versions, in ascending
+// id order. Call with all write locks held (lock engines) or ownership
+// CASed (fraser), and the set sorted.
 func writeBack(t *Txn) {
-	objs := make([]*Obj, 0, len(t.writes))
-	for o := range t.writes {
-		objs = append(objs, o)
-	}
-	sort.Slice(objs, func(i, j int) bool { return objs[i].id < objs[j].id })
-	for _, o := range objs {
-		sh := t.writes[o]
+	for i := range t.set {
+		if !t.set[i].write() {
+			continue
+		}
+		o, sh := t.set[i].o, t.shadow(i)
 		// Odd version marks the object busy: invisible readers that open it
 		// mid-writeback (fraser engine) see the odd version and abort
 		// rather than consuming torn data. Committed versions are even.
@@ -298,15 +372,4 @@ func writeBack(t *Txn) {
 		o.version++
 		t.c.Store(o.ver, o.version)
 	}
-}
-
-// sortedReads returns the read set in id order for deterministic
-// validation.
-func sortedReads(t *Txn) []*Obj {
-	objs := make([]*Obj, 0, len(t.reads))
-	for o := range t.reads {
-		objs = append(objs, o)
-	}
-	sort.Slice(objs, func(i, j int) bool { return objs[i].id < objs[j].id })
-	return objs
 }

@@ -139,7 +139,7 @@ func execOn(m *machine.Machine, tm *stm.TM, w Workload) Result {
 		cap = m.EnableObs(w.Obs, fmt.Sprintf("%s/%s/%s t=%d r=%d%%", w.Model, w.Engine, w.Structure, w.Threads, w.ReadPct))
 	}
 
-	var opCycles []float64
+	opCycles := make([]float64, 0, w.Threads*w.OpsPerThr)
 	start := m.K.Now()
 	for i := 0; i < w.Threads; i++ {
 		tid := uint64(i + 1)
