@@ -181,25 +181,25 @@ func (cfg *runCfg) picker(rng *rand.Rand, n int) func() int {
 
 func main() {
 	var (
-		addr      = flag.String("addr", "127.0.0.1:7600", "lockd address")
-		conns     = flag.Int("conns", 8, "concurrent client goroutines (one connection + session each)")
-		duration  = flag.Duration("duration", 5*time.Second, "measurement window per run (after warmup)")
-		warmup    = flag.Duration("warmup", 0, "leading window excluded from all statistics")
-		readPct   = flag.Int("readpct", 90, "percentage of acquires that are shared")
-		keys      = flag.Int("keys", 16, "distinct lock names")
-		depth     = flag.Int("depth", 1, "closed loop: transactions pipelined per flush")
-		open      = flag.Bool("open", false, "open-loop mode: Poisson arrivals, latency from scheduled arrival")
-		rate      = flag.Float64("rate", 10000, "open loop: target transactions/s across all connections")
-		zipf      = flag.Float64("zipf", 0, "Zipfian key skew exponent (> 1; 0 = uniform keys)")
+		addr       = flag.String("addr", "127.0.0.1:7600", "lockd address")
+		conns      = flag.Int("conns", 8, "concurrent client goroutines (one connection + session each)")
+		duration   = flag.Duration("duration", 5*time.Second, "measurement window per run (after warmup)")
+		warmup     = flag.Duration("warmup", 0, "leading window excluded from all statistics")
+		readPct    = flag.Int("readpct", 90, "percentage of acquires that are shared")
+		keys       = flag.Int("keys", 16, "distinct lock names")
+		depth      = flag.Int("depth", 1, "closed loop: transactions pipelined per flush")
+		open       = flag.Bool("open", false, "open-loop mode: Poisson arrivals, latency from scheduled arrival")
+		rate       = flag.Float64("rate", 10000, "open loop: target transactions/s across all connections")
+		zipf       = flag.Float64("zipf", 0, "Zipfian key skew exponent (> 1; 0 = uniform keys)")
 		clusterArg = flag.String("cluster", "", "comma-separated cluster seed addresses; route every op through the cluster-aware Router")
 		promPath   = flag.String("prom", "", "write client-side latency histograms in Prometheus text format here (\"-\" = stdout)")
-		wait      = flag.Duration("wait", time.Second, "acquire wait bound (FIFO timed acquire)")
-		lease     = flag.Duration("lease", 10*time.Second, "session lease")
-		hold      = flag.Duration("hold", 0, "closed loop, depth 1: critical-section hold time")
-		sweepArg  = flag.String("sweep", "", "closed loop: comma-separated read percentages, one run per point")
-		rateSweep = flag.String("ratesweep", "", "open loop: comma-separated transaction rates, one run per point")
-		jsonOut   = flag.Bool("json", false, "emit a JSON array of run results instead of the table")
-		checkPath = flag.String("check", "", "validate a BENCH_lockd.json document and exit")
+		wait       = flag.Duration("wait", time.Second, "acquire wait bound (FIFO timed acquire)")
+		lease      = flag.Duration("lease", 10*time.Second, "session lease")
+		hold       = flag.Duration("hold", 0, "closed loop, depth 1: critical-section hold time")
+		sweepArg   = flag.String("sweep", "", "closed loop: comma-separated read percentages, one run per point")
+		rateSweep  = flag.String("ratesweep", "", "open loop: comma-separated transaction rates, one run per point")
+		jsonOut    = flag.Bool("json", false, "emit a JSON array of run results instead of the table")
+		checkPath  = flag.String("check", "", "validate a BENCH_lockd.json document and exit")
 	)
 	flag.Parse()
 

@@ -18,8 +18,8 @@ import (
 // refWaiter is one queued acquisition in the reference model.
 type refWaiter struct {
 	write  bool
-	cohort uint32 // locality tag assigned at enqueue (cohort mode)
-	skips  int32  // grants that have bypassed this waiter
+	cohort uint32        // locality tag assigned at enqueue (cohort mode)
+	skips  int32         // grants that have bypassed this waiter
 	ready  chan struct{} // closed when the lock is granted
 }
 

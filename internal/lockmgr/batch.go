@@ -3,25 +3,30 @@ package lockmgr
 import (
 	"errors"
 	"time"
+
+	"fairrw/internal/lockmgr/introspect"
 )
 
-// Batch execution. The event-loop server decodes every frame a worker
-// drained in one wakeup into a single []BatchOp and executes it with
-// ExecBatch, which amortizes the per-operation overheads of the scalar
-// path across the batch:
+// Batch execution. The manager has one op core — live, tryAcquire,
+// Session.grant, release, keepAliveSession, closeSession, openAt — and
+// two entry points onto it: the scalar methods run one op with its own
+// clock read, session lookup and shard lock; ExecBatch runs the same
+// functions over every frame a server worker drained in one wakeup, so
+// an op has the same result and the same effect on the counters
+// whichever way it arrives (differential_test.go holds the two to that).
+// What ExecBatch adds is amortization:
 //
-//   - one clock read for the whole batch (the scalar path reads the
-//     clock up to three times per op);
+//   - one clock read for the whole batch;
 //   - one session-table RLock pass resolving every sid at once;
 //   - each table shard locked once per batch for entry ref/unref, not
 //     once per op (the software analogue of the LRT servicing a burst
 //     of requests in one table walk);
-//   - grant/timeout counters and the wait histogram updated once with
-//     batch totals.
+//   - grant/timeout counters and the wait and hold histograms updated
+//     once with batch totals.
 //
-// Acquires in a batch only ever take the lock-free try path. An acquire
-// that would have to queue returns ErrWouldBlock with no side effects;
-// the caller parks it as a continuation (Manager.Acquire on a separate
+// ExecBatch never blocks: where Manager.Acquire goes on to waitAcquire,
+// a batch acquire returns ErrWouldBlock with no side effects and the
+// caller parks it as a continuation (Manager.Acquire on a separate
 // goroutine) so the event loop never stalls on a contended lock.
 var (
 	// ErrWouldBlock: the acquire did not get the lock on the try path
@@ -49,10 +54,10 @@ const (
 // (the connection's ring) and is only copied if a new table entry has to
 // be created, so a steady-state batch does not allocate.
 type BatchOp struct {
-	Kind BatchKind
-	Tag  int32 // connection id: ops sharing a Tag execute strictly in order
-	SID  uint64
-	Excl bool
+	Kind  BatchKind
+	Tag   int32 // connection id: ops sharing a Tag execute strictly in order
+	SID   uint64
+	Excl  bool
 	Wait  int64 // acquire: nanoseconds, as Manager.Acquire
 	Lease int64 // open/keepalive: nanoseconds
 	Name  []byte
@@ -94,13 +99,16 @@ func (sc *BatchScratch) reset() {
 	sc.holdNS = sc.holdNS[:0]
 }
 
-func (sc *BatchScratch) touch(si int32) {
+// queue appends op index i to shard si's list in lists (shardOps or
+// derefs) for that phase's one-lock-per-shard pass.
+func (sc *BatchScratch) queue(lists [][]int32, si uint32, i int) {
+	lists[si] = append(lists[si], int32(i))
 	for _, t := range sc.touched {
-		if t == si {
+		if t == int32(si) {
 			return
 		}
 	}
-	sc.touched = append(sc.touched, si)
+	sc.touched = append(sc.touched, int32(si))
 }
 
 func (sc *BatchScratch) isBlocked(tag int32) bool {
@@ -113,15 +121,14 @@ func (sc *BatchScratch) isBlocked(tag int32) bool {
 }
 
 // ExecBatch executes ops in order, writing each op's result into Err
-// (and OutSID for opens). See the package comment above for semantics;
-// sc must not be shared between concurrent ExecBatch calls.
+// (and OutSID for opens). See the comment at the top of this file for
+// semantics; sc must not be shared between concurrent ExecBatch calls.
 func (m *Manager) ExecBatch(ops []BatchOp, sc *BatchScratch) {
 	if len(ops) == 0 {
 		return
 	}
 	sc.reset()
 	now := time.Now()
-	closed := m.closed.Load()
 
 	// Phase 1: resolve every session in one table pass.
 	m.smu.RLock()
@@ -139,32 +146,19 @@ func (m *Manager) ExecBatch(ops []BatchOp, sc *BatchScratch) {
 		op := &ops[i]
 		op.Err = nil
 		op.e = nil
-		if op.Kind != BatchAcquire {
-			continue
+		if op.Kind == BatchAcquire && validName(op.Name) {
+			sc.queue(sc.shardOps, introspect.Hash(op.Name)&m.mask, i)
 		}
-		if len(op.Name) == 0 || len(op.Name) > MaxNameLen {
-			op.Err = ErrName
-			continue
-		}
-		si := int32(fnv32b(op.Name) & m.mask)
-		sc.shardOps[si] = append(sc.shardOps[si], int32(i))
-		sc.touch(si)
 	}
 	for _, si := range sc.touched {
-		idx := sc.shardOps[si]
-		if len(idx) == 0 {
-			continue
-		}
 		sh := &m.shards[si]
 		sh.mu.Lock()
-		for _, i := range idx {
+		for _, i := range sc.shardOps[si] {
 			op := &ops[i]
 			e := sh.entries[string(op.Name)] // alloc-free lookup
 			if e == nil {
-				name := string(op.Name) // the one copy: entry creation
-				e = m.newEntry(name)
-				sh.entries[name] = e
-				m.c.entriesCreated.Add(1)
+				e = m.newEntry(string(op.Name), uint32(si)) // the one name copy
+				sh.entries[e.name] = e
 			}
 			e.refs++
 			e.acquires++ // contention profile: only acquires are refed here
@@ -173,68 +167,63 @@ func (m *Manager) ExecBatch(ops []BatchOp, sc *BatchScratch) {
 		sh.mu.Unlock()
 	}
 
-	// Phase 3: execute in submission order.
-	var sharedGrants, exclGrants, releases, timeouts, zeroWaits uint64
+	// Phase 3: execute in submission order, each op through the same
+	// function its scalar method calls.
+	var sharedGrants, exclGrants, releases, timeouts uint64
 	for i := range ops {
 		op := &ops[i]
-		if op.Err != nil {
-			continue
-		}
 		if sc.isBlocked(op.Tag) {
 			op.Err = ErrDeferred
 			if op.e != nil {
-				m.unref(int32(i), op.e, sc)
+				sc.queue(sc.derefs, op.e.shard, i)
 			}
 			continue
 		}
 		switch op.Kind {
 		case BatchOpen:
-			if closed {
-				op.Err = ErrClosed
-				continue
-			}
 			op.OutSID, op.Err = m.openAt(time.Duration(op.Lease), now)
 		case BatchKeepAlive:
 			op.Err = m.keepAliveSession(op.s, time.Duration(op.Lease), now)
 		case BatchCloseSession:
-			if op.s == nil {
-				op.Err = ErrExpired
-				continue
-			}
-			m.expireSession(op.s, false)
+			op.Err = m.closeSession(op.s)
 		case BatchAcquire:
-			granted, err := m.tryAcquireOp(op, now)
-			switch {
-			case err != nil:
-				op.Err = err
-				m.unref(int32(i), op.e, sc)
-				if err == ErrWouldBlock {
-					sc.blocked = append(sc.blocked, op.Tag)
-				} else if err == ErrTimeout {
-					timeouts++
-				}
-			case granted && op.Excl:
-				exclGrants++
-				zeroWaits++
-			case granted:
-				sharedGrants++
-				zeroWaits++
-			}
-		case BatchRelease:
-			if len(op.Name) == 0 || len(op.Name) > MaxNameLen {
+			if op.e == nil { // phase 2 refs every valid name
 				op.Err = ErrName
 				continue
 			}
-			op.Err = m.releaseOp(int32(i), op, sc, now)
-			if op.Err == nil {
-				releases++
+			op.Err = m.tryAcquire(op.s, op.e, op.Excl, op.Wait != 0, now)
+			switch {
+			case op.Err == nil && op.Excl:
+				exclGrants++
+			case op.Err == nil:
+				sharedGrants++
+			case op.Err == ErrWouldBlock:
+				sc.blocked = append(sc.blocked, op.Tag)
+			case op.Err == ErrTimeout:
+				timeouts++
 			}
+			if op.Err != nil {
+				sc.queue(sc.derefs, op.e.shard, i)
+			}
+		case BatchRelease:
+			var held int64
+			if op.e, held, op.Err = release(m, op.s, op.Name, op.Excl, now); op.Err != nil {
+				continue
+			}
+			releases++
+			sc.holdNS = append(sc.holdNS, held)
+			sc.queue(sc.derefs, op.e.shard, i)
 		default:
 			op.Err = ErrName
 		}
 	}
 
-	// Phase 4: apply the batched unrefs, one shard lock per shard.
+	// Phase 4: apply the batched unrefs, one shard lock per shard. An
+	// acquire that was not executed to a result (parked, or deferred
+	// behind a park) comes back through Manager.Acquire or a later batch
+	// and is counted as an arrival then, so its phase-2 count is undone:
+	// ErrWouldBlock and ErrDeferred leave no state changed, profile
+	// included.
 	for _, si := range sc.touched {
 		idx := sc.derefs[si]
 		if len(idx) == 0 {
@@ -244,6 +233,9 @@ func (m *Manager) ExecBatch(ops []BatchOp, sc *BatchScratch) {
 		sh.mu.Lock()
 		for _, i := range idx {
 			e := ops[i].e
+			if err := ops[i].Err; err == ErrWouldBlock || err == ErrDeferred {
+				e.acquires--
+			}
 			e.refs--
 			if e.refs == 0 {
 				e.idleAt = now
@@ -252,7 +244,7 @@ func (m *Manager) ExecBatch(ops []BatchOp, sc *BatchScratch) {
 		sh.mu.Unlock()
 	}
 
-	// Phase 5: counters and the wait histogram, once per batch.
+	// Phase 5: counters and the wait and hold histograms, once per batch.
 	if sharedGrants > 0 {
 		m.c.sharedGrants.Add(sharedGrants)
 	}
@@ -265,120 +257,15 @@ func (m *Manager) ExecBatch(ops []BatchOp, sc *BatchScratch) {
 	if timeouts > 0 {
 		m.c.timeouts.Add(timeouts)
 	}
-	if zeroWaits > 0 {
-		m.observeZeroWaits(zeroWaits)
-	}
-	if len(sc.holdNS) > 0 {
-		m.observeHolds(sc.holdNS)
-	}
-}
-
-// unref queues the entry reference held by ops[i] for the phase-4
-// shard pass.
-func (m *Manager) unref(i int32, e *entry, sc *BatchScratch) {
-	si := int32(fnv32(e.name) & m.mask)
-	sc.derefs[si] = append(sc.derefs[si], i)
-	sc.touch(si)
-}
-
-// tryAcquireOp is the batch acquire: session checks, the lock-free try,
-// and hold bookkeeping under a single session-mutex hold. It returns
-// (granted, error); ErrWouldBlock means "park me".
-func (m *Manager) tryAcquireOp(op *BatchOp, now time.Time) (bool, error) {
-	s := op.s
-	if s == nil {
-		return false, ErrExpired
-	}
-	e := op.e
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return false, ErrExpired
-	}
-	if now.After(s.deadline) {
-		s.mu.Unlock()
-		m.expireSession(s, true)
-		return false, ErrExpired
-	}
-	h := s.holds[e.name]
-	if op.Excl && h != nil && h.excl {
-		s.mu.Unlock()
-		return false, ErrHeld
-	}
-	var ok bool
-	if op.Excl {
-		ok = e.lock.TryLock()
-	} else {
-		ok = e.lock.TryRLock()
-	}
-	if !ok {
-		s.mu.Unlock()
-		if op.Wait != 0 {
-			return false, ErrWouldBlock
-		}
-		return false, ErrTimeout
-	}
-	if h == nil {
-		if h = s.free; h != nil {
-			s.free = nil
-			*h = hold{e: e}
-		} else {
-			h = &hold{e: e}
-		}
-		s.holds[e.name] = h
-	}
-	if op.Excl {
-		h.excl = true
-	} else {
-		h.shared++
-	}
-	h.grantNS = now.UnixNano()
-	s.mu.Unlock()
-	return true, nil
-}
-
-// releaseOp is the batch release; the entry unref is deferred to the
-// phase-4 shard pass via op.e, the hold-time sample to the phase-5
-// histogram flush via sc.holdNS.
-func (m *Manager) releaseOp(i int32, op *BatchOp, sc *BatchScratch, now time.Time) error {
-	s := op.s
-	if s == nil {
-		return ErrExpired
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrExpired
-	}
-	h := s.holds[string(op.Name)]
-	if h == nil || (op.Excl && !h.excl) || (!op.Excl && h.shared == 0) {
-		s.mu.Unlock()
-		return ErrNotHeld
-	}
-	e := h.e
-	if op.Excl {
-		h.excl = false
-	} else {
-		h.shared--
-	}
-	sc.holdNS = append(sc.holdNS, now.UnixNano()-h.grantNS)
-	if !h.excl && h.shared == 0 {
-		delete(s.holds, e.name)
-		s.free = h
-	}
-	s.mu.Unlock()
-	if op.Excl {
-		e.lock.Unlock()
-	} else {
-		e.lock.RUnlock()
-	}
-	op.e = e
-	m.unref(i, e, sc)
-	return nil
+	m.observeWait(0, sharedGrants+exclGrants)
+	m.observeHold(sc.holdNS...)
 }
 
 // openAt is Open with the caller's clock reading.
 func (m *Manager) openAt(lease time.Duration, now time.Time) (uint64, error) {
+	if m.closed.Load() {
+		return 0, ErrClosed
+	}
 	s := &Session{
 		cancel:   make(chan struct{}),
 		holds:    make(map[string]*hold),
@@ -393,33 +280,14 @@ func (m *Manager) openAt(lease time.Duration, now time.Time) (uint64, error) {
 	return s.id, nil
 }
 
-// keepAliveSession is KeepAlive on an already-resolved session.
+// keepAliveSession is KeepAlive on an already-resolved session (nil if
+// unknown) with the caller's clock reading.
 func (m *Manager) keepAliveSession(s *Session, lease time.Duration, now time.Time) error {
-	if s == nil {
-		return ErrExpired
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrExpired
-	}
-	if now.After(s.deadline) {
-		s.mu.Unlock()
-		m.expireSession(s, true)
-		return ErrExpired
+	if err := m.live(s, now); err != nil {
+		return err
 	}
 	s.deadline = now.Add(m.clampLease(lease))
 	s.mu.Unlock()
 	m.c.keepalives.Add(1)
 	return nil
-}
-
-// fnv32b is fnv32 over bytes (alloc-free shard hash for names that
-// alias a parse buffer).
-func fnv32b(b []byte) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(b); i++ {
-		h = (h ^ uint32(b[i])) * 16777619
-	}
-	return h
 }

@@ -127,8 +127,8 @@ func (h *handoffCluster) AppendMembership(buf []byte) []byte {
 	return out
 }
 
-func (h *handoffCluster) Epoch() uint64              { return h.then.Epoch }
-func (h *handoffCluster) MemberCount() int           { return len(h.then.Members) }
+func (h *handoffCluster) Epoch() uint64               { return h.then.Epoch }
+func (h *handoffCluster) MemberCount() int            { return len(h.then.Members) }
 func (h *handoffCluster) StatusJSON() ([]byte, error) { return []byte("{}"), nil }
 
 // TestRouterReaimsOnNotOwner: an op aimed at a member that answers

@@ -109,7 +109,7 @@ type Config struct {
 
 // quarantine tracks one dead member's names through their unsafe window.
 type quarantine struct {
-	prev     *Map   // membership before the death: prev.Owner(name)==dead ⇒ name moved
+	prev     *Map // membership before the death: prev.Owner(name)==dead ⇒ name moved
 	dead     string
 	ghostSID uint64
 	deadline time.Time

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"fairrw/internal/lockmgr/introspect"
 )
 
 // goid parses the runtime's goroutine id from the stack header. Test-only:
@@ -24,7 +26,7 @@ func goid() uint64 {
 // refcount. Test-only: callers must know the entry is pinned (held or
 // queued on) so the sweeper cannot GC it out from under the pointer.
 func lookupEntry(m *Manager, name string) *entry {
-	sh := &m.shards[fnv32(name)&m.mask]
+	sh := &m.shards[introspect.Hash(name)&m.mask]
 	sh.mu.Lock()
 	e := sh.entries[name]
 	sh.mu.Unlock()

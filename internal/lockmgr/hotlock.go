@@ -4,9 +4,10 @@ import "sort"
 
 // LockProfile is one row of the hot-lock table: the per-lock contention
 // profile maintained on the lock's table entry and merged across shards
-// on scrape. Acquires counts acquire arrivals (the entry-ref count, so a
-// parked acquire that retries off the batch path is counted per
-// arrival); the wait columns cover contended grants only — uncontended
+// on scrape. Acquires counts acquire arrivals, one per acquire executed
+// to a result: a batch acquire answered ErrWouldBlock or ErrDeferred is
+// counted when it comes back through Manager.Acquire or a later batch,
+// not twice. The wait columns cover contended grants only — uncontended
 // try-path grants have zero queue wait by definition.
 type LockProfile struct {
 	Name        string  `json:"name"`

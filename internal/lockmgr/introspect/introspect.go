@@ -187,22 +187,14 @@ func (r *Recorder) Dump(w io.Writer) {
 	}
 }
 
-// Hash is FNV-1a over a string: the lock-name hash carried in events.
-// It matches lockmgr's shard hash, so a flight-recorder hash can be
-// mapped back to a shard (and, via the hot-lock table, usually a name).
-func Hash(s string) uint32 {
+// Hash is FNV-1a over a lock name, string or bytes alike (a name that
+// aliases a parse buffer hashes without a conversion allocation): the
+// hash carried in events and lockmgr's shard hash, so a flight-recorder
+// hash maps back to a shard (and, via the hot-lock table, usually a name).
+func Hash[T string | []byte](s T) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(s); i++ {
 		h = (h ^ uint32(s[i])) * 16777619
-	}
-	return h
-}
-
-// HashBytes is Hash for byte slices without a conversion allocation.
-func HashBytes(b []byte) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(b); i++ {
-		h = (h ^ uint32(b[i])) * 16777619
 	}
 	return h
 }

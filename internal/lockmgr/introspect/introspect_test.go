@@ -124,8 +124,8 @@ func TestRecordAllocFree(t *testing.T) {
 // flight-event correlation depends on them colliding on purpose.
 func TestHashMatchesBytes(t *testing.T) {
 	for _, s := range []string{"", "k", "key-0007", "a longer lock name"} {
-		if Hash(s) != HashBytes([]byte(s)) {
-			t.Fatalf("Hash(%q) = %08x, HashBytes = %08x", s, Hash(s), HashBytes([]byte(s)))
+		if Hash(s) != Hash([]byte(s)) {
+			t.Fatalf("Hash(%q) = %08x, Hash(bytes) = %08x", s, Hash(s), Hash([]byte(s)))
 		}
 	}
 	if Hash("a") == Hash("b") {

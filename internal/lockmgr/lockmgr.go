@@ -49,6 +49,12 @@ var (
 // before a frame ever reaches the manager.
 const MaxNameLen = 1024
 
+// validName is the name check every acquire and release makes first, so
+// a bad name is ErrName whatever the session's state.
+func validName[T string | []byte](name T) bool {
+	return len(name) > 0 && len(name) <= MaxNameLen
+}
+
 // Config parameterizes a Manager. The zero value selects the defaults.
 type Config struct {
 	// Shards is the number of table stripes; rounded up to a power of
@@ -68,11 +74,11 @@ type Config struct {
 	// survives before the sweeper deletes it. Default 1s.
 	IdleTTL time.Duration
 	// Recorder, when non-nil, receives grant-path flight events: the
-	// resolution of every contended acquire (grant, timeout, lease
+	// resolution of every queued acquire (grant, timeout, lease
 	// revocation, with measured wait) and session lease expirations.
-	// Uncontended try-path grants are not recorded — they carry no
-	// queue wait, which is the quantity the flight recorder attributes
-	// — so the manager fast path pays only a nil check.
+	// The try path is not recorded, grant or failed try alike — neither
+	// has queue wait, which is the quantity the flight recorder
+	// attributes — so the manager fast path never touches it.
 	Recorder *introspect.Recorder
 	// SlowLock is the slow-acquire threshold: a grant whose queue wait
 	// reaches it is reported to SlowLockFn (and recorded as EvSlow).
@@ -125,11 +131,13 @@ type entry struct {
 	lock   fairlock.RWMutex
 	refs   int
 	idleAt time.Time
+	shard  uint32 // index of the owning shard: introspect.Hash(name) & mask
 
 	// Contention profile (Manager.HotLocks). acquires counts acquire
 	// arrivals and is incremented at ref time, under the shard mutex the
 	// ref already holds — the profile's hot-path cost on the uncontended
-	// grant path is literally one increment on an already-owned line.
+	// grant path is literally one increment on an already-owned line
+	// (ExecBatch takes it back from an acquire it did not execute).
 	// The wait fields are touched only by contended acquires (which are
 	// already paying for timers and queueing), so they are atomics. The
 	// table's memory is the live entry table's: a profile lives exactly
@@ -137,6 +145,24 @@ type entry struct {
 	acquires  uint64
 	waitNS    atomic.Int64
 	maxWaitNS atomic.Int64
+}
+
+// try is the lock-free acquire probe, the only place a table lock is
+// tried.
+func (e *entry) try(excl bool) bool {
+	if excl {
+		return e.lock.TryLock()
+	}
+	return e.lock.TryRLock()
+}
+
+// unlock releases one grant of the given mode.
+func (e *entry) unlock(excl bool) {
+	if excl {
+		e.lock.Unlock()
+	} else {
+		e.lock.RUnlock()
+	}
 }
 
 // shard is one stripe of the lock table, padded so that neighbouring
@@ -220,6 +246,13 @@ func (m *Manager) Close() {
 	if m.closed.Swap(true) {
 		return
 	}
+	m.expireAll(false)
+	close(m.done)
+	m.wg.Wait()
+}
+
+// expireAll expires every session live at the call and returns how many.
+func (m *Manager) expireAll(expired bool) int {
 	m.smu.RLock()
 	victims := make([]*Session, 0, len(m.sessions))
 	for _, s := range m.sessions {
@@ -227,10 +260,9 @@ func (m *Manager) Close() {
 	}
 	m.smu.RUnlock()
 	for _, s := range victims {
-		m.expireSession(s, false)
+		m.expireSession(s, expired)
 	}
-	close(m.done)
-	m.wg.Wait()
+	return len(victims)
 }
 
 // MaxLease reports the effective cap on granted leases — every lease
@@ -243,45 +275,23 @@ func (m *Manager) MaxLease() time.Duration { return m.cfg.MaxLease }
 // returns the number of sessions revoked. This is the cluster layer's
 // fencing primitive: an isolated node revokes everything it granted so
 // no lease of its outlives the quarantine the survivors wait out.
-func (m *Manager) RevokeAllSessions() int {
-	m.smu.RLock()
-	victims := make([]*Session, 0, len(m.sessions))
-	for _, s := range m.sessions {
-		victims = append(victims, s)
-	}
-	m.smu.RUnlock()
-	for _, s := range victims {
-		m.expireSession(s, true)
-	}
-	return len(victims)
-}
+func (m *Manager) RevokeAllSessions() int { return m.expireAll(true) }
 
-// fnv32 is FNV-1a, the shard hash for lock names.
-func fnv32(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint32(s[i])) * 16777619
-	}
-	return h
-}
-
-// ref returns name's entry (h32 is fnv32(name), computed once by the
-// caller), creating it on demand, with one reference taken for the
-// caller. Acquire refs are also acquire arrivals, so the contention
-// profile counts here, under the shard mutex already held.
-func (m *Manager) ref(name string, h32 uint32, acquire bool) *entry {
-	sh := &m.shards[h32&m.mask]
+// ref returns name's entry, creating it on demand, with one reference
+// taken for the caller. Only acquires ref, so a ref is also an acquire
+// arrival: the contention profile counts here, under the shard mutex
+// already held.
+func (m *Manager) ref(name string) *entry {
+	si := introspect.Hash(name) & m.mask
+	sh := &m.shards[si]
 	sh.mu.Lock()
 	e := sh.entries[name]
 	if e == nil {
-		e = m.newEntry(name)
+		e = m.newEntry(name, si)
 		sh.entries[name] = e
-		m.c.entriesCreated.Add(1)
 	}
 	e.refs++
-	if acquire {
-		e.acquires++
-	}
+	e.acquires++
 	sh.mu.Unlock()
 	return e
 }
@@ -290,8 +300,9 @@ func (m *Manager) ref(name string, h32 uint32, acquire bool) *entry {
 // its lock: every entry shares the manager's cohort-grant sink so
 // batching activity aggregates across the whole table without polling
 // individual locks.
-func (m *Manager) newEntry(name string) *entry {
-	e := &entry{name: name}
+func (m *Manager) newEntry(name string, si uint32) *entry {
+	m.c.entriesCreated.Add(1)
+	e := &entry{name: name, shard: si}
 	if m.cfg.CohortBatch > 0 {
 		e.lock.SetCohort(fairlock.CohortConfig{
 			Batch:  m.cfg.CohortBatch,
@@ -311,7 +322,7 @@ func (m *Manager) CohortBatch() int32 { return m.cfg.CohortBatch }
 // past IdleTTL, so a hot name is not reallocated (with its 2 KiB reader
 // table) on every acquire/release cycle.
 func (m *Manager) deref(e *entry, now time.Time) {
-	sh := &m.shards[fnv32(e.name)&m.mask]
+	sh := &m.shards[e.shard]
 	sh.mu.Lock()
 	e.refs--
 	if e.refs == 0 {
@@ -337,82 +348,53 @@ func (m *Manager) clampLease(lease time.Duration) time.Duration {
 
 // Open registers a new session with the given lease and returns its id.
 func (m *Manager) Open(lease time.Duration) (uint64, error) {
-	if m.closed.Load() {
-		return 0, ErrClosed
-	}
-	s := &Session{
-		cancel:   make(chan struct{}),
-		holds:    make(map[string]*hold),
-		deadline: time.Now().Add(m.clampLease(lease)),
-	}
-	m.smu.Lock()
-	m.nextSID++
-	s.id = m.nextSID
-	m.sessions[s.id] = s
-	m.smu.Unlock()
-	m.c.sessionsOpened.Add(1)
-	return s.id, nil
+	return m.openAt(lease, time.Now())
 }
 
-// session resolves sid, treating unknown ids as expired (the reaper
-// deletes expired sessions, so a stale id and an expired one are
-// indistinguishable — exactly like a lapsed LRT reservation).
-func (m *Manager) session(sid uint64) (*Session, error) {
+// session resolves sid; nil means unknown, which live reports as expired
+// (the reaper deletes expired sessions, so a stale id and an expired one
+// are indistinguishable — exactly like a lapsed LRT reservation).
+func (m *Manager) session(sid uint64) *Session {
 	m.smu.RLock()
 	s := m.sessions[sid]
 	m.smu.RUnlock()
-	if s == nil {
-		return nil, ErrExpired
-	}
-	return s, nil
+	return s
 }
 
 // KeepAlive extends sid's lease to now+lease (clamped). A session whose
 // lease already lapsed is expired immediately and ErrExpired returned:
 // keepalive cannot resurrect a reservation the table already broke.
 func (m *Manager) KeepAlive(sid uint64, lease time.Duration) error {
-	s, err := m.session(sid)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrExpired
-	}
-	now := time.Now()
-	if now.After(s.deadline) {
-		s.mu.Unlock()
-		m.expireSession(s, true)
-		return ErrExpired
-	}
-	s.deadline = now.Add(m.clampLease(lease))
-	s.mu.Unlock()
-	m.c.keepalives.Add(1)
-	return nil
+	return m.keepAliveSession(m.session(sid), lease, time.Now())
 }
 
 // CloseSession gracefully ends a session: every hold is released, every
-// queued waiter cancelled, in one step.
+// queued waiter cancelled, in one step. Closing a session that is
+// unknown or already gone is ErrExpired.
 func (m *Manager) CloseSession(sid uint64) error {
-	s, err := m.session(sid)
-	if err != nil {
-		return err
+	return m.closeSession(m.session(sid))
+}
+
+// closeSession is CloseSession on an already-resolved session (nil if
+// unknown).
+func (m *Manager) closeSession(s *Session) error {
+	if s == nil || !m.expireSession(s, false) {
+		return ErrExpired
 	}
-	m.expireSession(s, false)
 	return nil
 }
 
 // expireSession revokes a session: marks it closed, cancels its queued
 // waiters via the revocation channel, releases all holds (unblocking
 // FIFO-ordered waiters on each lock), and deletes it from the table. It
-// is idempotent; expired says whether this was a lease expiry (reaper,
-// lapsed keepalive) or a graceful close.
-func (m *Manager) expireSession(s *Session, expired bool) {
+// is idempotent and reports whether this call did the revoking; expired
+// says whether this was a lease expiry (reaper, lapsed lease seen by an
+// op) or a graceful close.
+func (m *Manager) expireSession(s *Session, expired bool) bool {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return
+		return false
 	}
 	s.closed = true
 	holds := s.holds
@@ -423,12 +405,12 @@ func (m *Manager) expireSession(s *Session, expired bool) {
 	now := time.Now()
 	for _, h := range holds {
 		if h.excl {
-			h.e.lock.Unlock()
+			h.e.unlock(true)
 			m.c.revokedHolds.Add(1)
 			m.deref(h.e, now)
 		}
 		for i := 0; i < h.shared; i++ {
-			h.e.lock.RUnlock()
+			h.e.unlock(false)
 			m.c.revokedHolds.Add(1)
 			m.deref(h.e, now)
 		}
@@ -443,6 +425,191 @@ func (m *Manager) expireSession(s *Session, expired bool) {
 	} else {
 		m.c.sessionsClosed.Add(1)
 	}
+	return true
+}
+
+// live is the one lease check: it locks s and reports whether s may act
+// at now. A nil (unknown) or closed session is ErrExpired; a session whose
+// deadline is not after now is expired on the spot, ahead of the reaper,
+// so no op of any kind succeeds on a lapsed lease. On nil return the
+// caller holds s.mu.
+func (m *Manager) live(s *Session, now time.Time) error {
+	if s == nil {
+		return ErrExpired
+	}
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return ErrExpired
+	}
+	if !s.deadline.After(now) {
+		s.mu.Unlock()
+		m.expireSession(s, true)
+		return ErrExpired
+	}
+	return nil
+}
+
+// grant records one granted hold of e in the given mode: the only writer
+// of the hold table. h is the caller's s.holds lookup for e.name (nil if
+// absent); s.mu is held.
+func (s *Session) grant(h *hold, e *entry, excl bool, grantNS int64) {
+	if h == nil {
+		if h = s.free; h != nil {
+			s.free = nil
+			*h = hold{e: e}
+		} else {
+			h = &hold{e: e}
+		}
+		s.holds[e.name] = h
+	}
+	if excl {
+		h.excl = true
+	} else {
+		h.shared++
+	}
+	h.grantNS = grantNS
+}
+
+// release is the release both entry points run: name check, lease
+// check, then one hold of the given mode comes off the session (the only
+// deleter from the hold table) and off the lock. It returns the entry,
+// whose reference the caller still has to drop, and the hold time. name
+// may alias a parse buffer: the hold lookup does not copy it.
+func release[T string | []byte](m *Manager, s *Session, name T, excl bool, now time.Time) (*entry, int64, error) {
+	if !validName(name) {
+		return nil, 0, ErrName
+	}
+	if err := m.live(s, now); err != nil {
+		return nil, 0, err
+	}
+	h := s.holds[string(name)]
+	if h == nil || (excl && !h.excl) || (!excl && h.shared == 0) {
+		s.mu.Unlock()
+		return nil, 0, ErrNotHeld
+	}
+	e := h.e
+	if excl {
+		h.excl = false
+	} else {
+		h.shared--
+	}
+	held := now.UnixNano() - h.grantNS
+	if !h.excl && h.shared == 0 {
+		delete(s.holds, e.name)
+		s.free = h
+	}
+	s.mu.Unlock()
+	e.unlock(excl)
+	return e, held, nil
+}
+
+// tryAcquire is the acquire both entry points run: lease check, the
+// exclusive re-acquire check, the lock-free try and the hold bookkeeping
+// under a single session-mutex hold, so a grant can never race the
+// session's revocation. A failed try changes nothing and is ErrWouldBlock
+// if the caller will queue (mayWait), else ErrTimeout.
+func (m *Manager) tryAcquire(s *Session, e *entry, excl, mayWait bool, now time.Time) error {
+	if err := m.live(s, now); err != nil {
+		return err
+	}
+	h := s.holds[e.name]
+	var err error
+	switch {
+	case excl && h != nil && h.excl:
+		// Exclusive re-acquire can only deadlock against itself; reject
+		// it before it parks.
+		err = ErrHeld
+	case e.try(excl):
+		s.grant(h, e, excl, now.UnixNano())
+	case mayWait:
+		err = ErrWouldBlock
+	default:
+		err = ErrTimeout
+	}
+	s.mu.Unlock()
+	return err
+}
+
+// waitAcquire queues on e's own FIFO after tryAcquire said ErrWouldBlock:
+// up to wait (capped at the remaining lease) when wait > 0, until granted
+// or the session is revoked when wait < 0. Only Manager.Acquire reaches
+// it, and it is the one place an acquire blocks. It does nothing but
+// block — the outcome is booked by finishWait — because its frame is
+// live for the whole wait: the server starts a fresh goroutine for each
+// parked acquire, and one whose call chain down to the parked select
+// outgrows the initial 2 KiB stack pays a stack copy per wait (2.7 µs a
+// pair on svc-handoff-write when the booking was done in this frame).
+func (m *Manager) waitAcquire(s *Session, e *entry, excl bool, wait time.Duration) error {
+	m.c.waiting.Add(1)
+	t0 := time.Now()
+	timed := wait > 0
+	if timed {
+		s.mu.Lock()
+		wait = min(wait, s.deadline.Sub(t0))
+		s.mu.Unlock()
+	}
+	var ok bool
+	switch {
+	case timed && excl:
+		ok = e.lock.TryLockFor(wait)
+	case timed:
+		ok = e.lock.TryRLockFor(wait)
+	case excl:
+		ok = e.lock.LockCancel(s.cancel)
+	default:
+		ok = e.lock.RLockCancel(s.cancel)
+	}
+	waited := time.Since(t0)
+	m.c.waiting.Add(-1)
+	return m.finishWait(s, e, excl, timed, ok, t0, waited)
+}
+
+// finishWait books the outcome of a queued acquire: only an acquire that
+// queued is attributed queue wait in the hot-lock table or recorded in
+// the flight recorder (a try has no queue wait to attribute). A grant
+// becomes a hold unless the session was revoked meanwhile.
+func (m *Manager) finishWait(s *Session, e *entry, excl, timed, ok bool, t0 time.Time, waited time.Duration) error {
+	h32 := introspect.Hash(e.name)
+	ev := introspect.Event{SID: s.id, Hash: h32, Wait: int64(waited)}
+	if !ok {
+		ev.Kind = introspect.EvTimeout
+		err := ErrTimeout
+		if !timed {
+			// Only revocation cancels an unbounded wait.
+			ev.Kind, err = introspect.EvRevoke, ErrExpired
+		}
+		m.cfg.Recorder.Record(h32, ev)
+		return err
+	}
+	m.observeWait(uint64(waited), 1)
+	e.waitNS.Add(int64(waited))
+	atomicMax(&e.maxWaitNS, int64(waited))
+	ev.Kind = introspect.EvGrant
+	m.cfg.Recorder.Record(h32, ev)
+	if t := m.cfg.SlowLock; t > 0 && waited >= t {
+		ev.Kind = introspect.EvSlow
+		m.cfg.Recorder.Record(h32, ev)
+		if fn := m.cfg.SlowLockFn; fn != nil {
+			fn(e.name, s.id, excl, waited)
+		}
+	}
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed || m.closed.Load() {
+		// Granted after revocation (the grant/cancel race, or a timed
+		// acquire that outlived the lease): hand the lock straight back.
+		// The manager-wide flag closes the Close-in-progress window:
+		// revoking one session's holds can grant another session's
+		// parked waiter before Close reaches that session, and Close
+		// promises blocked acquires a definitive ErrExpired, not a
+		// grant that is about to be revoked.
+		e.unlock(excl)
+		return ErrExpired
+	}
+	s.grant(s.holds[e.name], e, excl, t0.Add(waited).UnixNano())
+	return nil
 }
 
 // Acquire takes name for sid in shared or exclusive mode.
@@ -453,146 +620,34 @@ func (m *Manager) expireSession(s *Session, expired bool) {
 //	wait  < 0  wait until granted or the session's lease expires
 //
 // All three map one-to-one onto fairlock's TryLock/TryLockFor/LockCancel
-// family, so service-side admission order is exactly the lock's.
+// family, so service-side admission order is exactly the lock's. Every
+// acquire runs tryAcquire first — the same function a BatchAcquire runs,
+// with the same results — and only one that has to queue goes on to
+// waitAcquire, where ExecBatch would have answered ErrWouldBlock.
 func (m *Manager) Acquire(sid uint64, name string, excl bool, wait time.Duration) error {
-	if name == "" || len(name) > MaxNameLen {
+	if !validName(name) {
 		return ErrName
 	}
-	s, err := m.session(sid)
-	if err != nil {
-		return err
+	s := m.session(sid)
+	e := m.ref(name)
+	err := m.tryAcquire(s, e, excl, wait != 0, time.Now())
+	if err == nil {
+		m.observeWait(0, 1)
+	} else if err == ErrWouldBlock {
+		err = m.waitAcquire(s, e, excl, wait)
 	}
-	now := time.Now()
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrExpired
-	}
-	remain := s.deadline.Sub(now)
-	if remain <= 0 {
-		s.mu.Unlock()
-		m.expireSession(s, true)
-		return ErrExpired
-	}
-	if excl {
-		if h := s.holds[name]; h != nil && h.excl {
-			// Exclusive re-acquire can only deadlock against itself;
-			// reject it before it parks.
-			s.mu.Unlock()
-			return ErrHeld
-		}
-	}
-	s.mu.Unlock()
-
-	h32 := fnv32(name)
-	e := m.ref(name, h32, true)
-	m.c.waiting.Add(1)
-	// Every acquire probes the lock-free try path first; uncontended
-	// grants record a zero wait without touching the clock again, and only
-	// acquires that actually have to queue pay for timestamps and the
-	// timer machinery.
-	var ok bool
-	if excl {
-		ok = e.lock.TryLock()
-	} else {
-		ok = e.lock.TryRLock()
-	}
-	waited := time.Duration(0)
-	grantNS := now.UnixNano()
-	if !ok && wait != 0 {
-		t0 := time.Now()
-		if wait > 0 {
-			if wait > remain {
-				wait = remain
-			}
-			if excl {
-				ok = e.lock.TryLockFor(wait)
-			} else {
-				ok = e.lock.TryRLockFor(wait)
-			}
-		} else {
-			if excl {
-				ok = e.lock.LockCancel(s.cancel)
-			} else {
-				ok = e.lock.RLockCancel(s.cancel)
-			}
-		}
-		waited = time.Since(t0)
-		grantNS = t0.Add(waited).UnixNano()
-	}
-	m.c.waiting.Add(-1)
-	if !ok {
-		m.deref(e, time.Now())
-		if wait < 0 {
-			// Only revocation cancels an unbounded wait.
-			m.cfg.Recorder.Record(h32, introspect.Event{
-				Kind: introspect.EvRevoke, SID: sid, Hash: h32, Wait: int64(waited)})
-			return ErrExpired
-		}
-		m.c.timeouts.Add(1)
-		m.cfg.Recorder.Record(h32, introspect.Event{
-			Kind: introspect.EvTimeout, SID: sid, Hash: h32, Wait: int64(waited)})
-		return ErrTimeout
-	}
-	m.observeWait(waited)
-	if waited > 0 {
-		// Contended grant: attribute the wait to the lock (hot-lock
-		// table), the flight recorder, and — past the threshold — the
-		// slow-acquire log. The try path above never reaches this.
-		e.waitNS.Add(int64(waited))
-		atomicMax(&e.maxWaitNS, int64(waited))
-		m.cfg.Recorder.Record(h32, introspect.Event{
-			Kind: introspect.EvGrant, SID: sid, Hash: h32, Wait: int64(waited)})
-		if t := m.cfg.SlowLock; t > 0 && waited >= t {
-			m.cfg.Recorder.Record(h32, introspect.Event{
-				Kind: introspect.EvSlow, SID: sid, Hash: h32, Wait: int64(waited)})
-			if fn := m.cfg.SlowLockFn; fn != nil {
-				fn(name, sid, excl, waited)
-			}
-		}
-	}
-
-	s.mu.Lock()
-	if s.closed || m.closed.Load() {
-		// Granted after revocation (the grant/cancel race, or a timed
-		// acquire that outlived the lease): hand the lock straight back.
-		// The manager-wide flag closes the Close-in-progress window:
-		// revoking one session's holds can grant another session's
-		// parked waiter before Close reaches that session, and Close
-		// promises blocked acquires a definitive ErrExpired, not a
-		// grant that is about to be revoked.
-		s.mu.Unlock()
-		if excl {
-			e.lock.Unlock()
-		} else {
-			e.lock.RUnlock()
-		}
-		m.deref(e, time.Now())
-		return ErrExpired
-	}
-	h := s.holds[name]
-	if h == nil {
-		if h = s.free; h != nil {
-			s.free = nil
-			*h = hold{e: e}
-		} else {
-			h = &hold{e: e}
-		}
-		s.holds[name] = h
-	}
-	if excl {
-		h.excl = true
-	} else {
-		h.shared++
-	}
-	h.grantNS = grantNS
-	s.mu.Unlock()
-	if excl {
+	switch {
+	case err == nil && excl:
 		m.c.exclGrants.Add(1)
-	} else {
+	case err == nil:
 		m.c.sharedGrants.Add(1)
+	default:
+		m.deref(e, time.Now())
+		if err == ErrTimeout {
+			m.c.timeouts.Add(1)
+		}
 	}
-	return nil
+	return err
 }
 
 // atomicMax raises a to at least v.
@@ -605,47 +660,17 @@ func atomicMax(a *atomic.Int64, v int64) {
 	}
 }
 
-// Release drops one shared or the exclusive hold of sid on name. Releases
-// from expired or closed sessions are rejected with ErrExpired — the
-// table already revoked (or will revoke) those holds itself, and a late
-// release must not unlock a grant that now belongs to someone else.
+// Release drops one shared or the exclusive hold of sid on name. A
+// release from an expired or closed session — including one whose lease
+// lapsed a moment ago and the reaper has not swept yet — is rejected with
+// ErrExpired on either entry point: the table already revoked (or live
+// revokes right here) those holds itself, and a late release must not
+// unlock a grant that now belongs to someone else.
 func (m *Manager) Release(sid uint64, name string, excl bool) error {
-	s, err := m.session(sid)
+	now := time.Now()
+	e, held, err := release(m, m.session(sid), name, excl, now)
 	if err != nil {
 		return err
-	}
-	now := time.Now()
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrExpired
-	}
-	if now.After(s.deadline) {
-		s.mu.Unlock()
-		m.expireSession(s, true)
-		return ErrExpired
-	}
-	h := s.holds[name]
-	if h == nil || (excl && !h.excl) || (!excl && h.shared == 0) {
-		s.mu.Unlock()
-		return ErrNotHeld
-	}
-	e := h.e
-	if excl {
-		h.excl = false
-	} else {
-		h.shared--
-	}
-	held := now.UnixNano() - h.grantNS
-	if !h.excl && h.shared == 0 {
-		delete(s.holds, name)
-		s.free = h
-	}
-	s.mu.Unlock()
-	if excl {
-		e.lock.Unlock()
-	} else {
-		e.lock.RUnlock()
 	}
 	m.deref(e, now)
 	m.c.releases.Add(1)
@@ -674,7 +699,7 @@ func (m *Manager) sweep(now time.Time) {
 	m.smu.RLock()
 	for _, s := range m.sessions {
 		s.mu.Lock()
-		if !s.closed && now.After(s.deadline) {
+		if !s.closed && !s.deadline.After(now) {
 			victims = append(victims, s)
 		}
 		s.mu.Unlock()
@@ -700,7 +725,7 @@ func (m *Manager) sweep(now time.Time) {
 // QueueLen reports how many waiters are queued on name right now (0 for
 // an absent entry). Diagnostics only.
 func (m *Manager) QueueLen(name string) int {
-	sh := &m.shards[fnv32(name)&m.mask]
+	sh := &m.shards[introspect.Hash(name)&m.mask]
 	sh.mu.Lock()
 	e := sh.entries[name]
 	sh.mu.Unlock()

@@ -2,7 +2,6 @@ package lockmgr
 
 import (
 	"sync/atomic"
-	"time"
 
 	"fairrw/internal/stats"
 )
@@ -64,42 +63,27 @@ type Snapshot struct {
 	HoldMaxUS  float64 `json:"hold_max_us"`
 }
 
-// observeZeroWaits records n uncontended grants (zero queue wait) from
-// one batch under a single histogram-lock hold.
-func (m *Manager) observeZeroWaits(n uint64) {
+// observeWait records n grants that each waited ns in queue: one
+// contended grant, or a batch's uncontended (zero-wait) grants under a
+// single histogram-lock hold.
+func (m *Manager) observeWait(ns, n uint64) {
+	if n == 0 {
+		return
+	}
 	m.waitMu.Lock()
-	m.wait.AddN(0, n)
+	m.wait.AddN(ns, n)
 	m.waitMu.Unlock()
 }
 
-// observeWait records one grant's queue wait.
-func (m *Manager) observeWait(d time.Duration) {
-	if d < 0 {
-		d = 0
+// observeHold records releases' hold times (grant to release), a whole
+// batch's under one lock hold.
+func (m *Manager) observeHold(ns ...int64) {
+	if len(ns) == 0 {
+		return
 	}
-	m.waitMu.Lock()
-	m.wait.Add(uint64(d))
-	m.waitMu.Unlock()
-}
-
-// observeHold records one release's hold time (grant to release).
-func (m *Manager) observeHold(ns int64) {
-	if ns < 0 {
-		ns = 0
-	}
-	m.holdMu.Lock()
-	m.holdH.Add(uint64(ns))
-	m.holdMu.Unlock()
-}
-
-// observeHolds records a batch's hold times under one lock hold.
-func (m *Manager) observeHolds(ns []int64) {
 	m.holdMu.Lock()
 	for _, d := range ns {
-		if d < 0 {
-			d = 0
-		}
-		m.holdH.Add(uint64(d))
+		m.holdH.Add(uint64(max(d, 0)))
 	}
 	m.holdMu.Unlock()
 }

@@ -143,6 +143,7 @@ func TestAdminPlaneEndToEnd(t *testing.T) {
 		`lockd_worker_wakeups_total{worker="1"}`,
 		`lockd_worker_parks_total`,
 		`lockd_hot_lock_acquires_total{lock="hotkey"} 16`,
+		`lockd_hot_lock_acquires_total{lock="parked"} 2`, // the parked acquire is one arrival, not two
 		`lockd_hot_lock_wait_seconds_total{lock="parked"}`,
 		`version="test"`,
 	} {

@@ -38,8 +38,8 @@ func (f *fakeCluster) AppendMembership(buf []byte) []byte {
 	return out
 }
 
-func (f *fakeCluster) Epoch() uint64          { return f.wm.Epoch }
-func (f *fakeCluster) MemberCount() int       { return len(f.wm.Members) }
+func (f *fakeCluster) Epoch() uint64    { return f.wm.Epoch }
+func (f *fakeCluster) MemberCount() int { return len(f.wm.Members) }
 func (f *fakeCluster) StatusJSON() ([]byte, error) {
 	return []byte(`{"self":"fake","epoch":7}`), nil
 }

@@ -369,7 +369,7 @@ func (w *worker) park(c *conn, op *lockmgr.BatchOp, endPos int) {
 	c.parked = true
 	c.parsePos = endPos // deferred frames stay buffered for re-parse
 	w.st.parks.Add(1)
-	hash := introspect.HashBytes(op.Name)
+	hash := introspect.Hash(op.Name)
 	w.srv.rec.Record(uint32(w.idx), introspect.Event{
 		Kind: introspect.EvPark, Conn: c.id, SID: op.SID, Hash: hash, Wait: op.Wait})
 	sid, name, excl, wait := op.SID, string(op.Name), op.Excl, time.Duration(op.Wait)
