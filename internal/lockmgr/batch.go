@@ -3,40 +3,36 @@ package lockmgr
 import (
 	"errors"
 	"time"
-
-	"fairrw/internal/lockmgr/introspect"
 )
 
-// Batch execution. The manager has one op core — live, tryAcquire,
-// Session.grant, release, keepAliveSession, closeSession, openAt — and
-// two entry points onto it: the scalar methods run one op with its own
-// clock read, session lookup and shard lock; ExecBatch runs the same
-// functions over every frame a server worker drained in one wakeup, so
-// an op has the same result and the same effect on the counters
+// Batch execution. The manager has one op core — live, acquire, release,
+// keepAliveSession, closeSession, openAt, and admit/complete for the
+// queue (waitq.go) — and two entry points onto it: the scalar methods run
+// one op with its own clock read and session lookup; ExecBatch runs the
+// same functions over every frame a server worker drained in one wakeup,
+// so an op has the same result and the same effect on the counters
 // whichever way it arrives (differential_test.go holds the two to that).
-// What ExecBatch adds is amortization:
+// What ExecBatch adds is amortization — one clock read for the whole
+// batch, one session-table RLock pass resolving every sid at once, grant
+// and timeout counters and the wait and hold histograms updated once with
+// batch totals — and the completion list: a release in the batch grants
+// the acquires queued behind it then and there, and ExecBatch hands those
+// outcomes back with the batch's own results, so the waiter is answered
+// in the releaser's round.
 //
-//   - one clock read for the whole batch;
-//   - one session-table RLock pass resolving every sid at once;
-//   - each table shard locked once per batch for entry ref/unref, not
-//     once per op (the software analogue of the LRT servicing a burst
-//     of requests in one table walk);
-//   - grant/timeout counters and the wait and hold histograms updated
-//     once with batch totals.
-//
-// ExecBatch never blocks: where Manager.Acquire goes on to waitAcquire,
-// a batch acquire returns ErrWouldBlock with no side effects and the
-// caller parks it as a continuation (Manager.Acquire on a separate
-// goroutine) so the event loop never stalls on a contended lock.
+// ExecBatch never blocks: where Manager.Acquire waits on a channel, a
+// batch acquire that has to wait is queued for its op's Waiter and
+// returns ErrWouldBlock; its outcome arrives later as a Completion.
 var (
-	// ErrWouldBlock: the acquire did not get the lock on the try path
-	// and asked to wait (Wait != 0). No state changed; retry with
-	// Manager.Acquire off the batch path.
+	// ErrWouldBlock: the acquire did not get the lock at once and asked
+	// to wait (Wait != 0). With a Waiter on the op it is queued and the
+	// Waiter will get its outcome; without one no state changed (retry
+	// with Manager.Acquire off the batch path).
 	ErrWouldBlock = errors.New("lockmgr: acquire would block")
 	// ErrDeferred: an earlier op with the same Tag returned
 	// ErrWouldBlock, so this op was not executed at all (per-connection
-	// order must hold). Re-submit it after the parked op completes.
-	ErrDeferred = errors.New("lockmgr: op deferred behind a parked acquire")
+	// order must hold). Re-submit it after the queued op completes.
+	ErrDeferred = errors.New("lockmgr: op deferred behind a queued acquire")
 )
 
 // BatchKind selects what a BatchOp does.
@@ -54,62 +50,40 @@ const (
 // (the connection's ring) and is only copied if a new table entry has to
 // be created, so a steady-state batch does not allocate.
 type BatchOp struct {
-	Kind  BatchKind
-	Tag   int32 // connection id: ops sharing a Tag execute strictly in order
-	SID   uint64
-	Excl  bool
-	Wait  int64 // acquire: nanoseconds, as Manager.Acquire
-	Lease int64 // open/keepalive: nanoseconds
-	Name  []byte
+	Kind   BatchKind
+	Tag    int32 // connection id: ops sharing a Tag execute strictly in order
+	SID    uint64
+	Excl   bool
+	Wait   int64  // acquire: nanoseconds, as Manager.Acquire
+	Lease  int64  // open/keepalive: nanoseconds
+	Cohort uint32 // acquire/release: the caller's cohort (Config.CohortBatch)
+	Name   []byte
+	Waiter Waiter // acquire: who to tell if it has to queue; its Completion carries Tag
 
 	// Results.
 	Err    error
 	OutSID uint64 // open: the new session id
 
-	e *entry   // internal: refed entry for acquires
 	s *Session // internal: resolved session
 }
 
 // BatchScratch is reusable per-worker scratch for ExecBatch so batch
 // execution itself does not allocate. The zero value is ready to use.
 type BatchScratch struct {
-	shardOps [][]int32 // per-shard op indexes (ref phase)
-	derefs   [][]int32 // per-shard op indexes (unref phase)
-	touched  []int32   // shards with pending work this batch
-	blocked  []int32   // tags with a parked acquire this batch
-	holdNS   []int64   // hold times observed this batch (phase-5 flush)
+	blocked []int32      // tags with a queued acquire this batch
+	holdNS  []int64      // hold times observed this batch
+	done    []Completion // queued acquires this batch resolved
 }
 
-// NewBatchScratch allocates scratch sized to this manager's shard count.
-// One per worker; not safe for concurrent use.
-func (m *Manager) NewBatchScratch() *BatchScratch {
-	return &BatchScratch{
-		shardOps: make([][]int32, len(m.shards)),
-		derefs:   make([][]int32, len(m.shards)),
-	}
-}
+// NewBatchScratch returns scratch for one worker; not safe for
+// concurrent use.
+func (m *Manager) NewBatchScratch() *BatchScratch { return new(BatchScratch) }
 
-func (sc *BatchScratch) reset() {
-	for _, si := range sc.touched {
-		sc.shardOps[si] = sc.shardOps[si][:0]
-		sc.derefs[si] = sc.derefs[si][:0]
-	}
-	sc.touched = sc.touched[:0]
-	sc.blocked = sc.blocked[:0]
-	sc.holdNS = sc.holdNS[:0]
-}
-
-// queue appends op index i to shard si's list in lists (shardOps or
-// derefs) for that phase's one-lock-per-shard pass.
-func (sc *BatchScratch) queue(lists [][]int32, si uint32, i int) {
-	lists[si] = append(lists[si], int32(i))
-	for _, t := range sc.touched {
-		if t == int32(si) {
-			return
-		}
-	}
-	sc.touched = append(sc.touched, int32(si))
-}
+// Completions returns the queued acquires the last ExecBatch resolved for
+// Waiters it was given — by this or an earlier batch — in the order they
+// resolved. The caller answers them; the slice is reused by the next
+// ExecBatch.
+func (sc *BatchScratch) Completions() []Completion { return sc.done }
 
 func (sc *BatchScratch) isBlocked(tag int32) bool {
 	for _, t := range sc.blocked {
@@ -124,74 +98,39 @@ func (sc *BatchScratch) isBlocked(tag int32) bool {
 // (and OutSID for opens). See the comment at the top of this file for
 // semantics; sc must not be shared between concurrent ExecBatch calls.
 func (m *Manager) ExecBatch(ops []BatchOp, sc *BatchScratch) {
+	sc.blocked, sc.holdNS, sc.done = sc.blocked[:0], sc.holdNS[:0], sc.done[:0]
 	if len(ops) == 0 {
 		return
 	}
-	sc.reset()
 	now := time.Now()
 
-	// Phase 1: resolve every session in one table pass.
+	// Resolve every session in one table pass.
 	m.smu.RLock()
 	for i := range ops {
-		op := &ops[i]
-		if op.Kind != BatchOpen {
+		if op := &ops[i]; op.Kind != BatchOpen {
 			op.s = m.sessions[op.SID]
 		}
 	}
 	m.smu.RUnlock()
 
-	// Phase 2: validate names and ref acquire entries, one shard lock
-	// per touched shard.
-	for i := range ops {
-		op := &ops[i]
-		op.Err = nil
-		op.e = nil
-		if op.Kind == BatchAcquire && validName(op.Name) {
-			sc.queue(sc.shardOps, introspect.Hash(op.Name)&m.mask, i)
-		}
-	}
-	for _, si := range sc.touched {
-		sh := &m.shards[si]
-		sh.mu.Lock()
-		for _, i := range sc.shardOps[si] {
-			op := &ops[i]
-			e := sh.entries[string(op.Name)] // alloc-free lookup
-			if e == nil {
-				e = m.newEntry(string(op.Name), uint32(si)) // the one name copy
-				sh.entries[e.name] = e
-			}
-			e.refs++
-			e.acquires++ // contention profile: only acquires are refed here
-			op.e = e
-		}
-		sh.mu.Unlock()
-	}
-
-	// Phase 3: execute in submission order, each op through the same
-	// function its scalar method calls.
-	var sharedGrants, exclGrants, releases, timeouts uint64
+	// Execute in submission order, each op through the same function its
+	// scalar method calls.
+	var sharedGrants, exclGrants, timeouts uint64
 	for i := range ops {
 		op := &ops[i]
 		if sc.isBlocked(op.Tag) {
 			op.Err = ErrDeferred
-			if op.e != nil {
-				sc.queue(sc.derefs, op.e.shard, i)
-			}
 			continue
 		}
 		switch op.Kind {
 		case BatchOpen:
 			op.OutSID, op.Err = m.openAt(time.Duration(op.Lease), now)
 		case BatchKeepAlive:
-			op.Err = m.keepAliveSession(op.s, time.Duration(op.Lease), now)
+			op.Err = m.keepAliveSession(op.s, time.Duration(op.Lease), now, &sc.done)
 		case BatchCloseSession:
-			op.Err = m.closeSession(op.s)
+			op.Err = m.closeSession(op.s, &sc.done)
 		case BatchAcquire:
-			if op.e == nil { // phase 2 refs every valid name
-				op.Err = ErrName
-				continue
-			}
-			op.Err = m.tryAcquire(op.s, op.e, op.Excl, op.Wait != 0, now)
+			op.Err = acquire(m, op.s, op.Name, op.Excl, time.Duration(op.Wait), op.Cohort, op.Waiter, op.Tag, now, &sc.done)
 			switch {
 			case op.Err == nil && op.Excl:
 				exclGrants++
@@ -202,63 +141,32 @@ func (m *Manager) ExecBatch(ops []BatchOp, sc *BatchScratch) {
 			case op.Err == ErrTimeout:
 				timeouts++
 			}
-			if op.Err != nil {
-				sc.queue(sc.derefs, op.e.shard, i)
-			}
 		case BatchRelease:
 			var held int64
-			if op.e, held, op.Err = release(m, op.s, op.Name, op.Excl, now); op.Err != nil {
-				continue
+			if held, op.Err = release(m, op.s, op.Name, op.Excl, op.Cohort, now, &sc.done); op.Err == nil {
+				sc.holdNS = append(sc.holdNS, held)
 			}
-			releases++
-			sc.holdNS = append(sc.holdNS, held)
-			sc.queue(sc.derefs, op.e.shard, i)
 		default:
 			op.Err = ErrName
 		}
 	}
 
-	// Phase 4: apply the batched unrefs, one shard lock per shard. An
-	// acquire that was not executed to a result (parked, or deferred
-	// behind a park) comes back through Manager.Acquire or a later batch
-	// and is counted as an arrival then, so its phase-2 count is undone:
-	// ErrWouldBlock and ErrDeferred leave no state changed, profile
-	// included.
-	for _, si := range sc.touched {
-		idx := sc.derefs[si]
-		if len(idx) == 0 {
-			continue
-		}
-		sh := &m.shards[si]
-		sh.mu.Lock()
-		for _, i := range idx {
-			e := ops[i].e
-			if err := ops[i].Err; err == ErrWouldBlock || err == ErrDeferred {
-				e.acquires--
-			}
-			e.refs--
-			if e.refs == 0 {
-				e.idleAt = now
-			}
-		}
-		sh.mu.Unlock()
-	}
-
-	// Phase 5: counters and the wait and hold histograms, once per batch.
+	// Counters and the wait and hold histograms, once per batch.
 	if sharedGrants > 0 {
 		m.c.sharedGrants.Add(sharedGrants)
 	}
 	if exclGrants > 0 {
 		m.c.exclGrants.Add(exclGrants)
 	}
-	if releases > 0 {
-		m.c.releases.Add(releases)
+	if n := uint64(len(sc.holdNS)); n > 0 {
+		m.c.releases.Add(n)
 	}
 	if timeouts > 0 {
 		m.c.timeouts.Add(timeouts)
 	}
 	m.observeWait(0, sharedGrants+exclGrants)
 	m.observeHold(sc.holdNS...)
+	sc.done = m.settle(sc.done, true)
 }
 
 // openAt is Open with the caller's clock reading.
@@ -267,7 +175,6 @@ func (m *Manager) openAt(lease time.Duration, now time.Time) (uint64, error) {
 		return 0, ErrClosed
 	}
 	s := &Session{
-		cancel:   make(chan struct{}),
 		holds:    make(map[string]*hold),
 		deadline: now.Add(m.clampLease(lease)),
 	}
@@ -282,9 +189,9 @@ func (m *Manager) openAt(lease time.Duration, now time.Time) (uint64, error) {
 
 // keepAliveSession is KeepAlive on an already-resolved session (nil if
 // unknown) with the caller's clock reading.
-func (m *Manager) keepAliveSession(s *Session, lease time.Duration, now time.Time) error {
+func (m *Manager) keepAliveSession(s *Session, lease time.Duration, now time.Time, done *[]Completion) error {
 	if err := m.live(s, now); err != nil {
-		return err
+		return m.lapse(s, err, done)
 	}
 	s.deadline = now.Add(m.clampLease(lease))
 	s.mu.Unlock()

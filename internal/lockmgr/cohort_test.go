@@ -54,8 +54,7 @@ func TestCohortBatchingAcrossManager(t *testing.T) {
 	if err := m.Acquire(main, "k", true, -1); err != nil {
 		t.Fatalf("acquire: %v", err)
 	}
-	e := lookupEntry(m, "k")
-	if e == nil {
+	if lookupEntry(m, "k") == nil {
 		t.Fatal("entry not in table while held")
 	}
 
@@ -78,10 +77,10 @@ func TestCohortBatchingAcrossManager(t *testing.T) {
 			errs <- err
 		}()
 		deadline := time.Now().Add(5 * time.Second)
-		for e.lock.QueueLen() != wantQ {
+		for m.QueueLen("k") != wantQ {
 			if time.Now().After(deadline) {
 				t.Fatalf("waiter %d never queued (QueueLen=%d, want %d)",
-					id, e.lock.QueueLen(), wantQ)
+					id, m.QueueLen("k"), wantQ)
 			}
 			runtime.Gosched()
 		}
@@ -147,7 +146,6 @@ func TestCohortDisabledStrictFIFO(t *testing.T) {
 	if err := m.Acquire(main, "k", true, -1); err != nil {
 		t.Fatalf("acquire: %v", err)
 	}
-	e := lookupEntry(m, "k")
 
 	order := make(chan int, 2)
 	errs := make(chan error, 2)
@@ -166,7 +164,7 @@ func TestCohortDisabledStrictFIFO(t *testing.T) {
 			errs <- err
 		}()
 		deadline := time.Now().Add(5 * time.Second)
-		for e.lock.QueueLen() != wantQ {
+		for m.QueueLen("k") != wantQ {
 			if time.Now().After(deadline) {
 				t.Fatalf("waiter %d never queued", id)
 			}

@@ -5,10 +5,10 @@ import "sort"
 // LockProfile is one row of the hot-lock table: the per-lock contention
 // profile maintained on the lock's table entry and merged across shards
 // on scrape. Acquires counts acquire arrivals, one per acquire executed
-// to a result: a batch acquire answered ErrWouldBlock or ErrDeferred is
-// counted when it comes back through Manager.Acquire or a later batch,
-// not twice. The wait columns cover contended grants only — uncontended
-// try-path grants have zero queue wait by definition.
+// to a result or queued: a batch acquire answered ErrDeferred, or
+// ErrWouldBlock with no Waiter to queue for, is counted when it comes
+// back, not twice. The wait columns cover contended grants only —
+// uncontended try-path grants have zero queue wait by definition.
 type LockProfile struct {
 	Name        string  `json:"name"`
 	Acquires    uint64  `json:"acquires"`
@@ -39,9 +39,9 @@ func (m *Manager) HotLocks(k int) []LockProfile {
 			all = append(all, LockProfile{
 				Name:        e.name,
 				Acquires:    e.acquires,
-				WaitTotalUS: float64(e.waitNS.Load()) / 1e3,
-				WaitMaxUS:   float64(e.maxWaitNS.Load()) / 1e3,
-				QueueLen:    e.lock.QueueLen(),
+				WaitTotalUS: float64(e.waitNS) / 1e3,
+				WaitMaxUS:   float64(e.maxWaitNS) / 1e3,
+				QueueLen:    e.q.n,
 			})
 		}
 		sh.mu.Unlock()

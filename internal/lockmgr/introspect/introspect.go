@@ -22,14 +22,14 @@ import (
 // Kind classifies one flight-recorder event. The set covers the grant
 // path of a contended acquire end to end: the park that takes it off the
 // event loop, the resolution (grant, timeout, lease revocation), the
-// injection back into the owning worker, plus the session- and
+// completion's delivery to the owning worker, plus the session- and
 // connection-lifecycle events that explain why a grant never came.
 type Kind uint8
 
 const (
-	// EvPark: an acquire would block; the server parked it as a
-	// continuation. Wait carries the request's wait bound (ns; <0 means
-	// until the lease expires).
+	// EvPark: an acquire would block; the manager queued it and the
+	// server parked its connection. Wait carries the request's wait bound
+	// (ns; <0 means until the lease expires).
 	EvPark Kind = iota + 1
 	// EvGrant: a contended acquire was granted. Wait is the measured
 	// queue wait in ns.
@@ -45,8 +45,9 @@ const (
 	// EvExpire: a session's lease lapsed and the reaper revoked it.
 	// Wait carries the number of holds revoked.
 	EvExpire
-	// EvUnpark: the grant completion was injected back into the owning
-	// event-loop worker (response write + deferred-frame re-parse).
+	// EvUnpark: the parked acquire's completion reached the owning
+	// event-loop worker (response write + deferred-frame re-parse). Wait
+	// is the measured queue wait in ns.
 	EvUnpark
 	// EvCondemn: a connection was condemned (malformed frame or write
 	// error); buffered responses still flush, then it drops.

@@ -1,21 +1,26 @@
 // Package lockmgr is a software Lock Reservation Table: a named fair
-// reader-writer lock service built on fairlock.RWMutex.
+// reader-writer lock service whose table keeps the queue and whose
+// releases hand the lock straight to the next requester.
 //
 // The paper's LRT (§3.3–3.5) is a table-managing agent: it queues
-// requesters for named locks in arrival order and guarantees forward
-// progress when a holder disappears, spilling reservations to memory and
-// recovering them on overflow. lockmgr mirrors that structure in
-// software:
+// requesters for named locks in arrival order, a release transfers the
+// lock directly to the head of that queue, and a holder that disappears
+// never stops forward progress. lockmgr mirrors that in software:
 //
 //   - named locks live in a table striped across power-of-two shards
-//     (cache-padded), each entry wrapping a fairlock.RWMutex, created on
+//     (cache-padded); an entry is the lock itself — reader count, writer
+//     flag, FIFO of queued acquires — under its shard's mutex, created on
 //     demand and garbage-collected after sitting idle;
+//   - an acquire that has to wait is a node on that FIFO (waitq.go), and
+//     whatever resolves it — a release, its timeout, a revocation —
+//     completes the node on the spot: no goroutine or timer per waiter,
+//     and admission order is the queue's (FIFO, consecutive readers
+//     together, at most CohortBatch bypasses of any waiter);
 //   - every acquisition belongs to a session with a lease deadline — the
 //     software analogue of the LRT's reservation: a client that crashes
 //     or stalls past its lease has its holds revoked and its queued
-//     waiters cancelled (fairlock.LockCancel/RLockCancel), so the lock
-//     always makes forward progress, and waiters behind the dead holder
-//     are granted in unchanged arrival order;
+//     acquires cancelled, so the lock always makes forward progress, and
+//     waiters behind the dead holder are granted in unchanged order;
 //   - keepalives extend the lease, exactly as a live LCU keeps its
 //     reservation current.
 //
@@ -85,19 +90,19 @@ type Config struct {
 	// Zero disables; only contended acquires ever check it.
 	SlowLock time.Duration
 	// SlowLockFn receives slow acquires (cmd/lockd logs them as
-	// structured one-liners). Called from the granted acquirer's
-	// goroutine; must not block.
+	// structured one-liners). Called from the goroutine whose release
+	// made the grant, with no manager lock held; must not block.
 	SlowLockFn func(name string, sid uint64, excl bool, wait time.Duration)
 	// CohortBatch, when > 0, enables cohort grant batching on every
-	// entry's lock with bound B = CohortBatch: a release may hand the
-	// lock to up to B waiters from the releaser's cohort before strict
-	// FIFO resumes (fairlock.CohortConfig). Zero leaves admission
-	// strictly FIFO.
+	// entry with bound B = CohortBatch: a release may hand the lock to a
+	// waiter from the releaser's cohort ahead of older ones, but no
+	// waiter is overtaken more than B times (the policy of
+	// fairlock.CohortConfig). Zero leaves admission strictly FIFO.
 	CohortBatch int32
-	// CohortFunc maps the acquiring goroutine to a cohort id when
-	// CohortBatch is set. nil selects fairlock's default (the BRAVO
-	// slot hash, i.e. a P-local shard); a server can map it to its
-	// worker index, and a future distributed build to a node id.
+	// CohortFunc maps the goroutine calling Acquire or Release to a
+	// cohort id when CohortBatch is set; nil puts every scalar caller in
+	// cohort 0. Batch ops carry their own (BatchOp.Cohort: the server
+	// passes its worker index).
 	CohortFunc fairlock.CohortFunc
 }
 
@@ -123,54 +128,37 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// entry is one named lock in the table. refs counts holds plus in-flight
-// acquirers (guarded by the owning shard's mu); an entry whose refs hit
-// zero is deleted by the sweeper once it has been idle for IdleTTL.
+// entry is one named lock in the table: the lock state and its contention
+// profile (Manager.HotLocks), all guarded by the owning shard's mu. An
+// entry nobody holds or waits for is idle, and the sweeper deletes it
+// once idle for IdleTTL — so a hot name is not reallocated on every
+// acquire/release cycle and a profile lives as long as its lock.
 type entry struct {
 	name   string
-	lock   fairlock.RWMutex
-	refs   int
+	hash   uint32 // introspect.Hash(name); the owning shard is hash & mask
 	idleAt time.Time
-	shard  uint32 // index of the owning shard: introspect.Hash(name) & mask
 
-	// Contention profile (Manager.HotLocks). acquires counts acquire
-	// arrivals and is incremented at ref time, under the shard mutex the
-	// ref already holds — the profile's hot-path cost on the uncontended
-	// grant path is literally one increment on an already-owned line
-	// (ExecBatch takes it back from an acquire it did not execute).
-	// The wait fields are touched only by contended acquires (which are
-	// already paying for timers and queueing), so they are atomics. The
-	// table's memory is the live entry table's: a profile lives exactly
-	// as long as its lock entry and is GC'd with it.
-	acquires  uint64
-	waitNS    atomic.Int64
-	maxWaitNS atomic.Int64
+	readers int32 // shared grants outstanding
+	writer  bool  // exclusive grant outstanding
+	q       waitq // queued acquires in arrival order
+
+	acquires  uint64 // acquire arrivals: executed to a result, or queued
+	waitNS    int64  // queue wait summed over contended grants
+	maxWaitNS int64
 }
 
-// try is the lock-free acquire probe, the only place a table lock is
-// tried.
-func (e *entry) try(excl bool) bool {
-	if excl {
-		return e.lock.TryLock()
-	}
-	return e.lock.TryRLock()
-}
+// feasible reports whether a grant of the given mode fits the holders.
+func (e *entry) feasible(excl bool) bool { return !e.writer && (!excl || e.readers == 0) }
 
-// unlock releases one grant of the given mode.
-func (e *entry) unlock(excl bool) {
-	if excl {
-		e.lock.Unlock()
-	} else {
-		e.lock.RUnlock()
-	}
-}
+func (e *entry) idle() bool { return e.readers == 0 && !e.writer && e.q.head == nil }
 
 // shard is one stripe of the lock table, padded so that neighbouring
-// shards' mutexes never share a cache line.
+// shards' mutexes never share a cache line. free recycles wait nodes.
 type shard struct {
 	mu      sync.Mutex
 	entries map[string]*entry
-	_       [112]byte
+	free    *waitNode
+	_       [104]byte
 }
 
 // hold records what one session holds on one entry. Holds are keyed by
@@ -184,22 +172,22 @@ type hold struct {
 	grantNS int64 // UnixNano of the most recent grant, for hold-time stats
 }
 
-// Session is one client's registration: a lease deadline, a revocation
-// channel that cancellable acquires select on, and the set of holds to
-// release when the session dies.
+// Session is one client's registration: a lease deadline, the holds to
+// release and the queued acquires to cancel when the session dies.
 type Session struct {
-	id     uint64
-	cancel chan struct{}
+	id uint64
 
 	mu       sync.Mutex
 	deadline time.Time
 	closed   bool
 	holds    map[string]*hold
 	free     *hold
+	waits    *waitNode // queued acquires, linked through snext/sprev
 }
 
 // Manager is the sharded, lease-based lock service. Create one with New;
-// all methods are safe for concurrent use.
+// all methods are safe for concurrent use. Lock order: a shard's mu, then
+// a session's mu or tmu; never two shards at once.
 type Manager struct {
 	cfg  Config
 	mask uint32
@@ -209,6 +197,13 @@ type Manager struct {
 	smu      sync.RWMutex
 	sessions map[uint64]*Session
 	nextSID  uint64
+
+	// Bounded waits share one timer, armed for the earliest deadline in
+	// the heap; both appear with the first bounded wait.
+	tmu       sync.Mutex
+	deadlines deadlineHeap
+	timer     *time.Timer
+	timerAt   time.Time // when timer fires next; zero = not armed
 
 	done   chan struct{}
 	closed atomic.Bool
@@ -240,28 +235,40 @@ func New(cfg Config) *Manager {
 	return m
 }
 
-// Close expires every session (releasing holds, cancelling waiters) and
-// stops the background sweeper. Blocked acquires return ErrExpired.
+// Close expires every session (releasing holds, cancelling queued
+// acquires with ErrExpired) and stops the background sweeper.
 func (m *Manager) Close() {
 	if m.closed.Swap(true) {
 		return
 	}
-	m.expireAll(false)
+	m.expireWhere(nil, false)
+	m.tmu.Lock()
+	if m.timer != nil {
+		m.timer.Stop()
+	}
+	m.tmu.Unlock()
 	close(m.done)
 	m.wg.Wait()
 }
 
-// expireAll expires every session live at the call and returns how many.
-func (m *Manager) expireAll(expired bool) int {
+// expireWhere expires the sessions pick selects (called with the
+// session's mu held; nil selects all) and returns how many it selected.
+func (m *Manager) expireWhere(pick func(*Session) bool, expired bool) int {
+	var victims []*Session
 	m.smu.RLock()
-	victims := make([]*Session, 0, len(m.sessions))
 	for _, s := range m.sessions {
-		victims = append(victims, s)
+		s.mu.Lock()
+		if !s.closed && (pick == nil || pick(s)) {
+			victims = append(victims, s)
+		}
+		s.mu.Unlock()
 	}
 	m.smu.RUnlock()
+	var done []Completion
 	for _, s := range victims {
-		m.expireSession(s, expired)
+		m.expireSession(s, expired, &done)
 	}
+	m.settle(done, false)
 	return len(victims)
 }
 
@@ -271,64 +278,25 @@ func (m *Manager) expireAll(expired bool) int {
 func (m *Manager) MaxLease() time.Duration { return m.cfg.MaxLease }
 
 // RevokeAllSessions expires every live session — holds released, queued
-// waiters cancelled with ErrExpired — without closing the manager. It
+// acquires cancelled with ErrExpired — without closing the manager. It
 // returns the number of sessions revoked. This is the cluster layer's
 // fencing primitive: an isolated node revokes everything it granted so
 // no lease of its outlives the quarantine the survivors wait out.
-func (m *Manager) RevokeAllSessions() int { return m.expireAll(true) }
+func (m *Manager) RevokeAllSessions() int { return m.expireWhere(nil, true) }
 
-// ref returns name's entry, creating it on demand, with one reference
-// taken for the caller. Only acquires ref, so a ref is also an acquire
-// arrival: the contention profile counts here, under the shard mutex
-// already held.
-func (m *Manager) ref(name string) *entry {
-	si := introspect.Hash(name) & m.mask
-	sh := &m.shards[si]
-	sh.mu.Lock()
-	e := sh.entries[name]
-	if e == nil {
-		e = m.newEntry(name, si)
-		sh.entries[name] = e
-	}
-	e.refs++
-	e.acquires++
-	sh.mu.Unlock()
-	return e
-}
+func (m *Manager) shardOf(hash uint32) *shard { return &m.shards[hash&m.mask] }
 
-// newEntry builds a table entry, applying the manager's cohort policy to
-// its lock: every entry shares the manager's cohort-grant sink so
-// batching activity aggregates across the whole table without polling
-// individual locks.
-func (m *Manager) newEntry(name string, si uint32) *entry {
-	m.c.entriesCreated.Add(1)
-	e := &entry{name: name, shard: si}
-	if m.cfg.CohortBatch > 0 {
-		e.lock.SetCohort(fairlock.CohortConfig{
-			Batch:  m.cfg.CohortBatch,
-			Fn:     m.cfg.CohortFunc,
-			Grants: &m.c.cohortGrants,
-		})
-	}
-	return e
-}
-
-// CohortBatch returns the cohort bound B entries are configured with
+// CohortBatch returns the cohort bound B entries are admitted with
 // (0 = strict FIFO).
 func (m *Manager) CohortBatch() int32 { return m.cfg.CohortBatch }
 
-// deref drops one reference, stamping idleness with the caller's clock
-// reading. The entry stays in the table until the sweeper finds it idle
-// past IdleTTL, so a hot name is not reallocated (with its 2 KiB reader
-// table) on every acquire/release cycle.
-func (m *Manager) deref(e *entry, now time.Time) {
-	sh := &m.shards[e.shard]
-	sh.mu.Lock()
-	e.refs--
-	if e.refs == 0 {
-		e.idleAt = now
+// callerCohort is the cohort of a scalar Acquire or Release, read before
+// any lock is taken: a user CohortFunc never runs under a manager mutex.
+func (m *Manager) callerCohort() uint32 {
+	if m.cfg.CohortBatch > 0 && m.cfg.CohortFunc != nil {
+		return m.cfg.CohortFunc()
 	}
-	sh.mu.Unlock()
+	return 0
 }
 
 // clampLease applies the configured lease bounds; the floor is the sweep
@@ -337,13 +305,7 @@ func (m *Manager) clampLease(lease time.Duration) time.Duration {
 	if lease <= 0 {
 		lease = m.cfg.DefaultLease
 	}
-	if lease < m.cfg.SweepInterval {
-		lease = m.cfg.SweepInterval
-	}
-	if lease > m.cfg.MaxLease {
-		lease = m.cfg.MaxLease
-	}
-	return lease
+	return min(max(lease, m.cfg.SweepInterval), m.cfg.MaxLease)
 }
 
 // Open registers a new session with the given lease and returns its id.
@@ -365,55 +327,61 @@ func (m *Manager) session(sid uint64) *Session {
 // lease already lapsed is expired immediately and ErrExpired returned:
 // keepalive cannot resurrect a reservation the table already broke.
 func (m *Manager) KeepAlive(sid uint64, lease time.Duration) error {
-	return m.keepAliveSession(m.session(sid), lease, time.Now())
+	var done []Completion
+	err := m.keepAliveSession(m.session(sid), lease, time.Now(), &done)
+	m.settle(done, false)
+	return err
 }
 
 // CloseSession gracefully ends a session: every hold is released, every
-// queued waiter cancelled, in one step. Closing a session that is
+// queued acquire cancelled, in one step. Closing a session that is
 // unknown or already gone is ErrExpired.
 func (m *Manager) CloseSession(sid uint64) error {
-	return m.closeSession(m.session(sid))
+	var done []Completion
+	err := m.closeSession(m.session(sid), &done)
+	m.settle(done, false)
+	return err
 }
 
 // closeSession is CloseSession on an already-resolved session (nil if
 // unknown).
-func (m *Manager) closeSession(s *Session) error {
-	if s == nil || !m.expireSession(s, false) {
+func (m *Manager) closeSession(s *Session, done *[]Completion) error {
+	if s == nil || !m.expireSession(s, false, done) {
 		return ErrExpired
 	}
 	return nil
 }
 
 // expireSession revokes a session: marks it closed, cancels its queued
-// waiters via the revocation channel, releases all holds (unblocking
-// FIFO-ordered waiters on each lock), and deletes it from the table. It
-// is idempotent and reports whether this call did the revoking; expired
-// says whether this was a lease expiry (reaper, lapsed lease seen by an
-// op) or a graceful close.
-func (m *Manager) expireSession(s *Session, expired bool) bool {
+// acquires, releases all holds (granting the waiters behind each in
+// unchanged order), and deletes it from the table. It is idempotent and
+// reports whether this call did the revoking; expired says whether this
+// was a lease expiry (reaper, lapsed lease seen by an op) or a graceful
+// close. It locks shards, so the caller must hold none.
+func (m *Manager) expireSession(s *Session, expired bool, done *[]Completion) bool {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return false
 	}
-	s.closed = true
+	s.closed = true // from here on no acquire of s queues or is granted
 	holds := s.holds
 	s.holds = nil
 	s.mu.Unlock()
 
-	close(s.cancel)
 	now := time.Now()
+	m.cancelWaits(s, nil, now, done)
 	for _, h := range holds {
+		sh := m.shardOf(h.e.hash)
+		sh.mu.Lock()
 		if h.excl {
-			h.e.unlock(true)
+			h.e.writer = false
 			m.c.revokedHolds.Add(1)
-			m.deref(h.e, now)
 		}
-		for i := 0; i < h.shared; i++ {
-			h.e.unlock(false)
-			m.c.revokedHolds.Add(1)
-			m.deref(h.e, now)
-		}
+		h.e.readers -= int32(h.shared)
+		m.c.revokedHolds.Add(uint64(h.shared))
+		m.admit(sh, h.e, noCohort, now, done)
+		sh.mu.Unlock()
 	}
 	m.smu.Lock()
 	delete(m.sessions, s.id)
@@ -428,26 +396,38 @@ func (m *Manager) expireSession(s *Session, expired bool) bool {
 	return true
 }
 
+// errLapsed is live's verdict on a lease whose deadline has passed; lapse
+// turns it into the expiry it stands for once the caller holds no shard.
+var errLapsed = errors.New("lockmgr: lease lapsed")
+
 // live is the one lease check: it locks s and reports whether s may act
-// at now. A nil (unknown) or closed session is ErrExpired; a session whose
-// deadline is not after now is expired on the spot, ahead of the reaper,
-// so no op of any kind succeeds on a lapsed lease. On nil return the
-// caller holds s.mu.
+// at now. A nil (unknown) or closed session is ErrExpired; one whose
+// deadline is not after now is errLapsed, so no op of any kind succeeds
+// on a lapsed lease. On nil return the caller holds s.mu.
 func (m *Manager) live(s *Session, now time.Time) error {
 	if s == nil {
 		return ErrExpired
 	}
 	s.mu.Lock()
-	if s.closed {
+	if s.closed || !s.deadline.After(now) {
+		closed := s.closed
 		s.mu.Unlock()
-		return ErrExpired
-	}
-	if !s.deadline.After(now) {
-		s.mu.Unlock()
-		m.expireSession(s, true)
-		return ErrExpired
+		if closed {
+			return ErrExpired
+		}
+		return errLapsed
 	}
 	return nil
+}
+
+// lapse passes an op's result through, except that errLapsed expires the
+// session on the spot — ahead of the reaper — and becomes ErrExpired.
+func (m *Manager) lapse(s *Session, err error, done *[]Completion) error {
+	if err == errLapsed {
+		m.expireSession(s, true, done)
+		return ErrExpired
+	}
+	return err
 }
 
 // grant records one granted hold of e in the given mode: the only writer
@@ -464,35 +444,43 @@ func (s *Session) grant(h *hold, e *entry, excl bool, grantNS int64) {
 		s.holds[e.name] = h
 	}
 	if excl {
-		h.excl = true
+		h.excl, e.writer = true, true
 	} else {
 		h.shared++
+		e.readers++
 	}
 	h.grantNS = grantNS
 }
 
 // release is the release both entry points run: name check, lease
 // check, then one hold of the given mode comes off the session (the only
-// deleter from the hold table) and off the lock. It returns the entry,
-// whose reference the caller still has to drop, and the hold time. name
-// may alias a parse buffer: the hold lookup does not copy it.
-func release[T string | []byte](m *Manager, s *Session, name T, excl bool, now time.Time) (*entry, int64, error) {
+// deleter from the hold table) and off the lock, and whoever that lets in
+// is granted on the spot — their completions land in done, so a queued
+// acquire is answered in its releaser's round. rc is the releaser's
+// cohort. It returns the hold time. name may alias a parse buffer: the
+// hold lookup does not copy it.
+func release[T string | []byte](m *Manager, s *Session, name T, excl bool, rc uint32, now time.Time, done *[]Completion) (int64, error) {
 	if !validName(name) {
-		return nil, 0, ErrName
+		return 0, ErrName
 	}
+	sh := m.shardOf(introspect.Hash(name))
+	sh.mu.Lock()
 	if err := m.live(s, now); err != nil {
-		return nil, 0, err
+		sh.mu.Unlock()
+		return 0, m.lapse(s, err, done)
 	}
 	h := s.holds[string(name)]
 	if h == nil || (excl && !h.excl) || (!excl && h.shared == 0) {
 		s.mu.Unlock()
-		return nil, 0, ErrNotHeld
+		sh.mu.Unlock()
+		return 0, ErrNotHeld
 	}
 	e := h.e
 	if excl {
-		h.excl = false
+		h.excl, e.writer = false, false
 	} else {
 		h.shared--
+		e.readers--
 	}
 	held := now.UnixNano() - h.grantNS
 	if !h.excl && h.shared == 0 {
@@ -500,116 +488,61 @@ func release[T string | []byte](m *Manager, s *Session, name T, excl bool, now t
 		s.free = h
 	}
 	s.mu.Unlock()
-	e.unlock(excl)
-	return e, held, nil
+	if e.readers == 0 { // readers still in: nobody new fits, and a cohort pick must not join them past a writer
+		m.admit(sh, e, rc, now, done)
+	}
+	sh.mu.Unlock()
+	return held, nil
 }
 
-// tryAcquire is the acquire both entry points run: lease check, the
-// exclusive re-acquire check, the lock-free try and the hold bookkeeping
-// under a single session-mutex hold, so a grant can never race the
-// session's revocation. A failed try changes nothing and is ErrWouldBlock
-// if the caller will queue (mayWait), else ErrTimeout.
-func (m *Manager) tryAcquire(s *Session, e *entry, excl, mayWait bool, now time.Time) error {
-	if err := m.live(s, now); err != nil {
-		return err
+// acquire is the acquire both entry points run, under the name's shard
+// mutex and, from the lease check on, the session's, so nothing in it can
+// race the session's revocation or another arrival. A lock that is free
+// for the mode with nobody queued is granted. Otherwise wait == 0 is
+// ErrTimeout, and wait != 0 queues the acquire for w and answers
+// ErrWouldBlock — unless w is nil, in which case nothing changed. Only an
+// acquire executed to a result or queued counts as an arrival.
+func acquire[T string | []byte](m *Manager, s *Session, name T, excl bool, wait time.Duration, cohort uint32, w Waiter, tag int32, now time.Time, done *[]Completion) error {
+	if !validName(name) {
+		return ErrName
 	}
-	h := s.holds[e.name]
-	var err error
-	switch {
-	case excl && h != nil && h.excl:
-		// Exclusive re-acquire can only deadlock against itself; reject
-		// it before it parks.
-		err = ErrHeld
-	case e.try(excl):
-		s.grant(h, e, excl, now.UnixNano())
-	case mayWait:
-		err = ErrWouldBlock
-	default:
-		err = ErrTimeout
+	hash := introspect.Hash(name)
+	sh := m.shardOf(hash)
+	sh.mu.Lock()
+	e := sh.entries[string(name)] // alloc-free lookup
+	if e == nil {
+		e = &entry{name: string(name), hash: hash} // the one name copy
+		sh.entries[e.name] = e
+		m.c.entriesCreated.Add(1)
 	}
-	s.mu.Unlock()
-	return err
-}
-
-// waitAcquire queues on e's own FIFO after tryAcquire said ErrWouldBlock:
-// up to wait (capped at the remaining lease) when wait > 0, until granted
-// or the session is revoked when wait < 0. Only Manager.Acquire reaches
-// it, and it is the one place an acquire blocks. It does nothing but
-// block — the outcome is booked by finishWait — because its frame is
-// live for the whole wait: the server starts a fresh goroutine for each
-// parked acquire, and one whose call chain down to the parked select
-// outgrows the initial 2 KiB stack pays a stack copy per wait (2.7 µs a
-// pair on svc-handoff-write when the booking was done in this frame).
-func (m *Manager) waitAcquire(s *Session, e *entry, excl bool, wait time.Duration) error {
-	m.c.waiting.Add(1)
-	t0 := time.Now()
-	timed := wait > 0
-	if timed {
-		s.mu.Lock()
-		wait = min(wait, s.deadline.Sub(t0))
+	err := m.live(s, now)
+	if err == nil {
+		h := s.holds[e.name]
+		switch {
+		case excl && h != nil && h.excl:
+			// Exclusive re-acquire can only deadlock against itself; reject
+			// it before it queues.
+			err = ErrHeld
+		case e.q.head == nil && e.feasible(excl):
+			s.grant(h, e, excl, now.UnixNano())
+		case wait == 0:
+			err = ErrTimeout
+		default:
+			err = ErrWouldBlock
+			if w != nil {
+				m.enqueue(sh, waitNode{e: e, s: s, w: w, tag: tag, excl: excl, cohort: cohort, t0: now}, wait)
+			}
+		}
 		s.mu.Unlock()
 	}
-	var ok bool
-	switch {
-	case timed && excl:
-		ok = e.lock.TryLockFor(wait)
-	case timed:
-		ok = e.lock.TryRLockFor(wait)
-	case excl:
-		ok = e.lock.LockCancel(s.cancel)
-	default:
-		ok = e.lock.RLockCancel(s.cancel)
+	if err != ErrWouldBlock || w != nil {
+		e.acquires++
 	}
-	waited := time.Since(t0)
-	m.c.waiting.Add(-1)
-	return m.finishWait(s, e, excl, timed, ok, t0, waited)
-}
-
-// finishWait books the outcome of a queued acquire: only an acquire that
-// queued is attributed queue wait in the hot-lock table or recorded in
-// the flight recorder (a try has no queue wait to attribute). A grant
-// becomes a hold unless the session was revoked meanwhile.
-func (m *Manager) finishWait(s *Session, e *entry, excl, timed, ok bool, t0 time.Time, waited time.Duration) error {
-	h32 := introspect.Hash(e.name)
-	ev := introspect.Event{SID: s.id, Hash: h32, Wait: int64(waited)}
-	if !ok {
-		ev.Kind = introspect.EvTimeout
-		err := ErrTimeout
-		if !timed {
-			// Only revocation cancels an unbounded wait.
-			ev.Kind, err = introspect.EvRevoke, ErrExpired
-		}
-		m.cfg.Recorder.Record(h32, ev)
-		return err
+	if e.idle() {
+		e.idleAt = now
 	}
-	m.observeWait(uint64(waited), 1)
-	e.waitNS.Add(int64(waited))
-	atomicMax(&e.maxWaitNS, int64(waited))
-	ev.Kind = introspect.EvGrant
-	m.cfg.Recorder.Record(h32, ev)
-	if t := m.cfg.SlowLock; t > 0 && waited >= t {
-		ev.Kind = introspect.EvSlow
-		m.cfg.Recorder.Record(h32, ev)
-		if fn := m.cfg.SlowLockFn; fn != nil {
-			fn(e.name, s.id, excl, waited)
-		}
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed || m.closed.Load() {
-		// Granted after revocation (the grant/cancel race, or a timed
-		// acquire that outlived the lease): hand the lock straight back.
-		// The manager-wide flag closes the Close-in-progress window:
-		// revoking one session's holds can grant another session's
-		// parked waiter before Close reaches that session, and Close
-		// promises blocked acquires a definitive ErrExpired, not a
-		// grant that is about to be revoked.
-		e.unlock(excl)
-		return ErrExpired
-	}
-	s.grant(s.holds[e.name], e, excl, t0.Add(waited).UnixNano())
-	return nil
+	sh.mu.Unlock()
+	return m.lapse(s, err, done)
 }
 
 // Acquire takes name for sid in shared or exclusive mode.
@@ -619,45 +552,32 @@ func (m *Manager) finishWait(s *Session, e *entry, excl, timed, ok bool, t0 time
 //	           remaining lease), ErrTimeout on expiry
 //	wait  < 0  wait until granted or the session's lease expires
 //
-// All three map one-to-one onto fairlock's TryLock/TryLockFor/LockCancel
-// family, so service-side admission order is exactly the lock's. Every
-// acquire runs tryAcquire first — the same function a BatchAcquire runs,
-// with the same results — and only one that has to queue goes on to
-// waitAcquire, where ExecBatch would have answered ErrWouldBlock.
+// Every acquire runs the function a BatchAcquire runs, with the same
+// results; one that has to wait queues the same node a batch acquire
+// queues, completed through a channel this call blocks on — made only
+// then, so an uncontended acquire allocates nothing.
 func (m *Manager) Acquire(sid uint64, name string, excl bool, wait time.Duration) error {
-	if !validName(name) {
-		return ErrName
+	s, cohort, now := m.session(sid), m.callerCohort(), time.Now()
+	var done []Completion
+	err := acquire(m, s, name, excl, wait, cohort, nil, 0, now, &done)
+	if err == ErrWouldBlock {
+		ch := make(chanWaiter, 1)
+		if err = acquire(m, s, name, excl, wait, cohort, ch, 0, now, &done); err == ErrWouldBlock {
+			return <-ch // settle, wherever the wait ends, books the outcome
+		}
 	}
-	s := m.session(sid)
-	e := m.ref(name)
-	err := m.tryAcquire(s, e, excl, wait != 0, time.Now())
-	if err == nil {
-		m.observeWait(0, 1)
-	} else if err == ErrWouldBlock {
-		err = m.waitAcquire(s, e, excl, wait)
-	}
+	m.settle(done, false)
 	switch {
 	case err == nil && excl:
 		m.c.exclGrants.Add(1)
+		m.observeWait(0, 1)
 	case err == nil:
 		m.c.sharedGrants.Add(1)
-	default:
-		m.deref(e, time.Now())
-		if err == ErrTimeout {
-			m.c.timeouts.Add(1)
-		}
+		m.observeWait(0, 1)
+	case err == ErrTimeout:
+		m.c.timeouts.Add(1)
 	}
 	return err
-}
-
-// atomicMax raises a to at least v.
-func atomicMax(a *atomic.Int64, v int64) {
-	for {
-		cur := a.Load()
-		if v <= cur || a.CompareAndSwap(cur, v) {
-			return
-		}
-	}
 }
 
 // Release drops one shared or the exclusive hold of sid on name. A
@@ -667,12 +587,12 @@ func atomicMax(a *atomic.Int64, v int64) {
 // revokes right here) those holds itself, and a late release must not
 // unlock a grant that now belongs to someone else.
 func (m *Manager) Release(sid uint64, name string, excl bool) error {
-	now := time.Now()
-	e, held, err := release(m, m.session(sid), name, excl, now)
+	var done []Completion
+	held, err := release(m, m.session(sid), name, excl, m.callerCohort(), time.Now(), &done)
+	m.settle(done, false)
 	if err != nil {
 		return err
 	}
-	m.deref(e, now)
 	m.c.releases.Add(1)
 	m.observeHold(held)
 	return nil
@@ -695,25 +615,12 @@ func (m *Manager) reaper() {
 
 // sweep runs one reaper pass at the given instant.
 func (m *Manager) sweep(now time.Time) {
-	var victims []*Session
-	m.smu.RLock()
-	for _, s := range m.sessions {
-		s.mu.Lock()
-		if !s.closed && !s.deadline.After(now) {
-			victims = append(victims, s)
-		}
-		s.mu.Unlock()
-	}
-	m.smu.RUnlock()
-	for _, s := range victims {
-		m.expireSession(s, true)
-	}
-
+	m.expireWhere(func(s *Session) bool { return !s.deadline.After(now) }, true)
 	for i := range m.shards {
 		sh := &m.shards[i]
 		sh.mu.Lock()
 		for name, e := range sh.entries {
-			if e.refs == 0 && now.Sub(e.idleAt) >= m.cfg.IdleTTL {
+			if e.idle() && now.Sub(e.idleAt) >= m.cfg.IdleTTL {
 				delete(sh.entries, name)
 				m.c.entriesGCed.Add(1)
 			}
@@ -722,17 +629,16 @@ func (m *Manager) sweep(now time.Time) {
 	}
 }
 
-// QueueLen reports how many waiters are queued on name right now (0 for
+// QueueLen reports how many acquires are queued on name right now (0 for
 // an absent entry). Diagnostics only.
 func (m *Manager) QueueLen(name string) int {
-	sh := &m.shards[introspect.Hash(name)&m.mask]
+	sh := m.shardOf(introspect.Hash(name))
 	sh.mu.Lock()
-	e := sh.entries[name]
-	sh.mu.Unlock()
-	if e == nil {
-		return 0
+	defer sh.mu.Unlock()
+	if e := sh.entries[name]; e != nil {
+		return e.q.n
 	}
-	return e.lock.QueueLen()
+	return 0
 }
 
 // EntryCount returns the number of entries currently in the table,

@@ -1,0 +1,339 @@
+package lockmgr
+
+import (
+	"math/rand"
+	"sort"
+	"sync"
+	"testing"
+	"time"
+
+	"fairrw/fairlock"
+)
+
+// recWaiter is a Waiter that records what it is told.
+type recWaiter struct {
+	mu  sync.Mutex
+	got []Completion
+}
+
+func (r *recWaiter) Complete(cp Completion) {
+	r.mu.Lock()
+	r.got = append(r.got, cp)
+	r.mu.Unlock()
+}
+
+func (r *recWaiter) take() []Completion {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	got := r.got
+	r.got = nil
+	return got
+}
+
+// TestBatchAcquireQueuesAndReleaseCompletes: with a Waiter on the op a
+// would-block batch acquire is queued by ExecBatch itself — one arrival,
+// counted as waiting — and the batch whose release lets it in hands its
+// grant back in Completions, hold recorded, nothing called.
+func TestBatchAcquireQueuesAndReleaseCompletes(t *testing.T) {
+	m := newTest(t, slowCfg())
+	sc := m.NewBatchScratch()
+	holder, waiter := mustOpen(t, m, time.Minute), mustOpen(t, m, time.Minute)
+	var rw recWaiter
+
+	ops := []BatchOp{
+		{Kind: BatchAcquire, Tag: 1, SID: holder, Name: []byte("k"), Excl: true},
+		{Kind: BatchAcquire, Tag: 2, SID: waiter, Name: []byte("k"), Wait: -1, Waiter: &rw},
+		{Kind: BatchKeepAlive, Tag: 2, SID: waiter, Lease: int64(time.Minute)},
+	}
+	m.ExecBatch(ops, sc)
+	if ops[0].Err != nil || ops[1].Err != ErrWouldBlock || ops[2].Err != ErrDeferred {
+		t.Fatalf("batch = %v, %v, %v; want nil, ErrWouldBlock, ErrDeferred", ops[0].Err, ops[1].Err, ops[2].Err)
+	}
+	if n, w := m.QueueLen("k"), m.Stats().Waiting; n != 1 || w != 1 || len(sc.Completions()) != 0 {
+		t.Fatalf("queued acquire: QueueLen %d, Waiting %d, %d completions; want 1, 1, 0", n, w, len(sc.Completions()))
+	}
+	if hl := m.HotLocks(1); hl[0].Acquires != 2 {
+		t.Fatalf("arrivals = %d, want 2 (the queued acquire counts once, now)", hl[0].Acquires)
+	}
+
+	rel := []BatchOp{{Kind: BatchRelease, Tag: 1, SID: holder, Name: []byte("k"), Excl: true}}
+	m.ExecBatch(rel, sc)
+	cps := sc.Completions()
+	if rel[0].Err != nil || len(cps) != 1 || cps[0].Err != nil || cps[0].Tag != 2 || cps[0].SID != waiter || cps[0].W != Waiter(&rw) {
+		t.Fatalf("release = %v, completions %+v; want the waiter's grant", rel[0].Err, cps)
+	}
+	if got := rw.take(); len(got) != 0 {
+		t.Fatalf("the batch's own completion was also delivered by call: %+v", got)
+	}
+	snap := m.Stats()
+	if snap.Waiting != 0 || snap.SharedGrants != 1 || snap.ExclGrants != 1 || snap.WaitCount != 2 {
+		t.Fatalf("after the grant: %+v", snap)
+	}
+	if err := m.Release(waiter, "k", false); err != nil {
+		t.Fatalf("the granted waiter holds nothing: %v", err)
+	}
+}
+
+// TestQueuedAcquireEndings: every other way a queued batch acquire ends
+// reaches its Waiter by call — its own deadline (ErrTimeout, from the one
+// timer: the reaper never runs here), its session's close and its lease's
+// lapse (ErrExpired), CancelWait — and each leaves the queue and the
+// waiting gauge clean and lets the waiter behind it in.
+func TestQueuedAcquireEndings(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		wait time.Duration
+		end  func(m *Manager, sid uint64, w Waiter)
+		want error
+	}{
+		{"deadline", 20 * time.Millisecond, func(*Manager, uint64, Waiter) {}, ErrTimeout},
+		{"close", -1, func(m *Manager, sid uint64, _ Waiter) { m.CloseSession(sid) }, ErrExpired},
+		{"lapse", -1, func(m *Manager, sid uint64, _ Waiter) {
+			s := m.session(sid)
+			s.mu.Lock()
+			s.deadline = time.Now().Add(-time.Second)
+			s.mu.Unlock()
+			m.sweep(time.Now())
+		}, ErrExpired},
+		{"cancel", time.Minute, func(m *Manager, sid uint64, w Waiter) { m.CancelWait(sid, w) }, ErrExpired},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := newTest(t, slowCfg())
+			sc := m.NewBatchScratch()
+			reader, doomed, behind := mustOpen(t, m, time.Minute), mustOpen(t, m, time.Minute), mustOpen(t, m, time.Minute)
+			var first, second recWaiter
+			ops := []BatchOp{
+				{Kind: BatchAcquire, Tag: 1, SID: reader, Name: []byte("k")},
+				{Kind: BatchAcquire, Tag: 2, SID: doomed, Name: []byte("k"), Excl: true, Wait: int64(tc.wait), Waiter: &first},
+				{Kind: BatchAcquire, Tag: 3, SID: behind, Name: []byte("k"), Wait: -1, Waiter: &second},
+			}
+			m.ExecBatch(ops, sc)
+			if ops[1].Err != ErrWouldBlock || ops[2].Err != ErrWouldBlock || m.QueueLen("k") != 2 {
+				t.Fatalf("setup: %v, %v, QueueLen %d", ops[1].Err, ops[2].Err, m.QueueLen("k"))
+			}
+			t0 := time.Now()
+			tc.end(m, doomed, &first)
+			var got []Completion
+			for len(got) == 0 && time.Since(t0) < 5*time.Second {
+				time.Sleep(time.Millisecond)
+				got = first.take()
+			}
+			if len(got) != 1 || got[0].Err != tc.want || got[0].Tag != 2 {
+				t.Fatalf("doomed waiter was told %+v, want %v", got, tc.want)
+			}
+			if tc.wait > 0 && tc.want == ErrTimeout && (got[0].Wait < tc.wait || time.Since(t0) > time.Second) {
+				t.Fatalf("timed out after %v (told after %v), want about %v", got[0].Wait, time.Since(t0), tc.wait)
+			}
+			// The reader behind the cancelled writer joins the reader holding.
+			if got := second.take(); len(got) != 1 || got[0].Err != nil {
+				t.Fatalf("waiter behind was told %+v, want its grant", got)
+			}
+			if n, w := m.QueueLen("k"), m.Stats().Waiting; n != 0 || w != 0 {
+				t.Fatalf("QueueLen %d, Waiting %d after the queue emptied", n, w)
+			}
+		})
+	}
+}
+
+// The queue against its oracle. Actors — one session, one tag, one cohort
+// each — acquire, release, time out and close over two names in a seeded
+// random order; every step is mirrored on a fairlock.RefRWMutex per name
+// (a goroutine per oracle waiter, cancelled where the manager's node is),
+// and after each step the two must have granted the same actors and hold
+// the same number queued: same admission order, reader batches admitted
+// together, the same cohort bypasses, none past the bound B.
+
+type qActor struct {
+	sid     uint64
+	cohort  uint32
+	name    int  // index into the two names
+	excl    bool // mode held or waited for
+	state   int  // 0 idle, 1 waiting, 2 holding
+	seq     int  // enqueue order while waiting
+	timed   bool // bounded wait: seq+1 hours
+	skipped int  // later arrivals granted ahead of it this wait
+	cancel  chan struct{}
+	res     chan bool // the oracle goroutine's outcome
+}
+
+func TestQueueMatchesFairlockOracle(t *testing.T) {
+	for _, batch := range []int32{0, 1, 2} {
+		for seed := int64(1); seed <= 5; seed++ {
+			queueVsOracle(t, batch, seed)
+		}
+	}
+}
+
+func queueVsOracle(t *testing.T, batch int32, seed int64) {
+	const nobody = 9999 // a cohort no actor has: a release with it is strict FIFO
+	rng := rand.New(rand.NewSource(seed))
+	cfg := slowCfg()
+	cfg.CohortBatch, cfg.DefaultLease, cfg.MaxLease = batch, 10000*time.Hour, 10000*time.Hour
+	m := newTest(t, cfg)
+	sc := m.NewBatchScratch()
+	var rw recWaiter
+	var tags sync.Map // goid -> cohort, for the oracle's CohortFunc
+	names := []string{"a", "b"}
+	refs := make([]*fairlock.RefRWMutex, len(names))
+	for i := range refs {
+		refs[i] = new(fairlock.RefRWMutex)
+		refs[i].SetCohort(fairlock.CohortConfig{Batch: batch, Fn: func() uint32 {
+			v, _ := tags.Load(goid())
+			return v.(uint32)
+		}})
+	}
+	actors := make([]*qActor, 12)
+	for i := range actors {
+		actors[i] = &qActor{sid: mustOpen(t, m, 0), cohort: uint32(i % 2)}
+	}
+	seq := 0
+
+	exec := func(op BatchOp) ([]Completion, error) {
+		ops := []BatchOp{op}
+		m.ExecBatch(ops, sc)
+		return append(append([]Completion(nil), sc.Completions()...), rw.take()...), ops[0].Err
+	}
+	await := func(a *qActor, want bool, what string) {
+		t.Helper()
+		select {
+		case got := <-a.res:
+			if got != want {
+				t.Fatalf("seed %d B=%d: oracle %s = %v, want %v", seed, batch, what, got, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("seed %d B=%d: oracle never reported %s", seed, batch, what)
+		}
+	}
+	// settle checks a step's completions against the oracle: every actor
+	// the manager granted must get the oracle's grant, and afterwards both
+	// queues are the same length, so the oracle granted nobody else.
+	settle := func(cps []Completion, name int) {
+		t.Helper()
+		for _, cp := range cps {
+			a := actors[cp.Tag]
+			if cp.Err != nil {
+				continue
+			}
+			await(a, true, "grant to a queued waiter")
+			a.state = 2
+			for _, b := range actors {
+				if b.state == 1 && b.name == a.name && b.seq < a.seq {
+					if b.skipped++; int32(b.skipped) > batch {
+						t.Fatalf("seed %d B=%d: a waiter was overtaken %d times", seed, batch, b.skipped)
+					}
+				}
+			}
+		}
+		if got, want := m.QueueLen(names[name]), refs[name].QueueLen(); got != want {
+			t.Fatalf("seed %d B=%d: %d queued on %q, oracle has %d", seed, batch, got, names[name], want)
+		}
+	}
+
+	for step := 0; step < 200; step++ {
+		i := rng.Intn(len(actors))
+		a := actors[i]
+		switch {
+		case a.state == 0: // acquire
+			// Mostly writers on one name: queues long enough to bypass in.
+			a.name, a.excl, a.timed = rng.Intn(5)/4, rng.Intn(3) > 0, rng.Intn(3) == 0
+			wait := int64(-1)
+			if a.timed {
+				wait = int64(time.Duration(seq+1) * time.Hour)
+			}
+			cps, err := exec(BatchOp{Kind: BatchAcquire, Tag: int32(i), SID: a.sid, Excl: a.excl, Wait: wait,
+				Cohort: a.cohort, Name: []byte(names[a.name]), Waiter: &rw})
+			if len(cps) != 0 || (err != nil && err != ErrWouldBlock) {
+				t.Fatalf("seed %d: acquire = %v with %d completions", seed, err, len(cps))
+			}
+			a.cancel, a.res = make(chan struct{}), make(chan bool, 1)
+			ref, before := refs[a.name], refs[a.name].QueueLen()
+			go func(a *qActor) {
+				tags.Store(goid(), a.cohort)
+				if a.excl {
+					a.res <- ref.LockCancel(a.cancel)
+				} else {
+					a.res <- ref.RLockCancel(a.cancel)
+				}
+			}(a)
+			if err == nil {
+				await(a, true, "immediate grant")
+				a.state = 2
+			} else {
+				for deadline := time.Now().Add(5 * time.Second); ref.QueueLen() != before+1; {
+					if time.Now().After(deadline) {
+						t.Fatalf("seed %d: the oracle did not queue an acquire the manager queued", seed)
+					}
+					time.Sleep(50 * time.Microsecond)
+				}
+				a.state, a.seq, a.skipped = 1, seq, 0
+				seq++
+			}
+			settle(nil, a.name)
+		case a.state == 2 && rng.Intn(4) > 0: // release
+			cps, err := exec(BatchOp{Kind: BatchRelease, Tag: int32(i), SID: a.sid, Excl: a.excl,
+				Cohort: a.cohort, Name: []byte(names[a.name])})
+			if err != nil {
+				t.Fatalf("seed %d: release = %v", seed, err)
+			}
+			tags.Store(goid(), a.cohort)
+			if a.excl {
+				refs[a.name].Unlock()
+			} else {
+				refs[a.name].RUnlock()
+			}
+			a.state = 0
+			settle(cps, a.name)
+		case a.state == 1 && a.timed && rng.Intn(2) == 0: // the oldest bounded wait times out
+			for _, b := range actors {
+				if b.state == 1 && b.timed && b.seq < a.seq {
+					a = b
+				}
+			}
+			m.expireWaits(time.Now().Add(time.Duration(a.seq+1)*time.Hour + 30*time.Minute))
+			cps := rw.take()
+			sort.SliceStable(cps, func(i, j int) bool { return cps[i].Err != nil && cps[j].Err == nil })
+			if len(cps) == 0 || cps[0].Err != ErrTimeout || actors[cps[0].Tag] != a {
+				t.Fatalf("seed %d: timing out one wait completed %+v", seed, cps)
+			}
+			close(a.cancel)
+			await(a, false, "cancelled wait")
+			a.state = 0
+			settle(cps[1:], a.name)
+		default: // the session closes, waiting or holding or idle, and is replaced
+			cps, err := exec(BatchOp{Kind: BatchCloseSession, Tag: int32(i), SID: a.sid})
+			if err != nil {
+				t.Fatalf("seed %d: close = %v", seed, err)
+			}
+			switch a.state {
+			case 1:
+				if len(cps) == 0 || cps[0].Err != ErrExpired || actors[cps[0].Tag] != a {
+					t.Fatalf("seed %d: closing a waiter's session completed %+v", seed, cps)
+				}
+				cps = cps[1:]
+				close(a.cancel)
+				await(a, false, "cancelled wait")
+			case 2:
+				tags.Store(goid(), uint32(nobody))
+				if a.excl {
+					refs[a.name].Unlock()
+				} else {
+					refs[a.name].RUnlock()
+				}
+			}
+			a.state, a.sid = 0, mustOpen(t, m, 0)
+			settle(cps, a.name)
+		}
+	}
+	var oracle uint64
+	for _, ref := range refs {
+		oracle += ref.CohortGrants()
+	}
+	if got := m.Stats().CohortGrants; got != oracle || (batch > 0 && got == 0) {
+		t.Fatalf("seed %d B=%d: %d cohort grants, oracle made %d (and a cohort run must bypass at least once)", seed, batch, got, oracle)
+	}
+	for _, a := range actors { // let the oracle's goroutines go
+		if a.state == 1 {
+			close(a.cancel)
+		}
+	}
+}

@@ -44,7 +44,8 @@ type WorkerStats struct {
 	Unparks      uint64  `json:"unparks"`
 	Condemned    uint64  `json:"condemned"`
 	Drained      uint64  `json:"drained"`
-	Flushes      uint64  `json:"flushes"`
+	Flushes      uint64  `json:"flushes"`       // coalesced response chunks written
+	InlineWrites uint64  `json:"inline_writes"` // of those, written whole by the loop, not the flusher
 	FlushStalls  uint64  `json:"flush_stalls"`
 	FlushStallUS float64 `json:"flush_stall_us"`
 	Backpressure uint64  `json:"backpressure"`
@@ -55,10 +56,10 @@ type WorkerStats struct {
 	// Always zero: the shard-affinity forwarding they counted is gone; benchmark/svc.go still reads them.
 	FwdRuns, FwdOps, FwdInline uint64 `json:"-"`
 
-	// Flusher-stage counters: the writev plane.
-	Writevs          uint64 `json:"writevs"`           // writev passes issued
-	WritevChunks     uint64 `json:"writev_chunks"`     // per-conn chunks summed over passes
-	WritevBytes      uint64 `json:"writev_bytes"`      // bytes written by the stage
+	// Socket writes: the loop's inline writes plus the flusher's writev passes.
+	Writevs          uint64 `json:"writevs"`           // writes issued
+	WritevChunks     uint64 `json:"writev_chunks"`     // per-conn chunks summed over writes
+	WritevBytes      uint64 `json:"writev_bytes"`      // bytes written
 	FlushEscalations uint64 `json:"flush_escalations"` // passes handed to a dedicated writer
 	WriteErrs        uint64 `json:"write_errs"`        // conns condemned on write errors
 }
@@ -79,6 +80,7 @@ func (s *Server) WorkerStats() []WorkerStats {
 			Condemned:    w.st.condemned.Load(),
 			Drained:      w.st.drained.Load(),
 			Flushes:      w.st.flushes.Load(),
+			InlineWrites: w.st.inline.Load(),
 			FlushStalls:  w.st.flushStalls.Load(),
 			FlushStallUS: float64(w.st.flushStallNS.Load()) / 1e3,
 			Backpressure: w.st.backpressure.Load(),
@@ -208,6 +210,7 @@ func (s *Server) WriteProm(w io.Writer, bi BuildInfo, topK int) {
 		pw.Counter("lockd_worker_condemned_total", l, ws.Condemned)
 		pw.Counter("lockd_worker_drained_total", l, ws.Drained)
 		pw.Counter("lockd_worker_flushes_total", l, ws.Flushes)
+		pw.Counter("lockd_worker_inline_writes_total", l, ws.InlineWrites)
 		pw.Counter("lockd_worker_flush_stalls_total", l, ws.FlushStalls)
 		pw.Gauge("lockd_worker_flush_stall_seconds_total", l, ws.FlushStallUS*1e-6)
 		pw.Counter("lockd_worker_backpressure_total", l, ws.Backpressure)

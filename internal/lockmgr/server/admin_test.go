@@ -116,6 +116,9 @@ func TestAdminPlaneEndToEnd(t *testing.T) {
 	if !strings.Contains(midPark, `lockd_hot_lock_queue_len{lock="parked"} 1`) {
 		t.Fatalf("/metrics mid-park missing live queue length:\n%s", midPark)
 	}
+	if !strings.Contains(midPark, "lockd_waiting 1\n") { // the waiting gauge is nodes queued right now
+		t.Fatalf("/metrics mid-park: lockd_waiting is not 1:\n%s", midPark)
+	}
 
 	if err := c1.Release(sid1, "parked", true); err != nil {
 		t.Fatalf("release excl: %v", err)
@@ -176,6 +179,39 @@ func TestAdminPlaneEndToEnd(t *testing.T) {
 	}
 	if parks == 0 {
 		t.Fatal("no parks counted despite a parked acquire")
+	}
+	// The counters keep their meaning now that a parked acquire is a queue
+	// node and the loop writes sockets itself: parks are acquires queued,
+	// unparks their completions answered, the waiting gauge is 0 at rest,
+	// and an inline write is a writev like the flusher's.
+	var unparks, inline, writevs, writevBytes uint64
+	for _, w := range payload.Workers {
+		unparks += w.Unparks
+		inline += w.InlineWrites
+		writevs += w.Writevs
+		writevBytes += w.WritevBytes
+	}
+	if parks != 1 || unparks != 1 {
+		t.Fatalf("parks %d unparks %d, want 1 and 1", parks, unparks)
+	}
+	if payload.Manager.Waiting != 0 {
+		t.Fatalf("waiting gauge %d at quiescence", payload.Manager.Waiting)
+	}
+	if inline == 0 || writevs < inline || writevBytes < 17*inline {
+		t.Fatalf("inline writes %d, writevs %d, writev bytes %d: inline writes are not counted as writevs",
+			inline, writevs, writevBytes)
+	}
+	var parkEv, unparkEv introspect.Event
+	for _, ev := range srv.rec.Events() {
+		switch ev.Kind {
+		case introspect.EvPark:
+			parkEv = ev
+		case introspect.EvUnpark:
+			unparkEv = ev
+		}
+	}
+	if parkEv.Wait != int64(5*time.Second) || unparkEv.Wait <= 0 || unparkEv.Conn != parkEv.Conn {
+		t.Fatalf("PARK %+v should carry the requested wait, UNPARK %+v the measured one, on one conn", parkEv, unparkEv)
 	}
 	if len(payload.HotLocks) == 0 || len(payload.HotLocks) > 5 {
 		t.Fatalf("hot_locks = %+v", payload.HotLocks)

@@ -182,4 +182,76 @@ func BenchmarkPipelinedTwoClients(b *testing.B) {
 		}(cls[i])
 	}
 	wg.Wait()
+	reportPaths(b, srv, clients*depth*rounds)
+}
+
+// BenchmarkHandoffTwoClients is the go-test twin of the repo benchmark's
+// svc-handoff-write workload: two closed-loop clients at depth 1 taking
+// one key exclusively against a two-worker server on loopback TCP, so
+// most acquires queue behind the other client's hold and are granted by
+// its release. One iteration is one acquire+release pair.
+func BenchmarkHandoffTwoClients(b *testing.B) {
+	const clients = 2
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := NewWithConfig(lockmgr.New(lockmgr.Config{}), Config{Workers: 2})
+	go srv.Serve(ln)
+	defer srv.Shutdown(time.Second)
+
+	type cl struct {
+		c   *client.Conn
+		sid uint64
+	}
+	var cls [clients]cl
+	for i := range cls {
+		c, err := client.Dial(ln.Addr().String())
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer c.Close()
+		sid, err := c.Open(time.Minute)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cls[i] = cl{c: c, sid: sid}
+	}
+	pairs := (b.N + clients - 1) / clients
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for i := range cls {
+		wg.Add(1)
+		go func(k cl) {
+			defer wg.Done()
+			for r := 0; r < pairs; r++ {
+				if err := k.c.Acquire(k.sid, "bench/key-00", true, 10*time.Second); err != nil {
+					b.Error(err)
+					return
+				}
+				if err := k.c.Release(k.sid, "bench/key-00", true); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}(cls[i])
+	}
+	wg.Wait()
+	reportPaths(b, srv, clients*pairs)
+}
+
+// reportPaths adds to a twin benchmark's row which server paths its pairs
+// took: how many acquires parked, and the share of response chunks the
+// loop wrote itself (the rest went through the flusher).
+func reportPaths(b *testing.B, srv *Server, pairs int) {
+	b.StopTimer()
+	var parks, inline, flushes uint64
+	for _, ws := range srv.WorkerStats() {
+		parks += ws.Parks
+		inline += ws.InlineWrites
+		flushes += ws.Flushes
+	}
+	b.ReportMetric(float64(parks)/float64(pairs), "parks/pair")
+	b.ReportMetric(float64(inline)/float64(flushes), "inline-share")
 }

@@ -4,7 +4,9 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"syscall"
 
+	"fairrw/internal/lockmgr"
 	"fairrw/internal/lockmgr/wire"
 )
 
@@ -32,13 +34,14 @@ const readChunk = 16 << 10
 //
 //   - the reader goroutine reads from the socket into inbox (guarded by
 //     mu) and enqueues the conn at its worker;
-//   - the owning worker moves inbox into pending, parses frames, and is
-//     the only writer to the socket;
+//   - the owning worker's loop moves inbox into pending, parses frames,
+//     and writes the socket when the flusher has nothing of the conn's;
 //   - Shutdown only touches the net.Conn (deadlines, Close), never the
 //     buffers.
 type conn struct {
 	id int32
 	nc net.Conn
+	rc syscall.RawConn // nc's descriptor, for the loop's inline write; nil if it has none
 	w  *worker
 
 	mu     sync.Mutex
@@ -46,6 +49,7 @@ type conn struct {
 	inbox  []byte     // bytes read, not yet taken by the worker
 	queued bool       // conn is sitting in the worker's queue
 	eof    bool       // reader finished (EOF, error, or shutdown deadline)
+	gone   bool       // ... and not by the shutdown deadline: the peer is gone
 	closed bool       // worker dropped the conn; reader must not block
 
 	// Worker-owned state; no other goroutine touches these.
@@ -53,14 +57,18 @@ type conn struct {
 	parsePos  int          // parse cursor into pending
 	wb        *wire.Buffer // pooled backing store for wbuf
 	wbuf      []byte       // encoded responses awaiting the wakeup's flush
-	parked    bool         // a blocking acquire is in flight for this conn
+	parked    bool         // an acquire of this conn's is queued in the manager
+	parkSID   uint64       // its session, for CancelWait
 	want      uint8        // parse stopped at a frame answered inline between batches
 	dead      bool         // connection condemned; cleanup pending
 	removed   bool         // retired from the worker; ignore late events
 	eofSeen   bool         // worker has observed the reader's eof
+	peerGone  bool         // ... and the reader's gone
 	inReady   bool         // already collected into the worker's ready set
 	flushMark bool         // wbuf touched this wakeup; flush before sleeping
-	wblocked  bool         // flusher backlog over maxOutq; parse paused
+	wrote     int          // writeOnce's result
+	rawWrite  func(fd uintptr) bool
+	wblocked  bool // flusher backlog over maxOutq; parse paused
 
 	// Flusher handoff, guarded by fmu (worker appends, flusher drains).
 	fmu          sync.Mutex
@@ -119,6 +127,8 @@ func (c *conn) readLoop() {
 		}
 		if err != nil {
 			c.eof = true
+			ne, ok := err.(net.Error)
+			c.gone = !(ok && ne.Timeout()) // Shutdown's read deadline is the only timeout
 		}
 		c.mu.Unlock()
 		if n > 0 || err != nil {
@@ -126,7 +136,7 @@ func (c *conn) readLoop() {
 			// is currently running this worker's loop do we pay for the
 			// queue handoff — and then the bytes we just landed get
 			// batched with whatever else piled up during that cycle.
-			if !c.w.donate(c) {
+			if !c.w.offer(c, lockmgr.Completion{}) {
 				c.mu.Lock()
 				notify := !c.queued
 				if notify {
@@ -148,16 +158,16 @@ func (c *conn) readLoop() {
 	}
 }
 
-// take moves the inbox into the worker's pending buffer. Worker only.
-// While the conn is parked (or its flusher backlog is over maxOutq) the
-// transfer is skipped: pending must not grow behind a blocking acquire
-// (which can hold it for a full lease) or behind a peer that is not
-// reading responses, so the bytes stay in the inbox until it hits
-// maxInbox and the reader blocks — that is where the backpressure bound
-// lives. queued is still cleared so the reader re-enqueues on later
-// reads and no wakeup is lost; unpark's (or the flusher-drain nudge's)
-// own noteReady drains whatever accumulated.
-func (c *conn) take() (eof bool) {
+// take moves the inbox into the worker's pending buffer and notes the
+// reader's end of stream. Worker only. While the conn is parked (or its
+// flusher backlog is over maxOutq) the transfer is skipped: pending must
+// not grow behind a queued acquire (which can hold it for a full lease)
+// or behind a peer that is not reading responses, so the bytes stay in
+// the inbox until it hits maxInbox and the reader blocks — that is where
+// the backpressure bound lives. queued is still cleared so the reader
+// re-enqueues on later reads and no wakeup is lost; unpark's (or the
+// flusher-drain nudge's) own noteReady drains whatever accumulated.
+func (c *conn) take() {
 	c.mu.Lock()
 	if len(c.inbox) > 0 && !c.parked && !c.wblocked {
 		c.pending = append(c.pending, c.inbox...)
@@ -165,9 +175,34 @@ func (c *conn) take() (eof bool) {
 		c.cond.Signal()
 	}
 	c.queued = false
-	eof = c.eof
+	c.eofSeen, c.peerGone = c.eof, c.gone
 	c.mu.Unlock()
-	return eof
+}
+
+// flusherBusy reports whether the flusher holds (or is writing) earlier
+// chunks of c's, which anything new must queue behind.
+func (c *conn) flusherBusy() bool {
+	c.fmu.Lock()
+	defer c.fmu.Unlock()
+	return c.fqueued
+}
+
+// writeOnce makes one write(2) attempt on the socket with c.wbuf, never
+// waiting for it to become writable, and returns the bytes taken (0 on
+// EAGAIN or any error: the flusher meets the error again and condemns the
+// conn). Loop holder only, and only when !flusherBusy.
+func (c *conn) writeOnce() int {
+	c.wrote = 0
+	if c.rawWrite == nil {
+		c.rawWrite = func(fd uintptr) bool { // built once: no closure per write
+			c.wrote, _ = syscall.Write(int(fd), c.wbuf)
+			return true // done either way: RawConn.Write must not wait
+		}
+	}
+	if c.rc.Write(c.rawWrite) != nil {
+		return 0
+	}
+	return max(c.wrote, 0)
 }
 
 // compact drops the consumed prefix of pending. Called only after the

@@ -10,15 +10,17 @@ import (
 	"fairrw/internal/stats"
 )
 
-// flusher is one worker's write stage: it takes socket writes out from
-// under loopMu. The worker's flush() hands each touched conn's
-// coalesced response chunk to the flusher and returns immediately; the
-// flusher snapshots the conn's queued chunks into a net.Buffers and
-// writes them with one writev, preserving per-conn order (chunks are
-// appended in loop order and drained FIFO by a single servicer).
+// flusher is one worker's write stage for whatever the loop's own
+// non-blocking write (worker.flush) did not get onto the socket: it keeps
+// blocking socket writes out from under loopMu. flush hands the conn's
+// coalesced response chunk over and returns immediately; the flusher
+// snapshots the conn's queued chunks into a net.Buffers and writes them
+// with one writev, preserving per-conn order (chunks are appended in loop
+// order and drained FIFO by a single servicer, and the loop writes inline
+// only while none are queued).
 //
-// A stalled peer — zero receive window — can no longer stall the loop:
-// the flusher's per-pass write deadline (Config.FlushPass) bounds how
+// A stalled peer — zero receive window — cannot stall the loop: the
+// flusher's per-pass write deadline (Config.FlushPass) bounds how
 // long one conn may occupy the stage, after which the remainder of its
 // backlog escalates to a dedicated writer goroutine with the full
 // WriteTimeout budget. Other conns on the same worker therefore wait at
@@ -33,9 +35,9 @@ type flusher struct {
 	swap    []*conn       // double-buffer for the drain loop
 	kick    chan struct{} // cap-1 nudge: backlog became non-empty
 
-	writevs     atomic.Uint64 // writev passes issued
-	writevBufs  atomic.Uint64 // chunks summed over those passes
-	writevBytes atomic.Uint64 // bytes summed over those passes
+	writevs     atomic.Uint64 // socket writes issued: writev passes here, inline writes by the loop
+	writevBufs  atomic.Uint64 // chunks summed over those writes
+	writevBytes atomic.Uint64 // bytes summed over those writes
 	escalations atomic.Uint64 // passes that hit FlushPass and went to a goroutine
 	writeErrs   atomic.Uint64 // conns condemned on a write error
 
@@ -109,6 +111,9 @@ func (f *flusher) service(c *conn) {
 			return
 		}
 		if len(c.outq) == 0 {
+			// Drop the pass deadline before the loop may write inline again:
+			// once it fires, every write on the socket fails until it is reset.
+			c.nc.SetWriteDeadline(time.Time{})
 			c.fqueued = false
 			closeNow := c.closeOnFlush
 			if closeNow {
@@ -128,7 +133,7 @@ func (f *flusher) service(c *conn) {
 		c.outqAlt, c.outbAlt = bufs, owners
 		c.fmu.Unlock()
 
-		if !f.writePass(c, bufs, owners, false) {
+		if !f.writePass(c, bufs, owners) {
 			return // escalated or condemned; servicing continues elsewhere
 		}
 	}
@@ -137,51 +142,48 @@ func (f *flusher) service(c *conn) {
 // writePass issues one writev for bufs with the per-pass deadline.
 // Returns true when the chunks were fully written and freed; false when
 // the pass handed the conn to an escalation goroutine or condemned it.
-// escalated marks the retry under the full WriteTimeout budget.
-func (f *flusher) writePass(c *conn, bufs [][]byte, owners []*wire.Buffer, escalated bool) bool {
+func (f *flusher) writePass(c *conn, bufs [][]byte, owners []*wire.Buffer) bool {
 	total := 0
 	for _, b := range bufs {
 		total += len(b)
 	}
-	budget := f.w.srv.cfg.FlushPass
-	if escalated {
-		budget = f.w.srv.cfg.WriteTimeout
-	}
-	c.nc.SetWriteDeadline(time.Now().Add(budget))
+	c.nc.SetWriteDeadline(time.Now().Add(f.w.srv.cfg.FlushPass))
 	c.wv = net.Buffers(bufs)
 	n, err := c.wv.WriteTo(c.nc)
-
-	f.writevs.Add(1)
-	f.writevBufs.Add(uint64(len(bufs)))
-	f.writevBytes.Add(uint64(n))
-	f.wvMu.Lock()
-	f.wvH.Add(uint64(len(bufs)))
-	f.wvMu.Unlock()
+	f.count(len(bufs), int(n))
 
 	if err == nil {
 		c.wv = nil
 		f.release(c, owners, total)
 		return true
 	}
-	if !escalated {
-		if ne, ok := err.(net.Error); ok && ne.Timeout() {
-			// The peer's receive window closed mid-pass. Hand the remainder
-			// (c.wv was consumed in place by WriteTo) to a dedicated writer
-			// so the flusher moves on to this worker's other conns. owners
-			// are freed — and the pass's bytes retired from the backlog
-			// accounting — only once every chunk is down, so the partially-
-			// written head chunk stays alive.
-			f.escalations.Add(1)
-			f.w.st.flushStalls.Add(1)
-			rest := c.wv
-			c.wv = nil
-			go f.escalate(c, rest, owners, total)
-			return false
-		}
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		// The peer's receive window closed mid-pass. Hand the remainder
+		// (c.wv was consumed in place by WriteTo) to a dedicated writer
+		// so the flusher moves on to this worker's other conns. owners
+		// are freed — and the pass's bytes retired from the backlog
+		// accounting — only once every chunk is down, so the partially-
+		// written head chunk stays alive.
+		f.escalations.Add(1)
+		f.w.st.flushStalls.Add(1)
+		rest := c.wv
+		c.wv = nil
+		go f.escalate(c, rest, owners, total)
+		return false
 	}
 	c.wv = nil
 	f.condemn(c, owners, total)
 	return false
+}
+
+// count books one socket write of the given chunks and bytes.
+func (f *flusher) count(chunks, bytes int) {
+	f.writevs.Add(1)
+	f.writevBufs.Add(uint64(chunks))
+	f.writevBytes.Add(uint64(bytes))
+	f.wvMu.Lock()
+	f.wvH.Add(uint64(chunks))
+	f.wvMu.Unlock()
 }
 
 // escalate finishes a stalled conn's backlog on its own goroutine with

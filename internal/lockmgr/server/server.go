@@ -2,18 +2,15 @@
 // protocol on a sharded event-loop runtime: a small fixed set of worker
 // loops each owns a subset of the connections outright. Readiness is
 // delivered by per-connection reader goroutines (riding the Go runtime
-// netpoller) into the owning worker's queue; one worker wakeup drains
-// every queued event, decodes all ready connections, executes the lot
-// as a single lockmgr batch (each shard locked once per batch, one
-// clock read, zero allocations), and flushes each touched connection
-// with exactly one write. Blocking acquires never stall a loop: they
-// park as continuation records serviced by fairlock's cancellable
-// queues and their grants are injected back into the owning worker.
+// netpoller); one loop cycle drains every queued event, decodes all
+// ready connections, executes the lot as a single lockmgr batch (one
+// clock read, zero allocations), and writes each touched connection
+// once. Blocking acquires never stall a loop and cost no goroutine: the
+// manager queues them, their connection parks, and the release that
+// grants one answers it in its own cycle.
 //
-// The wire protocol and the public surface (New, Serve, Shutdown) are
-// unchanged from the goroutine-per-connection server this replaces;
-// cmd/lockd remains a thin flag wrapper, and tests can still embed a
-// real server in-process.
+// cmd/lockd is a thin flag wrapper over New, Serve and Shutdown, and
+// tests embed a real server in-process.
 package server
 
 import (
@@ -21,6 +18,7 @@ import (
 	"net"
 	"runtime"
 	"sync"
+	"syscall"
 	"time"
 
 	"fairrw/internal/lockmgr"
@@ -175,6 +173,9 @@ func (s *Server) Serve(ln net.Listener) error {
 		w := s.workers[s.nextW]
 		s.nextW = (s.nextW + 1) % len(s.workers)
 		c := &conn{id: s.nextID, nc: nc, w: w}
+		if sc, ok := nc.(syscall.Conn); ok {
+			c.rc, _ = sc.SyscallConn() // no descriptor (net.Pipe): every write goes through the flusher
+		}
 		c.cond = sync.NewCond(&c.mu)
 		wb := wire.GetBuffer()
 		c.wb = wb
@@ -252,7 +253,7 @@ func (s *Server) Shutdown(grace time.Duration) {
 		ln.Close()
 	}
 	close(s.drainCh)
-	s.m.Close() // expire sessions: unblocks LockCancel/RLockCancel waiters
+	s.m.Close() // expire sessions: every parked acquire completes with ErrExpired
 
 	done := make(chan struct{})
 	go func() {

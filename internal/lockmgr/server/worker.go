@@ -5,23 +5,12 @@ import (
 	"encoding/json"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"fairrw/internal/lockmgr"
 	"fairrw/internal/lockmgr/introspect"
 	"fairrw/internal/lockmgr/wire"
 	"fairrw/internal/stats"
 )
-
-// injection is a grant completion: a parked acquire finished (granted,
-// timed out, or revoked) and its response must be written by the conn's
-// owning worker, in order, ahead of the frames deferred behind it.
-type injection struct {
-	c    *conn
-	err  error
-	sid  uint64
-	hash uint32 // lock-name hash, for the flight recorder
-}
 
 // wstats are one worker's event-loop counters, the live half of the
 // observability plane. They are written by whoever holds loopMu (plus
@@ -34,45 +23,50 @@ type wstats struct {
 	donations    atomic.Uint64 // cycles run inline on a reader goroutine
 	batches      atomic.Uint64 // ExecBatch calls with at least one op
 	batchOps     atomic.Uint64 // ops summed over those batches
-	parks        atomic.Uint64 // acquires parked as continuations
-	unparks      atomic.Uint64 // grant completions injected back
+	parks        atomic.Uint64 // acquires queued in the manager (conn parked)
+	unparks      atomic.Uint64 // their completions answered
 	condemned    atomic.Uint64 // conns condemned (malformed frame, write error)
 	drained      atomic.Uint64 // conns retired cleanly at EOF
-	flushes      atomic.Uint64 // coalesced chunks handed to the flusher
+	flushes      atomic.Uint64 // coalesced chunks written, inline or by the flusher
+	inline       atomic.Uint64 // of those, written whole by the loop itself
 	flushStalls  atomic.Uint64 // flusher passes that exceeded FlushPass
 	flushStallNS atomic.Uint64 // time spent inside escalated writes
 	backpressure atomic.Uint64 // reader blocked on the full-inbox bound
 	namedOps     atomic.Uint64 // acquire/release ops decoded (WorkerStats.HomeOps)
 	outBlocked   atomic.Uint64 // times a conn's parse paused on maxOutq
 	conns        atomic.Int64  // connections currently owned
-	_            [32]byte
+	_            [24]byte
 }
 
 // worker is one event loop. It owns a set of connections outright;
 // whoever holds loopMu is the loop at that moment — the only party that
-// parses their buffers and executes their requests. One wakeup drains
-// every event queued since the last one, decodes all ready connections
-// into a single lockmgr batch, executes it with the shards locked once
-// per batch, encodes the responses, and hands each touched connection's
-// coalesced bytes to the worker's flusher stage (socket writes never
-// happen under loopMu).
+// parses their buffers, executes their requests and answers them. One
+// cycle drains every queued event, decodes all ready connections into a
+// single lockmgr batch, executes it, encodes the responses — those of
+// parked acquires the batch's releases granted included — and writes
+// each touched connection's bytes with one non-blocking write; only what
+// the socket will not take at once goes to the flusher stage, so the loop
+// never waits on a peer.
 //
-// The loop has two executors. The dedicated goroutine (run) blocks on
-// the event channels and is the fallback that guarantees liveness. On
-// top of it, a reader that lands new bytes donates its own goroutine
-// when loopMu is free (donate), so a request usually costs a function
-// call, not a context switch.
+// Anyone can be the loop (offer): a reader that lands new bytes, or
+// whoever completes a parked acquire — another worker's loop, the
+// manager's deadline timer or reaper — runs a cycle on its own goroutine
+// if loopMu is free, so a request or a grant usually costs a function
+// call, not a context switch. The dedicated goroutine (run) blocks on the
+// event queue and is the fallback that guarantees liveness.
 type worker struct {
 	srv  *Server
-	idx  int            // worker index, the admin plane's `worker` label
-	q    chan *conn     // readiness: conn has new bytes (or hit EOF); nil = recheck exit
-	injq chan injection // grant completions from parked continuations
-	dead chan struct{}  // closed when the worker exits (unblocks senders)
-	fl   *flusher       // this worker's write stage
+	idx  int           // worker index, the admin plane's `worker` label
+	q    chan *conn    // readiness: conn has new bytes (or hit EOF); nil = look again
+	dead chan struct{} // closed when the worker exits (unblocks senders)
+	fl   *flusher      // this worker's write stage
 
 	st     wstats
 	bhMu   sync.Mutex      // guards batchH against the admin scraper
 	batchH stats.Histogram // ops per executed batch
+
+	doneMu sync.Mutex
+	doneq  []lockmgr.Completion // completions posted while the loop was busy
 
 	loopMu sync.Mutex // held by whoever is being the loop
 
@@ -81,19 +75,17 @@ type worker struct {
 	draining bool
 
 	sc     *lockmgr.BatchScratch
-	ops    []lockmgr.BatchOp
-	opConn []*conn // opConn[i] owns ops[i]
-	opEnd  []int   // parse cursor just past ops[i]'s frame
-	ready  []*conn // conns to service this wakeup
-	wantCs []*conn // conns whose parse stopped at an inline-answered frame
+	ops    []lockmgr.BatchOp // ops[i].Waiter is the conn that sent it
+	opEnd  []int             // parse cursor just past ops[i]'s frame
+	ready  []*conn           // conns to service this cycle
+	wantCs []*conn           // conns whose parse stopped at an inline-answered frame
 }
 
 func newWorker(s *Server, idx int) *worker {
 	w := &worker{
 		srv:   s,
 		idx:   idx,
-		q:     make(chan *conn, 256),
-		injq:  make(chan injection, 256),
+		q:     make(chan *conn, 256), // readers block past this; loops never send without a default
 		dead:  make(chan struct{}),
 		conns: make(map[*conn]struct{}),
 		sc:    s.m.NewBatchScratch(),
@@ -127,12 +119,6 @@ func (w *worker) run() {
 			w.noteReady(c)
 			w.process()
 			w.loopMu.Unlock()
-		case inj := <-w.injq:
-			w.st.wakeups.Add(1)
-			w.loopMu.Lock()
-			w.unpark(inj)
-			w.process()
-			w.loopMu.Unlock()
 		case <-drainCh:
 			w.loopMu.Lock()
 			w.draining = true
@@ -142,18 +128,41 @@ func (w *worker) run() {
 	}
 }
 
-// donate lets a reader goroutine be the loop for one cycle if no one
-// else currently is. Returns false if the loop was busy — the caller
-// must fall back to enqueueing its event.
-func (w *worker) donate(c *conn) bool {
+// offer makes the caller the loop for one cycle if no one else is,
+// starting with c's new bytes or, when cp is one, the outcome of c's
+// parked acquire. It reports false if the loop was busy: the caller must
+// queue its event instead.
+func (w *worker) offer(c *conn, cp lockmgr.Completion) bool {
 	if !w.loopMu.TryLock() {
 		return false
 	}
 	w.st.donations.Add(1)
-	w.noteReady(c)
+	if cp.W != nil {
+		w.unpark(c, cp)
+	} else {
+		w.noteReady(c)
+	}
 	w.process()
 	w.loopMu.Unlock()
 	return true
+}
+
+// Complete delivers the outcome of c's parked acquire from outside c's
+// loop (lockmgr.Waiter). It must not block — the caller may be another
+// worker's loop — so a completion the busy loop could not take is posted
+// on a list, not sent down q.
+func (c *conn) Complete(cp lockmgr.Completion) {
+	w := c.w
+	if w.offer(c, cp) {
+		return
+	}
+	w.doneMu.Lock()
+	w.doneq = append(w.doneq, cp)
+	w.doneMu.Unlock()
+	select {
+	case w.q <- nil:
+	default: // a full queue means pending events will wake the loop anyway
+	}
 }
 
 // wake re-delivers a conn to its worker from outside the loop (the
@@ -169,12 +178,17 @@ func (w *worker) wake(c *conn) {
 
 // drainEvents consumes every queued event without blocking.
 func (w *worker) drainEvents() {
+	w.doneMu.Lock()
+	for i, cp := range w.doneq {
+		w.unpark(cp.W.(*conn), cp)
+		w.doneq[i] = lockmgr.Completion{}
+	}
+	w.doneq = w.doneq[:0]
+	w.doneMu.Unlock()
 	for {
 		select {
 		case c := <-w.q:
 			w.noteReady(c)
-		case inj := <-w.injq:
-			w.unpark(inj)
 		default:
 			return
 		}
@@ -197,26 +211,26 @@ func (w *worker) noteReady(c *conn) {
 	if c.wblocked && c.outBytes.Load() <= maxOutq {
 		c.wblocked = false // flusher drained the backlog; resume parsing
 	}
-	if c.take() {
-		c.eofSeen = true
-	}
+	c.take()
 	if !c.inReady {
 		c.inReady = true
 		w.ready = append(w.ready, c)
 	}
 }
 
-// unpark handles a grant completion: the parked acquire's response goes
-// out first, then the conn rejoins the parse rotation so the frames
-// deferred behind it finally execute.
-func (w *worker) unpark(inj injection) {
-	c := inj.c
+// unpark answers c's parked acquire: its response goes out first, then
+// the conn rejoins the parse rotation so the frames deferred behind it
+// finally execute.
+func (w *worker) unpark(c *conn, cp lockmgr.Completion) {
+	if c.removed {
+		return
+	}
 	c.parked = false
 	w.st.unparks.Add(1)
 	w.srv.rec.Record(uint32(w.idx), introspect.Event{
-		Kind: introspect.EvUnpark, Conn: c.id, SID: inj.sid, Hash: inj.hash})
+		Kind: introspect.EvUnpark, Conn: c.id, SID: cp.SID, Hash: cp.Hash, Wait: int64(cp.Wait)})
 	if !c.dead {
-		resp := wire.Response{Status: statusOf(inj.err)}
+		resp := wire.Response{Status: statusOf(cp.Err)}
 		c.wbuf, _ = wire.AppendResponseFrame(c.wbuf, &resp)
 		c.flushMark = true
 	}
@@ -225,10 +239,11 @@ func (w *worker) unpark(inj injection) {
 
 // process is one loop cycle: take every queued event, then service the
 // ready conns — parse → execute → encode rounds until none can make
-// progress, one flusher handoff per touched conn, lifecycle cleanup.
+// progress, one write per touched conn, lifecycle cleanup.
 func (w *worker) process() {
 	w.drainEvents()
 	for w.round() {
+		w.drainEvents() // completions posted by a loop this round was running
 	}
 	for _, c := range w.ready {
 		w.flush(c)
@@ -245,7 +260,6 @@ func (w *worker) process() {
 // work. Later rounds pick up what a want frame held back.
 func (w *worker) round() bool {
 	w.ops = w.ops[:0]
-	w.opConn = w.opConn[:0]
 	w.opEnd = w.opEnd[:0]
 	w.wantCs = w.wantCs[:0]
 	for _, c := range w.ready {
@@ -263,6 +277,15 @@ func (w *worker) round() bool {
 	}
 	w.srv.m.ExecBatch(w.ops, w.sc)
 	w.encode()
+	// The parked acquires this batch resolved: ours are answered here, in
+	// the releaser's round; another worker's through its loop.
+	for _, cp := range w.sc.Completions() {
+		if c, ok := cp.W.(*conn); ok && c.w == w {
+			w.unpark(c, cp)
+		} else {
+			cp.W.Complete(cp)
+		}
+	}
 	for _, c := range w.wantCs {
 		w.answerWant(c)
 	}
@@ -308,8 +331,8 @@ func (w *worker) parseConn(c *conn) {
 			w.wantCs = append(w.wantCs, c)
 			break
 		}
-		op := lockmgr.BatchOp{Tag: c.id, SID: req.SID, Excl: req.Excl,
-			Wait: req.Wait, Lease: req.Lease, Name: req.Name}
+		op := lockmgr.BatchOp{Tag: c.id, SID: req.SID, Excl: req.Excl, Wait: req.Wait,
+			Lease: req.Lease, Cohort: uint32(w.idx), Name: req.Name, Waiter: c}
 		switch req.Op {
 		case wire.OpOpen:
 			op.Kind = lockmgr.BatchOpen
@@ -325,7 +348,6 @@ func (w *worker) parseConn(c *conn) {
 			named++
 		}
 		w.ops = append(w.ops, op)
-		w.opConn = append(w.opConn, c)
 		w.opEnd = append(w.opEnd, c.parsePos)
 	}
 	if named > 0 {
@@ -334,20 +356,25 @@ func (w *worker) parseConn(c *conn) {
 }
 
 // encode turns the executed batch into response frames in each conn's
-// write buffer. A would-block acquire parks here: its
-// continuation goroutine waits FIFO on the lock while the loop moves
-// on, and the conn's parse cursor rewinds so deferred frames re-execute
-// after the grant.
+// write buffer. A would-block acquire is queued in the manager by now and
+// parks its conn: nothing is answered, the parse cursor rewinds to just
+// past its frame so what was deferred behind it (a want frame included)
+// re-parses after the completion, and the loop moves on.
 func (w *worker) encode() {
 	for i := range w.ops {
 		op := &w.ops[i]
-		c := w.opConn[i]
+		c := op.Waiter.(*conn)
+		if op.Err == lockmgr.ErrWouldBlock {
+			c.parked, c.parkSID = true, op.SID
+			c.parsePos = w.opEnd[i]
+			c.want = wantNone
+			w.st.parks.Add(1)
+			w.srv.rec.Record(uint32(w.idx), introspect.Event{Kind: introspect.EvPark,
+				Conn: c.id, SID: op.SID, Hash: introspect.Hash(op.Name), Wait: op.Wait})
+			continue
+		}
 		if c.dead || op.Err == lockmgr.ErrDeferred {
 			continue // deferred frames re-parse after the park resolves
-		}
-		if op.Err == lockmgr.ErrWouldBlock {
-			w.park(c, op, w.opEnd[i])
-			continue
 		}
 		resp := wire.Response{Status: statusOf(op.Err), SID: op.OutSID}
 		var err error
@@ -358,28 +385,6 @@ func (w *worker) encode() {
 		}
 		c.flushMark = true
 	}
-}
-
-// park hands a blocking acquire to a continuation goroutine. The name
-// is copied out of the parse buffer (the one allocation a contended
-// acquire pays); Manager.Acquire waits in FIFO order on the lock's own
-// queue, bounded by the request's wait and the session lease, and the
-// completion is injected back into this worker's queue.
-func (w *worker) park(c *conn, op *lockmgr.BatchOp, endPos int) {
-	c.parked = true
-	c.parsePos = endPos // deferred frames stay buffered for re-parse
-	w.st.parks.Add(1)
-	hash := introspect.Hash(op.Name)
-	w.srv.rec.Record(uint32(w.idx), introspect.Event{
-		Kind: introspect.EvPark, Conn: c.id, SID: op.SID, Hash: hash, Wait: op.Wait})
-	sid, name, excl, wait := op.SID, string(op.Name), op.Excl, time.Duration(op.Wait)
-	go func() {
-		err := w.srv.m.Acquire(sid, name, excl, wait)
-		select {
-		case w.injq <- injection{c: c, err: err, sid: sid, hash: hash}:
-		case <-w.dead:
-		}
-	}()
 }
 
 // wantOf classifies a decoded request as a want frame: one the batch
@@ -429,15 +434,7 @@ func (w *worker) answerWant(c *conn) {
 	kind := c.want
 	c.want = wantNone
 	if c.dead || kind == wantNone {
-		return
-	}
-	if c.parked {
-		// An acquire earlier in this round's batch parked after the want
-		// frame was already consumed; park() rewound the parse cursor to
-		// before this frame. Answering now would jump ahead of the parked
-		// acquire's response and then answer again on re-parse after the
-		// grant. Drop the want; the rewound cursor restores order.
-		return
+		return // wantNone: an acquire ahead of the frame parked and took it back
 	}
 	payload := wire.GetBuffer()
 	defer payload.Free()
@@ -482,13 +479,16 @@ func (w *worker) answerWant(c *conn) {
 	c.flushMark = true
 }
 
-// flush hands a conn's coalesced responses to the worker's flusher
-// stage and returns immediately — the loop never writes a socket. The
-// grown chunk keeps its pooled owner; the conn gets a fresh buffer for
-// the next round. A conn whose flusher backlog exceeds maxOutq is
-// parse-paused (wblocked) until the flusher drains it, turning a peer
-// that reads too slowly into TCP backpressure instead of unbounded
-// queue growth.
+// flush writes a conn's coalesced responses. When nothing of the conn's
+// is queued at the flusher, the loop writes the socket itself: one
+// non-blocking attempt, which on a healthy peer takes everything. What is
+// left — a short write, a full socket buffer, a conn with no file
+// descriptor (net.Pipe), or anything at all while the flusher still has
+// earlier chunks — goes to the flusher stage, the slow-peer path: the
+// grown chunk keeps its pooled owner and the conn gets a fresh buffer. A
+// conn whose flusher backlog exceeds maxOutq is parse-paused (wblocked)
+// until the flusher drains it, turning a peer that reads too slowly into
+// TCP backpressure instead of unbounded queue growth.
 func (w *worker) flush(c *conn) {
 	if !c.flushMark || len(c.wbuf) == 0 {
 		c.flushMark = false
@@ -496,8 +496,19 @@ func (w *worker) flush(c *conn) {
 	}
 	c.flushMark = false
 	w.st.flushes.Add(1)
-	wb, buf := c.wb, c.wbuf
-	wb.B = buf // the chunk travels with its grown backing array
+	sent := 0
+	if c.rc != nil && !c.flusherBusy() {
+		if sent = c.writeOnce(); sent > 0 {
+			w.fl.count(1, sent)
+		}
+		if sent == len(c.wbuf) {
+			w.st.inline.Add(1)
+			c.wbuf = c.wbuf[:0]
+			return
+		}
+	}
+	wb, buf := c.wb, c.wbuf[sent:]
+	wb.B = c.wbuf // the chunk travels with its grown backing array
 	nb := wire.GetBuffer()
 	c.wb, c.wbuf = nb, nb.B
 	out := c.outBytes.Add(int64(len(buf)))
@@ -527,9 +538,15 @@ func (w *worker) flush(c *conn) {
 // cleanupIfDone retires a conn whose stream is finished: condemned
 // (malformed frame, write error) or cleanly drained (reader hit EOF and
 // no complete frame remains). A parked conn always waits for its
-// injection first so the continuation never posts to a forgotten conn.
+// completion first; when the peer is gone that acquire can never be
+// answered, so it leaves the manager's queue at once (the completion that
+// comes back is the cancellation) instead of waiting there — and then
+// holding the lock — until its wait or lease runs out.
 func (w *worker) cleanupIfDone(c *conn) {
 	if c.parked {
+		if c.dead = c.dead || c.peerGone; c.dead {
+			w.srv.m.CancelWait(c.parkSID, c)
+		}
 		return
 	}
 	if c.dead || (c.eofSeen && !c.hasFrame()) {

@@ -1,0 +1,366 @@
+package lockmgr
+
+import (
+	"container/heap"
+	"time"
+
+	"fairrw/internal/lockmgr/introspect"
+)
+
+// The waiter queue. An acquire that has to wait is a waitNode on its
+// entry's FIFO. Every way a wait can end — a release that lets it in, its
+// deadline, its session's expiry or close, its connection's death — goes
+// through complete, under the entry's shard mutex, and leaves a
+// Completion that settle books and delivers once no lock is held. admit
+// is the one admission decision; fairlock.RefRWMutex is its oracle
+// (queue_test.go).
+
+const (
+	noCohort         = ^uint32(0) // releaser tag for strict FIFO
+	cohortScanWindow = 16         // how far past the head a release looks for a cohort-mate
+)
+
+// Waiter is where a queued batch acquire's outcome goes. ExecBatch hands
+// the completions its own ops cause back to its caller
+// (BatchScratch.Completions); one that resolves elsewhere — a scalar
+// Release, the deadline timer, the reaper, Close — is delivered by
+// calling Complete, from that goroutine, with no manager lock held.
+type Waiter interface {
+	Complete(Completion)
+}
+
+// Completion is the outcome of one queued acquire: nil (granted),
+// ErrTimeout or ErrExpired, with the measured queue wait.
+type Completion struct {
+	W    Waiter
+	Tag  int32
+	SID  uint64
+	Hash uint32 // lock-name hash, as in flight events
+	Err  error
+	Wait time.Duration
+
+	name string
+	excl bool
+}
+
+// chanWaiter completes a blocking Manager.Acquire.
+type chanWaiter chan error
+
+func (c chanWaiter) Complete(cp Completion) { c <- cp.Err }
+
+// waitNode is one queued acquire, linked into its entry's FIFO
+// (next/prev; a free node's next is the shard's free list) under the
+// shard mutex, its session's list (snext/sprev) under the session mutex
+// and, if its wait is bounded, the deadline heap (hidx) under tmu. A node
+// never leaves the shard that allocated it.
+type waitNode struct {
+	next, prev   *waitNode
+	snext, sprev *waitNode
+	e            *entry
+	s            *Session // nil while free
+	w            Waiter
+	tag          int32
+	excl         bool
+	cohort       uint32
+	skips        int32 // grants that have bypassed this waiter
+	t0           time.Time
+	deadline     time.Time // zero: until granted or revoked
+	hidx         int       // index in Manager.deadlines
+}
+
+// waitq is an entry's FIFO of queued acquires.
+type waitq struct {
+	head, tail *waitNode
+	n          int
+}
+
+func (q *waitq) pushBack(n *waitNode) {
+	n.prev, n.next = q.tail, nil
+	if q.tail != nil {
+		q.tail.next = n
+	} else {
+		q.head = n
+	}
+	q.tail = n
+	q.n++
+}
+
+func (q *waitq) remove(n *waitNode) {
+	if n.prev != nil {
+		n.prev.next = n.next
+	} else {
+		q.head = n.next
+	}
+	if n.next != nil {
+		n.next.prev = n.prev
+	} else {
+		q.tail = n.prev
+	}
+	q.n--
+}
+
+// deadlineHeap orders the bounded waits by deadline (container/heap).
+type deadlineHeap []*waitNode
+
+func (h deadlineHeap) Len() int           { return len(h) }
+func (h deadlineHeap) Less(i, j int) bool { return h[i].deadline.Before(h[j].deadline) }
+func (h deadlineHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i]; h[i].hidx, h[j].hidx = i, j }
+func (h *deadlineHeap) Push(x any)        { n := x.(*waitNode); n.hidx = len(*h); *h = append(*h, n) }
+func (h *deadlineHeap) Pop() any {
+	old := *h
+	n := old[len(old)-1]
+	old[len(old)-1] = nil
+	*h = old[:len(old)-1]
+	return n
+}
+
+// enqueue queues the acquire v describes behind everyone already waiting
+// on v.e. A bounded wait (wait > 0) ends with ErrTimeout at v.t0+wait or
+// when the lease known now runs out, whichever is first; an unbounded one
+// ends only by grant or revocation. The caller holds sh.mu and v.s.mu.
+func (m *Manager) enqueue(sh *shard, v waitNode, wait time.Duration) {
+	n := sh.free
+	if n != nil {
+		sh.free = n.next
+	} else {
+		n = new(waitNode)
+	}
+	*n = v
+	n.e.q.pushBack(n)
+	if n.snext = n.s.waits; n.snext != nil {
+		n.snext.sprev = n
+	}
+	n.s.waits = n
+	m.c.waiting.Add(1)
+	if wait > 0 {
+		n.deadline = n.t0.Add(min(wait, n.s.deadline.Sub(n.t0)))
+		m.tmu.Lock()
+		heap.Push(&m.deadlines, n)
+		if n.hidx == 0 {
+			m.armLocked(n.deadline)
+		}
+		m.tmu.Unlock()
+	}
+}
+
+// armLocked makes the deadline timer fire no later than at. tmu is held.
+func (m *Manager) armLocked(at time.Time) {
+	if !m.timerAt.IsZero() && !at.Before(m.timerAt) {
+		return
+	}
+	m.timerAt = at
+	if d := time.Until(at); m.timer == nil {
+		m.timer = time.AfterFunc(d, func() { m.expireWaits(time.Now()) })
+	} else {
+		m.timer.Reset(d)
+	}
+}
+
+// expireWaits times out every bounded wait whose deadline is not after
+// now and re-arms the timer for the earliest one left.
+func (m *Manager) expireWaits(now time.Time) {
+	for {
+		m.tmu.Lock()
+		m.timerAt = time.Time{}
+		if len(m.deadlines) == 0 || m.deadlines[0].deadline.After(now) {
+			if len(m.deadlines) > 0 {
+				m.armLocked(m.deadlines[0].deadline)
+			}
+			m.tmu.Unlock()
+			return
+		}
+		e := m.deadlines[0].e // stable while the node is in the heap
+		m.tmu.Unlock()
+
+		var done []Completion
+		sh := m.shardOf(e.hash)
+		sh.mu.Lock()
+		for n := e.q.head; n != nil; {
+			next := n.next
+			if !n.deadline.IsZero() && !n.deadline.After(now) {
+				m.complete(sh, n, ErrTimeout, now, &done)
+			}
+			n = next
+		}
+		m.admit(sh, e, noCohort, now, &done)
+		sh.mu.Unlock()
+		m.settle(done, false)
+	}
+}
+
+// cancelWaits ends the queued acquires of s — w's, or all of them when w
+// is nil — with ErrExpired and admits whoever each was blocking. It locks
+// shards, so the caller must hold none.
+func (m *Manager) cancelWaits(s *Session, w Waiter, now time.Time, done *[]Completion) {
+	for {
+		s.mu.Lock()
+		n := s.waits
+		for n != nil && w != nil && n.w != w {
+			n = n.snext
+		}
+		var hash uint32
+		if n != nil {
+			hash = n.e.hash
+		}
+		s.mu.Unlock()
+		if n == nil {
+			return
+		}
+		// n can have been completed since, and recycled: nodes never leave
+		// their shard, so under its mutex n.s and n.w say whether it is
+		// still the wait we picked.
+		sh := m.shardOf(hash)
+		sh.mu.Lock()
+		if e := n.e; n.s == s && (w == nil || n.w == w) {
+			err := ErrExpired
+			if !n.deadline.IsZero() && !n.deadline.After(now) {
+				err = ErrTimeout // its own deadline came first, whoever got here first
+			}
+			m.complete(sh, n, err, now, done)
+			m.admit(sh, e, noCohort, now, done)
+		}
+		sh.mu.Unlock()
+	}
+}
+
+// CancelWait cancels what w has queued under sid, if it still is: a
+// server calls it when the connection that was to get the answer is gone,
+// so a dead client does not sit in the queue (and then hold the lock
+// unannounced) until its wait or lease runs out. w is told like any other
+// outcome.
+func (m *Manager) CancelWait(sid uint64, w Waiter) {
+	if s := m.session(sid); s != nil {
+		var done []Completion
+		m.cancelWaits(s, w, time.Now(), &done)
+		m.settle(done, false)
+	}
+}
+
+// complete ends n's wait with err — nil is a grant, which complete makes
+// itself unless n's session was revoked meanwhile (or the manager is
+// closing: Close promises queued acquires ErrExpired, not a grant it is
+// about to revoke) — and returns the outcome. It is the only way out of
+// the queue: n leaves the FIFO, its session's list and the deadline heap,
+// the outcome is appended to done, the node is recycled. The caller holds
+// sh.mu, the mutex of n's shard.
+func (m *Manager) complete(sh *shard, n *waitNode, err error, now time.Time, done *[]Completion) error {
+	e, s := n.e, n.s
+	s.mu.Lock()
+	if err == nil {
+		if s.closed || m.closed.Load() {
+			err = ErrExpired
+		} else {
+			s.grant(s.holds[e.name], e, n.excl, now.UnixNano())
+		}
+	}
+	if n.sprev != nil {
+		n.sprev.snext = n.snext
+	} else {
+		s.waits = n.snext
+	}
+	if n.snext != nil {
+		n.snext.sprev = n.sprev
+	}
+	s.mu.Unlock()
+	e.q.remove(n)
+	m.c.waiting.Add(-1)
+	if !n.deadline.IsZero() {
+		m.tmu.Lock()
+		heap.Remove(&m.deadlines, n.hidx)
+		m.tmu.Unlock()
+	}
+	waited := now.Sub(n.t0)
+	if err == nil {
+		e.waitNS += int64(waited)
+		e.maxWaitNS = max(e.maxWaitNS, int64(waited))
+	}
+	*done = append(*done, Completion{W: n.w, Tag: n.tag, SID: s.id, Hash: e.hash,
+		Err: err, Wait: waited, name: e.name, excl: n.excl})
+	*n = waitNode{next: sh.free}
+	sh.free = n
+	return err
+}
+
+// admit grants queued acquires of e while grants remain feasible — the
+// policy of fairlock's admitWith. Strict FIFO: the head goes first, a
+// granted reader lets the next waiter be considered, a granted writer
+// ends the pass. With cohort batching on, a release by cohort rc (noCohort
+// elsewhere) may instead pick a feasible waiter of that cohort among the
+// first cohortScanWindow, charging a skip to each one it overtakes and
+// never overtaking one that has CohortBatch skips. It also stamps e idle
+// if that is how the caller's op left it. The caller holds sh.mu.
+func (m *Manager) admit(sh *shard, e *entry, rc uint32, now time.Time, done *[]Completion) {
+	batch := m.cfg.CohortBatch
+	if batch <= 0 {
+		rc = noCohort
+	}
+	for e.q.head != nil {
+		h := e.q.head
+		if rc != noCohort {
+			for n, i := h, 0; n != nil && i < cohortScanWindow; n, i = n.next, i+1 {
+				if n.cohort == rc && e.feasible(n.excl) {
+					h = n
+					break
+				}
+				if n.skips >= batch {
+					break
+				}
+			}
+		}
+		if !e.feasible(h.excl) {
+			return
+		}
+		if h != e.q.head {
+			for n := e.q.head; n != h; n = n.next {
+				n.skips++
+			}
+			m.c.cohortGrants.Add(1)
+		}
+		if excl := h.excl; m.complete(sh, h, nil, now, done) == nil && excl {
+			return
+		}
+	}
+	if e.idle() {
+		e.idleAt = now
+	}
+}
+
+// settle books each completed wait — grant and timeout counters, the wait
+// histogram, flight events, the slow-lock report; only an acquire that
+// queued has queue wait to attribute — and delivers it to its Waiter. From
+// ExecBatch (batch) the caller's own waiters are not called: their
+// completions are returned, for it to answer in the same round.
+func (m *Manager) settle(done []Completion, batch bool) []Completion {
+	kept := done[:0]
+	for _, cp := range done {
+		ev := introspect.Event{Kind: introspect.EvRevoke, SID: cp.SID, Hash: cp.Hash, Wait: int64(cp.Wait)}
+		switch {
+		case cp.Err == nil && cp.excl:
+			m.c.exclGrants.Add(1)
+			ev.Kind = introspect.EvGrant
+		case cp.Err == nil:
+			m.c.sharedGrants.Add(1)
+			ev.Kind = introspect.EvGrant
+		case cp.Err == ErrTimeout:
+			m.c.timeouts.Add(1)
+			ev.Kind = introspect.EvTimeout
+		}
+		m.cfg.Recorder.Record(cp.Hash, ev)
+		if cp.Err == nil {
+			m.observeWait(uint64(cp.Wait), 1)
+			if t := m.cfg.SlowLock; t > 0 && cp.Wait >= t {
+				ev.Kind = introspect.EvSlow
+				m.cfg.Recorder.Record(cp.Hash, ev)
+				if fn := m.cfg.SlowLockFn; fn != nil {
+					fn(cp.name, cp.SID, cp.excl, cp.Wait)
+				}
+			}
+		}
+		if _, own := cp.W.(chanWaiter); batch && !own {
+			kept = append(kept, cp)
+		} else {
+			cp.W.Complete(cp)
+		}
+	}
+	return kept
+}

@@ -312,13 +312,19 @@ func DecodeMembership(p []byte) (Membership, error) {
 
 // ReadFrame reads one frame from r into *buf (grown as needed, never past
 // MaxFrame) and returns the payload slice. The caller owns *buf across
-// calls, so steady-state reads do not allocate.
+// calls, so steady-state reads do not allocate: once *buf exists the
+// length prefix is read into it too (a local array escapes through the
+// io.Reader call, one allocation per frame).
 func ReadFrame(r io.Reader, buf *[]byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	hdr := *buf
+	if cap(hdr) < 4 {
+		hdr = make([]byte, 4)
+	}
+	hdr = hdr[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n == 0 {
 		return nil, fmt.Errorf("%w: zero-length frame", ErrMalformed)
 	}
