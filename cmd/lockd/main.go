@@ -92,10 +92,9 @@ var (
 	addr         = flag.String("addr", "127.0.0.1:7600", "TCP listen address")
 	adminAddr    = flag.String("admin", "", "admin HTTP listen address (Prometheus /metrics, /metrics.json, /hotlocks, /flight, /debug/pprof); empty = disabled")
 	shards       = flag.Int("shards", 32, "lock-table shards (rounded up to a power of two)")
-	sweep        = flag.Duration("sweep", 10*time.Millisecond, "lease reaper / entry GC period")
 	defaultLease = flag.Duration("default-lease", 10*time.Second, "lease for sessions that open without one")
 	maxLease     = flag.Duration("max-lease", time.Minute, "cap on requested leases")
-	idle         = flag.Duration("idle", 2*time.Second, "idle time before an unused lock entry is collected")
+	idle         = flag.Duration("idle", 2*time.Second, "idle time before an unused lock entry is collected (within 2x this)")
 	grace        = flag.Duration("grace", 5*time.Second, "drain grace period on shutdown")
 	workers      = flag.Int("workers", 0, "event-loop workers (0 = GOMAXPROCS)")
 	flushPass    = flag.Duration("flushpass", 0, "flusher writev pass budget before a stalled conn escalates to its own writer (0 = default 20ms)")
@@ -144,27 +143,26 @@ func main() {
 		slowFn = nil
 	}
 	mgr := lockmgr.New(lockmgr.Config{
-		Shards:        *shards,
-		SweepInterval: *sweep,
-		DefaultLease:  *defaultLease,
-		MaxLease:      *maxLease,
-		IdleTTL:       *idle,
-		Recorder:      rec,
-		SlowLock:      *slowlock,
-		SlowLockFn:    slowFn,
-		CohortBatch:   int32(*cohortB),
+		Shards:       *shards,
+		DefaultLease: *defaultLease,
+		MaxLease:     *maxLease,
+		IdleTTL:      *idle,
+		Recorder:     rec,
+		SlowLock:     *slowlock,
+		SlowLockFn:   slowFn,
+		CohortBatch:  int32(*cohortB),
 	})
 	// Clustered mode: this node owns a rendezvous-hashed slice of the
 	// namespace and gates every named op on ownership. The member list
 	// names this node first; peers are heartbeated as ordinary wire
 	// sessions and a dead peer's names rehash to the survivors.
 	var node *cluster.Node
+	fw := *failWindow // the effective window: what the node runs with and the log reports
 	if *clusterArg != "" {
 		members := strings.Split(*clusterArg, ",")
 		for i := range members {
 			members[i] = strings.TrimSpace(members[i])
 		}
-		fw := *failWindow
 		if fw <= 0 {
 			// Every lease the dead node granted was capped at its
 			// -max-lease; quarantining inherited names for the same
@@ -298,10 +296,10 @@ func main() {
 	if node != nil {
 		node.Start()
 		log.Printf("lockd: cluster member %s of %v (hb %v, suspect after %d, failover window %v)",
-			node.Self(), node.Current().Members(), *hbIvl, *suspectAfter, *failWindow)
+			node.Self(), node.Current().Members(), *hbIvl, *suspectAfter, fw)
 	}
-	log.Printf("lockd: %s %s serving on %s (%d shards, sweep %v, %d workers)",
-		bi.Version, bi.GoVersion, ln.Addr(), *shards, *sweep, srv.Workers())
+	log.Printf("lockd: %s %s serving on %s (%d shards, %d workers)",
+		bi.Version, bi.GoVersion, ln.Addr(), *shards, srv.Workers())
 	if err := srv.Serve(ln); err != nil {
 		log.Fatalf("lockd: serve: %v", err)
 	}

@@ -100,7 +100,7 @@ type point struct {
 	Errors       uint64  `json:"errors"`
 	// FailoverErrs counts cluster-mode outcomes explained by a member
 	// death: routing that ran out of reachable owners mid-failover,
-	// sessions expired by the survivor's reaper, and holds that died
+	// sessions that expired at their deadline, and holds that died
 	// with their node (release answered NotHeld). Expected — and
 	// bounded by the lease window — in any run that kills a node;
 	// anything else lands in Errors and fails the run.
@@ -553,7 +553,7 @@ func run(cfg runCfg) (point, stats.Histogram) {
 // per acquire+release pair (no pipelining — a Router op is a full round
 // trip, possibly several across a failover). Outcomes a member death
 // explains — no reachable owner within the retry budget, a session the
-// survivor's reaper expired, a hold that died with its node — count as
+// survivor expired at its deadline, a hold that died with its node — count as
 // failover errors; anything else is a hard error and stops the worker.
 func runCluster(cfg runCfg, w int, names []string, res *worker, stop *atomic.Bool, gen *atomic.Uint32) {
 	r, err := client.NewRouter(client.RouterConfig{Seeds: cfg.seeds, Lease: cfg.lease})

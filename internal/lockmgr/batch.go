@@ -102,7 +102,7 @@ func (m *Manager) ExecBatch(ops []BatchOp, sc *BatchScratch) {
 	if len(ops) == 0 {
 		return
 	}
-	now := time.Now()
+	now := m.clk.now()
 
 	// Resolve every session in one table pass.
 	m.smu.RLock()
@@ -178,10 +178,12 @@ func (m *Manager) openAt(lease time.Duration, now time.Time) (uint64, error) {
 		holds:    make(map[string]*hold),
 		deadline: now.Add(m.clampLease(lease)),
 	}
+	s.lease.s = s
 	m.smu.Lock()
 	m.nextSID++
 	s.id = m.nextSID
 	m.sessions[s.id] = s
+	m.schedule(&s.lease, s.deadline) // under smu: nobody finds s before its lease is on the heap
 	m.smu.Unlock()
 	m.c.sessionsOpened.Add(1)
 	return s.id, nil
@@ -194,6 +196,9 @@ func (m *Manager) keepAliveSession(s *Session, lease time.Duration, now time.Tim
 		return m.lapse(s, err, done)
 	}
 	s.deadline = now.Add(m.clampLease(lease))
+	if s.deadline.Before(s.lease.at) { // cut short: due then, not when the old deadline surfaces
+		m.schedule(&s.lease, s.deadline)
+	}
 	s.mu.Unlock()
 	m.c.keepalives.Add(1)
 	return nil

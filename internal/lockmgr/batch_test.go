@@ -96,11 +96,10 @@ func TestExecBatchWouldBlockAndDeferral(t *testing.T) {
 	}
 }
 
-// TestExecBatchRefcounts: entries refed by failed batch acquires are
-// unrefed again, so the sweeper can collect them.
+// TestExecBatchRefcounts: an entry a batch acquire released again, or one
+// a failed batch acquire created, is idle, so the collection deletes it.
 func TestExecBatchRefcounts(t *testing.T) {
-	m := New(Config{Shards: 4, SweepInterval: 5 * time.Millisecond, IdleTTL: time.Millisecond})
-	defer m.Close()
+	m, fc := newFake(t, Config{Shards: 4, IdleTTL: time.Millisecond})
 	sc := m.NewBatchScratch()
 
 	holder, _ := m.Open(time.Minute)
@@ -116,12 +115,9 @@ func TestExecBatchRefcounts(t *testing.T) {
 	if ops[2].Err != ErrExpired {
 		t.Fatalf("expired-session acquire: %v", ops[2].Err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for m.EntryCount() > 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("idle entries never collected: %d left", m.EntryCount())
-		}
-		time.Sleep(5 * time.Millisecond)
+	fc.Advance(time.Millisecond)
+	if n := m.EntryCount(); n != 1 {
+		t.Fatalf("idle entries not collected after IdleTTL: %d left, want the held one", n)
 	}
 }
 
@@ -213,9 +209,8 @@ func TestParkedAcquireIsOneArrival(t *testing.T) {
 
 // TestLapsedLeaseRejectedOnEveryOp: once a lease's deadline has passed,
 // the first op of any kind through either entry point — ahead of the
-// reaper, which never runs here — is ErrExpired and expires the session
-// on the spot: session gone, hold revoked, next waiter granted. The
-// deadline is moved into the past by hand, so nothing sleeps.
+// timer, whose callback is late here — is ErrExpired and expires the
+// session on the spot: session gone, hold revoked, next waiter granted.
 func TestLapsedLeaseRejectedOnEveryOp(t *testing.T) {
 	k := []byte("k")
 	batch := func(op BatchOp) func(*Manager, uint64) error {
@@ -238,19 +233,13 @@ func TestLapsedLeaseRejectedOnEveryOp(t *testing.T) {
 		{"Acquire", func(m *Manager, sid uint64) error { return m.Acquire(sid, "other", false, 0) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			m := newTest(t, slowCfg())
-			lapsed, next := mustOpen(t, m, time.Minute), mustOpen(t, m, time.Minute)
+			m, fc := newFake(t, slowCfg())
+			lapsed, next := mustOpen(t, m, time.Second), mustOpen(t, m, time.Minute)
 			if err := m.Acquire(lapsed, "k", true, 0); err != nil {
 				t.Fatalf("acquire: %v", err)
 			}
-			granted := make(chan error, 1)
-			go func() { granted <- m.Acquire(next, "k", true, -1) }()
-			waitQueue(t, m, "k", 1)
-
-			s := m.session(lapsed)
-			s.mu.Lock()
-			s.deadline = time.Now().Add(-time.Second)
-			s.mu.Unlock()
+			granted := blocked(t, m, next, "k", true, -1, 1)
+			fc.Skip(time.Second)
 
 			if err := tc.op(m, lapsed); err != ErrExpired {
 				t.Fatalf("op on a lapsed lease = %v, want ErrExpired", err)

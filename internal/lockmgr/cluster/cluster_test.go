@@ -49,10 +49,7 @@ func startCluster(t *testing.T, n int, fw time.Duration) *testCluster {
 		tc.addrs = append(tc.addrs, ln.Addr().String())
 	}
 	for i := range lns {
-		m := lockmgr.New(lockmgr.Config{
-			SweepInterval: 2 * time.Millisecond,
-			MaxLease:      fw,
-		})
+		m := lockmgr.New(lockmgr.Config{MaxLease: fw})
 		node, err := cluster.NewNode(cluster.Config{
 			Self:           tc.addrs[i],
 			Members:        tc.addrs,

@@ -34,9 +34,9 @@ import (
 // "ghost" hold (lazily, the first time an acquire for that name
 // arrives) under a ghost session whose lease is FailoverWindow and
 // which is never kept alive. Real acquires queue FIFO behind the ghost;
-// when the existing lease reaper expires the ghost session it revokes
-// every ghost hold, and the head waiter is granted — exactly once, in
-// arrival order, by machinery that predates the cluster. Membership
+// when the manager's timer expires the ghost session at its deadline it
+// revokes every ghost hold, and the head waiter is granted — exactly once,
+// in arrival order, by machinery that predates the cluster. Membership
 // never shrinks without its quarantine: if the ghost session cannot be
 // opened (manager closing), the death declaration is aborted and
 // retried, so inherited names are never served unprotected.
@@ -244,7 +244,7 @@ func (n *Node) applyQuarantine(name []byte) {
 	live := n.quars[:0]
 	for _, q := range n.quars {
 		if now.After(q.deadline) {
-			continue // window passed; the reaper has already revoked
+			continue // window passed; the ghost session expired at its deadline
 		}
 		live = append(live, q)
 		if q.prev.OwnerBytes(name) != q.dead {
@@ -362,7 +362,7 @@ func (n *Node) heartbeat(ps *peerState) {
 			if err == nil {
 				ok = true
 			} else if errors.Is(err, errHBExpired) {
-				// Peer is alive but forgot us (restart or reaper); reopen
+				// Peer is alive but forgot us (restart, or our lease ran out); reopen
 				// next tick on the same conn.
 				if sid, err = hbRound(conn, n.cfg.Interval, &buf, wire.OpOpen, 0, lease); err == nil {
 					ok = true

@@ -24,7 +24,7 @@ func goid() uint64 {
 
 // lookupEntry fetches the live table entry for name without touching its
 // refcount. Test-only: callers must know the entry is pinned (held or
-// queued on) so the sweeper cannot GC it out from under the pointer.
+// queued on) so the idle collection cannot take it out from under the pointer.
 func lookupEntry(m *Manager, name string) *entry {
 	sh := &m.shards[introspect.Hash(name)&m.mask]
 	sh.mu.Lock()

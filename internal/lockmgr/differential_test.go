@@ -17,7 +17,7 @@ import (
 // indistinguishable: the same result for every op, the same counters,
 // the same contention profile, the same flight events, the same holds.
 // It pins the package's claim that there is one op core with two entry
-// points. Leases are an hour and the reaper never runs, so wall time is
+// points. Leases and IdleTTL are an hour, so wall time is
 // irrelevant; a timed acquire waits 1ns, which against a lock nobody is
 // about to release is a deterministic timeout.
 
@@ -81,8 +81,7 @@ type diffRun struct {
 
 func newDiffRun(ops []diffOp) *diffRun {
 	rec := introspect.NewRecorder(1, 4096)
-	m := New(Config{Shards: 4, SweepInterval: time.Hour, DefaultLease: time.Hour,
-		MaxLease: time.Hour, IdleTTL: time.Hour, Recorder: rec})
+	m := New(Config{Shards: 4, DefaultLease: time.Hour, MaxLease: time.Hour, IdleTTL: time.Hour, Recorder: rec})
 	return &diffRun{m: m, rec: rec, sc: m.NewBatchScratch(), ops: ops, errs: make([]error, len(ops))}
 }
 

@@ -19,8 +19,8 @@ type LockProfile struct {
 
 // HotLocks returns the top-k locks by attributed wait time (acquire
 // arrivals break ties), most contended first. It walks the live entry
-// table one shard lock at a time — bounded work and memory, since the
-// table is GC'd to the working set by the sweeper — so it is safe to
+// table one shard lock at a time — bounded work and memory, since idle
+// entries are collected down to the working set — so it is safe to
 // call on a scrape path while the server is under load. A lock idle
 // past IdleTTL has been collected and no longer appears: the table
 // profiles live traffic, not history.

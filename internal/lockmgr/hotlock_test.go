@@ -14,11 +14,10 @@ import (
 // reflects everything the test did, not what survived the idle GC.
 func slowCfg() Config {
 	return Config{
-		Shards:        4,
-		SweepInterval: time.Hour,
-		DefaultLease:  time.Minute,
-		MaxLease:      time.Minute,
-		IdleTTL:       time.Hour,
+		Shards:       4,
+		DefaultLease: time.Minute,
+		MaxLease:     time.Minute,
+		IdleTTL:      time.Hour,
 	}
 }
 

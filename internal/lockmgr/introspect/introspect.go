@@ -42,7 +42,8 @@ const (
 	// EvSlow: a grant's queue wait crossed the slow-lock threshold
 	// (recorded in addition to EvGrant; also hits the slow-lock log).
 	EvSlow
-	// EvExpire: a session's lease lapsed and the reaper revoked it.
+	// EvExpire: a session's lease ran out and the manager revoked it, at
+	// its deadline (the manager's timer) or on the first op after it.
 	// Wait carries the number of holds revoked.
 	EvExpire
 	// EvUnpark: the parked acquire's completion reached the owning
@@ -135,7 +136,8 @@ func NewRecorder(rings, perRing int) *Recorder {
 }
 
 // Record appends ev to the ring selected by key, overwriting the oldest
-// event once the ring is full. ev.TS is stamped here if zero.
+// event once the ring is full. ev.TS is stamped here if zero: the manager
+// stamps its own events off its clock, the server's get the wall clock.
 func (r *Recorder) Record(key uint32, ev Event) {
 	if r == nil {
 		return

@@ -10,7 +10,7 @@
 //   - named locks live in a table striped across power-of-two shards
 //     (cache-padded); an entry is the lock itself — reader count, writer
 //     flag, FIFO of queued acquires — under its shard's mutex, created on
-//     demand and garbage-collected after sitting idle;
+//     demand and collected once it has sat idle for IdleTTL;
 //   - an acquire that has to wait is a node on that FIFO (waitq.go), and
 //     whatever resolves it — a release, its timeout, a revocation —
 //     completes the node on the spot: no goroutine or timer per waiter,
@@ -19,10 +19,15 @@
 //   - every acquisition belongs to a session with a lease deadline — the
 //     software analogue of the LRT's reservation: a client that crashes
 //     or stalls past its lease has its holds revoked and its queued
-//     acquires cancelled, so the lock always makes forward progress, and
-//     waiters behind the dead holder are granted in unchanged order;
+//     acquires cancelled at the deadline, so the lock always makes forward
+//     progress, and waiters behind the dead holder are granted in
+//     unchanged order;
 //   - keepalives extend the lease, exactly as a live LCU keeps its
-//     reservation current.
+//     reservation current;
+//   - as the LRT breaks a reservation with a timer event on the entry
+//     (§3.5), a lease's expiry, a bounded wait's timeout and the idle-entry
+//     collection are items on one deadline heap behind one timer
+//     (waitq.go) off one clock (clock.go): no goroutine, nothing polls.
 //
 // The wire, client, and server subpackages expose the manager over a
 // length-prefixed binary TCP protocol (cmd/lockd, cmd/lockload).
@@ -65,18 +70,14 @@ type Config struct {
 	// Shards is the number of table stripes; rounded up to a power of
 	// two. Default 16.
 	Shards int
-	// SweepInterval is the lease-reaper period: the upper bound on how
-	// long past its deadline a dead session keeps its holds. Leases are
-	// clamped to at least this, so reclamation always happens within
-	// 2x the (effective) lease. Default 10ms.
-	SweepInterval time.Duration
 	// DefaultLease is used when a session opens with lease <= 0.
-	// Default 10s.
+	// Default 10s. A lease not renewed expires at its deadline.
 	DefaultLease time.Duration
 	// MaxLease caps requested leases. Default 1m.
 	MaxLease time.Duration
 	// IdleTTL is how long an entry with no holders and no waiters
-	// survives before the sweeper deletes it. Default 1s.
+	// survives: a collection pass runs every IdleTTL while the table has
+	// entries, so between IdleTTL and 2x IdleTTL. Default 1s.
 	IdleTTL time.Duration
 	// Recorder, when non-nil, receives grant-path flight events: the
 	// resolution of every queued acquire (grant, timeout, lease
@@ -113,9 +114,6 @@ func (c Config) withDefaults() Config {
 	for c.Shards&(c.Shards-1) != 0 {
 		c.Shards++
 	}
-	if c.SweepInterval <= 0 {
-		c.SweepInterval = 10 * time.Millisecond
-	}
 	if c.DefaultLease <= 0 {
 		c.DefaultLease = 10 * time.Second
 	}
@@ -130,7 +128,7 @@ func (c Config) withDefaults() Config {
 
 // entry is one named lock in the table: the lock state and its contention
 // profile (Manager.HotLocks), all guarded by the owning shard's mu. An
-// entry nobody holds or waits for is idle, and the sweeper deletes it
+// entry nobody holds or waits for is idle, and collectIdle deletes it
 // once idle for IdleTTL — so a hot name is not reallocated on every
 // acquire/release cycle and a profile lives as long as its lock.
 type entry struct {
@@ -179,6 +177,7 @@ type Session struct {
 
 	mu       sync.Mutex
 	deadline time.Time
+	lease    timed // deadline's item on the heap; may lag a deadline moved back
 	closed   bool
 	holds    map[string]*hold
 	free     *hold
@@ -187,9 +186,10 @@ type Session struct {
 
 // Manager is the sharded, lease-based lock service. Create one with New;
 // all methods are safe for concurrent use. Lock order: a shard's mu, then
-// a session's mu or tmu; never two shards at once.
+// a session's mu, then tmu; never two shards at once.
 type Manager struct {
 	cfg  Config
+	clk  clock
 	mask uint32
 
 	shards []shard
@@ -198,16 +198,14 @@ type Manager struct {
 	sessions map[uint64]*Session
 	nextSID  uint64
 
-	// Bounded waits share one timer, armed for the earliest deadline in
-	// the heap; both appear with the first bounded wait.
+	// The one timer, armed for the earliest deadline on the heap (waitq.go).
 	tmu       sync.Mutex
 	deadlines deadlineHeap
-	timer     *time.Timer
+	gc        timed // the collection pass: on the heap while the table has entries
+	timer     timer
 	timerAt   time.Time // when timer fires next; zero = not armed
 
-	done   chan struct{}
 	closed atomic.Bool
-	wg     sync.WaitGroup
 
 	c      counters
 	waitMu sync.Mutex
@@ -216,60 +214,53 @@ type Manager struct {
 	holdH  stats.Histogram // hold time (grant to release), nanoseconds
 }
 
-// New creates a Manager and starts its lease reaper / entry sweeper.
-// Callers must Close it to stop the background goroutine.
+// New creates a Manager. It starts no goroutine: the manager's one timer
+// appears with the first session. Callers Close it to stop that timer.
 func New(cfg Config) *Manager {
 	cfg = cfg.withDefaults()
 	m := &Manager{
 		cfg:      cfg,
+		clk:      realClock,
 		mask:     uint32(cfg.Shards - 1),
 		shards:   make([]shard, cfg.Shards),
 		sessions: make(map[uint64]*Session),
-		done:     make(chan struct{}),
 	}
 	for i := range m.shards {
 		m.shards[i].entries = make(map[string]*entry)
 	}
-	m.wg.Add(1)
-	go m.reaper()
 	return m
 }
 
 // Close expires every session (releasing holds, cancelling queued
-// acquires with ErrExpired) and stops the background sweeper.
+// acquires with ErrExpired) and stops the timer.
 func (m *Manager) Close() {
 	if m.closed.Swap(true) {
 		return
 	}
-	m.expireWhere(nil, false)
+	m.expireAll(false)
 	m.tmu.Lock()
 	if m.timer != nil {
 		m.timer.Stop()
 	}
 	m.tmu.Unlock()
-	close(m.done)
-	m.wg.Wait()
 }
 
-// expireWhere expires the sessions pick selects (called with the
-// session's mu held; nil selects all) and returns how many it selected.
-func (m *Manager) expireWhere(pick func(*Session) bool, expired bool) int {
-	var victims []*Session
+// expireAll expires every live session and returns how many there were.
+func (m *Manager) expireAll(expired bool) (n int) {
 	m.smu.RLock()
+	victims := make([]*Session, 0, len(m.sessions))
 	for _, s := range m.sessions {
-		s.mu.Lock()
-		if !s.closed && (pick == nil || pick(s)) {
-			victims = append(victims, s)
-		}
-		s.mu.Unlock()
+		victims = append(victims, s)
 	}
 	m.smu.RUnlock()
 	var done []Completion
 	for _, s := range victims {
-		m.expireSession(s, expired, &done)
+		if m.expireSession(s, expired, &done) {
+			n++
+		}
 	}
 	m.settle(done, false)
-	return len(victims)
+	return n
 }
 
 // MaxLease reports the effective cap on granted leases — every lease
@@ -282,7 +273,7 @@ func (m *Manager) MaxLease() time.Duration { return m.cfg.MaxLease }
 // returns the number of sessions revoked. This is the cluster layer's
 // fencing primitive: an isolated node revokes everything it granted so
 // no lease of its outlives the quarantine the survivors wait out.
-func (m *Manager) RevokeAllSessions() int { return m.expireWhere(nil, true) }
+func (m *Manager) RevokeAllSessions() int { return m.expireAll(true) }
 
 func (m *Manager) shardOf(hash uint32) *shard { return &m.shards[hash&m.mask] }
 
@@ -299,23 +290,22 @@ func (m *Manager) callerCohort() uint32 {
 	return 0
 }
 
-// clampLease applies the configured lease bounds; the floor is the sweep
-// interval so expiry is always detected within 2x the effective lease.
+// clampLease applies the configured default and cap.
 func (m *Manager) clampLease(lease time.Duration) time.Duration {
 	if lease <= 0 {
 		lease = m.cfg.DefaultLease
 	}
-	return min(max(lease, m.cfg.SweepInterval), m.cfg.MaxLease)
+	return min(lease, m.cfg.MaxLease)
 }
 
 // Open registers a new session with the given lease and returns its id.
 func (m *Manager) Open(lease time.Duration) (uint64, error) {
-	return m.openAt(lease, time.Now())
+	return m.openAt(lease, m.clk.now())
 }
 
 // session resolves sid; nil means unknown, which live reports as expired
-// (the reaper deletes expired sessions, so a stale id and an expired one
-// are indistinguishable — exactly like a lapsed LRT reservation).
+// (expired sessions are deleted, so a stale id and an expired one are
+// indistinguishable — exactly like a lapsed LRT reservation).
 func (m *Manager) session(sid uint64) *Session {
 	m.smu.RLock()
 	s := m.sessions[sid]
@@ -328,7 +318,7 @@ func (m *Manager) session(sid uint64) *Session {
 // keepalive cannot resurrect a reservation the table already broke.
 func (m *Manager) KeepAlive(sid uint64, lease time.Duration) error {
 	var done []Completion
-	err := m.keepAliveSession(m.session(sid), lease, time.Now(), &done)
+	err := m.keepAliveSession(m.session(sid), lease, m.clk.now(), &done)
 	m.settle(done, false)
 	return err
 }
@@ -356,8 +346,8 @@ func (m *Manager) closeSession(s *Session, done *[]Completion) error {
 // acquires, releases all holds (granting the waiters behind each in
 // unchanged order), and deletes it from the table. It is idempotent and
 // reports whether this call did the revoking; expired says whether this
-// was a lease expiry (reaper, lapsed lease seen by an op) or a graceful
-// close. It locks shards, so the caller must hold none.
+// was a lease expiry (the timer's, or a lapsed lease seen by an op) or a
+// graceful close. It locks shards, so the caller must hold none.
 func (m *Manager) expireSession(s *Session, expired bool, done *[]Completion) bool {
 	s.mu.Lock()
 	if s.closed {
@@ -369,7 +359,8 @@ func (m *Manager) expireSession(s *Session, expired bool, done *[]Completion) bo
 	s.holds = nil
 	s.mu.Unlock()
 
-	now := time.Now()
+	now := m.clk.now()
+	m.unschedule(&s.lease)
 	m.cancelWaits(s, nil, now, done)
 	for _, h := range holds {
 		sh := m.shardOf(h.e.hash)
@@ -389,7 +380,7 @@ func (m *Manager) expireSession(s *Session, expired bool, done *[]Completion) bo
 	if expired {
 		m.c.expirations.Add(1)
 		m.cfg.Recorder.Record(uint32(s.id), introspect.Event{
-			Kind: introspect.EvExpire, SID: s.id, Wait: int64(len(holds))})
+			Kind: introspect.EvExpire, TS: now.UnixNano(), SID: s.id, Wait: int64(len(holds))})
 	} else {
 		m.c.sessionsClosed.Add(1)
 	}
@@ -421,7 +412,7 @@ func (m *Manager) live(s *Session, now time.Time) error {
 }
 
 // lapse passes an op's result through, except that errLapsed expires the
-// session on the spot — ahead of the reaper — and becomes ErrExpired.
+// session on the spot — ahead of a late timer — and becomes ErrExpired.
 func (m *Manager) lapse(s *Session, err error, done *[]Completion) error {
 	if err == errLapsed {
 		m.expireSession(s, true, done)
@@ -514,6 +505,7 @@ func acquire[T string | []byte](m *Manager, s *Session, name T, excl bool, wait 
 		e = &entry{name: string(name), hash: hash} // the one name copy
 		sh.entries[e.name] = e
 		m.c.entriesCreated.Add(1)
+		m.schedule(&m.gc, now.Add(m.cfg.IdleTTL)) // a no-op while a pass is pending
 	}
 	err := m.live(s, now)
 	if err == nil {
@@ -557,7 +549,7 @@ func acquire[T string | []byte](m *Manager, s *Session, name T, excl bool, wait 
 // queues, completed through a channel this call blocks on — made only
 // then, so an uncontended acquire allocates nothing.
 func (m *Manager) Acquire(sid uint64, name string, excl bool, wait time.Duration) error {
-	s, cohort, now := m.session(sid), m.callerCohort(), time.Now()
+	s, cohort, now := m.session(sid), m.callerCohort(), m.clk.now()
 	var done []Completion
 	err := acquire(m, s, name, excl, wait, cohort, nil, 0, now, &done)
 	if err == ErrWouldBlock {
@@ -582,13 +574,13 @@ func (m *Manager) Acquire(sid uint64, name string, excl bool, wait time.Duration
 
 // Release drops one shared or the exclusive hold of sid on name. A
 // release from an expired or closed session — including one whose lease
-// lapsed a moment ago and the reaper has not swept yet — is rejected with
+// lapsed a moment ago and the timer has not run yet — is rejected with
 // ErrExpired on either entry point: the table already revoked (or live
 // revokes right here) those holds itself, and a late release must not
 // unlock a grant that now belongs to someone else.
 func (m *Manager) Release(sid uint64, name string, excl bool) error {
 	var done []Completion
-	held, err := release(m, m.session(sid), name, excl, m.callerCohort(), time.Now(), &done)
+	held, err := release(m, m.session(sid), name, excl, m.callerCohort(), m.clk.now(), &done)
 	m.settle(done, false)
 	if err != nil {
 		return err
@@ -598,24 +590,9 @@ func (m *Manager) Release(sid uint64, name string, excl bool) error {
 	return nil
 }
 
-// reaper periodically expires lapsed sessions and deletes idle entries.
-func (m *Manager) reaper() {
-	defer m.wg.Done()
-	t := time.NewTicker(m.cfg.SweepInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-m.done:
-			return
-		case <-t.C:
-		}
-		m.sweep(time.Now())
-	}
-}
-
-// sweep runs one reaper pass at the given instant.
-func (m *Manager) sweep(now time.Time) {
-	m.expireWhere(func(s *Session) bool { return !s.deadline.After(now) }, true)
+// collectIdle deletes the entries that have been idle for IdleTTL at now
+// and returns how many entries are left.
+func (m *Manager) collectIdle(now time.Time) (left int) {
 	for i := range m.shards {
 		sh := &m.shards[i]
 		sh.mu.Lock()
@@ -625,8 +602,10 @@ func (m *Manager) sweep(now time.Time) {
 				m.c.entriesGCed.Add(1)
 			}
 		}
+		left += len(sh.entries)
 		sh.mu.Unlock()
 	}
+	return left
 }
 
 // QueueLen reports how many acquires are queued on name right now (0 for
@@ -642,7 +621,7 @@ func (m *Manager) QueueLen(name string) int {
 }
 
 // EntryCount returns the number of entries currently in the table,
-// including idle ones the sweeper has not collected yet.
+// including idle ones not collected yet.
 func (m *Manager) EntryCount() int {
 	n := 0
 	for i := range m.shards {

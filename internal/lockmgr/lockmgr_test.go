@@ -6,14 +6,13 @@ import (
 	"time"
 )
 
-// fastCfg keeps test leases and sweeps short: 5ms reaper, 50ms idle GC.
+// fastCfg keeps test leases and the idle GC short.
 func fastCfg() Config {
 	return Config{
-		Shards:        4,
-		SweepInterval: 5 * time.Millisecond,
-		DefaultLease:  time.Second,
-		MaxLease:      10 * time.Second,
-		IdleTTL:       50 * time.Millisecond,
+		Shards:       4,
+		DefaultLease: time.Second,
+		MaxLease:     10 * time.Second,
+		IdleTTL:      50 * time.Millisecond,
 	}
 }
 
@@ -97,12 +96,24 @@ func TestInvalidNamesAndSessions(t *testing.T) {
 	}
 }
 
+// blocked starts a scalar Acquire that has to wait and returns once it is
+// queued (QueueLen on name reaches queued); the result arrives on the
+// channel. The poll only lets the goroutine reach the queue — no test
+// sleeps to outwait a lease, a timeout or the GC: the fake clock moves.
+func blocked(t *testing.T, m *Manager, sid uint64, name string, excl bool, wait time.Duration, queued int) <-chan error {
+	t.Helper()
+	errc := make(chan error, 1)
+	go func() { errc <- m.Acquire(sid, name, excl, wait) }()
+	waitQueue(t, m, name, queued)
+	return errc
+}
+
 // TestKilledClientReclaimedFIFO is the acceptance scenario: a session dies
-// holding an exclusive lock with a FIFO of waiters behind it. The hold
-// must be reclaimed within 2x the lease and every queued waiter granted
-// in arrival order (writer first, then the reader batch).
+// holding an exclusive lock with a FIFO of waiters behind it. The hold is
+// reclaimed at the lease's deadline, not before, and every queued waiter is
+// granted in arrival order (writer first, then the reader batch).
 func TestKilledClientReclaimedFIFO(t *testing.T) {
-	m := newTest(t, fastCfg())
+	m, fc := newFake(t, fastCfg())
 	const lease = 100 * time.Millisecond
 
 	dead := mustOpen(t, m, lease)
@@ -111,55 +122,34 @@ func TestKilledClientReclaimedFIFO(t *testing.T) {
 	}
 	// The "client" now crashes: no keepalive, no release.
 
-	var mu sync.Mutex
-	var order []int
-	var wg sync.WaitGroup
-	grantAt := make([]time.Time, 3)
-	start := time.Now()
+	var sids []uint64
+	var got []<-chan error
 	for i, excl := range []bool{true, false, false} { // W0, then readers R1 R2
-		i, excl := i, excl
-		sid := mustOpen(t, m, 5*time.Second)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := m.Acquire(sid, "k", excl, -1); err != nil {
-				t.Errorf("waiter %d: %v", i, err)
-				return
-			}
-			mu.Lock()
-			order = append(order, i)
-			grantAt[i] = time.Now()
-			mu.Unlock()
-			if excl {
-				// Hold long enough that the readers behind cannot be
-				// granted before this writer's release.
-				time.Sleep(2 * time.Millisecond)
-			}
-			if err := m.Release(sid, "k", excl); err != nil {
-				t.Errorf("waiter %d release: %v", i, err)
-			}
-		}()
-		// Enforce arrival order before launching the next waiter.
-		deadline := time.Now().Add(5 * time.Second)
-		for m.QueueLen("k") != i+1 {
-			if time.Now().After(deadline) {
-				t.Fatalf("waiter %d never queued", i)
-			}
-			time.Sleep(100 * time.Microsecond)
+		sids = append(sids, mustOpen(t, m, 5*time.Second))
+		got = append(got, blocked(t, m, sids[i], "k", excl, -1, i+1))
+	}
+	fc.Advance(lease - 1)
+	if m.QueueLen("k") != 3 {
+		t.Fatalf("a waiter got past a hold whose lease had 1ns to run: QueueLen %d", m.QueueLen("k"))
+	}
+	fc.Advance(1)
+	if err := <-got[0]; err != nil {
+		t.Fatalf("writer W0 at the dead holder's deadline: %v", err)
+	}
+	if m.QueueLen("k") != 2 {
+		t.Fatalf("QueueLen %d with W0 holding, want the two readers still queued (FIFO)", m.QueueLen("k"))
+	}
+	if err := m.Release(sids[0], "k", true); err != nil {
+		t.Fatalf("W0 release: %v", err)
+	}
+	for i := 1; i <= 2; i++ { // the reader batch, together
+		if err := <-got[i]; err != nil {
+			t.Fatalf("reader R%d: %v", i, err)
 		}
 	}
-	wg.Wait()
-	reclaim := grantAt[0].Sub(start)
-
-	if order[0] != 0 {
-		t.Fatalf("grant order %v: writer W0 must be first (FIFO)", order)
-	}
-	if reclaim > 2*lease {
-		t.Fatalf("exclusive hold reclaimed after %v, want <= %v", reclaim, 2*lease)
-	}
 	st := m.Stats()
-	if st.LeaseExpirations == 0 || st.RevokedHolds == 0 {
-		t.Fatalf("expected expiry accounting, got %+v", st)
+	if st.LeaseExpirations != 1 || st.RevokedHolds != 1 {
+		t.Fatalf("expected one expiry of one hold, got %+v", st)
 	}
 	// The dead session is gone: its late release must be rejected.
 	if err := m.Release(dead, "k", true); err != ErrExpired {
@@ -168,9 +158,9 @@ func TestKilledClientReclaimedFIFO(t *testing.T) {
 }
 
 // TestKeepAliveExtendsLease verifies the reservation stays live as long
-// as keepalives arrive, and breaks promptly once they stop.
+// as keepalives arrive, and breaks at the deadline once they stop.
 func TestKeepAliveExtendsLease(t *testing.T) {
-	m := newTest(t, fastCfg())
+	m, fc := newFake(t, fastCfg())
 	const lease = 60 * time.Millisecond
 	sid := mustOpen(t, m, lease)
 	if err := m.Acquire(sid, "k", true, 0); err != nil {
@@ -178,20 +168,25 @@ func TestKeepAliveExtendsLease(t *testing.T) {
 	}
 	probe := mustOpen(t, m, 5*time.Second)
 
-	// Keep the session alive for ~4 lease periods.
-	stop := time.Now().Add(4 * lease)
-	for time.Now().Before(stop) {
+	// Keep the session alive for 4 lease periods.
+	for i := 0; i < 16; i++ {
 		if err := m.KeepAlive(sid, lease); err != nil {
 			t.Fatalf("keepalive: %v", err)
 		}
 		if err := m.Acquire(probe, "k", true, 0); err != ErrTimeout {
 			t.Fatalf("probe acquired while keepalives flowing: %v", err)
 		}
-		time.Sleep(lease / 4)
+		fc.Advance(lease / 4)
 	}
 
-	// Stop keepalives: the hold must be revoked and the probe granted.
-	if err := m.Acquire(probe, "k", true, -1); err != nil {
+	// Stop keepalives: the last one was lease/4 ago.
+	got := blocked(t, m, probe, "k", true, -1, 1)
+	fc.Advance(lease - lease/4 - 1)
+	if m.QueueLen("k") != 1 {
+		t.Fatal("hold revoked before the renewed lease ran out")
+	}
+	fc.Advance(1)
+	if err := <-got; err != nil {
 		t.Fatalf("probe after keepalives stopped: %v", err)
 	}
 	if err := m.KeepAlive(sid, lease); err != ErrExpired {
@@ -202,42 +197,42 @@ func TestKeepAliveExtendsLease(t *testing.T) {
 	}
 }
 
-// TestExpiredSessionReleaseRejected pins the satellite requirement
-// directly: a release arriving after the lease lapsed — even before the
-// reaper ran — must be rejected, in both modes.
+// TestExpiredSessionReleaseRejected: a release arriving after the lease
+// lapsed — even before the timer's callback got to run — must be rejected.
 func TestExpiredSessionReleaseRejected(t *testing.T) {
-	cfg := fastCfg()
-	cfg.SweepInterval = 20 * time.Millisecond // slow reaper: expiry seen lazily
-	m := newTest(t, cfg)
-	sid := mustOpen(t, m, cfg.SweepInterval) // minimum lease
+	m, fc := newFake(t, fastCfg())
+	const lease = 20 * time.Millisecond
+	sid := mustOpen(t, m, lease)
 	if err := m.Acquire(sid, "r", false, 0); err != nil {
 		t.Fatalf("acquire: %v", err)
 	}
-	time.Sleep(cfg.SweepInterval + cfg.SweepInterval/2)
+	fc.Skip(lease) // the deadline is now; the callback has not run
 	if err := m.Release(sid, "r", false); err != ErrExpired {
 		t.Fatalf("lapsed shared release = %v, want ErrExpired", err)
+	}
+	if st := m.Stats(); st.LeaseExpirations != 1 || st.RevokedHolds != 1 {
+		t.Fatalf("the op that saw the lapse did not expire the session: %+v", st)
+	}
+	fc.Advance(0) // the late callback finds nothing left to do
+	if st := m.Stats(); st.LeaseExpirations != 1 {
+		t.Fatalf("expired twice: %+v", st)
 	}
 }
 
 // TestBlockedWaiterCancelledOnExpiry: a session blocked in queue dies;
 // its unbounded acquire must return ErrExpired and leave the queue clean.
 func TestBlockedWaiterCancelledOnExpiry(t *testing.T) {
-	m := newTest(t, fastCfg())
+	m, fc := newFake(t, fastCfg())
 	holder := mustOpen(t, m, 5*time.Second)
 	if err := m.Acquire(holder, "k", true, 0); err != nil {
 		t.Fatalf("holder acquire: %v", err)
 	}
 	const lease = 50 * time.Millisecond
 	doomed := mustOpen(t, m, lease)
-	errc := make(chan error, 1)
-	go func() { errc <- m.Acquire(doomed, "k", true, -1) }()
-	select {
-	case err := <-errc:
-		if err != ErrExpired {
-			t.Fatalf("doomed acquire = %v, want ErrExpired", err)
-		}
-	case <-time.After(10 * lease):
-		t.Fatal("doomed waiter not cancelled by lease expiry")
+	got := blocked(t, m, doomed, "k", true, -1, 1)
+	fc.Advance(lease)
+	if err := <-got; err != ErrExpired {
+		t.Fatalf("doomed acquire = %v, want ErrExpired", err)
 	}
 	if n := m.QueueLen("k"); n != 0 {
 		t.Fatalf("queue not cleaned after cancellation: %d", n)
@@ -250,27 +245,29 @@ func TestBlockedWaiterCancelledOnExpiry(t *testing.T) {
 // TestTimedAcquire covers the timed path: bounded FIFO wait, timeout
 // against a held lock, and the lease cap on the requested wait.
 func TestTimedAcquire(t *testing.T) {
-	m := newTest(t, fastCfg())
+	m, fc := newFake(t, fastCfg())
 	holder := mustOpen(t, m, 5*time.Second)
 	if err := m.Acquire(holder, "k", true, 0); err != nil {
 		t.Fatalf("holder: %v", err)
 	}
 	w := mustOpen(t, m, 5*time.Second)
-	t0 := time.Now()
-	if err := m.Acquire(w, "k", false, 30*time.Millisecond); err != ErrTimeout {
+	got := blocked(t, m, w, "k", false, 30*time.Millisecond, 1)
+	fc.Advance(30*time.Millisecond - 1)
+	if m.QueueLen("k") != 1 {
+		t.Fatal("timed out before its wait ran out")
+	}
+	fc.Advance(1)
+	if err := <-got; err != ErrTimeout {
 		t.Fatalf("timed acquire = %v, want ErrTimeout", err)
 	}
-	if d := time.Since(t0); d > 3*time.Second {
-		t.Fatalf("timed acquire took %v", d)
-	}
-	// Short-lease session: its 10s request is capped at the lease.
+	// Short-lease session: its 10s request is capped at the lease, and what
+	// ends it there is its own deadline — a timeout, not the expiry due at
+	// the same instant.
 	s := mustOpen(t, m, 50*time.Millisecond)
-	t0 = time.Now()
-	if err := m.Acquire(s, "k", true, 10*time.Second); err != ErrTimeout {
+	got = blocked(t, m, s, "k", true, 10*time.Second, 1)
+	fc.Advance(50 * time.Millisecond)
+	if err := <-got; err != ErrTimeout {
 		t.Fatalf("lease-capped acquire = %v, want ErrTimeout", err)
-	}
-	if d := time.Since(t0); d > time.Second {
-		t.Fatalf("lease cap not applied: waited %v", d)
 	}
 	// After release the timed path grants.
 	if err := m.Release(holder, "k", true); err != nil {
@@ -281,10 +278,11 @@ func TestTimedAcquire(t *testing.T) {
 	}
 }
 
-// TestEntryGC: entries appear on demand and the sweeper collects them
-// once idle past IdleTTL, while held entries survive.
+// TestEntryGC: entries appear on demand and are collected once idle past
+// IdleTTL, while held entries survive.
 func TestEntryGC(t *testing.T) {
-	m := newTest(t, fastCfg())
+	cfg := fastCfg()
+	m, fc := newFake(t, cfg)
 	sid := mustOpen(t, m, time.Second)
 	for _, name := range []string{"a", "b", "c"} {
 		if err := m.Acquire(sid, name, false, 0); err != nil {
@@ -299,12 +297,9 @@ func TestEntryGC(t *testing.T) {
 			t.Fatalf("release %s: %v", name, err)
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for m.EntryCount() != 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("idle entries not collected: %d left", m.EntryCount())
-		}
-		time.Sleep(5 * time.Millisecond)
+	fc.Advance(cfg.IdleTTL)
+	if n := m.EntryCount(); n != 1 {
+		t.Fatalf("idle entries not collected after IdleTTL: %d left", n)
 	}
 	st := m.Stats()
 	if st.EntriesCreated != 3 || st.EntriesGCed != 2 {

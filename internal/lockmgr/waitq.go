@@ -7,13 +7,15 @@ import (
 	"fairrw/internal/lockmgr/introspect"
 )
 
-// The waiter queue. An acquire that has to wait is a waitNode on its
-// entry's FIFO. Every way a wait can end — a release that lets it in, its
-// deadline, its session's expiry or close, its connection's death — goes
-// through complete, under the entry's shard mutex, and leaves a
-// Completion that settle books and delivers once no lock is held. admit
-// is the one admission decision; fairlock.RefRWMutex is its oracle
-// (queue_test.go).
+// The waiter queue and the manager's timer. An acquire that has to wait is
+// a waitNode on its entry's FIFO. Every way a wait can end — a release
+// that lets it in, its deadline, its session's expiry or close, its
+// connection's death — goes through complete, under the entry's shard
+// mutex, and leaves a Completion that settle books and delivers once no
+// lock is held. admit is the one admission decision; fairlock.RefRWMutex
+// is its oracle (queue_test.go). Whatever happens because time passed —
+// a wait's timeout, a lease's expiry, the collection of idle entries — is
+// an item on one deadline heap behind one timer that runs only expire.
 
 const (
 	noCohort         = ^uint32(0) // releaser tag for strict FIFO
@@ -23,8 +25,8 @@ const (
 // Waiter is where a queued batch acquire's outcome goes. ExecBatch hands
 // the completions its own ops cause back to its caller
 // (BatchScratch.Completions); one that resolves elsewhere — a scalar
-// Release, the deadline timer, the reaper, Close — is delivered by
-// calling Complete, from that goroutine, with no manager lock held.
+// Release, the manager's timer, Close — is delivered by calling Complete,
+// from that goroutine, with no manager lock held.
 type Waiter interface {
 	Complete(Completion)
 }
@@ -41,6 +43,7 @@ type Completion struct {
 
 	name string
 	excl bool
+	at   int64 // when the wait ended on the manager's clock (t0+Wait), UnixNano
 }
 
 // chanWaiter completes a blocking Manager.Acquire.
@@ -51,7 +54,7 @@ func (c chanWaiter) Complete(cp Completion) { c <- cp.Err }
 // waitNode is one queued acquire, linked into its entry's FIFO
 // (next/prev; a free node's next is the shard's free list) under the
 // shard mutex, its session's list (snext/sprev) under the session mutex
-// and, if its wait is bounded, the deadline heap (hidx) under tmu. A node
+// and, if its wait is bounded, the deadline heap (dl) under tmu. A node
 // never leaves the shard that allocated it.
 type waitNode struct {
 	next, prev   *waitNode
@@ -64,8 +67,7 @@ type waitNode struct {
 	cohort       uint32
 	skips        int32 // grants that have bypassed this waiter
 	t0           time.Time
-	deadline     time.Time // zero: until granted or revoked
-	hidx         int       // index in Manager.deadlines
+	dl           timed // dl.at zero: until granted or revoked
 }
 
 // waitq is an entry's FIFO of queued acquires.
@@ -99,19 +101,30 @@ func (q *waitq) remove(n *waitNode) {
 	q.n--
 }
 
-// deadlineHeap orders the bounded waits by deadline (container/heap).
-type deadlineHeap []*waitNode
+// timed is one item of the deadline heap: a bounded wait (n), a session's
+// lease (s) or, with neither, the idle-entry collection (Manager.gc). at is
+// written with tmu and the owner's own mutex held, so either one reads it.
+type timed struct {
+	at   time.Time
+	hpos int // 1 + index in Manager.deadlines; 0 = not on the heap (tmu)
+	n    *waitNode
+	s    *Session
+}
+
+// deadlineHeap orders what the timer has to do by when (container/heap).
+type deadlineHeap []*timed
 
 func (h deadlineHeap) Len() int           { return len(h) }
-func (h deadlineHeap) Less(i, j int) bool { return h[i].deadline.Before(h[j].deadline) }
-func (h deadlineHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i]; h[i].hidx, h[j].hidx = i, j }
-func (h *deadlineHeap) Push(x any)        { n := x.(*waitNode); n.hidx = len(*h); *h = append(*h, n) }
+func (h deadlineHeap) Less(i, j int) bool { return h[i].at.Before(h[j].at) }
+func (h deadlineHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i]; h[i].hpos, h[j].hpos = i+1, j+1 }
+func (h *deadlineHeap) Push(x any)        { it := x.(*timed); *h = append(*h, it); it.hpos = len(*h) }
 func (h *deadlineHeap) Pop() any {
 	old := *h
-	n := old[len(old)-1]
+	it := old[len(old)-1]
 	old[len(old)-1] = nil
 	*h = old[:len(old)-1]
-	return n
+	it.hpos = 0
+	return it
 }
 
 // enqueue queues the acquire v describes behind everyone already waiting
@@ -133,57 +146,106 @@ func (m *Manager) enqueue(sh *shard, v waitNode, wait time.Duration) {
 	n.s.waits = n
 	m.c.waiting.Add(1)
 	if wait > 0 {
-		n.deadline = n.t0.Add(min(wait, n.s.deadline.Sub(n.t0)))
-		m.tmu.Lock()
-		heap.Push(&m.deadlines, n)
-		if n.hidx == 0 {
-			m.armLocked(n.deadline)
-		}
-		m.tmu.Unlock()
+		n.dl.n = n
+		m.schedule(&n.dl, n.t0.Add(min(wait, n.s.deadline.Sub(n.t0))))
 	}
 }
 
-// armLocked makes the deadline timer fire no later than at. tmu is held.
+// schedule puts it on the heap for at and has the timer fire by then. An
+// item already there only moves up: the collection keeps its pending pass,
+// a lease cut short is due at once, and an extended one is re-keyed by
+// expire when its old deadline surfaces — extending never comes here.
+func (m *Manager) schedule(it *timed, at time.Time) {
+	m.tmu.Lock()
+	if it.hpos == 0 {
+		it.at = at
+		heap.Push(&m.deadlines, it)
+	} else if at.Before(it.at) {
+		it.at = at
+		heap.Fix(&m.deadlines, it.hpos-1)
+	}
+	if it.hpos == 1 {
+		m.armLocked(it.at)
+	}
+	m.tmu.Unlock()
+}
+
+// unschedule takes it off the heap, if it is on it.
+func (m *Manager) unschedule(it *timed) {
+	m.tmu.Lock()
+	if it.hpos != 0 {
+		heap.Remove(&m.deadlines, it.hpos-1)
+	}
+	m.tmu.Unlock()
+}
+
+// armLocked makes the timer fire no later than at — never again once the
+// manager is closed. tmu is held.
 func (m *Manager) armLocked(at time.Time) {
-	if !m.timerAt.IsZero() && !at.Before(m.timerAt) {
+	if m.closed.Load() || (!m.timerAt.IsZero() && !at.Before(m.timerAt)) {
 		return
 	}
 	m.timerAt = at
-	if d := time.Until(at); m.timer == nil {
-		m.timer = time.AfterFunc(d, func() { m.expireWaits(time.Now()) })
+	if d := at.Sub(m.clk.now()); m.timer == nil {
+		m.timer = m.clk.afterFunc(d, func() { m.expire(m.clk.now()) })
 	} else {
 		m.timer.Reset(d)
 	}
 }
 
-// expireWaits times out every bounded wait whose deadline is not after
-// now and re-arms the timer for the earliest one left.
-func (m *Manager) expireWaits(now time.Time) {
-	for {
+// expire is what the timer runs: each item due at now comes off the heap,
+// earliest first — a wait times out, a lease not renewed meanwhile expires
+// its session, the collection deletes entries idle for IdleTTL — and the
+// timer is re-armed for the earliest one left, if any. No-op after Close.
+func (m *Manager) expire(now time.Time) {
+	for !m.closed.Load() {
 		m.tmu.Lock()
 		m.timerAt = time.Time{}
-		if len(m.deadlines) == 0 || m.deadlines[0].deadline.After(now) {
+		if len(m.deadlines) == 0 || m.deadlines[0].at.After(now) {
 			if len(m.deadlines) > 0 {
-				m.armLocked(m.deadlines[0].deadline)
+				m.armLocked(m.deadlines[0].at)
 			}
 			m.tmu.Unlock()
 			return
 		}
-		e := m.deadlines[0].e // stable while the node is in the heap
+		it := m.deadlines[0]
+		s := it.s // and it.n.e: read under tmu, a wait's item is the heap's only until complete takes it off
+		var e *entry
+		if it.n != nil {
+			e = it.n.e
+		} else {
+			heap.Pop(&m.deadlines)
+		}
 		m.tmu.Unlock()
 
 		var done []Completion
-		sh := m.shardOf(e.hash)
-		sh.mu.Lock()
-		for n := e.q.head; n != nil; {
-			next := n.next
-			if !n.deadline.IsZero() && !n.deadline.After(now) {
-				m.complete(sh, n, ErrTimeout, now, &done)
+		switch {
+		case e != nil: // every wait on e that is due, and only then whoever they were blocking
+			sh := m.shardOf(e.hash)
+			sh.mu.Lock()
+			for n := e.q.head; n != nil; {
+				next := n.next
+				if !n.dl.at.IsZero() && !n.dl.at.After(now) {
+					m.complete(sh, n, ErrTimeout, now, &done)
+				}
+				n = next
 			}
-			n = next
+			m.admit(sh, e, noCohort, now, &done)
+			sh.mu.Unlock()
+		case s != nil:
+			s.mu.Lock()
+			if !s.closed && s.deadline.After(now) { // renewed since it was keyed: back on, at that deadline
+				m.schedule(it, s.deadline)
+				s.mu.Unlock()
+			} else {
+				s.mu.Unlock()
+				m.expireSession(s, true, &done)
+			}
+		default:
+			if m.collectIdle(now) > 0 {
+				m.schedule(it, now.Add(m.cfg.IdleTTL))
+			}
 		}
-		m.admit(sh, e, noCohort, now, &done)
-		sh.mu.Unlock()
 		m.settle(done, false)
 	}
 }
@@ -213,7 +275,7 @@ func (m *Manager) cancelWaits(s *Session, w Waiter, now time.Time, done *[]Compl
 		sh.mu.Lock()
 		if e := n.e; n.s == s && (w == nil || n.w == w) {
 			err := ErrExpired
-			if !n.deadline.IsZero() && !n.deadline.After(now) {
+			if !n.dl.at.IsZero() && !n.dl.at.After(now) {
 				err = ErrTimeout // its own deadline came first, whoever got here first
 			}
 			m.complete(sh, n, err, now, done)
@@ -231,7 +293,7 @@ func (m *Manager) cancelWaits(s *Session, w Waiter, now time.Time, done *[]Compl
 func (m *Manager) CancelWait(sid uint64, w Waiter) {
 	if s := m.session(sid); s != nil {
 		var done []Completion
-		m.cancelWaits(s, w, time.Now(), &done)
+		m.cancelWaits(s, w, m.clk.now(), &done)
 		m.settle(done, false)
 	}
 }
@@ -264,10 +326,8 @@ func (m *Manager) complete(sh *shard, n *waitNode, err error, now time.Time, don
 	s.mu.Unlock()
 	e.q.remove(n)
 	m.c.waiting.Add(-1)
-	if !n.deadline.IsZero() {
-		m.tmu.Lock()
-		heap.Remove(&m.deadlines, n.hidx)
-		m.tmu.Unlock()
+	if !n.dl.at.IsZero() {
+		m.unschedule(&n.dl)
 	}
 	waited := now.Sub(n.t0)
 	if err == nil {
@@ -275,7 +335,7 @@ func (m *Manager) complete(sh *shard, n *waitNode, err error, now time.Time, don
 		e.maxWaitNS = max(e.maxWaitNS, int64(waited))
 	}
 	*done = append(*done, Completion{W: n.w, Tag: n.tag, SID: s.id, Hash: e.hash,
-		Err: err, Wait: waited, name: e.name, excl: n.excl})
+		Err: err, Wait: waited, name: e.name, excl: n.excl, at: now.UnixNano()})
 	*n = waitNode{next: sh.free}
 	sh.free = n
 	return err
@@ -333,7 +393,7 @@ func (m *Manager) admit(sh *shard, e *entry, rc uint32, now time.Time, done *[]C
 func (m *Manager) settle(done []Completion, batch bool) []Completion {
 	kept := done[:0]
 	for _, cp := range done {
-		ev := introspect.Event{Kind: introspect.EvRevoke, SID: cp.SID, Hash: cp.Hash, Wait: int64(cp.Wait)}
+		ev := introspect.Event{Kind: introspect.EvRevoke, TS: cp.at, SID: cp.SID, Hash: cp.Hash, Wait: int64(cp.Wait)}
 		switch {
 		case cp.Err == nil && cp.excl:
 			m.c.exclGrants.Add(1)
