@@ -97,13 +97,11 @@ var (
 	idle         = flag.Duration("idle", 2*time.Second, "idle time before an unused lock entry is collected (within 2x this)")
 	grace        = flag.Duration("grace", 5*time.Second, "drain grace period on shutdown")
 	workers      = flag.Int("workers", 0, "event-loop workers (0 = GOMAXPROCS)")
-	flushPass    = flag.Duration("flushpass", 0, "flusher writev pass budget before a stalled conn escalates to its own writer (0 = default 20ms)")
 	metricsPath  = flag.String("metrics", "", "write metrics JSON here on shutdown, SIGUSR1, and every -metrics-interval (\"-\" = stdout, shutdown only)")
 	metricsIvl   = flag.Duration("metrics-interval", 0, "periodic metrics flush period (0 = shutdown/SIGUSR1 only)")
 	slowlock     = flag.Duration("slowlock", 0, "log acquires whose queue wait reaches this threshold (0 = off)")
 	cohortB      = flag.Int("cohort", 0, "cohort grant-batch bound B: prefer up to B consecutive grants from the releaser's locality domain before strict FIFO (0 = strict FIFO)")
 	flightN      = flag.Int("flight-events", 256, "flight-recorder ring size per worker (0 = recorder off)")
-	hotK         = flag.Int("hotlocks", 20, "hot-lock table depth in metrics payloads")
 	clusterArg   = flag.String("cluster", "", "comma-separated member list, this node first (e.g. self:7600,peer:7600,...); enables clustered mode")
 	hbIvl        = flag.Duration("hb", 250*time.Millisecond, "cluster heartbeat period")
 	suspectAfter = flag.Int("suspect-after", 3, "consecutive heartbeat failures before a peer is declared dead")
@@ -188,9 +186,8 @@ func main() {
 		}
 	}
 	srvCfg := server.Config{
-		Workers:   *workers,
-		FlushPass: *flushPass,
-		Recorder:  rec,
+		Workers:  *workers,
+		Recorder: rec,
 	}
 	if node != nil {
 		srvCfg.Cluster = node
@@ -208,7 +205,7 @@ func main() {
 		}
 		metricsMu.Lock()
 		defer metricsMu.Unlock()
-		out, err := json.MarshalIndent(srv.Metrics(bi, *hotK), "", " ")
+		out, err := json.MarshalIndent(srv.Metrics(bi, server.DefaultHotLocks), "", " ")
 		if err != nil {
 			log.Printf("lockd: marshal metrics (%s): %v", reason, err)
 			return
@@ -274,7 +271,7 @@ func main() {
 				if *metricsPath != "" && *metricsPath != "-" {
 					writeMetrics("SIGUSR1")
 				} else {
-					out, _ := json.MarshalIndent(srv.Metrics(bi, *hotK), "", " ")
+					out, _ := json.MarshalIndent(srv.Metrics(bi, server.DefaultHotLocks), "", " ")
 					fmt.Fprintf(os.Stderr, "%s\n", out)
 				}
 			case syscall.SIGQUIT:

@@ -128,7 +128,7 @@ func (m *Manager) ExecBatch(ops []BatchOp, sc *BatchScratch) {
 		case BatchKeepAlive:
 			op.Err = m.keepAliveSession(op.s, time.Duration(op.Lease), now, &sc.done)
 		case BatchCloseSession:
-			op.Err = m.closeSession(op.s, &sc.done)
+			op.Err = m.closeSession(op.s, now, &sc.done)
 		case BatchAcquire:
 			op.Err = acquire(m, op.s, op.Name, op.Excl, time.Duration(op.Wait), op.Cohort, op.Waiter, op.Tag, now, &sc.done)
 			switch {
@@ -193,7 +193,7 @@ func (m *Manager) openAt(lease time.Duration, now time.Time) (uint64, error) {
 // unknown) with the caller's clock reading.
 func (m *Manager) keepAliveSession(s *Session, lease time.Duration, now time.Time, done *[]Completion) error {
 	if err := m.live(s, now); err != nil {
-		return m.lapse(s, err, done)
+		return m.lapse(s, err, now, done)
 	}
 	s.deadline = now.Add(m.clampLease(lease))
 	if s.deadline.Before(s.lease.at) { // cut short: due then, not when the old deadline surfaces

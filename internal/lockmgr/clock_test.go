@@ -372,6 +372,11 @@ func TestFlightTimestampsAreTheManagersClock(t *testing.T) {
 		t.Fatalf("waiter: %v, ended %v", err, ok)
 	}
 	fc.Advance(70 * time.Millisecond) // the waiter's lease, never renewed
+	// A late callback: by the time expire revokes this session the clock has
+	// moved on, and the event carries the reading expire was given.
+	mustOpen(t, m, 50*time.Millisecond)
+	fc.Skip(80 * time.Millisecond)
+	m.expire(t0.Add(150 * time.Millisecond))
 	type row struct {
 		kind introspect.Kind
 		at   time.Duration
@@ -387,6 +392,7 @@ func TestFlightTimestampsAreTheManagersClock(t *testing.T) {
 		{introspect.EvGrant, 30 * time.Millisecond},
 		{introspect.EvSlow, 30 * time.Millisecond},
 		{introspect.EvExpire, 100 * time.Millisecond},
+		{introspect.EvExpire, 150 * time.Millisecond},
 	}
 	if len(got) != len(want) {
 		t.Fatalf("events %+v, want %+v", got, want)

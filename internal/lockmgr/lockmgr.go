@@ -254,8 +254,9 @@ func (m *Manager) expireAll(expired bool) (n int) {
 	}
 	m.smu.RUnlock()
 	var done []Completion
+	now := m.clk.now()
 	for _, s := range victims {
-		if m.expireSession(s, expired, &done) {
+		if m.expireSession(s, expired, now, &done) {
 			n++
 		}
 	}
@@ -328,15 +329,15 @@ func (m *Manager) KeepAlive(sid uint64, lease time.Duration) error {
 // unknown or already gone is ErrExpired.
 func (m *Manager) CloseSession(sid uint64) error {
 	var done []Completion
-	err := m.closeSession(m.session(sid), &done)
+	err := m.closeSession(m.session(sid), m.clk.now(), &done)
 	m.settle(done, false)
 	return err
 }
 
 // closeSession is CloseSession on an already-resolved session (nil if
-// unknown).
-func (m *Manager) closeSession(s *Session, done *[]Completion) error {
-	if s == nil || !m.expireSession(s, false, done) {
+// unknown) with the caller's clock reading.
+func (m *Manager) closeSession(s *Session, now time.Time, done *[]Completion) error {
+	if s == nil || !m.expireSession(s, false, now, done) {
 		return ErrExpired
 	}
 	return nil
@@ -348,7 +349,7 @@ func (m *Manager) closeSession(s *Session, done *[]Completion) error {
 // reports whether this call did the revoking; expired says whether this
 // was a lease expiry (the timer's, or a lapsed lease seen by an op) or a
 // graceful close. It locks shards, so the caller must hold none.
-func (m *Manager) expireSession(s *Session, expired bool, done *[]Completion) bool {
+func (m *Manager) expireSession(s *Session, expired bool, now time.Time, done *[]Completion) bool {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -359,7 +360,6 @@ func (m *Manager) expireSession(s *Session, expired bool, done *[]Completion) bo
 	s.holds = nil
 	s.mu.Unlock()
 
-	now := m.clk.now()
 	m.unschedule(&s.lease)
 	m.cancelWaits(s, nil, now, done)
 	for _, h := range holds {
@@ -413,9 +413,9 @@ func (m *Manager) live(s *Session, now time.Time) error {
 
 // lapse passes an op's result through, except that errLapsed expires the
 // session on the spot — ahead of a late timer — and becomes ErrExpired.
-func (m *Manager) lapse(s *Session, err error, done *[]Completion) error {
+func (m *Manager) lapse(s *Session, err error, now time.Time, done *[]Completion) error {
 	if err == errLapsed {
-		m.expireSession(s, true, done)
+		m.expireSession(s, true, now, done)
 		return ErrExpired
 	}
 	return err
@@ -458,7 +458,7 @@ func release[T string | []byte](m *Manager, s *Session, name T, excl bool, rc ui
 	sh.mu.Lock()
 	if err := m.live(s, now); err != nil {
 		sh.mu.Unlock()
-		return 0, m.lapse(s, err, done)
+		return 0, m.lapse(s, err, now, done)
 	}
 	h := s.holds[string(name)]
 	if h == nil || (excl && !h.excl) || (!excl && h.shared == 0) {
@@ -534,7 +534,7 @@ func acquire[T string | []byte](m *Manager, s *Session, name T, excl bool, wait 
 		e.idleAt = now
 	}
 	sh.mu.Unlock()
-	return m.lapse(s, err, done)
+	return m.lapse(s, err, now, done)
 }
 
 // Acquire takes name for sid in shared or exclusive mode.

@@ -21,9 +21,9 @@ import (
 // through the same lock-free counters the request path updates, so a
 // scrape never stops a worker loop.
 
-// defaultHotLocks is the hot-lock table depth served when a request
-// does not pass ?k=.
-const defaultHotLocks = 20
+// DefaultHotLocks is the hot-lock table depth served when a request
+// does not pass ?k=, and the depth cmd/lockd writes to its -metrics file.
+const DefaultHotLocks = 20
 
 // BuildInfo identifies the running binary so every metrics payload (and
 // each bench JSON row derived from one) is attributable to a build.
@@ -34,34 +34,32 @@ type BuildInfo struct {
 
 // WorkerStats is one event-loop worker's counters at a scrape.
 type WorkerStats struct {
-	Worker       int     `json:"worker"`
-	Conns        int64   `json:"conns"`
-	Wakeups      uint64  `json:"wakeups"`
-	Donations    uint64  `json:"donations"`
-	Batches      uint64  `json:"batches"`
-	BatchOps     uint64  `json:"batch_ops"`
-	Parks        uint64  `json:"parks"`
-	Unparks      uint64  `json:"unparks"`
-	Condemned    uint64  `json:"condemned"`
-	Drained      uint64  `json:"drained"`
-	Flushes      uint64  `json:"flushes"`       // coalesced response chunks written
-	InlineWrites uint64  `json:"inline_writes"` // of those, written whole by the loop, not the flusher
-	FlushStalls  uint64  `json:"flush_stalls"`
-	FlushStallUS float64 `json:"flush_stall_us"`
-	Backpressure uint64  `json:"backpressure"`
+	Worker       int    `json:"worker"`
+	Conns        int64  `json:"conns"`
+	Wakeups      uint64 `json:"wakeups"`
+	Donations    uint64 `json:"donations"`
+	Batches      uint64 `json:"batches"`
+	BatchOps     uint64 `json:"batch_ops"`
+	Parks        uint64 `json:"parks"`
+	Unparks      uint64 `json:"unparks"`
+	Condemned    uint64 `json:"condemned"`
+	Drained      uint64 `json:"drained"`
+	Flushes      uint64 `json:"flushes"`       // coalesced response chunks written
+	InlineWrites uint64 `json:"inline_writes"` // of those, written whole by the loop, not a drain
+	FlushStalls  uint64 `json:"flush_stalls"`  // drains started because a socket refused bytes: a peer was behind
+	Backpressure uint64 `json:"backpressure"`
 
 	HomeOps    uint64 `json:"home_ops"`    // acquire/release ops decoded
-	OutBlocked uint64 `json:"out_blocked"` // parse pauses on the flusher backlog bound
+	OutBlocked uint64 `json:"out_blocked"` // parse pauses on the maxOutq bound
 
-	// Always zero: the shard-affinity forwarding they counted is gone; benchmark/svc.go still reads them.
-	FwdRuns, FwdOps, FwdInline uint64 `json:"-"`
+	// Always zero: the forwarding plane and the second write stage they counted are gone; benchmark/svc.go still reads them.
+	FwdRuns, FwdOps, FwdInline, FlushEscalations uint64 `json:"-"`
 
-	// Socket writes: the loop's inline writes plus the flusher's writev passes.
-	Writevs          uint64 `json:"writevs"`           // writes issued
-	WritevChunks     uint64 `json:"writev_chunks"`     // per-conn chunks summed over writes
-	WritevBytes      uint64 `json:"writev_bytes"`      // bytes written
-	FlushEscalations uint64 `json:"flush_escalations"` // passes handed to a dedicated writer
-	WriteErrs        uint64 `json:"write_errs"`        // conns condemned on write errors
+	// Socket writes: the loop's inline writes plus the drains' writev passes.
+	Writevs      uint64 `json:"writevs"`       // writes issued
+	WritevChunks uint64 `json:"writev_chunks"` // per-conn chunks summed over writes
+	WritevBytes  uint64 `json:"writev_bytes"`  // bytes written
+	WriteErrs    uint64 `json:"write_errs"`    // conns condemned on write errors
 }
 
 // WorkerStats snapshots every worker's event-loop counters.
@@ -82,17 +80,15 @@ func (s *Server) WorkerStats() []WorkerStats {
 			Flushes:      w.st.flushes.Load(),
 			InlineWrites: w.st.inline.Load(),
 			FlushStalls:  w.st.flushStalls.Load(),
-			FlushStallUS: float64(w.st.flushStallNS.Load()) / 1e3,
 			Backpressure: w.st.backpressure.Load(),
 
 			HomeOps:    w.st.namedOps.Load(),
 			OutBlocked: w.st.outBlocked.Load(),
 
-			Writevs:          w.fl.writevs.Load(),
-			WritevChunks:     w.fl.writevBufs.Load(),
-			WritevBytes:      w.fl.writevBytes.Load(),
-			FlushEscalations: w.fl.escalations.Load(),
-			WriteErrs:        w.fl.writeErrs.Load(),
+			Writevs:      w.st.writevs.Load(),
+			WritevChunks: w.st.writevBufs.Load(),
+			WritevBytes:  w.st.writevBytes.Load(),
+			WriteErrs:    w.st.writeErrs.Load(),
 		}
 	}
 	return out
@@ -110,15 +106,15 @@ func (s *Server) BatchSizeHistogram() stats.Histogram {
 	return h
 }
 
-// WritevSizeHistogram merges the per-flusher chunks-per-writev
-// histograms: how many per-conn response chunks each flusher pass
-// coalesced into one writev.
+// WritevSizeHistogram merges the per-worker chunks-per-writev
+// histograms: how many queued response chunks each drain pass coalesced
+// into one writev. Inline writes are always one chunk and are not in it.
 func (s *Server) WritevSizeHistogram() stats.Histogram {
 	var h stats.Histogram
 	for _, w := range s.workers {
-		w.fl.wvMu.Lock()
-		wh := w.fl.wvH
-		w.fl.wvMu.Unlock()
+		w.wvMu.Lock()
+		wh := w.wvH
+		w.wvMu.Unlock()
 		h.Merge(&wh)
 	}
 	return h
@@ -212,14 +208,12 @@ func (s *Server) WriteProm(w io.Writer, bi BuildInfo, topK int) {
 		pw.Counter("lockd_worker_flushes_total", l, ws.Flushes)
 		pw.Counter("lockd_worker_inline_writes_total", l, ws.InlineWrites)
 		pw.Counter("lockd_worker_flush_stalls_total", l, ws.FlushStalls)
-		pw.Gauge("lockd_worker_flush_stall_seconds_total", l, ws.FlushStallUS*1e-6)
 		pw.Counter("lockd_worker_backpressure_total", l, ws.Backpressure)
 		pw.Counter("lockd_worker_home_ops_total", l, ws.HomeOps)
 		pw.Counter("lockd_worker_out_blocked_total", l, ws.OutBlocked)
 		pw.Counter("lockd_worker_writevs_total", l, ws.Writevs)
 		pw.Counter("lockd_worker_writev_chunks_total", l, ws.WritevChunks)
 		pw.Counter("lockd_worker_writev_bytes_total", l, ws.WritevBytes)
-		pw.Counter("lockd_worker_flush_escalations_total", l, ws.FlushEscalations)
 		pw.Counter("lockd_worker_write_errs_total", l, ws.WriteErrs)
 	}
 
@@ -290,12 +284,12 @@ func (s *Server) AdminHandler(bi BuildInfo) http.Handler {
 	return mux
 }
 
-// hotK parses the ?k= hot-lock depth, defaulting to defaultHotLocks.
+// hotK parses the ?k= hot-lock depth, defaulting to DefaultHotLocks.
 func hotK(r *http.Request) int {
 	if v := r.URL.Query().Get("k"); v != "" {
 		if k, err := strconv.Atoi(v); err == nil && k > 0 {
 			return k
 		}
 	}
-	return defaultHotLocks
+	return DefaultHotLocks
 }

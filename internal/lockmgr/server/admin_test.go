@@ -183,11 +183,13 @@ func TestAdminPlaneEndToEnd(t *testing.T) {
 	// The counters keep their meaning now that a parked acquire is a queue
 	// node and the loop writes sockets itself: parks are acquires queued,
 	// unparks their completions answered, the waiting gauge is 0 at rest,
-	// and an inline write is a writev like the flusher's.
-	var unparks, inline, writevs, writevBytes uint64
+	// and an inline write is a writev like a drain's.
+	var unparks, flushes, inline, stalls, writevs, writevBytes uint64
 	for _, w := range payload.Workers {
 		unparks += w.Unparks
+		flushes += w.Flushes
 		inline += w.InlineWrites
+		stalls += w.FlushStalls
 		writevs += w.Writevs
 		writevBytes += w.WritevBytes
 	}
@@ -200,6 +202,15 @@ func TestAdminPlaneEndToEnd(t *testing.T) {
 	if inline == 0 || writevs < inline || writevBytes < 17*inline {
 		t.Fatalf("inline writes %d, writevs %d, writev bytes %d: inline writes are not counted as writevs",
 			inline, writevs, writevBytes)
+	}
+	// Peers that read their responses never leave the fast path: no drain
+	// starts, and the chunks-per-writev histogram (drain passes only) is empty.
+	// A flush is counted before its write and as inline after it, so the
+	// scrape can catch the last response's flush in between.
+	wvh := srv.WritevSizeHistogram()
+	if stalls != 0 || flushes-inline > 1 || wvh.Count() != 0 {
+		t.Fatalf("flush_stalls %d, %d of %d flushes inline, %d drain passes: healthy peers took the slow path",
+			stalls, inline, flushes, wvh.Count())
 	}
 	var parkEv, unparkEv introspect.Event
 	for _, ev := range srv.rec.Events() {

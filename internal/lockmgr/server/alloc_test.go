@@ -3,6 +3,7 @@ package server
 import (
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -32,7 +33,7 @@ func quietCfg() lockmgr.Config {
 // The test is the loop: it holds the worker's loopMu for the duration
 // (being the loop, exactly as a donating reader goroutine would) and
 // drives round directly against a fabricated conn, stopping short of
-// the flusher hand-off (TestWritevFlushPassAllocs covers that stage).
+// the socket write (TestWritevDrainPassAllocs covers the slow one).
 func TestPipelinedReadAllocs(t *testing.T) {
 	srv := NewWithConfig(lockmgr.New(quietCfg()), Config{Workers: 2})
 	defer srv.Shutdown(time.Second)
@@ -88,12 +89,14 @@ func TestPipelinedReadAllocs(t *testing.T) {
 	}
 }
 
-// TestWritevFlushPassAllocs pins one flusher writev pass — take the
-// queued chunks, one net.Buffers WriteTo, release the pooled owners —
-// at zero allocations in steady state. The peer drains continuously so
-// no pass ever escalates.
-func TestWritevFlushPassAllocs(t *testing.T) {
-	srv := NewWithConfig(lockmgr.New(quietCfg()), Config{Workers: 1, FlushPass: time.Second})
+// TestWritevDrainPassAllocs pins the slow-write path — flush queues the
+// chunk and starts the conn's drain, the drain takes the queue, issues one
+// net.Buffers WriteTo, releases the pooled owners and exits — at zero
+// allocations in steady state, the goroutine start included. The conn is
+// given no descriptor, so every flush takes this path; the peer reads
+// continuously, so no pass waits.
+func TestWritevDrainPassAllocs(t *testing.T) {
+	srv := NewWithConfig(lockmgr.New(quietCfg()), Config{Workers: 1})
 	defer srv.Shutdown(time.Second)
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -123,32 +126,36 @@ func TestWritevFlushPassAllocs(t *testing.T) {
 	defer nc.Close()
 
 	w := srv.workers[0]
-	f := w.fl
 	c := &conn{id: 1, nc: nc, w: w}
 	c.cond = sync.NewCond(&c.mu)
+	wb := wire.GetBuffer()
+	c.wb, c.wbuf = wb, wb.B
 
+	w.loopMu.Lock() // the test is the loop
+	defer w.loopMu.Unlock()
 	var chunk [256]byte // one coalesced response chunk's worth of bytes
 	pass := func() {
-		wb := wire.GetBuffer()
-		wb.B = append(wb.B, chunk[:]...)
-		c.outBytes.Add(int64(len(wb.B)))
-		c.fmu.Lock()
-		c.outq = append(c.outq, wb.B)
-		c.outb = append(c.outb, wb)
-		c.fqueued = true // we are the single servicer for this conn
-		c.fmu.Unlock()
-		f.service(c)
+		c.wbuf = append(c.wbuf, chunk[:]...)
+		c.flushMark = true
+		w.flush(c)
+		for c.drainBusy() {
+			runtime.Gosched()
+		}
 		if c.writeFailed.Load() {
-			t.Fatal("writev pass condemned the conn")
+			t.Fatal("drain pass condemned the conn")
 		}
 	}
 	for i := 0; i < 64; i++ {
-		pass() // warm: deadline timer, iovec cache, double-buffer arrays
+		pass() // warm: deadline timer, iovec cache, double-buffer arrays, goroutine free list
 	}
+	writevs := w.st.writevs.Load()
 	if allocs := testing.AllocsPerRun(100, pass); allocs != 0 {
-		t.Fatalf("writev flush pass allocates %.1f times, want 0", allocs)
+		t.Fatalf("drain pass allocates %.1f times, want 0", allocs)
 	}
-	if esc := f.escalations.Load(); esc != 0 {
-		t.Fatalf("%d passes escalated against a draining peer", esc)
+	if got := w.st.writevs.Load() - writevs; got != 101 {
+		t.Fatalf("101 passes took %d writevs, want one drain pass each", got)
+	}
+	if ws := srv.WorkerStats()[0]; ws.FlushStalls != 0 || ws.InlineWrites != 0 {
+		t.Fatalf("flush_stalls %d inline_writes %d on a descriptor-less conn, want 0 and 0", ws.FlushStalls, ws.InlineWrites)
 	}
 }

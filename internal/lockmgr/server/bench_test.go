@@ -243,7 +243,7 @@ func BenchmarkHandoffTwoClients(b *testing.B) {
 
 // reportPaths adds to a twin benchmark's row which server paths its pairs
 // took: how many acquires parked, and the share of response chunks the
-// loop wrote itself (the rest went through the flusher).
+// loop wrote itself (the rest were left to a drain).
 func reportPaths(b *testing.B, srv *Server, pairs int) {
 	b.StopTimer()
 	var parks, inline, flushes uint64

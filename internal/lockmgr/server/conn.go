@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"syscall"
+	"time"
 
 	"fairrw/internal/lockmgr"
 	"fairrw/internal/lockmgr/wire"
@@ -16,12 +17,12 @@ import (
 // TCP backpressure: the client's writes eventually block too.
 const maxInbox = 256 << 10
 
-// maxOutq bounds the response bytes queued at the flusher for one conn.
-// Past it the worker stops parsing the conn (wblocked), the inbox fills
-// behind the paused parse, the reader blocks, and TCP backpressure
-// reaches the client — the same cascade maxInbox provides on the read
-// side. Without this, a client that streams requests but never reads
-// responses would grow the flusher queue without bound.
+// maxOutq bounds the response bytes queued for one conn's drain. Past it
+// the worker stops parsing the conn (wblocked), the inbox fills behind the
+// paused parse, the reader blocks, and TCP backpressure reaches the client
+// — the same cascade maxInbox provides on the read side. Without this, a
+// client that streams requests but never reads responses would grow the
+// queue without bound.
 const maxOutq = 256 << 10
 
 // readChunk is the reader's per-syscall buffer. 16 KiB swallows a deep
@@ -29,13 +30,16 @@ const maxOutq = 256 << 10
 // read.
 const readChunk = 16 << 10
 
-// conn is one client connection. Its lifecycle spans three goroutines
-// with a strict split of ownership:
+// conn is one client connection. Its lifecycle spans three goroutines,
+// the third only at times, with a strict split of ownership:
 //
 //   - the reader goroutine reads from the socket into inbox (guarded by
 //     mu) and enqueues the conn at its worker;
 //   - the owning worker's loop moves inbox into pending, parses frames,
-//     and writes the socket when the flusher has nothing of the conn's;
+//     and writes the socket with one non-blocking write per cycle;
+//   - the drain goroutine exists only while the peer is behind: it starts
+//     when that write leaves bytes over, writes everything queued (fmu) in
+//     order with blocking writes, and exits when the queue runs dry;
 //   - Shutdown only touches the net.Conn (deadlines, Close), never the
 //     buffers.
 type conn struct {
@@ -68,28 +72,29 @@ type conn struct {
 	flushMark bool         // wbuf touched this wakeup; flush before sleeping
 	wrote     int          // writeOnce's result
 	rawWrite  func(fd uintptr) bool
-	wblocked  bool // flusher backlog over maxOutq; parse paused
+	drainFn   func() // c.drain, built once: no closure per go statement
+	wblocked  bool   // queued bytes over maxOutq; parse paused
 
-	// Flusher handoff, guarded by fmu (worker appends, flusher drains).
+	// The slow-write queue, guarded by fmu (worker appends, drain takes).
+	// outq is non-empty only while fqueued.
 	fmu          sync.Mutex
 	outq         [][]byte       // response chunks awaiting writev, in order
 	outb         []*wire.Buffer // pooled owners of outq's chunks
-	outqAlt      [][]byte       // double-buffer: the array the flusher is draining
+	outqAlt      [][]byte       // double-buffer: the array the drain is writing
 	outbAlt      []*wire.Buffer
-	fqueued      bool // conn is queued at (or being serviced by) the flusher
-	closeOnFlush bool // worker dropped the conn; flusher closes after draining
-	fdropped     bool // flusher-side retirement: discard further chunks
+	fqueued      bool // a drain is running; the loop queues behind it
+	closeOnFlush bool // worker dropped the conn; the drain closes it when done
+	fdropped     bool // socket closed for good: discard further chunks
 
-	// wv is the flusher's writev view for the pass in progress. It lives
+	// wv is the drain's writev view for the pass in progress. It lives
 	// on the conn (already heap-allocated) rather than the stack because
 	// net.Buffers.WriteTo takes a pointer receiver through the
 	// buffersWriter interface — a stack-local header would escape and
-	// cost one allocation per writev pass. Owned by whichever goroutine
-	// is servicing the conn (flusher or its escalation).
+	// cost one allocation per writev pass.
 	wv net.Buffers
 
 	outBytes    atomic.Int64 // bytes in outq not yet written (worker reads for wblocked)
-	writeFailed atomic.Bool  // flusher hit a write error; worker must condemn
+	writeFailed atomic.Bool  // the drain hit a write error; worker must condemn
 }
 
 // want values: frames the parse loop cannot answer from the batch
@@ -160,13 +165,13 @@ func (c *conn) readLoop() {
 
 // take moves the inbox into the worker's pending buffer and notes the
 // reader's end of stream. Worker only. While the conn is parked (or its
-// flusher backlog is over maxOutq) the transfer is skipped: pending must
+// queued responses are over maxOutq) the transfer is skipped: pending must
 // not grow behind a queued acquire (which can hold it for a full lease)
 // or behind a peer that is not reading responses, so the bytes stay in
 // the inbox until it hits maxInbox and the reader blocks — that is where
 // the backpressure bound lives. queued is still cleared so the reader
 // re-enqueues on later reads and no wakeup is lost; unpark's (or the
-// flusher-drain nudge's) own noteReady drains whatever accumulated.
+// drain's wake's) own noteReady takes whatever accumulated.
 func (c *conn) take() {
 	c.mu.Lock()
 	if len(c.inbox) > 0 && !c.parked && !c.wblocked {
@@ -179,9 +184,9 @@ func (c *conn) take() {
 	c.mu.Unlock()
 }
 
-// flusherBusy reports whether the flusher holds (or is writing) earlier
-// chunks of c's, which anything new must queue behind.
-func (c *conn) flusherBusy() bool {
+// drainBusy reports whether a drain holds (or is writing) earlier chunks
+// of c's, which anything new must queue behind.
+func (c *conn) drainBusy() bool {
 	c.fmu.Lock()
 	defer c.fmu.Unlock()
 	return c.fqueued
@@ -189,8 +194,8 @@ func (c *conn) flusherBusy() bool {
 
 // writeOnce makes one write(2) attempt on the socket with c.wbuf, never
 // waiting for it to become writable, and returns the bytes taken (0 on
-// EAGAIN or any error: the flusher meets the error again and condemns the
-// conn). Loop holder only, and only when !flusherBusy.
+// EAGAIN or any error: the drain meets the error again and condemns the
+// conn). Loop holder only, and only when !drainBusy.
 func (c *conn) writeOnce() int {
 	c.wrote = 0
 	if c.rawWrite == nil {
@@ -203,6 +208,101 @@ func (c *conn) writeOnce() int {
 		return 0
 	}
 	return max(c.wrote, 0)
+}
+
+// drain is the slow-write path, the only one: a goroutine worker.flush
+// starts when its one non-blocking write left bytes of c's over and that
+// lives until the queue runs dry. It writes the queued chunks in order,
+// one writev per pass with the full WriteTimeout, so a peer that stops
+// reading occupies this goroutine and nothing else: the loop never waits
+// on a socket and no other conn queues behind this one. Per-conn order
+// holds because fqueued stays set from the start of the drain until it
+// observes an empty queue under fmu — the loop writes inline only while
+// !fqueued, and starts at most one drain at a time.
+func (c *conn) drain() {
+	w := c.w
+	defer w.srv.wg.Done()
+	for {
+		c.fmu.Lock()
+		if len(c.outq) == 0 {
+			// Drop the deadline before the loop may write inline again:
+			// once it fires, every write on the socket fails until it is reset.
+			c.nc.SetWriteDeadline(time.Time{})
+			c.fqueued = false
+			closeNow := c.closeOnFlush
+			c.fdropped = closeNow
+			c.fmu.Unlock()
+			if closeNow {
+				c.nc.Close()
+				w.srv.removeConn(c)
+			}
+			return
+		}
+		// Take the queued chunks, leaving the alternate array for the
+		// worker to fill; the arrays swap roles every pass so the steady
+		// state allocates nothing.
+		bufs, owners := c.outq, c.outb
+		c.outq, c.outb = c.outqAlt[:0], c.outbAlt[:0]
+		c.outqAlt, c.outbAlt = bufs, owners
+		c.fmu.Unlock()
+
+		total := 0
+		for _, b := range bufs {
+			total += len(b)
+		}
+		c.nc.SetWriteDeadline(time.Now().Add(w.srv.cfg.WriteTimeout))
+		c.wv = net.Buffers(bufs)
+		n, err := c.wv.WriteTo(c.nc)
+		c.wv = nil
+		w.st.wrote(len(bufs), int(n))
+		w.wvMu.Lock()
+		w.wvH.Add(uint64(len(bufs)))
+		w.wvMu.Unlock()
+		for i, wb := range owners {
+			owners[i] = nil
+			wb.Free()
+		}
+		if err != nil {
+			c.condemn(total)
+			return
+		}
+		// Retire the pass from the queue accounting, nudging the worker if
+		// the conn was parse-paused over maxOutq and is now under it.
+		if left := c.outBytes.Add(int64(-total)); left <= maxOutq && left+int64(total) > maxOutq {
+			w.wake(c)
+		}
+	}
+}
+
+// condemn retires a conn whose socket failed or whose peer took nothing
+// for WriteTimeout: drop the chunks still queued behind the failed pass
+// (failed is that pass's byte count), close the socket — which also ends
+// the reader's blocking Read — and hand the conn to its worker for
+// cleanup, or finish the retirement here if the worker had already dropped
+// it and was only waiting for the flush.
+func (c *conn) condemn(failed int) {
+	w := c.w
+	w.st.writeErrs.Add(1)
+	c.fmu.Lock()
+	for _, b := range c.outq {
+		failed += len(b)
+	}
+	for i, wb := range c.outb {
+		c.outb[i] = nil
+		wb.Free()
+	}
+	c.outq, c.outb = c.outq[:0], c.outb[:0]
+	c.fdropped, c.fqueued = true, false
+	dropped := c.closeOnFlush
+	c.fmu.Unlock()
+	c.outBytes.Add(int64(-failed))
+	c.writeFailed.Store(true)
+	c.nc.Close()
+	if dropped {
+		w.srv.removeConn(c)
+	} else {
+		w.wake(c)
+	}
 }
 
 // compact drops the consumed prefix of pending. Called only after the

@@ -150,8 +150,8 @@ func (l chanListener) Close() error   { return nil }
 func (l chanListener) Addr() net.Addr { return &net.UnixAddr{Name: "pipe", Net: "pipe"} }
 
 // TestParkedAcquiresCostNoGoroutine: a thousand acquires park — on
-// net.Pipe conns, which have no descriptor and so also cover the
-// flusher-only write path — without one goroutine starting; a scalar
+// net.Pipe conns, which have no descriptor and so write only through
+// their drain — without one goroutine starting; a scalar
 // release then grants the head of the queue through its conn.
 func TestParkedAcquiresCostNoGoroutine(t *testing.T) {
 	const n = 1000

@@ -81,8 +81,8 @@ func TestPipelinedReadIsOneBatch(t *testing.T) {
 			t.Fatalf("response %d status %d, want %d", i, resp.Status, ws)
 		}
 	}
-	// The flusher counts a writev after the write returns; the client can
-	// have read the bytes first.
+	// A writev is counted after the write returns; the client can have
+	// read the bytes first.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		_, _, w1, _ := workerTotals(srv)

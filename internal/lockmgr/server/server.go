@@ -5,8 +5,10 @@
 // netpoller); one loop cycle drains every queued event, decodes all
 // ready connections, executes the lot as a single lockmgr batch (one
 // clock read, zero allocations), and writes each touched connection
-// once. Blocking acquires never stall a loop and cost no goroutine: the
-// manager queues them, their connection parks, and the release that
+// once, without waiting: what a socket will not take at once is written
+// by a goroutine of that connection's that lives only until the peer has
+// caught up. Blocking acquires never stall a loop and cost no goroutine:
+// the manager queues them, their connection parks, and the release that
 // grants one answers it in its own cycle.
 //
 // cmd/lockd is a thin flag wrapper over New, Serve and Shutdown, and
@@ -32,14 +34,10 @@ type Config struct {
 	// GOMAXPROCS. Connections are dealt to loops round-robin and a loop
 	// executes everything its connections send.
 	Workers int
-	// WriteTimeout bounds the total time a conn's escalated write may
-	// take before the conn is condemned. Default 10s.
+	// WriteTimeout bounds how long a peer that is behind may take to
+	// accept one writev of its queued responses before the conn is
+	// condemned. Default 10s.
 	WriteTimeout time.Duration
-	// FlushPass bounds one flusher writev pass. A conn that cannot
-	// absorb its backlog within this budget escalates to a dedicated
-	// writer goroutine so the worker's other conns wait at most one
-	// pass behind a stalled peer. Default 20ms.
-	FlushPass time.Duration
 	// Recorder, when non-nil, receives the server-side grant-path
 	// flight events (park, unpark, connection condemn/drain), keyed by
 	// worker index so each event loop writes its own ring. Share it
@@ -87,9 +85,6 @@ func (c *Config) fill() {
 	if c.WriteTimeout <= 0 {
 		c.WriteTimeout = 10 * time.Second
 	}
-	if c.FlushPass <= 0 {
-		c.FlushPass = 20 * time.Millisecond
-	}
 }
 
 // Server serves one Manager over TCP.
@@ -117,8 +112,8 @@ func New(m *lockmgr.Manager) *Server {
 	return NewWithConfig(m, Config{})
 }
 
-// NewWithConfig wraps m in a Server and starts its worker loops and
-// their flusher stages.
+// NewWithConfig wraps m in a Server and starts its worker loops, one
+// goroutine each.
 func NewWithConfig(m *lockmgr.Manager, cfg Config) *Server {
 	cfg.fill()
 	s := &Server{
@@ -133,10 +128,9 @@ func NewWithConfig(m *lockmgr.Manager, cfg Config) *Server {
 	for i := range s.workers {
 		s.workers[i] = newWorker(s, i)
 	}
-	s.wg.Add(2 * len(s.workers))
+	s.wg.Add(len(s.workers))
 	for _, w := range s.workers {
 		go w.run()
-		go w.fl.run()
 	}
 	return s
 }
@@ -174,7 +168,7 @@ func (s *Server) Serve(ln net.Listener) error {
 		s.nextW = (s.nextW + 1) % len(s.workers)
 		c := &conn{id: s.nextID, nc: nc, w: w}
 		if sc, ok := nc.(syscall.Conn); ok {
-			c.rc, _ = sc.SyscallConn() // no descriptor (net.Pipe): every write goes through the flusher
+			c.rc, _ = sc.SyscallConn() // no descriptor (net.Pipe): every write takes the drain
 		}
 		c.cond = sync.NewCond(&c.mu)
 		wb := wire.GetBuffer()
@@ -208,9 +202,10 @@ func (s *Server) connsEmpty() bool {
 	return n == 0
 }
 
-// removeConn forgets a connection retired by its worker. When the last
-// conn goes during a drain, every worker is nudged into its exit check
-// — a worker with no conns of its own has no event left to wake it.
+// removeConn forgets a connection whose socket its worker, or the drain
+// the worker left it to, has closed. When the last conn goes during
+// Shutdown, every worker is nudged into its exit check — a worker with no
+// conns of its own has no event left to wake it.
 func (s *Server) removeConn(c *conn) {
 	s.mu.Lock()
 	delete(s.conns, c)

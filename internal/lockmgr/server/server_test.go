@@ -19,7 +19,7 @@ func startServer(t *testing.T, cfg lockmgr.Config) (addr string, srv *Server) {
 }
 
 // startServerCfg is startServer with an explicit server Config, for
-// tests that pin worker count or flusher budgets.
+// tests that pin the worker count.
 func startServerCfg(t *testing.T, mcfg lockmgr.Config, scfg Config) (addr string, srv *Server) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -14,8 +14,8 @@ import (
 
 // wstats are one worker's event-loop counters, the live half of the
 // observability plane. They are written by whoever holds loopMu (plus
-// the reader goroutines for backpressure and the flusher for stall
-// accounting) and read by the admin scraper without stopping the loop,
+// the reader goroutines for backpressure and the drains for their
+// writes) and read by the admin scraper without stopping the loop,
 // hence atomics; the pad keeps one worker's counter block from
 // false-sharing with its neighbour's.
 type wstats struct {
@@ -27,15 +27,25 @@ type wstats struct {
 	unparks      atomic.Uint64 // their completions answered
 	condemned    atomic.Uint64 // conns condemned (malformed frame, write error)
 	drained      atomic.Uint64 // conns retired cleanly at EOF
-	flushes      atomic.Uint64 // coalesced chunks written, inline or by the flusher
+	flushes      atomic.Uint64 // coalesced chunks written, inline or by a drain
 	inline       atomic.Uint64 // of those, written whole by the loop itself
-	flushStalls  atomic.Uint64 // flusher passes that exceeded FlushPass
-	flushStallNS atomic.Uint64 // time spent inside escalated writes
+	flushStalls  atomic.Uint64 // drains started because a socket refused bytes
+	writevs      atomic.Uint64 // socket writes issued: inline writes and drain passes
+	writevBufs   atomic.Uint64 // chunks summed over those writes
+	writevBytes  atomic.Uint64 // bytes summed over those writes
+	writeErrs    atomic.Uint64 // conns condemned on a write error
 	backpressure atomic.Uint64 // reader blocked on the full-inbox bound
 	namedOps     atomic.Uint64 // acquire/release ops decoded (WorkerStats.HomeOps)
 	outBlocked   atomic.Uint64 // times a conn's parse paused on maxOutq
 	conns        atomic.Int64  // connections currently owned
 	_            [24]byte
+}
+
+// wrote books one socket write of the given chunks and bytes.
+func (st *wstats) wrote(chunks, bytes int) {
+	st.writevs.Add(1)
+	st.writevBufs.Add(uint64(chunks))
+	st.writevBytes.Add(uint64(bytes))
 }
 
 // worker is one event loop. It owns a set of connections outright;
@@ -45,7 +55,7 @@ type wstats struct {
 // single lockmgr batch, executes it, encodes the responses — those of
 // parked acquires the batch's releases granted included — and writes
 // each touched connection's bytes with one non-blocking write; only what
-// the socket will not take at once goes to the flusher stage, so the loop
+// the socket will not take at once goes to that conn's drain, so the loop
 // never waits on a peer.
 //
 // Anyone can be the loop (offer): a reader that lands new bytes, or
@@ -59,11 +69,12 @@ type worker struct {
 	idx  int           // worker index, the admin plane's `worker` label
 	q    chan *conn    // readiness: conn has new bytes (or hit EOF); nil = look again
 	dead chan struct{} // closed when the worker exits (unblocks senders)
-	fl   *flusher      // this worker's write stage
 
 	st     wstats
 	bhMu   sync.Mutex      // guards batchH against the admin scraper
 	batchH stats.Histogram // ops per executed batch
+	wvMu   sync.Mutex      // guards wvH: drains and the admin scraper
+	wvH    stats.Histogram // chunks per drain writev
 
 	doneMu sync.Mutex
 	doneq  []lockmgr.Completion // completions posted while the loop was busy
@@ -82,7 +93,7 @@ type worker struct {
 }
 
 func newWorker(s *Server, idx int) *worker {
-	w := &worker{
+	return &worker{
 		srv:   s,
 		idx:   idx,
 		q:     make(chan *conn, 256), // readers block past this; loops never send without a default
@@ -90,8 +101,6 @@ func newWorker(s *Server, idx int) *worker {
 		conns: make(map[*conn]struct{}),
 		sc:    s.m.NewBatchScratch(),
 	}
-	w.fl = newFlusher(w)
-	return w
 }
 
 // run is the fallback loop executor: block for one event, take the
@@ -165,10 +174,9 @@ func (c *conn) Complete(cp lockmgr.Completion) {
 	}
 }
 
-// wake re-delivers a conn to its worker from outside the loop (the
-// flusher, after draining a write-blocked conn's backlog or condemning
-// it on a write error). Blocking is fine here — the callers are
-// dedicated goroutines and the worker never waits on them in return.
+// wake re-delivers a conn to its worker from its drain, which has brought
+// a parse-paused conn back under maxOutq or condemned it on a write error.
+// Blocking is fine here — the worker never waits on a drain in return.
 func (w *worker) wake(c *conn) {
 	select {
 	case w.q <- c:
@@ -176,8 +184,18 @@ func (w *worker) wake(c *conn) {
 	}
 }
 
-// drainEvents consumes every queued event without blocking.
+// drainEvents consumes every queued event without blocking. doneq is read
+// after q: Complete drops its nudge when q is full, counting on whoever
+// takes those events to look at doneq afterwards.
 func (w *worker) drainEvents() {
+	for more := true; more; {
+		select {
+		case c := <-w.q:
+			w.noteReady(c)
+		default:
+			more = false
+		}
+	}
 	w.doneMu.Lock()
 	for i, cp := range w.doneq {
 		w.unpark(cp.W.(*conn), cp)
@@ -185,14 +203,6 @@ func (w *worker) drainEvents() {
 	}
 	w.doneq = w.doneq[:0]
 	w.doneMu.Unlock()
-	for {
-		select {
-		case c := <-w.q:
-			w.noteReady(c)
-		default:
-			return
-		}
-	}
 }
 
 // noteReady ingests a readiness event: pull the conn's inbox into its
@@ -206,10 +216,10 @@ func (w *worker) noteReady(c *conn) {
 		w.st.conns.Add(1)
 	}
 	if c.writeFailed.Load() {
-		c.dead = true // the flusher condemned the socket; retire the conn
+		c.dead = true // its drain condemned the socket; retire the conn
 	}
 	if c.wblocked && c.outBytes.Load() <= maxOutq {
-		c.wblocked = false // flusher drained the backlog; resume parsing
+		c.wblocked = false // the drain caught up; resume parsing
 	}
 	c.take()
 	if !c.inReady {
@@ -296,7 +306,7 @@ func (w *worker) round() bool {
 }
 
 // parseConn decodes every complete frame in c's pending buffer into the
-// worker's batch, stopping at a parked acquire, a paused write-backlog
+// worker's batch, stopping at a parked acquire, a paused write queue
 // (wblocked), a want frame — OpStats, OpClusterInfo, or a named op the
 // cluster gate refuses, all answered between batches to keep
 // per-connection order — the first malformed frame (which condemns the
@@ -480,15 +490,20 @@ func (w *worker) answerWant(c *conn) {
 }
 
 // flush writes a conn's coalesced responses. When nothing of the conn's
-// is queued at the flusher, the loop writes the socket itself: one
-// non-blocking attempt, which on a healthy peer takes everything. What is
-// left — a short write, a full socket buffer, a conn with no file
-// descriptor (net.Pipe), or anything at all while the flusher still has
-// earlier chunks — goes to the flusher stage, the slow-peer path: the
-// grown chunk keeps its pooled owner and the conn gets a fresh buffer. A
-// conn whose flusher backlog exceeds maxOutq is parse-paused (wblocked)
-// until the flusher drains it, turning a peer that reads too slowly into
-// TCP backpressure instead of unbounded queue growth.
+// is queued, the loop writes the socket itself: one non-blocking attempt,
+// which on a healthy peer takes everything. What is left — a short write,
+// a full socket buffer, a conn with no file descriptor (net.Pipe), or
+// anything at all while earlier chunks are still queued — joins the conn's
+// queue, the slow-peer path: the grown chunk keeps its pooled owner, the
+// conn gets a fresh buffer, and a drain goroutine is started for the conn
+// unless one is already running. A conn whose queue exceeds maxOutq is
+// parse-paused (wblocked) until its drain catches up, turning a peer that
+// reads too slowly into TCP backpressure instead of unbounded queue growth.
+//
+// The drain is counted in srv.wg so Shutdown waits for queued responses
+// to be written. That Add cannot race Shutdown's Wait at a zero counter:
+// flush only runs for a conn that is still in srv.conns, and every
+// worker.run — each holding a count — stays until that set is empty.
 func (w *worker) flush(c *conn) {
 	if !c.flushMark || len(c.wbuf) == 0 {
 		c.flushMark = false
@@ -497,9 +512,9 @@ func (w *worker) flush(c *conn) {
 	c.flushMark = false
 	w.st.flushes.Add(1)
 	sent := 0
-	if c.rc != nil && !c.flusherBusy() {
+	if c.rc != nil && !c.drainBusy() {
 		if sent = c.writeOnce(); sent > 0 {
-			w.fl.count(1, sent)
+			w.st.wrote(1, sent)
 		}
 		if sent == len(c.wbuf) {
 			w.st.inline.Add(1)
@@ -521,17 +536,22 @@ func (w *worker) flush(c *conn) {
 	}
 	c.outq = append(c.outq, buf)
 	c.outb = append(c.outb, wb)
-	enq := !c.fqueued
-	if enq {
-		c.fqueued = true
-	}
+	start := !c.fqueued
+	c.fqueued = true
 	c.fmu.Unlock()
 	if out > maxOutq && !c.wblocked {
 		c.wblocked = true
 		w.st.outBlocked.Add(1)
 	}
-	if enq {
-		w.fl.enqueue(c)
+	if start {
+		if c.rc != nil {
+			w.st.flushStalls.Add(1) // the peer is behind, not merely descriptor-less
+		}
+		if c.drainFn == nil {
+			c.drainFn = c.drain
+		}
+		w.srv.wg.Add(1)
+		go c.drainFn()
 	}
 }
 
@@ -569,11 +589,12 @@ func (c *conn) hasFrame() bool {
 
 // drop forgets a conn, classifying the exit for the admin plane:
 // condemned (malformed frame or write error set dead) or drained (clean
-// EOF with nothing left to parse). The socket close defers to the
-// flusher when responses are still queued — answered requests are
-// flushed before the FIN even on a condemned stream, matching the old
-// in-loop write-then-close order — unless the flusher itself condemned
-// the socket, in which case it is already closed.
+// EOF with nothing left to parse). While a drain is running the socket
+// close, and with it the conn's removal from the server's set, is left to
+// that drain: answered requests are flushed before the FIN even on a
+// condemned stream, and Shutdown's force-close can still reach a drain
+// stuck on a peer that reads nothing. A conn its drain condemned is
+// already closed; closing it again is harmless.
 func (w *worker) drop(c *conn) {
 	if c.removed {
 		return
@@ -598,19 +619,19 @@ func (w *worker) drop(c *conn) {
 		wb.Free()
 	}
 	c.fmu.Lock()
-	pendingOut := (len(c.outq) > 0 || c.fqueued) && !c.writeFailed.Load() && !c.fdropped
-	if pendingOut {
-		c.closeOnFlush = true // flusher closes after the last writev
-		c.fmu.Unlock()
-	} else {
+	closeNow := !c.fqueued
+	if closeNow {
 		c.fdropped = true
-		w.fl.discardLocked(c)
-		c.fmu.Unlock()
-		c.nc.Close()
+	} else {
+		c.closeOnFlush = true
 	}
+	c.fmu.Unlock()
 	c.mu.Lock()
 	c.closed = true
 	c.cond.Broadcast() // free a reader stuck on a full inbox
 	c.mu.Unlock()
-	w.srv.removeConn(c)
+	if closeNow {
+		c.nc.Close()
+		w.srv.removeConn(c)
+	}
 }

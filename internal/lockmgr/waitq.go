@@ -239,7 +239,7 @@ func (m *Manager) expire(now time.Time) {
 				s.mu.Unlock()
 			} else {
 				s.mu.Unlock()
-				m.expireSession(s, true, &done)
+				m.expireSession(s, true, now, &done)
 			}
 		default:
 			if m.collectIdle(now) > 0 {

@@ -75,9 +75,9 @@ func TestBufferRetainBound(t *testing.T) {
 }
 
 // TestBufferPoolSteadyStateAllocs pins the pooled get→grow→free cycle
-// at zero allocations for chunks within the retain bound — the flusher
-// does this once per coalesced response chunk, so a miss here is a
-// per-flush allocation.
+// at zero allocations for chunks within the retain bound — the server
+// does this once per coalesced response chunk it has to queue, so a miss
+// here is a per-flush allocation.
 func TestBufferPoolSteadyStateAllocs(t *testing.T) {
 	var chunk [512]byte
 	// Warm the per-P pool slot.
