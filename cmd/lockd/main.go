@@ -13,13 +13,11 @@
 // (/metrics.json), the per-lock contention table (/hotlocks), the
 // grant-path flight recorder (/flight), and net/http/pprof
 // (/debug/pprof/). SIGUSR1 dumps metrics on demand, SIGQUIT dumps the
-// flight recorder to stderr, -metrics-interval flushes the metrics file
-// periodically so a crashed daemon still leaves recent numbers behind,
-// and -slowlock logs every pathologically slow acquire as a structured
-// one-liner.
+// flight recorder to stderr, and -slowlock logs every pathologically slow
+// acquire as a structured one-liner.
 //
 //	lockd -addr 127.0.0.1:7600 -admin 127.0.0.1:7601 \
-//	      -metrics metrics.json -metrics-interval 10s -slowlock 100ms
+//	      -metrics metrics.json -slowlock 100ms
 package main
 
 import (
@@ -97,8 +95,7 @@ var (
 	idle         = flag.Duration("idle", 2*time.Second, "idle time before an unused lock entry is collected (within 2x this)")
 	grace        = flag.Duration("grace", 5*time.Second, "drain grace period on shutdown")
 	workers      = flag.Int("workers", 0, "event-loop workers (0 = GOMAXPROCS)")
-	metricsPath  = flag.String("metrics", "", "write metrics JSON here on shutdown, SIGUSR1, and every -metrics-interval (\"-\" = stdout, shutdown only)")
-	metricsIvl   = flag.Duration("metrics-interval", 0, "periodic metrics flush period (0 = shutdown/SIGUSR1 only)")
+	metricsPath  = flag.String("metrics", "", "write metrics JSON here on shutdown and SIGUSR1 (\"-\" = stdout, shutdown only); live numbers are -admin's /metrics.json")
 	slowlock     = flag.Duration("slowlock", 0, "log acquires whose queue wait reaches this threshold (0 = off)")
 	cohortB      = flag.Int("cohort", 0, "cohort grant-batch bound B: prefer up to B consecutive grants from the releaser's locality domain before strict FIFO (0 = strict FIFO)")
 	flightN      = flag.Int("flight-events", 256, "flight-recorder ring size per worker (0 = recorder off)")
@@ -195,9 +192,8 @@ func main() {
 	srv := server.NewWithConfig(mgr, srvCfg)
 
 	// writeMetrics serializes the full admin payload to the -metrics
-	// path. Shutdown, SIGUSR1, and the periodic flusher all funnel
-	// through here, serialized so a signal cannot interleave with a
-	// ticker write.
+	// path. Shutdown and SIGUSR1 both funnel through here, serialized so
+	// a signal late in the drain cannot interleave with the final write.
 	var metricsMu sync.Mutex
 	writeMetrics := func(reason string) {
 		if *metricsPath == "" {
@@ -215,9 +211,8 @@ func main() {
 			fmt.Print(string(out))
 			return
 		}
-		// Write-then-rename so a crash mid-flush never truncates the
-		// previous dump — the whole point of periodic flushing is that
-		// the file survives an unclean death.
+		// Write-then-rename so a crash mid-write never truncates the
+		// previous dump.
 		tmp := *metricsPath + ".tmp"
 		if err := os.WriteFile(tmp, out, 0o644); err != nil {
 			log.Printf("lockd: write metrics (%s): %v", reason, err)
@@ -241,22 +236,6 @@ func main() {
 			}
 		}()
 		log.Printf("lockd: admin plane on http://%s (/metrics /metrics.json /hotlocks /flight /debug/pprof)", aln.Addr())
-	}
-
-	stopFlush := make(chan struct{})
-	if *metricsIvl > 0 && *metricsPath != "" && *metricsPath != "-" {
-		go func() {
-			t := time.NewTicker(*metricsIvl)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					writeMetrics("interval")
-				case <-stopFlush:
-					return
-				}
-			}
-		}()
 	}
 
 	sig := make(chan os.Signal, 1)
@@ -303,7 +282,6 @@ func main() {
 	if node != nil {
 		node.Stop()
 	}
-	close(stopFlush)
 	if adminSrv != nil {
 		adminSrv.Close()
 	}

@@ -35,9 +35,9 @@ type BuildInfo struct {
 // WorkerStats is one event-loop worker's counters at a scrape.
 type WorkerStats struct {
 	Worker       int    `json:"worker"`
-	Conns        int64  `json:"conns"`
-	Wakeups      uint64 `json:"wakeups"`
-	Donations    uint64 `json:"donations"`
+	Conns        int64  `json:"conns"`     // accepted and not yet dropped, silent ones included
+	Wakeups      uint64 `json:"wakeups"`   // loop cycles run for listed events: their bringers found the loop busy
+	Donations    uint64 `json:"donations"` // loop cycles run by the event's own bringer; every cycle is one or the other
 	Batches      uint64 `json:"batches"`
 	BatchOps     uint64 `json:"batch_ops"`
 	Parks        uint64 `json:"parks"`

@@ -56,7 +56,7 @@ func TestPipelinedReadAllocs(t *testing.T) {
 	c.wb, c.wbuf = wb, wb.B
 
 	w.loopMu.Lock()
-	defer w.loopMu.Unlock()
+	defer w.release()
 	w.ready = append(w.ready, c)
 	defer func() { w.ready = w.ready[:0] }()
 
@@ -132,7 +132,7 @@ func TestWritevDrainPassAllocs(t *testing.T) {
 	c.wb, c.wbuf = wb, wb.B
 
 	w.loopMu.Lock() // the test is the loop
-	defer w.loopMu.Unlock()
+	defer w.release()
 	var chunk [256]byte // one coalesced response chunk's worth of bytes
 	pass := func() {
 		c.wbuf = append(c.wbuf, chunk[:]...)

@@ -7,7 +7,6 @@ import (
 	"syscall"
 	"time"
 
-	"fairrw/internal/lockmgr"
 	"fairrw/internal/lockmgr/wire"
 )
 
@@ -34,7 +33,7 @@ const readChunk = 16 << 10
 // the third only at times, with a strict split of ownership:
 //
 //   - the reader goroutine reads from the socket into inbox (guarded by
-//     mu) and enqueues the conn at its worker;
+//     mu) and brings the conn to its worker;
 //   - the owning worker's loop moves inbox into pending, parses frames,
 //     and writes the socket with one non-blocking write per cycle;
 //   - the drain goroutine exists only while the peer is behind: it starts
@@ -48,10 +47,11 @@ type conn struct {
 	rc syscall.RawConn // nc's descriptor, for the loop's inline write; nil if it has none
 	w  *worker
 
+	listed bool // a readiness event of this conn's is on the worker's list (guarded by w.evMu)
+
 	mu     sync.Mutex
 	cond   *sync.Cond // reader waits here while inbox is full
 	inbox  []byte     // bytes read, not yet taken by the worker
-	queued bool       // conn is sitting in the worker's queue
 	eof    bool       // reader finished (EOF, error, or shutdown deadline)
 	gone   bool       // ... and not by the shutdown deadline: the peer is gone
 	closed bool       // worker dropped the conn; reader must not block
@@ -60,7 +60,7 @@ type conn struct {
 	pending   []byte       // unparsed frame bytes (inbox is appended here)
 	parsePos  int          // parse cursor into pending
 	wb        *wire.Buffer // pooled backing store for wbuf
-	wbuf      []byte       // encoded responses awaiting the wakeup's flush
+	wbuf      []byte       // encoded responses awaiting the cycle's flush
 	parked    bool         // an acquire of this conn's is queued in the manager
 	parkSID   uint64       // its session, for CancelWait
 	want      uint8        // parse stopped at a frame answered inline between batches
@@ -69,7 +69,7 @@ type conn struct {
 	eofSeen   bool         // worker has observed the reader's eof
 	peerGone  bool         // ... and the reader's gone
 	inReady   bool         // already collected into the worker's ready set
-	flushMark bool         // wbuf touched this wakeup; flush before sleeping
+	flushMark bool         // wbuf touched this cycle; flush before it ends
 	wrote     int          // writeOnce's result
 	rawWrite  func(fd uintptr) bool
 	drainFn   func() // c.drain, built once: no closure per go statement
@@ -109,7 +109,7 @@ const (
 
 // readLoop is the reader goroutine: blocking (netpoller-driven) reads
 // into inbox, waking the owning worker whenever new bytes land. It
-// exits on any read error; the final enqueue lets the worker observe
+// exits on any read error; the final event lets the worker observe
 // eof, answer what is already buffered, and reclaim the conn.
 func (c *conn) readLoop() {
 	buf := make([]byte, readChunk)
@@ -137,25 +137,9 @@ func (c *conn) readLoop() {
 		}
 		c.mu.Unlock()
 		if n > 0 || err != nil {
-			// Fast path: be the loop ourselves. Only if another goroutine
-			// is currently running this worker's loop do we pay for the
-			// queue handoff — and then the bytes we just landed get
-			// batched with whatever else piled up during that cycle.
-			if !c.w.offer(c, lockmgr.Completion{}) {
-				c.mu.Lock()
-				notify := !c.queued
-				if notify {
-					c.queued = true
-				}
-				c.mu.Unlock()
-				if notify {
-					select {
-					case c.w.q <- c:
-					case <-c.w.dead:
-						return
-					}
-				}
-			}
+			// Be the loop ourselves; if another goroutine is, it batches the
+			// bytes we just landed with whatever else piled up meanwhile.
+			c.w.bring(event{c: c})
 		}
 		if err != nil {
 			return
@@ -169,9 +153,8 @@ func (c *conn) readLoop() {
 // not grow behind a queued acquire (which can hold it for a full lease)
 // or behind a peer that is not reading responses, so the bytes stay in
 // the inbox until it hits maxInbox and the reader blocks — that is where
-// the backpressure bound lives. queued is still cleared so the reader
-// re-enqueues on later reads and no wakeup is lost; unpark's (or the
-// drain's wake's) own noteReady takes whatever accumulated.
+// the backpressure bound lives; unpark's own noteReady (or the one the
+// drain's report brings) takes whatever accumulated.
 func (c *conn) take() {
 	c.mu.Lock()
 	if len(c.inbox) > 0 && !c.parked && !c.wblocked {
@@ -179,7 +162,6 @@ func (c *conn) take() {
 		c.inbox = c.inbox[:0]
 		c.cond.Signal()
 	}
-	c.queued = false
 	c.eofSeen, c.peerGone = c.eof, c.gone
 	c.mu.Unlock()
 }
@@ -266,10 +248,10 @@ func (c *conn) drain() {
 			c.condemn(total)
 			return
 		}
-		// Retire the pass from the queue accounting, nudging the worker if
+		// Retire the pass from the queue accounting, telling the worker if
 		// the conn was parse-paused over maxOutq and is now under it.
 		if left := c.outBytes.Add(int64(-total)); left <= maxOutq && left+int64(total) > maxOutq {
-			w.wake(c)
+			w.bring(event{c: c})
 		}
 	}
 }
@@ -301,7 +283,7 @@ func (c *conn) condemn(failed int) {
 	if dropped {
 		w.srv.removeConn(c)
 	} else {
-		w.wake(c)
+		w.bring(event{c: c})
 	}
 }
 

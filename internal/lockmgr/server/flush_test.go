@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"fairrw/internal/lockmgr"
 	"fairrw/internal/lockmgr/wire"
 )
 
@@ -128,16 +127,5 @@ func TestShutdownGraceBoundsStalledDrain(t *testing.T) {
 	}
 	if ws := srv.WorkerStats()[0]; ws.WriteErrs != 1 {
 		t.Fatalf("write_errs %d after the force-close, want 1", ws.WriteErrs)
-	}
-}
-
-// TestServerStartsOneGoroutinePerWorker: a server with no connections is
-// its worker loops and nothing else — no resident write stage.
-func TestServerStartsOneGoroutinePerWorker(t *testing.T) {
-	before := runtime.NumGoroutine()
-	srv := NewWithConfig(lockmgr.New(quietCfg()), Config{Workers: 2})
-	defer srv.Shutdown(time.Second)
-	if got := runtime.NumGoroutine() - before; got != 2 {
-		t.Fatalf("NewWithConfig(Workers: 2) started %d goroutines, want 2", got)
 	}
 }

@@ -34,31 +34,41 @@ func dialRaw(t *testing.T, addr string) *rawClient {
 
 func (r *rawClient) write(reqs ...*wire.Request) {
 	r.t.Helper()
-	var buf []byte
-	for _, req := range reqs {
-		var err error
-		buf, err = wire.AppendRequestFrame(buf, req)
-		if err != nil {
-			r.t.Fatal(err)
-		}
-	}
-	if _, err := r.nc.Write(buf); err != nil {
+	if err := r.tryWrite(reqs...); err != nil {
 		r.t.Fatal(err)
 	}
 }
 
+// tryWrite and tryRead are write and read for goroutines that may not
+// call t.Fatal, and for streams that are expected to end.
+func (r *rawClient) tryWrite(reqs ...*wire.Request) error {
+	var buf []byte
+	for _, req := range reqs {
+		var err error
+		if buf, err = wire.AppendRequestFrame(buf, req); err != nil {
+			return err
+		}
+	}
+	_, err := r.nc.Write(buf)
+	return err
+}
+
 func (r *rawClient) read(timeout time.Duration) wire.Response {
 	r.t.Helper()
-	r.nc.SetReadDeadline(time.Now().Add(timeout))
-	p, err := wire.ReadFrame(r.br, &r.rbuf)
+	resp, err := r.tryRead(timeout)
 	if err != nil {
 		r.t.Fatalf("read response: %v", err)
 	}
-	resp, err := wire.DecodeResponse(p)
-	if err != nil {
-		r.t.Fatalf("decode response: %v", err)
-	}
 	return resp
+}
+
+func (r *rawClient) tryRead(timeout time.Duration) (wire.Response, error) {
+	r.nc.SetReadDeadline(time.Now().Add(timeout))
+	p, err := wire.ReadFrame(r.br, &r.rbuf)
+	if err != nil {
+		return wire.Response{}, err
+	}
+	return wire.DecodeResponse(p)
 }
 
 // expectSilence asserts no response bytes arrive within d.
@@ -219,7 +229,7 @@ func TestParkedConnBackpressure(t *testing.T) {
 	for time.Now().Before(deadline) {
 		sc.w.loopMu.Lock()
 		pendBacklog := len(sc.pending) - sc.parsePos
-		sc.w.loopMu.Unlock()
+		sc.w.release()
 		if pendBacklog > maxInbox {
 			t.Fatalf("pending backlog %d bytes while parked (sent %d): maxInbox backpressure bypassed",
 				pendBacklog, sent.Load())

@@ -1,15 +1,17 @@
 // Package server runs a lockmgr.Manager behind lockd's TCP wire
 // protocol on a sharded event-loop runtime: a small fixed set of worker
-// loops each owns a subset of the connections outright. Readiness is
-// delivered by per-connection reader goroutines (riding the Go runtime
-// netpoller); one loop cycle drains every queued event, decodes all
-// ready connections, executes the lot as a single lockmgr batch (one
-// clock read, zero allocations), and writes each touched connection
-// once, without waiting: what a socket will not take at once is written
-// by a goroutine of that connection's that lives only until the peer has
-// caught up. Blocking acquires never stall a loop and cost no goroutine:
-// the manager queues them, their connection parks, and the release that
-// grants one answers it in its own cycle.
+// loops each owns a subset of the connections outright. A loop is a
+// lock, not a goroutine: readiness is brought by per-connection reader
+// goroutines (riding the Go runtime netpoller), and whoever brings an
+// event to a free loop runs it, on its own goroutine; an event brought
+// to a busy loop is listed for the holder. One loop cycle takes in every
+// listed event, decodes all ready connections, executes the lot as a
+// single lockmgr batch (one clock read, zero allocations), and writes
+// each touched connection once, without waiting: what a socket will not
+// take at once is written by a goroutine of that connection's that lives
+// only until the peer has caught up. Blocking acquires never stall a
+// loop and cost no goroutine: the manager queues them, their connection
+// parks, and the release that grants one answers it in its own cycle.
 //
 // cmd/lockd is a thin flag wrapper over New, Serve and Shutdown, and
 // tests embed a real server in-process.
@@ -95,8 +97,7 @@ type Server struct {
 	cluster Cluster              // alias of cfg.Cluster (nil = not clustered)
 
 	workers []*worker
-	drainCh chan struct{} // closed once by Shutdown; observed by workers
-	wg      sync.WaitGroup
+	wg      sync.WaitGroup // one count per conn (accept to removeConn) and per running drain
 
 	mu       sync.Mutex
 	ln       net.Listener
@@ -112,8 +113,8 @@ func New(m *lockmgr.Manager) *Server {
 	return NewWithConfig(m, Config{})
 }
 
-// NewWithConfig wraps m in a Server and starts its worker loops, one
-// goroutine each.
+// NewWithConfig wraps m in a Server. It starts no goroutine: the worker
+// loops run on the goroutines of whoever brings them events.
 func NewWithConfig(m *lockmgr.Manager, cfg Config) *Server {
 	cfg.fill()
 	s := &Server{
@@ -121,16 +122,11 @@ func NewWithConfig(m *lockmgr.Manager, cfg Config) *Server {
 		cfg:     cfg,
 		rec:     cfg.Recorder,
 		cluster: cfg.Cluster,
-		drainCh: make(chan struct{}),
 		conns:   make(map[*conn]struct{}),
 	}
 	s.workers = make([]*worker, cfg.Workers)
 	for i := range s.workers {
 		s.workers[i] = newWorker(s, i)
-	}
-	s.wg.Add(len(s.workers))
-	for _, w := range s.workers {
-		go w.run()
 	}
 	return s
 }
@@ -175,17 +171,9 @@ func (s *Server) Serve(ln net.Listener) error {
 		c.wb = wb
 		c.wbuf = wb.B
 		s.conns[c] = struct{}{}
+		s.wg.Add(1) // beside the draining check: cannot race Shutdown's Wait at zero
 		s.mu.Unlock()
-		// Register with the owning worker before any bytes arrive so the
-		// worker's connection count (its drain-exit condition) is exact.
-		c.mu.Lock()
-		c.queued = true
-		c.mu.Unlock()
-		select {
-		case w.q <- c:
-		case <-w.dead:
-			nc.Close()
-		}
+		w.st.conns.Add(1)
 		go c.readLoop()
 	}
 }
@@ -193,41 +181,25 @@ func (s *Server) Serve(ln net.Listener) error {
 // Workers reports the number of event loops the server runs.
 func (s *Server) Workers() int { return len(s.workers) }
 
-// connsEmpty reports whether every connection on the server has been
-// retired. This is the workers' drain-exit condition (see worker.run).
-func (s *Server) connsEmpty() bool {
-	s.mu.Lock()
-	n := len(s.conns)
-	s.mu.Unlock()
-	return n == 0
-}
-
 // removeConn forgets a connection whose socket its worker, or the drain
-// the worker left it to, has closed. When the last conn goes during
-// Shutdown, every worker is nudged into its exit check — a worker with no
-// conns of its own has no event left to wake it.
+// the worker left it to, has closed, and gives back its count in wg.
 func (s *Server) removeConn(c *conn) {
 	s.mu.Lock()
+	_, ok := s.conns[c]
 	delete(s.conns, c)
-	empty := len(s.conns) == 0
-	draining := s.draining
 	s.mu.Unlock()
-	if draining && empty {
-		for _, w := range s.workers {
-			select {
-			case w.q <- nil:
-			default: // a full queue means pending events will wake it anyway
-			}
-		}
+	if ok {
+		s.wg.Done()
 	}
 }
 
 // Shutdown gracefully drains the server: stop accepting, close the
 // Manager so every parked acquire resolves (its waiter gets a
 // definitive StatusExpired response), wake idle connection readers, and
-// wait up to grace for the workers to flush and retire every connection
-// before force-closing what remains. Buffered requests that arrived
-// before the drain are still executed and their responses flushed.
+// wait up to grace for every connection to be answered, flushed and
+// retired before force-closing what remains. Buffered requests that
+// arrived before the drain are still executed and their responses
+// flushed.
 func (s *Server) Shutdown(grace time.Duration) {
 	s.mu.Lock()
 	if s.draining {
@@ -247,7 +219,6 @@ func (s *Server) Shutdown(grace time.Duration) {
 	if ln != nil {
 		ln.Close()
 	}
-	close(s.drainCh)
 	s.m.Close() // expire sessions: every parked acquire completes with ErrExpired
 
 	done := make(chan struct{})

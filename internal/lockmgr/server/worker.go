@@ -14,13 +14,13 @@ import (
 
 // wstats are one worker's event-loop counters, the live half of the
 // observability plane. They are written by whoever holds loopMu (plus
-// the reader goroutines for backpressure and the drains for their
-// writes) and read by the admin scraper without stopping the loop,
-// hence atomics; the pad keeps one worker's counter block from
-// false-sharing with its neighbour's.
+// the reader goroutines for backpressure, the drains for their writes
+// and Serve for the conn gauge) and read by the admin scraper without
+// stopping the loop, hence atomics; the pad keeps one worker's counter
+// block from false-sharing with its neighbour's.
 type wstats struct {
-	wakeups      atomic.Uint64 // dedicated-goroutine loop cycles
-	donations    atomic.Uint64 // cycles run inline on a reader goroutine
+	wakeups      atomic.Uint64 // cycles run for listed events: their bringers found the loop busy
+	donations    atomic.Uint64 // cycles run by the event's own bringer
 	batches      atomic.Uint64 // ExecBatch calls with at least one op
 	batchOps     atomic.Uint64 // ops summed over those batches
 	parks        atomic.Uint64 // acquires queued in the manager (conn parked)
@@ -37,7 +37,7 @@ type wstats struct {
 	backpressure atomic.Uint64 // reader blocked on the full-inbox bound
 	namedOps     atomic.Uint64 // acquire/release ops decoded (WorkerStats.HomeOps)
 	outBlocked   atomic.Uint64 // times a conn's parse paused on maxOutq
-	conns        atomic.Int64  // connections currently owned
+	conns        atomic.Int64  // connections currently owned: accepted, not yet dropped
 	_            [24]byte
 }
 
@@ -48,27 +48,33 @@ func (st *wstats) wrote(chunks, bytes int) {
 	st.writevBytes.Add(uint64(bytes))
 }
 
-// worker is one event loop. It owns a set of connections outright;
-// whoever holds loopMu is the loop at that moment — the only party that
-// parses their buffers, executes their requests and answers them. One
-// cycle drains every queued event, decodes all ready connections into a
-// single lockmgr batch, executes it, encodes the responses — those of
-// parked acquires the batch's releases granted included — and writes
-// each touched connection's bytes with one non-blocking write; only what
-// the socket will not take at once goes to that conn's drain, so the loop
-// never waits on a peer.
+// event is something a worker's loop has to take in: c has news — bytes,
+// end of stream, a report from its drain — or, when cp.W is set, c's
+// parked acquire has its outcome.
+type event struct {
+	c  *conn
+	cp lockmgr.Completion
+}
+
+// worker is one event loop, and the loop is a lock, not a goroutine: it
+// owns a set of connections outright, and whoever holds loopMu is the loop
+// at that moment — the only party that parses their buffers, executes
+// their requests and answers them. One cycle takes in every listed event,
+// decodes all ready connections into a single lockmgr batch, executes it,
+// encodes the responses — those of parked acquires the batch's releases
+// granted included — and writes each touched connection's bytes with one
+// non-blocking write; only what the socket will not take at once goes to
+// that conn's drain, so the loop never waits on a peer.
 //
-// Anyone can be the loop (offer): a reader that lands new bytes, or
-// whoever completes a parked acquire — another worker's loop or the
-// manager's timer — runs a cycle on its own goroutine
-// if loopMu is free, so a request or a grant usually costs a function
-// call, not a context switch. The dedicated goroutine (run) blocks on the
-// event queue and is the fallback that guarantees liveness.
+// Whoever has an event brings it (bring): a reader that lands new bytes, a
+// drain reporting back, or whoever completes a parked acquire — another
+// worker's loop or the manager's timer. If loopMu is free the bringer is
+// the loop for a cycle, so a request or a grant costs a function call, not
+// a context switch; if not, it lists the event and whoever holds the loop
+// runs it (release). No goroutine belongs to the worker.
 type worker struct {
-	srv  *Server
-	idx  int           // worker index, the admin plane's `worker` label
-	q    chan *conn    // readiness: conn has new bytes (or hit EOF); nil = look again
-	dead chan struct{} // closed when the worker exits (unblocks senders)
+	srv *Server
+	idx int // worker index, the admin plane's `worker` label
 
 	st     wstats
 	bhMu   sync.Mutex      // guards batchH against the admin scraper
@@ -76,15 +82,12 @@ type worker struct {
 	wvMu   sync.Mutex      // guards wvH: drains and the admin scraper
 	wvH    stats.Histogram // chunks per drain writev
 
-	doneMu sync.Mutex
-	doneq  []lockmgr.Completion // completions posted while the loop was busy
+	evMu sync.Mutex // guards evs and every conn's listed
+	evs  []event    // brought while the loop was busy
 
 	loopMu sync.Mutex // held by whoever is being the loop
 
 	// All fields below are guarded by loopMu.
-	conns    map[*conn]struct{}
-	draining bool
-
 	sc     *lockmgr.BatchScratch
 	ops    []lockmgr.BatchOp // ops[i].Waiter is the conn that sent it
 	opEnd  []int             // parse cursor just past ops[i]'s frame
@@ -93,127 +96,90 @@ type worker struct {
 }
 
 func newWorker(s *Server, idx int) *worker {
-	return &worker{
-		srv:   s,
-		idx:   idx,
-		q:     make(chan *conn, 256), // readers block past this; loops never send without a default
-		dead:  make(chan struct{}),
-		conns: make(map[*conn]struct{}),
-		sc:    s.m.NewBatchScratch(),
-	}
+	return &worker{srv: s, idx: idx, sc: s.m.NewBatchScratch()}
 }
 
-// run is the fallback loop executor: block for one event, take the
-// loop, drain everything queued, process it as one batch, sleep. The
-// exit condition is global — every connection on the server retired —
-// not local: a conn accepted just before the drain is in the server's
-// set before its registration event reaches this worker's queue.
-func (w *worker) run() {
-	defer func() {
-		close(w.dead)
-		w.srv.wg.Done()
-	}()
-	drainCh := w.srv.drainCh
-	for {
-		w.loopMu.Lock()
-		exit := w.draining && w.srv.connsEmpty()
-		w.loopMu.Unlock()
-		if exit {
+// bring delivers one event and must not block — the caller may be another
+// worker's loop. If the loop is free the caller is the loop for a cycle
+// that starts with its event; otherwise the event is listed (one readiness
+// entry per conn at most) and the loop tried once more, which is what
+// hands the event to the holder: see release.
+func (w *worker) bring(ev event) {
+	if w.loopMu.TryLock() {
+		w.st.donations.Add(1)
+		w.ingest(ev)
+	} else {
+		w.evMu.Lock()
+		if ev.cp.W != nil {
+			w.evs = append(w.evs, ev)
+		} else if !ev.c.listed {
+			ev.c.listed = true
+			w.evs = append(w.evs, ev)
+		}
+		w.evMu.Unlock()
+		if !w.loopMu.TryLock() {
 			return
 		}
-		select {
-		case c := <-w.q:
-			w.st.wakeups.Add(1)
-			w.loopMu.Lock()
-			w.noteReady(c)
-			w.process()
-			w.loopMu.Unlock()
-		case <-drainCh:
-			w.loopMu.Lock()
-			w.draining = true
-			w.loopMu.Unlock()
-			drainCh = nil // fire once; exit is decided at the loop head
-		}
-	}
-}
-
-// offer makes the caller the loop for one cycle if no one else is,
-// starting with c's new bytes or, when cp is one, the outcome of c's
-// parked acquire. It reports false if the loop was busy: the caller must
-// queue its event instead.
-func (w *worker) offer(c *conn, cp lockmgr.Completion) bool {
-	if !w.loopMu.TryLock() {
-		return false
-	}
-	w.st.donations.Add(1)
-	if cp.W != nil {
-		w.unpark(c, cp)
-	} else {
-		w.noteReady(c)
+		w.st.wakeups.Add(1)
 	}
 	w.process()
-	w.loopMu.Unlock()
-	return true
+	w.release()
+}
+
+// release ends the caller's turn as the loop; it is the only function that
+// unlocks loopMu. No listed event is stranded: an event is listed before
+// its bringer's second TryLock, and that TryLock fails only while someone
+// holds loopMu — someone who has yet to unlock it here and look at the
+// list afterwards, where the event already is. So the holder checks after
+// every Unlock and runs another cycle while there is something listed and
+// the loop is still free; if it is not, the same duty has passed to
+// whoever took it.
+func (w *worker) release() {
+	for {
+		w.loopMu.Unlock()
+		w.evMu.Lock()
+		idle := len(w.evs) == 0
+		w.evMu.Unlock()
+		if idle || !w.loopMu.TryLock() {
+			return
+		}
+		w.st.wakeups.Add(1)
+		w.process()
+	}
 }
 
 // Complete delivers the outcome of c's parked acquire from outside c's
-// loop (lockmgr.Waiter). It must not block — the caller may be another
-// worker's loop — so a completion the busy loop could not take is posted
-// on a list, not sent down q.
-func (c *conn) Complete(cp lockmgr.Completion) {
-	w := c.w
-	if w.offer(c, cp) {
-		return
-	}
-	w.doneMu.Lock()
-	w.doneq = append(w.doneq, cp)
-	w.doneMu.Unlock()
-	select {
-	case w.q <- nil:
-	default: // a full queue means pending events will wake the loop anyway
-	}
-}
+// loop (lockmgr.Waiter).
+func (c *conn) Complete(cp lockmgr.Completion) { c.w.bring(event{c, cp}) }
 
-// wake re-delivers a conn to its worker from its drain, which has brought
-// a parse-paused conn back under maxOutq or condemned it on a write error.
-// Blocking is fine here — the worker never waits on a drain in return.
-func (w *worker) wake(c *conn) {
-	select {
-	case w.q <- c:
-	case <-w.dead:
-	}
-}
-
-// drainEvents consumes every queued event without blocking. doneq is read
-// after q: Complete drops its nudge when q is full, counting on whoever
-// takes those events to look at doneq afterwards.
-func (w *worker) drainEvents() {
-	for more := true; more; {
-		select {
-		case c := <-w.q:
-			w.noteReady(c)
-		default:
-			more = false
+// takeEvents ingests every listed event.
+func (w *worker) takeEvents() {
+	w.evMu.Lock()
+	for i, ev := range w.evs {
+		if ev.cp.W == nil {
+			ev.c.listed = false
 		}
+		w.ingest(ev)
+		w.evs[i] = event{}
 	}
-	w.doneMu.Lock()
-	for i, cp := range w.doneq {
-		w.unpark(cp.W.(*conn), cp)
-		w.doneq[i] = lockmgr.Completion{}
+	w.evs = w.evs[:0]
+	w.evMu.Unlock()
+}
+
+// ingest takes one event into the cycle. Loop holder only.
+func (w *worker) ingest(ev event) {
+	if ev.cp.W != nil {
+		w.unpark(ev.c, ev.cp)
+	} else {
+		w.noteReady(ev.c)
 	}
-	w.doneq = w.doneq[:0]
-	w.doneMu.Unlock()
 }
 
 // noteReady ingests a readiness event: pull the conn's inbox into its
-// pending buffer and schedule it for this wakeup.
+// pending buffer and schedule it for this cycle.
 func (w *worker) noteReady(c *conn) {
-	if c == nil || c.removed {
-		return // exit nudge, or a late reader event for a retired conn
-	}
-	if _, ok := w.conns[c]; !ok {
-		w.conns[c] = struct{}{} // first event doubles as registration
-		w.st.conns.Add(1)
+	if c.removed {
+		return // a late reader event for a retired conn
 	}
 	if c.writeFailed.Load() {
 		c.dead = true // its drain condemned the socket; retire the conn
@@ -247,13 +213,13 @@ func (w *worker) unpark(c *conn, cp lockmgr.Completion) {
 	w.noteReady(c)
 }
 
-// process is one loop cycle: take every queued event, then service the
+// process is one loop cycle: take every listed event, then service the
 // ready conns — parse → execute → encode rounds until none can make
 // progress, one write per touched conn, lifecycle cleanup.
 func (w *worker) process() {
-	w.drainEvents()
+	w.takeEvents()
 	for w.round() {
-		w.drainEvents() // completions posted by a loop this round was running
+		w.takeEvents() // completions listed by a loop this round was running
 	}
 	for _, c := range w.ready {
 		w.flush(c)
@@ -502,8 +468,8 @@ func (w *worker) answerWant(c *conn) {
 //
 // The drain is counted in srv.wg so Shutdown waits for queued responses
 // to be written. That Add cannot race Shutdown's Wait at a zero counter:
-// flush only runs for a conn that is still in srv.conns, and every
-// worker.run — each holding a count — stays until that set is empty.
+// flush only runs for a conn that is still in srv.conns, which holds a
+// count of its own from accept to removeConn.
 func (w *worker) flush(c *conn) {
 	if !c.flushMark || len(c.wbuf) == 0 {
 		c.flushMark = false
@@ -608,10 +574,7 @@ func (w *worker) drop(c *conn) {
 	}
 	c.removed = true
 	c.dead = true
-	if _, ok := w.conns[c]; ok {
-		delete(w.conns, c)
-		w.st.conns.Add(-1)
-	}
+	w.st.conns.Add(-1)
 	if wb := c.wb; wb != nil {
 		wb.B = c.wbuf // return the grown backing array, not the original
 		c.wbuf = nil
