@@ -12,8 +12,6 @@
 package machine
 
 import (
-	"math/rand"
-
 	"fairrw/internal/coherence"
 	"fairrw/internal/memmodel"
 	"fairrw/internal/obs"
@@ -69,7 +67,6 @@ type Machine struct {
 	Sys  *coherence.System
 	P    Params
 	Lock LockDevice
-	Rand *rand.Rand
 
 	// Obs is the machine's observability capture, nil unless EnableObs was
 	// called. Devices read it lazily per event, so it may be attached any
@@ -126,7 +123,6 @@ func ModelB() *Machine {
 func newMachine(k *sim.Kernel, net *topo.Network, mem *memmodel.Memory, sys *coherence.System, p Params) *Machine {
 	m := &Machine{
 		K: k, Net: net, Mem: mem, Sys: sys, P: p,
-		Rand:  rand.New(rand.NewSource(0xfa17)),
 		sched: make([]*coreSched, p.Cores),
 	}
 	for i := range m.sched {
@@ -156,11 +152,11 @@ func (m *Machine) EnableObs(o obs.Options, name string) *obs.Capture {
 func (m *Machine) Run() sim.Time { return m.K.Run() }
 
 // Reset returns the machine to its freshly-built state: time zero, empty
-// memory, cold caches and directory, idle links, reseeded Rand, no lock
-// device and no capture attached. Backing storage — cache ways, directory
-// pages, route tables, the kernel's event heap — is kept, so a reused
-// machine allocates almost nothing on its next run. The lock device is
-// per-run state and must be reinstalled after Reset.
+// memory, cold caches and directory, idle links, no lock device and no
+// capture attached. Backing storage — cache ways, directory pages, route
+// tables, the kernel's event wheel — is kept, so a reused machine
+// allocates almost nothing on its next run. The lock device is per-run
+// state and must be reinstalled after Reset.
 func (m *Machine) Reset() {
 	m.K.Reset()
 	m.Mem.Reset()
@@ -169,7 +165,6 @@ func (m *Machine) Reset() {
 	m.Net.Obs = nil
 	m.Lock = nil
 	m.Obs = nil
-	m.Rand = rand.New(rand.NewSource(0xfa17))
 	for _, s := range m.sched {
 		s.ctxs = s.ctxs[:0]
 		s.cur = 0

@@ -5,42 +5,70 @@ import (
 	"unsafe"
 )
 
-// scheduleLoop returns BenchmarkSchedule's step: one push+pop cycle at a
-// steady-state depth of 256 pending events.
-func scheduleLoop() func() {
+// scheduleLoop returns one push+pop step through the event queue at a
+// steady depth of pending events, each scheduled depth*gap cycles ahead:
+// gap 1 keeps every event on the wheel, a gap that puts depth*gap past
+// wheelSize sends every event through the overflow and back.
+func scheduleLoop(depth int, gap Time) func() {
 	k := New()
 	fn := func() {}
-	for i := 0; i < 256; i++ {
-		k.Schedule(Time(i), fn)
+	for i := 0; i < depth; i++ {
+		k.Schedule(Time(i)*gap, fn)
 	}
 	return func() {
-		k.Schedule(256, fn)
-		k.RunUntil(k.Now() + 1)
+		k.Schedule(Time(depth)*gap, fn)
+		k.RunUntil(k.Now() + gap)
 	}
 }
 
-// BenchmarkSchedule measures one push+pop cycle through the event queue at
-// a steady-state depth of 256 pending events — the kernel's single hottest
-// operation.
+// scheduleCases are the queue depths the simulator's traffic sits at
+// (sim-micro mostly 7–62 pending, sim-stm 15–126; EXPERIMENTS.md, "Event
+// wheel") and a far case: 16 pending, each 2 048 cycles ahead.
+var scheduleCases = []struct {
+	name  string
+	depth int
+	gap   Time
+}{
+	{"depth16", 16, 1},
+	{"depth128", 128, 1},
+	{"depth256", 256, 1},
+	{"far2048", 16, 2048 / 16},
+}
+
+// BenchmarkSchedule measures one push+pop cycle through the event queue —
+// the kernel's single hottest operation.
 func BenchmarkSchedule(b *testing.B) {
-	step := scheduleLoop()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		step()
+	for _, c := range scheduleCases {
+		b.Run(c.name, func(b *testing.B) {
+			step := scheduleLoop(c.depth, c.gap)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step()
+			}
+		})
 	}
 }
 
-// TestEventSizeAndScheduleAllocs pins what every heap sift pays for: an
-// event is five words, and scheduling one (a closure included — a func
-// value is pointer-shaped, so the Receiver slot holds it unboxed)
-// allocates nothing.
+var kernelSink *Kernel
+
+// TestEventSizeAndScheduleAllocs pins what the queue pays per event: an
+// overflow event is five words, and scheduling one (a closure included —
+// a func value is pointer-shaped, so the Receiver slot holds it unboxed)
+// allocates nothing at any depth, on the wheel or through the overflow.
+// New allocates the Kernel alone: the wheel is built on the first push,
+// so constructing a machine that never runs does not pay for it.
 func TestEventSizeAndScheduleAllocs(t *testing.T) {
 	if sz := unsafe.Sizeof(event{}); sz > 40 {
 		t.Errorf("sizeof(event) = %d bytes, want <= 40", sz)
 	}
-	if n := testing.AllocsPerRun(1000, scheduleLoop()); n != 0 {
-		t.Errorf("Schedule+pop allocates %.1f objects per event, want 0", n)
+	for _, c := range scheduleCases {
+		if n := testing.AllocsPerRun(1000, scheduleLoop(c.depth, c.gap)); n != 0 {
+			t.Errorf("%s: Schedule+pop allocates %.1f objects per event, want 0", c.name, n)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { kernelSink = New() }); n != 1 {
+		t.Errorf("New allocates %.1f objects, want 1", n)
 	}
 }
 

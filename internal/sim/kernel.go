@@ -9,12 +9,16 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"fairrw/internal/obs"
 )
 
-// Time is a point in virtual time, in cycles.
+// Time is a point in virtual time, in cycles. ^Time(0) is "never": it
+// marks an empty queue, and nothing scheduled there runs.
 type Time uint64
+
+const never = ^Time(0)
 
 // Event kinds. Every event carries one Receiver and one tag word: a
 // closure (funcRecv), the target Proc of the hot paths (Wait, Wake,
@@ -30,6 +34,14 @@ const (
 	kindBits = 2
 )
 
+// The wheel has one bucket per cycle for the wheelSize cycles starting at
+// Kernel.base; 99.5 % of sim-stm's and 99.99 % of sim-micro's event delays
+// are shorter (EXPERIMENTS.md, "Event wheel").
+const (
+	wheelSize = 1 << 10
+	wheelMask = wheelSize - 1
+)
+
 // Receiver consumes tagged deliveries scheduled with ScheduleRecv. The tag
 // is opaque to the kernel; receivers typically use it to index a table of
 // pending value-typed messages.
@@ -42,8 +54,8 @@ type funcRecv func()
 
 func (f funcRecv) Recv(uint64) { f() }
 
-// event is a scheduled callback, stored by value in the heap: 40 bytes, so
-// a sift moves five words.
+// event is a scheduled callback beyond the wheel, stored by value in the
+// overflow heap: 40 bytes, so a sift moves five words.
 type event struct {
 	at   Time
 	seq  uint64   // insertion order (the tie-breaker) << kindBits | kind
@@ -60,18 +72,46 @@ func eventLess(a, b *event) bool {
 	return a.seq < b.seq
 }
 
+// node is a scheduled callback on the wheel. Its time is its bucket's, and
+// its place in the bucket's FIFO is its insertion order.
+type node struct {
+	recv Receiver
+	tag  uint64
+	next uint32 // next node in the bucket, or on the free list; 0 ends both
+	kind byte
+}
+
+// bucket is one cycle's FIFO of node indices; 0 is the empty link.
+type bucket struct{ head, tail uint32 }
+
 // Kernel is the simulation engine. It is not safe for concurrent use from
 // multiple goroutines; Procs hand control back to the kernel before it ever
 // resumes another Proc. Concurrent sweeps therefore give each run its own
 // Kernel.
 type Kernel struct {
 	now Time
-	// events is a value-based binary min-heap ordered by (at, seq). Pushing
-	// a value into the slice avoids the per-event allocation and the
-	// interface boxing that container/heap would impose.
-	events []event
-	seq    uint64
-	procs  []*Proc
+	// nextAt is the earliest pending event's time, never when none is, so
+	// the Wait fast path and the RunUntil horizon are one compare each.
+	nextAt Time
+
+	// The event queue is a time wheel (a calendar queue with one-cycle
+	// buckets): an event at t in [base, base+wheelSize) sits in bucket
+	// t&wheelMask, and occupied marks the non-empty buckets. Nodes live in
+	// one slab with a free list, so the steady state allocates nothing.
+	// Events from base+wheelSize on wait in the overflow heap, ordered by
+	// (at, seq); pop advances base and moves them in before any handler
+	// can push into their cycle, which keeps same-instant order equal to
+	// insertion order. The wheel is built on the first push: machines are
+	// constructed far more often than run.
+	base     Time
+	wheel    *[wheelSize]bucket
+	occupied [wheelSize / 64]uint64
+	nodes    []node // nodes[0] is the nil link
+	free     uint32
+	overflow []event
+	seq      uint64 // overflow insertion counter
+
+	procs []*Proc
 	// limit is the current RunUntil horizon; the Wait fast path must not
 	// advance the clock beyond it.
 	limit Time
@@ -89,7 +129,7 @@ type Kernel struct {
 
 // New returns an empty kernel at time 0.
 func New() *Kernel {
-	return &Kernel{limit: ^Time(0)}
+	return &Kernel{nextAt: never, limit: never}
 }
 
 // Now returns the current virtual time.
@@ -98,11 +138,102 @@ func (k *Kernel) Now() Time { return k.now }
 // Events returns the number of events executed so far.
 func (k *Kernel) Events() uint64 { return k.nEvents }
 
-// push stamps a new event with the next insertion number and inserts it
-// into the heap (sift-up).
+// push queues an event at time at, which is never before base.
 func (k *Kernel) push(at Time, kind byte, r Receiver, tag uint64) {
+	if at < k.nextAt {
+		k.nextAt = at
+	}
+	if at-k.base < wheelSize {
+		k.link(at, kind, r, tag)
+		return
+	}
 	k.seq++
-	h := append(k.events, event{at: at, seq: k.seq<<kindBits | uint64(kind), tag: tag, recv: r})
+	k.pushOverflow(event{at: at, seq: k.seq<<kindBits | uint64(kind), tag: tag, recv: r})
+}
+
+// link appends an event to the tail of its cycle's bucket.
+func (k *Kernel) link(at Time, kind byte, r Receiver, tag uint64) {
+	i := k.free
+	if i == 0 {
+		i = k.grow()
+	}
+	n := &k.nodes[i]
+	k.free = n.next
+	*n = node{recv: r, tag: tag, kind: kind}
+	slot := at & wheelMask
+	b := &k.wheel[slot]
+	if b.head == 0 {
+		b.head = i
+		k.occupied[slot/64] |= 1 << (slot % 64)
+	} else {
+		k.nodes[b.tail].next = i
+	}
+	b.tail = i
+}
+
+// grow adds a node to the slab, building the wheel on first use, and
+// returns its index.
+func (k *Kernel) grow() uint32 {
+	if k.wheel == nil {
+		k.wheel = new([wheelSize]bucket)
+		k.nodes = make([]node, 1, 64)
+	}
+	k.nodes = append(k.nodes, node{})
+	return uint32(len(k.nodes) - 1)
+}
+
+// pop removes the earliest event, which is due at nextAt, and returns it.
+func (k *Kernel) pop() (at Time, kind byte, r Receiver, tag uint64) {
+	at = k.nextAt
+	if at != k.base {
+		k.base = at
+		for len(k.overflow) > 0 && k.overflow[0].at-at < wheelSize {
+			e := k.popOverflow()
+			k.link(e.at, byte(e.seq&(1<<kindBits-1)), e.recv, e.tag)
+		}
+	}
+	slot := at & wheelMask
+	b := &k.wheel[slot]
+	i := b.head
+	n := &k.nodes[i]
+	kind, r, tag = n.kind, n.recv, n.tag
+	b.head = n.next
+	*n = node{next: k.free} // release the receiver
+	k.free = i
+	if b.head == 0 {
+		k.occupied[slot/64] &^= 1 << (slot % 64)
+		k.nextAt = k.scan(at)
+	}
+	return
+}
+
+// scan returns the earliest pending time after at, where at == base and
+// its bucket is empty: the first occupied bucket of the wheel's other
+// wheelSize-1, taken cyclically from at+1, else the overflow's minimum.
+func (k *Kernel) scan(at Time) Time {
+	from := uint(at+1) & wheelMask
+	w := from / 64
+	word := k.occupied[w] &^ (1<<(from%64) - 1)
+	for n := 0; ; n++ {
+		if word != 0 {
+			slot := w*64 + uint(bits.TrailingZeros64(word))
+			return at + 1 + Time((slot-from)&wheelMask)
+		}
+		if n == len(k.occupied) {
+			break // back at from's word: its low bits were the last slots
+		}
+		w = (w + 1) % uint(len(k.occupied))
+		word = k.occupied[w]
+	}
+	if len(k.overflow) > 0 {
+		return k.overflow[0].at
+	}
+	return never
+}
+
+// pushOverflow inserts e into the overflow heap (sift-up).
+func (k *Kernel) pushOverflow(e event) {
+	h := append(k.overflow, e)
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / 2
@@ -112,12 +243,12 @@ func (k *Kernel) push(at Time, kind byte, r Receiver, tag uint64) {
 		h[i], h[p] = h[p], h[i]
 		i = p
 	}
-	k.events = h
+	k.overflow = h
 }
 
-// pop removes and returns the minimum event (sift-down).
-func (k *Kernel) pop() event {
-	h := k.events
+// popOverflow removes and returns the overflow heap's minimum (sift-down).
+func (k *Kernel) popOverflow() event {
+	h := k.overflow
 	top := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
@@ -139,7 +270,7 @@ func (k *Kernel) pop() event {
 		h[i], h[m] = h[m], h[i]
 		i = m
 	}
-	k.events = h
+	k.overflow = h
 	return top
 }
 
@@ -178,20 +309,22 @@ func (k *Kernel) ScheduleRecv(delay Time, r Receiver, tag uint64) {
 // Run executes events until the queue is empty or every Proc has finished.
 // It returns the final virtual time.
 func (k *Kernel) Run() Time {
-	return k.RunUntil(^Time(0))
+	return k.RunUntil(never)
 }
 
 // RunUntil executes events with timestamps <= limit. Events beyond the
 // limit remain queued.
 func (k *Kernel) RunUntil(limit Time) Time {
 	k.limit = limit
-	for len(k.events) > 0 && k.events[0].at <= limit {
-		e := k.pop()
-		if e.at > k.now {
-			k.now = e.at
+	if limit == never {
+		limit-- // nextAt == never is the empty queue
+	}
+	for k.nextAt <= limit {
+		at, kind, r, tag := k.pop()
+		if at > k.now {
+			k.now = at
 		}
 		k.nEvents++
-		kind := byte(e.seq & (1<<kindBits - 1))
 		if k.Obs != nil {
 			k.Obs.KernelEvent(uint64(k.now), kind)
 		}
@@ -200,38 +333,48 @@ func (k *Kernel) RunUntil(limit Time) Time {
 		}
 		switch kind {
 		case evFn:
-			e.recv.(funcRecv)()
+			r.(funcRecv)()
 		case evDispatch:
-			k.dispatch(e.recv.(*Proc))
+			k.dispatch(r.(*Proc))
 		default: // evRecv, evTimeout
-			e.recv.Recv(e.tag)
+			r.Recv(tag)
 		}
 	}
-	k.limit = ^Time(0)
+	k.limit = never
 	return k.now
 }
 
 // Idle reports whether no events are pending.
-func (k *Kernel) Idle() bool { return len(k.events) == 0 }
+func (k *Kernel) Idle() bool { return k.nextAt == never }
 
 // Reset returns the kernel to its post-New state — time zero, no events,
-// no procs — while keeping the event heap's backing array, so a reused
-// machine pays no kernel rebuild. Procs still parked (blocked forever, or
-// cut off by a RunUntil horizon or a panic) are unwound so their
-// coroutines exit, and any still-queued events are dropped.
+// no procs — while keeping the wheel, its node slab and the overflow
+// heap's backing array, so a reused machine pays no kernel rebuild. Procs
+// still parked (blocked forever, or cut off by a RunUntil horizon or a
+// panic) are unwound so their coroutines exit, and any still-queued events
+// are dropped.
 func (k *Kernel) Reset() {
 	for _, p := range k.procs {
 		if !p.finished {
 			p.stop()
 		}
 	}
-	clear(k.events) // release the receivers
-	k.events = k.events[:0]
+	if k.wheel != nil {
+		clear(k.wheel[:])
+		clear(k.nodes) // release the receivers
+		k.nodes = k.nodes[:1]
+	}
+	clear(k.occupied[:])
+	k.free = 0
+	clear(k.overflow)
+	k.overflow = k.overflow[:0]
 	clear(k.procs)
 	k.procs = k.procs[:0]
 	k.now = 0
+	k.nextAt = never
+	k.base = 0
 	k.seq = 0
-	k.limit = ^Time(0)
+	k.limit = never
 	k.nEvents = 0
 	k.Obs = nil
 }

@@ -95,12 +95,12 @@ func (p *Proc) Now() Time { return p.k.now }
 //
 // Fast path: when nothing else is scheduled before now+d (and the run
 // horizon allows it), no event could observe the interim, so the clock
-// advances in place without a heap operation or a goroutine handoff.
+// advances in place without a queue operation or a goroutine handoff.
 func (p *Proc) Wait(d Time) {
 	p.wakeSeq++
 	k := p.k
 	at := k.now + d
-	if at <= k.limit && (len(k.events) == 0 || k.events[0].at > at) {
+	if at <= k.limit && k.nextAt > at {
 		k.now = at
 		return
 	}
