@@ -73,8 +73,8 @@ func TestEventSizeAndScheduleAllocs(t *testing.T) {
 }
 
 // BenchmarkWaitLoop measures the full context-switch path: two Procs
-// alternating via Wait(1), so every Wait goes through the scheduler (the
-// other Proc always has a pending event).
+// alternating via Wait(1), so every Wait runs the event loop and hands
+// the thread to the other Proc, whose dispatch is always pending.
 func BenchmarkWaitLoop(b *testing.B) {
 	b.ReportAllocs()
 	k := New()
@@ -85,6 +85,23 @@ func BenchmarkWaitLoop(b *testing.B) {
 			}
 		})
 	}
+	b.ResetTimer()
+	k.Run()
+}
+
+// BenchmarkWaitBehindEvents measures the zero-switch path: every Wait sits
+// behind a receiver event, which the waiting Proc's own goroutine runs
+// before its own dispatch resumes it in place.
+func BenchmarkWaitBehindEvents(b *testing.B) {
+	b.ReportAllocs()
+	k := New()
+	r := recvFunc(func(uint64) {})
+	k.Spawn("waiter", func(p *Proc) {
+		for j := 0; j < b.N; j++ {
+			k.ScheduleRecv(1, r, 0)
+			p.Wait(2)
+		}
+	})
 	b.ResetTimer()
 	k.Run()
 }

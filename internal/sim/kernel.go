@@ -4,12 +4,16 @@
 // scheduled events in (time, insertion-order) order. Simulated threads are
 // modelled as Procs: runtime coroutines (iter.Pull) of which exactly one
 // is runnable at any instant, so simulation state needs no locking and
-// every run is bit-for-bit reproducible.
+// every run is bit-for-bit reproducible. The event loop has no goroutine
+// of its own: it runs on whichever goroutine gave up the thread — the
+// RunUntil caller or a blocking Proc — which passes the thread straight
+// to the next Proc an event resumes.
 package sim
 
 import (
 	"fmt"
 	"math/bits"
+	"runtime"
 
 	"fairrw/internal/obs"
 )
@@ -27,8 +31,8 @@ const never = ^Time(0)
 // allocated per event.
 const (
 	evFn       byte = iota // run the funcRecv
-	evDispatch             // dispatch the Proc
-	evTimeout              // Proc.Recv(wseq): dispatch if still blocked on wseq
+	evDispatch             // resume the Proc
+	evTimeout              // resume the Proc if still blocked on wait-sequence tag
 	evRecv                 // recv.Recv(tag)
 
 	kindBits = 2
@@ -85,9 +89,10 @@ type node struct {
 type bucket struct{ head, tail uint32 }
 
 // Kernel is the simulation engine. It is not safe for concurrent use from
-// multiple goroutines; Procs hand control back to the kernel before it ever
-// resumes another Proc. Concurrent sweeps therefore give each run its own
-// Kernel.
+// multiple goroutines: one thread of control runs it, passed from the
+// RunUntil caller to a Proc and from Proc to Proc, and the goroutine that
+// holds it runs the event loop whenever its Proc blocks. Concurrent sweeps
+// therefore give each run its own Kernel.
 type Kernel struct {
 	now Time
 	// nextAt is the earliest pending event's time, never when none is, so
@@ -112,9 +117,23 @@ type Kernel struct {
 	seq      uint64 // overflow insertion counter
 
 	procs []*Proc
-	// limit is the current RunUntil horizon; the Wait fast path must not
-	// advance the clock beyond it.
+	// limit is the current RunUntil horizon, at most never-1; the Wait fast
+	// path must not advance the clock beyond it. It is never between runs.
 	limit Time
+
+	// caller is the RunUntil (or Reset) caller's goroutine as a runner:
+	// the loop passes it the thread at the horizon or an empty queue.
+	caller runner
+	// to is the runner the thread is being passed to (park).
+	to *runner
+	// fault is a panic, or a procGoexit, that ended a Proc's goroutine and
+	// is raised again on the RunUntil caller's.
+	fault any
+	// stopping is set while Reset unwinds parked Procs.
+	stopping bool
+	// switches counts park's coroutine switches (a Proc's exit is not
+	// one), for tests.
+	switches uint64
 
 	// nEvents counts executed events, for diagnostics and runaway guards.
 	nEvents uint64
@@ -313,12 +332,52 @@ func (k *Kernel) Run() Time {
 }
 
 // RunUntil executes events with timestamps <= limit. Events beyond the
-// limit remain queued.
+// limit remain queued. A panic that ends a Proc — raised in its body or in
+// an event its goroutine ran — surfaces here, on the caller's goroutine,
+// and a runtime.Goexit that ends a Proc ends the caller's goroutine too.
+//
+// RunUntil must not be called from inside a run, by an event or a Proc
+// body, and panics if it is: an event may be running on a parked Proc's
+// goroutine, whose body cannot resume until the event returns. After a
+// panic out of RunUntil, Reset the kernel before running it again.
 func (k *Kernel) RunUntil(limit Time) Time {
-	k.limit = limit
-	if limit == never {
-		limit-- // nextAt == never is the empty queue
+	if k.limit != never {
+		panic("sim: RunUntil called inside a run (from an event or a Proc body) or after a panic without Reset")
 	}
+	k.limit = min(limit, never-1) // nextAt == never is the empty queue
+	k.run(&k.caller)
+	k.limit = never
+	if f := k.fault; f != nil {
+		k.fault = nil
+		if g, ok := f.(procGoexit); ok {
+			// Park in the ending Proc's slot and pass it the thread back.
+			// Its goroutine's exit releases this one inside iter.Pull's
+			// next, which re-raises the Goexit, or its yield.
+			k.to = &g.p.runner
+			k.park(&k.caller, g.p)
+			runtime.Goexit()
+		}
+		panic(f)
+	}
+	return k.now
+}
+
+// run is the event loop, run by self's goroutine when self gives up the
+// thread. It executes due events in place until one resumes a runner; if
+// that is self, run returns at once, and otherwise it passes the thread
+// straight to that runner and returns when the thread is passed back.
+func (k *Kernel) run(self *runner) {
+	if t := k.next(); t != self {
+		k.handoff(self, t)
+	}
+}
+
+// next executes due events in (time, insertion) order until one resumes a
+// runner, and returns it: the Proc of a dispatch or of a timeout it is
+// still blocked on, or the RunUntil caller at the horizon or an empty
+// queue.
+func (k *Kernel) next() *runner {
+	limit := k.limit
 	for k.nextAt <= limit {
 		at, kind, r, tag := k.pop()
 		if at > k.now {
@@ -334,14 +393,21 @@ func (k *Kernel) RunUntil(limit Time) Time {
 		switch kind {
 		case evFn:
 			r.(funcRecv)()
-		case evDispatch:
-			k.dispatch(r.(*Proc))
-		default: // evRecv, evTimeout
+		case evRecv:
 			r.Recv(tag)
+		case evDispatch:
+			if p := r.(*Proc); !p.finished {
+				return &p.runner
+			}
+		default: // evTimeout
+			if p := r.(*Proc); p.blocked && p.wakeSeq == tag {
+				p.timedOut = true
+				p.blocked = false
+				return &p.runner
+			}
 		}
 	}
-	k.limit = never
-	return k.now
+	return &k.caller
 }
 
 // Idle reports whether no events are pending.
@@ -354,11 +420,20 @@ func (k *Kernel) Idle() bool { return k.nextAt == never }
 // panic) are unwound so their coroutines exit, and any still-queued events
 // are dropped.
 func (k *Kernel) Reset() {
+	k.stopping = true
 	for _, p := range k.procs {
-		if !p.finished {
-			p.stop()
+		if p.finished {
+			continue
+		}
+		k.to = &p.runner
+		if p.in == p {
+			p.stop() // parked in its own slot; if never dispatched, its body never runs
+		} else {
+			k.park(&k.caller, p.in)
 		}
 	}
+	k.stopping = false
+	k.caller, k.to, k.fault, k.switches = runner{}, nil, nil, 0
 	if k.wheel != nil {
 		clear(k.wheel[:])
 		clear(k.nodes) // release the receivers

@@ -257,7 +257,6 @@ type tracer struct {
 	ids     uint64
 	budget  int // pushes left to handlers this round
 	procs   int // Procs left to spawn this round
-	depth   int // RunUntil nesting
 	blocked []traceProc
 }
 
@@ -329,12 +328,6 @@ func (t *tracer) act() {
 			t.wake()
 		case 7:
 			t.spawn()
-		case 8:
-			if t.depth < 2 {
-				t.depth++
-				t.record('u', uint64(t.k.RunUntil(t.k.Now()+t.delay())))
-				t.depth--
-			}
 		}
 	}
 }
@@ -420,7 +413,7 @@ func (t *tracer) play() {
 
 // TestWheelMatchesHeapOracle replays seeded random traces — Schedule,
 // ScheduleAt, ScheduleRecv, Spawn + Wait, Block + Wake, BlockTimeout,
-// nested RunUntil horizons, Reset — through the wheel kernel and the
+// RunUntil horizons, Reset — through the wheel kernel and the
 // heap-only oracle, and requires the same executed log (time, kind,
 // insertion number, events so far) from both.
 func TestWheelMatchesHeapOracle(t *testing.T) {
