@@ -91,18 +91,15 @@ var (
 	adminAddr    = flag.String("admin", "", "admin HTTP listen address (Prometheus /metrics, /metrics.json, /hotlocks, /flight, /debug/pprof); empty = disabled")
 	shards       = flag.Int("shards", 32, "lock-table shards (rounded up to a power of two)")
 	defaultLease = flag.Duration("default-lease", 10*time.Second, "lease for sessions that open without one")
-	maxLease     = flag.Duration("max-lease", time.Minute, "cap on requested leases")
+	maxLease     = flag.Duration("max-lease", time.Minute, "cap on requested leases; in a cluster also the quarantine of a dead member's names, so it must be the same on every member")
 	idle         = flag.Duration("idle", 2*time.Second, "idle time before an unused lock entry is collected (within 2x this)")
 	grace        = flag.Duration("grace", 5*time.Second, "drain grace period on shutdown")
 	workers      = flag.Int("workers", 0, "event-loop workers (0 = GOMAXPROCS)")
 	metricsPath  = flag.String("metrics", "", "write metrics JSON here on shutdown and SIGUSR1 (\"-\" = stdout, shutdown only); live numbers are -admin's /metrics.json")
 	slowlock     = flag.Duration("slowlock", 0, "log acquires whose queue wait reaches this threshold (0 = off)")
-	cohortB      = flag.Int("cohort", 0, "cohort grant-batch bound B: prefer up to B consecutive grants from the releaser's locality domain before strict FIFO (0 = strict FIFO)")
 	flightN      = flag.Int("flight-events", 256, "flight-recorder ring size per worker (0 = recorder off)")
 	clusterArg   = flag.String("cluster", "", "comma-separated member list, this node first (e.g. self:7600,peer:7600,...); enables clustered mode")
 	hbIvl        = flag.Duration("hb", 250*time.Millisecond, "cluster heartbeat period")
-	suspectAfter = flag.Int("suspect-after", 3, "consecutive heartbeat failures before a peer is declared dead")
-	failWindow   = flag.Duration("failover-window", 0, "ghost-hold quarantine after a member death; must be >= -max-lease, which must be homogeneous across the cluster, so every lease the dead node could have granted has expired (0 = -max-lease; smaller values are rejected at startup)")
 	showVersion  = flag.Bool("version", false, "print build info and exit")
 )
 
@@ -145,38 +142,25 @@ func main() {
 		Recorder:     rec,
 		SlowLock:     *slowlock,
 		SlowLockFn:   slowFn,
-		CohortBatch:  int32(*cohortB),
 	})
 	// Clustered mode: this node owns a rendezvous-hashed slice of the
 	// namespace and gates every named op on ownership. The member list
 	// names this node first; peers are heartbeated as ordinary wire
-	// sessions and a dead peer's names rehash to the survivors.
+	// sessions and a dead peer's names rehash to the survivors, quarantined
+	// for -max-lease.
 	var node *cluster.Node
-	fw := *failWindow // the effective window: what the node runs with and the log reports
 	if *clusterArg != "" {
 		members := strings.Split(*clusterArg, ",")
 		for i := range members {
 			members[i] = strings.TrimSpace(members[i])
 		}
-		if fw <= 0 {
-			// Every lease the dead node granted was capped at its
-			// -max-lease; quarantining inherited names for the same
-			// window guarantees those leases have expired before a
-			// survivor re-grants. (NewNode rejects an explicit window
-			// shorter than the manager's MaxLease for the same reason —
-			// the invariant assumes -max-lease is homogeneous across
-			// the cluster.)
-			fw = *maxLease
-		}
 		var err error
 		node, err = cluster.NewNode(cluster.Config{
-			Self:           members[0],
-			Members:        members,
-			Manager:        mgr,
-			Interval:       *hbIvl,
-			SuspectAfter:   *suspectAfter,
-			FailoverWindow: fw,
-			Logf:           log.Printf,
+			Self:     members[0],
+			Members:  members,
+			Manager:  mgr,
+			Interval: *hbIvl,
+			Logf:     log.Printf,
 		})
 		if err != nil {
 			log.Fatalf("lockd: cluster: %v", err)
@@ -272,7 +256,7 @@ func main() {
 	if node != nil {
 		node.Start()
 		log.Printf("lockd: cluster member %s of %v (hb %v, suspect after %d, failover window %v)",
-			node.Self(), node.Current().Members(), *hbIvl, *suspectAfter, fw)
+			node.Self(), node.Current().Members(), *hbIvl, cluster.SuspectAfter, mgr.MaxLease())
 	}
 	log.Printf("lockd: %s %s serving on %s (%d shards, %d workers)",
 		bi.Version, bi.GoVersion, ln.Addr(), *shards, srv.Workers())

@@ -54,9 +54,8 @@ type BatchOp struct {
 	Tag    int32 // connection id: ops sharing a Tag execute strictly in order
 	SID    uint64
 	Excl   bool
-	Wait   int64  // acquire: nanoseconds, as Manager.Acquire
-	Lease  int64  // open/keepalive: nanoseconds
-	Cohort uint32 // acquire/release: the caller's cohort (Config.CohortBatch)
+	Wait   int64 // acquire: nanoseconds, as Manager.Acquire
+	Lease  int64 // open/keepalive: nanoseconds
 	Name   []byte
 	Waiter Waiter // acquire: who to tell if it has to queue; its Completion carries Tag
 
@@ -130,7 +129,7 @@ func (m *Manager) ExecBatch(ops []BatchOp, sc *BatchScratch) {
 		case BatchCloseSession:
 			op.Err = m.closeSession(op.s, now, &sc.done)
 		case BatchAcquire:
-			op.Err = acquire(m, op.s, op.Name, op.Excl, time.Duration(op.Wait), op.Cohort, op.Waiter, op.Tag, now, &sc.done)
+			op.Err = acquire(m, op.s, op.Name, op.Excl, time.Duration(op.Wait), op.Waiter, op.Tag, now, &sc.done)
 			switch {
 			case op.Err == nil && op.Excl:
 				exclGrants++
@@ -143,7 +142,7 @@ func (m *Manager) ExecBatch(ops []BatchOp, sc *BatchScratch) {
 			}
 		case BatchRelease:
 			var held int64
-			if held, op.Err = release(m, op.s, op.Name, op.Excl, op.Cohort, now, &sc.done); op.Err == nil {
+			if held, op.Err = release(m, op.s, op.Name, op.Excl, now, &sc.done); op.Err == nil {
 				sc.holdNS = append(sc.holdNS, held)
 			}
 		default:

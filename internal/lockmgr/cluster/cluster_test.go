@@ -33,9 +33,9 @@ type testCluster struct {
 	killed []bool
 }
 
-// startCluster boots n members. fw is the failover window AND the
-// managers' MaxLease (lockd wires the same equality: every lease the
-// dead node granted has lapsed once the window passes).
+// startCluster boots n members. fw is the managers' MaxLease, which is
+// also the failover window: every lease the dead node granted has lapsed
+// once it passes.
 func startCluster(t *testing.T, n int, fw time.Duration) *testCluster {
 	t.Helper()
 	tc := &testCluster{t: t}
@@ -51,14 +51,12 @@ func startCluster(t *testing.T, n int, fw time.Duration) *testCluster {
 	for i := range lns {
 		m := lockmgr.New(lockmgr.Config{MaxLease: fw})
 		node, err := cluster.NewNode(cluster.Config{
-			Self:           tc.addrs[i],
-			Members:        tc.addrs,
-			Manager:        m,
-			Interval:       20 * time.Millisecond,
-			SuspectAfter:   3,
-			FailoverWindow: fw,
-			BootGrace:      2 * time.Second,
-			Logf:           t.Logf,
+			Self:      tc.addrs[i],
+			Members:   tc.addrs,
+			Manager:   m,
+			Interval:  20 * time.Millisecond,
+			BootGrace: 2 * time.Second,
+			Logf:      t.Logf,
 		})
 		if err != nil {
 			t.Fatalf("node %d: %v", i, err)
@@ -474,31 +472,5 @@ func TestClusterQuorumLoss(t *testing.T) {
 	defer r.Close()
 	if err := r.Acquire("any-name-at-all", true, 100*time.Millisecond); !errors.Is(err, client.ErrNoQuorum) {
 		t.Fatalf("router against isolated remnant: got %v, want ErrNoQuorum", err)
-	}
-}
-
-// TestNewNodeFailoverWindowValidation: the quarantine must cover every
-// lease the manager can grant — NewNode rejects FailoverWindow <
-// Manager.MaxLease and accepts equality (lockd's default wiring).
-func TestNewNodeFailoverWindowValidation(t *testing.T) {
-	m := lockmgr.New(lockmgr.Config{MaxLease: time.Minute})
-	defer m.Close()
-	cfg := cluster.Config{
-		Self:           "a:1",
-		Members:        []string{"a:1", "b:1", "c:1"},
-		Manager:        m,
-		FailoverWindow: 30 * time.Second,
-	}
-	if _, err := cluster.NewNode(cfg); err == nil {
-		t.Fatal("NewNode accepted FailoverWindow 30s < MaxLease 1m")
-	}
-	cfg.FailoverWindow = time.Minute
-	if _, err := cluster.NewNode(cfg); err != nil {
-		t.Fatalf("NewNode rejected FailoverWindow == MaxLease: %v", err)
-	}
-	// The 1m default window also satisfies the default 1m MaxLease.
-	cfg.FailoverWindow = 0
-	if _, err := cluster.NewNode(cfg); err != nil {
-		t.Fatalf("NewNode rejected default FailoverWindow: %v", err)
 	}
 }

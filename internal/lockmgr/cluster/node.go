@@ -26,14 +26,13 @@ import (
 //
 // Safety: a client of the dead node may still believe it holds a lock —
 // its lease, granted by the dead node, runs for up to MaxLease past its
-// last renewal, which is at most FailoverWindow past the moment we
-// noticed the death (NewNode enforces FailoverWindow >= the local
-// manager's MaxLease; deployments must keep -max-lease homogeneous so
-// the bound holds for the dead node's leases too). So for each name
-// inherited from the dead member, the survivor takes an exclusive
-// "ghost" hold (lazily, the first time an acquire for that name
-// arrives) under a ghost session whose lease is FailoverWindow and
-// which is never kept alive. Real acquires queue FIFO behind the ghost;
+// last renewal, which is at most MaxLease past the moment we noticed the
+// death (deployments keep -max-lease the same on every member, so the
+// local manager's MaxLease bounds the dead node's leases too). So for
+// each name inherited from the dead member, the survivor takes an
+// exclusive "ghost" hold (lazily, the first time an acquire for that name
+// arrives) under a ghost session whose lease is MaxLease and which is
+// never kept alive. Real acquires queue FIFO behind the ghost;
 // when the manager's timer expires the ghost session at its deadline it
 // revokes every ghost hold, and the head waiter is granted — exactly once,
 // in arrival order, by machinery that predates the cluster. Membership
@@ -49,7 +48,7 @@ import (
 // sound under an asymmetric partition: a client still connected to the
 // isolated minority cannot renew its lease (keepalives are refused and
 // its session is already gone), so every grant of the minority is dead
-// well within the FailoverWindow the majority waits out before
+// well within the MaxLease the majority waits out before
 // re-granting. The quorum is measured against the initial size, not the
 // current map — a partitioned minority also shrinks its current map,
 // and measuring against that would let it vote itself a quorum of one.
@@ -75,6 +74,9 @@ type Node struct {
 	wg      sync.WaitGroup
 }
 
+// SuspectAfter is how many consecutive heartbeat failures kill a peer.
+const SuspectAfter = 3
+
 // Config configures a Node.
 type Config struct {
 	// Self is this node's client-facing listen address, exactly as it
@@ -87,16 +89,6 @@ type Config struct {
 	Manager *lockmgr.Manager
 	// Interval is the heartbeat period. Default 250ms.
 	Interval time.Duration
-	// SuspectAfter is how many consecutive heartbeat failures kill a
-	// peer. Default 3.
-	SuspectAfter int
-	// FailoverWindow is the ghost-hold quarantine after a death: no
-	// inherited name is granted until this much time has passed, so
-	// every lease the dead node granted has expired. NewNode rejects a
-	// window shorter than Manager.MaxLease — with the required
-	// homogeneous -max-lease across the cluster, that is exactly the
-	// longest any dead member's lease can run. Default 1m.
-	FailoverWindow time.Duration
 	// BootGrace is how long after Start a peer that has never answered
 	// is forgiven its misses — cluster members boot staggered, and a
 	// peer that is merely still starting must not be declared dead.
@@ -130,22 +122,6 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = 250 * time.Millisecond
-	}
-	if cfg.SuspectAfter <= 0 {
-		cfg.SuspectAfter = 3
-	}
-	if cfg.FailoverWindow <= 0 {
-		cfg.FailoverWindow = time.Minute
-	}
-	// Safety invariant: the quarantine must outlive every lease the dead
-	// node could have granted. Locally that means FailoverWindow >=
-	// MaxLease; heterogeneous -max-lease across members would void the
-	// bound, so deployments keep it homogeneous (documented on lockd's
-	// flags).
-	if maxl := cfg.Manager.MaxLease(); cfg.FailoverWindow < maxl {
-		return nil, fmt.Errorf(
-			"cluster: FailoverWindow %v < manager MaxLease %v — a dead member's lease could outlive the ghost quarantine; raise -failover-window or lower -max-lease",
-			cfg.FailoverWindow, maxl)
 	}
 	if cfg.BootGrace <= 0 {
 		cfg.BootGrace = 20 * cfg.Interval
@@ -279,7 +255,11 @@ func (n *Node) declareDead(ps *peerState) bool {
 		n.mu.Unlock()
 		return true
 	}
-	sid, err := n.cfg.Manager.Open(n.cfg.FailoverWindow)
+	// The quarantine is the longest lease the dead node could have granted.
+	// Its deadline is read first, so it never outlives the ghost session.
+	window := n.cfg.Manager.MaxLease()
+	deadline := time.Now().Add(window)
+	sid, err := n.cfg.Manager.Open(window)
 	if err != nil {
 		n.mu.Unlock()
 		n.logf("cluster: NOT declaring %s dead: ghost session unavailable (%v); membership unchanged, will retry", ps.addr, err)
@@ -290,7 +270,7 @@ func (n *Node) declareDead(ps *peerState) bool {
 		prev:     cur,
 		dead:     ps.addr,
 		ghostSID: sid,
-		deadline: time.Now().Add(n.cfg.FailoverWindow),
+		deadline: deadline,
 		taken:    make(map[string]struct{}),
 	})
 	n.nquar.Store(int32(len(n.quars)))
@@ -306,8 +286,8 @@ func (n *Node) declareDead(ps *peerState) bool {
 		// OpOpen/OpKeepAlive, and revoking every live session kills the
 		// leases granted before the partition. An open racing the fence
 		// can slip one session in, but its keepalives are refused from
-		// now on, so it too expires within MaxLease <= FailoverWindow of
-		// the moment the majority notices this node is gone.
+		// now on, so it too expires within MaxLease, the quarantine the
+		// majority waits out after noticing this node is gone.
 		revoked := n.cfg.Manager.RevokeAllSessions()
 		n.logf("cluster: fenced after quorum loss: %d local sessions revoked", revoked)
 	}
@@ -336,7 +316,7 @@ func (n *Node) heartbeat(ps *peerState) {
 	}()
 	// The session we hold on the peer needs to outlive a few missed
 	// beats so a slow scheduler doesn't churn sessions.
-	lease := time.Duration(n.cfg.SuspectAfter+2) * n.cfg.Interval
+	lease := time.Duration(SuspectAfter+2) * n.cfg.Interval
 	bootDeadline := time.Now().Add(n.cfg.BootGrace)
 	everAcked := false
 	t := time.NewTicker(n.cfg.Interval)
@@ -382,7 +362,7 @@ func (n *Node) heartbeat(ps *peerState) {
 		if !everAcked && time.Now().Before(bootDeadline) {
 			continue // peer still booting; misses don't count yet
 		}
-		if misses++; misses >= n.cfg.SuspectAfter {
+		if misses++; misses >= SuspectAfter {
 			if n.declareDead(ps) {
 				return // members never rejoin
 			}

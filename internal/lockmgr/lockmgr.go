@@ -14,8 +14,8 @@
 //   - an acquire that has to wait is a node on that FIFO (waitq.go), and
 //     whatever resolves it — a release, its timeout, a revocation —
 //     completes the node on the spot: no goroutine or timer per waiter,
-//     and admission order is the queue's (FIFO, consecutive readers
-//     together, at most CohortBatch bypasses of any waiter);
+//     and admission order is the queue's: arrival order, consecutive
+//     readers together, no waiter ever overtaken;
 //   - every acquisition belongs to a session with a lease deadline — the
 //     software analogue of the LRT's reservation: a client that crashes
 //     or stalls past its lease has its holds revoked and its queued
@@ -39,7 +39,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"fairrw/fairlock"
 	"fairrw/internal/lockmgr/introspect"
 	"fairrw/internal/stats"
 )
@@ -94,17 +93,6 @@ type Config struct {
 	// structured one-liners). Called from the goroutine whose release
 	// made the grant, with no manager lock held; must not block.
 	SlowLockFn func(name string, sid uint64, excl bool, wait time.Duration)
-	// CohortBatch, when > 0, enables cohort grant batching on every
-	// entry with bound B = CohortBatch: a release may hand the lock to a
-	// waiter from the releaser's cohort ahead of older ones, but no
-	// waiter is overtaken more than B times (the policy of
-	// fairlock.CohortConfig). Zero leaves admission strictly FIFO.
-	CohortBatch int32
-	// CohortFunc maps the goroutine calling Acquire or Release to a
-	// cohort id when CohortBatch is set; nil puts every scalar caller in
-	// cohort 0. Batch ops carry their own (BatchOp.Cohort: the server
-	// passes its worker index).
-	CohortFunc fairlock.CohortFunc
 }
 
 func (c Config) withDefaults() Config {
@@ -266,7 +254,7 @@ func (m *Manager) expireAll(expired bool) (n int) {
 
 // MaxLease reports the effective cap on granted leases — every lease
 // this manager hands out expires at most MaxLease past its last
-// renewal. The cluster layer validates its failover window against it.
+// renewal. The cluster layer quarantines a dead member's names this long.
 func (m *Manager) MaxLease() time.Duration { return m.cfg.MaxLease }
 
 // RevokeAllSessions expires every live session — holds released, queued
@@ -277,19 +265,6 @@ func (m *Manager) MaxLease() time.Duration { return m.cfg.MaxLease }
 func (m *Manager) RevokeAllSessions() int { return m.expireAll(true) }
 
 func (m *Manager) shardOf(hash uint32) *shard { return &m.shards[hash&m.mask] }
-
-// CohortBatch returns the cohort bound B entries are admitted with
-// (0 = strict FIFO).
-func (m *Manager) CohortBatch() int32 { return m.cfg.CohortBatch }
-
-// callerCohort is the cohort of a scalar Acquire or Release, read before
-// any lock is taken: a user CohortFunc never runs under a manager mutex.
-func (m *Manager) callerCohort() uint32 {
-	if m.cfg.CohortBatch > 0 && m.cfg.CohortFunc != nil {
-		return m.cfg.CohortFunc()
-	}
-	return 0
-}
 
 // clampLease applies the configured default and cap.
 func (m *Manager) clampLease(lease time.Duration) time.Duration {
@@ -371,7 +346,7 @@ func (m *Manager) expireSession(s *Session, expired bool, now time.Time, done *[
 		}
 		h.e.readers -= int32(h.shared)
 		m.c.revokedHolds.Add(uint64(h.shared))
-		m.admit(sh, h.e, noCohort, now, done)
+		m.admit(sh, h.e, now, done)
 		sh.mu.Unlock()
 	}
 	m.smu.Lock()
@@ -447,10 +422,9 @@ func (s *Session) grant(h *hold, e *entry, excl bool, grantNS int64) {
 // check, then one hold of the given mode comes off the session (the only
 // deleter from the hold table) and off the lock, and whoever that lets in
 // is granted on the spot — their completions land in done, so a queued
-// acquire is answered in its releaser's round. rc is the releaser's
-// cohort. It returns the hold time. name may alias a parse buffer: the
-// hold lookup does not copy it.
-func release[T string | []byte](m *Manager, s *Session, name T, excl bool, rc uint32, now time.Time, done *[]Completion) (int64, error) {
+// acquire is answered in its releaser's round. It returns the hold time.
+// name may alias a parse buffer: the hold lookup does not copy it.
+func release[T string | []byte](m *Manager, s *Session, name T, excl bool, now time.Time, done *[]Completion) (int64, error) {
 	if !validName(name) {
 		return 0, ErrName
 	}
@@ -479,8 +453,8 @@ func release[T string | []byte](m *Manager, s *Session, name T, excl bool, rc ui
 		s.free = h
 	}
 	s.mu.Unlock()
-	if e.readers == 0 { // readers still in: nobody new fits, and a cohort pick must not join them past a writer
-		m.admit(sh, e, rc, now, done)
+	if e.readers == 0 { // readers still in: the head is a writer, who does not fit yet
+		m.admit(sh, e, now, done)
 	}
 	sh.mu.Unlock()
 	return held, nil
@@ -493,7 +467,7 @@ func release[T string | []byte](m *Manager, s *Session, name T, excl bool, rc ui
 // ErrTimeout, and wait != 0 queues the acquire for w and answers
 // ErrWouldBlock — unless w is nil, in which case nothing changed. Only an
 // acquire executed to a result or queued counts as an arrival.
-func acquire[T string | []byte](m *Manager, s *Session, name T, excl bool, wait time.Duration, cohort uint32, w Waiter, tag int32, now time.Time, done *[]Completion) error {
+func acquire[T string | []byte](m *Manager, s *Session, name T, excl bool, wait time.Duration, w Waiter, tag int32, now time.Time, done *[]Completion) error {
 	if !validName(name) {
 		return ErrName
 	}
@@ -522,7 +496,7 @@ func acquire[T string | []byte](m *Manager, s *Session, name T, excl bool, wait 
 		default:
 			err = ErrWouldBlock
 			if w != nil {
-				m.enqueue(sh, waitNode{e: e, s: s, w: w, tag: tag, excl: excl, cohort: cohort, t0: now}, wait)
+				m.enqueue(sh, waitNode{e: e, s: s, w: w, tag: tag, excl: excl, t0: now}, wait)
 			}
 		}
 		s.mu.Unlock()
@@ -549,12 +523,12 @@ func acquire[T string | []byte](m *Manager, s *Session, name T, excl bool, wait 
 // queues, completed through a channel this call blocks on — made only
 // then, so an uncontended acquire allocates nothing.
 func (m *Manager) Acquire(sid uint64, name string, excl bool, wait time.Duration) error {
-	s, cohort, now := m.session(sid), m.callerCohort(), m.clk.now()
+	s, now := m.session(sid), m.clk.now()
 	var done []Completion
-	err := acquire(m, s, name, excl, wait, cohort, nil, 0, now, &done)
+	err := acquire(m, s, name, excl, wait, nil, 0, now, &done)
 	if err == ErrWouldBlock {
 		ch := make(chanWaiter, 1)
-		if err = acquire(m, s, name, excl, wait, cohort, ch, 0, now, &done); err == ErrWouldBlock {
+		if err = acquire(m, s, name, excl, wait, ch, 0, now, &done); err == ErrWouldBlock {
 			return <-ch // settle, wherever the wait ends, books the outcome
 		}
 	}
@@ -580,7 +554,7 @@ func (m *Manager) Acquire(sid uint64, name string, excl bool, wait time.Duration
 // unlock a grant that now belongs to someone else.
 func (m *Manager) Release(sid uint64, name string, excl bool) error {
 	var done []Completion
-	held, err := release(m, m.session(sid), name, excl, m.callerCohort(), m.clk.now(), &done)
+	held, err := release(m, m.session(sid), name, excl, m.clk.now(), &done)
 	m.settle(done, false)
 	if err != nil {
 		return err

@@ -23,7 +23,6 @@ type counters struct {
 	revokedHolds   atomic.Uint64
 	entriesCreated atomic.Uint64
 	entriesGCed    atomic.Uint64
-	cohortGrants   atomic.Uint64 // out-of-FIFO cohort grants across all entries
 	waiting        atomic.Int64
 }
 
@@ -42,8 +41,6 @@ type Snapshot struct {
 	RevokedHolds     uint64 `json:"revoked_holds"`
 	EntriesCreated   uint64 `json:"entries_created"`
 	EntriesGCed      uint64 `json:"entries_gced"`
-	CohortGrants     uint64 `json:"cohort_grants"`
-	CohortBatch      int32  `json:"cohort_batch"`
 
 	Entries  int   `json:"entries"`
 	Sessions int   `json:"sessions"`
@@ -103,8 +100,6 @@ func (m *Manager) Stats() Snapshot {
 		RevokedHolds:     m.c.revokedHolds.Load(),
 		EntriesCreated:   m.c.entriesCreated.Load(),
 		EntriesGCed:      m.c.entriesGCed.Load(),
-		CohortGrants:     m.c.cohortGrants.Load(),
-		CohortBatch:      m.cfg.CohortBatch,
 		Entries:          m.EntryCount(),
 		Sessions:         m.SessionCount(),
 		Waiting:          m.c.waiting.Load(),

@@ -130,56 +130,43 @@ func TestQueuedAcquireEndings(t *testing.T) {
 	}
 }
 
-// The queue against its oracle. Actors — one session, one tag, one cohort
-// each — acquire, release, time out and close over two names in a seeded
-// random order; every step is mirrored on a fairlock.RefRWMutex per name
-// (a goroutine per oracle waiter, cancelled where the manager's node is),
-// and after each step the two must have granted the same actors and hold
-// the same number queued: same admission order, reader batches admitted
-// together, the same cohort bypasses, none past the bound B.
+// The queue against its oracle. Actors — one session, one tag each —
+// acquire, release, time out and close over two names in a seeded random
+// order; every step is mirrored on a strict-FIFO fairlock.RefRWMutex per
+// name (a goroutine per oracle waiter, cancelled where the manager's node
+// is), and after each step the two must have granted the same actors and
+// hold the same number queued: same admission order, reader batches
+// admitted together, and no waiter ever overtaken.
 
 type qActor struct {
-	sid     uint64
-	cohort  uint32
-	name    int  // index into the two names
-	excl    bool // mode held or waited for
-	state   int  // 0 idle, 1 waiting, 2 holding
-	seq     int  // enqueue order while waiting
-	timed   bool // bounded wait: seq+1 hours
-	skipped int  // later arrivals granted ahead of it this wait
-	cancel  chan struct{}
-	res     chan bool // the oracle goroutine's outcome
+	sid    uint64
+	name   int  // index into the two names
+	excl   bool // mode held or waited for
+	state  int  // 0 idle, 1 waiting, 2 holding
+	seq    int  // enqueue order while waiting
+	timed  bool // bounded wait: seq+1 hours
+	cancel chan struct{}
+	res    chan bool // the oracle goroutine's outcome
 }
 
 func TestQueueMatchesFairlockOracle(t *testing.T) {
-	for _, batch := range []int32{0, 1, 2} {
-		for seed := int64(1); seed <= 5; seed++ {
-			queueVsOracle(t, batch, seed)
-		}
+	for seed := int64(1); seed <= 15; seed++ {
+		queueVsOracle(t, seed)
 	}
 }
 
-func queueVsOracle(t *testing.T, batch int32, seed int64) {
-	const nobody = 9999 // a cohort no actor has: a release with it is strict FIFO
+func queueVsOracle(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	cfg := slowCfg()
-	cfg.CohortBatch, cfg.DefaultLease, cfg.MaxLease = batch, 10000*time.Hour, 10000*time.Hour
+	cfg.DefaultLease, cfg.MaxLease = 10000*time.Hour, 10000*time.Hour
 	m := newTest(t, cfg)
 	sc := m.NewBatchScratch()
 	var rw recWaiter
-	var tags sync.Map // goid -> cohort, for the oracle's CohortFunc
 	names := []string{"a", "b"}
-	refs := make([]*fairlock.RefRWMutex, len(names))
-	for i := range refs {
-		refs[i] = new(fairlock.RefRWMutex)
-		refs[i].SetCohort(fairlock.CohortConfig{Batch: batch, Fn: func() uint32 {
-			v, _ := tags.Load(goid())
-			return v.(uint32)
-		}})
-	}
+	refs := []*fairlock.RefRWMutex{new(fairlock.RefRWMutex), new(fairlock.RefRWMutex)}
 	actors := make([]*qActor, 12)
 	for i := range actors {
-		actors[i] = &qActor{sid: mustOpen(t, m, 0), cohort: uint32(i % 2)}
+		actors[i] = &qActor{sid: mustOpen(t, m, 0)}
 	}
 	seq := 0
 
@@ -193,15 +180,16 @@ func queueVsOracle(t *testing.T, batch int32, seed int64) {
 		select {
 		case got := <-a.res:
 			if got != want {
-				t.Fatalf("seed %d B=%d: oracle %s = %v, want %v", seed, batch, what, got, want)
+				t.Fatalf("seed %d: oracle %s = %v, want %v", seed, what, got, want)
 			}
 		case <-time.After(5 * time.Second):
-			t.Fatalf("seed %d B=%d: oracle never reported %s", seed, batch, what)
+			t.Fatalf("seed %d: oracle never reported %s", seed, what)
 		}
 	}
 	// settle checks a step's completions against the oracle: every actor
-	// the manager granted must get the oracle's grant, and afterwards both
-	// queues are the same length, so the oracle granted nobody else.
+	// the manager granted must get the oracle's grant, ahead of nobody who
+	// queued earlier for the same name, and afterwards both queues are the
+	// same length, so the oracle granted nobody else.
 	settle := func(cps []Completion, name int) {
 		t.Helper()
 		for _, cp := range cps {
@@ -209,18 +197,16 @@ func queueVsOracle(t *testing.T, batch int32, seed int64) {
 			if cp.Err != nil {
 				continue
 			}
-			await(a, true, "grant to a queued waiter")
-			a.state = 2
 			for _, b := range actors {
 				if b.state == 1 && b.name == a.name && b.seq < a.seq {
-					if b.skipped++; int32(b.skipped) > batch {
-						t.Fatalf("seed %d B=%d: a waiter was overtaken %d times", seed, batch, b.skipped)
-					}
+					t.Fatalf("seed %d: waiter %d was overtaken by waiter %d", seed, b.seq, a.seq)
 				}
 			}
+			await(a, true, "grant to a queued waiter")
+			a.state = 2
 		}
 		if got, want := m.QueueLen(names[name]), refs[name].QueueLen(); got != want {
-			t.Fatalf("seed %d B=%d: %d queued on %q, oracle has %d", seed, batch, got, names[name], want)
+			t.Fatalf("seed %d: %d queued on %q, oracle has %d", seed, got, names[name], want)
 		}
 	}
 
@@ -229,21 +215,20 @@ func queueVsOracle(t *testing.T, batch int32, seed int64) {
 		a := actors[i]
 		switch {
 		case a.state == 0: // acquire
-			// Mostly writers on one name: queues long enough to bypass in.
+			// Mostly writers on one name: long queues to be overtaken in.
 			a.name, a.excl, a.timed = rng.Intn(5)/4, rng.Intn(3) > 0, rng.Intn(3) == 0
 			wait := int64(-1)
 			if a.timed {
 				wait = int64(time.Duration(seq+1) * time.Hour)
 			}
 			cps, err := exec(BatchOp{Kind: BatchAcquire, Tag: int32(i), SID: a.sid, Excl: a.excl, Wait: wait,
-				Cohort: a.cohort, Name: []byte(names[a.name]), Waiter: &rw})
+				Name: []byte(names[a.name]), Waiter: &rw})
 			if len(cps) != 0 || (err != nil && err != ErrWouldBlock) {
 				t.Fatalf("seed %d: acquire = %v with %d completions", seed, err, len(cps))
 			}
 			a.cancel, a.res = make(chan struct{}), make(chan bool, 1)
 			ref, before := refs[a.name], refs[a.name].QueueLen()
 			go func(a *qActor) {
-				tags.Store(goid(), a.cohort)
 				if a.excl {
 					a.res <- ref.LockCancel(a.cancel)
 				} else {
@@ -260,17 +245,16 @@ func queueVsOracle(t *testing.T, batch int32, seed int64) {
 					}
 					time.Sleep(50 * time.Microsecond)
 				}
-				a.state, a.seq, a.skipped = 1, seq, 0
+				a.state, a.seq = 1, seq
 				seq++
 			}
 			settle(nil, a.name)
 		case a.state == 2 && rng.Intn(4) > 0: // release
 			cps, err := exec(BatchOp{Kind: BatchRelease, Tag: int32(i), SID: a.sid, Excl: a.excl,
-				Cohort: a.cohort, Name: []byte(names[a.name])})
+				Name: []byte(names[a.name])})
 			if err != nil {
 				t.Fatalf("seed %d: release = %v", seed, err)
 			}
-			tags.Store(goid(), a.cohort)
 			if a.excl {
 				refs[a.name].Unlock()
 			} else {
@@ -308,7 +292,6 @@ func queueVsOracle(t *testing.T, batch int32, seed int64) {
 				close(a.cancel)
 				await(a, false, "cancelled wait")
 			case 2:
-				tags.Store(goid(), uint32(nobody))
 				if a.excl {
 					refs[a.name].Unlock()
 				} else {
@@ -318,13 +301,6 @@ func queueVsOracle(t *testing.T, batch int32, seed int64) {
 			a.state, a.sid = 0, mustOpen(t, m, 0)
 			settle(cps, a.name)
 		}
-	}
-	var oracle uint64
-	for _, ref := range refs {
-		oracle += ref.CohortGrants()
-	}
-	if got := m.Stats().CohortGrants; got != oracle || (batch > 0 && got == 0) {
-		t.Fatalf("seed %d B=%d: %d cohort grants, oracle made %d (and a cohort run must bypass at least once)", seed, batch, got, oracle)
 	}
 	for _, a := range actors { // let the oracle's goroutines go
 		if a.state == 1 {

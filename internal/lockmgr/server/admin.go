@@ -174,8 +174,6 @@ func (s *Server) WriteProm(w io.Writer, bi BuildInfo, topK int) {
 	pw.Counter("lockd_revoked_holds_total", "", snap.RevokedHolds)
 	pw.Counter("lockd_entries_created_total", "", snap.EntriesCreated)
 	pw.Counter("lockd_entries_gced_total", "", snap.EntriesGCed)
-	pw.Counter("lockd_cohort_grants_total", "", snap.CohortGrants)
-	pw.Gauge("lockd_cohort_batch", "", float64(snap.CohortBatch))
 	pw.Gauge("lockd_entries", "", float64(snap.Entries))
 	pw.Gauge("lockd_sessions", "", float64(snap.Sessions))
 	pw.Gauge("lockd_waiting", "", float64(snap.Waiting))

@@ -161,6 +161,56 @@ func TestCrossWorkerOrdering(t *testing.T) {
 	rc.expectSilence(200 * time.Millisecond)
 }
 
+// TestReleaseGrantsOldestWaiterAcrossWorkers pins arrival order across
+// worker loops. The holder and the younger waiter share a worker and the
+// older waiter is on the other one: a grant on the releaser's own worker
+// would be answered in its round, but the release must grant the older
+// waiter first.
+func TestReleaseGrantsOldestWaiterAcrossWorkers(t *testing.T) {
+	addr, srv := startServerCfg(t, testCfg(), Config{Workers: 2})
+	// Round-robin accept, one conn at a time: worker 0, 1, 0.
+	var rcs [3]*rawClient
+	var sids [3]uint64
+	for i := range rcs {
+		rcs[i] = dialRaw(t, addr)
+		sids[i] = rcs[i].open(t, time.Minute)
+	}
+	workerOf := func(i int) int { return findServerConn(t, srv, rcs[i].nc.LocalAddr()).w.idx }
+	if workerOf(0) != workerOf(2) || workerOf(0) == workerOf(1) {
+		t.Fatalf("holder, older and younger on workers %d, %d, %d; want the holder's shared by the younger only",
+			workerOf(0), workerOf(1), workerOf(2))
+	}
+	holder, older, younger := rcs[0], rcs[1], rcs[2]
+	op := func(i int, op wire.Op) *wire.Request {
+		return &wire.Request{Op: op, SID: sids[i], Excl: true, Wait: -1, Name: "k"}
+	}
+
+	holder.write(op(0, wire.OpAcquire))
+	if resp := holder.read(5 * time.Second); resp.Status != wire.StatusOK {
+		t.Fatalf("holder acquire status %d, want OK", resp.Status)
+	}
+	older.write(op(1, wire.OpAcquire))
+	waitForWaiting(t, addr, 1)
+	younger.write(op(2, wire.OpAcquire))
+	waitForWaiting(t, addr, 2)
+
+	holder.write(op(0, wire.OpRelease))
+	if resp := holder.read(5 * time.Second); resp.Status != wire.StatusOK {
+		t.Fatalf("holder release status %d, want OK", resp.Status)
+	}
+	if resp := older.read(5 * time.Second); resp.Status != wire.StatusOK {
+		t.Fatalf("older waiter's grant status %d, want OK", resp.Status)
+	}
+	younger.expectSilence(200 * time.Millisecond)
+	older.write(op(1, wire.OpRelease))
+	if resp := older.read(5 * time.Second); resp.Status != wire.StatusOK {
+		t.Fatalf("older release status %d, want OK", resp.Status)
+	}
+	if resp := younger.read(5 * time.Second); resp.Status != wire.StatusOK {
+		t.Fatalf("younger waiter's grant status %d, want OK", resp.Status)
+	}
+}
+
 // TestMultiWorkerDrainCondemnHammer is the -race stress for several
 // worker loops against connection lifecycle: many connections pipeline
 // op mixes over a tiny keyspace (forcing parks and cross-worker

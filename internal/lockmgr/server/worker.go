@@ -308,7 +308,7 @@ func (w *worker) parseConn(c *conn) {
 			break
 		}
 		op := lockmgr.BatchOp{Tag: c.id, SID: req.SID, Excl: req.Excl, Wait: req.Wait,
-			Lease: req.Lease, Cohort: uint32(w.idx), Name: req.Name, Waiter: c}
+			Lease: req.Lease, Name: req.Name, Waiter: c}
 		switch req.Op {
 		case wire.OpOpen:
 			op.Kind = lockmgr.BatchOpen

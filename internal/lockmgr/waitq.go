@@ -17,11 +17,6 @@ import (
 // a wait's timeout, a lease's expiry, the collection of idle entries — is
 // an item on one deadline heap behind one timer that runs only expire.
 
-const (
-	noCohort         = ^uint32(0) // releaser tag for strict FIFO
-	cohortScanWindow = 16         // how far past the head a release looks for a cohort-mate
-)
-
 // Waiter is where a queued batch acquire's outcome goes. ExecBatch hands
 // the completions its own ops cause back to its caller
 // (BatchScratch.Completions); one that resolves elsewhere — a scalar
@@ -64,8 +59,6 @@ type waitNode struct {
 	w            Waiter
 	tag          int32
 	excl         bool
-	cohort       uint32
-	skips        int32 // grants that have bypassed this waiter
 	t0           time.Time
 	dl           timed // dl.at zero: until granted or revoked
 }
@@ -230,7 +223,7 @@ func (m *Manager) expire(now time.Time) {
 				}
 				n = next
 			}
-			m.admit(sh, e, noCohort, now, &done)
+			m.admit(sh, e, now, &done)
 			sh.mu.Unlock()
 		case s != nil:
 			s.mu.Lock()
@@ -279,7 +272,7 @@ func (m *Manager) cancelWaits(s *Session, w Waiter, now time.Time, done *[]Compl
 				err = ErrTimeout // its own deadline came first, whoever got here first
 			}
 			m.complete(sh, n, err, now, done)
-			m.admit(sh, e, noCohort, now, done)
+			m.admit(sh, e, now, done)
 		}
 		sh.mu.Unlock()
 	}
@@ -341,40 +334,16 @@ func (m *Manager) complete(sh *shard, n *waitNode, err error, now time.Time, don
 	return err
 }
 
-// admit grants queued acquires of e while grants remain feasible — the
-// policy of fairlock's admitWith. Strict FIFO: the head goes first, a
-// granted reader lets the next waiter be considered, a granted writer
-// ends the pass. With cohort batching on, a release by cohort rc (noCohort
-// elsewhere) may instead pick a feasible waiter of that cohort among the
-// first cohortScanWindow, charging a skip to each one it overtakes and
-// never overtaking one that has CohortBatch skips. It also stamps e idle
-// if that is how the caller's op left it. The caller holds sh.mu.
-func (m *Manager) admit(sh *shard, e *entry, rc uint32, now time.Time, done *[]Completion) {
-	batch := m.cfg.CohortBatch
-	if batch <= 0 {
-		rc = noCohort
-	}
-	for e.q.head != nil {
-		h := e.q.head
-		if rc != noCohort {
-			for n, i := h, 0; n != nil && i < cohortScanWindow; n, i = n.next, i+1 {
-				if n.cohort == rc && e.feasible(n.excl) {
-					h = n
-					break
-				}
-				if n.skips >= batch {
-					break
-				}
-			}
-		}
+// admit grants queued acquires of e in arrival order while the head's
+// grant is feasible, as the LRT hands a released lock to the head of its
+// queue: a granted reader lets the next waiter be considered, so
+// consecutive readers go in together, and a granted writer ends the pass.
+// Nobody is ever overtaken. It also stamps e idle if that is how the
+// caller's op left it. The caller holds sh.mu.
+func (m *Manager) admit(sh *shard, e *entry, now time.Time, done *[]Completion) {
+	for h := e.q.head; h != nil; h = e.q.head {
 		if !e.feasible(h.excl) {
 			return
-		}
-		if h != e.q.head {
-			for n := e.q.head; n != h; n = n.next {
-				n.skips++
-			}
-			m.c.cohortGrants.Add(1)
 		}
 		if excl := h.excl; m.complete(sh, h, nil, now, done) == nil && excl {
 			return
