@@ -69,7 +69,6 @@ func (r *remoteLock) release(excl bool) {
 
 func main() {
 	addr := flag.String("addr", "", "lockd address; empty runs against the in-process fairlock")
-	cohortB := flag.Int("cohort", 0, "cohort grant-batch bound B for the in-process lock: prefer up to B consecutive same-cohort grants before strict FIFO (0 = strict FIFO)")
 	flag.Parse()
 
 	// The cached value itself lives in an atomic pointer: the lock
@@ -86,12 +85,6 @@ func main() {
 	var newLock func() locker
 	if *addr == "" {
 		mu = &fairlock.RWMutex{}
-		if *cohortB > 0 {
-			// Cohort mode: the default CohortFunc maps each goroutine to
-			// its BRAVO reader-slot shard, a per-P locality proxy, so
-			// hand-offs prefer waiters whose cache state is already warm.
-			mu.SetCohort(fairlock.CohortConfig{Batch: int32(*cohortB)})
-		}
 		newLock = func() locker { return mu }
 	} else {
 		newLock = func() locker {
@@ -167,10 +160,6 @@ func main() {
 	if mu != nil {
 		r, w := mu.Stats()
 		fmt.Printf("lock grants: %d read, %d write (queue now %d deep)\n", r, w, mu.QueueLen())
-		if *cohortB > 0 {
-			fmt.Printf("cohort grants: %d out-of-FIFO hand-offs within locality domains (B=%d)\n",
-				mu.CohortGrants(), *cohortB)
-		}
 	} else if c, err := client.Dial(*addr); err == nil {
 		if raw, err := c.Stats(); err == nil {
 			var snap lockmgr.Snapshot

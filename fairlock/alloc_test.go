@@ -1,6 +1,9 @@
 package fairlock
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 // TestUncontendedAllocs pins the uncontended fast paths at zero
 // allocations per operation (the CI alloc guard). The read path is
@@ -48,4 +51,32 @@ func TestUncontendedAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("Mutex TryLock/Unlock allocates %.1f objects/op, want 0", n)
 	}
+}
+
+// TestFissileAllocs pins the fissile TATAS acquire at zero allocations: a
+// writer acquiring against a lock that a peer holds and releases in a
+// tight loop resolves by active spin (or at worst the pooled queue);
+// either way the steady state must stay allocation-free.
+func TestFissileAllocs(t *testing.T) {
+	var m RWMutex
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				m.Lock()
+				m.Unlock() //nolint:staticcheck // empty critical section on purpose
+			}
+		}
+	}()
+	if n := testing.AllocsPerRun(2000, func() { m.Lock(); m.Unlock() }); n > 0.1 {
+		t.Errorf("fissile contended Lock/Unlock allocates %.2f objects/op, want ~0", n)
+	}
+	close(stop)
+	wg.Wait()
 }

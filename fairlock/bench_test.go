@@ -9,10 +9,10 @@ import (
 
 // The benchmark matrix behind BENCH_fairlock.json: goroutine count ×
 // read ratio × critical-section length × flavor, with the flavor
-// innermost so one process run alternates fair/cohort/nofissile/ref/sync
-// on each cell and adjacent output rows compare directly. Every row
-// self-describes its environment (gomaxprocs, num_cpu, and the cohort
-// bound B) through b.ReportMetric, so the emitted rows are
+// innermost so one process run alternates fair/nofissile/ref/sync on
+// each cell and adjacent output rows compare directly. Every row
+// self-describes its environment (gomaxprocs, num_cpu, and the fissile
+// spin budget) through b.ReportMetric, so the emitted rows are
 // machine-readable without knowing how the run was launched. Parallelism
 // is driven through b.SetParallelism so the matrix is meaningful at any
 // GOMAXPROCS.
@@ -20,7 +20,7 @@ import (
 // CI runs a short smoke slice of this matrix; regenerate the full matrix
 // with:
 //
-//	GOMAXPROCS=8 go test -run '^$' -bench 'BenchmarkRWMutex|BenchmarkCohortB' -benchmem ./fairlock
+//	GOMAXPROCS=8 go test -run '^$' -bench 'BenchmarkRWMutex' -benchmem ./fairlock
 
 // benchRWLock is the minimal surface the matrix needs; satisfied by
 // RWMutex, RefRWMutex and sync.RWMutex.
@@ -41,39 +41,29 @@ func spin(n int) {
 
 var benchSink int
 
-// rwFlavor is one column of the matrix: which implementation, whether
-// cohort batching is on (and with what bound B), and the fissile TATAS
-// budget in force while the cell runs.
+// rwFlavor is one column of the matrix: which implementation, and the
+// fissile TATAS budget in force while the cell runs.
 type rwFlavor struct {
 	name    string
-	batch   int32 // cohort bound B (0 = cohort off)
 	fissile int32 // TATAS budget while the cell runs; -1 = platform default
-	mk      func(batch int32) benchRWLock
+	mk      func() benchRWLock
 }
 
-func newFairLock(batch int32) benchRWLock {
-	m := &RWMutex{}
-	if batch > 0 {
-		m.SetCohort(CohortConfig{Batch: batch})
-	}
-	return m
-}
+func newFairLock() benchRWLock { return &RWMutex{} }
 
 var rwFlavors = []rwFlavor{
 	{name: "fair", fissile: -1, mk: newFairLock},
-	{name: "cohort", batch: 4, fissile: -1, mk: newFairLock},
 	{name: "nofissile", fissile: 0, mk: newFairLock},
-	{name: "ref", fissile: -1, mk: func(int32) benchRWLock { return &RefRWMutex{} }},
-	{name: "sync", fissile: -1, mk: func(int32) benchRWLock { return &sync.RWMutex{} }},
+	{name: "ref", fissile: -1, mk: func() benchRWLock { return &RefRWMutex{} }},
+	{name: "sync", fissile: -1, mk: func() benchRWLock { return &sync.RWMutex{} }},
 }
 
 // benchCell runs one matrix cell and stamps the self-describing metrics.
-func benchCell(b *testing.B, m benchRWLock, g, readPct, cs int, batch int32) {
+func benchCell(b *testing.B, m benchRWLock, g, readPct, cs int) {
 	b.SetParallelism(g)
 	b.ReportAllocs()
 	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
 	b.ReportMetric(float64(runtime.NumCPU()), "num_cpu")
-	b.ReportMetric(float64(batch), "B")
 	b.ReportMetric(float64(fissileSpins.Load()), "fissile_spins")
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
@@ -104,27 +94,11 @@ func BenchmarkRWMutex(b *testing.B) {
 							prev := setFissileSpins(fl.fissile)
 							defer setFissileSpins(prev)
 						}
-						benchCell(b, fl.mk(fl.batch), g, readPct, cs, fl.batch)
+						benchCell(b, fl.mk(), g, readPct, cs)
 					})
 				}
 			}
 		}
-	}
-}
-
-// BenchmarkCohortB sweeps the cohort bound at the contended mixed cell
-// (g8/r90/cs0), reporting how often batching bent FIFO order so the
-// fairness/throughput trade-off curve in EXPERIMENTS.md can be read
-// straight off the rows.
-func BenchmarkCohortB(b *testing.B) {
-	for _, batch := range []int32{1, 2, 4, 8, 16} {
-		batch := batch
-		b.Run(fmt.Sprintf("g8/r90/cs0/B%d", batch), func(b *testing.B) {
-			m := &RWMutex{}
-			m.SetCohort(CohortConfig{Batch: batch})
-			benchCell(b, m, 8, 90, 0, batch)
-			b.ReportMetric(float64(m.CohortGrants())/float64(b.N), "cohort_grants/op")
-		})
 	}
 }
 

@@ -187,9 +187,8 @@ func (m *RWMutex) releaseReadCredit(sl *rslot, mayPanic bool) {
 			if m.state.CompareAndSwap(s, s-1) {
 				if s&readerMask == 1 && s>>qShift != 0 {
 					// Last central reader out with waiters queued.
-					rc := m.releaseCohort()
 					m.qmu.Lock()
-					m.admitWith(rc)
+					m.admit()
 					m.qmu.Unlock()
 				}
 				return

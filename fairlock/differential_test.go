@@ -179,9 +179,41 @@ func canonical(order []grantEvent) string {
 	return out
 }
 
+// maxBypass returns the largest number of later arrivals granted before
+// any single waiter. Reader ids are first sorted within each run of
+// consecutive read grants, as in canonical, so batch-mates recorded out
+// of order do not count. Strict FIFO admission makes it 0.
+func maxBypass(order []grantEvent) int {
+	order = append([]grantEvent(nil), order...)
+	for i := 0; i < len(order); {
+		if order[i].write {
+			i++
+			continue
+		}
+		j := i
+		for j < len(order) && !order[j].write {
+			j++
+		}
+		run := order[i:j]
+		sort.Slice(run, func(a, b int) bool { return run[a].id < run[b].id })
+		i = j
+	}
+	worst := 0
+	for pos, e := range order {
+		bypasses := 0
+		for _, g := range order[:pos] {
+			if g.id > e.id {
+				bypasses++
+			}
+		}
+		worst = max(worst, bypasses)
+	}
+	return worst
+}
+
 // TestDifferentialAdmissionOrder fuzzes arrival patterns and requires the
 // new lock to admit waiters in exactly the order and batching of the
-// reference model.
+// reference model, with no waiter overtaken on either lock.
 func TestDifferentialAdmissionOrder(t *testing.T) {
 	patterns := [][]bool{
 		{false, false, true, false, true},
@@ -197,11 +229,41 @@ func TestDifferentialAdmissionOrder(t *testing.T) {
 		}
 		patterns = append(patterns, p)
 	}
+	checkAdmission(t, patterns)
+}
+
+// TestDifferentialCohortWriters fuzzes all-writer arrival patterns. Writer
+// grants fully serialize, so they pin the admission order most tightly:
+// the new lock must match the reference grant for grant, in strict arrival
+// order.
+func TestDifferentialCohortWriters(t *testing.T) {
+	var patterns [][]bool
+	rng := rand.New(rand.NewSource(23))
+	for i := 0; i < 20; i++ {
+		p := make([]bool, 3+rng.Intn(8))
+		for j := range p {
+			p[j] = true
+		}
+		patterns = append(patterns, p)
+	}
+	checkAdmission(t, patterns)
+}
+
+// checkAdmission runs each pattern on both locks and fails unless their
+// admission order, batching and stats agree and no waiter is overtaken.
+func checkAdmission(t *testing.T, patterns [][]bool) {
+	t.Helper()
 	for pi, p := range patterns {
 		var a RWMutex
 		var b RefRWMutex
-		got := canonical(admissionOrder(t, &a, p))
-		want := canonical(admissionOrder(t, &b, p))
+		gotOrder := admissionOrder(t, &a, p)
+		wantOrder := admissionOrder(t, &b, p)
+		for _, o := range [][]grantEvent{gotOrder, wantOrder} {
+			if n := maxBypass(o); n != 0 {
+				t.Fatalf("pattern %d %v: a waiter was overtaken %d times: %s", pi, p, n, canonical(o))
+			}
+		}
+		got, want := canonical(gotOrder), canonical(wantOrder)
 		if got != want {
 			t.Fatalf("pattern %d %v: admission diverged:\nnew: %s\nref: %s", pi, p, got, want)
 		}

@@ -76,9 +76,6 @@ type RWMutex struct {
 	inhibitUntil atomic.Int64 // unix nanos before which bias may not re-enable
 	everBiased   atomic.Bool  // bias was enabled at least once (drain gate)
 
-	cohort       atomic.Pointer[cohortState] // cohort batching config (nil = off)
-	cohortGrants atomic.Uint64               // grants handed out of FIFO order to a cohort-mate
-
 	slots [numSlots]rslot // BRAVO distributed reader indicator
 }
 
@@ -248,9 +245,6 @@ func (m *RWMutex) grantedCentralRead() {
 // that publishes it, so no new slot readers can slip past a queued writer.
 // It returns nil on immediate grant.
 func (m *RWMutex) enqueue(write bool) *waiter {
-	// The cohort tag is derived before qmu so a user CohortFunc can never
-	// deadlock against the hand-off path.
-	cohort := m.enqueueCohort()
 	m.qmu.Lock()
 	for {
 		s := m.state.Load()
@@ -280,7 +274,6 @@ func (m *RWMutex) enqueue(write bool) *waiter {
 			continue
 		}
 		w := newWaiter(write)
-		w.cohort = cohort
 		m.q.pushBack(w)
 		m.qmu.Unlock()
 		return w
@@ -289,10 +282,43 @@ func (m *RWMutex) enqueue(write bool) *waiter {
 
 // admit grants the lock to the queue head — and, for a reader head, to
 // every consecutive reader behind it (the reader-batch admission of the
-// paper's read-grant chaining) — in strict FIFO order. Hand-offs from a
-// release go through admitWith (cohort.go) instead, which may batch
-// grants within the releaser's cohort. Callers hold qmu.
-func (m *RWMutex) admit() { m.admitWith(noCohort) }
+// paper's read-grant chaining) — in strict FIFO order. A granted reader
+// keeps the loop running while a granted writer ends it. Callers hold qmu.
+func (m *RWMutex) admit() {
+	for h := m.q.head; h != nil; h = m.q.head {
+		// Read the mode before the grant: once ready is sent, the woken
+		// goroutine may recycle h.
+		write := h.write
+		if write {
+			for {
+				s := m.state.Load()
+				if s&(writerBit|readerMask) != 0 {
+					return
+				}
+				if m.state.CompareAndSwap(s, ((s-qOne)|writerBit)&^biasBit) {
+					break
+				}
+			}
+			m.grantsW.Add(1)
+		} else {
+			for {
+				s := m.state.Load()
+				if s&writerBit != 0 {
+					return
+				}
+				if m.state.CompareAndSwap(s, s-qOne+1) {
+					break
+				}
+			}
+			m.grantedCentralRead()
+		}
+		m.q.remove(h)
+		h.ready <- struct{}{}
+		if write {
+			return
+		}
+	}
+}
 
 // Unlock releases write mode. It panics if the lock is not write-held.
 func (m *RWMutex) Unlock() {
@@ -303,9 +329,8 @@ func (m *RWMutex) Unlock() {
 		}
 		if m.state.CompareAndSwap(s, s&^writerBit) {
 			if s>>qShift != 0 {
-				rc := m.releaseCohort()
 				m.qmu.Lock()
-				m.admitWith(rc)
+				m.admit()
 				m.qmu.Unlock()
 			}
 			return
@@ -580,6 +605,12 @@ type rlocker RWMutex
 
 func (r *rlocker) Lock()   { (*RWMutex)(r).RLock() }
 func (r *rlocker) Unlock() { (*RWMutex)(r).RUnlock() }
+
+// CohortGrants returns 0.
+//
+// Deprecated: every grant is in arrival order, so no grant is ever
+// handed out of FIFO order.
+func (m *RWMutex) CohortGrants() uint64 { return 0 }
 
 // Stats returns the cumulative number of read and write grants. Slot
 // grant counters live in the high half of each packed slot word (they

@@ -2,7 +2,6 @@ package fairlock
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -17,10 +16,8 @@ import (
 
 // refWaiter is one queued acquisition in the reference model.
 type refWaiter struct {
-	write  bool
-	cohort uint32        // locality tag assigned at enqueue (cohort mode)
-	skips  int32         // grants that have bypassed this waiter
-	ready  chan struct{} // closed when the lock is granted
+	write bool
+	ready chan struct{} // closed when the lock is granted
 }
 
 // RefRWMutex is the reference fair FIFO reader-writer lock. It has the
@@ -34,106 +31,27 @@ type RefRWMutex struct {
 	queue   []*refWaiter
 
 	grantsR, grantsW uint64
-	cohortGrants     uint64 // out-of-FIFO grants to a cohort-mate; under mu
-
-	cohort atomic.Pointer[cohortState] // cohort batching config (nil = off)
-}
-
-// SetCohort mirrors RWMutex.SetCohort on the reference model, so the
-// differential tests can pin the cohort-batching policy — including the
-// B-bounded bypass rule — against this oracle.
-func (m *RefRWMutex) SetCohort(cfg CohortConfig) {
-	if cfg.Batch <= 0 {
-		m.cohort.Store(nil)
-		return
-	}
-	fn := cfg.Fn
-	if fn == nil {
-		fn = slotIndex
-	}
-	m.cohort.Store(&cohortState{batch: cfg.Batch, fn: fn, sink: cfg.Grants})
-}
-
-// CohortGrants mirrors RWMutex.CohortGrants.
-func (m *RefRWMutex) CohortGrants() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.cohortGrants
-}
-
-// releaseCohort derives the releasing holder's cohort tag before mu is
-// taken (a user CohortFunc must never run under the lock's own mutex).
-func (m *RefRWMutex) releaseCohort() uint32 {
-	if c := m.cohort.Load(); c != nil {
-		return c.fn()
-	}
-	return noCohort
-}
-
-// feasible mirrors RWMutex.feasible on the reference state. Callers hold mu.
-func (m *RefRWMutex) feasible(w *refWaiter) bool {
-	if w.write {
-		return m.readers == 0 && !m.writer
-	}
-	return !m.writer
-}
-
-// cohortCandidate mirrors RWMutex.cohortCandidate: the queue index to
-// grant for releaser cohort rc — 0 for strict FIFO, a bypass otherwise.
-// Callers hold mu.
-func (m *RefRWMutex) cohortCandidate(c *cohortState, rc uint32) int {
-	for i, w := range m.queue {
-		if i >= cohortScanWindow {
-			break
-		}
-		if w.cohort == rc && m.feasible(w) {
-			return i
-		}
-		if w.skips >= c.batch {
-			break
-		}
-	}
-	return 0
 }
 
 // admit grants strictly FIFO: the queue head — and, for a reader head,
 // every consecutive reader behind it. Callers hold mu.
-func (m *RefRWMutex) admit() { m.admitWith(noCohort) }
-
-// admitWith mirrors RWMutex.admitWith: hand-offs may batch grants within
-// the releaser's cohort, charging one skip to every overtaken waiter and
-// never overtaking a waiter more than B times. Callers hold mu.
-func (m *RefRWMutex) admitWith(rc uint32) {
-	c := m.cohort.Load()
-	if c == nil {
-		rc = noCohort
-	}
+func (m *RefRWMutex) admit() {
 	for len(m.queue) > 0 {
-		ci := 0
-		if rc != noCohort {
-			ci = m.cohortCandidate(c, rc)
-		}
-		h := m.queue[ci]
-		if !m.feasible(h) {
-			return
-		}
-		if ci > 0 {
-			for _, w := range m.queue[:ci] {
-				w.skips++
-			}
-			m.cohortGrants++
-			if c.sink != nil {
-				c.sink.Add(1)
-			}
-		}
+		h := m.queue[0]
 		if h.write {
+			if m.writer || m.readers > 0 {
+				return
+			}
 			m.writer = true
 			m.grantsW++
 		} else {
+			if m.writer {
+				return
+			}
 			m.readers++
 			m.grantsR++
 		}
-		m.queue = append(m.queue[:ci], m.queue[ci+1:]...)
+		m.queue = m.queue[1:]
 		close(h.ready)
 		if h.write {
 			return
@@ -144,10 +62,6 @@ func (m *RefRWMutex) admitWith(rc uint32) {
 // enqueue appends a waiter unless the lock is immediately available (no
 // queue and no conflicting holder). It returns nil on immediate grant.
 func (m *RefRWMutex) enqueue(write bool) *refWaiter {
-	var cohort uint32
-	if c := m.cohort.Load(); c != nil {
-		cohort = c.fn()
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if len(m.queue) == 0 && !m.writer && (!write || m.readers == 0) {
@@ -160,7 +74,7 @@ func (m *RefRWMutex) enqueue(write bool) *refWaiter {
 		}
 		return nil
 	}
-	w := &refWaiter{write: write, cohort: cohort, ready: make(chan struct{})}
+	w := &refWaiter{write: write, ready: make(chan struct{})}
 	m.queue = append(m.queue, w)
 	return w
 }
@@ -181,19 +95,17 @@ func (m *RefRWMutex) RLock() {
 
 // Unlock releases write mode. It panics if the lock is not write-held.
 func (m *RefRWMutex) Unlock() {
-	rc := m.releaseCohort()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if !m.writer {
 		panic("fairlock: Unlock of non-write-locked RefRWMutex")
 	}
 	m.writer = false
-	m.admitWith(rc)
+	m.admit()
 }
 
 // RUnlock releases read mode. It panics if the lock is not read-held.
 func (m *RefRWMutex) RUnlock() {
-	rc := m.releaseCohort()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.readers == 0 {
@@ -201,7 +113,7 @@ func (m *RefRWMutex) RUnlock() {
 	}
 	m.readers--
 	if m.readers == 0 {
-		m.admitWith(rc)
+		m.admit()
 	}
 }
 

@@ -238,7 +238,7 @@ func TestQueueMemoryBounded(t *testing.T) {
 	}
 }
 
-// TestTimedRemovalIsO1 guards the O(1) unlink: a large cohort of timed
+// TestTimedRemovalIsO1 guards the O(1) unlink: a large group of timed
 // waiters expiring together must not take quadratic time (the old slice
 // scan was O(n) per removal).
 func TestTimedRemovalIsO1(t *testing.T) {
@@ -312,4 +312,108 @@ func TestTimedWriteUpgradeTimesOut(t *testing.T) {
 	if m.QueueLen() != 0 {
 		t.Fatalf("queue len %d after rollback, want 0", m.QueueLen())
 	}
+}
+
+// TestWaiterPoolHygiene is the regression test for recycled waiter nodes
+// leaking state between lives: putWaiter must clear the mode, the links,
+// and any unconsumed grant token, so a node reused by a different lock or
+// mode starts clean.
+func TestWaiterPoolHygiene(t *testing.T) {
+	w := newWaiter(true)
+	w.queued = true
+	w.ready <- struct{}{} // simulate an unconsumed grant token
+	putWaiter(w)
+	if w.write || w.queued || w.next != nil || w.prev != nil {
+		t.Fatalf("recycled waiter retains state: %+v", w)
+	}
+	select {
+	case <-w.ready:
+		t.Fatal("recycled waiter retains a grant token")
+	default:
+	}
+	if w.ready == nil || cap(w.ready) != 1 {
+		t.Fatal("recycled waiter lost its reusable ready channel")
+	}
+}
+
+// TestStressCancelRevocation mixes cancellable acquires with the fissile
+// TATAS phase and BRAVO bias revocation at small timeouts, checking
+// exclusion on every acquisition (run with -race and GOMAXPROCS=4 in CI).
+func TestStressCancelRevocation(t *testing.T) {
+	// Force the fissile TATAS phase on so its interleavings are exercised
+	// even where the single-core gate would disable it.
+	prev := setFissileSpins(defaultFissileSpins)
+	defer setFissileSpins(prev)
+	var m RWMutex
+	var writers, readers int32
+	check := func(write bool) {
+		if write {
+			if w := atomic.AddInt32(&writers, 1); w != 1 {
+				t.Errorf("%d writers inside", w)
+			}
+			if r := atomic.LoadInt32(&readers); r != 0 {
+				t.Errorf("writer inside with %d readers", r)
+			}
+			atomic.AddInt32(&writers, -1)
+		} else {
+			atomic.AddInt32(&readers, 1)
+			if w := atomic.LoadInt32(&writers); w != 0 {
+				t.Errorf("reader inside with %d writers", w)
+			}
+			atomic.AddInt32(&readers, -1)
+		}
+	}
+	iters := 300
+	if testing.Short() {
+		iters = 80
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 12; g++ {
+		g := g
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < iters; i++ {
+				switch g % 4 {
+				case 0: // cancellable writer, sometimes already cancelled
+					cancel := make(chan struct{})
+					if rng.Intn(4) == 0 {
+						close(cancel)
+					} else {
+						time.AfterFunc(time.Duration(rng.Intn(60))*time.Microsecond,
+							func() { close(cancel) })
+					}
+					if m.LockCancel(cancel) {
+						check(true)
+						m.Unlock()
+					}
+				case 1: // cancellable reader
+					cancel := make(chan struct{})
+					time.AfterFunc(time.Duration(rng.Intn(60))*time.Microsecond,
+						func() { close(cancel) })
+					if m.RLockCancel(cancel) {
+						check(false)
+						m.RUnlock()
+					}
+				case 2: // writer bursts keep revoking the bias
+					m.Lock()
+					check(true)
+					m.Unlock()
+				default: // read traffic re-enables the bias and feeds batches
+					for j := 0; j < 8; j++ {
+						m.RLock()
+						check(false)
+						m.RUnlock()
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := m.QueueLen(); n != 0 {
+		t.Fatalf("queue len %d after quiescence", n)
+	}
+	m.Lock() // the lock must still be fully usable
+	m.Unlock()
 }

@@ -14,13 +14,6 @@ type waiter struct {
 	write      bool
 	queued     bool // linked into a lock's waitq; guarded by that lock's qmu
 	ready      chan struct{}
-
-	// Cohort batching state, both guarded by the owning lock's qmu:
-	// cohort is the locality-domain tag assigned at enqueue, skips counts
-	// how many grants have bypassed this waiter so the cohort scan can
-	// enforce the fairness bound B (see admitWith).
-	cohort uint32
-	skips  int32
 }
 
 var waiterPool = sync.Pool{New: func() any {
@@ -36,16 +29,14 @@ func newWaiter(write bool) *waiter {
 // putWaiter recycles a node. The caller must guarantee the grant token has
 // been consumed (or can never be sent: the node was unlinked under qmu
 // before any grant reached it). Every mutable field is reset here — a
-// recycled node must not leak a stale cohort tag or bypass count into its
-// next life, and the ready channel is drained (never replaced: replacing
+// recycled node must not leak a stale mode or link into its next life,
+// and the ready channel is drained (never replaced: replacing
 // it would allocate) in case a caller ever recycles a node with an
 // unconsumed token.
 func putWaiter(w *waiter) {
 	w.next, w.prev = nil, nil
 	w.write = false
 	w.queued = false
-	w.cohort = 0
-	w.skips = 0
 	select {
 	case <-w.ready:
 	default:
