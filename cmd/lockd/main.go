@@ -84,12 +84,15 @@ func buildInfo() server.BuildInfo {
 	return bi
 }
 
+// flightEvents is the flight recorder's ring size per worker: the recorder
+// is always on (its cost is inside the noise, EXPERIMENTS.md).
+const flightEvents = 256
+
 // The daemon's knobs, registered at package level so TestFlagBudget can
 // count them.
 var (
 	addr         = flag.String("addr", "127.0.0.1:7600", "TCP listen address")
 	adminAddr    = flag.String("admin", "", "admin HTTP listen address (Prometheus /metrics, /metrics.json, /hotlocks, /flight, /debug/pprof); empty = disabled")
-	shards       = flag.Int("shards", 32, "lock-table shards (rounded up to a power of two)")
 	defaultLease = flag.Duration("default-lease", 10*time.Second, "lease for sessions that open without one")
 	maxLease     = flag.Duration("max-lease", time.Minute, "cap on requested leases; in a cluster also the quarantine of a dead member's names, so it must be the same on every member")
 	idle         = flag.Duration("idle", 2*time.Second, "idle time before an unused lock entry is collected (within 2x this)")
@@ -97,7 +100,6 @@ var (
 	workers      = flag.Int("workers", 0, "event-loop workers (0 = GOMAXPROCS)")
 	metricsPath  = flag.String("metrics", "", "write metrics JSON here on shutdown and SIGUSR1 (\"-\" = stdout, shutdown only); live numbers are -admin's /metrics.json")
 	slowlock     = flag.Duration("slowlock", 0, "log acquires whose queue wait reaches this threshold (0 = off)")
-	flightN      = flag.Int("flight-events", 256, "flight-recorder ring size per worker (0 = recorder off)")
 	clusterArg   = flag.String("cluster", "", "comma-separated member list, this node first (e.g. self:7600,peer:7600,...); enables clustered mode")
 	hbIvl        = flag.Duration("hb", 250*time.Millisecond, "cluster heartbeat period")
 	showVersion  = flag.Bool("version", false, "print build info and exit")
@@ -117,17 +119,14 @@ func main() {
 		log.Fatalf("lockd: listen: %v", err)
 	}
 
-	var rec *introspect.Recorder
-	if *flightN > 0 {
-		// One ring per event-loop worker (the server keys by worker
-		// index); the manager's grant/expiry events hash across the same
-		// rings.
-		nw := *workers
-		if nw <= 0 {
-			nw = runtime.GOMAXPROCS(0)
-		}
-		rec = introspect.NewRecorder(nw, *flightN)
+	// One flight-recorder ring per event-loop worker (the server keys by
+	// worker index); the manager's grant/expiry events hash across the same
+	// rings.
+	nw := *workers
+	if nw <= 0 {
+		nw = runtime.GOMAXPROCS(0)
 	}
+	rec := introspect.NewRecorder(nw, flightEvents)
 	slowFn := func(name string, sid uint64, excl bool, wait time.Duration) {
 		log.Printf("lockd: slowlock lock=%q sid=%d excl=%v wait=%v", name, sid, excl, wait)
 	}
@@ -135,7 +134,6 @@ func main() {
 		slowFn = nil
 	}
 	mgr := lockmgr.New(lockmgr.Config{
-		Shards:       *shards,
 		DefaultLease: *defaultLease,
 		MaxLease:     *maxLease,
 		IdleTTL:      *idle,
@@ -239,11 +237,7 @@ func main() {
 				}
 			case syscall.SIGQUIT:
 				log.Printf("lockd: SIGQUIT: flight recorder dump")
-				if rec != nil {
-					rec.Dump(os.Stderr)
-				} else {
-					fmt.Fprintln(os.Stderr, "(flight recorder disabled)")
-				}
+				rec.Dump(os.Stderr)
 			}
 		}
 	}()
@@ -258,8 +252,8 @@ func main() {
 		log.Printf("lockd: cluster member %s of %v (hb %v, suspect after %d, failover window %v)",
 			node.Self(), node.Current().Members(), *hbIvl, cluster.SuspectAfter, mgr.MaxLease())
 	}
-	log.Printf("lockd: %s %s serving on %s (%d shards, %d workers)",
-		bi.Version, bi.GoVersion, ln.Addr(), *shards, srv.Workers())
+	log.Printf("lockd: %s %s serving on %s (%d workers)",
+		bi.Version, bi.GoVersion, ln.Addr(), srv.Workers())
 	if err := srv.Serve(ln); err != nil {
 		log.Fatalf("lockd: serve: %v", err)
 	}

@@ -12,13 +12,13 @@ import (
 // same functions over every frame a server worker drained in one wakeup,
 // so an op has the same result and the same effect on the counters
 // whichever way it arrives (differential_test.go holds the two to that).
-// What ExecBatch adds is amortization — one clock read for the whole
-// batch, one session-table RLock pass resolving every sid at once, grant
-// and timeout counters and the wait and hold histograms updated once with
-// batch totals — and the completion list: a release in the batch grants
-// the acquires queued behind it then and there, and ExecBatch hands those
-// outcomes back with the batch's own results, so the waiter is answered
-// in the releaser's round.
+// What ExecBatch adds is amortization — one clock read and one hold of
+// Manager.mu for the whole batch, grant and timeout counters and the wait
+// and hold histograms updated once with batch totals, after the hold —
+// and the completion list: a release in the batch grants the acquires
+// queued behind it then and there, and ExecBatch hands those outcomes
+// back with the batch's own results, so the waiter is answered in the
+// releaser's round.
 //
 // ExecBatch never blocks: where Manager.Acquire waits on a channel, a
 // batch acquire that has to wait is queued for its op's Waiter and
@@ -62,8 +62,6 @@ type BatchOp struct {
 	// Results.
 	Err    error
 	OutSID uint64 // open: the new session id
-
-	s *Session // internal: resolved session
 }
 
 // BatchScratch is reusable per-worker scratch for ExecBatch so batch
@@ -103,33 +101,26 @@ func (m *Manager) ExecBatch(ops []BatchOp, sc *BatchScratch) {
 	}
 	now := m.clk.now()
 
-	// Resolve every session in one table pass.
-	m.smu.RLock()
-	for i := range ops {
-		if op := &ops[i]; op.Kind != BatchOpen {
-			op.s = m.sessions[op.SID]
-		}
-	}
-	m.smu.RUnlock()
-
-	// Execute in submission order, each op through the same function its
-	// scalar method calls.
+	// Execute in submission order, in one hold, each op through the same
+	// function its scalar method calls.
 	var sharedGrants, exclGrants, timeouts uint64
+	m.mu.Lock()
 	for i := range ops {
 		op := &ops[i]
 		if sc.isBlocked(op.Tag) {
 			op.Err = ErrDeferred
 			continue
 		}
+		s := m.sessions[op.SID]
 		switch op.Kind {
 		case BatchOpen:
 			op.OutSID, op.Err = m.openAt(time.Duration(op.Lease), now)
 		case BatchKeepAlive:
-			op.Err = m.keepAliveSession(op.s, time.Duration(op.Lease), now, &sc.done)
+			op.Err = m.keepAliveSession(s, time.Duration(op.Lease), now, &sc.done)
 		case BatchCloseSession:
-			op.Err = m.closeSession(op.s, now, &sc.done)
+			op.Err = m.closeSession(s, now, &sc.done)
 		case BatchAcquire:
-			op.Err = acquire(m, op.s, op.Name, op.Excl, time.Duration(op.Wait), op.Waiter, op.Tag, now, &sc.done)
+			op.Err = acquire(m, s, op.Name, op.Excl, time.Duration(op.Wait), op.Waiter, op.Tag, now, &sc.done)
 			switch {
 			case op.Err == nil && op.Excl:
 				exclGrants++
@@ -142,13 +133,14 @@ func (m *Manager) ExecBatch(ops []BatchOp, sc *BatchScratch) {
 			}
 		case BatchRelease:
 			var held int64
-			if held, op.Err = release(m, op.s, op.Name, op.Excl, now, &sc.done); op.Err == nil {
+			if held, op.Err = release(m, s, op.Name, op.Excl, now, &sc.done); op.Err == nil {
 				sc.holdNS = append(sc.holdNS, held)
 			}
 		default:
 			op.Err = ErrName
 		}
 	}
+	m.mu.Unlock()
 
 	// Counters and the wait and hold histograms, once per batch.
 	if sharedGrants > 0 {
@@ -168,37 +160,34 @@ func (m *Manager) ExecBatch(ops []BatchOp, sc *BatchScratch) {
 	sc.done = m.settle(sc.done, true)
 }
 
-// openAt is Open with the caller's clock reading.
+// openAt is Open with the caller's clock reading. mu is held.
 func (m *Manager) openAt(lease time.Duration, now time.Time) (uint64, error) {
-	if m.closed.Load() {
+	if m.closed {
 		return 0, ErrClosed
 	}
+	m.nextSID++
 	s := &Session{
+		id:       m.nextSID,
 		holds:    make(map[string]*hold),
 		deadline: now.Add(m.clampLease(lease)),
 	}
 	s.lease.s = s
-	m.smu.Lock()
-	m.nextSID++
-	s.id = m.nextSID
 	m.sessions[s.id] = s
-	m.schedule(&s.lease, s.deadline) // under smu: nobody finds s before its lease is on the heap
-	m.smu.Unlock()
+	m.schedule(&s.lease, s.deadline)
 	m.c.sessionsOpened.Add(1)
 	return s.id, nil
 }
 
 // keepAliveSession is KeepAlive on an already-resolved session (nil if
-// unknown) with the caller's clock reading.
+// unknown) with the caller's clock reading. mu is held.
 func (m *Manager) keepAliveSession(s *Session, lease time.Duration, now time.Time, done *[]Completion) error {
-	if err := m.live(s, now); err != nil {
-		return m.lapse(s, err, now, done)
+	if err := m.live(s, now, done); err != nil {
+		return err
 	}
 	s.deadline = now.Add(m.clampLease(lease))
 	if s.deadline.Before(s.lease.at) { // cut short: due then, not when the old deadline surfaces
 		m.schedule(&s.lease, s.deadline)
 	}
-	s.mu.Unlock()
 	m.c.keepalives.Add(1)
 	return nil
 }

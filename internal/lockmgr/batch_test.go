@@ -10,7 +10,7 @@ import (
 // TestExecBatchBasics drives a mixed batch end to end: open, grants in
 // both modes, dup-excl rejection, releases, over-release, close.
 func TestExecBatchBasics(t *testing.T) {
-	m := New(Config{Shards: 4})
+	m := New(Config{})
 	defer m.Close()
 	sc := m.NewBatchScratch()
 
@@ -54,7 +54,7 @@ func TestExecBatchBasics(t *testing.T) {
 // returns ErrWouldBlock with no side effects, and every later op with
 // the same Tag is deferred — while other tags proceed.
 func TestExecBatchWouldBlockAndDeferral(t *testing.T) {
-	m := New(Config{Shards: 4})
+	m := New(Config{})
 	defer m.Close()
 	sc := m.NewBatchScratch()
 
@@ -99,7 +99,7 @@ func TestExecBatchWouldBlockAndDeferral(t *testing.T) {
 // TestExecBatchRefcounts: an entry a batch acquire released again, or one
 // a failed batch acquire created, is idle, so the collection deletes it.
 func TestExecBatchRefcounts(t *testing.T) {
-	m, fc := newFake(t, Config{Shards: 4, IdleTTL: time.Millisecond})
+	m, fc := newFake(t, Config{IdleTTL: time.Millisecond})
 	sc := m.NewBatchScratch()
 
 	holder, _ := m.Open(time.Minute)
@@ -125,7 +125,7 @@ func TestExecBatchRefcounts(t *testing.T) {
 // the batch path must not allocate (names alias the caller's buffer,
 // holds recycle, scratch is reused).
 func TestExecBatchSteadyStateAllocs(t *testing.T) {
-	m := New(Config{Shards: 4})
+	m := New(Config{})
 	defer m.Close()
 	sc := m.NewBatchScratch()
 	sid, _ := m.Open(time.Minute)

@@ -253,8 +253,8 @@ func TestKeepAliveRekeys(t *testing.T) {
 
 	heapState := func() (n int, key time.Time, resets int) {
 		s := m.session(long)
-		m.tmu.Lock()
-		defer m.tmu.Unlock()
+		m.mu.Lock()
+		defer m.mu.Unlock()
 		return len(m.deadlines), s.lease.at, fc.resets
 	}
 	n0, key0, resets0 := heapState()
@@ -310,9 +310,9 @@ func TestIdleGCBounds(t *testing.T) {
 		if st := m.Stats(); st.Entries != 0 || st.EntriesGCed != 2 || fc.armed() != 0 {
 			t.Fatalf("phase %v: %d entries, %d collected, %d timers armed; want 0, 2, 0", phase, st.Entries, st.EntriesGCed, fc.armed())
 		}
-		m.tmu.Lock()
+		m.mu.Lock()
 		n := len(m.deadlines)
-		m.tmu.Unlock()
+		m.mu.Unlock()
 		if n != 0 {
 			t.Fatalf("phase %v: %d items left on the heap of an empty manager", phase, n)
 		}

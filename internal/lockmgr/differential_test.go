@@ -81,7 +81,7 @@ type diffRun struct {
 
 func newDiffRun(ops []diffOp) *diffRun {
 	rec := introspect.NewRecorder(1, 4096)
-	m := New(Config{Shards: 4, DefaultLease: time.Hour, MaxLease: time.Hour, IdleTTL: time.Hour, Recorder: rec})
+	m := New(Config{DefaultLease: time.Hour, MaxLease: time.Hour, IdleTTL: time.Hour, Recorder: rec})
 	return &diffRun{m: m, rec: rec, sc: m.NewBatchScratch(), ops: ops, errs: make([]error, len(ops))}
 }
 
@@ -181,11 +181,11 @@ func (r *diffRun) state(t *testing.T) diffState {
 		if s == nil {
 			continue
 		}
-		s.mu.Lock()
+		r.m.mu.Lock()
 		for name, h := range s.holds {
 			st.Holds = append(st.Holds, fmt.Sprintf("sess=%d %s shared=%d excl=%v", k, name, h.shared, h.excl))
 		}
-		s.mu.Unlock()
+		r.m.mu.Unlock()
 	}
 	sort.Strings(st.Holds)
 	// The locks themselves, probed from outside: a fresh session's tries
@@ -229,6 +229,7 @@ func diffOne(t *testing.T, seed int64) {
 			}
 		}
 		order = append(order, batched.batch(idx)...)
+		checkInvariants(t, batched.m) // a batch is one hold: no state between its ops to check
 	}
 	scalar, single := newDiffRun(ops), newDiffRun(ops)
 	defer scalar.m.Close()
@@ -236,6 +237,8 @@ func diffOne(t *testing.T, seed int64) {
 	for _, i := range order {
 		scalar.scalar(i)
 		single.batch([]int{i})
+		checkInvariants(t, scalar.m)
+		checkInvariants(t, single.m)
 	}
 
 	want := scalar.state(t)

@@ -14,7 +14,6 @@ import (
 // reflects everything the test did, not what survived the idle GC.
 func slowCfg() Config {
 	return Config{
-		Shards:       4,
 		DefaultLease: time.Minute,
 		MaxLease:     time.Minute,
 		IdleTTL:      time.Hour,

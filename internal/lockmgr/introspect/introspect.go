@@ -97,7 +97,7 @@ type Event struct {
 // ring is one writer-sharded event buffer. pos counts events ever
 // written, so pos%len is the next slot and min(pos, len) the population.
 // The trailing pad keeps neighbouring rings' mutexes and cursors off a
-// shared cache line (the same discipline lockmgr's shards use).
+// shared cache line.
 type ring struct {
 	mu  sync.Mutex
 	pos uint64
@@ -192,8 +192,9 @@ func (r *Recorder) Dump(w io.Writer) {
 
 // Hash is FNV-1a over a lock name, string or bytes alike (a name that
 // aliases a parse buffer hashes without a conversion allocation): the
-// hash carried in events and lockmgr's shard hash, so a flight-recorder
-// hash maps back to a shard (and, via the hot-lock table, usually a name).
+// hash carried in events and kept on lockmgr's table entry, so a
+// flight-recorder hash maps back, via the hot-lock table, usually to a
+// name.
 func Hash[T string | []byte](s T) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(s); i++ {

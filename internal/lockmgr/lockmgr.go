@@ -7,10 +7,9 @@
 // lock directly to the head of that queue, and a holder that disappears
 // never stops forward progress. lockmgr mirrors that in software:
 //
-//   - named locks live in a table striped across power-of-two shards
-//     (cache-padded); an entry is the lock itself — reader count, writer
-//     flag, FIFO of queued acquires — under its shard's mutex, created on
-//     demand and collected once it has sat idle for IdleTTL;
+//   - named locks live in one table; an entry is the lock itself — reader
+//     count, writer flag, FIFO of queued acquires — created on demand and
+//     collected once it has sat idle for IdleTTL;
 //   - an acquire that has to wait is a node on that FIFO (waitq.go), and
 //     whatever resolves it — a release, its timeout, a revocation —
 //     completes the node on the spot: no goroutine or timer per waiter,
@@ -36,7 +35,6 @@ package lockmgr
 import (
 	"errors"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"fairrw/internal/lockmgr/introspect"
@@ -66,9 +64,6 @@ func validName[T string | []byte](name T) bool {
 
 // Config parameterizes a Manager. The zero value selects the defaults.
 type Config struct {
-	// Shards is the number of table stripes; rounded up to a power of
-	// two. Default 16.
-	Shards int
 	// DefaultLease is used when a session opens with lease <= 0.
 	// Default 10s. A lease not renewed expires at its deadline.
 	DefaultLease time.Duration
@@ -91,17 +86,11 @@ type Config struct {
 	SlowLock time.Duration
 	// SlowLockFn receives slow acquires (cmd/lockd logs them as
 	// structured one-liners). Called from the goroutine whose release
-	// made the grant, with no manager lock held; must not block.
+	// made the grant, with Manager.mu free; must not block.
 	SlowLockFn func(name string, sid uint64, excl bool, wait time.Duration)
 }
 
 func (c Config) withDefaults() Config {
-	if c.Shards <= 0 {
-		c.Shards = 16
-	}
-	for c.Shards&(c.Shards-1) != 0 {
-		c.Shards++
-	}
 	if c.DefaultLease <= 0 {
 		c.DefaultLease = 10 * time.Second
 	}
@@ -115,13 +104,13 @@ func (c Config) withDefaults() Config {
 }
 
 // entry is one named lock in the table: the lock state and its contention
-// profile (Manager.HotLocks), all guarded by the owning shard's mu. An
-// entry nobody holds or waits for is idle, and collectIdle deletes it
-// once idle for IdleTTL — so a hot name is not reallocated on every
-// acquire/release cycle and a profile lives as long as its lock.
+// profile (Manager.HotLocks), all guarded by Manager.mu. An entry nobody
+// holds or waits for is idle, and collectIdle deletes it once idle for
+// IdleTTL — so a hot name is not reallocated on every acquire/release
+// cycle and a profile lives as long as its lock.
 type entry struct {
 	name   string
-	hash   uint32 // introspect.Hash(name); the owning shard is hash & mask
+	hash   uint32 // introspect.Hash(name), as in flight events
 	idleAt time.Time
 
 	readers int32 // shared grants outstanding
@@ -138,15 +127,6 @@ func (e *entry) feasible(excl bool) bool { return !e.writer && (!excl || e.reade
 
 func (e *entry) idle() bool { return e.readers == 0 && !e.writer && e.q.head == nil }
 
-// shard is one stripe of the lock table, padded so that neighbouring
-// shards' mutexes never share a cache line. free recycles wait nodes.
-type shard struct {
-	mu      sync.Mutex
-	entries map[string]*entry
-	free    *waitNode
-	_       [104]byte
-}
-
 // hold records what one session holds on one entry. Holds are keyed by
 // lock name in the session (O(1) release lookup) and recycled through a
 // one-element free list, so the steady acquire/release cycle does not
@@ -161,9 +141,7 @@ type hold struct {
 // Session is one client's registration: a lease deadline, the holds to
 // release and the queued acquires to cancel when the session dies.
 type Session struct {
-	id uint64
-
-	mu       sync.Mutex
+	id       uint64
 	deadline time.Time
 	lease    timed // deadline's item on the heap; may lag a deadline moved back
 	closed   bool
@@ -172,28 +150,32 @@ type Session struct {
 	waits    *waitNode // queued acquires, linked through snext/sprev
 }
 
-// Manager is the sharded, lease-based lock service. Create one with New;
-// all methods are safe for concurrent use. Lock order: a shard's mu, then
-// a session's mu, then tmu; never two shards at once.
+// Manager is the lease-based lock service. Create one with New; all
+// methods are safe for concurrent use. Like the LRT, it is one table agent
+// that takes requests one at a time: one mutex, mu, guards the table, the
+// sessions and the timer, and every op — a whole ExecBatch, a timer fire —
+// runs in one hold of it. Nothing outside the manager runs under mu: the
+// outcomes an op completes are collected while it is held and settled
+// after it is released, so Waiter.Complete (which may run a server loop
+// that calls ExecBatch), SlowLockFn and the completions' flight events are
+// all called with mu free. The counters are atomics; waitMu and holdMu,
+// like the recorder's ring lock, are leaves taken with nothing else held.
 type Manager struct {
-	cfg  Config
-	clk  clock
-	mask uint32
+	cfg Config
+	clk clock
 
-	shards []shard
-
-	smu      sync.RWMutex
+	mu       sync.Mutex
+	entries  map[string]*entry
+	free     *waitNode // recycled wait nodes
 	sessions map[uint64]*Session
 	nextSID  uint64
+	closed   bool
 
 	// The one timer, armed for the earliest deadline on the heap (waitq.go).
-	tmu       sync.Mutex
 	deadlines deadlineHeap
 	gc        timed // the collection pass: on the heap while the table has entries
 	timer     timer
 	timerAt   time.Time // when timer fires next; zero = not armed
-
-	closed atomic.Bool
 
 	c      counters
 	waitMu sync.Mutex
@@ -206,50 +188,43 @@ type Manager struct {
 // appears with the first session. Callers Close it to stop that timer.
 func New(cfg Config) *Manager {
 	cfg = cfg.withDefaults()
-	m := &Manager{
+	return &Manager{
 		cfg:      cfg,
 		clk:      realClock,
-		mask:     uint32(cfg.Shards - 1),
-		shards:   make([]shard, cfg.Shards),
+		entries:  make(map[string]*entry),
 		sessions: make(map[uint64]*Session),
 	}
-	for i := range m.shards {
-		m.shards[i].entries = make(map[string]*entry)
-	}
-	return m
 }
 
 // Close expires every session (releasing holds, cancelling queued
 // acquires with ErrExpired) and stops the timer.
-func (m *Manager) Close() {
-	if m.closed.Swap(true) {
-		return
-	}
-	m.expireAll(false)
-	m.tmu.Lock()
-	if m.timer != nil {
-		m.timer.Stop()
-	}
-	m.tmu.Unlock()
-}
+func (m *Manager) Close() { m.expireAll(false, true) }
 
-// expireAll expires every live session and returns how many there were.
-func (m *Manager) expireAll(expired bool) (n int) {
-	m.smu.RLock()
-	victims := make([]*Session, 0, len(m.sessions))
-	for _, s := range m.sessions {
-		victims = append(victims, s)
-	}
-	m.smu.RUnlock()
+// expireAll expires every live session and returns how many there were;
+// closing closes the manager in the same hold, first.
+func (m *Manager) expireAll(expired, closing bool) (n int) {
 	var done []Completion
 	now := m.clk.now()
-	for _, s := range victims {
+	m.mu.Lock()
+	if closing {
+		m.closed = true
+		if m.timer != nil {
+			m.timer.Stop()
+		}
+	}
+	for _, s := range m.sessions {
 		if m.expireSession(s, expired, now, &done) {
 			n++
 		}
 	}
-	m.settle(done, false)
+	m.unlock(done)
 	return n
+}
+
+// unlock releases mu and then settles what the hold completed.
+func (m *Manager) unlock(done []Completion) {
+	m.mu.Unlock()
+	m.settle(done, false)
 }
 
 // MaxLease reports the effective cap on granted leases — every lease
@@ -262,9 +237,7 @@ func (m *Manager) MaxLease() time.Duration { return m.cfg.MaxLease }
 // returns the number of sessions revoked. This is the cluster layer's
 // fencing primitive: an isolated node revokes everything it granted so
 // no lease of its outlives the quarantine the survivors wait out.
-func (m *Manager) RevokeAllSessions() int { return m.expireAll(true) }
-
-func (m *Manager) shardOf(hash uint32) *shard { return &m.shards[hash&m.mask] }
+func (m *Manager) RevokeAllSessions() int { return m.expireAll(true, false) }
 
 // clampLease applies the configured default and cap.
 func (m *Manager) clampLease(lease time.Duration) time.Duration {
@@ -276,17 +249,10 @@ func (m *Manager) clampLease(lease time.Duration) time.Duration {
 
 // Open registers a new session with the given lease and returns its id.
 func (m *Manager) Open(lease time.Duration) (uint64, error) {
-	return m.openAt(lease, m.clk.now())
-}
-
-// session resolves sid; nil means unknown, which live reports as expired
-// (expired sessions are deleted, so a stale id and an expired one are
-// indistinguishable — exactly like a lapsed LRT reservation).
-func (m *Manager) session(sid uint64) *Session {
-	m.smu.RLock()
-	s := m.sessions[sid]
-	m.smu.RUnlock()
-	return s
+	now := m.clk.now()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.openAt(lease, now)
 }
 
 // KeepAlive extends sid's lease to now+lease (clamped). A session whose
@@ -294,8 +260,10 @@ func (m *Manager) session(sid uint64) *Session {
 // keepalive cannot resurrect a reservation the table already broke.
 func (m *Manager) KeepAlive(sid uint64, lease time.Duration) error {
 	var done []Completion
-	err := m.keepAliveSession(m.session(sid), lease, m.clk.now(), &done)
-	m.settle(done, false)
+	now := m.clk.now()
+	m.mu.Lock()
+	err := m.keepAliveSession(m.sessions[sid], lease, now, &done)
+	m.unlock(done)
 	return err
 }
 
@@ -304,13 +272,17 @@ func (m *Manager) KeepAlive(sid uint64, lease time.Duration) error {
 // unknown or already gone is ErrExpired.
 func (m *Manager) CloseSession(sid uint64) error {
 	var done []Completion
-	err := m.closeSession(m.session(sid), m.clk.now(), &done)
-	m.settle(done, false)
+	now := m.clk.now()
+	m.mu.Lock()
+	err := m.closeSession(m.sessions[sid], now, &done)
+	m.unlock(done)
 	return err
 }
 
 // closeSession is CloseSession on an already-resolved session (nil if
-// unknown) with the caller's clock reading.
+// unknown — expired sessions are deleted, so a stale id and an expired one
+// are indistinguishable, exactly like a lapsed LRT reservation) with the
+// caller's clock reading.
 func (m *Manager) closeSession(s *Session, now time.Time, done *[]Completion) error {
 	if s == nil || !m.expireSession(s, false, now, done) {
 		return ErrExpired
@@ -323,35 +295,27 @@ func (m *Manager) closeSession(s *Session, now time.Time, done *[]Completion) er
 // unchanged order), and deletes it from the table. It is idempotent and
 // reports whether this call did the revoking; expired says whether this
 // was a lease expiry (the timer's, or a lapsed lease seen by an op) or a
-// graceful close. It locks shards, so the caller must hold none.
+// graceful close. mu is held.
 func (m *Manager) expireSession(s *Session, expired bool, now time.Time, done *[]Completion) bool {
-	s.mu.Lock()
 	if s.closed {
-		s.mu.Unlock()
 		return false
 	}
 	s.closed = true // from here on no acquire of s queues or is granted
 	holds := s.holds
 	s.holds = nil
-	s.mu.Unlock()
 
 	m.unschedule(&s.lease)
 	m.cancelWaits(s, nil, now, done)
 	for _, h := range holds {
-		sh := m.shardOf(h.e.hash)
-		sh.mu.Lock()
 		if h.excl {
 			h.e.writer = false
 			m.c.revokedHolds.Add(1)
 		}
 		h.e.readers -= int32(h.shared)
 		m.c.revokedHolds.Add(uint64(h.shared))
-		m.admit(sh, h.e, now, done)
-		sh.mu.Unlock()
+		m.admit(h.e, now, done)
 	}
-	m.smu.Lock()
 	delete(m.sessions, s.id)
-	m.smu.Unlock()
 	if expired {
 		m.c.expirations.Add(1)
 		m.cfg.Recorder.Record(uint32(s.id), introspect.Event{
@@ -362,43 +326,25 @@ func (m *Manager) expireSession(s *Session, expired bool, now time.Time, done *[
 	return true
 }
 
-// errLapsed is live's verdict on a lease whose deadline has passed; lapse
-// turns it into the expiry it stands for once the caller holds no shard.
-var errLapsed = errors.New("lockmgr: lease lapsed")
-
-// live is the one lease check: it locks s and reports whether s may act
-// at now. A nil (unknown) or closed session is ErrExpired; one whose
-// deadline is not after now is errLapsed, so no op of any kind succeeds
-// on a lapsed lease. On nil return the caller holds s.mu.
-func (m *Manager) live(s *Session, now time.Time) error {
+// live is the one lease check: it reports whether s may act at now. A nil
+// (unknown, so closed or expired) session is ErrExpired, and so is one
+// whose deadline is not after now, so no op of any kind succeeds on a
+// lapsed lease: live expires that session on the spot, ahead of a late
+// timer. mu is held.
+func (m *Manager) live(s *Session, now time.Time, done *[]Completion) error {
 	if s == nil {
 		return ErrExpired
 	}
-	s.mu.Lock()
-	if s.closed || !s.deadline.After(now) {
-		closed := s.closed
-		s.mu.Unlock()
-		if closed {
-			return ErrExpired
-		}
-		return errLapsed
+	if !s.deadline.After(now) {
+		m.expireSession(s, true, now, done)
+		return ErrExpired
 	}
 	return nil
 }
 
-// lapse passes an op's result through, except that errLapsed expires the
-// session on the spot — ahead of a late timer — and becomes ErrExpired.
-func (m *Manager) lapse(s *Session, err error, now time.Time, done *[]Completion) error {
-	if err == errLapsed {
-		m.expireSession(s, true, now, done)
-		return ErrExpired
-	}
-	return err
-}
-
 // grant records one granted hold of e in the given mode: the only writer
 // of the hold table. h is the caller's s.holds lookup for e.name (nil if
-// absent); s.mu is held.
+// absent); mu is held.
 func (s *Session) grant(h *hold, e *entry, excl bool, grantNS int64) {
 	if h == nil {
 		if h = s.free; h != nil {
@@ -423,21 +369,17 @@ func (s *Session) grant(h *hold, e *entry, excl bool, grantNS int64) {
 // deleter from the hold table) and off the lock, and whoever that lets in
 // is granted on the spot — their completions land in done, so a queued
 // acquire is answered in its releaser's round. It returns the hold time.
-// name may alias a parse buffer: the hold lookup does not copy it.
+// name may alias a parse buffer: the hold lookup does not copy it. mu is
+// held.
 func release[T string | []byte](m *Manager, s *Session, name T, excl bool, now time.Time, done *[]Completion) (int64, error) {
 	if !validName(name) {
 		return 0, ErrName
 	}
-	sh := m.shardOf(introspect.Hash(name))
-	sh.mu.Lock()
-	if err := m.live(s, now); err != nil {
-		sh.mu.Unlock()
-		return 0, m.lapse(s, err, now, done)
+	if err := m.live(s, now, done); err != nil {
+		return 0, err
 	}
 	h := s.holds[string(name)]
 	if h == nil || (excl && !h.excl) || (!excl && h.shared == 0) {
-		s.mu.Unlock()
-		sh.mu.Unlock()
 		return 0, ErrNotHeld
 	}
 	e := h.e
@@ -452,18 +394,15 @@ func release[T string | []byte](m *Manager, s *Session, name T, excl bool, now t
 		delete(s.holds, e.name)
 		s.free = h
 	}
-	s.mu.Unlock()
 	if e.readers == 0 { // readers still in: the head is a writer, who does not fit yet
-		m.admit(sh, e, now, done)
+		m.admit(e, now, done)
 	}
-	sh.mu.Unlock()
 	return held, nil
 }
 
-// acquire is the acquire both entry points run, under the name's shard
-// mutex and, from the lease check on, the session's, so nothing in it can
-// race the session's revocation or another arrival. A lock that is free
-// for the mode with nobody queued is granted. Otherwise wait == 0 is
+// acquire is the acquire both entry points run, under mu, so nothing in
+// it can race the session's revocation or another arrival. A lock that is
+// free for the mode with nobody queued is granted. Otherwise wait == 0 is
 // ErrTimeout, and wait != 0 queues the acquire for w and answers
 // ErrWouldBlock — unless w is nil, in which case nothing changed. Only an
 // acquire executed to a result or queued counts as an arrival.
@@ -471,17 +410,14 @@ func acquire[T string | []byte](m *Manager, s *Session, name T, excl bool, wait 
 	if !validName(name) {
 		return ErrName
 	}
-	hash := introspect.Hash(name)
-	sh := m.shardOf(hash)
-	sh.mu.Lock()
-	e := sh.entries[string(name)] // alloc-free lookup
+	e := m.entries[string(name)] // alloc-free lookup
 	if e == nil {
-		e = &entry{name: string(name), hash: hash} // the one name copy
-		sh.entries[e.name] = e
+		e = &entry{name: string(name), hash: introspect.Hash(name)} // the one name copy
+		m.entries[e.name] = e
 		m.c.entriesCreated.Add(1)
 		m.schedule(&m.gc, now.Add(m.cfg.IdleTTL)) // a no-op while a pass is pending
 	}
-	err := m.live(s, now)
+	err := m.live(s, now, done)
 	if err == nil {
 		h := s.holds[e.name]
 		switch {
@@ -496,10 +432,9 @@ func acquire[T string | []byte](m *Manager, s *Session, name T, excl bool, wait 
 		default:
 			err = ErrWouldBlock
 			if w != nil {
-				m.enqueue(sh, waitNode{e: e, s: s, w: w, tag: tag, excl: excl, t0: now}, wait)
+				m.enqueue(waitNode{e: e, s: s, w: w, tag: tag, excl: excl, t0: now}, wait)
 			}
 		}
-		s.mu.Unlock()
 	}
 	if err != ErrWouldBlock || w != nil {
 		e.acquires++
@@ -507,8 +442,7 @@ func acquire[T string | []byte](m *Manager, s *Session, name T, excl bool, wait 
 	if e.idle() {
 		e.idleAt = now
 	}
-	sh.mu.Unlock()
-	return m.lapse(s, err, now, done)
+	return err
 }
 
 // Acquire takes name for sid in shared or exclusive mode.
@@ -523,16 +457,18 @@ func acquire[T string | []byte](m *Manager, s *Session, name T, excl bool, wait 
 // queues, completed through a channel this call blocks on — made only
 // then, so an uncontended acquire allocates nothing.
 func (m *Manager) Acquire(sid uint64, name string, excl bool, wait time.Duration) error {
-	s, now := m.session(sid), m.clk.now()
 	var done []Completion
+	now := m.clk.now()
+	m.mu.Lock()
+	s := m.sessions[sid]
 	err := acquire(m, s, name, excl, wait, nil, 0, now, &done)
-	if err == ErrWouldBlock {
+	if err == ErrWouldBlock { // nothing changed, so the same call with a Waiter queues
 		ch := make(chanWaiter, 1)
-		if err = acquire(m, s, name, excl, wait, ch, 0, now, &done); err == ErrWouldBlock {
-			return <-ch // settle, wherever the wait ends, books the outcome
-		}
+		acquire(m, s, name, excl, wait, ch, 0, now, &done)
+		m.mu.Unlock()
+		return <-ch // settle, wherever the wait ends, books the outcome
 	}
-	m.settle(done, false)
+	m.unlock(done)
 	switch {
 	case err == nil && excl:
 		m.c.exclGrants.Add(1)
@@ -554,8 +490,10 @@ func (m *Manager) Acquire(sid uint64, name string, excl bool, wait time.Duration
 // unlock a grant that now belongs to someone else.
 func (m *Manager) Release(sid uint64, name string, excl bool) error {
 	var done []Completion
-	held, err := release(m, m.session(sid), name, excl, m.clk.now(), &done)
-	m.settle(done, false)
+	now := m.clk.now()
+	m.mu.Lock()
+	held, err := release(m, m.sessions[sid], name, excl, now, &done)
+	m.unlock(done)
 	if err != nil {
 		return err
 	}
@@ -565,30 +503,23 @@ func (m *Manager) Release(sid uint64, name string, excl bool) error {
 }
 
 // collectIdle deletes the entries that have been idle for IdleTTL at now
-// and returns how many entries are left.
-func (m *Manager) collectIdle(now time.Time) (left int) {
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		for name, e := range sh.entries {
-			if e.idle() && now.Sub(e.idleAt) >= m.cfg.IdleTTL {
-				delete(sh.entries, name)
-				m.c.entriesGCed.Add(1)
-			}
+// and returns how many entries are left. mu is held, for the whole walk.
+func (m *Manager) collectIdle(now time.Time) int {
+	for name, e := range m.entries {
+		if e.idle() && now.Sub(e.idleAt) >= m.cfg.IdleTTL {
+			delete(m.entries, name)
+			m.c.entriesGCed.Add(1)
 		}
-		left += len(sh.entries)
-		sh.mu.Unlock()
 	}
-	return left
+	return len(m.entries)
 }
 
 // QueueLen reports how many acquires are queued on name right now (0 for
 // an absent entry). Diagnostics only.
 func (m *Manager) QueueLen(name string) int {
-	sh := m.shardOf(introspect.Hash(name))
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if e := sh.entries[name]; e != nil {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if e := m.entries[name]; e != nil {
 		return e.q.n
 	}
 	return 0
@@ -597,19 +528,14 @@ func (m *Manager) QueueLen(name string) int {
 // EntryCount returns the number of entries currently in the table,
 // including idle ones not collected yet.
 func (m *Manager) EntryCount() int {
-	n := 0
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		n += len(sh.entries)
-		sh.mu.Unlock()
-	}
-	return n
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.entries)
 }
 
 // SessionCount returns the number of live sessions.
 func (m *Manager) SessionCount() int {
-	m.smu.RLock()
-	defer m.smu.RUnlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	return len(m.sessions)
 }

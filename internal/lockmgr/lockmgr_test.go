@@ -9,7 +9,6 @@ import (
 // fastCfg keeps test leases and the idle GC short.
 func fastCfg() Config {
 	return Config{
-		Shards:       4,
 		DefaultLease: time.Second,
 		MaxLease:     10 * time.Second,
 		IdleTTL:      50 * time.Millisecond,
@@ -373,8 +372,9 @@ func TestManagerClose(t *testing.T) {
 // TestConcurrentChurn hammers the manager from many sessions across a
 // small keyspace with mixed modes and waits; run under -race in CI. It
 // checks no admission order (TestQueueMatchesFairlockOracle does): only
-// that no error but the expected timeouts occurs and the final state is
-// clean.
+// that no error but the expected timeouts occurs, that the table's
+// invariants hold in snapshots taken while it runs, and that the final
+// state is clean.
 func TestConcurrentChurn(t *testing.T) {
 	m := newTest(t, fastCfg())
 	keys := []string{"a", "b", "c", "d"}
@@ -408,7 +408,16 @@ func TestConcurrentChurn(t *testing.T) {
 			}
 		}()
 	}
-	wg.Wait()
+	finished := make(chan struct{})
+	go func() { wg.Wait(); close(finished) }()
+	for running := true; running; {
+		select {
+		case <-finished:
+			running = false
+		case <-time.After(200 * time.Microsecond):
+		}
+		checkInvariants(t, m)
+	}
 	if m.SessionCount() != 0 {
 		t.Fatalf("sessions leaked: %d", m.SessionCount())
 	}

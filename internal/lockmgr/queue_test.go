@@ -189,9 +189,11 @@ func queueVsOracle(t *testing.T, seed int64) {
 	// settle checks a step's completions against the oracle: every actor
 	// the manager granted must get the oracle's grant, ahead of nobody who
 	// queued earlier for the same name, and afterwards both queues are the
-	// same length, so the oracle granted nobody else.
+	// same length, so the oracle granted nobody else. Every step ends here,
+	// so the table's own invariants are checked first.
 	settle := func(cps []Completion, name int) {
 		t.Helper()
+		checkInvariants(t, m)
 		for _, cp := range cps {
 			a := actors[cp.Tag]
 			if cp.Err != nil {

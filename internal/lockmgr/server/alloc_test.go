@@ -18,7 +18,6 @@ import (
 // counter is process-global, not per-goroutine.
 func quietCfg() lockmgr.Config {
 	return lockmgr.Config{
-		Shards:       8,
 		DefaultLease: time.Hour,
 		MaxLease:     time.Hour,
 		IdleTTL:      time.Hour,

@@ -146,7 +146,6 @@ func TestNewStartsNoGoroutine(t *testing.T) {
 // a four-status pattern that a lost or doubled answer would shift.
 func TestFourWorkerHammerAnswersExactlyOnce(t *testing.T) {
 	mcfg := testCfg()
-	mcfg.Shards = 16
 	addr, srv := startServerCfg(t, mcfg, Config{Workers: 4})
 	var stopping atomic.Bool
 	var pairs, timeouts, streamed atomic.Int64

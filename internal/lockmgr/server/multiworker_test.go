@@ -24,9 +24,9 @@ func workerTotals(srv *Server) (batches, batchOps, writevs, parks uint64) {
 }
 
 // TestWorkersHonoured pins the worker count at what was asked for: no
-// rounding to a power of two, no cap at the shard count.
+// rounding to a power of two.
 func TestWorkersHonoured(t *testing.T) {
-	mcfg := testCfg() // 4 shards, fewer than the workers
+	mcfg := testCfg()
 	addr, srv := startServerCfg(t, mcfg, Config{Workers: 6})
 	if got := srv.Workers(); got != 6 {
 		t.Fatalf("Workers() = %d, want 6", got)
@@ -49,7 +49,7 @@ func TestWorkersHonoured(t *testing.T) {
 }
 
 // TestPipelinedReadIsOneBatch pins the one execution path: every frame
-// of a read, whatever shards its names hash to, executes in a single
+// of a read, whatever names it carries, executes in a single
 // ExecBatch on the worker that decoded it and leaves in a single writev.
 func TestPipelinedReadIsOneBatch(t *testing.T) {
 	addr, srv := startServerCfg(t, testCfg(), Config{Workers: 2})
@@ -214,13 +214,12 @@ func TestReleaseGrantsOldestWaiterAcrossWorkers(t *testing.T) {
 // TestMultiWorkerDrainCondemnHammer is the -race stress for several
 // worker loops against connection lifecycle: many connections pipeline
 // op mixes over a tiny keyspace (forcing parks and cross-worker
-// contention on the shard mutexes) while some streams are cut mid-flight
+// contention on the manager's mutex) while some streams are cut mid-flight
 // (condemn/RST paths) and the rest drain cleanly through Shutdown. Run
 // it under -race at GOMAXPROCS>=4; the assertions are liveness (every
 // surviving request answers) and a clean global drain.
 func TestMultiWorkerDrainCondemnHammer(t *testing.T) {
 	mcfg := testCfg()
-	mcfg.Shards = 16
 	addr, _ := startServerCfg(t, mcfg, Config{Workers: 4})
 
 	const clients = 8

@@ -1,17 +1,18 @@
 // Package server runs a lockmgr.Manager behind lockd's TCP wire
-// protocol on a sharded event-loop runtime: a small fixed set of worker
+// protocol on an event-loop runtime: a small fixed set of worker
 // loops each owns a subset of the connections outright. A loop is a
 // lock, not a goroutine: readiness is brought by per-connection reader
 // goroutines (riding the Go runtime netpoller), and whoever brings an
 // event to a free loop runs it, on its own goroutine; an event brought
 // to a busy loop is listed for the holder. One loop cycle takes in every
 // listed event, decodes all ready connections, executes the lot as a
-// single lockmgr batch (one clock read, zero allocations), and writes
-// each touched connection once, without waiting: what a socket will not
-// take at once is written by a goroutine of that connection's that lives
-// only until the peer has caught up. Blocking acquires never stall a
-// loop and cost no goroutine: the manager queues them, their connection
-// parks, and the release that grants one answers it in its own cycle.
+// single lockmgr batch (one clock read, one hold of the manager's mutex,
+// zero allocations), and writes each touched connection once, without
+// waiting: what a socket will not take at once is written by a goroutine
+// of that connection's that lives only until the peer has caught up.
+// Blocking acquires never stall a loop and cost no goroutine: the manager
+// queues them, their connection parks, and the release that grants one
+// answers it in its own cycle.
 //
 // cmd/lockd is a thin flag wrapper over New, Serve and Shutdown, and
 // tests embed a real server in-process.

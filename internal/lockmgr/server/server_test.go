@@ -45,7 +45,6 @@ func startServerCfg(t *testing.T, mcfg lockmgr.Config, scfg Config) (addr string
 
 func testCfg() lockmgr.Config {
 	return lockmgr.Config{
-		Shards:  4,
 		IdleTTL: 50 * time.Millisecond,
 	}
 }

@@ -301,7 +301,7 @@ func (w *worker) parseConn(c *conn) {
 		// Want frames stop the parse and are answered between batches
 		// (after this round's encode, so per-connection order holds). The
 		// cluster gate runs here: a name this node does not own must
-		// never reach a shard.
+		// never reach the manager's table.
 		if wk := w.wantOf(&req); wk != wantNone {
 			c.want = wk
 			w.wantCs = append(w.wantCs, c)

@@ -19,7 +19,6 @@ import (
 func TestStatsRaceHammer(t *testing.T) {
 	rec := introspect.NewRecorder(4, 64)
 	m := newTest(t, Config{
-		Shards:       4,
 		DefaultLease: time.Second,
 		MaxLease:     time.Second,
 		IdleTTL:      5 * time.Millisecond,

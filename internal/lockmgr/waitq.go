@@ -10,18 +10,18 @@ import (
 // The waiter queue and the manager's timer. An acquire that has to wait is
 // a waitNode on its entry's FIFO. Every way a wait can end — a release
 // that lets it in, its deadline, its session's expiry or close, its
-// connection's death — goes through complete, under the entry's shard
-// mutex, and leaves a Completion that settle books and delivers once no
-// lock is held. admit is the one admission decision; fairlock.RefRWMutex
-// is its oracle (queue_test.go). Whatever happens because time passed —
-// a wait's timeout, a lease's expiry, the collection of idle entries — is
-// an item on one deadline heap behind one timer that runs only expire.
+// connection's death — goes through complete, under Manager.mu, and
+// leaves a Completion that settle books and delivers once mu is released.
+// admit is the one admission decision; fairlock.RefRWMutex is its oracle
+// (queue_test.go). Whatever happens because time passed — a wait's
+// timeout, a lease's expiry, the collection of idle entries — is an item
+// on one deadline heap behind one timer that runs only expire.
 
 // Waiter is where a queued batch acquire's outcome goes. ExecBatch hands
 // the completions its own ops cause back to its caller
 // (BatchScratch.Completions); one that resolves elsewhere — a scalar
 // Release, the manager's timer, Close — is delivered by calling Complete,
-// from that goroutine, with no manager lock held.
+// from that goroutine, with Manager.mu free.
 type Waiter interface {
 	Complete(Completion)
 }
@@ -47,10 +47,9 @@ type chanWaiter chan error
 func (c chanWaiter) Complete(cp Completion) { c <- cp.Err }
 
 // waitNode is one queued acquire, linked into its entry's FIFO
-// (next/prev; a free node's next is the shard's free list) under the
-// shard mutex, its session's list (snext/sprev) under the session mutex
-// and, if its wait is bounded, the deadline heap (dl) under tmu. A node
-// never leaves the shard that allocated it.
+// (next/prev; a free node's next is the manager's free list), its
+// session's list (snext/sprev) and, if its wait is bounded, the deadline
+// heap (dl), all under Manager.mu.
 type waitNode struct {
 	next, prev   *waitNode
 	snext, sprev *waitNode
@@ -95,11 +94,10 @@ func (q *waitq) remove(n *waitNode) {
 }
 
 // timed is one item of the deadline heap: a bounded wait (n), a session's
-// lease (s) or, with neither, the idle-entry collection (Manager.gc). at is
-// written with tmu and the owner's own mutex held, so either one reads it.
+// lease (s) or, with neither, the idle-entry collection (Manager.gc).
 type timed struct {
 	at   time.Time
-	hpos int // 1 + index in Manager.deadlines; 0 = not on the heap (tmu)
+	hpos int // 1 + index in Manager.deadlines; 0 = not on the heap
 	n    *waitNode
 	s    *Session
 }
@@ -123,11 +121,11 @@ func (h *deadlineHeap) Pop() any {
 // enqueue queues the acquire v describes behind everyone already waiting
 // on v.e. A bounded wait (wait > 0) ends with ErrTimeout at v.t0+wait or
 // when the lease known now runs out, whichever is first; an unbounded one
-// ends only by grant or revocation. The caller holds sh.mu and v.s.mu.
-func (m *Manager) enqueue(sh *shard, v waitNode, wait time.Duration) {
-	n := sh.free
+// ends only by grant or revocation. mu is held.
+func (m *Manager) enqueue(v waitNode, wait time.Duration) {
+	n := m.free
 	if n != nil {
-		sh.free = n.next
+		m.free = n.next
 	} else {
 		n = new(waitNode)
 	}
@@ -149,7 +147,6 @@ func (m *Manager) enqueue(sh *shard, v waitNode, wait time.Duration) {
 // a lease cut short is due at once, and an extended one is re-keyed by
 // expire when its old deadline surfaces — extending never comes here.
 func (m *Manager) schedule(it *timed, at time.Time) {
-	m.tmu.Lock()
 	if it.hpos == 0 {
 		it.at = at
 		heap.Push(&m.deadlines, it)
@@ -158,24 +155,21 @@ func (m *Manager) schedule(it *timed, at time.Time) {
 		heap.Fix(&m.deadlines, it.hpos-1)
 	}
 	if it.hpos == 1 {
-		m.armLocked(it.at)
+		m.arm(it.at)
 	}
-	m.tmu.Unlock()
 }
 
 // unschedule takes it off the heap, if it is on it.
 func (m *Manager) unschedule(it *timed) {
-	m.tmu.Lock()
 	if it.hpos != 0 {
 		heap.Remove(&m.deadlines, it.hpos-1)
 	}
-	m.tmu.Unlock()
 }
 
-// armLocked makes the timer fire no later than at — never again once the
-// manager is closed. tmu is held.
-func (m *Manager) armLocked(at time.Time) {
-	if m.closed.Load() || (!m.timerAt.IsZero() && !at.Before(m.timerAt)) {
+// arm makes the timer fire no later than at — never again once the
+// manager is closed.
+func (m *Manager) arm(at time.Time) {
+	if m.closed || (!m.timerAt.IsZero() && !at.Before(m.timerAt)) {
 		return
 	}
 	m.timerAt = at
@@ -186,95 +180,65 @@ func (m *Manager) armLocked(at time.Time) {
 	}
 }
 
-// expire is what the timer runs: each item due at now comes off the heap,
-// earliest first — a wait times out, a lease not renewed meanwhile expires
-// its session, the collection deletes entries idle for IdleTTL — and the
-// timer is re-armed for the earliest one left, if any. No-op after Close.
+// expire is what the timer runs, in one hold: each item due at now comes
+// off the heap, earliest first — a wait times out, a lease not renewed
+// meanwhile expires its session, the collection deletes entries idle for
+// IdleTTL — then the timer is re-armed for the earliest one left, if any,
+// and the outcomes are settled. No-op after Close.
 func (m *Manager) expire(now time.Time) {
-	for !m.closed.Load() {
-		m.tmu.Lock()
-		m.timerAt = time.Time{}
-		if len(m.deadlines) == 0 || m.deadlines[0].at.After(now) {
-			if len(m.deadlines) > 0 {
-				m.armLocked(m.deadlines[0].at)
-			}
-			m.tmu.Unlock()
-			return
-		}
-		it := m.deadlines[0]
-		s := it.s // and it.n.e: read under tmu, a wait's item is the heap's only until complete takes it off
-		var e *entry
-		if it.n != nil {
-			e = it.n.e
-		} else {
-			heap.Pop(&m.deadlines)
-		}
-		m.tmu.Unlock()
-
-		var done []Completion
-		switch {
-		case e != nil: // every wait on e that is due, and only then whoever they were blocking
-			sh := m.shardOf(e.hash)
-			sh.mu.Lock()
+	var done []Completion
+	m.mu.Lock()
+	m.timerAt = time.Time{}
+	for !m.closed && len(m.deadlines) > 0 && !m.deadlines[0].at.After(now) {
+		switch it := m.deadlines[0]; {
+		case it.n != nil: // every wait on its entry that is due, and only then whoever they were blocking
+			e := it.n.e
 			for n := e.q.head; n != nil; {
 				next := n.next
 				if !n.dl.at.IsZero() && !n.dl.at.After(now) {
-					m.complete(sh, n, ErrTimeout, now, &done)
+					m.complete(n, ErrTimeout, now, &done)
 				}
 				n = next
 			}
-			m.admit(sh, e, now, &done)
-			sh.mu.Unlock()
-		case s != nil:
-			s.mu.Lock()
-			if !s.closed && s.deadline.After(now) { // renewed since it was keyed: back on, at that deadline
-				m.schedule(it, s.deadline)
-				s.mu.Unlock()
+			m.admit(e, now, &done)
+		case it.s != nil:
+			heap.Pop(&m.deadlines)
+			if it.s.deadline.After(now) { // renewed since it was keyed: back on, at that deadline
+				m.schedule(it, it.s.deadline)
 			} else {
-				s.mu.Unlock()
-				m.expireSession(s, true, now, &done)
+				m.expireSession(it.s, true, now, &done)
 			}
 		default:
+			heap.Pop(&m.deadlines)
 			if m.collectIdle(now) > 0 {
 				m.schedule(it, now.Add(m.cfg.IdleTTL))
 			}
 		}
-		m.settle(done, false)
 	}
+	if len(m.deadlines) > 0 {
+		m.arm(m.deadlines[0].at)
+	}
+	m.unlock(done)
 }
 
 // cancelWaits ends the queued acquires of s — w's, or all of them when w
-// is nil — with ErrExpired and admits whoever each was blocking. It locks
-// shards, so the caller must hold none.
+// is nil — with ErrExpired and admits whoever each was blocking. mu is
+// held.
 func (m *Manager) cancelWaits(s *Session, w Waiter, now time.Time, done *[]Completion) {
 	for {
-		s.mu.Lock()
 		n := s.waits
 		for n != nil && w != nil && n.w != w {
 			n = n.snext
 		}
-		var hash uint32
-		if n != nil {
-			hash = n.e.hash
-		}
-		s.mu.Unlock()
 		if n == nil {
 			return
 		}
-		// n can have been completed since, and recycled: nodes never leave
-		// their shard, so under its mutex n.s and n.w say whether it is
-		// still the wait we picked.
-		sh := m.shardOf(hash)
-		sh.mu.Lock()
-		if e := n.e; n.s == s && (w == nil || n.w == w) {
-			err := ErrExpired
-			if !n.dl.at.IsZero() && !n.dl.at.After(now) {
-				err = ErrTimeout // its own deadline came first, whoever got here first
-			}
-			m.complete(sh, n, err, now, done)
-			m.admit(sh, e, now, done)
+		e, err := n.e, ErrExpired
+		if !n.dl.at.IsZero() && !n.dl.at.After(now) {
+			err = ErrTimeout // its own deadline came first, whoever got here first
 		}
-		sh.mu.Unlock()
+		m.complete(n, err, now, done)
+		m.admit(e, now, done)
 	}
 }
 
@@ -284,11 +248,13 @@ func (m *Manager) cancelWaits(s *Session, w Waiter, now time.Time, done *[]Compl
 // unannounced) until its wait or lease runs out. w is told like any other
 // outcome.
 func (m *Manager) CancelWait(sid uint64, w Waiter) {
-	if s := m.session(sid); s != nil {
-		var done []Completion
-		m.cancelWaits(s, w, m.clk.now(), &done)
-		m.settle(done, false)
+	var done []Completion
+	now := m.clk.now()
+	m.mu.Lock()
+	if s := m.sessions[sid]; s != nil {
+		m.cancelWaits(s, w, now, &done)
 	}
+	m.unlock(done)
 }
 
 // complete ends n's wait with err — nil is a grant, which complete makes
@@ -296,13 +262,11 @@ func (m *Manager) CancelWait(sid uint64, w Waiter) {
 // closing: Close promises queued acquires ErrExpired, not a grant it is
 // about to revoke) — and returns the outcome. It is the only way out of
 // the queue: n leaves the FIFO, its session's list and the deadline heap,
-// the outcome is appended to done, the node is recycled. The caller holds
-// sh.mu, the mutex of n's shard.
-func (m *Manager) complete(sh *shard, n *waitNode, err error, now time.Time, done *[]Completion) error {
+// the outcome is appended to done, the node is recycled. mu is held.
+func (m *Manager) complete(n *waitNode, err error, now time.Time, done *[]Completion) error {
 	e, s := n.e, n.s
-	s.mu.Lock()
 	if err == nil {
-		if s.closed || m.closed.Load() {
+		if s.closed || m.closed {
 			err = ErrExpired
 		} else {
 			s.grant(s.holds[e.name], e, n.excl, now.UnixNano())
@@ -316,12 +280,9 @@ func (m *Manager) complete(sh *shard, n *waitNode, err error, now time.Time, don
 	if n.snext != nil {
 		n.snext.sprev = n.sprev
 	}
-	s.mu.Unlock()
 	e.q.remove(n)
 	m.c.waiting.Add(-1)
-	if !n.dl.at.IsZero() {
-		m.unschedule(&n.dl)
-	}
+	m.unschedule(&n.dl)
 	waited := now.Sub(n.t0)
 	if err == nil {
 		e.waitNS += int64(waited)
@@ -329,8 +290,8 @@ func (m *Manager) complete(sh *shard, n *waitNode, err error, now time.Time, don
 	}
 	*done = append(*done, Completion{W: n.w, Tag: n.tag, SID: s.id, Hash: e.hash,
 		Err: err, Wait: waited, name: e.name, excl: n.excl, at: now.UnixNano()})
-	*n = waitNode{next: sh.free}
-	sh.free = n
+	*n = waitNode{next: m.free}
+	m.free = n
 	return err
 }
 
@@ -339,13 +300,13 @@ func (m *Manager) complete(sh *shard, n *waitNode, err error, now time.Time, don
 // queue: a granted reader lets the next waiter be considered, so
 // consecutive readers go in together, and a granted writer ends the pass.
 // Nobody is ever overtaken. It also stamps e idle if that is how the
-// caller's op left it. The caller holds sh.mu.
-func (m *Manager) admit(sh *shard, e *entry, now time.Time, done *[]Completion) {
+// caller's op left it. mu is held.
+func (m *Manager) admit(e *entry, now time.Time, done *[]Completion) {
 	for h := e.q.head; h != nil; h = e.q.head {
 		if !e.feasible(h.excl) {
 			return
 		}
-		if excl := h.excl; m.complete(sh, h, nil, now, done) == nil && excl {
+		if excl := h.excl; m.complete(h, nil, now, done) == nil && excl {
 			return
 		}
 	}
@@ -356,7 +317,8 @@ func (m *Manager) admit(sh *shard, e *entry, now time.Time, done *[]Completion) 
 
 // settle books each completed wait — grant and timeout counters, the wait
 // histogram, flight events, the slow-lock report; only an acquire that
-// queued has queue wait to attribute — and delivers it to its Waiter. From
+// queued has queue wait to attribute — and delivers it to its Waiter, with
+// mu free. From
 // ExecBatch (batch) the caller's own waiters are not called: their
 // completions are returned, for it to answer in the same round.
 func (m *Manager) settle(done []Completion, batch bool) []Completion {
