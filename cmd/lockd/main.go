@@ -95,7 +95,6 @@ var (
 	adminAddr    = flag.String("admin", "", "admin HTTP listen address (Prometheus /metrics, /metrics.json, /hotlocks, /flight, /debug/pprof); empty = disabled")
 	defaultLease = flag.Duration("default-lease", 10*time.Second, "lease for sessions that open without one")
 	maxLease     = flag.Duration("max-lease", time.Minute, "cap on requested leases; in a cluster also the quarantine of a dead member's names, so it must be the same on every member")
-	idle         = flag.Duration("idle", 2*time.Second, "idle time before an unused lock entry is collected (within 2x this)")
 	grace        = flag.Duration("grace", 5*time.Second, "drain grace period on shutdown")
 	workers      = flag.Int("workers", 0, "event-loop workers (0 = GOMAXPROCS)")
 	metricsPath  = flag.String("metrics", "", "write metrics JSON here on shutdown and SIGUSR1 (\"-\" = stdout, shutdown only); live numbers are -admin's /metrics.json")
@@ -136,7 +135,6 @@ func main() {
 	mgr := lockmgr.New(lockmgr.Config{
 		DefaultLease: *defaultLease,
 		MaxLease:     *maxLease,
-		IdleTTL:      *idle,
 		Recorder:     rec,
 		SlowLock:     *slowlock,
 		SlowLockFn:   slowFn,

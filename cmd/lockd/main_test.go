@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// maxFlags is the knob budget. It only ever goes down: the daemon is at
-// ROADMAP's target of 12 flags, so a change that adds a flag must retire
-// one first.
-const maxFlags = 12
+// maxFlags is the knob budget. It only ever goes down: the daemon is
+// below ROADMAP's target of 12 flags, so a change that adds a flag must
+// retire one first.
+const maxFlags = 11
 
 func TestFlagBudget(t *testing.T) {
 	var names []string

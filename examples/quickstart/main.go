@@ -1,21 +1,22 @@
 // Quickstart: build the Model A machine, attach the LCU/LRT lock device,
-// and run two simulated threads taking a reader-writer lock — with a
-// protocol trace so the REQUEST / GRANT / transfer message flow of the
-// paper's Figures 4-6 is visible.
+// and run two simulated threads taking a reader-writer lock — with the
+// protocol events recorded, so the REQUEST / GRANT / transfer message flow
+// of the paper's Figures 4-6 is printed after the run.
 package main
 
 import (
 	"fmt"
+	"os"
 
 	"fairrw/internal/core"
 	"fairrw/internal/machine"
+	"fairrw/internal/obs"
 )
 
 func main() {
 	m := machine.ModelA()
-	core.New(m, core.Options{
-		Trace: func(line string) { fmt.Println(" ", line) },
-	})
+	core.New(m, core.Options{})
+	events := m.EnableObs(obs.Options{Records: true}, "quickstart")
 
 	lock := m.Mem.AllocLine()
 	fmt.Printf("lock word at %#x (home LRT %d)\n\n", lock, m.Mem.HomeOf(lock))
@@ -42,5 +43,6 @@ func main() {
 	}
 
 	m.Run()
-	fmt.Printf("\nsimulation finished at cycle %d\n", m.K.Now())
+	fmt.Printf("\nsimulation finished at cycle %d; protocol events:\n", m.K.Now())
+	events.WriteFlight(os.Stdout, 0)
 }

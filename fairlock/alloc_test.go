@@ -53,10 +53,10 @@ func TestUncontendedAllocs(t *testing.T) {
 	}
 }
 
-// TestFissileAllocs pins the fissile TATAS acquire at zero allocations: a
+// TestFissileAllocs pins the contended acquire at zero allocations: a
 // writer acquiring against a lock that a peer holds and releases in a
-// tight loop resolves by active spin (or at worst the pooled queue);
-// either way the steady state must stay allocation-free.
+// tight loop resolves by the spin (or at worst the pooled queue); either
+// way the steady state must stay allocation-free.
 func TestFissileAllocs(t *testing.T) {
 	var m RWMutex
 	stop := make(chan struct{})
@@ -75,7 +75,7 @@ func TestFissileAllocs(t *testing.T) {
 		}
 	}()
 	if n := testing.AllocsPerRun(2000, func() { m.Lock(); m.Unlock() }); n > 0.1 {
-		t.Errorf("fissile contended Lock/Unlock allocates %.2f objects/op, want ~0", n)
+		t.Errorf("contended Lock/Unlock allocates %.2f objects/op, want ~0", n)
 	}
 	close(stop)
 	wg.Wait()

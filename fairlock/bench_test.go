@@ -9,13 +9,12 @@ import (
 
 // The benchmark matrix behind BENCH_fairlock.json: goroutine count ×
 // read ratio × critical-section length × flavor, with the flavor
-// innermost so one process run alternates fair/nofissile/ref/sync on
-// each cell and adjacent output rows compare directly. Every row
-// self-describes its environment (gomaxprocs, num_cpu, and the fissile
-// spin budget) through b.ReportMetric, so the emitted rows are
-// machine-readable without knowing how the run was launched. Parallelism
-// is driven through b.SetParallelism so the matrix is meaningful at any
-// GOMAXPROCS.
+// innermost so one process run alternates fair/ref/sync on each cell and
+// adjacent output rows compare directly. Every row self-describes its
+// environment (gomaxprocs, num_cpu) through b.ReportMetric, so the
+// emitted rows are machine-readable without knowing how the run was
+// launched. Parallelism is driven through b.SetParallelism so the matrix
+// is meaningful at any GOMAXPROCS.
 //
 // CI runs a short smoke slice of this matrix; regenerate the full matrix
 // with:
@@ -41,21 +40,16 @@ func spin(n int) {
 
 var benchSink int
 
-// rwFlavor is one column of the matrix: which implementation, and the
-// fissile TATAS budget in force while the cell runs.
+// rwFlavor is one column of the matrix: which implementation.
 type rwFlavor struct {
-	name    string
-	fissile int32 // TATAS budget while the cell runs; -1 = platform default
-	mk      func() benchRWLock
+	name string
+	mk   func() benchRWLock
 }
 
-func newFairLock() benchRWLock { return &RWMutex{} }
-
 var rwFlavors = []rwFlavor{
-	{name: "fair", fissile: -1, mk: newFairLock},
-	{name: "nofissile", fissile: 0, mk: newFairLock},
-	{name: "ref", fissile: -1, mk: func() benchRWLock { return &RefRWMutex{} }},
-	{name: "sync", fissile: -1, mk: func() benchRWLock { return &sync.RWMutex{} }},
+	{name: "fair", mk: func() benchRWLock { return &RWMutex{} }},
+	{name: "ref", mk: func() benchRWLock { return &RefRWMutex{} }},
+	{name: "sync", mk: func() benchRWLock { return &sync.RWMutex{} }},
 }
 
 // benchCell runs one matrix cell and stamps the self-describing metrics.
@@ -64,7 +58,6 @@ func benchCell(b *testing.B, m benchRWLock, g, readPct, cs int) {
 	b.ReportAllocs()
 	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
 	b.ReportMetric(float64(runtime.NumCPU()), "num_cpu")
-	b.ReportMetric(float64(fissileSpins.Load()), "fissile_spins")
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
@@ -84,18 +77,12 @@ func benchCell(b *testing.B, m benchRWLock, g, readPct, cs int) {
 
 func BenchmarkRWMutex(b *testing.B) {
 	for _, g := range []int{1, 4, 8} {
-		for _, readPct := range []int{100, 95, 90, 50} {
+		for _, readPct := range []int{100, 95, 90, 50, 0} {
 			for _, cs := range []int{0, 64} {
 				for _, fl := range rwFlavors {
 					fl := fl
 					name := fmt.Sprintf("g%d/r%d/cs%d/%s", g, readPct, cs, fl.name)
-					b.Run(name, func(b *testing.B) {
-						if fl.fissile >= 0 {
-							prev := setFissileSpins(fl.fissile)
-							defer setFissileSpins(prev)
-						}
-						benchCell(b, fl.mk(), g, readPct, cs)
-					})
+					b.Run(name, func(b *testing.B) { benchCell(b, fl.mk(), g, readPct, cs) })
 				}
 			}
 		}
@@ -162,7 +149,7 @@ func BenchmarkUncontended(b *testing.B) {
 		}
 	})
 	b.Run("ref/Mutex", func(b *testing.B) {
-		var m RefMutex
+		var m RefRWMutex
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			m.Lock()
@@ -183,7 +170,7 @@ func BenchmarkMutexContended(b *testing.B) {
 		mk   func() locker
 	}{
 		{"fair", func() locker { return &Mutex{} }},
-		{"ref", func() locker { return &RefMutex{} }},
+		{"ref", func() locker { return &RefRWMutex{} }},
 		{"sync", func() locker { return &sync.Mutex{} }},
 	} {
 		b.Run(impl.name, func(b *testing.B) {

@@ -81,19 +81,20 @@ func casDecPositive(sl *rslot) bool {
 // revoked) to leave. Every writer runs this after it owns the writer bit
 // and before entering its critical section; with an empty table it is
 // numSlots uncontended loads.
-func (m *RWMutex) drainSlots() { m.drainSlotsUntil(time.Time{}) }
+func (m *RWMutex) drainSlots() { m.drainSlotsUntil(time.Time{}, nil) }
 
-// drainSlotsUntil is drainSlots bounded by a deadline (zero means wait
-// forever). It returns false — with slots possibly still populated — once
-// the deadline passes; timed write acquisitions use this so they can honor
-// their deadline even against a reader that will never leave, e.g. a slot
-// credit held by the calling goroutine itself (an upgrade attempt, which
-// the reference lock resolves by timing out). A populated drain records
-// its cost and inhibits re-enabling the bias for a multiple of it
-// (BRAVO's adaptive revocation policy). A transiently negative reader half
-// (a blind RUnlock decrement about to be undone) reads as non-zero and
-// just extends the spin by an iteration.
-func (m *RWMutex) drainSlotsUntil(deadline time.Time) bool {
+// drainSlotsUntil is drainSlots bounded by a deadline (zero means none)
+// and by cancel (nil means never). It returns false — with slots possibly
+// still populated — once the deadline passes or cancel is closed; bounded
+// write acquisitions use this so they can honor their bound even against
+// a reader that will never leave, e.g. a slot credit held by the calling
+// goroutine itself (an upgrade attempt, which the reference lock resolves
+// by timing out). A populated drain records its cost and inhibits
+// re-enabling the bias for a multiple of it (BRAVO's adaptive revocation
+// policy). A transiently negative reader half (a blind RUnlock decrement
+// about to be undone) reads as non-zero and just extends the spin by an
+// iteration.
+func (m *RWMutex) drainSlotsUntil(deadline time.Time, cancel <-chan struct{}) bool {
 	if !m.everBiased.Load() {
 		// The bias has never been on, so no reader ever published in a
 		// slot: write-heavy locks skip the table scan entirely.
@@ -111,6 +112,11 @@ func (m *RWMutex) drainSlotsUntil(deadline time.Time) bool {
 			if !deadline.IsZero() && !time.Now().Before(deadline) {
 				return false
 			}
+			select {
+			case <-cancel:
+				return false
+			default:
+			}
 			if spins < 64 {
 				runtime.Gosched()
 			} else {
@@ -123,24 +129,6 @@ func (m *RWMutex) drainSlotsUntil(deadline time.Time) bool {
 		m.inhibitUntil.Store(time.Now().Add(biasInhibitMult * cost).UnixNano())
 	}
 	return true
-}
-
-// tryEnableBias flips the read bias on when the policy allows it. Bias is
-// only set when there is no writer and no queued waiter, and that holds
-// atomically because both facts live in the same state word as the bias
-// bit.
-func (m *RWMutex) tryEnableBias() {
-	if time.Now().UnixNano() < m.inhibitUntil.Load() {
-		return
-	}
-	s := m.state.Load()
-	if s&(writerBit|biasBit) == 0 && s>>qShift == 0 {
-		// everBiased must be visible before the bias bit is: a writer that
-		// never observes the bias must still scan the table if any reader
-		// could have published there.
-		m.everBiased.Store(true)
-		m.state.CompareAndSwap(s, s|biasBit)
-	}
 }
 
 // retract removes the provisional credit (and its grant count) this reader

@@ -3,6 +3,7 @@ package fairlock
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -249,31 +250,47 @@ func TestDifferentialCohortWriters(t *testing.T) {
 	checkAdmission(t, patterns)
 }
 
-// checkAdmission runs each pattern on both locks and fails unless their
-// admission order, batching and stats agree and no waiter is overtaken.
+// checkAdmission runs each pattern on RWMutex and RefRWMutex — and an
+// all-writer pattern on Mutex as well — and fails unless their admission
+// order, batching and stats agree and no waiter is overtaken.
 func checkAdmission(t *testing.T, patterns [][]bool) {
 	t.Helper()
 	for pi, p := range patterns {
-		var a RWMutex
 		var b RefRWMutex
-		gotOrder := admissionOrder(t, &a, p)
 		wantOrder := admissionOrder(t, &b, p)
-		for _, o := range [][]grantEvent{gotOrder, wantOrder} {
-			if n := maxBypass(o); n != 0 {
-				t.Fatalf("pattern %d %v: a waiter was overtaken %d times: %s", pi, p, n, canonical(o))
-			}
-		}
-		got, want := canonical(gotOrder), canonical(wantOrder)
-		if got != want {
-			t.Fatalf("pattern %d %v: admission diverged:\nnew: %s\nref: %s", pi, p, got, want)
-		}
-		ar, aw := a.Stats()
 		br, bw := b.Stats()
-		if ar != br || aw != bw {
-			t.Fatalf("pattern %d: stats diverged: new=(%d,%d) ref=(%d,%d)", pi, ar, aw, br, bw)
+		locks := []rwLock{new(RWMutex)}
+		if !slices.Contains(p, false) {
+			locks = append(locks, writeOnly{new(Mutex)})
+		}
+		for _, a := range locks {
+			gotOrder := admissionOrder(t, a, p)
+			for _, o := range [][]grantEvent{gotOrder, wantOrder} {
+				if n := maxBypass(o); n != 0 {
+					t.Fatalf("pattern %d %v: a waiter was overtaken %d times: %s", pi, p, n, canonical(o))
+				}
+			}
+			got, want := canonical(gotOrder), canonical(wantOrder)
+			if got != want {
+				t.Fatalf("pattern %d %v: %T admission diverged:\nnew: %s\nref: %s", pi, p, a, got, want)
+			}
+			ar, aw := a.Stats()
+			if ar != br || aw != bw {
+				t.Fatalf("pattern %d: %T stats diverged: new=(%d,%d) ref=(%d,%d)", pi, a, ar, aw, br, bw)
+			}
 		}
 	}
 }
+
+// writeOnly drives Mutex through the rwLock surface as RefRWMutex's write
+// mode: its grants are write grants, and a read call is a test bug.
+type writeOnly struct{ *Mutex }
+
+func (w writeOnly) RLock()                         { panic("fairlock: read on a write-only lock") }
+func (w writeOnly) RUnlock()                       { panic("fairlock: read on a write-only lock") }
+func (w writeOnly) TryRLock() bool                 { panic("fairlock: read on a write-only lock") }
+func (w writeOnly) TryRLockFor(time.Duration) bool { panic("fairlock: read on a write-only lock") }
+func (w writeOnly) Stats() (uint64, uint64)        { return 0, w.Grants() }
 
 // TestDifferentialTimedWaiter checks that a timed-out writer unblocks the
 // readers queued behind it identically in both implementations.

@@ -1,11 +1,6 @@
 package fairlock
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // Mutex is a FIFO-fair mutual-exclusion lock: waiters are admitted in
 // strict arrival order, like the write mode of RWMutex (and unlike
@@ -13,117 +8,26 @@ import (
 // provides the trylock and timed acquisition of the paper's Figure 2.
 // The zero value is ready to use.
 //
-// Like RWMutex it is layered: an allocation-free CAS fast path on a single
-// state word (bit 0 = held, bits 32..63 = queue length), and a contended
-// path that parks waiters on the intrusive pooled FIFO. Unlock hands the
-// lock directly to the queue head — held never clears while anyone waits,
-// so there is no barging window.
-type Mutex struct {
-	state  atomic.Uint64
-	qmu    sync.Mutex // guards q and the queue-length bits of state
-	q      waitq
-	grants atomic.Uint64
-}
-
-const heldBit uint64 = 1
+// Mutex is RWMutex's write mode on the same queue core, without the
+// reader table: the CAS fast path, the spin, the FIFO and the hand-off
+// release are the core's. While anyone waits the state word is never
+// zero, so an unlock cannot be barged.
+type Mutex struct{ c core }
 
 // Lock acquires the mutex, queueing FIFO behind earlier waiters.
 func (m *Mutex) Lock() {
-	if m.state.CompareAndSwap(0, heldBit) {
-		m.grants.Add(1)
-		return
-	}
-	// Fissile TATAS phase, then a brief yield-spin, before parking: a
-	// spinner delays only its own arrival (it acquires nothing while
-	// anyone is queued), so FIFO order among queued waiters is unaffected.
-	for i, n := int32(0), fissileSpins.Load(); i < n; i++ {
-		s := m.state.Load()
-		if s>>qShift != 0 {
-			break
-		}
-		if s == 0 && m.state.CompareAndSwap(0, heldBit) {
-			m.grants.Add(1)
-			return
-		}
-	}
-	for i := 0; i < spinGrants; i++ {
-		runtime.Gosched()
-		s := m.state.Load()
-		if s>>qShift != 0 {
-			break
-		}
-		if s == 0 && m.state.CompareAndSwap(0, heldBit) {
-			m.grants.Add(1)
-			return
-		}
-	}
-	if w := m.enqueue(); w != nil {
-		<-w.ready
-		putWaiter(w)
-	}
-}
-
-// enqueue re-checks for an immediate grant under qmu, otherwise parks a
-// pooled waiter. Returns nil on immediate grant.
-func (m *Mutex) enqueue() *waiter {
-	m.qmu.Lock()
-	for {
-		s := m.state.Load()
-		if s == 0 {
-			if !m.state.CompareAndSwap(0, heldBit) {
-				continue
-			}
-			m.qmu.Unlock()
-			m.grants.Add(1)
-			return nil
-		}
-		if !m.state.CompareAndSwap(s, s+qOne) {
-			continue
-		}
-		w := newWaiter(true)
-		m.q.pushBack(w)
-		m.qmu.Unlock()
-		return w
+	if !m.TryLock() {
+		m.c.lockSlow(true)
 	}
 }
 
 // Unlock releases the mutex, handing it directly to the queue head.
-func (m *Mutex) Unlock() {
-	for {
-		s := m.state.Load()
-		if s&heldBit == 0 {
-			panic("fairlock: Unlock of unlocked Mutex")
-		}
-		if s>>qShift == 0 {
-			if m.state.CompareAndSwap(s, 0) {
-				return
-			}
-			continue
-		}
-		m.qmu.Lock()
-		if h := m.q.head; h != nil {
-			m.q.remove(h)
-			for {
-				s := m.state.Load()
-				if m.state.CompareAndSwap(s, s-qOne) {
-					break
-				}
-			}
-			m.grants.Add(1)
-			h.ready <- struct{}{} // ownership transfers directly; held stays set
-			m.qmu.Unlock()
-			return
-		}
-		// Every waiter timed out between our load and taking qmu; the
-		// queue-length bits are already back to zero. Retry the fast path.
-		m.qmu.Unlock()
-	}
-}
+func (m *Mutex) Unlock() { m.c.unlock() }
 
 // TryLock acquires the mutex only if it is free and nobody waits.
 func (m *Mutex) TryLock() bool {
-	if m.state.CompareAndSwap(0, heldBit) {
-		m.grants.Add(1)
+	if m.c.state.CompareAndSwap(0, writerBit) {
+		m.c.grantsW.Add(1)
 		return true
 	}
 	return false
@@ -132,43 +36,15 @@ func (m *Mutex) TryLock() bool {
 // TryLockFor acquires the mutex, waiting in queue at most d. A timed-out
 // waiter unlinks itself in O(1).
 func (m *Mutex) TryLockFor(d time.Duration) bool {
-	if m.state.CompareAndSwap(0, heldBit) {
-		m.grants.Add(1)
+	if m.TryLock() {
 		return true
 	}
-	w := m.enqueue()
-	if w == nil {
-		return true
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-w.ready:
-		putWaiter(w)
-		return true
-	case <-timer.C:
-	}
-	m.qmu.Lock()
-	if w.queued {
-		m.q.remove(w)
-		for {
-			s := m.state.Load()
-			if m.state.CompareAndSwap(s, s-qOne) {
-				break
-			}
-		}
-		m.qmu.Unlock()
-		putWaiter(w)
-		return false
-	}
-	m.qmu.Unlock()
-	<-w.ready // the grant raced the timeout: we own the lock
-	putWaiter(w)
-	return true
+	w := m.c.enqueue(true)
+	return w == nil || m.c.wait(w, nil, time.Now().Add(d))
 }
 
 // Grants returns the cumulative number of acquisitions (diagnostics).
-func (m *Mutex) Grants() uint64 { return m.grants.Load() }
+func (m *Mutex) Grants() uint64 { return m.c.grantsW.Load() }
 
 // QueueLen returns the current number of queued waiters (diagnostics).
-func (m *Mutex) QueueLen() int { return int(m.state.Load() >> qShift) }
+func (m *Mutex) QueueLen() int { return int(m.c.state.Load() >> qShift) }

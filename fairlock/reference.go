@@ -8,11 +8,11 @@ import (
 // This file preserves the original, deliberately simple fairlock
 // implementation — one sync.Mutex around explicit state, a slice queue,
 // and a channel per waiter — as an executable reference model. The
-// rewritten locks (fairlock.go, mutex.go, bravo.go) must be
-// behaviourally identical to it: the differential tests drive both with
-// the same arrival scripts and require the same admission order,
-// reader batching, trylock outcomes, and grant counts, and the benchmark
-// matrix reports old-vs-new side by side.
+// rewritten locks (core.go, fairlock.go, mutex.go, bravo.go) must be
+// behaviourally identical to it, Mutex to its write mode: the
+// differential tests drive both with the same arrival scripts and require
+// the same admission order, reader batching, trylock outcomes, and grant
+// counts, and the benchmark matrix reports old-vs-new side by side.
 
 // refWaiter is one queued acquisition in the reference model.
 type refWaiter struct {
@@ -142,53 +142,43 @@ func (m *RefRWMutex) TryRLock() bool {
 }
 
 // TryLockFor attempts write mode, waiting in queue up to d.
-func (m *RefRWMutex) TryLockFor(d time.Duration) bool { return m.tryFor(true, d) }
+func (m *RefRWMutex) TryLockFor(d time.Duration) bool { return m.bounded(true, time.Now().Add(d), nil) }
 
 // TryRLockFor attempts read mode, waiting in queue up to d.
-func (m *RefRWMutex) TryRLockFor(d time.Duration) bool { return m.tryFor(false, d) }
-
-func (m *RefRWMutex) tryFor(write bool, d time.Duration) bool {
-	w := m.enqueue(write)
-	if w == nil {
-		return true
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-w.ready:
-		return true
-	case <-timer.C:
-	}
-	m.mu.Lock()
-	for i, q := range m.queue {
-		if q == w {
-			m.queue = append(m.queue[:i], m.queue[i+1:]...)
-			m.admit()
-			m.mu.Unlock()
-			return false
-		}
-	}
-	m.mu.Unlock()
-	<-w.ready // the grant won the race; we hold the lock
-	return true
+func (m *RefRWMutex) TryRLockFor(d time.Duration) bool {
+	return m.bounded(false, time.Now().Add(d), nil)
 }
 
 // LockCancel acquires write mode, abandoning the attempt when cancel is
 // closed. It reports whether the lock was acquired.
-func (m *RefRWMutex) LockCancel(cancel <-chan struct{}) bool { return m.cancelFor(true, cancel) }
+func (m *RefRWMutex) LockCancel(cancel <-chan struct{}) bool {
+	return m.bounded(true, time.Time{}, cancel)
+}
 
 // RLockCancel acquires read mode, abandoning the attempt when cancel is
 // closed. It reports whether the lock was acquired.
-func (m *RefRWMutex) RLockCancel(cancel <-chan struct{}) bool { return m.cancelFor(false, cancel) }
+func (m *RefRWMutex) RLockCancel(cancel <-chan struct{}) bool {
+	return m.bounded(false, time.Time{}, cancel)
+}
 
-func (m *RefRWMutex) cancelFor(write bool, cancel <-chan struct{}) bool {
+// bounded waits in queue until granted, the deadline passes (zero: never)
+// or cancel is closed (nil: never). A waiter that gives up leaves the
+// queue; one whose grant won the race holds the lock.
+func (m *RefRWMutex) bounded(write bool, deadline time.Time, cancel <-chan struct{}) bool {
 	w := m.enqueue(write)
 	if w == nil {
 		return true
 	}
+	var timeout <-chan time.Time
+	if !deadline.IsZero() {
+		timer := time.NewTimer(time.Until(deadline))
+		defer timer.Stop()
+		timeout = timer.C
+	}
 	select {
 	case <-w.ready:
 		return true
+	case <-timeout:
 	case <-cancel:
 	}
 	m.mu.Lock()
@@ -217,96 +207,4 @@ func (m *RefRWMutex) QueueLen() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.queue)
-}
-
-// RefMutex is the reference FIFO-fair mutex (see RefRWMutex).
-type RefMutex struct {
-	mu     sync.Mutex
-	held   bool
-	queue  []chan struct{}
-	grants uint64
-}
-
-// Lock acquires the mutex, queueing FIFO behind earlier waiters.
-func (m *RefMutex) Lock() {
-	m.mu.Lock()
-	if !m.held && len(m.queue) == 0 {
-		m.held = true
-		m.grants++
-		m.mu.Unlock()
-		return
-	}
-	ch := make(chan struct{})
-	m.queue = append(m.queue, ch)
-	m.mu.Unlock()
-	<-ch
-}
-
-// Unlock releases the mutex, handing it directly to the queue head.
-func (m *RefMutex) Unlock() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.held {
-		panic("fairlock: Unlock of unlocked RefMutex")
-	}
-	if len(m.queue) > 0 {
-		ch := m.queue[0]
-		m.queue = m.queue[1:]
-		m.grants++
-		close(ch) // ownership transfers directly; held stays true
-		return
-	}
-	m.held = false
-}
-
-// TryLock acquires the mutex only if it is free and nobody waits.
-func (m *RefMutex) TryLock() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.held || len(m.queue) > 0 {
-		return false
-	}
-	m.held = true
-	m.grants++
-	return true
-}
-
-// TryLockFor acquires the mutex, waiting in queue at most d.
-func (m *RefMutex) TryLockFor(d time.Duration) bool {
-	m.mu.Lock()
-	if !m.held && len(m.queue) == 0 {
-		m.held = true
-		m.grants++
-		m.mu.Unlock()
-		return true
-	}
-	ch := make(chan struct{})
-	m.queue = append(m.queue, ch)
-	m.mu.Unlock()
-
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-ch:
-		return true
-	case <-timer.C:
-	}
-	m.mu.Lock()
-	for i, q := range m.queue {
-		if q == ch {
-			m.queue = append(m.queue[:i], m.queue[i+1:]...)
-			m.mu.Unlock()
-			return false
-		}
-	}
-	m.mu.Unlock()
-	<-ch // the grant raced the timeout: we own the lock
-	return true
-}
-
-// Grants returns the cumulative number of acquisitions (diagnostics).
-func (m *RefMutex) Grants() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.grants
 }

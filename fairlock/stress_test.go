@@ -336,14 +336,10 @@ func TestWaiterPoolHygiene(t *testing.T) {
 	}
 }
 
-// TestStressCancelRevocation mixes cancellable acquires with the fissile
-// TATAS phase and BRAVO bias revocation at small timeouts, checking
-// exclusion on every acquisition (run with -race and GOMAXPROCS=4 in CI).
+// TestStressCancelRevocation mixes cancellable acquires with the spin
+// and BRAVO bias revocation at small timeouts, checking exclusion on
+// every acquisition (run with -race and GOMAXPROCS=8 in CI).
 func TestStressCancelRevocation(t *testing.T) {
-	// Force the fissile TATAS phase on so its interleavings are exercised
-	// even where the single-core gate would disable it.
-	prev := setFissileSpins(defaultFissileSpins)
-	defer setFissileSpins(prev)
 	var m RWMutex
 	var writers, readers int32
 	check := func(write bool) {

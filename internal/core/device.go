@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"fairrw/internal/machine"
 	"fairrw/internal/memmodel"
 	"fairrw/internal/obs"
@@ -20,9 +18,6 @@ type Options struct {
 	// RetryBackoff is the software-visible delay between a RETRY and the
 	// re-issued request. Zero selects a default.
 	RetryBackoff sim.Time
-	// Trace, when set, receives a line per protocol event (debugging and
-	// the examples).
-	Trace func(string)
 }
 
 // Stats counts protocol events, exposed to tests and benchmark harnesses.
@@ -96,12 +91,6 @@ func (d *Device) rec(node int32, k obs.Kind, addr memmodel.Addr, tid, aux uint64
 
 // obsCap returns the machine's capture, or nil when tracing is off.
 func (d *Device) obsCap() *obs.Capture { return d.M.Obs }
-
-// trace emits one line. Every call site sits behind `Opt.Trace != nil`, so
-// a disabled trace neither evaluates nor boxes its arguments.
-func (d *Device) trace(format string, args ...interface{}) {
-	d.Opt.Trace(fmt.Sprintf("[%8d] %s", d.M.K.Now(), fmt.Sprintf(format, args...)))
-}
 
 // homeLRT returns the LRT owning addr.
 func (d *Device) homeLRT(addr memmodel.Addr) *lrt {

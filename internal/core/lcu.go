@@ -135,9 +135,6 @@ func (u *lcu) acquire(p *sim.Proc, tid uint64, addr memmodel.Addr, write bool) b
 		e.status = StatusIssued
 		e.nb = e.class != ClassOrdinary
 		d.Stats.Requests++
-		if d.Opt.Trace != nil {
-			d.trace("lcu%d REQUEST %s t%d %#x nb=%v", u.core, mode(write), tid, addr, e.nb)
-		}
 		d.rec(obs.CoreNode(u.core), obs.KReq, addr, tid, flagBits(write, e.nb))
 		d.coreToLRT(u.core, msgOfReq(reqMsg{
 			addr: addr, req: nodeRef{valid: true, tid: tid, lcu: u.core, write: write}, nb: e.nb}))
@@ -156,9 +153,6 @@ func (u *lcu) acquire(p *sim.Proc, tid uint64, addr memmodel.Addr, write bool) b
 		if e.overflow || (e.head && !e.next.valid && e.viaLRT) {
 			// Uncontended (or overflow-mode) acquisition: drop the entry to
 			// free the slot; the LRT still records the lock (Section III-A).
-			if d.Opt.Trace != nil {
-				d.trace("lcu%d DROP t%d %#x", u.core, tid, addr)
-			}
 			e.reset()
 		}
 		return true
@@ -231,9 +225,6 @@ func (u *lcu) release(p *sim.Proc, tid uint64, addr memmodel.Addr, write bool) b
 		}
 		// Intermediate reader: hold position until the Head token passes
 		// (Section III-B). No messages.
-		if d.Opt.Trace != nil {
-			d.trace("lcu%d RDREL t%d %#x next=%s", u.core, tid, addr, e.next)
-		}
 		e.status = StatusRdRel
 		return true
 	default:
@@ -251,9 +242,6 @@ func (u *lcu) transferLock(e *entry) {
 		addr: e.addr, tid: e.next.tid, head: true,
 		xfer: e.xfer + 1,
 		prev: nodeRef{valid: true, tid: e.tid, lcu: u.core, write: e.write},
-	}
-	if d.Opt.Trace != nil {
-		d.trace("lcu%d XFER %#x -> %s", u.core, e.addr, e.next)
 	}
 	d.rec(obs.CoreNode(u.core), obs.KXfer, e.addr, e.tid, e.next.tid)
 	if o := d.obsCap(); o != nil {
@@ -282,9 +270,6 @@ func (u *lcu) onGrant(g grantMsg) {
 	d.Stats.Grants++
 	if g.overflow {
 		d.Stats.OverflowGrants++
-	}
-	if d.Opt.Trace != nil {
-		d.trace("lcu%d GRANT t%d %#x head=%v ovf=%v xfer=%d st=%s", u.core, g.tid, g.addr, g.head, g.overflow, g.xfer, e.status)
 	}
 	d.rec(obs.CoreNode(u.core), obs.KGrant, g.addr, g.tid, flagBits(g.head, g.overflow, g.fromLRT))
 	if o := d.obsCap(); o != nil {
@@ -381,9 +366,6 @@ func (u *lcu) onRetryReq(addr memmodel.Addr, tid uint64) {
 // queue tail (Figure 4b/4c).
 func (u *lcu) onFwdRequest(m fwdReqMsg) {
 	d := u.d
-	if d.Opt.Trace != nil {
-		d.trace("lcu%d FWDREQ target t%d %#x req=%s", u.core, m.targetTid, m.addr, m.req)
-	}
 	d.rec(obs.CoreNode(u.core), obs.KFwdReq, m.addr, m.req.tid, m.targetTid)
 	e := u.find(m.addr, m.targetTid)
 	if e == nil {
@@ -470,9 +452,6 @@ func (u *lcu) onFwdRelease(m fwdRelMsg) {
 // that the queue head moved on or the lock is free.
 func (u *lcu) onRelDone(addr memmodel.Addr, tid uint64) {
 	e := u.find(addr, tid)
-	if u.d.Opt.Trace != nil {
-		u.d.trace("lcu%d RELDONE t%d %#x found=%v", u.core, tid, addr, e != nil)
-	}
 	u.d.rec(obs.CoreNode(u.core), obs.KRelDone, addr, tid, 0)
 	if e != nil && e.status == StatusRel {
 		w := e.waiter
@@ -512,9 +491,6 @@ func (u *lcu) onGrantTimer(e *entry, addr memmodel.Addr, tid, seq uint64) {
 		return
 	}
 	d.Stats.GrantTimeouts++
-	if d.Opt.Trace != nil {
-		d.trace("lcu%d TIMEOUT t%d %#x", u.core, tid, addr)
-	}
 	d.rec(obs.CoreNode(u.core), obs.KTimeout, addr, tid, 0)
 	u.timeoutEntry(e)
 }
@@ -546,9 +522,6 @@ func (u *lcu) timeoutEntry(e *entry) {
 
 // sendRelease emits a RELEASE to the LRT.
 func (d *Device) sendRelease(u *lcu, tid uint64, addr memmodel.Addr, write, headDrain bool, origHead nodeRef) {
-	if d.Opt.Trace != nil {
-		d.trace("lcu%d RELEASE %s t%d %#x drain=%v", u.core, mode(write), tid, addr, headDrain)
-	}
 	d.rec(obs.CoreNode(u.core), obs.KRel, addr, tid, flagBits(write, headDrain))
 	if o := d.obsCap(); o != nil {
 		o.TransferStart(uint64(d.M.K.Now()), uint64(addr))
@@ -568,13 +541,6 @@ func (d *Device) notifyHead(u *lcu, e *entry, prev nodeRef) {
 		prev:    prev,
 	}
 	d.coreToLRT(u.core, msgOfHeadNotify(m))
-}
-
-func mode(write bool) string {
-	if write {
-		return "W"
-	}
-	return "R"
 }
 
 // flagBits packs booleans into a record's aux field, bit i = flags[i].

@@ -270,9 +270,6 @@ func (l *lrt) onRequest(m reqMsg) {
 		ent.head, ent.tail = m.req, m.req
 		ent.granted = true
 		g := grantMsg{addr: m.addr, tid: m.req.tid, head: true, xfer: ent.xfer, fromLRT: true}
-		if d.Opt.Trace != nil {
-			d.trace("lrt%d GRANT-free %s", l.index, m.req)
-		}
 		d.rec(obs.LRTNode(l.index), obs.KLRTGrant, m.addr, m.req.tid, 0)
 		l.reply(extra, m.req.lcu, msgOfGrant(g))
 		return
@@ -355,9 +352,6 @@ func (l *lrt) onRequest(m reqMsg) {
 		targetTid: oldTail.tid, targetWrite: oldTail.write,
 		targetIsHead: sameRef(oldTail, ent.head),
 		lrtXfer:      ent.xfer,
-	}
-	if d.Opt.Trace != nil {
-		d.trace("lrt%d FWD %s -> tail %s", l.index, m.req, oldTail)
 	}
 	d.rec(obs.LRTNode(l.index), obs.KFwdReq, m.addr, m.req.tid, oldTail.tid)
 	l.reply(extra, oldTail.lcu, msgOfFwdReq(fw))
