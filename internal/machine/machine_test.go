@@ -27,6 +27,42 @@ func TestModelBConstruction(t *testing.T) {
 	}
 }
 
+// TestConstructionAllocs bounds what building a machine allocates: the
+// route table is one allocation per network, not one per node pair
+// (64×64 on A, 40×40 on B).
+func TestConstructionAllocs(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		build func() *Machine
+		max   float64
+	}{
+		{"A", ModelA, 250},
+		{"B", ModelB, 150},
+	} {
+		if avg := testing.AllocsPerRun(5, func() { c.build() }); avg > c.max {
+			t.Errorf("Model%s() allocates %.0f times, want <= %.0f", c.name, avg, c.max)
+		}
+	}
+}
+
+var machineSink *Machine
+
+// BenchmarkNewMachine times building each model from scratch, the set-up a
+// sweep worker pays once per model.
+func BenchmarkNewMachine(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		build func() *Machine
+	}{{"A", ModelA}, {"B", ModelB}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				machineSink = c.build()
+			}
+		})
+	}
+}
+
 // Memory-latency calibration against Figure 8.
 func TestModelAMemoryLatency(t *testing.T) {
 	m := ModelA()

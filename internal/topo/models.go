@@ -29,6 +29,13 @@ func DefaultModelA() ModelAConfig {
 // chip plus a shared root. Cores and memory controllers are numbered
 // per-chip (core i and mem i live on chip i).
 func NewModelA(k *sim.Kernel, cfg ModelAConfig) *Network {
+	links, routeOf := modelA(cfg)
+	return NewNetwork(k, "modelA", links, cfg.Chips, cfg.Chips, routeOf)
+}
+
+// modelA returns Model A's links and routes, for NewModelA and the
+// route-table tests.
+func modelA(cfg ModelAConfig) ([]*Link, RouteFunc) {
 	access := make([]*Link, cfg.Chips)
 	links := make([]*Link, 0, cfg.Chips+1)
 	for i := range access {
@@ -47,18 +54,17 @@ func NewModelA(k *sim.Kernel, cfg ModelAConfig) *Network {
 
 	chipOf := func(n NodeID) int { return n.Index % cfg.Chips }
 
-	return NewNetwork(k, "modelA", links, cfg.Chips, cfg.Chips,
-		func(from, to NodeID) ([]*Link, sim.Time) {
-			if from == to {
-				return nil, 0
-			}
-			// Model A memory latency is uniform (Fig. 8: local = remote =
-			// 186 cycles), so every route crosses the hierarchy root, even
-			// a core talking to its own chip's memory controller.
-			cf, ct := chipOf(from), chipOf(to)
-			root := roots[ct%len(roots)] // plane by destination chip
-			return []*Link{access[cf], root, access[ct]}, cfg.OneWay
-		})
+	return links, func(buf []*Link, from, to NodeID) ([]*Link, sim.Time) {
+		if from == to {
+			return buf, 0
+		}
+		// Model A memory latency is uniform (Fig. 8: local = remote =
+		// 186 cycles), so every route crosses the hierarchy root, even
+		// a core talking to its own chip's memory controller.
+		cf, ct := chipOf(from), chipOf(to)
+		root := roots[ct%len(roots)] // plane by destination chip
+		return append(buf, access[cf], root, access[ct]), cfg.OneWay
+	}
 }
 
 // ModelBConfig parameterizes the Model B (4-chip × 8-core m-CMP, Sun T5440
@@ -88,6 +94,13 @@ func DefaultModelB() ModelBConfig {
 // controllers 0..7 map to chip j/2. Cross-chip traffic is spread across
 // the hubs deterministically by (source, destination) chip pair.
 func NewModelB(k *sim.Kernel, cfg ModelBConfig) *Network {
+	links, routeOf := modelB(cfg)
+	return NewNetwork(k, "modelB", links, cfg.Chips*cfg.CoresPerChip, cfg.Chips*cfg.MemPerChip, routeOf)
+}
+
+// modelB returns Model B's links and routes, for NewModelB and the
+// route-table tests.
+func modelB(cfg ModelBConfig) ([]*Link, RouteFunc) {
 	xbar := make([]*Link, cfg.Chips)
 	links := make([]*Link, 0, cfg.Chips+cfg.Hubs)
 	for i := range xbar {
@@ -107,16 +120,15 @@ func NewModelB(k *sim.Kernel, cfg ModelBConfig) *Network {
 		return n.Index / cfg.MemPerChip
 	}
 
-	return NewNetwork(k, "modelB", links, cfg.Chips*cfg.CoresPerChip, cfg.Chips*cfg.MemPerChip,
-		func(from, to NodeID) ([]*Link, sim.Time) {
-			if from == to {
-				return nil, 0
-			}
-			cf, ct := chipOf(from), chipOf(to)
-			if cf == ct {
-				return []*Link{xbar[cf]}, cfg.IntraOneWay
-			}
-			h := hubs[(cf*7+ct*3)%cfg.Hubs]
-			return []*Link{xbar[cf], h, xbar[ct]}, cfg.InterOneWay
-		})
+	return links, func(buf []*Link, from, to NodeID) ([]*Link, sim.Time) {
+		if from == to {
+			return buf, 0
+		}
+		cf, ct := chipOf(from), chipOf(to)
+		if cf == ct {
+			return append(buf, xbar[cf]), cfg.IntraOneWay
+		}
+		h := hubs[(cf*7+ct*3)%cfg.Hubs]
+		return append(buf, xbar[cf], h, xbar[ct]), cfg.InterOneWay
+	}
 }

@@ -117,25 +117,38 @@ func (l *Link) Reset() {
 	l.TotalWait = 0
 }
 
-// route is one precomputed source→destination path: the ordered shared
-// links a message crosses plus the total propagation latency (the
-// uncongested one-way latency).
+const (
+	// maxHops is the most shared links one route may cross: the access,
+	// root/hub and access legs of a cross-chip message.
+	maxHops = 3
+	// maxLinks is how many links a one-byte hop index can name.
+	maxLinks = 1 << 8
+)
+
+// route is one precomputed source→destination path: the shared links a
+// message crosses, in order, as indices into Network.Links, plus the total
+// propagation latency (the uncongested one-way latency). It holds no
+// pointer, so the whole route table is one allocation the collector never
+// scans.
 type route struct {
-	links []*Link
-	prop  sim.Time
+	hops [maxHops]uint8
+	n    uint8
+	prop sim.Time
 }
 
 // Network routes messages between nodes over an all-pairs route table
-// precomputed at construction, so the per-message path lookup is two
-// index operations and allocates nothing.
+// precomputed at construction into one flat array of fixed-size routes, so
+// the per-message path lookup is two index operations and allocates
+// nothing, and the table is one allocation, not one per node pair.
 type Network struct {
 	K     *sim.Kernel
 	Name  string
-	Links []*Link
+	Links []*Link // byHop[:len(links)]
 
 	numCores int
 	numMems  int
-	routes   []route // [idx(from)*nodes + idx(to)]
+	routes   []route          // [idx(from)*nodes + idx(to)]
+	byHop    *[maxLinks]*Link // Links padded to every index a hop can hold: no bounds check
 
 	// Obs, when non-nil, receives per-link occupancy records.
 	Obs *obs.Capture
@@ -144,46 +157,80 @@ type Network struct {
 	Sent uint64
 }
 
-// RouteFunc describes a topology: the shared links a message crosses from
-// one node to another plus the propagation latency. It is evaluated once
-// per node pair when the Network is built, never on the message path.
-type RouteFunc func(from, to NodeID) (links []*Link, propagation sim.Time)
+// RouteFunc describes a topology: it appends to buf the shared links a
+// message crosses from one node to another, in order, and returns the
+// extended slice plus the propagation latency. It is evaluated once per
+// node pair when the Network is built, never on the message path, and buf
+// is reused across pairs.
+type RouteFunc func(buf []*Link, from, to NodeID) (links []*Link, propagation sim.Time)
 
 // NewNetwork builds a network over the given links for a machine with
 // numCores cores and numMems memory controllers, precomputing the
-// all-pairs route table from routeOf.
+// all-pairs route table from routeOf. It panics if there are more than
+// maxLinks links, or if routeOf returns a route longer than maxHops or a
+// link outside links.
 func NewNetwork(k *sim.Kernel, name string, links []*Link, numCores, numMems int, routeOf RouteFunc) *Network {
+	if len(links) > maxLinks {
+		panic(fmt.Sprintf("topo: %s has %d links, more than the %d a hop index can name", name, len(links), maxLinks))
+	}
+	byHop := new([maxLinks]*Link)
+	copy(byHop[:], links)
+	n := &Network{
+		K: k, Name: name, Links: byHop[:len(links):len(links)],
+		numCores: numCores, numMems: numMems,
+		byHop: byHop,
+	}
 	for i, l := range links {
 		l.ID = i
 	}
-	n := &Network{
-		K: k, Name: name, Links: links,
-		numCores: numCores, numMems: numMems,
-	}
 	nodes := numCores + numMems
 	n.routes = make([]route, nodes*nodes)
+	buf := make([]*Link, 0, maxHops)
 	for fi := 0; fi < nodes; fi++ {
 		for ti := 0; ti < nodes; ti++ {
-			ls, prop := routeOf(n.nodeOf(fi), n.nodeOf(ti))
-			n.routes[fi*nodes+ti] = route{links: ls, prop: prop}
+			from, to := n.nodeOf(fi), n.nodeOf(ti)
+			ls, prop := routeOf(buf[:0], from, to)
+			if len(ls) > maxHops {
+				panic(fmt.Sprintf("topo: %s route %v→%v crosses %d links, more than maxHops (%d)", name, from, to, len(ls), maxHops))
+			}
+			r := route{n: uint8(len(ls)), prop: prop}
+			for h, l := range ls {
+				if uint(l.ID) >= uint(len(links)) || links[l.ID] != l {
+					panic(fmt.Sprintf("topo: %s route %v→%v crosses link %q, which is not in the network", name, from, to, l.Name))
+				}
+				r.hops[h] = uint8(l.ID)
+			}
+			n.routes[fi*nodes+ti] = r
 		}
 	}
 	return n
 }
 
 // idx flattens a NodeID into a route-table index: cores first, then
-// memory controllers.
+// memory controllers. A node beyond the table panics with a beyondTable,
+// whose message is built only then, so idx inlines into routeOf.
 func (n *Network) idx(node NodeID) int {
-	if node.Kind == CoreNode {
-		if node.Index >= n.numCores {
-			panic(fmt.Sprintf("topo: %v beyond the %d-core route table", node, n.numCores))
-		}
-		return node.Index
+	i, end := node.Index, n.numCores
+	if node.Kind != CoreNode {
+		i, end = n.numCores+node.Index, n.numCores+n.numMems
 	}
-	if node.Index >= n.numMems {
-		panic(fmt.Sprintf("topo: %v beyond the %d-controller route table", node, n.numMems))
+	if i >= end {
+		panic(beyondTable{node, n.numCores, n.numMems})
 	}
-	return n.numCores + node.Index
+	return i
+}
+
+// beyondTable is the panic value for a node outside the route table.
+type beyondTable struct {
+	node              NodeID
+	numCores, numMems int
+}
+
+func (e beyondTable) Error() string {
+	if e.node.Kind == CoreNode {
+		return fmt.Sprintf("topo: %v beyond the %d-core route table", e.node, e.numCores)
+	}
+	return fmt.Sprintf("topo: %v beyond the %d-controller route table", e.node, e.numMems)
 }
 
 // nodeOf is the inverse of idx, used when building the table.
@@ -212,26 +259,20 @@ func (n *Network) DelayAt(start sim.Time, from, to NodeID) sim.Time {
 	n.Sent++
 	r := n.routeOf(from, to)
 	t := start
-	for _, l := range r.links {
+	for _, h := range r.hops[:r.n] {
+		l := n.byHop[h]
 		t2 := l.cross(t)
 		if n.Obs != nil && l.SerLat > 0 {
-			n.Obs.LinkCross(l.ID, uint64(t), uint64(l.SerLat), uint64(t2-t-l.SerLat))
+			n.Obs.LinkCross(int(h), uint64(t), uint64(l.SerLat), uint64(t2-t-l.SerLat))
 		}
 		t = t2
 	}
 	return (t - start) + r.prop
 }
 
-// Send delivers a message: it computes the congested one-way latency and
-// schedules deliver at arrival time.
-func (n *Network) Send(from, to NodeID, deliver func()) {
-	n.K.Schedule(n.Delay(from, to), deliver)
-}
-
-// SendTo is the closure-free counterpart of Send: it computes the
-// congested one-way latency and schedules r.Recv(tag) at arrival time via
-// the kernel's value-typed receive event, so high-rate senders allocate
-// nothing per message.
+// SendTo delivers a message: it computes the congested one-way latency
+// and schedules r.Recv(tag) at arrival time via the kernel's value-typed
+// receive event, so high-rate senders allocate nothing per message.
 func (n *Network) SendTo(from, to NodeID, r sim.Receiver, tag uint64) {
 	n.K.ScheduleRecv(n.Delay(from, to), r, tag)
 }

@@ -1,6 +1,8 @@
 package topo
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"fairrw/internal/sim"
@@ -106,19 +108,117 @@ func TestCongestionGrowsDelay(t *testing.T) {
 	}
 }
 
+// recorder is a Receiver that logs the time and tag of each delivery.
+type recorder struct {
+	k    *sim.Kernel
+	at   []sim.Time
+	tags []uint64
+}
+
+func (r *recorder) Recv(tag uint64) {
+	r.at = append(r.at, r.k.Now())
+	r.tags = append(r.tags, tag)
+}
+
 func TestSendDelivers(t *testing.T) {
 	k := sim.New()
 	n := NewModelA(k, DefaultModelA())
-	var deliveredAt sim.Time
-	n.Send(Core(0), Core(1), func() { deliveredAt = k.Now() })
+	r := &recorder{k: k}
+	n.SendTo(Core(0), Core(1), r, 42)
 	k.Run()
 	// 2 access links (4 each) + root (2) + propagation 55 = 65.
-	if deliveredAt != 65 {
-		t.Fatalf("delivered at %d, want 65", deliveredAt)
+	if len(r.at) != 1 || r.at[0] != 65 || r.tags[0] != 42 {
+		t.Fatalf("deliveries at %v with tags %v, want one at 65 with tag 42", r.at, r.tags)
 	}
 	if n.Sent != 1 {
 		t.Fatalf("Sent = %d, want 1", n.Sent)
 	}
+}
+
+// TestRouteTableMatchesRouteFunc checks every precomputed route of both
+// models against a fresh evaluation of the topology's RouteFunc: the same
+// links in the same order and the same propagation.
+func TestRouteTableMatchesRouteFunc(t *testing.T) {
+	acfg, bcfg := DefaultModelA(), DefaultModelB()
+	aLinks, aRoute := modelA(acfg)
+	bLinks, bRoute := modelB(bcfg)
+	for _, m := range []struct {
+		name        string
+		links       []*Link
+		cores, mems int
+		routeOf     RouteFunc
+	}{
+		{"A", aLinks, acfg.Chips, acfg.Chips, aRoute},
+		{"B", bLinks, bcfg.Chips * bcfg.CoresPerChip, bcfg.Chips * bcfg.MemPerChip, bRoute},
+	} {
+		n := NewNetwork(sim.New(), m.name, m.links, m.cores, m.mems, m.routeOf)
+		nodes := m.cores + m.mems
+		for fi := 0; fi < nodes; fi++ {
+			for ti := 0; ti < nodes; ti++ {
+				from, to := n.nodeOf(fi), n.nodeOf(ti)
+				want, wantProp := m.routeOf(nil, from, to)
+				r := n.routeOf(from, to)
+				got := make([]*Link, r.n)
+				for h := range got {
+					got[h] = n.Links[r.hops[h]]
+				}
+				if from == to && (len(got) != 0 || r.prop != 0) {
+					t.Fatalf("model %s: self-route %v crosses %d links, propagation %d; want none", m.name, from, len(got), r.prop)
+				}
+				if len(got) != len(want) || r.prop != wantProp {
+					t.Fatalf("model %s %v→%v: %d links, prop %d; RouteFunc says %d links, prop %d",
+						m.name, from, to, len(got), r.prop, len(want), wantProp)
+				}
+				for h := range want {
+					if got[h] != want[h] {
+						t.Fatalf("model %s %v→%v hop %d: %s, RouteFunc says %s", m.name, from, to, h, got[h].Name, want[h].Name)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestNewNetworkRejectsUnindexableRoutes(t *testing.T) {
+	wantPanic := func(name, substr string, build func()) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			msg := fmt.Sprint(recover())
+			if !strings.Contains(msg, substr) {
+				t.Fatalf("%s: panic %q, want one mentioning %q", name, msg, substr)
+			}
+		}()
+		build()
+	}
+	links := []*Link{{Name: "l0"}, {Name: "l1"}, {Name: "l2"}, {Name: "l3"}}
+	wantPanic("4-hop route", "crosses 4 links, more than maxHops (3)", func() {
+		NewNetwork(sim.New(), "long", links, 2, 0, func(buf []*Link, from, to NodeID) ([]*Link, sim.Time) {
+			return append(buf, links...), 1
+		})
+	})
+	wantPanic("foreign link", `link "stray"`, func() {
+		NewNetwork(sim.New(), "stray", links, 2, 0, func(buf []*Link, from, to NodeID) ([]*Link, sim.Time) {
+			return append(buf, &Link{Name: "stray"}), 1
+		})
+	})
+	wantPanic("foreign link, negative ID", `link "stray"`, func() {
+		NewNetwork(sim.New(), "stray", links, 2, 0, func(buf []*Link, from, to NodeID) ([]*Link, sim.Time) {
+			return append(buf, &Link{Name: "stray", ID: -1}), 1
+		})
+	})
+	many := make([]*Link, maxLinks+1)
+	for i := range many {
+		many[i] = &Link{Name: "l"}
+	}
+	wantPanic("257 links", "has 257 links, more than the 256", func() {
+		NewNetwork(sim.New(), "wide", many, 2, 0, func(buf []*Link, from, to NodeID) ([]*Link, sim.Time) {
+			return buf, 0
+		})
+	})
+	a := NewModelA(sim.New(), DefaultModelA())
+	wantPanic("core beyond the table", "core32 beyond the 32-core route table", func() { a.Delay(Core(32), Core(0)) })
+	wantPanic("controller beyond the table", "mem32 beyond the 32-controller route table", func() { a.Delay(Core(0), Mem(32)) })
 }
 
 func TestModelBHubSpreading(t *testing.T) {
@@ -147,14 +247,15 @@ func TestModelBHubSpreading(t *testing.T) {
 // TestDelayAtNoAllocs asserts the per-message path — precomputed route
 // lookup plus link occupancy charging — allocates nothing.
 func TestDelayAtNoAllocs(t *testing.T) {
-	k := sim.New()
-	n := NewModelB(k, DefaultModelB())
-	var tm sim.Time
-	if avg := testing.AllocsPerRun(500, func() {
-		tm += n.DelayAt(tm, Core(0), Core(8))
-		tm += n.DelayAt(tm, Core(3), Mem(2))
-	}); avg != 0 {
-		t.Fatalf("DelayAt allocates %.1f/op, want 0", avg)
+	for _, n := range []*Network{NewModelA(sim.New(), DefaultModelA()), NewModelB(sim.New(), DefaultModelB())} {
+		var tm sim.Time
+		if avg := testing.AllocsPerRun(500, func() {
+			tm += n.DelayAt(tm, Core(0), Core(8))
+			tm += n.DelayAt(tm, Core(3), Mem(2))
+			tm += n.DelayAt(tm, Core(5), Core(5))
+		}); avg != 0 {
+			t.Fatalf("%s: DelayAt allocates %.1f/op, want 0", n.Name, avg)
+		}
 	}
 }
 
@@ -164,6 +265,7 @@ func BenchmarkDelayAt(b *testing.B) {
 	k := sim.New()
 	n := NewModelB(k, DefaultModelB())
 	b.ReportAllocs()
+	b.ResetTimer()
 	var tm sim.Time
 	for i := 0; i < b.N; i++ {
 		tm += n.DelayAt(tm, Core(0), Core(8))
