@@ -16,6 +16,11 @@
 // flight recorder to stderr, and -slowlock logs every pathologically slow
 // acquire as a structured one-liner.
 //
+// What the daemon can work out is not a flag: it runs one event loop
+// per P (set GOMAXPROCS to change it), a cluster member heartbeats its
+// peers every -max-lease/20 clamped to [50ms, 250ms], and a session
+// opened without a lease gets 10s.
+//
 //	lockd -addr 127.0.0.1:7600 -admin 127.0.0.1:7601 \
 //	      -metrics metrics.json -slowlock 100ms
 package main
@@ -91,17 +96,14 @@ const flightEvents = 256
 // The daemon's knobs, registered at package level so TestFlagBudget can
 // count them.
 var (
-	addr         = flag.String("addr", "127.0.0.1:7600", "TCP listen address")
-	adminAddr    = flag.String("admin", "", "admin HTTP listen address (Prometheus /metrics, /metrics.json, /hotlocks, /flight, /debug/pprof); empty = disabled")
-	defaultLease = flag.Duration("default-lease", 10*time.Second, "lease for sessions that open without one")
-	maxLease     = flag.Duration("max-lease", time.Minute, "cap on requested leases; in a cluster also the quarantine of a dead member's names, so it must be the same on every member")
-	grace        = flag.Duration("grace", 5*time.Second, "drain grace period on shutdown")
-	workers      = flag.Int("workers", 0, "event-loop workers (0 = GOMAXPROCS)")
-	metricsPath  = flag.String("metrics", "", "write metrics JSON here on shutdown and SIGUSR1 (\"-\" = stdout, shutdown only); live numbers are -admin's /metrics.json")
-	slowlock     = flag.Duration("slowlock", 0, "log acquires whose queue wait reaches this threshold (0 = off)")
-	clusterArg   = flag.String("cluster", "", "comma-separated member list, this node first (e.g. self:7600,peer:7600,...); enables clustered mode")
-	hbIvl        = flag.Duration("hb", 250*time.Millisecond, "cluster heartbeat period")
-	showVersion  = flag.Bool("version", false, "print build info and exit")
+	addr        = flag.String("addr", "127.0.0.1:7600", "TCP listen address")
+	adminAddr   = flag.String("admin", "", "admin HTTP listen address (Prometheus /metrics, /metrics.json, /hotlocks, /flight, /debug/pprof); empty = disabled")
+	maxLease    = flag.Duration("max-lease", time.Minute, "cap on requested leases; in a cluster also the quarantine of a dead member's names, so it must be the same on every member, and 1/20 of it (clamped to 50ms–250ms) is the heartbeat period")
+	grace       = flag.Duration("grace", 5*time.Second, "drain grace period on shutdown")
+	metricsPath = flag.String("metrics", "", "write metrics JSON here on shutdown and SIGUSR1 (\"-\" = stdout, shutdown only); live numbers are -admin's /metrics.json")
+	slowlock    = flag.Duration("slowlock", 0, "log acquires whose queue wait reaches this threshold (0 = off)")
+	clusterArg  = flag.String("cluster", "", "comma-separated member list, this node first (e.g. self:7600,peer:7600,...); enables clustered mode")
+	showVersion = flag.Bool("version", false, "print build info and exit")
 )
 
 func main() {
@@ -118,14 +120,10 @@ func main() {
 		log.Fatalf("lockd: listen: %v", err)
 	}
 
-	// One flight-recorder ring per event-loop worker (the server keys by
-	// worker index); the manager's grant/expiry events hash across the same
-	// rings.
-	nw := *workers
-	if nw <= 0 {
-		nw = runtime.GOMAXPROCS(0)
-	}
-	rec := introspect.NewRecorder(nw, flightEvents)
+	// One flight-recorder ring per event loop (the server runs GOMAXPROCS
+	// loops and keys by loop index); the manager's grant/expiry events hash
+	// across the same rings.
+	rec := introspect.NewRecorder(runtime.GOMAXPROCS(0), flightEvents)
 	slowFn := func(name string, sid uint64, excl bool, wait time.Duration) {
 		log.Printf("lockd: slowlock lock=%q sid=%d excl=%v wait=%v", name, sid, excl, wait)
 	}
@@ -133,17 +131,16 @@ func main() {
 		slowFn = nil
 	}
 	mgr := lockmgr.New(lockmgr.Config{
-		DefaultLease: *defaultLease,
-		MaxLease:     *maxLease,
-		Recorder:     rec,
-		SlowLock:     *slowlock,
-		SlowLockFn:   slowFn,
+		MaxLease:   *maxLease,
+		Recorder:   rec,
+		SlowLock:   *slowlock,
+		SlowLockFn: slowFn,
 	})
 	// Clustered mode: this node owns a rendezvous-hashed slice of the
 	// namespace and gates every named op on ownership. The member list
 	// names this node first; peers are heartbeated as ordinary wire
-	// sessions and a dead peer's names rehash to the survivors, quarantined
-	// for -max-lease.
+	// sessions every -max-lease/20 (50–250ms) and a dead peer's names
+	// rehash to the survivors, quarantined for -max-lease.
 	var node *cluster.Node
 	if *clusterArg != "" {
 		members := strings.Split(*clusterArg, ",")
@@ -152,20 +149,16 @@ func main() {
 		}
 		var err error
 		node, err = cluster.NewNode(cluster.Config{
-			Self:     members[0],
-			Members:  members,
-			Manager:  mgr,
-			Interval: *hbIvl,
-			Logf:     log.Printf,
+			Self:    members[0],
+			Members: members,
+			Manager: mgr,
+			Logf:    log.Printf,
 		})
 		if err != nil {
 			log.Fatalf("lockd: cluster: %v", err)
 		}
 	}
-	srvCfg := server.Config{
-		Workers:  *workers,
-		Recorder: rec,
-	}
+	srvCfg := server.Config{Recorder: rec}
 	if node != nil {
 		srvCfg.Cluster = node
 	}
@@ -248,7 +241,7 @@ func main() {
 	if node != nil {
 		node.Start()
 		log.Printf("lockd: cluster member %s of %v (hb %v, suspect after %d, failover window %v)",
-			node.Self(), node.Current().Members(), *hbIvl, cluster.SuspectAfter, mgr.MaxLease())
+			node.Self(), node.Current().Members(), node.Interval(), cluster.SuspectAfter, mgr.MaxLease())
 	}
 	log.Printf("lockd: %s %s serving on %s (%d workers)",
 		bi.Version, bi.GoVersion, ln.Addr(), srv.Workers())

@@ -46,11 +46,16 @@ func (d *Dialer) backoff(attempt int) time.Duration {
 	if max <= 0 {
 		max = 250 * time.Millisecond
 	}
+	return backoff(base, max, attempt)
+}
+
+// backoff is the one retry delay of the client: base·2^attempt, capped
+// at max, with ±50% jitter (so never below base/2).
+func backoff(base, max time.Duration, attempt int) time.Duration {
 	b := base << uint(attempt)
 	if b > max || b <= 0 {
 		b = max
 	}
-	// ±50% jitter, never below base/2.
 	return b/2 + time.Duration(rand.Int63n(int64(b)))
 }
 

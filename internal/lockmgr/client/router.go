@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -53,13 +52,6 @@ type RouterConfig struct {
 	Lease time.Duration
 	// KeepAliveEvery is the background renewal period. Default Lease/3.
 	KeepAliveEvery time.Duration
-	// Dialer dials members. The zero value is replaced by a
-	// single-attempt dialer: the Router's own retry loop supplies the
-	// backoff and re-aims at survivors between attempts, so stacking
-	// the Dialer's multi-attempt backoff underneath it would multiply
-	// the failover delay — exactly the window the cluster works to keep
-	// short.
-	Dialer Dialer
 	// Retries is how many times one op re-aims after NotOwner, expired
 	// sessions, or transport failures before giving up with ErrNoQuorum.
 	// Default 8.
@@ -70,6 +62,12 @@ type RouterConfig struct {
 	// before the map catches up.
 	RetryBase, RetryMax time.Duration
 }
+
+// routerDialer dials members once per call: the Router's own retry loop
+// supplies the backoff and re-aims at survivors between attempts, so a
+// multi-attempt dial underneath it would multiply the failover delay —
+// exactly the window the cluster works to keep short.
+var routerDialer = Dialer{Attempts: 1}
 
 // routedNode is one member the Router has dialed: an op conn, a
 // keepalive conn, and the session shared by both.
@@ -87,8 +85,7 @@ type routedNode struct {
 }
 
 // NewRouter bootstraps the membership from the seeds and starts the
-// keepalive loop. It fails only if no seed answers within the dialer's
-// patience.
+// keepalive loop. It fails only if no seed answers a single dial.
 func NewRouter(cfg RouterConfig) (*Router, error) {
 	if len(cfg.Seeds) == 0 {
 		return nil, errors.New("lockd client: router needs at least one seed")
@@ -107,9 +104,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	}
 	if cfg.RetryMax <= 0 {
 		cfg.RetryMax = 500 * time.Millisecond
-	}
-	if cfg.Dialer == (Dialer{}) {
-		cfg.Dialer = Dialer{Attempts: 1}
 	}
 	r := &Router{
 		cfg:   cfg,
@@ -130,7 +124,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 func (r *Router) bootstrap() error {
 	var lastErr error
 	for _, seed := range r.cfg.Seeds {
-		c, err := r.cfg.Dialer.Dial(context.Background(), seed)
+		c, err := routerDialer.Dial(context.Background(), seed)
 		if err != nil {
 			lastErr = err
 			continue
@@ -288,7 +282,7 @@ func (r *Router) nodeConn(addr string) (*routedNode, error) {
 		if now := time.Now(); now.Before(n.downUntil) {
 			return nil, fmt.Errorf("lockd client: %s cooling down after failed dial", addr)
 		}
-		c, err := r.cfg.Dialer.Dial(context.Background(), addr)
+		c, err := routerDialer.Dial(context.Background(), addr)
 		if err != nil {
 			n.downUntil = time.Now().Add(r.cfg.RetryMax / 2)
 			return nil, err
@@ -329,14 +323,6 @@ func (r *Router) dropConn(n *routedNode) {
 	r.mu.Lock()
 	n.sid = 0
 	r.mu.Unlock()
-}
-
-func (r *Router) retryBackoff(attempt int) time.Duration {
-	b := r.cfg.RetryBase << uint(attempt)
-	if b > r.cfg.RetryMax || b <= 0 {
-		b = r.cfg.RetryMax
-	}
-	return b/2 + time.Duration(rand.Int63n(int64(b)))
 }
 
 // Acquire routes an acquire to name's owner. wait follows
@@ -387,7 +373,7 @@ func (r *Router) do(name string, op func(*routedNode) error) error {
 			return fmt.Errorf("%w: %q after %d attempts: %v", ErrNoQuorum, name, attempt, lastErr)
 		}
 		if attempt > 0 {
-			time.Sleep(r.retryBackoff(attempt - 1))
+			time.Sleep(backoff(r.cfg.RetryBase, r.cfg.RetryMax, attempt-1))
 		}
 		r.mu.Lock()
 		owner := r.map_.Owner(name)
@@ -481,7 +467,7 @@ func (r *Router) keepAliveNode(n *routedNode) {
 	n.kaMu.Lock()
 	defer n.kaMu.Unlock()
 	if n.kaConn == nil {
-		c, err := r.cfg.Dialer.Dial(context.Background(), n.addr)
+		c, err := routerDialer.Dial(context.Background(), n.addr)
 		if err != nil {
 			return // node likely dead; the op path will reroute
 		}

@@ -144,6 +144,35 @@ func (tc *testCluster) dialSession(i int, lease time.Duration) (*client.Conn, ui
 	return c, sid
 }
 
+// TestHeartbeatFollowsMaxLease pins the derived heartbeat: MaxLease/20
+// clamped to [50ms, 250ms], so lockd's default 1m cap beats every 250ms
+// and a 2s cap every 100ms; an explicit Interval is kept as given.
+func TestHeartbeatFollowsMaxLease(t *testing.T) {
+	for _, tc := range []struct {
+		maxLease, interval, want time.Duration
+	}{
+		{time.Second, 0, 50 * time.Millisecond},
+		{2 * time.Second, 0, 100 * time.Millisecond},
+		{time.Minute, 0, 250 * time.Millisecond},
+		{time.Minute, 20 * time.Millisecond, 20 * time.Millisecond},
+	} {
+		m := lockmgr.New(lockmgr.Config{MaxLease: tc.maxLease})
+		node, err := cluster.NewNode(cluster.Config{
+			Self:     "a:1",
+			Members:  []string{"a:1", "b:1", "c:1"},
+			Manager:  m,
+			Interval: tc.interval,
+		})
+		m.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := node.Interval(); got != tc.want {
+			t.Errorf("MaxLease %v, Interval %v: heartbeat %v, want %v", tc.maxLease, tc.interval, got, tc.want)
+		}
+	}
+}
+
 // TestClusterRouting asserts the ownership contract over the wire: for
 // every name, exactly the rendezvous owner executes ops, every other
 // member answers NotOwner carrying the membership, and all members

@@ -87,7 +87,9 @@ type Config struct {
 	Members []string
 	// Manager is the local lock manager ghost holds are taken on.
 	Manager *lockmgr.Manager
-	// Interval is the heartbeat period. Default 250ms.
+	// Interval is the heartbeat period. Default Manager.MaxLease()/20,
+	// clamped to [50ms, 250ms]: 250ms at the default 1m lease cap, and
+	// short enough that death detection stays well inside a short cap.
 	Interval time.Duration
 	// BootGrace is how long after Start a peer that has never answered
 	// is forgiven its misses — cluster members boot staggered, and a
@@ -121,7 +123,7 @@ func NewNode(cfg Config) (*Node, error) {
 		return nil, errors.New("cluster: Config.Manager is required")
 	}
 	if cfg.Interval <= 0 {
-		cfg.Interval = 250 * time.Millisecond
+		cfg.Interval = min(max(cfg.Manager.MaxLease()/20, 50*time.Millisecond), 250*time.Millisecond)
 	}
 	if cfg.BootGrace <= 0 {
 		cfg.BootGrace = 20 * cfg.Interval
@@ -165,6 +167,9 @@ func (n *Node) Stop() {
 	n.stopped.Do(func() { close(n.stop) })
 	n.wg.Wait()
 }
+
+// Interval reports the heartbeat period in use.
+func (n *Node) Interval() time.Duration { return n.cfg.Interval }
 
 // Self returns this node's member address.
 func (n *Node) Self() string { return n.cfg.Self }

@@ -195,7 +195,7 @@ func (c *conn) writeOnce() int {
 // drain is the slow-write path, the only one: a goroutine worker.flush
 // starts when its one non-blocking write left bytes of c's over and that
 // lives until the queue runs dry. It writes the queued chunks in order,
-// one writev per pass with the full WriteTimeout, so a peer that stops
+// one writev per pass with the full writeTimeout, so a peer that stops
 // reading occupies this goroutine and nothing else: the loop never waits
 // on a socket and no other conn queues behind this one. Per-conn order
 // holds because fqueued stays set from the start of the drain until it
@@ -232,7 +232,7 @@ func (c *conn) drain() {
 		for _, b := range bufs {
 			total += len(b)
 		}
-		c.nc.SetWriteDeadline(time.Now().Add(w.srv.cfg.WriteTimeout))
+		c.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
 		c.wv = net.Buffers(bufs)
 		n, err := c.wv.WriteTo(c.nc)
 		c.wv = nil
@@ -257,7 +257,7 @@ func (c *conn) drain() {
 }
 
 // condemn retires a conn whose socket failed or whose peer took nothing
-// for WriteTimeout: drop the chunks still queued behind the failed pass
+// for writeTimeout: drop the chunks still queued behind the failed pass
 // (failed is that pass's byte count), close the socket — which also ends
 // the reader's blocking Read — and hand the conn to its worker for
 // cleanup, or finish the retirement here if the worker had already dropped

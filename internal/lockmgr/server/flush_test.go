@@ -81,7 +81,7 @@ func TestStalledPeerDoesNotBlockOthers(t *testing.T) {
 
 	// The healthy conn must still get synchronous round trips, fast. 20
 	// acquire/release pairs should take milliseconds; anything near
-	// WriteTimeout means a stalled peer is gating the loop.
+	// writeTimeout means a stalled peer is gating the loop.
 	start := time.Now()
 	for i := 0; i < 20; i++ {
 		if err := c.Acquire(sid, "healthy", true, 0); err != nil {
@@ -110,7 +110,7 @@ func TestStalledPeerDoesNotBlockOthers(t *testing.T) {
 // TestShutdownGraceBoundsStalledDrain: a conn the worker has already
 // dropped, whose drain is still waiting on a peer that reads nothing,
 // stays within reach of Shutdown's force-close — the grace period bounds
-// the shutdown, not WriteTimeout.
+// the shutdown, not writeTimeout.
 func TestShutdownGraceBoundsStalledDrain(t *testing.T) {
 	addr, srv := startServerCfg(t, testCfg(), Config{Workers: 1})
 	stall, sc := stallPeer(t, addr, srv, 4000)
@@ -123,7 +123,7 @@ func TestShutdownGraceBoundsStalledDrain(t *testing.T) {
 	start := time.Now()
 	srv.Shutdown(100 * time.Millisecond)
 	if d := time.Since(start); d > 3*time.Second {
-		t.Fatalf("Shutdown(100ms) took %v behind a stalled drain (WriteTimeout is 10s)", d)
+		t.Fatalf("Shutdown(100ms) took %v behind a stalled drain (writeTimeout is 10s)", d)
 	}
 	if ws := srv.WorkerStats()[0]; ws.WriteErrs != 1 {
 		t.Fatalf("write_errs %d after the force-close, want 1", ws.WriteErrs)

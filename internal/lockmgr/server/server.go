@@ -34,13 +34,11 @@ import (
 // Config tunes the runtime. The zero value is ready to use.
 type Config struct {
 	// Workers is the number of event loops, used as given. Default
-	// GOMAXPROCS. Connections are dealt to loops round-robin and a loop
-	// executes everything its connections send.
+	// GOMAXPROCS, the only value lockd runs (EXPERIMENTS.md, "Mechanism
+	// ROI audit", has the loop-count rows). Connections are dealt to
+	// loops round-robin and a loop executes everything its connections
+	// send.
 	Workers int
-	// WriteTimeout bounds how long a peer that is behind may take to
-	// accept one writev of its queued responses before the conn is
-	// condemned. Default 10s.
-	WriteTimeout time.Duration
 	// Recorder, when non-nil, receives the server-side grant-path
 	// flight events (park, unpark, connection condemn/drain), keyed by
 	// worker index so each event loop writes its own ring. Share it
@@ -81,12 +79,13 @@ type Cluster interface {
 	StatusJSON() ([]byte, error)
 }
 
+// writeTimeout bounds how long a peer that is behind may take to accept
+// one writev of its queued responses before the conn is condemned.
+const writeTimeout = 10 * time.Second
+
 func (c *Config) fill() {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 10 * time.Second
 	}
 }
 

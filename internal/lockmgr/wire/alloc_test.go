@@ -96,55 +96,6 @@ func TestBufferPoolSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestDecodeRequestRawMatchesDecodeRequest: the two decoders accept and
-// reject identical inputs and agree on every field.
-func TestDecodeRequestRawMatchesDecodeRequest(t *testing.T) {
-	cases := [][]byte{}
-	for _, req := range []Request{
-		{Op: OpOpen, Lease: 5e9},
-		{Op: OpAcquire, SID: 7, Wait: 3, Excl: true, Name: "k"},
-		{Op: OpStats},
-	} {
-		f, err := AppendRequestFrame(nil, &req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cases = append(cases, f[4:])
-	}
-	// Malformed: short, bad op, bad excl, bad name length.
-	cases = append(cases,
-		[]byte{1, 2, 3},
-		append([]byte{99}, make([]byte, RequestHeaderLen-1)...),
-		func() []byte {
-			f, _ := AppendRequestFrame(nil, &Request{Op: OpOpen})
-			p := f[4:]
-			p[25] = 2
-			return p
-		}(),
-		func() []byte {
-			f, _ := AppendRequestFrame(nil, &Request{Op: OpOpen})
-			p := f[4:]
-			p[27] = 9 // claims a name the payload does not carry
-			return p
-		}(),
-	)
-	for i, p := range cases {
-		want, wantErr := DecodeRequest(p)
-		var raw RawRequest
-		gotErr := DecodeRequestRaw(p, &raw)
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("case %d: DecodeRequest err %v, DecodeRequestRaw err %v", i, wantErr, gotErr)
-		}
-		if wantErr != nil {
-			continue
-		}
-		if raw.Op != want.Op || raw.SID != want.SID || raw.Lease != want.Lease ||
-			raw.Wait != want.Wait || raw.Excl != want.Excl || string(raw.Name) != want.Name {
-			t.Fatalf("case %d: raw %+v != %+v", i, raw, want)
-		}
-	}
-}
-
 // BenchmarkDecodeRequestRaw measures the zero-copy request decode.
 func BenchmarkDecodeRequestRaw(b *testing.B) {
 	f, _ := AppendRequestFrame(nil, &Request{
@@ -155,20 +106,6 @@ func BenchmarkDecodeRequestRaw(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if err := DecodeRequestRaw(p, &raw); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDecodeRequest measures the allocating decode for contrast.
-func BenchmarkDecodeRequest(b *testing.B) {
-	f, _ := AppendRequestFrame(nil, &Request{
-		Op: OpAcquire, SID: 42, Wait: -1, Excl: true, Name: "bench-key",
-	})
-	p := f[4:]
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := DecodeRequest(p); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -34,9 +34,10 @@ func seedRequests() [][]byte {
 	return out
 }
 
-// FuzzDecodeRequest: malformed request payloads must error — never panic,
-// never over-allocate — and every accepted payload must re-encode to
-// exactly the same bytes (the encoding is canonical).
+// FuzzDecodeRequest fuzzes DecodeRequestRaw, the server's decoder:
+// malformed request payloads must error — never panic, never
+// over-allocate — and every accepted payload must re-encode to exactly
+// the same bytes (the encoding is canonical).
 func FuzzDecodeRequest(f *testing.F) {
 	for _, s := range seedRequests() {
 		f.Add(s)
@@ -45,7 +46,7 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte{0xff})
 	f.Add(bytes.Repeat([]byte{0x41}, reqHeader))
 	f.Fuzz(func(t *testing.T, p []byte) {
-		req, err := DecodeRequest(p)
+		req, err := decodeRequest(p)
 		if err != nil {
 			return
 		}

@@ -119,36 +119,6 @@ func AppendRequestFrame(buf []byte, req *Request) ([]byte, error) {
 	return append(buf, req.Name...), nil
 }
 
-// DecodeRequest parses one request payload (the frame's contents, without
-// the length prefix).
-func DecodeRequest(p []byte) (Request, error) {
-	var req Request
-	if len(p) < reqHeader {
-		return req, fmt.Errorf("%w: request payload %d bytes, need %d", ErrMalformed, len(p), reqHeader)
-	}
-	op := Op(p[0])
-	if op < OpOpen || op > OpClusterInfo {
-		return req, fmt.Errorf("%w: unknown op %d", ErrMalformed, op)
-	}
-	if p[25] > 1 {
-		return req, fmt.Errorf("%w: excl byte %d", ErrMalformed, p[25])
-	}
-	nameLen := int(binary.BigEndian.Uint16(p[26:28]))
-	if nameLen > MaxName {
-		return req, fmt.Errorf("%w: name length %d > %d", ErrMalformed, nameLen, MaxName)
-	}
-	if len(p) != reqHeader+nameLen {
-		return req, fmt.Errorf("%w: payload %d bytes, header claims %d", ErrMalformed, len(p), reqHeader+nameLen)
-	}
-	req.Op = op
-	req.SID = binary.BigEndian.Uint64(p[1:9])
-	req.Lease = int64(binary.BigEndian.Uint64(p[9:17]))
-	req.Wait = int64(binary.BigEndian.Uint64(p[17:25]))
-	req.Excl = p[25] == 1
-	req.Name = string(p[28:])
-	return req, nil
-}
-
 // RawRequest is Request with the name still aliasing the decode buffer.
 // The event-loop server decodes straight out of per-connection read
 // buffers and only materializes a string if an op actually parks, so
@@ -162,8 +132,8 @@ type RawRequest struct {
 	Name  []byte // aliases the decode buffer; copy to retain
 }
 
-// DecodeRequestRaw parses one request payload without allocating.
-// Validation is identical to DecodeRequest; req.Name aliases p.
+// DecodeRequestRaw parses one request payload (the frame's contents,
+// without the length prefix) without allocating; req.Name aliases p.
 func DecodeRequestRaw(p []byte, req *RawRequest) error {
 	if len(p) < reqHeader {
 		return fmt.Errorf("%w: request payload %d bytes, need %d", ErrMalformed, len(p), reqHeader)

@@ -8,6 +8,16 @@ import (
 	"testing"
 )
 
+// decodeRequest is DecodeRequestRaw with the name copied out, so a
+// decoded request compares and re-encodes as a Request.
+func decodeRequest(p []byte) (Request, error) {
+	var raw RawRequest
+	if err := DecodeRequestRaw(p, &raw); err != nil {
+		return Request{}, err
+	}
+	return Request{Op: raw.Op, SID: raw.SID, Lease: raw.Lease, Wait: raw.Wait, Excl: raw.Excl, Name: string(raw.Name)}, nil
+}
+
 func TestRequestRoundTrip(t *testing.T) {
 	reqs := []Request{
 		{Op: OpOpen, Lease: int64(5e9)},
@@ -31,7 +41,7 @@ func TestRequestRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("req %d: ReadFrame: %v", i, err)
 		}
-		got, err := DecodeRequest(p)
+		got, err := decodeRequest(p)
 		if err != nil {
 			t.Fatalf("req %d: decode: %v", i, err)
 		}
@@ -122,7 +132,8 @@ func TestDecodeRejects(t *testing.T) {
 		{"trailing garbage", append(append([]byte(nil), payload...), 0)},
 	}
 	for _, tc := range cases {
-		if _, err := DecodeRequest(tc.p); !errors.Is(err, ErrMalformed) {
+		var raw RawRequest
+		if err := DecodeRequestRaw(tc.p, &raw); !errors.Is(err, ErrMalformed) {
 			t.Errorf("%s: err = %v, want ErrMalformed", tc.name, err)
 		}
 	}
@@ -132,6 +143,45 @@ func TestDecodeRejects(t *testing.T) {
 	}
 	if _, err := DecodeResponse([]byte{byte(StatusOK), 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff}); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("huge response payload claim: %v", err)
+	}
+}
+
+// TestDecodeRequestRaw: the server's decoder accepts well-formed
+// payloads field for field and rejects each malformed shape.
+func TestDecodeRequestRaw(t *testing.T) {
+	frame := func(req Request) []byte {
+		f, err := AppendRequestFrame(nil, &req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f[4:]
+	}
+	corrupt := func(i int, b byte) []byte {
+		p := frame(Request{Op: OpOpen})
+		p[i] = b
+		return p
+	}
+	accept := []Request{
+		{Op: OpOpen, Lease: 5e9},
+		{Op: OpAcquire, SID: 7, Wait: 3, Excl: true, Name: "k"},
+		{Op: OpStats},
+	}
+	for _, want := range accept {
+		if got, err := decodeRequest(frame(want)); err != nil || got != want {
+			t.Fatalf("decoded %+v, %v; want %+v", got, err, want)
+		}
+	}
+	reject := map[string][]byte{
+		"short":                  {1, 2, 3},
+		"bad op":                 append([]byte{99}, make([]byte, RequestHeaderLen-1)...),
+		"bad excl":               corrupt(25, 2),
+		"name the payload lacks": corrupt(27, 9),
+	}
+	for name, p := range reject {
+		var raw RawRequest
+		if err := DecodeRequestRaw(p, &raw); !errors.Is(err, ErrMalformed) {
+			t.Errorf("%s: err = %v, want ErrMalformed", name, err)
+		}
 	}
 }
 
