@@ -228,7 +228,7 @@ func main() {
 				}
 			case syscall.SIGQUIT:
 				log.Printf("lockd: SIGQUIT: flight recorder dump")
-				rec.Dump(os.Stderr)
+				srv.WriteFlight(os.Stderr)
 			}
 		}
 	}()

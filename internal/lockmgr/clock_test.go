@@ -2,12 +2,12 @@ package lockmgr
 
 import (
 	"runtime"
-	"sort"
 	"sync"
 	"testing"
 	"time"
 
 	"fairrw/internal/lockmgr/introspect"
+	"fairrw/internal/obs"
 )
 
 // fakeClock is the clock the lease, timeout and GC tests run on: time
@@ -145,7 +145,7 @@ func ended(t *testing.T, w *recWaiter) (err error, ok bool) {
 // TestLeaseExpiresExactlyAtDeadline: one nanosecond short of the lease
 // the hold stands and nothing has happened; at the deadline it is revoked
 // and the writer queued behind it, then the reader behind that, are
-// granted in arrival order, with one EvExpire.
+// granted in arrival order, with one KExpire.
 func TestLeaseExpiresExactlyAtDeadline(t *testing.T) {
 	const lease = 100 * time.Millisecond
 	cfg := fastCfg()
@@ -176,13 +176,13 @@ func TestLeaseExpiresExactlyAtDeadline(t *testing.T) {
 		t.Fatalf("reader behind the writer: %v, ended %v; want its grant", err, ok)
 	}
 	expires := 0
-	for _, ev := range cfg.Recorder.Events() {
-		if ev.Kind == introspect.EvExpire {
+	for _, rec := range cfg.Recorder.Events() {
+		if rec.Kind == obs.KExpire {
 			expires++
 		}
 	}
 	if st := m.Stats(); expires != 1 || st.LeaseExpirations != 1 || st.RevokedHolds != 1 {
-		t.Fatalf("%d EvExpire, stats %+v; want one expiry of one hold", expires, st)
+		t.Fatalf("%d KExpire, stats %+v; want one expiry of one hold", expires, st)
 	}
 	if err := m.Release(dead, "k", true); err != ErrExpired {
 		t.Fatalf("late release from the dead session = %v, want ErrExpired", err)
@@ -378,21 +378,18 @@ func TestFlightTimestampsAreTheManagersClock(t *testing.T) {
 	fc.Skip(80 * time.Millisecond)
 	m.expire(t0.Add(150 * time.Millisecond))
 	type row struct {
-		kind introspect.Kind
+		kind obs.Kind
 		at   time.Duration
 	}
 	var got []row
-	for _, ev := range cfg.Recorder.Events() {
-		got = append(got, row{ev.Kind, time.Duration(ev.TS - t0.UnixNano())})
+	for _, rec := range cfg.Recorder.Events() { // the grant and its slow report tie: recorded order
+		got = append(got, row{rec.Kind, time.Duration(int64(rec.At) - t0.UnixNano())})
 	}
-	sort.Slice(got, func(i, j int) bool { // Events orders by timestamp; the grant and its slow report tie
-		return got[i].at < got[j].at || (got[i].at == got[j].at && got[i].kind < got[j].kind)
-	})
 	want := []row{
-		{introspect.EvGrant, 30 * time.Millisecond},
-		{introspect.EvSlow, 30 * time.Millisecond},
-		{introspect.EvExpire, 100 * time.Millisecond},
-		{introspect.EvExpire, 150 * time.Millisecond},
+		{obs.KLRTGrant, 30 * time.Millisecond},
+		{obs.KSlow, 30 * time.Millisecond},
+		{obs.KExpire, 100 * time.Millisecond},
+		{obs.KExpire, 150 * time.Millisecond},
 	}
 	if len(got) != len(want) {
 		t.Fatalf("events %+v, want %+v", got, want)

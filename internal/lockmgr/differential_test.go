@@ -172,10 +172,10 @@ func (r *diffRun) state(t *testing.T) diffState {
 	for k, sid := range r.sids {
 		ord[sid] = k
 	}
-	for _, ev := range r.rec.Events() {
-		st.Events = append(st.Events, fmt.Sprintf("%v sess=%d lock=%08x", ev.Kind, ord[ev.SID], ev.Hash))
+	for _, rec := range r.rec.Events() {
+		st.Events = append(st.Events, fmt.Sprintf("%v sess=%d lock=%08x", rec.Kind, ord[rec.Tid], rec.Lock))
 	}
-	sort.Strings(st.Events) // the recorder orders by timestamp; ties are arbitrary
+	sort.Strings(st.Events) // the recorder orders by timestamp, and the two runs' clocks differ
 	for k, sid := range r.sids {
 		s := r.m.session(sid)
 		if s == nil {

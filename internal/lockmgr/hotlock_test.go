@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"fairrw/internal/lockmgr/introspect"
+	"fairrw/internal/obs"
 )
 
 // slowCfg keeps entries alive for the whole test so the hot-lock table
@@ -146,9 +147,9 @@ func TestHoldHistogram(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderGrantPath: a contended acquire leaves PARK-side
-// manager events (grant with measured wait) and a timeout leaves its
-// own; both dump with the lock's hash.
+// TestFlightRecorderGrantPath: a contended acquire leaves the manager's
+// LRT_GRANT record (with measured wait) and a timeout leaves its own;
+// both dump with the lock's hash.
 func TestFlightRecorderGrantPath(t *testing.T) {
 	rec := introspect.NewRecorder(2, 32)
 	cfg := slowCfg()
@@ -184,21 +185,21 @@ func TestFlightRecorderGrantPath(t *testing.T) {
 		t.Fatalf("want ErrTimeout over reader, got %v", err)
 	}
 
-	h := introspect.Hash("flk")
+	h := uint64(introspect.Hash("flk"))
 	var sawGrant, sawSlow, sawTimeout bool
-	for _, ev := range rec.Events() {
-		if ev.Hash != h {
+	for _, r := range rec.Events() {
+		if r.Lock != h {
 			continue
 		}
-		switch ev.Kind {
-		case introspect.EvGrant:
-			if ev.SID == b && ev.Wait > 0 {
+		switch r.Kind {
+		case obs.KLRTGrant:
+			if r.Tid == b && r.Aux > 0 {
 				sawGrant = true
 			}
-		case introspect.EvSlow:
+		case obs.KSlow:
 			sawSlow = true
-		case introspect.EvTimeout:
-			if ev.SID == a {
+		case obs.KTimeout:
+			if r.Tid == a {
 				sawTimeout = true
 			}
 		}
@@ -213,9 +214,9 @@ func TestFlightRecorderGrantPath(t *testing.T) {
 		t.Fatalf("SlowLockFn calls = %v, want [flk ...]", slowNames)
 	}
 	var sb strings.Builder
-	rec.Dump(&sb)
-	if !strings.Contains(sb.String(), "GRANT") {
-		t.Fatalf("dump missing GRANT:\n%s", sb.String())
+	obs.WriteRecords(&sb, rec.Events(), 0)
+	if !strings.Contains(sb.String(), "LRT_GRANT") {
+		t.Fatalf("dump missing LRT_GRANT:\n%s", sb.String())
 	}
 }
 

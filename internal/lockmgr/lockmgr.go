@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"fairrw/internal/lockmgr/introspect"
+	"fairrw/internal/obs"
 	"fairrw/internal/stats"
 )
 
@@ -73,15 +74,15 @@ type Config struct {
 	// survives: a collection pass runs every IdleTTL while the table has
 	// entries, so between IdleTTL and 2x IdleTTL. Default 1s.
 	IdleTTL time.Duration
-	// Recorder, when non-nil, receives grant-path flight events: the
-	// resolution of every queued acquire (grant, timeout, lease
-	// revocation, with measured wait) and session lease expirations.
+	// Recorder, when non-nil, receives grant-path flight records on
+	// obs.LRTNode(0): the resolution of every queued acquire (KLRTGrant,
+	// KTimeout, KCancel, with measured wait) and lease expirations (KExpire).
 	// The try path is not recorded, grant or failed try alike — neither
 	// has queue wait, which is the quantity the flight recorder
 	// attributes — so the manager fast path never touches it.
 	Recorder *introspect.Recorder
 	// SlowLock is the slow-acquire threshold: a grant whose queue wait
-	// reaches it is reported to SlowLockFn (and recorded as EvSlow).
+	// reaches it is reported to SlowLockFn (and recorded as obs.KSlow).
 	// Zero disables; only contended acquires ever check it.
 	SlowLock time.Duration
 	// SlowLockFn receives slow acquires (cmd/lockd logs them as
@@ -318,8 +319,8 @@ func (m *Manager) expireSession(s *Session, expired bool, now time.Time, done *[
 	delete(m.sessions, s.id)
 	if expired {
 		m.c.expirations.Add(1)
-		m.cfg.Recorder.Record(uint32(s.id), introspect.Event{
-			Kind: introspect.EvExpire, TS: now.UnixNano(), SID: s.id, Wait: int64(len(holds))})
+		m.cfg.Recorder.Record(uint32(s.id), obs.Record{
+			At: uint64(now.UnixNano()), Tid: s.id, Aux: uint64(len(holds)), Node: obs.LRTNode(0), Kind: obs.KExpire})
 	} else {
 		m.c.sessionsClosed.Add(1)
 	}

@@ -10,6 +10,7 @@ import (
 
 	"fairrw/internal/lockmgr"
 	"fairrw/internal/lockmgr/introspect"
+	"fairrw/internal/obs"
 	"fairrw/internal/stats"
 )
 
@@ -123,6 +124,21 @@ func (s *Server) WritevSizeHistogram() stats.Histogram {
 // Recorder returns the server's flight recorder (nil when disabled).
 func (s *Server) Recorder() *introspect.Recorder { return s.rec }
 
+// WriteFlight renders the flight recorder, oldest record first, with
+// obs.WriteRecords: times are ns since the first record shown.
+func (s *Server) WriteFlight(w io.Writer) {
+	if s.rec == nil {
+		fmt.Fprintln(w, "(flight recorder disabled)")
+		return
+	}
+	recs := s.rec.Events()
+	var t0 uint64
+	if len(recs) > 0 {
+		t0 = recs[0].At
+	}
+	obs.WriteRecords(w, recs, t0)
+}
+
 // MetricsPayload is the admin plane's JSON document, also what
 // cmd/lockd writes as its -metrics file.
 type MetricsPayload struct {
@@ -230,7 +246,7 @@ func (s *Server) WriteProm(w io.Writer, bi BuildInfo, topK int) {
 //	/metrics.json   MetricsPayload as JSON (?k= hot-lock depth)
 //	/hotlocks       the hot-lock table alone (?k= depth)
 //	/cluster        cluster membership, shares, heartbeat ages (JSON)
-//	/flight         flight-recorder dump, oldest event first
+//	/flight         flight-recorder dump (WriteFlight), oldest record first
 //	/debug/pprof/   the standard net/http/pprof surface
 //
 // Mount it on its own listener (lockd -admin): it is an operator
@@ -268,11 +284,7 @@ func (s *Server) AdminHandler(bi BuildInfo) http.Handler {
 	})
 	mux.HandleFunc("/flight", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if s.rec == nil {
-			fmt.Fprintln(w, "(flight recorder disabled)")
-			return
-		}
-		s.rec.Dump(w)
+		s.WriteFlight(w)
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

@@ -12,6 +12,7 @@ import (
 
 	"fairrw/internal/lockmgr"
 	"fairrw/internal/lockmgr/introspect"
+	"fairrw/internal/obs"
 )
 
 // startObservedServer is startServer with the full observability wiring
@@ -212,17 +213,17 @@ func TestAdminPlaneEndToEnd(t *testing.T) {
 		t.Fatalf("flush_stalls %d, %d of %d flushes inline, %d drain passes: healthy peers took the slow path",
 			stalls, inline, flushes, wvh.Count())
 	}
-	var parkEv, unparkEv introspect.Event
-	for _, ev := range srv.rec.Events() {
-		switch ev.Kind {
-		case introspect.EvPark:
-			parkEv = ev
-		case introspect.EvUnpark:
-			unparkEv = ev
+	var parkRec, unparkRec obs.Record
+	for _, rec := range srv.rec.Events() {
+		switch rec.Kind {
+		case obs.KEnq:
+			parkRec = rec
+		case obs.KGrant:
+			unparkRec = rec
 		}
 	}
-	if parkEv.Wait != int64(5*time.Second) || unparkEv.Wait <= 0 || unparkEv.Conn != parkEv.Conn {
-		t.Fatalf("PARK %+v should carry the requested wait, UNPARK %+v the measured one, on one conn", parkEv, unparkEv)
+	if parkRec.Aux != uint64(5*time.Second) || unparkRec.Aux == 0 || unparkRec.Node != parkRec.Node {
+		t.Fatalf("ENQ %+v should carry the requested wait, GRANT %+v the measured one, on one conn", parkRec, unparkRec)
 	}
 	if len(payload.HotLocks) == 0 || len(payload.HotLocks) > 5 {
 		t.Fatalf("hot_locks = %+v", payload.HotLocks)
@@ -235,9 +236,9 @@ func TestAdminPlaneEndToEnd(t *testing.T) {
 		t.Fatalf("/hotlocks = %s (err %v)", hbody, err)
 	}
 
-	// /flight: the park and its unpark are both on the record.
+	// /flight: the park, the manager's grant and the unpark are all on the record.
 	fbody, _ := get(t, admin.URL+"/flight")
-	for _, want := range []string{"PARK", "UNPARK", "GRANT"} {
+	for _, want := range []string{" ENQ ", " LRT_GRANT ", " GRANT "} {
 		if !strings.Contains(fbody, want) {
 			t.Fatalf("/flight missing %q:\n%s", want, fbody)
 		}

@@ -40,10 +40,11 @@ type Config struct {
 	// send.
 	Workers int
 	// Recorder, when non-nil, receives the server-side grant-path
-	// flight events (park, unpark, connection condemn/drain), keyed by
-	// worker index so each event loop writes its own ring. Share it
-	// with the manager's Config.Recorder so one dump interleaves both
-	// layers' views of the same acquire.
+	// flight records on each conn's obs.ConnNode track (KEnq at park,
+	// KGrant at unpark, KCondemn, KDrain), keyed by worker index so each
+	// event loop writes its own ring. Share it with the manager's
+	// Config.Recorder so one dump interleaves both layers' views of the
+	// same acquire.
 	Recorder *introspect.Recorder
 	// Cluster, when non-nil, gates named ops by distributed ownership
 	// (implemented by cluster.Node): an acquire or release for a name

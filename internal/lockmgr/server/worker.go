@@ -9,6 +9,7 @@ import (
 	"fairrw/internal/lockmgr"
 	"fairrw/internal/lockmgr/introspect"
 	"fairrw/internal/lockmgr/wire"
+	"fairrw/internal/obs"
 	"fairrw/internal/stats"
 )
 
@@ -203,8 +204,8 @@ func (w *worker) unpark(c *conn, cp lockmgr.Completion) {
 	}
 	c.parked = false
 	w.st.unparks.Add(1)
-	w.srv.rec.Record(uint32(w.idx), introspect.Event{
-		Kind: introspect.EvUnpark, Conn: c.id, SID: cp.SID, Hash: cp.Hash, Wait: int64(cp.Wait)})
+	w.srv.rec.Record(uint32(w.idx), obs.Record{
+		Lock: uint64(cp.Hash), Tid: cp.SID, Aux: uint64(cp.Wait), Node: obs.ConnNode(c.id), Kind: obs.KGrant})
 	if !c.dead {
 		resp := wire.Response{Status: statusOf(cp.Err)}
 		c.wbuf, _ = wire.AppendResponseFrame(c.wbuf, &resp)
@@ -345,8 +346,8 @@ func (w *worker) encode() {
 			c.parsePos = w.opEnd[i]
 			c.want = wantNone
 			w.st.parks.Add(1)
-			w.srv.rec.Record(uint32(w.idx), introspect.Event{Kind: introspect.EvPark,
-				Conn: c.id, SID: op.SID, Hash: introspect.Hash(op.Name), Wait: op.Wait})
+			w.srv.rec.Record(uint32(w.idx), obs.Record{Lock: uint64(introspect.Hash(op.Name)),
+				Tid: op.SID, Aux: uint64(max(op.Wait, 0)), Node: obs.ConnNode(c.id), Kind: obs.KEnq})
 			continue
 		}
 		if c.dead || op.Err == lockmgr.ErrDeferred {
@@ -567,10 +568,10 @@ func (w *worker) drop(c *conn) {
 	}
 	if c.dead {
 		w.st.condemned.Add(1)
-		w.srv.rec.Record(uint32(w.idx), introspect.Event{Kind: introspect.EvCondemn, Conn: c.id})
+		w.srv.rec.Record(uint32(w.idx), obs.Record{Node: obs.ConnNode(c.id), Kind: obs.KCondemn})
 	} else {
 		w.st.drained.Add(1)
-		w.srv.rec.Record(uint32(w.idx), introspect.Event{Kind: introspect.EvDrain, Conn: c.id})
+		w.srv.rec.Record(uint32(w.idx), obs.Record{Node: obs.ConnNode(c.id), Kind: obs.KDrain})
 	}
 	c.removed = true
 	c.dead = true

@@ -4,7 +4,7 @@ import (
 	"container/heap"
 	"time"
 
-	"fairrw/internal/lockmgr/introspect"
+	"fairrw/internal/obs"
 )
 
 // The waiter queue and the manager's timer. An acquire that has to wait is
@@ -324,24 +324,25 @@ func (m *Manager) admit(e *entry, now time.Time, done *[]Completion) {
 func (m *Manager) settle(done []Completion, batch bool) []Completion {
 	kept := done[:0]
 	for _, cp := range done {
-		ev := introspect.Event{Kind: introspect.EvRevoke, TS: cp.at, SID: cp.SID, Hash: cp.Hash, Wait: int64(cp.Wait)}
+		rec := obs.Record{At: uint64(cp.at), Lock: uint64(cp.Hash), Tid: cp.SID, Aux: uint64(cp.Wait),
+			Node: obs.LRTNode(0), Kind: obs.KCancel}
 		switch {
 		case cp.Err == nil && cp.excl:
 			m.c.exclGrants.Add(1)
-			ev.Kind = introspect.EvGrant
+			rec.Kind = obs.KLRTGrant
 		case cp.Err == nil:
 			m.c.sharedGrants.Add(1)
-			ev.Kind = introspect.EvGrant
+			rec.Kind = obs.KLRTGrant
 		case cp.Err == ErrTimeout:
 			m.c.timeouts.Add(1)
-			ev.Kind = introspect.EvTimeout
+			rec.Kind = obs.KTimeout
 		}
-		m.cfg.Recorder.Record(cp.Hash, ev)
+		m.cfg.Recorder.Record(cp.Hash, rec)
 		if cp.Err == nil {
 			m.observeWait(uint64(cp.Wait), 1)
 			if t := m.cfg.SlowLock; t > 0 && cp.Wait >= t {
-				ev.Kind = introspect.EvSlow
-				m.cfg.Recorder.Record(cp.Hash, ev)
+				rec.Kind = obs.KSlow
+				m.cfg.Recorder.Record(cp.Hash, rec)
 				if fn := m.cfg.SlowLockFn; fn != nil {
 					fn(cp.name, cp.SID, cp.excl, cp.Wait)
 				}

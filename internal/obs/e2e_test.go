@@ -37,8 +37,8 @@ func TestEndToEndLCU(t *testing.T) {
 	kinds := map[obs.Kind]int{}
 	for i, r := range c.Recs {
 		kinds[r.Kind]++
-		if i > 0 && r.Cycle < c.Recs[i-1].Cycle {
-			t.Fatalf("records out of time order at %d: %d after %d", i, r.Cycle, c.Recs[i-1].Cycle)
+		if i > 0 && r.At < c.Recs[i-1].At {
+			t.Fatalf("records out of time order at %d: %d after %d", i, r.At, c.Recs[i-1].At)
 		}
 	}
 	for _, k := range []obs.Kind{obs.KReq, obs.KGrant, obs.KAcq, obs.KUnlock, obs.KXfer, obs.KLRTReq} {

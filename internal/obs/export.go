@@ -83,7 +83,7 @@ func writeRun(cw *chromeWriter, pid int, cap *Capture) {
 			waited, mode := r.Aux>>1, rwMode(r.Aux&1 != 0)
 			if waited > 0 {
 				cw.ev(fmt.Sprintf(`{"ph":"X","pid":%d,"tid":%d,"ts":%d,"dur":%d,"name":%s,"args":{"tid":%d,"lock":"%#x"}}`,
-					pid, r.Node, r.Cycle-waited, waited, q("wait "+mode), r.Tid, r.Lock))
+					pid, r.Node, r.At-waited, waited, q("wait "+mode), r.Tid, r.Lock))
 			}
 			held[lockKey{r.Tid, r.Lock}] = r
 		case KUnlock:
@@ -91,13 +91,13 @@ func writeRun(cw *chromeWriter, pid int, cap *Capture) {
 				delete(held, lockKey{r.Tid, r.Lock})
 				mode := rwMode(a.Aux&1 != 0)
 				cw.ev(fmt.Sprintf(`{"ph":"X","pid":%d,"tid":%d,"ts":%d,"dur":%d,"name":%s,"args":{"tid":%d,"lock":"%#x"}}`,
-					pid, a.Node, a.Cycle, r.Cycle-a.Cycle, q("cs "+mode), r.Tid, r.Lock))
+					pid, a.Node, a.At, r.At-a.At, q("cs "+mode), r.Tid, r.Lock))
 			} else {
 				instant(cw, pid, r)
 			}
 		case KCacheRd, KCacheOwn:
 			cw.ev(fmt.Sprintf(`{"ph":"X","pid":%d,"tid":%d,"ts":%d,"dur":%d,"name":%s,"args":{"line":"%#x"}}`,
-				pid, r.Node, r.Cycle, r.Aux, q(r.Kind.String()), r.Lock))
+				pid, r.Node, r.At, r.Aux, q(r.Kind.String()), r.Lock))
 		default:
 			instant(cw, pid, r)
 		}
@@ -122,7 +122,7 @@ func writeRun(cw *chromeWriter, pid int, cap *Capture) {
 
 func instant(cw *chromeWriter, pid int, r Record) {
 	cw.ev(fmt.Sprintf(`{"ph":"i","s":"t","pid":%d,"tid":%d,"ts":%d,"name":%s,"args":{"tid":%d,"lock":"%#x","aux":%d}}`,
-		pid, r.Node, r.Cycle, q(r.Kind.String()), r.Tid, r.Lock, r.Aux))
+		pid, r.Node, r.At, q(r.Kind.String()), r.Tid, r.Lock, r.Aux))
 }
 
 func rwMode(write bool) string {

@@ -52,6 +52,16 @@ func (k Kind) String() string {
 		return "CACHE_OWN"
 	case KKernel:
 		return "KERNEL"
+	case KCancel:
+		return "CANCEL"
+	case KExpire:
+		return "EXPIRE"
+	case KSlow:
+		return "SLOW"
+	case KCondemn:
+		return "CONDEMN"
+	case KDrain:
+		return "DRAIN"
 	}
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
@@ -59,6 +69,8 @@ func (k Kind) String() string {
 // trackName renders a record's track for human consumption.
 func trackName(node int32) string {
 	switch {
+	case node >= connBase:
+		return fmt.Sprintf("conn%d", node-connBase)
 	case node == KernelTrack:
 		return "kernel"
 	case node >= lrtBase:
@@ -78,11 +90,21 @@ func (c *Capture) WriteFlight(w io.Writer, lastN int) {
 		fmt.Fprintf(w, "... %d earlier records elided ...\n", len(recs)-lastN)
 		recs = recs[len(recs)-lastN:]
 	}
-	for _, r := range recs {
-		fmt.Fprintf(w, "[%10d] %-7s %-9s t%-4d %#x aux=%d\n",
-			r.Cycle, trackName(r.Node), r.Kind, r.Tid, r.Lock, r.Aux)
-	}
+	WriteRecords(w, recs, 0)
 	if c.Dropped > 0 {
 		fmt.Fprintf(w, "(%d records dropped at the %d-record cap)\n", c.Dropped, c.Opt.MaxRecords)
+	}
+}
+
+// WriteRecords renders recs one line each, in order — time since t0,
+// track, kind, actor, lock and aux — or one "(flight recorder empty)". The simulator passes t0 = 0 (absolute
+// cycles), lockd its first record's time (ns since it).
+func WriteRecords(w io.Writer, recs []Record, t0 uint64) {
+	if len(recs) == 0 {
+		fmt.Fprintln(w, "(flight recorder empty)")
+	}
+	for _, r := range recs {
+		fmt.Fprintf(w, "[%10d] %-7s %-9s t%-4d %#x aux=%d\n",
+			r.At-t0, trackName(r.Node), r.Kind, r.Tid, r.Lock, r.Aux)
 	}
 }

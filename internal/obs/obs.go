@@ -1,7 +1,10 @@
-// Package obs is the simulator's observability layer: a deterministic
-// per-run event capture plus cycle-binned metrics, exportable as Chrome
-// trace-event JSON (viewable in Perfetto), structured metrics JSON, and a
-// plain-text flight recorder for wedged-state debugging.
+// Package obs holds the lock-event vocabulary shared by the simulator and
+// lockd, and the simulator's observability layer. An event is a Record: the
+// simulator's LCU/LRT/SSB devices record their protocol steps in cycles
+// into a per-run Capture, and lockd (the software LRT) records its grant
+// path in UnixNano into a flight-recorder ring (internal/lockmgr/introspect).
+// Both render through WriteRecords; a Capture also exports as Chrome
+// trace-event JSON (viewable in Perfetto) and cycle-binned metrics JSON.
 //
 // The layer is zero-overhead when disabled: every instrumented call site
 // holds a *Capture pointer and checks it for nil before doing anything, so
@@ -16,71 +19,105 @@
 // and everything above it may depend on obs without cycles.
 package obs
 
-// Kind classifies one recorded event.
+// Kind classifies one recorded event. Values are fixed (trace files carry
+// them): a new kind is appended. Aux is kind- and producer-specific, as
+// each kind states: LCU = internal/core's LCU or LRT side, SSB =
+// internal/ssb, lockd = the lock service's manager and server; 0 unless said.
 type Kind uint8
 
 const (
 	// KReq: an LCU (or SSB core side) issued a lock REQUEST.
+	// Aux: LCU bit 0 write, bit 1 nonblocking entry; SSB the write bit.
 	KReq Kind = iota
-	// KEnq: the requestor learned it is enqueued (WAIT ack).
+	// KEnq: the requestor learned it is enqueued (WAIT ack); lockd queued
+	// an acquire and parked its conn. Aux: lockd the wait bound in ns (0:
+	// until the lease ends).
 	KEnq
-	// KGrant: a lock grant arrived at the requesting LCU / core.
+	// KGrant: a lock grant arrived at the requesting LCU / core; lockd
+	// answered a parked acquire. Aux: LCU bit 0 head, bit 1 overflow, bit 2
+	// from the LRT; SSB the write bit; lockd the queue wait in ns.
 	KGrant
 	// KAcq: a software thread completed a lock acquisition.
+	// Aux: cycles waited << 1 | write.
 	KAcq
 	// KUnlock: a software thread released a lock.
 	KUnlock
 	// KRel: a RELEASE message was sent toward the lock's home.
+	// Aux: LCU bit 0 write, bit 1 head drain; SSB the write bit.
 	KRel
-	// KXfer: a direct LCU-to-LCU lock transfer was initiated.
+	// KXfer: a direct LCU-to-LCU lock transfer was initiated. Aux: the
+	// receiving thread's id.
 	KXfer
 	// KRetry: a request was RETRYed (LCU) — the software must re-issue.
 	KRetry
-	// KNack: an SSB acquire attempt was refused at the home bank.
+	// KNack: an SSB acquire attempt was refused at the home bank. Aux: the
+	// write bit.
 	KNack
-	// KTimeout: a grant timer fired (suspended/migrated requestor).
+	// KTimeout: a grant timer fired (suspended/migrated requestor); lockd:
+	// a queued acquire's wait bound ran out. Aux: lockd the ns waited.
 	KTimeout
-	// KFwdReq: an enqueue was forwarded to a queue tail.
+	// KFwdReq: an enqueue was forwarded to a queue tail. Aux: its thread id.
 	KFwdReq
 	// KFwdRel: a release was forwarded through the queue (migration).
+	// Aux: the thread id whose queue node is searched for.
 	KFwdRel
 	// KRelDone: a release was acknowledged complete.
 	KRelDone
 	// KLRTReq: a REQUEST arrived at the home LRT / SSB bank.
+	// Aux: LCU bit 0 write, bit 1 nonblocking entry; SSB the write bit.
 	KLRTReq
-	// KLRTGrant: the LRT granted the lock directly.
+	// KLRTGrant: the LRT granted the lock directly; lockd's manager granted
+	// a queued acquire. Aux: LCU 0 free lock, 1 reservation, 2 overflow
+	// reader; lockd the queue wait in ns.
 	KLRTGrant
 	// KLRTRel: a RELEASE arrived at the home LRT / SSB bank.
+	// Aux: LCU bit 0 write, bit 1 head drain; SSB the write bit.
 	KLRTRel
-	// KLRTHead: a head-update notification arrived at the LRT.
+	// KLRTHead: a head-update notification arrived at the LRT. Aux: the
+	// lock's head-transfer count.
 	KLRTHead
 	// KPreempt: the scheduler preempted a thread at quantum end.
 	KPreempt
-	// KMigrate: a thread migrated to another core.
+	// KMigrate: a thread migrated to another core. Aux: the target core.
 	KMigrate
-	// KCacheRd: a coherent read miss completed (aux = latency).
+	// KCacheRd: a coherent read miss completed. Aux: latency in cycles.
 	KCacheRd
-	// KCacheOwn: an exclusive-ownership transaction completed (aux = latency).
+	// KCacheOwn: an exclusive-ownership transaction completed. Aux: latency.
 	KCacheOwn
 	// KKernel: a raw simulation-kernel event dispatch (very verbose).
+	// Aux: the kernel event's kind.
 	KKernel
+	// KCancel: lockd revoked a queued acquire; its session ended. Aux: ns waited.
+	KCancel
+	// KExpire: lockd revoked a session whose lease ran out, at its deadline
+	// or on the first op after it. Aux: the holds revoked.
+	KExpire
+	// KSlow: a lockd grant's queue wait crossed the slow-lock threshold
+	// (after its KLRTGrant). Aux: ns waited.
+	KSlow
+	// KCondemn: lockd condemned a conn (malformed frame or write error).
+	KCondemn
+	// KDrain: a lockd conn drained cleanly (EOF, no frames left).
+	KDrain
 )
 
-// Record is one captured event: 32 bytes, appended by value.
+// Record is one lock event: 40 bytes, appended by value.
 type Record struct {
-	Cycle uint64 // virtual time of the event
-	Lock  uint64 // lock (or cache line) address; 0 when not applicable
-	Tid   uint64 // software thread id; 0 when not applicable
-	Aux   uint64 // kind-specific detail (latency, flags, target core...)
-	Node  int32  // track: CoreNode/LRTNode/KernelTrack
-	Kind  Kind
+	At   uint64 // when: cycles in the simulator, UnixNano in lockd
+	Lock uint64 // lock address (lockd: the name's FNV-1a hash); 0 when not applicable
+	Tid  uint64 // actor: software thread id (lockd: session id); 0 when not applicable
+	Aux  uint64 // kind- and producer-specific detail (see the Kind constants)
+	Node int32  // track: CoreNode/LRTNode/KernelTrack/ConnNode
+	Kind Kind
 }
 
-// Track numbering: cores occupy [0, lrtBase), LRTs [lrtBase, ...), and the
-// kernel gets a single dedicated track.
+// Track numbering: cores occupy [0, lrtBase), LRTs [lrtBase, ...), the
+// kernel gets a single dedicated track, and lockd's conns [connBase, ...).
+// lockd's manager is one table and records on LRTNode(0).
 const (
 	lrtBase     = 1000
 	KernelTrack = 3000
+	connBase    = 4000
 )
 
 // CoreNode returns the track id for core i.
@@ -88,6 +125,9 @@ func CoreNode(i int) int32 { return int32(i) }
 
 // LRTNode returns the track id for LRT (or SSB bank) i.
 func LRTNode(i int) int32 { return lrtBase + int32(i) }
+
+// ConnNode returns the track id for lockd connection id.
+func ConnNode(id int32) int32 { return connBase + id }
 
 // Options selects what a Capture records.
 type Options struct {
@@ -159,7 +199,7 @@ func (c *Capture) Rec(cycle uint64, node int32, k Kind, lock, tid, aux uint64) {
 		c.Dropped++
 		return
 	}
-	c.Recs = append(c.Recs, Record{Cycle: cycle, Lock: lock, Tid: tid, Aux: aux, Node: node, Kind: k})
+	c.Recs = append(c.Recs, Record{At: cycle, Lock: lock, Tid: tid, Aux: aux, Node: node, Kind: k})
 }
 
 // KernelEvent records one raw kernel event dispatch (gated on Opt.Kernel).

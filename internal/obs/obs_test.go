@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestOptionsEnabled(t *testing.T) {
@@ -19,6 +20,14 @@ func TestOptionsEnabled(t *testing.T) {
 	}
 	if (Options{Kernel: true, Cache: true}).Enabled() {
 		t.Error("Kernel/Cache are refinements; alone they enable nothing")
+	}
+}
+
+// TestRecordSize: a Record stays 40 bytes, the memory cost of every
+// captured event and of every slot of lockd's flight-recorder rings.
+func TestRecordSize(t *testing.T) {
+	if n := unsafe.Sizeof(Record{}); n != 40 {
+		t.Fatalf("Record is %d bytes, want 40", n)
 	}
 }
 
