@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"fairrw/internal/fairq"
 )
 
 // State word layout (core.state):
@@ -51,7 +53,7 @@ type core struct {
 	state atomic.Uint64
 
 	qmu sync.Mutex // guards q and the queue-length bits of state
-	q   waitq
+	q   fairq.Queue[chan struct{}]
 
 	grantsR atomic.Uint64 // central-path read grants (slot grants live in slots)
 	grantsW atomic.Uint64
@@ -67,7 +69,7 @@ func (c *core) lockSlow(write bool) {
 		return
 	}
 	if w := c.enqueue(write); w != nil {
-		<-w.ready
+		<-w.V
 		putWaiter(w)
 	}
 }
@@ -176,21 +178,23 @@ func (c *core) enqueue(write bool) *waiter {
 			continue
 		}
 		w := newWaiter(write)
-		c.q.pushBack(w)
+		c.q.Enqueue(w)
 		c.qmu.Unlock()
 		return w
 	}
 }
 
-// admit grants the lock to the queue head — and, for a reader head, to
-// every consecutive reader behind it (the reader-batch admission of the
-// paper's read-grant chaining) — in strict FIFO order. A granted reader
-// keeps the loop running while a granted writer ends it. Callers hold qmu.
+// admit is fairq.Lock.Admit encoded in the state word: it grants the
+// lock to the queue head — and, for a reader head, to every consecutive
+// reader behind it (the paper's read-grant chaining) — in strict FIFO
+// order, each grant a CAS that also drops the queue count. A granted
+// reader keeps the loop running while a granted writer ends it. Callers
+// hold qmu.
 func (c *core) admit() {
-	for h := c.q.head; h != nil; h = c.q.head {
-		// Read the mode before the grant: once ready is sent, the woken
+	for h := c.q.Head(); h != nil; h = c.q.Head() {
+		// Read the mode before the grant: once the token is sent, the woken
 		// goroutine may recycle h.
-		write := h.write
+		write := h.Write
 		if write {
 			for {
 				s := c.state.Load()
@@ -214,8 +218,8 @@ func (c *core) admit() {
 			}
 			c.grantedCentralRead()
 		}
-		c.q.remove(h)
-		h.ready <- struct{}{}
+		c.q.Remove(h)
+		h.V <- struct{}{}
 		if write {
 			return
 		}
@@ -236,17 +240,17 @@ func (c *core) wait(w *waiter, cancel <-chan struct{}, deadline time.Time) bool 
 		timeout = t.C
 	}
 	select {
-	case <-w.ready:
+	case <-w.V:
 	case <-cancel:
 		if c.abandon(w) {
 			return false
 		}
-		<-w.ready
+		<-w.V
 	case <-timeout:
 		if c.abandon(w) {
 			return false
 		}
-		<-w.ready
+		<-w.V
 	}
 	putWaiter(w)
 	return true
@@ -254,14 +258,14 @@ func (c *core) wait(w *waiter, cancel <-chan struct{}, deadline time.Time) bool 
 
 // abandon unlinks a waiter whose timeout or cancellation fired. It
 // reports whether the waiter was still queued (and is now gone); false
-// means a grant won the race and its token is (or will be) in w.ready.
+// means a grant won the race and its token is (or will be) in w.V.
 func (c *core) abandon(w *waiter) bool {
 	c.qmu.Lock()
-	if !w.queued {
+	if !c.q.Queued(w) {
 		c.qmu.Unlock()
 		return false
 	}
-	c.q.remove(w)
+	c.q.Remove(w)
 	for {
 		s := c.state.Load()
 		if c.state.CompareAndSwap(s, s-qOne) {

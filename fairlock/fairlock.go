@@ -15,16 +15,16 @@
 // word (readers | writer | bias | queue length) whose CAS gives every
 // uncontended acquire an allocation-free fast path; a short yielding spin
 // that retries that CAS before parking, never past a queued waiter; and
-// an intrusive pooled FIFO (waiter.go) with one admission rule, one
+// a pooled FIFO of fairq nodes (waiter.go) with one admission rule, one
 // bounded wait and one hand-off release. Mutex is the core in write mode.
 // RWMutex adds a BRAVO-style distributed reader table (bravo.go) that lets
 // concurrent readers scale across cores while no writer holds or waits —
 // the slot path is open exactly when TryRLock would succeed, so fairness
 // is unchanged.
 //
-// The original single-mutex implementation is preserved as RefRWMutex
-// (reference.go) and the differential tests check that RWMutex, and Mutex
-// in write mode, admit identically to it.
+// The admission rule is internal/fairq's model; RefRWMutex (reference.go)
+// is a single-mutex lock on that model, and the differential tests check
+// that RWMutex, Mutex in write mode and RefRWMutex admit as it does.
 package fairlock
 
 import (

@@ -3,143 +3,88 @@ package fairlock
 import (
 	"sync"
 	"time"
+
+	"fairrw/internal/fairq"
 )
 
-// This file preserves the original, deliberately simple fairlock
-// implementation — one sync.Mutex around explicit state, a slice queue,
-// and a channel per waiter — as an executable reference model. The
-// rewritten locks (core.go, fairlock.go, mutex.go, bravo.go) must be
-// behaviourally identical to it, Mutex to its write mode: the
-// differential tests drive both with the same arrival scripts and require
-// the same admission order, reader batching, trylock outcomes, and grant
-// counts, and the benchmark matrix reports old-vs-new side by side.
+// This file keeps the simplest lock on the admission model: one
+// sync.Mutex around a fairq.Lock, and a channel per waiter. The differential tests
+// hold it, RWMutex and Mutex (as its write mode) to the same trylock
+// outcomes, grant counts and queue lengths, and all three to the
+// admission order fairq's model gives; the benchmark matrix reports it
+// beside RWMutex.
 
-// refWaiter is one queued acquisition in the reference model.
-type refWaiter struct {
-	write bool
-	ready chan struct{} // closed when the lock is granted
-}
+// refWaiter is one queued acquisition: its channel is closed on grant.
+type refWaiter = fairq.Node[chan struct{}]
 
 // RefRWMutex is the reference fair FIFO reader-writer lock. It has the
 // same API and fairness contract as RWMutex but takes a global mutex on
 // every operation and allocates per contended acquire. Use RWMutex; this
 // type exists for differential testing and benchmarking.
 type RefRWMutex struct {
-	mu      sync.Mutex
-	readers int  // active readers
-	writer  bool // active writer
-	queue   []*refWaiter
+	mu sync.Mutex
+	lk fairq.Lock[chan struct{}]
 
 	grantsR, grantsW uint64
 }
 
-// admit grants strictly FIFO: the queue head — and, for a reader head,
-// every consecutive reader behind it. Callers hold mu.
-func (m *RefRWMutex) admit() {
-	for len(m.queue) > 0 {
-		h := m.queue[0]
-		if h.write {
-			if m.writer || m.readers > 0 {
-				return
-			}
-			m.writer = true
-			m.grantsW++
-		} else {
-			if m.writer {
-				return
-			}
-			m.readers++
-			m.grantsR++
-		}
-		m.queue = m.queue[1:]
-		close(h.ready)
-		if h.write {
-			return
-		}
+// count books one grant. Callers hold mu.
+func (m *RefRWMutex) count(write bool) {
+	if write {
+		m.grantsW++
+	} else {
+		m.grantsR++
 	}
 }
 
-// enqueue appends a waiter unless the lock is immediately available (no
-// queue and no conflicting holder). It returns nil on immediate grant.
-func (m *RefRWMutex) enqueue(write bool) *refWaiter {
+// grant is the admission pass's grant: the head leaves the queue holding
+// the lock, and its waiter is woken. Callers hold mu.
+func (m *RefRWMutex) grant(h *refWaiter) {
+	m.lk.Remove(h)
+	m.lk.Take(h.Write)
+	m.count(h.Write)
+	close(h.V)
+}
+
+// try grants the mode at once if nobody is queued and it fits the holders.
+func (m *RefRWMutex) try(write bool) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(m.queue) == 0 && !m.writer && (!write || m.readers == 0) {
-		if write {
-			m.writer = true
-			m.grantsW++
-		} else {
-			m.readers++
-			m.grantsR++
-		}
-		return nil
+	ok := m.lk.TryAcquire(write)
+	if ok {
+		m.count(write)
 	}
-	w := &refWaiter{write: write, ready: make(chan struct{})}
-	m.queue = append(m.queue, w)
-	return w
+	return ok
+}
+
+// release drops one hold of the mode, panicking with notHeld if the lock
+// is not held in it, and admits whoever that lets in.
+func (m *RefRWMutex) release(write bool, notHeld string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if !m.lk.Drop(write) {
+		panic(notHeld)
+	}
+	m.lk.Admit(m.grant)
 }
 
 // Lock acquires the lock in write (exclusive) mode.
-func (m *RefRWMutex) Lock() {
-	if w := m.enqueue(true); w != nil {
-		<-w.ready
-	}
-}
+func (m *RefRWMutex) Lock() { m.bounded(true, time.Time{}, nil) }
 
 // RLock acquires the lock in read (shared) mode.
-func (m *RefRWMutex) RLock() {
-	if w := m.enqueue(false); w != nil {
-		<-w.ready
-	}
-}
+func (m *RefRWMutex) RLock() { m.bounded(false, time.Time{}, nil) }
 
 // Unlock releases write mode. It panics if the lock is not write-held.
-func (m *RefRWMutex) Unlock() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.writer {
-		panic("fairlock: Unlock of non-write-locked RefRWMutex")
-	}
-	m.writer = false
-	m.admit()
-}
+func (m *RefRWMutex) Unlock() { m.release(true, "fairlock: Unlock of non-write-locked RefRWMutex") }
 
 // RUnlock releases read mode. It panics if the lock is not read-held.
-func (m *RefRWMutex) RUnlock() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.readers == 0 {
-		panic("fairlock: RUnlock of non-read-locked RefRWMutex")
-	}
-	m.readers--
-	if m.readers == 0 {
-		m.admit()
-	}
-}
+func (m *RefRWMutex) RUnlock() { m.release(false, "fairlock: RUnlock of non-read-locked RefRWMutex") }
 
 // TryLock attempts write mode without waiting.
-func (m *RefRWMutex) TryLock() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.queue) == 0 && !m.writer && m.readers == 0 {
-		m.writer = true
-		m.grantsW++
-		return true
-	}
-	return false
-}
+func (m *RefRWMutex) TryLock() bool { return m.try(true) }
 
 // TryRLock attempts read mode without waiting.
-func (m *RefRWMutex) TryRLock() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.queue) == 0 && !m.writer {
-		m.readers++
-		m.grantsR++
-		return true
-	}
-	return false
-}
+func (m *RefRWMutex) TryRLock() bool { return m.try(false) }
 
 // TryLockFor attempts write mode, waiting in queue up to d.
 func (m *RefRWMutex) TryLockFor(d time.Duration) bool { return m.bounded(true, time.Now().Add(d), nil) }
@@ -161,14 +106,20 @@ func (m *RefRWMutex) RLockCancel(cancel <-chan struct{}) bool {
 	return m.bounded(false, time.Time{}, cancel)
 }
 
-// bounded waits in queue until granted, the deadline passes (zero: never)
-// or cancel is closed (nil: never). A waiter that gives up leaves the
-// queue; one whose grant won the race holds the lock.
+// bounded is the one acquire: an immediate grant, else a place in the
+// queue waited on until granted, the deadline passes (zero: never) or
+// cancel is closed (nil: never). A waiter that gives up leaves the queue
+// and lets in whoever it was blocking; one whose grant won the race holds
+// the lock.
 func (m *RefRWMutex) bounded(write bool, deadline time.Time, cancel <-chan struct{}) bool {
-	w := m.enqueue(write)
-	if w == nil {
+	if m.try(write) {
 		return true
 	}
+	w := &refWaiter{Write: write, V: make(chan struct{})}
+	m.mu.Lock()
+	m.lk.Enqueue(w)
+	m.lk.Admit(m.grant) // granted here if the lock came free since try
+	m.mu.Unlock()
 	var timeout <-chan time.Time
 	if !deadline.IsZero() {
 		timer := time.NewTimer(time.Until(deadline))
@@ -176,23 +127,19 @@ func (m *RefRWMutex) bounded(write bool, deadline time.Time, cancel <-chan struc
 		timeout = timer.C
 	}
 	select {
-	case <-w.ready:
+	case <-w.V:
 		return true
 	case <-timeout:
 	case <-cancel:
 	}
 	m.mu.Lock()
-	for i, q := range m.queue {
-		if q == w {
-			m.queue = append(m.queue[:i], m.queue[i+1:]...)
-			m.admit()
-			m.mu.Unlock()
-			return false
-		}
+	defer m.mu.Unlock()
+	if !m.lk.Queued(w) {
+		return true // the grant won the race; we hold the lock
 	}
-	m.mu.Unlock()
-	<-w.ready // the grant won the race; we hold the lock
-	return true
+	m.lk.Remove(w)
+	m.lk.Admit(m.grant)
+	return false
 }
 
 // Stats returns the cumulative number of read and write grants.
@@ -206,5 +153,5 @@ func (m *RefRWMutex) Stats() (readGrants, writeGrants uint64) {
 func (m *RefRWMutex) QueueLen() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.queue)
+	return m.lk.Len()
 }

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"fairrw/internal/fairq"
 )
 
 // TestStressGrantVsTimeoutRW hammers the grant-vs-timeout race in
@@ -319,19 +321,25 @@ func TestTimedWriteUpgradeTimesOut(t *testing.T) {
 // and any unconsumed grant token, so a node reused by a different lock or
 // mode starts clean.
 func TestWaiterPoolHygiene(t *testing.T) {
-	w := newWaiter(true)
-	w.queued = true
-	w.ready <- struct{}{} // simulate an unconsumed grant token
+	var q fairq.Queue[chan struct{}]
+	before, w, after := newWaiter(false), newWaiter(true), newWaiter(false)
+	for _, n := range []*waiter{before, w, after} {
+		q.Enqueue(n) // w is linked both ways
+	}
+	if w.Next() != after || !q.Queued(w) {
+		t.Fatal("setup: w is not linked in the middle of the queue")
+	}
+	w.V <- struct{}{} // simulate an unconsumed grant token
 	putWaiter(w)
-	if w.write || w.queued || w.next != nil || w.prev != nil {
+	if w.Write || w.Next() != nil || new(fairq.Queue[chan struct{}]).Queued(w) {
 		t.Fatalf("recycled waiter retains state: %+v", w)
 	}
 	select {
-	case <-w.ready:
+	case <-w.V:
 		t.Fatal("recycled waiter retains a grant token")
 	default:
 	}
-	if w.ready == nil || cap(w.ready) != 1 {
+	if w.V == nil || cap(w.V) != 1 {
 		t.Fatal("recycled waiter lost its reusable ready channel")
 	}
 }

@@ -39,7 +39,7 @@ func (m *Manager) HotLocks(k int) []LockProfile {
 			Acquires:    e.acquires,
 			WaitTotalUS: float64(e.waitNS) / 1e3,
 			WaitMaxUS:   float64(e.maxWaitNS) / 1e3,
-			QueueLen:    e.q.n,
+			QueueLen:    e.lk.Len(),
 		})
 	}
 	m.mu.Unlock()

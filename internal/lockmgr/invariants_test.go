@@ -44,29 +44,32 @@ func (m *Manager) invariantErr() error {
 	}
 	queued := map[*waitNode]bool{}
 	for name, e := range m.entries {
-		if e.writer && e.readers != 0 {
-			return fmt.Errorf("%q: a writer beside %d readers", name, e.readers)
+		readers, writer := e.lk.Holders()
+		if writer && readers != 0 {
+			return fmt.Errorf("%q: a writer beside %d readers", name, readers)
 		}
-		if e.name != name || e.readers != shared[e] || e.writer != (excl[e] == 1) || excl[e] > 1 {
+		if e.name != name || int32(readers) != shared[e] || writer != (excl[e] == 1) || excl[e] > 1 {
 			return fmt.Errorf("%q: readers %d writer %v, but the sessions hold %d shared and %d exclusive",
-				name, e.readers, e.writer, shared[e], excl[e])
+				name, readers, writer, shared[e], excl[e])
 		}
-		n, prev := 0, (*waitNode)(nil)
-		for v := e.q.head; v != nil; prev, v = v, v.next {
-			if v.e != e || v.prev != prev || v.s == nil || m.sessions[v.s.id] != v.s {
+		// The FIFO's own links, tail and length are fairq's, checked by its
+		// trace test after every step; here each node must be this entry's.
+		n := 0
+		for v := e.lk.Head(); v != nil; v = v.Next() {
+			if v.V.e != e || !e.lk.Queued(v) || v.V.s == nil || m.sessions[v.V.s.id] != v.V.s {
 				return fmt.Errorf("%q: queued node %d is another entry's, mislinked or of a dead session", name, n)
 			}
-			if !v.dl.at.IsZero() && (v.dl.hpos == 0 || m.deadlines[v.dl.hpos-1] != &v.dl) {
+			if dl := &v.V.dl; !dl.at.IsZero() && (dl.hpos == 0 || m.deadlines[dl.hpos-1] != dl) {
 				return fmt.Errorf("%q: queued node %d has a deadline that is not on the heap", name, n)
 			}
 			queued[v] = true
 			n++
 		}
-		if e.q.tail != prev || e.q.n != n {
-			return fmt.Errorf("%q: q.n %d, FIFO holds %d", name, e.q.n, n)
+		if e.lk.Len() != n {
+			return fmt.Errorf("%q: Len %d, FIFO holds %d", name, e.lk.Len(), n)
 		}
-		if h := e.q.head; h != nil && e.feasible(h.excl) {
-			return fmt.Errorf("%q: the queue head (excl %v) fits the holders but still waits", name, h.excl)
+		if h := e.lk.Head(); h != nil && e.lk.Fits(h.Write) {
+			return fmt.Errorf("%q: the queue head (excl %v) fits the holders but still waits", name, h.Write)
 		}
 	}
 	if w := m.c.waiting.Load(); w != int64(len(queued)) {
@@ -74,8 +77,8 @@ func (m *Manager) invariantErr() error {
 	}
 	onLists := 0
 	for sid, s := range m.sessions {
-		for v, prev := s.waits, (*waitNode)(nil); v != nil; prev, v = v, v.snext {
-			if !queued[v] || v.s != s || v.sprev != prev {
+		for v, prev := s.waits, (*waitNode)(nil); v != nil; prev, v = v, v.V.snext {
+			if !queued[v] || v.V.s != s || v.V.sprev != prev {
 				return fmt.Errorf("session %d: a node on its wait list is not its queued acquire", sid)
 			}
 			onLists++

@@ -7,14 +7,14 @@
 // lock directly to the head of that queue, and a holder that disappears
 // never stops forward progress. lockmgr mirrors that in software:
 //
-//   - named locks live in one table; an entry is the lock itself — reader
-//     count, writer flag, FIFO of queued acquires — created on demand and
-//     collected once it has sat idle for IdleTTL;
+//   - named locks live in one table; an entry is the lock itself — a
+//     fairq.Lock: holders and FIFO of queued acquires — created on demand
+//     and collected once it has sat idle for IdleTTL;
 //   - an acquire that has to wait is a node on that FIFO (waitq.go), and
 //     whatever resolves it — a release, its timeout, a revocation —
 //     completes the node on the spot: no goroutine or timer per waiter,
-//     and admission order is the queue's: arrival order, consecutive
-//     readers together, no waiter ever overtaken;
+//     and admission order is fairq's: arrival order, consecutive readers
+//     together, no waiter ever overtaken;
 //   - every acquisition belongs to a session with a lease deadline — the
 //     software analogue of the LRT's reservation: a client that crashes
 //     or stalls past its lease has its holds revoked and its queued
@@ -37,6 +37,7 @@ import (
 	"sync"
 	"time"
 
+	"fairrw/internal/fairq"
 	"fairrw/internal/lockmgr/introspect"
 	"fairrw/internal/obs"
 	"fairrw/internal/stats"
@@ -114,19 +115,12 @@ type entry struct {
 	hash   uint32 // introspect.Hash(name), as in flight events
 	idleAt time.Time
 
-	readers int32 // shared grants outstanding
-	writer  bool  // exclusive grant outstanding
-	q       waitq // queued acquires in arrival order
+	lk fairq.Lock[queued] // holders and queued acquires, in arrival order
 
 	acquires  uint64 // acquire arrivals: executed to a result, or queued
 	waitNS    int64  // queue wait summed over contended grants
 	maxWaitNS int64
 }
-
-// feasible reports whether a grant of the given mode fits the holders.
-func (e *entry) feasible(excl bool) bool { return !e.writer && (!excl || e.readers == 0) }
-
-func (e *entry) idle() bool { return e.readers == 0 && !e.writer && e.q.head == nil }
 
 // hold records what one session holds on one entry. Holds are keyed by
 // lock name in the session (O(1) release lookup) and recycled through a
@@ -309,10 +303,12 @@ func (m *Manager) expireSession(s *Session, expired bool, now time.Time, done *[
 	m.cancelWaits(s, nil, now, done)
 	for _, h := range holds {
 		if h.excl {
-			h.e.writer = false
+			h.e.lk.Drop(true)
 			m.c.revokedHolds.Add(1)
 		}
-		h.e.readers -= int32(h.shared)
+		for range h.shared {
+			h.e.lk.Drop(false)
+		}
 		m.c.revokedHolds.Add(uint64(h.shared))
 		m.admit(h.e, now, done)
 	}
@@ -345,7 +341,7 @@ func (m *Manager) live(s *Session, now time.Time, done *[]Completion) error {
 
 // grant records one granted hold of e in the given mode: the only writer
 // of the hold table. h is the caller's s.holds lookup for e.name (nil if
-// absent); mu is held.
+// absent); the lock itself was taken by the caller. mu is held.
 func (s *Session) grant(h *hold, e *entry, excl bool, grantNS int64) {
 	if h == nil {
 		if h = s.free; h != nil {
@@ -357,10 +353,9 @@ func (s *Session) grant(h *hold, e *entry, excl bool, grantNS int64) {
 		s.holds[e.name] = h
 	}
 	if excl {
-		h.excl, e.writer = true, true
+		h.excl = true
 	} else {
 		h.shared++
-		e.readers++
 	}
 	h.grantNS = grantNS
 }
@@ -385,19 +380,17 @@ func release[T string | []byte](m *Manager, s *Session, name T, excl bool, now t
 	}
 	e := h.e
 	if excl {
-		h.excl, e.writer = false, false
+		h.excl = false
 	} else {
 		h.shared--
-		e.readers--
 	}
+	e.lk.Drop(excl)
 	held := now.UnixNano() - h.grantNS
 	if !h.excl && h.shared == 0 {
 		delete(s.holds, e.name)
 		s.free = h
 	}
-	if e.readers == 0 { // readers still in: the head is a writer, who does not fit yet
-		m.admit(e, now, done)
-	}
+	m.admit(e, now, done)
 	return held, nil
 }
 
@@ -426,21 +419,21 @@ func acquire[T string | []byte](m *Manager, s *Session, name T, excl bool, wait 
 			// Exclusive re-acquire can only deadlock against itself; reject
 			// it before it queues.
 			err = ErrHeld
-		case e.q.head == nil && e.feasible(excl):
+		case e.lk.TryAcquire(excl):
 			s.grant(h, e, excl, now.UnixNano())
 		case wait == 0:
 			err = ErrTimeout
 		default:
 			err = ErrWouldBlock
 			if w != nil {
-				m.enqueue(waitNode{e: e, s: s, w: w, tag: tag, excl: excl, t0: now}, wait)
+				m.enqueue(queued{e: e, s: s, w: w, tag: tag, t0: now}, excl, wait)
 			}
 		}
 	}
 	if err != ErrWouldBlock || w != nil {
 		e.acquires++
 	}
-	if e.idle() {
+	if e.lk.Idle() {
 		e.idleAt = now
 	}
 	return err
@@ -507,7 +500,7 @@ func (m *Manager) Release(sid uint64, name string, excl bool) error {
 // and returns how many entries are left. mu is held, for the whole walk.
 func (m *Manager) collectIdle(now time.Time) int {
 	for name, e := range m.entries {
-		if e.idle() && now.Sub(e.idleAt) >= m.cfg.IdleTTL {
+		if e.lk.Idle() && now.Sub(e.idleAt) >= m.cfg.IdleTTL {
 			delete(m.entries, name)
 			m.c.entriesGCed.Add(1)
 		}
@@ -521,7 +514,7 @@ func (m *Manager) QueueLen(name string) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if e := m.entries[name]; e != nil {
-		return e.q.n
+		return e.lk.Len()
 	}
 	return 0
 }

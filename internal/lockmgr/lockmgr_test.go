@@ -371,7 +371,7 @@ func TestManagerClose(t *testing.T) {
 
 // TestConcurrentChurn hammers the manager from many sessions across a
 // small keyspace with mixed modes and waits; run under -race in CI. It
-// checks no admission order (TestQueueMatchesFairlockOracle does): only
+// checks no admission order (TestQueueMatchesModel does): only
 // that no error but the expected timeouts occurs, that the table's
 // invariants hold in snapshots taken while it runs, and that the final
 // state is clean.

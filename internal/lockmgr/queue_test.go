@@ -1,13 +1,14 @@
 package lockmgr
 
 import (
+	"maps"
 	"math/rand"
 	"sort"
 	"sync"
 	"testing"
 	"time"
 
-	"fairrw/fairlock"
+	"fairrw/internal/fairq"
 )
 
 // recWaiter is a Waiter that records what it is told.
@@ -130,32 +131,30 @@ func TestQueuedAcquireEndings(t *testing.T) {
 	}
 }
 
-// The queue against its oracle. Actors — one session, one tag each —
+// The queue against its model. Actors — one session, one tag each —
 // acquire, release, time out and close over two names in a seeded random
-// order; every step is mirrored on a strict-FIFO fairlock.RefRWMutex per
-// name (a goroutine per oracle waiter, cancelled where the manager's node
-// is), and after each step the two must have granted the same actors and
-// hold the same number queued: same admission order, reader batches
-// admitted together, and no waiter ever overtaken.
+// order; every step is mirrored on a fairq.Lock per name, the admission
+// model itself, and after each step the two must have granted exactly the
+// same actors and hold the same number queued: same admission order,
+// reader batches admitted together, and no waiter ever overtaken.
 
 type qActor struct {
-	sid    uint64
-	name   int  // index into the two names
-	excl   bool // mode held or waited for
-	state  int  // 0 idle, 1 waiting, 2 holding
-	seq    int  // enqueue order while waiting
-	timed  bool // bounded wait: seq+1 hours
-	cancel chan struct{}
-	res    chan bool // the oracle goroutine's outcome
+	sid   uint64
+	name  int  // index into the two names
+	excl  bool // mode held or waited for
+	state int  // 0 idle, 1 waiting, 2 holding
+	seq   int  // enqueue order while waiting
+	timed bool // bounded wait: seq+1 hours
+	node  fairq.Node[int]
 }
 
-func TestQueueMatchesFairlockOracle(t *testing.T) {
+func TestQueueMatchesModel(t *testing.T) {
 	for seed := int64(1); seed <= 15; seed++ {
-		queueVsOracle(t, seed)
+		queueVsModel(t, seed)
 	}
 }
 
-func queueVsOracle(t *testing.T, seed int64) {
+func queueVsModel(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	cfg := slowCfg()
 	cfg.DefaultLease, cfg.MaxLease = 10000*time.Hour, 10000*time.Hour
@@ -163,7 +162,7 @@ func queueVsOracle(t *testing.T, seed int64) {
 	sc := m.NewBatchScratch()
 	var rw recWaiter
 	names := []string{"a", "b"}
-	refs := []*fairlock.RefRWMutex{new(fairlock.RefRWMutex), new(fairlock.RefRWMutex)}
+	models := make([]fairq.Lock[int], len(names))
 	actors := make([]*qActor, 12)
 	for i := range actors {
 		actors[i] = &qActor{sid: mustOpen(t, m, 0)}
@@ -175,41 +174,59 @@ func queueVsOracle(t *testing.T, seed int64) {
 		m.ExecBatch(ops, sc)
 		return append(append([]Completion(nil), sc.Completions()...), rw.take()...), ops[0].Err
 	}
-	await := func(a *qActor, want bool, what string) {
-		t.Helper()
-		select {
-		case got := <-a.res:
-			if got != want {
-				t.Fatalf("seed %d: oracle %s = %v, want %v", seed, what, got, want)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("seed %d: oracle never reported %s", seed, what)
-		}
+	// admit runs the model's admission pass on name and returns the actors
+	// it granted.
+	admit := func(name int) map[int]bool {
+		lk, granted := &models[name], map[int]bool{}
+		lk.Admit(func(n *fairq.Node[int]) {
+			lk.Remove(n)
+			lk.Take(n.Write)
+			granted[n.V] = true
+		})
+		return granted
 	}
-	// settle checks a step's completions against the oracle: every actor
-	// the manager granted must get the oracle's grant, ahead of nobody who
-	// queued earlier for the same name, and afterwards both queues are the
-	// same length, so the oracle granted nobody else. Every step ends here,
-	// so the table's own invariants are checked first.
-	settle := func(cps []Completion, name int) {
+	// settle checks a step's completions against the model's grants: the
+	// manager must grant exactly the actors the model granted, ahead of
+	// nobody who queued earlier for the same name, and afterwards both
+	// queues are the same length. Every step ends here, so the table's own
+	// invariants are checked first.
+	settle := func(cps []Completion, name int, want map[int]bool) {
 		t.Helper()
 		checkInvariants(t, m)
+		got := map[int]bool{}
 		for _, cp := range cps {
-			a := actors[cp.Tag]
-			if cp.Err != nil {
-				continue
+			if cp.Err == nil {
+				got[int(cp.Tag)] = true
 			}
+		}
+		if !maps.Equal(got, want) {
+			t.Fatalf("seed %d: the manager granted %v, the model %v", seed, got, want)
+		}
+		for i := range got {
+			a := actors[i]
 			for _, b := range actors {
-				if b.state == 1 && b.name == a.name && b.seq < a.seq {
+				if b.state == 1 && !got[int(b.node.V)] && b.name == a.name && b.seq < a.seq {
 					t.Fatalf("seed %d: waiter %d was overtaken by waiter %d", seed, b.seq, a.seq)
 				}
 			}
-			await(a, true, "grant to a queued waiter")
-			a.state = 2
 		}
-		if got, want := m.QueueLen(names[name]), refs[name].QueueLen(); got != want {
-			t.Fatalf("seed %d: %d queued on %q, oracle has %d", seed, got, names[name], want)
+		for i := range got {
+			actors[i].state = 2
 		}
+		if got, want := m.QueueLen(names[name]), models[name].Len(); got != want {
+			t.Fatalf("seed %d: %d queued on %q, the model has %d", seed, got, names[name], want)
+		}
+	}
+	// leave takes a out of the model — its wait cancelled or its hold
+	// released — and returns whom that admits.
+	leave := func(a *qActor) map[int]bool {
+		lk := &models[a.name]
+		if a.state == 1 {
+			lk.Remove(&a.node)
+		} else if a.state == 2 && !lk.Drop(a.excl) {
+			t.Fatalf("seed %d: the model did not hold actor %d's mode", seed, a.node.V)
+		}
+		return admit(a.name)
 	}
 
 	for step := 0; step < 200; step++ {
@@ -228,42 +245,26 @@ func queueVsOracle(t *testing.T, seed int64) {
 			if len(cps) != 0 || (err != nil && err != ErrWouldBlock) {
 				t.Fatalf("seed %d: acquire = %v with %d completions", seed, err, len(cps))
 			}
-			a.cancel, a.res = make(chan struct{}), make(chan bool, 1)
-			ref, before := refs[a.name], refs[a.name].QueueLen()
-			go func(a *qActor) {
-				if a.excl {
-					a.res <- ref.LockCancel(a.cancel)
-				} else {
-					a.res <- ref.RLockCancel(a.cancel)
-				}
-			}(a)
-			if err == nil {
-				await(a, true, "immediate grant")
+			a.node = fairq.Node[int]{Write: a.excl, V: i}
+			if granted := models[a.name].TryAcquire(a.excl); granted != (err == nil) {
+				t.Fatalf("seed %d: acquire = %v, the model's immediate grant %v", seed, err, granted)
+			} else if granted {
 				a.state = 2
 			} else {
-				for deadline := time.Now().Add(5 * time.Second); ref.QueueLen() != before+1; {
-					if time.Now().After(deadline) {
-						t.Fatalf("seed %d: the oracle did not queue an acquire the manager queued", seed)
-					}
-					time.Sleep(50 * time.Microsecond)
-				}
+				models[a.name].Enqueue(&a.node)
 				a.state, a.seq = 1, seq
 				seq++
 			}
-			settle(nil, a.name)
+			settle(nil, a.name, map[int]bool{})
 		case a.state == 2 && rng.Intn(4) > 0: // release
 			cps, err := exec(BatchOp{Kind: BatchRelease, Tag: int32(i), SID: a.sid, Excl: a.excl,
 				Name: []byte(names[a.name])})
 			if err != nil {
 				t.Fatalf("seed %d: release = %v", seed, err)
 			}
-			if a.excl {
-				refs[a.name].Unlock()
-			} else {
-				refs[a.name].RUnlock()
-			}
+			want := leave(a)
 			a.state = 0
-			settle(cps, a.name)
+			settle(cps, a.name, want)
 		case a.state == 1 && a.timed && rng.Intn(2) == 0: // the oldest bounded wait times out
 			for _, b := range actors {
 				if b.state == 1 && b.timed && b.seq < a.seq {
@@ -276,37 +277,23 @@ func queueVsOracle(t *testing.T, seed int64) {
 			if len(cps) == 0 || cps[0].Err != ErrTimeout || actors[cps[0].Tag] != a {
 				t.Fatalf("seed %d: timing out one wait completed %+v", seed, cps)
 			}
-			close(a.cancel)
-			await(a, false, "cancelled wait")
+			want := leave(a)
 			a.state = 0
-			settle(cps[1:], a.name)
+			settle(cps[1:], a.name, want)
 		default: // the session closes, waiting or holding or idle, and is replaced
 			cps, err := exec(BatchOp{Kind: BatchCloseSession, Tag: int32(i), SID: a.sid})
 			if err != nil {
 				t.Fatalf("seed %d: close = %v", seed, err)
 			}
-			switch a.state {
-			case 1:
+			if a.state == 1 {
 				if len(cps) == 0 || cps[0].Err != ErrExpired || actors[cps[0].Tag] != a {
 					t.Fatalf("seed %d: closing a waiter's session completed %+v", seed, cps)
 				}
 				cps = cps[1:]
-				close(a.cancel)
-				await(a, false, "cancelled wait")
-			case 2:
-				if a.excl {
-					refs[a.name].Unlock()
-				} else {
-					refs[a.name].RUnlock()
-				}
 			}
+			want := leave(a)
 			a.state, a.sid = 0, mustOpen(t, m, 0)
-			settle(cps, a.name)
-		}
-	}
-	for _, a := range actors { // let the oracle's goroutines go
-		if a.state == 1 {
-			close(a.cancel)
+			settle(cps, a.name, want)
 		}
 	}
 }

@@ -4,18 +4,19 @@ import (
 	"container/heap"
 	"time"
 
+	"fairrw/internal/fairq"
 	"fairrw/internal/obs"
 )
 
-// The waiter queue and the manager's timer. An acquire that has to wait is
-// a waitNode on its entry's FIFO. Every way a wait can end — a release
-// that lets it in, its deadline, its session's expiry or close, its
-// connection's death — goes through complete, under Manager.mu, and
-// leaves a Completion that settle books and delivers once mu is released.
-// admit is the one admission decision; fairlock.RefRWMutex is its oracle
-// (queue_test.go). Whatever happens because time passed — a wait's
-// timeout, a lease's expiry, the collection of idle entries — is an item
-// on one deadline heap behind one timer that runs only expire.
+// The waiters and the manager's timer. An acquire that has to wait is a
+// waitNode on its entry's fairq.Lock, whose Admit is the one admission
+// rule (queue_test.go holds the table to that model step for step). Every
+// way a wait can end — a release that lets it in, its deadline, its
+// session's expiry or close, its connection's death — goes through
+// complete, under Manager.mu, and leaves a Completion that settle books
+// and delivers once mu is released. Whatever happens because time passed
+// — a wait's timeout, a lease's expiry, the collection of idle entries —
+// is an item on one deadline heap behind one timer that runs only expire.
 
 // Waiter is where a queued batch acquire's outcome goes. ExecBatch hands
 // the completions its own ops cause back to its caller
@@ -46,51 +47,20 @@ type chanWaiter chan error
 
 func (c chanWaiter) Complete(cp Completion) { c <- cp.Err }
 
-// waitNode is one queued acquire, linked into its entry's FIFO
-// (next/prev; a free node's next is the manager's free list), its
-// session's list (snext/sprev) and, if its wait is bounded, the deadline
-// heap (dl), all under Manager.mu.
-type waitNode struct {
-	next, prev   *waitNode
+// waitNode is one queued acquire (Write: exclusive), linked into its
+// entry's queue, its session's list (snext/sprev; a free node's snext is
+// the manager's free list) and, if its wait is bounded, the deadline heap
+// (dl), all under Manager.mu. Its payload, queued, is the manager's.
+type waitNode = fairq.Node[queued]
+
+type queued struct {
 	snext, sprev *waitNode
 	e            *entry
 	s            *Session // nil while free
 	w            Waiter
 	tag          int32
-	excl         bool
 	t0           time.Time
 	dl           timed // dl.at zero: until granted or revoked
-}
-
-// waitq is an entry's FIFO of queued acquires.
-type waitq struct {
-	head, tail *waitNode
-	n          int
-}
-
-func (q *waitq) pushBack(n *waitNode) {
-	n.prev, n.next = q.tail, nil
-	if q.tail != nil {
-		q.tail.next = n
-	} else {
-		q.head = n
-	}
-	q.tail = n
-	q.n++
-}
-
-func (q *waitq) remove(n *waitNode) {
-	if n.prev != nil {
-		n.prev.next = n.next
-	} else {
-		q.head = n.next
-	}
-	if n.next != nil {
-		n.next.prev = n.prev
-	} else {
-		q.tail = n.prev
-	}
-	q.n--
 }
 
 // timed is one item of the deadline heap: a bounded wait (n), a session's
@@ -118,27 +88,27 @@ func (h *deadlineHeap) Pop() any {
 	return it
 }
 
-// enqueue queues the acquire v describes behind everyone already waiting
-// on v.e. A bounded wait (wait > 0) ends with ErrTimeout at v.t0+wait or
-// when the lease known now runs out, whichever is first; an unbounded one
-// ends only by grant or revocation. mu is held.
-func (m *Manager) enqueue(v waitNode, wait time.Duration) {
+// enqueue queues the acquire v describes, in mode excl, behind everyone
+// already waiting on v.e. A bounded wait (wait > 0) ends with ErrTimeout
+// at v.t0+wait or when the lease known now runs out, whichever is first;
+// an unbounded one ends only by grant or revocation. mu is held.
+func (m *Manager) enqueue(v queued, excl bool, wait time.Duration) {
 	n := m.free
 	if n != nil {
-		m.free = n.next
+		m.free = n.V.snext
 	} else {
 		n = new(waitNode)
 	}
-	*n = v
-	n.e.q.pushBack(n)
-	if n.snext = n.s.waits; n.snext != nil {
-		n.snext.sprev = n
+	n.Write, n.V = excl, v
+	v.e.lk.Enqueue(n)
+	if n.V.snext = v.s.waits; n.V.snext != nil {
+		n.V.snext.V.sprev = n
 	}
-	n.s.waits = n
+	v.s.waits = n
 	m.c.waiting.Add(1)
 	if wait > 0 {
-		n.dl.n = n
-		m.schedule(&n.dl, n.t0.Add(min(wait, n.s.deadline.Sub(n.t0))))
+		n.V.dl.n = n
+		m.schedule(&n.V.dl, v.t0.Add(min(wait, v.s.deadline.Sub(v.t0))))
 	}
 }
 
@@ -192,10 +162,10 @@ func (m *Manager) expire(now time.Time) {
 	for !m.closed && len(m.deadlines) > 0 && !m.deadlines[0].at.After(now) {
 		switch it := m.deadlines[0]; {
 		case it.n != nil: // every wait on its entry that is due, and only then whoever they were blocking
-			e := it.n.e
-			for n := e.q.head; n != nil; {
-				next := n.next
-				if !n.dl.at.IsZero() && !n.dl.at.After(now) {
+			e := it.n.V.e
+			for n := e.lk.Head(); n != nil; {
+				next := n.Next()
+				if !n.V.dl.at.IsZero() && !n.V.dl.at.After(now) {
 					m.complete(n, ErrTimeout, now, &done)
 				}
 				n = next
@@ -227,14 +197,14 @@ func (m *Manager) expire(now time.Time) {
 func (m *Manager) cancelWaits(s *Session, w Waiter, now time.Time, done *[]Completion) {
 	for {
 		n := s.waits
-		for n != nil && w != nil && n.w != w {
-			n = n.snext
+		for n != nil && w != nil && n.V.w != w {
+			n = n.V.snext
 		}
 		if n == nil {
 			return
 		}
-		e, err := n.e, ErrExpired
-		if !n.dl.at.IsZero() && !n.dl.at.After(now) {
+		e, err := n.V.e, ErrExpired
+		if !n.V.dl.at.IsZero() && !n.V.dl.at.After(now) {
 			err = ErrTimeout // its own deadline came first, whoever got here first
 		}
 		m.complete(n, err, now, done)
@@ -260,57 +230,47 @@ func (m *Manager) CancelWait(sid uint64, w Waiter) {
 // complete ends n's wait with err — nil is a grant, which complete makes
 // itself unless n's session was revoked meanwhile (or the manager is
 // closing: Close promises queued acquires ErrExpired, not a grant it is
-// about to revoke) — and returns the outcome. It is the only way out of
+// about to revoke). It is the only way out of
 // the queue: n leaves the FIFO, its session's list and the deadline heap,
 // the outcome is appended to done, the node is recycled. mu is held.
-func (m *Manager) complete(n *waitNode, err error, now time.Time, done *[]Completion) error {
-	e, s := n.e, n.s
+func (m *Manager) complete(n *waitNode, err error, now time.Time, done *[]Completion) {
+	v, e, s := &n.V, n.V.e, n.V.s
 	if err == nil {
 		if s.closed || m.closed {
 			err = ErrExpired
 		} else {
-			s.grant(s.holds[e.name], e, n.excl, now.UnixNano())
+			e.lk.Take(n.Write)
+			s.grant(s.holds[e.name], e, n.Write, now.UnixNano())
 		}
 	}
-	if n.sprev != nil {
-		n.sprev.snext = n.snext
+	if v.sprev != nil {
+		v.sprev.V.snext = v.snext
 	} else {
-		s.waits = n.snext
+		s.waits = v.snext
 	}
-	if n.snext != nil {
-		n.snext.sprev = n.sprev
+	if v.snext != nil {
+		v.snext.V.sprev = v.sprev
 	}
-	e.q.remove(n)
+	e.lk.Remove(n)
 	m.c.waiting.Add(-1)
-	m.unschedule(&n.dl)
-	waited := now.Sub(n.t0)
+	m.unschedule(&v.dl)
+	waited := now.Sub(v.t0)
 	if err == nil {
 		e.waitNS += int64(waited)
 		e.maxWaitNS = max(e.maxWaitNS, int64(waited))
 	}
-	*done = append(*done, Completion{W: n.w, Tag: n.tag, SID: s.id, Hash: e.hash,
-		Err: err, Wait: waited, name: e.name, excl: n.excl, at: now.UnixNano()})
-	*n = waitNode{next: m.free}
+	*done = append(*done, Completion{W: v.w, Tag: v.tag, SID: s.id, Hash: e.hash,
+		Err: err, Wait: waited, name: e.name, excl: n.Write, at: now.UnixNano()})
+	*n = waitNode{V: queued{snext: m.free}}
 	m.free = n
-	return err
 }
 
-// admit grants queued acquires of e in arrival order while the head's
-// grant is feasible, as the LRT hands a released lock to the head of its
-// queue: a granted reader lets the next waiter be considered, so
-// consecutive readers go in together, and a granted writer ends the pass.
-// Nobody is ever overtaken. It also stamps e idle if that is how the
-// caller's op left it. mu is held.
+// admit runs e's admission pass (fairq.Lock.Admit), each grant completed
+// on the spot, and stamps e idle if that is how the caller's op left it.
+// mu is held.
 func (m *Manager) admit(e *entry, now time.Time, done *[]Completion) {
-	for h := e.q.head; h != nil; h = e.q.head {
-		if !e.feasible(h.excl) {
-			return
-		}
-		if excl := h.excl; m.complete(h, nil, now, done) == nil && excl {
-			return
-		}
-	}
-	if e.idle() {
+	e.lk.Admit(func(h *waitNode) { m.complete(h, nil, now, done) })
+	if e.lk.Idle() {
 		e.idleAt = now
 	}
 }
