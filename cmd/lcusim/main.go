@@ -12,8 +12,6 @@
 //
 //	lcusim [-iters N] [-stmops N] [-runs N] [-parallel N] [-allocstats]
 //	       [-cpuprofile F] [-memprofile F] [-trace F] [-metrics F] <target>...
-//	lcusim trace <target>...          # shorthand: -trace lcusim.trace.json
-//	                                  #            -metrics lcusim.metrics.json
 //	lcusim tracecheck <trace.json>    # validate a trace file (CI smoke)
 //
 // Targets: table1 table8 fig9a fig9b fig10a fig10b fig11a fig11b
@@ -67,7 +65,6 @@ func main() {
 	allocstats := flag.Bool("allocstats", false, "report per-target allocation stats (runtime.MemStats delta) on stderr")
 	flag.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: lcusim [flags] <target>...")
-		fmt.Fprintln(os.Stderr, "       lcusim trace <target>...        (default -trace/-metrics files)")
 		fmt.Fprintln(os.Stderr, "       lcusim tracecheck <trace.json>  (validate a trace file)")
 		fmt.Fprintln(os.Stderr, "targets: table1 table8 fig9a fig9b fig10a fig10b fig11a fig11b fig12a fig12b fig13 micro stm all")
 		flag.PrintDefaults()
@@ -75,19 +72,8 @@ func main() {
 	flag.Parse()
 
 	targets := flag.Args()
-	if len(targets) > 0 {
-		switch targets[0] {
-		case "tracecheck":
-			os.Exit(tracecheck(targets[1:]))
-		case "trace":
-			targets = targets[1:]
-			if *traceOut == "" {
-				*traceOut = "lcusim.trace.json"
-			}
-			if *metricsOut == "" {
-				*metricsOut = "lcusim.metrics.json"
-			}
-		}
+	if len(targets) > 0 && targets[0] == "tracecheck" {
+		os.Exit(tracecheck(targets[1:]))
 	}
 	if len(targets) == 0 {
 		flag.Usage()

@@ -12,6 +12,8 @@
 package coherence
 
 import (
+	"fmt"
+
 	"fairrw/internal/memmodel"
 	"fairrw/internal/obs"
 	"fairrw/internal/sim"
@@ -83,10 +85,8 @@ type System struct {
 
 	// dir is the directory, paged in lockstep with the memory heap: entry
 	// pages materialize on first touch and entries are addressed by line
-	// number, so lookups are two loads with no hashing. Lines outside the
-	// heap (never produced by Alloc) fall back to the sparse map.
-	dir    []*dirPage
-	dirOvf map[memmodel.Addr]*dirEntry
+	// number, so lookups are two loads with no hashing.
+	dir []*dirPage
 
 	// watchPool recycles watch-list slices drained by wake, so parking and
 	// waking spinners allocates only until the pool warms up.
@@ -117,47 +117,32 @@ func (s *System) chipOf(core int) int { return core / s.P.CoresPerChip }
 
 // entry returns the directory entry for line, materializing its page on
 // first touch. Pointers stay valid for the lifetime of the System: pages
-// are fixed arrays and are never moved or dropped.
+// are fixed arrays and are never moved or dropped. A line past the
+// memory's page table panics: simulated state lives at heap addresses only.
 func (s *System) entry(line memmodel.Addr) *dirEntry {
 	pi := memmodel.PageOf(line)
-	if pi < uint64(len(s.dir)) {
-		p := s.dir[pi]
-		if p == nil {
-			p = newDirPage()
-			s.dir[pi] = p
+	if pi >= uint64(len(s.dir)) {
+		if pi > memmodel.PageOf(s.Mem.Brk()-1) {
+			panic(fmt.Sprintf("coherence: directory touch at line %#x is past the heap (brk %#x)", line, s.Mem.Brk()))
 		}
-		return &p[(line>>memmodel.LineShift)%dirPageLines]
-	}
-	if line < s.Mem.Brk() {
 		// Heap grew since the last directory touch: extend the page table.
-		for uint64(len(s.dir)) <= pi {
-			s.dir = append(s.dir, nil)
-		}
-		p := newDirPage()
+		s.dir = append(s.dir, make([]*dirPage, int(pi)+1-len(s.dir))...)
+	}
+	p := s.dir[pi]
+	if p == nil {
+		p = newDirPage()
 		s.dir[pi] = p
-		return &p[(line>>memmodel.LineShift)%dirPageLines]
 	}
-	e := s.dirOvf[line]
-	if e == nil {
-		e = &dirEntry{owner: -1}
-		if s.dirOvf == nil {
-			s.dirOvf = make(map[memmodel.Addr]*dirEntry)
-		}
-		s.dirOvf[line] = e
-	}
-	return e
+	return &p[(line>>memmodel.LineShift)%dirPageLines]
 }
 
 // peekEntry returns the directory entry for line without materializing
 // anything, or nil if the line was never tracked.
 func (s *System) peekEntry(line memmodel.Addr) *dirEntry {
-	if pi := memmodel.PageOf(line); pi < uint64(len(s.dir)) {
-		if p := s.dir[pi]; p != nil {
-			return &p[(line>>memmodel.LineShift)%dirPageLines]
-		}
-		return nil
+	if pi := memmodel.PageOf(line); pi < uint64(len(s.dir)) && s.dir[pi] != nil {
+		return &s.dir[pi][(line>>memmodel.LineShift)%dirPageLines]
 	}
-	return s.dirOvf[line]
+	return nil
 }
 
 // evictFrom handles an L1 victim: the directory forgets this core.
@@ -464,7 +449,6 @@ func (s *System) Reset() {
 			p[i] = dirEntry{owner: -1}
 		}
 	}
-	s.dirOvf = nil
 	s.Obs = nil
 	s.Stats = Stats{}
 }

@@ -1,6 +1,8 @@
 package coherence
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"fairrw/internal/memmodel"
@@ -302,4 +304,27 @@ func TestDeterminism(t *testing.T) {
 			t.Fatalf("nondeterministic end time: %d vs %d", first, again)
 		}
 	}
+}
+
+// TestDirectoryPastHeapPanics: the directory pages in lockstep with the
+// memory heap, so a line in the heap's last page materializes its entry
+// and a line past the page table panics, naming the line.
+func TestDirectoryPastHeapPanics(t *testing.T) {
+	_, sys, mem := testSystem(2)
+	mem.AllocLine()
+	last := memmodel.LineOf((memmodel.PageOf(mem.Brk()-1)+1)<<memmodel.PageShift - 1)
+	if e := sys.entry(last); e.owner != -1 {
+		t.Fatalf("fresh entry in the heap's last page has owner %d", e.owner)
+	}
+	past := last + memmodel.LineSize
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatalf("directory touch at %#x past the heap did not panic", past)
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, fmt.Sprintf("%#x", past)) {
+			t.Fatalf("panic %q does not name %#x", msg, past)
+		}
+	}()
+	sys.entry(past)
 }

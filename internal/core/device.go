@@ -53,7 +53,7 @@ type Device struct {
 
 	// msgs is the in-flight protocol message slab (see msg.go); freeMsgs
 	// lists its unused slots.
-	msgs     []devMsg
+	msgs     []msg
 	freeMsgs []int32
 
 	Stats Stats

@@ -1,19 +1,19 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 )
 
-// DumpState renders all allocated LCU entries and live LRT entries, for
-// debugging wedged protocol states in tests and examples.
+// DumpState renders all allocated LCU entries and live LRT entries (each
+// LRT's in address order), for debugging wedged protocol states in tests
+// and examples.
 func (d *Device) DumpState() string {
 	var b strings.Builder
 	for _, u := range d.lcus {
-		all := append([]*entry{}, u.ordinary...)
-		all = append(all, u.local, u.remote)
-		all = append(all, u.forced...)
-		for _, e := range all {
+		for _, e := range u.entries {
 			if e.status == StatusFree {
 				continue
 			}
@@ -22,11 +22,9 @@ func (d *Device) DumpState() string {
 		}
 	}
 	for _, l := range d.lrts {
-		ents := []*lrtEntry{}
-		for _, set := range l.sets {
-			ents = append(ents, set...)
-		}
-		l.ovfEach(func(e *lrtEntry) { ents = append(ents, e) })
+		var ents []*lrtEntry
+		l.each(func(e *lrtEntry) { ents = append(ents, e) })
+		slices.SortFunc(ents, func(a, b *lrtEntry) int { return cmp.Compare(a.addr, b.addr) })
 		for _, e := range ents {
 			fmt.Fprintf(&b, "lrt%-3d %#x head=%s tail=%s granted=%v rdCnt=%d ww=%d xfer=%d resv=%s\n",
 				l.index, e.addr, e.head, e.tail, e.granted, e.readerCnt, e.waitingWriters, e.xfer, e.resv)

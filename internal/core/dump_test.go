@@ -39,10 +39,7 @@ func TestDumpStateLiveEntries(t *testing.T) {
 	// Every allocated LCU entry must be reported with its thread.
 	live := 0
 	for _, u := range d.lcus {
-		all := append([]*entry{}, u.ordinary...)
-		all = append(all, u.local, u.remote)
-		all = append(all, u.forced...)
-		for _, e := range all {
+		for _, e := range u.entries {
 			if e.status == StatusFree {
 				continue
 			}
@@ -77,6 +74,67 @@ func TestDumpStateLiveEntries(t *testing.T) {
 
 	// Drain the run to completion: the dump must then be empty (no leaked
 	// entries).
+	m.Run()
+	if rest := d.DumpState(); rest != "" {
+		t.Fatalf("entries leaked after completion:\n%s", rest)
+	}
+}
+
+// TestDumpStateOverflowInAddressOrder holds more locks than a 2-entry LRT
+// has slots, so most of them live in the memory overflow table, and checks
+// that the dump lists each LRT's entries in address order and that two
+// dumps of the same state are identical: the overflow map's iteration
+// order must not reach the output.
+func TestDumpStateOverflowInAddressOrder(t *testing.T) {
+	m := machine.ModelA()
+	m.P.LRTEntries = 2
+	m.P.LRTAssoc = 2
+	d := New(m, Options{})
+	var locks []memmodel.Addr
+	for len(locks) < 12 {
+		if a := m.Mem.AllocLine(); m.Mem.HomeOf(a) == 0 {
+			locks = append(locks, a)
+		}
+	}
+	m.Spawn("holder", 1, 0, func(c *machine.Ctx) {
+		for _, a := range locks {
+			c.HwLock(a, true)
+		}
+		c.Compute(200_000) // hold far past the freeze point
+		for _, a := range locks {
+			c.HwUnlock(a, true)
+		}
+	})
+	m.K.RunUntil(100_000)
+	if n := len(d.lrts[0].ovf); n != len(locks)-2 {
+		t.Fatalf("overflow table holds %d entries, want %d", n, len(locks)-2)
+	}
+
+	dump := d.DumpState()
+	var got []memmodel.Addr
+	for _, line := range strings.Split(dump, "\n") {
+		if !strings.HasPrefix(line, "lrt0 ") {
+			continue
+		}
+		var a memmodel.Addr
+		if _, err := fmt.Sscanf(strings.Fields(line)[1], "%v", &a); err != nil {
+			t.Fatalf("unparsable LRT line %q: %v", line, err)
+		}
+		got = append(got, a)
+	}
+	if len(got) != len(locks) {
+		t.Fatalf("dump lists %d LRT entries, want %d:\n%s", len(got), len(locks), dump)
+	}
+	for i := range got {
+		if got[i] != locks[i] { // AllocLine hands out ascending addresses
+			t.Fatalf("LRT line %d is %#x, want %#x (address order):\n%s", i, got[i], locks[i], dump)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		if again := d.DumpState(); again != dump {
+			t.Fatalf("second dump differs:\n%s\nvs\n%s", dump, again)
+		}
+	}
 	m.Run()
 	if rest := d.DumpState(); rest != "" {
 		t.Fatalf("entries leaked after completion:\n%s", rest)

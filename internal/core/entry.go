@@ -86,9 +86,9 @@ const (
 
 // nodeRef identifies a queue node: (threadid, LCUid, R/W mode).
 type nodeRef struct {
-	valid bool
 	tid   uint64
 	lcu   int
+	valid bool
 	write bool
 }
 

@@ -15,41 +15,32 @@ type lcu struct {
 	d    *Device
 	core int
 
-	ordinary []*entry
-	local    *entry // nonblocking, reserved for local thread requests
-	remote   *entry // nonblocking, reserved for servicing remote releases
-
-	// forced holds allocations beyond the architected table. The paper
-	// leaves the owner-reallocation-on-full corner unspecified; we allow
-	// it and count it (Stats.ForcedAllocs) rather than deadlock.
-	forced []*entry
+	// entries is the table in search order: nOrd ordinary slots, the
+	// local-request nonblocking slot (reserved for local thread requests),
+	// the remote-request one (reserved for servicing remote releases),
+	// then allocations beyond the architected table. The paper leaves the
+	// owner-reallocation-on-full corner unspecified; we allow it and count
+	// it (Stats.ForcedAllocs) rather than deadlock.
+	entries []*entry
+	nOrd    int
 }
 
 func newLCU(d *Device, core, nOrdinary int) *lcu {
-	u := &lcu{d: d, core: core}
-	u.ordinary = make([]*entry, nOrdinary)
-	for i := range u.ordinary {
-		u.ordinary[i] = &entry{class: ClassOrdinary}
+	u := &lcu{d: d, core: core, nOrd: nOrdinary}
+	u.entries = make([]*entry, nOrdinary, nOrdinary+2)
+	for i := range u.entries {
+		u.entries[i] = &entry{class: ClassOrdinary}
 	}
-	u.local = &entry{class: ClassLocal}
-	u.remote = &entry{class: ClassRemote}
+	u.entries = append(u.entries, &entry{class: ClassLocal}, &entry{class: ClassRemote})
 	return u
 }
 
+// ordinary returns the architected ordinary slots.
+func (u *lcu) ordinary() []*entry { return u.entries[:u.nOrd] }
+
 // find returns the entry for (addr, tid), or nil.
 func (u *lcu) find(addr memmodel.Addr, tid uint64) *entry {
-	for _, e := range u.ordinary {
-		if e.status != StatusFree && e.addr == addr && e.tid == tid {
-			return e
-		}
-	}
-	if u.local.status != StatusFree && u.local.addr == addr && u.local.tid == tid {
-		return u.local
-	}
-	if u.remote.status != StatusFree && u.remote.addr == addr && u.remote.tid == tid {
-		return u.remote
-	}
-	for _, e := range u.forced {
+	for _, e := range u.entries {
 		if e.status != StatusFree && e.addr == addr && e.tid == tid {
 			return e
 		}
@@ -60,21 +51,21 @@ func (u *lcu) find(addr memmodel.Addr, tid uint64) *entry {
 // allocLocal allocates an entry for a local thread request: an ordinary
 // slot if one is free, else the local-request nonblocking slot.
 func (u *lcu) allocLocal() *entry {
-	for _, e := range u.ordinary {
+	for _, e := range u.ordinary() {
 		if e.status == StatusFree {
 			return e
 		}
 	}
 	// Reclaim a saved (FLT) entry lazily: start its deferred release so a
 	// slot frees up soon, but fail this allocation attempt.
-	for _, e := range u.ordinary {
+	for _, e := range u.ordinary() {
 		if e.status == StatusSaved {
 			u.releaseSaved(e)
 			break
 		}
 	}
-	if u.local.status == StatusFree {
-		return u.local
+	if local := u.entries[u.nOrd]; local.status == StatusFree {
+		return local
 	}
 	return nil
 }
@@ -83,29 +74,21 @@ func (u *lcu) allocLocal() *entry {
 // re-allocation: ordinary, else the remote-request slot, else a forced
 // overflow entry (counted; see Stats.ForcedAllocs).
 func (u *lcu) allocService() *entry {
-	for _, e := range u.ordinary {
-		if e.status == StatusFree {
-			return e
-		}
-	}
-	if u.remote.status == StatusFree {
-		return u.remote
-	}
-	for _, e := range u.forced {
-		if e.status == StatusFree {
+	for _, e := range u.entries {
+		if e.class != ClassLocal && e.status == StatusFree {
 			return e
 		}
 	}
 	u.d.Stats.ForcedAllocs++
 	e := &entry{class: ClassOrdinary}
-	u.forced = append(u.forced, e)
+	u.entries = append(u.entries, e)
 	return e
 }
 
 // savedCount returns the number of FLT-saved entries.
 func (u *lcu) savedCount() int {
 	n := 0
-	for _, e := range u.ordinary {
+	for _, e := range u.ordinary() {
 		if e.status == StatusSaved {
 			n++
 		}
@@ -116,7 +99,7 @@ func (u *lcu) savedCount() int {
 // releaseSaved converts an FLT-saved entry into a real release.
 func (u *lcu) releaseSaved(e *entry) {
 	e.status = StatusRel
-	u.d.sendRelease(u, e.tid, e.addr, e.write, false, nodeRef{})
+	u.sendRelease(e, false, nodeRef{})
 }
 
 // ---------------------------------------------------------------------------
@@ -127,17 +110,7 @@ func (u *lcu) acquire(p *sim.Proc, tid uint64, addr memmodel.Addr, write bool) b
 	d := u.d
 	e := u.find(addr, tid)
 	if e == nil {
-		e = u.allocLocal()
-		if e == nil {
-			return false // table exhausted; software retries
-		}
-		e.addr, e.tid, e.write = addr, tid, write
-		e.status = StatusIssued
-		e.nb = e.class != ClassOrdinary
-		d.Stats.Requests++
-		d.rec(obs.CoreNode(u.core), obs.KReq, addr, tid, flagBits(write, e.nb))
-		d.coreToLRT(u.core, msgOfReq(reqMsg{
-			addr: addr, req: nodeRef{valid: true, tid: tid, lcu: u.core, write: write}, nb: e.nb}))
+		u.acquireIssue(tid, addr, write)
 		return false
 	}
 
@@ -179,6 +152,22 @@ func (u *lcu) acquire(p *sim.Proc, tid uint64, addr memmodel.Addr, write bool) b
 	}
 }
 
+// acquireIssue allocates an entry and sends the REQUEST without consuming
+// a grant — the issue half of acquire, and all of Enq.
+func (u *lcu) acquireIssue(tid uint64, addr memmodel.Addr, write bool) {
+	d := u.d
+	e := u.allocLocal()
+	if e == nil {
+		return // table exhausted; software retries
+	}
+	e.addr, e.tid, e.write = addr, tid, write
+	e.status = StatusIssued
+	e.nb = e.class != ClassOrdinary
+	d.Stats.Requests++
+	d.rec(obs.CoreNode(u.core), obs.KReq, addr, tid, flagBits(write, e.nb))
+	d.coreToLRT(u.core, msg{kind: msgReq, addr: addr, node: u.ref(e), nb: e.nb})
+}
+
 // release implements rel. It returns true once the release is under way.
 func (u *lcu) release(p *sim.Proc, tid uint64, addr memmodel.Addr, write bool) bool {
 	d := u.d
@@ -189,7 +178,7 @@ func (u *lcu) release(p *sim.Proc, tid uint64, addr memmodel.Addr, write bool) b
 		// With the FLT enabled, retain the lock locally instead (only into
 		// a genuinely free ordinary slot; never force-allocate for bias).
 		if d.Opt.FLTSize > 0 && u.savedCount() < d.Opt.FLTSize {
-			for _, fe := range u.ordinary {
+			for _, fe := range u.ordinary() {
 				if fe.status == StatusFree {
 					fe.addr, fe.tid, fe.write = addr, tid, write
 					fe.status = StatusSaved
@@ -203,7 +192,7 @@ func (u *lcu) release(p *sim.Proc, tid uint64, addr memmodel.Addr, write bool) b
 		e.status = StatusRel
 		e.head = true
 		d.Stats.RemoteReleases++
-		d.sendRelease(u, tid, addr, write, false, nodeRef{})
+		u.sendRelease(e, false, nodeRef{})
 		return true
 	}
 
@@ -220,7 +209,7 @@ func (u *lcu) release(p *sim.Proc, tid uint64, addr memmodel.Addr, write bool) b
 				return true
 			}
 			e.status = StatusRel
-			d.sendRelease(u, tid, addr, write, false, nodeRef{})
+			u.sendRelease(e, false, nodeRef{})
 			return true
 		}
 		// Intermediate reader: hold position until the Head token passes
@@ -238,25 +227,36 @@ func (u *lcu) release(p *sim.Proc, tid uint64, addr memmodel.Addr, write bool) b
 func (u *lcu) transferLock(e *entry) {
 	d := u.d
 	d.Stats.DirectXfers++
-	g := grantMsg{
-		addr: e.addr, tid: e.next.tid, head: true,
-		xfer: e.xfer + 1,
-		prev: nodeRef{valid: true, tid: e.tid, lcu: u.core, write: e.write},
-	}
 	d.rec(obs.CoreNode(u.core), obs.KXfer, e.addr, e.tid, e.next.tid)
 	if o := d.obsCap(); o != nil {
 		o.TransferStart(uint64(d.M.K.Now()), uint64(e.addr))
 	}
-	to := e.next.lcu
 	e.status = StatusRel
-	d.coreToCore(u.core, to, msgOfGrant(g))
+	u.passHead(e, e.next, u.ref(e))
+}
+
+// passHead sends the Head token for e's lock to node to, naming prev as
+// the previous head for the LRT to acknowledge.
+func (u *lcu) passHead(e *entry, to, prev nodeRef) {
+	u.d.coreToCore(u.core, to.lcu, msg{kind: msgGrant, addr: e.addr, tid: to.tid,
+		head: true, xfer: e.xfer + 1, prev: prev})
+}
+
+// shareRead sends a (non-head) read grant for e's lock to node to.
+func (u *lcu) shareRead(e *entry, to nodeRef) {
+	u.d.coreToCore(u.core, to.lcu, msg{kind: msgGrant, addr: e.addr, tid: to.tid, xfer: e.xfer})
+}
+
+// ref returns e's queue node.
+func (u *lcu) ref(e *entry) nodeRef {
+	return nodeRef{valid: true, tid: e.tid, lcu: u.core, write: e.write}
 }
 
 // ---------------------------------------------------------------------------
 // Protocol message handlers.
 
 // onGrant receives a lock grant, a reader share-grant, or the Head token.
-func (u *lcu) onGrant(g grantMsg) {
+func (u *lcu) onGrant(g msg) {
 	d := u.d
 	e := u.find(g.addr, g.tid)
 	if e == nil {
@@ -286,13 +286,13 @@ func (u *lcu) onGrant(g grantMsg) {
 		if g.head {
 			e.head = true
 			if !g.fromLRT {
-				d.notifyHead(u, e, g.prev)
+				u.notifyHead(e, g.prev)
 			}
 		}
 		// A reader holding a grant propagates it to a following reader
 		// (Section III-B).
 		if !e.write && e.next.valid && !e.next.write {
-			u.propagateReadGrant(e)
+			u.shareRead(e, e.next)
 		}
 		u.armGrantTimer(e)
 		d.wakeWaiter(e)
@@ -300,7 +300,7 @@ func (u *lcu) onGrant(g grantMsg) {
 		// Head token arriving at an entry that already holds the lock.
 		if g.head && !e.head {
 			e.head = true
-			d.notifyHead(u, e, g.prev)
+			u.notifyHead(e, g.prev)
 		}
 	case StatusRdRel:
 		if !g.head {
@@ -310,51 +310,43 @@ func (u *lcu) onGrant(g grantMsg) {
 		// frees its entry (Section III-B).
 		d.Stats.HeadBypass++
 		if e.next.valid {
-			fw := grantMsg{addr: e.addr, tid: e.next.tid, head: true, xfer: e.xfer + 1, prev: g.prev}
-			to := e.next.lcu
+			u.passHead(e, e.next, g.prev)
 			e.reset()
-			d.coreToCore(u.core, to, msgOfGrant(fw))
 			return
 		}
 		// Tail of a fully-drained read queue: release at the LRT on behalf
 		// of the original head releaser.
 		e.status = StatusRel
 		e.head = true
-		d.sendRelease(u, e.tid, e.addr, e.write, true, g.prev)
+		u.sendRelease(e, true, g.prev)
 	case StatusRel, StatusSaved:
 		// Possible if a token chases a release; the release path already
 		// owns the hand-off. Nothing to do.
 	}
 }
 
-// propagateReadGrant forwards a (non-head) read grant down the queue.
-func (u *lcu) propagateReadGrant(e *entry) {
-	g := grantMsg{addr: e.addr, tid: e.next.tid, xfer: e.xfer}
-	u.d.coreToCore(u.core, e.next.lcu, msgOfGrant(g))
-}
-
 // onWait acknowledges that the entry is enqueued.
-func (u *lcu) onWait(addr memmodel.Addr, tid uint64) {
-	e := u.find(addr, tid)
+func (u *lcu) onWait(m msg) {
+	e := u.find(m.addr, m.tid)
 	if e != nil && e.status == StatusIssued {
 		e.status = StatusWait
 		u.d.Stats.Waits++
-		u.d.rec(obs.CoreNode(u.core), obs.KEnq, addr, tid, 0)
+		u.d.rec(obs.CoreNode(u.core), obs.KEnq, m.addr, m.tid, 0)
 		if o := u.d.obsCap(); o != nil {
-			o.WaitStart(uint64(u.d.M.K.Now()), tid)
+			o.WaitStart(uint64(u.d.M.K.Now()), m.tid)
 		}
 	}
 }
 
 // onRetryReq handles a RETRY to a request: the entry is freed and the
 // software re-issues (with backoff).
-func (u *lcu) onRetryReq(addr memmodel.Addr, tid uint64) {
-	e := u.find(addr, tid)
+func (u *lcu) onRetryReq(m msg) {
+	e := u.find(m.addr, m.tid)
 	if e == nil || e.status != StatusIssued {
 		return
 	}
 	u.d.Stats.Retries++
-	u.d.rec(obs.CoreNode(u.core), obs.KRetry, addr, tid, 0)
+	u.d.rec(obs.CoreNode(u.core), obs.KRetry, m.addr, m.tid, 0)
 	w := e.waiter
 	e.reset()
 	if w != nil && w.Blocked() {
@@ -362,97 +354,82 @@ func (u *lcu) onRetryReq(addr memmodel.Addr, tid uint64) {
 	}
 }
 
-// onFwdRequest handles an enqueue forwarded by the LRT to the (previous)
-// queue tail (Figure 4b/4c).
-func (u *lcu) onFwdRequest(m fwdReqMsg) {
+// onFwdRequest handles the enqueue of m.node forwarded by the LRT to the
+// (previous) queue tail m.tid (Figure 4b/4c).
+func (u *lcu) onFwdRequest(m msg) {
 	d := u.d
-	d.rec(obs.CoreNode(u.core), obs.KFwdReq, m.addr, m.req.tid, m.targetTid)
-	e := u.find(m.addr, m.targetTid)
+	req := m.node
+	d.rec(obs.CoreNode(u.core), obs.KFwdReq, m.addr, req.tid, m.tid)
+	e := u.find(m.addr, m.tid)
 	if e == nil {
 		// Case (b): the uncontended owner dropped its entry at acquisition;
 		// re-allocate it with the information sent by the LRT.
 		e = u.allocService()
-		e.addr, e.tid, e.write = m.addr, m.targetTid, m.targetWrite
+		e.addr, e.tid, e.write = m.addr, m.tid, m.write
 		e.status = StatusAcq
-		e.head = m.targetIsHead
-		e.xfer = m.lrtXfer
+		e.head = m.head
+		e.xfer = m.xfer
 	}
-	if m.lrtXfer > e.xfer {
-		e.xfer = m.lrtXfer
+	if m.xfer > e.xfer {
+		e.xfer = m.xfer
 	}
 
 	switch e.status {
-	case StatusRel:
-		// The lock was released while the request was in flight: hand it
-		// straight to the requestor (the RETRY race of Section III-A).
-		g := grantMsg{addr: e.addr, tid: m.req.tid, head: true, xfer: e.xfer + 1,
-			prev: nodeRef{valid: true, tid: e.tid, lcu: u.core, write: e.write}}
-		d.Stats.DirectXfers++
-		d.coreToCore(u.core, m.req.lcu, msgOfGrant(g))
-	case StatusSaved:
-		// FLT: the lock is logically free here; grant it away.
-		g := grantMsg{addr: e.addr, tid: m.req.tid, head: true, xfer: e.xfer + 1,
-			prev: nodeRef{valid: true, tid: e.tid, lcu: u.core, write: e.write}}
+	case StatusRel, StatusSaved:
+		// The lock was released while the request was in flight (the RETRY
+		// race of Section III-A), or is logically free here in the FLT:
+		// hand it straight to the requestor.
 		e.status = StatusRel
 		d.Stats.DirectXfers++
-		d.coreToCore(u.core, m.req.lcu, msgOfGrant(g))
+		u.passHead(e, req, u.ref(e))
 	default:
-		e.next = m.req
+		e.next = req
 		// A tail holding (or sharing) the lock in read mode lets a reader
 		// requestor in immediately (Section III-B).
 		holdsRead := !e.write && (e.status == StatusAcq || e.status == StatusRcv || e.status == StatusRdRel)
-		if holdsRead && !m.req.write {
-			g := grantMsg{addr: e.addr, tid: m.req.tid, xfer: e.xfer}
-			d.coreToCore(u.core, m.req.lcu, msgOfGrant(g))
+		if holdsRead && !req.write {
+			u.shareRead(e, req)
 			return
 		}
-		d.coreToCore(u.core, m.req.lcu, msgSimple(msgWait, m.addr, m.req.tid))
+		d.coreToCore(u.core, req.lcu, msg{kind: msgWait, addr: m.addr, tid: req.tid})
 	}
 }
 
-// onFwdRelease handles a release forwarded by the LRT on behalf of a
-// migrated owner (Section III-C). searchTid names the queue node at this
-// LCU to inspect; if the target is not here, the message follows the queue.
-func (u *lcu) onFwdRelease(m fwdRelMsg) {
+// onFwdRelease handles the release of m.node forwarded by the LRT on
+// behalf of a migrated owner (Section III-C). m.tid names the queue node
+// at this LCU to inspect; if the releaser's hold is not here, the message
+// follows the queue.
+func (u *lcu) onFwdRelease(m msg) {
 	d := u.d
+	rel := m.node
 	d.Stats.FwdReleases++
-	d.rec(obs.CoreNode(u.core), obs.KFwdRel, m.addr, m.tid, m.searchTid)
+	d.rec(obs.CoreNode(u.core), obs.KFwdRel, m.addr, rel.tid, m.tid)
 	// Only an entry in ACQ is the thread's actual hold. A same-tid entry in
 	// RCV is a migration duplicate whose grant the timer will pass through
 	// (Section III-C); consuming it here would orphan the real hold.
-	if e := u.find(m.addr, m.tid); e != nil && e.status == StatusAcq {
+	if e := u.find(m.addr, rel.tid); e != nil && e.status == StatusAcq {
 		// Found the owner's original entry: release as if local.
-		if e.write || e.head {
-			if e.next.valid {
-				u.transferLock(e)
-			} else {
-				e.status = StatusRel
-				d.sendRelease(u, e.tid, e.addr, e.write, false, nodeRef{})
-			}
-		} else {
-			e.status = StatusRdRel
-		}
+		u.releaseHeld(e)
 		// Acknowledge the remote releaser so its temporary entry clears.
-		d.coreToCore(u.core, m.replyLCU, msgSimple(msgRelDone, m.addr, m.tid))
+		d.coreToCore(u.core, rel.lcu, msg{kind: msgRelDone, addr: m.addr, tid: rel.tid})
 		return
 	}
 	// Not here: follow the queue from the named search node.
-	s := u.find(m.addr, m.searchTid)
+	s := u.find(m.addr, m.tid)
 	if s == nil || !s.next.valid {
 		// Queue edge raced away; bounce back to the LRT for a fresh look.
-		d.coreToLRT(u.core, msgOfRel(relMsg{addr: m.addr, tid: m.tid, lcu: m.replyLCU, write: m.write}))
+		d.coreToLRT(u.core, msg{kind: msgRel, addr: m.addr, node: rel})
 		return
 	}
-	nm := m
-	nm.searchTid = s.next.tid
-	d.coreToCore(u.core, s.next.lcu, msgOfFwdRel(nm))
+	m.tid = s.next.tid
+	d.coreToCore(u.core, s.next.lcu, m)
 }
 
 // onRelDone finalizes a release: the LRT (or a servicing LCU) confirmed
 // that the queue head moved on or the lock is free.
-func (u *lcu) onRelDone(addr memmodel.Addr, tid uint64) {
-	e := u.find(addr, tid)
-	u.d.rec(obs.CoreNode(u.core), obs.KRelDone, addr, tid, 0)
+func (u *lcu) onRelDone(m msg) {
+	e := u.find(m.addr, m.tid)
+	u.d.rec(obs.CoreNode(u.core), obs.KRelDone, m.addr, m.tid, 0)
 	if e != nil && e.status == StatusRel {
 		w := e.waiter
 		e.reset()
@@ -460,13 +437,6 @@ func (u *lcu) onRelDone(addr memmodel.Addr, tid uint64) {
 			w.Wake(0)
 		}
 	}
-}
-
-// onRetryRel handles a RETRY to a RELEASE: a requestor was enqueued while
-// the release was in flight. The entry stays in REL; the imminent
-// FWD_REQUEST will collect the lock (Section III-A).
-func (u *lcu) onRetryRel(addr memmodel.Addr, tid uint64) {
-	// State already correct; the entry waits for the forwarded request.
 }
 
 // ---------------------------------------------------------------------------
@@ -477,70 +447,69 @@ func (u *lcu) onRetryRel(addr memmodel.Addr, tid uint64) {
 func (u *lcu) armGrantTimer(e *entry) {
 	d := u.d
 	e.timerSeq++
-	d.armTimer(d.M.P.GrantTimeout, devMsg{kind: msgGrantTimer, to: int32(u.core),
-		addr: e.addr, tid: e.tid, aux: e.timerSeq, ent: e})
+	d.armTimer(d.M.P.GrantTimeout, msg{kind: msgGrantTimer, to: int32(u.core),
+		addr: e.addr, tid: e.tid, seq: e.timerSeq, ent: e})
 }
 
-// onGrantTimer fires a grant timer armed for entry e at generation seq. It
-// is stale unless e still serves (addr, tid), unacquired, in that
-// generation. reset restarts timerSeq, so a generation alone does not name
-// an arming: the entry's identity is part of the check.
-func (u *lcu) onGrantTimer(e *entry, addr memmodel.Addr, tid, seq uint64) {
-	d := u.d
-	if u.find(addr, tid) != e || e.timerSeq != seq || e.status != StatusRcv {
+// onGrantTimer fires a grant timer armed for entry m.ent at generation
+// m.seq. It is stale unless the entry still serves (m.addr, m.tid),
+// unacquired, in that generation. reset restarts timerSeq, so a generation
+// alone does not name an arming: the entry's identity is part of the check.
+func (u *lcu) onGrantTimer(m msg) {
+	e := m.ent
+	if u.find(m.addr, m.tid) != e || e.timerSeq != m.seq || e.status != StatusRcv {
 		return
 	}
-	d.Stats.GrantTimeouts++
-	d.rec(obs.CoreNode(u.core), obs.KTimeout, addr, tid, 0)
+	u.d.Stats.GrantTimeouts++
+	u.d.rec(obs.CoreNode(u.core), obs.KTimeout, m.addr, m.tid, 0)
 	u.timeoutEntry(e)
 }
 
 // timeoutEntry passes a timed-out grant along, as if the absent thread had
 // acquired and instantly released.
 func (u *lcu) timeoutEntry(e *entry) {
-	d := u.d
 	if e.overflow {
 		// Overflow-mode readers are not queue members: give the grant back
 		// to the LRT so its reader count drains (Section III-D).
 		e.status = StatusRel
-		d.sendRelease(u, e.tid, e.addr, e.write, false, nodeRef{})
+		u.sendRelease(e, false, nodeRef{})
 		return
 	}
-	if e.write || e.head {
-		if e.next.valid {
-			u.transferLock(e)
-			return
-		}
+	u.releaseHeld(e)
+}
+
+// releaseHeld releases e's hold as its thread would: a writer or the head
+// hands the lock to its successor or returns it to the LRT; an
+// intermediate reader holds its position until the Head token passes
+// (Section III-B).
+func (u *lcu) releaseHeld(e *entry) {
+	switch {
+	case !e.write && !e.head:
+		e.status = StatusRdRel
+	case e.next.valid:
+		u.transferLock(e)
+	default:
 		e.status = StatusRel
-		d.sendRelease(u, e.tid, e.addr, e.write, false, nodeRef{})
-		return
+		u.sendRelease(e, false, nodeRef{})
 	}
-	// Non-head reader: it logically held a read share; fold it back as a
-	// released intermediate so the head token will bypass it.
-	e.status = StatusRdRel
 }
 
-// sendRelease emits a RELEASE to the LRT.
-func (d *Device) sendRelease(u *lcu, tid uint64, addr memmodel.Addr, write, headDrain bool, origHead nodeRef) {
-	d.rec(obs.CoreNode(u.core), obs.KRel, addr, tid, flagBits(write, headDrain))
+// sendRelease emits e's RELEASE to the LRT. drain marks the tail of a
+// fully-drained read queue releasing on behalf of the original head prev.
+func (u *lcu) sendRelease(e *entry, drain bool, prev nodeRef) {
+	d := u.d
+	d.rec(obs.CoreNode(u.core), obs.KRel, e.addr, e.tid, flagBits(e.write, drain))
 	if o := d.obsCap(); o != nil {
-		o.TransferStart(uint64(d.M.K.Now()), uint64(addr))
+		o.TransferStart(uint64(d.M.K.Now()), uint64(e.addr))
 	}
-	d.coreToLRT(u.core, msgOfRel(relMsg{
-		addr: addr, tid: tid, lcu: u.core, write: write, headDrain: headDrain, origHead: origHead}))
+	d.coreToLRT(u.core, msg{kind: msgRel, addr: e.addr, node: u.ref(e), drain: drain, prev: prev})
 }
 
-// notifyHead tells the LRT that this entry is the new queue head, so the
-// head pointer stays valid and the previous holder can deallocate
-// (Figure 5: the notification is off the critical path).
-func (d *Device) notifyHead(u *lcu, e *entry, prev nodeRef) {
-	m := headNotifyMsg{
-		addr:    e.addr,
-		newHead: nodeRef{valid: true, tid: e.tid, lcu: u.core, write: e.write},
-		xfer:    e.xfer,
-		prev:    prev,
-	}
-	d.coreToLRT(u.core, msgOfHeadNotify(m))
+// notifyHead tells the LRT that e is the new queue head, so the head
+// pointer stays valid and the previous holder can deallocate (Figure 5:
+// the notification is off the critical path).
+func (u *lcu) notifyHead(e *entry, prev nodeRef) {
+	u.d.coreToLRT(u.core, msg{kind: msgHeadNotify, addr: e.addr, node: u.ref(e), xfer: e.xfer, prev: prev})
 }
 
 // flagBits packs booleans into a record's aux field, bit i = flags[i].

@@ -34,16 +34,8 @@ func (e *lrtEntry) free() bool {
 	return !e.head.valid && e.readerCnt == 0
 }
 
-// lrtOvfPage holds the memory overflow-table slots for one page's words.
-type lrtOvfPage [memmodel.PageWords]*lrtEntry
-
 // lrt is one Lock Reservation Table: a set-associative hardware table
-// backed by a table in main memory for overflow (Section III-E).
-//
-// The overflow table is paged like the backing store: displaced entries
-// for word-aligned heap addresses land in a slot table indexed by page and
-// word, so the (rare) overflow path still does no hashing; addresses
-// outside the simulated heap fall back to a sparse map.
+// backed by a hash table in main memory for overflow (Section III-E).
 type lrt struct {
 	d     *Device
 	index int
@@ -53,10 +45,11 @@ type lrt struct {
 	spare   []*lrtEntry
 	resvSeq uint64 // last reservation-timer generation handed out
 
-	ovfPages  []*lrtOvfPage               // indexed by PageOf(addr)
-	ovfSparse map[memmodel.Addr]*lrtEntry // unaligned / out-of-heap
-	ovfCount  int
-	clock     uint64
+	// ovf is the memory overflow table: entries displaced from their set.
+	// It is created by the first eviction, so a run that never evicts
+	// allocates nothing for it.
+	ovf   map[memmodel.Addr]*lrtEntry
+	clock uint64
 }
 
 func newLRT(d *Device, index, entries, assoc int) *lrt {
@@ -69,93 +62,16 @@ func newLRT(d *Device, index, entries, assoc int) *lrt {
 	return l
 }
 
-// ovfSlot returns the paged overflow slot for addr, materializing the page
-// when grow is set. It returns nil for addresses the page table cannot
-// index (unaligned or beyond the simulated heap).
-func (l *lrt) ovfSlot(addr memmodel.Addr, grow bool) **lrtEntry {
-	if addr&7 != 0 || addr >= l.d.M.Mem.Brk() {
-		return nil
-	}
-	pi := memmodel.PageOf(addr)
-	if pi >= uint64(len(l.ovfPages)) {
-		if !grow {
-			return nil
-		}
-		l.ovfPages = append(l.ovfPages, make([]*lrtOvfPage, int(pi)+1-len(l.ovfPages))...)
-	}
-	p := l.ovfPages[pi]
-	if p == nil {
-		if !grow {
-			return nil
-		}
-		p = new(lrtOvfPage)
-		l.ovfPages[pi] = p
-	}
-	return &p[(addr>>3)&(memmodel.PageWords-1)]
-}
-
-// ovfPut records a displaced entry in the memory overflow table.
-func (l *lrt) ovfPut(e *lrtEntry) {
-	if s := l.ovfSlot(e.addr, true); s != nil {
-		if *s == nil {
-			l.ovfCount++
-		}
-		*s = e
-		return
-	}
-	if l.ovfSparse == nil {
-		l.ovfSparse = make(map[memmodel.Addr]*lrtEntry)
-	}
-	if _, ok := l.ovfSparse[e.addr]; !ok {
-		l.ovfCount++
-	}
-	l.ovfSparse[e.addr] = e
-}
-
-// ovfPeek returns the overflow entry for addr, or nil. The sparse map is
-// consulted even when a paged slot exists but is empty: the heap may have
-// grown past an address that was out-of-heap when its entry was displaced.
-func (l *lrt) ovfPeek(addr memmodel.Addr) *lrtEntry {
-	if s := l.ovfSlot(addr, false); s != nil && *s != nil {
-		return *s
-	}
-	return l.ovfSparse[addr]
-}
-
-// ovfDel removes and returns the overflow entry for addr, or nil. It looks
-// where ovfPeek looks, in the same order.
-func (l *lrt) ovfDel(addr memmodel.Addr) *lrtEntry {
-	if s := l.ovfSlot(addr, false); s != nil && *s != nil {
-		e := *s
-		*s = nil
-		l.ovfCount--
-		return e
-	}
-	e := l.ovfSparse[addr]
-	if e != nil {
-		delete(l.ovfSparse, addr)
-		l.ovfCount--
-	}
-	return e
-}
-
-// ovfEach calls f for every overflow entry (page-walk order; used only by
-// OS-level operations, never on the protocol path).
-func (l *lrt) ovfEach(f func(e *lrtEntry)) {
-	if l.ovfCount == 0 {
-		return
-	}
-	for _, p := range l.ovfPages {
-		if p == nil {
-			continue
-		}
-		for _, e := range p {
-			if e != nil {
-				f(e)
-			}
+// each calls f for every entry, resident or overflowed (OS-level
+// operations only, never on the protocol path; overflow order is the
+// map's).
+func (l *lrt) each(f func(e *lrtEntry)) {
+	for _, set := range l.sets {
+		for _, e := range set {
+			f(e)
 		}
 	}
-	for _, e := range l.ovfSparse {
+	for _, e := range l.ovf {
 		f(e)
 	}
 }
@@ -176,15 +92,16 @@ func (l *lrt) lookup(addr memmodel.Addr) (ent *lrtEntry, extra sim.Time) {
 			return e, 0
 		}
 	}
-	if l.ovfCount == 0 {
+	if len(l.ovf) == 0 {
 		return nil, 0
 	}
 	// The overflow flag is set: the memory table must be consulted.
 	extra = l.d.M.P.MemLat
-	e := l.ovfDel(addr)
+	e := l.ovf[addr]
 	if e == nil {
 		return nil, extra
 	}
+	delete(l.ovf, addr)
 	l.d.Stats.LRTOverflowHits++
 	extra += l.place(e)
 	return e, extra
@@ -197,7 +114,7 @@ func (l *lrt) peek(addr memmodel.Addr) *lrtEntry {
 			return e
 		}
 	}
-	return l.ovfPeek(addr)
+	return l.ovf[addr]
 }
 
 // place inserts e into its set, evicting the LRU victim to memory if the
@@ -218,7 +135,10 @@ func (l *lrt) place(e *lrtEntry) sim.Time {
 	}
 	victim := l.sets[si][lru]
 	l.sets[si][lru] = e
-	l.ovfPut(victim)
+	if l.ovf == nil {
+		l.ovf = make(map[memmodel.Addr]*lrtEntry)
+	}
+	l.ovf[victim.addr] = victim
 	l.d.Stats.LRTEvictions++
 	return l.d.M.P.MemLat
 }
@@ -247,7 +167,8 @@ func (l *lrt) remove(addr memmodel.Addr) {
 			return
 		}
 	}
-	if e := l.ovfDel(addr); e != nil {
+	if e := l.ovf[addr]; e != nil {
+		delete(l.ovf, addr)
 		l.spare = append(l.spare, e)
 		l.d.Stats.LRTDeletes++
 	}
@@ -258,37 +179,29 @@ func (l *lrt) remove(addr memmodel.Addr) {
 
 // onRequest processes a lock REQUEST (Section III-A cases a/b/c, plus the
 // nonblocking/overflow paths of Section III-D).
-func (l *lrt) onRequest(m reqMsg) {
+func (l *lrt) onRequest(m msg) {
 	d := l.d
-	d.rec(obs.LRTNode(l.index), obs.KLRTReq, m.addr, m.req.tid, flagBits(m.req.write, m.nb))
+	req := m.node
+	d.rec(obs.LRTNode(l.index), obs.KLRTReq, m.addr, req.tid, flagBits(req.write, m.nb))
 	ent, extra := l.lookup(m.addr)
 
 	if ent == nil {
 		// Case (a): the address is not locked. Allocate and grant.
 		ent, ex2 := l.create(m.addr)
-		extra += ex2
-		ent.head, ent.tail = m.req, m.req
-		ent.granted = true
-		g := grantMsg{addr: m.addr, tid: m.req.tid, head: true, xfer: ent.xfer, fromLRT: true}
-		d.rec(obs.LRTNode(l.index), obs.KLRTGrant, m.addr, m.req.tid, 0)
-		l.reply(extra, m.req.lcu, msgOfGrant(g))
+		ent.head, ent.tail = req, req
+		l.grantHead(ent, extra+ex2, 0)
 		return
 	}
 
 	// Reservation gate: while a reservation is pending, only the holder's
 	// iterative requests are served (Section III-D).
 	if ent.resv.valid {
-		if sameRef(ent.resv, m.req) {
-			if ent.free() {
-				ent.resv = nodeRef{}
-				ent.head, ent.tail = m.req, m.req
-				ent.granted = true
-				d.Stats.ResvGrants++
-				d.rec(obs.LRTNode(l.index), obs.KLRTGrant, m.addr, m.req.tid, 1)
-				g := grantMsg{addr: m.addr, tid: m.req.tid, head: true, xfer: ent.xfer, fromLRT: true}
-				l.reply(extra, m.req.lcu, msgOfGrant(g))
-				return
-			}
+		if sameRef(ent.resv, req) && ent.free() {
+			ent.resv = nodeRef{}
+			ent.head, ent.tail = req, req
+			d.Stats.ResvGrants++
+			l.grantHead(ent, extra, 1)
+			return
 		}
 		l.retryReq(extra, m)
 		return
@@ -299,23 +212,20 @@ func (l *lrt) onRequest(m reqMsg) {
 		// active readers in overflow mode; anything else is RETRYed.
 		readHeld := (ent.head.valid && ent.granted && !ent.head.write && ent.waitingWriters == 0) ||
 			(!ent.head.valid && ent.readerCnt > 0)
-		if readHeld && !m.req.write {
+		if readHeld && !req.write {
 			ent.readerCnt++
-			d.rec(obs.LRTNode(l.index), obs.KLRTGrant, m.addr, m.req.tid, 2)
-			g := grantMsg{addr: m.addr, tid: m.req.tid, overflow: true, xfer: ent.xfer, fromLRT: true}
-			l.reply(extra, m.req.lcu, msgOfGrant(g))
+			d.rec(obs.LRTNode(l.index), obs.KLRTGrant, m.addr, req.tid, 2)
+			l.reply(extra, req.lcu, msg{kind: msgGrant, addr: m.addr, tid: req.tid,
+				overflow: true, xfer: ent.xfer, fromLRT: true})
 			return
 		}
 		if ent.free() {
-			ent.head, ent.tail = m.req, m.req
-			ent.granted = true
-			d.rec(obs.LRTNode(l.index), obs.KLRTGrant, m.addr, m.req.tid, 0)
-			g := grantMsg{addr: m.addr, tid: m.req.tid, head: true, xfer: ent.xfer, fromLRT: true}
-			l.reply(extra, m.req.lcu, msgOfGrant(g))
+			ent.head, ent.tail = req, req
+			l.grantHead(ent, extra, 0)
 			return
 		}
 		if !ent.resv.valid {
-			ent.resv = m.req
+			ent.resv = req
 			d.Stats.Reservations++
 			l.armResvTimer(ent)
 		}
@@ -326,160 +236,151 @@ func (l *lrt) onRequest(m reqMsg) {
 	if !ent.head.valid {
 		// No queue: the lock is free (lingering entry) or held only by
 		// overflow readers.
-		ent.head, ent.tail = m.req, m.req
-		if ent.readerCnt == 0 || !m.req.write {
-			ent.granted = true
-			d.rec(obs.LRTNode(l.index), obs.KLRTGrant, m.addr, m.req.tid, 0)
-			g := grantMsg{addr: m.addr, tid: m.req.tid, head: true, xfer: ent.xfer, fromLRT: true}
-			l.reply(extra, m.req.lcu, msgOfGrant(g))
+		ent.head, ent.tail = req, req
+		if ent.readerCnt == 0 || !req.write {
+			l.grantHead(ent, extra, 0)
 			return
 		}
 		// A writer must wait for the overflow readers to drain.
 		ent.granted = false
 		ent.waitingWriters++
-		l.reply(extra, m.req.lcu, msgSimple(msgWait, m.addr, m.req.tid))
+		l.tell(extra, msgWait, m.addr, req)
 		return
 	}
 
 	// Cases (b)/(c): append to the queue and forward to the previous tail.
 	oldTail := ent.tail
-	ent.tail = m.req
-	if m.req.write {
+	ent.tail = req
+	if req.write {
 		ent.waitingWriters++
 	}
-	fw := fwdReqMsg{
-		addr: m.addr, req: m.req,
-		targetTid: oldTail.tid, targetWrite: oldTail.write,
-		targetIsHead: sameRef(oldTail, ent.head),
-		lrtXfer:      ent.xfer,
-	}
-	d.rec(obs.LRTNode(l.index), obs.KFwdReq, m.addr, m.req.tid, oldTail.tid)
-	l.reply(extra, oldTail.lcu, msgOfFwdReq(fw))
+	d.rec(obs.LRTNode(l.index), obs.KFwdReq, m.addr, req.tid, oldTail.tid)
+	l.reply(extra, oldTail.lcu, msg{kind: msgFwdReq, addr: m.addr, node: req,
+		tid: oldTail.tid, write: oldTail.write, head: sameRef(oldTail, ent.head), xfer: ent.xfer})
 }
 
-func (l *lrt) retryReq(extra sim.Time, m reqMsg) {
-	l.d.rec(obs.LRTNode(l.index), obs.KRetry, m.addr, m.req.tid, 0)
-	l.reply(extra, m.req.lcu, msgSimple(msgRetryReq, m.addr, m.req.tid))
+// grantHead grants ent's lock to its queue head straight from the LRT.
+// how is the record's grant path: 0 a free lock, 1 a reservation.
+func (l *lrt) grantHead(ent *lrtEntry, extra sim.Time, how uint64) {
+	ent.granted = true
+	l.d.rec(obs.LRTNode(l.index), obs.KLRTGrant, ent.addr, ent.head.tid, how)
+	l.reply(extra, ent.head.lcu, msg{kind: msgGrant, addr: ent.addr, tid: ent.head.tid,
+		head: true, xfer: ent.xfer, fromLRT: true})
+}
+
+// tell sends n the reply kind about addr.
+func (l *lrt) tell(extra sim.Time, kind msgKind, addr memmodel.Addr, n nodeRef) {
+	l.reply(extra, n.lcu, msg{kind: kind, addr: addr, tid: n.tid})
+}
+
+func (l *lrt) retryReq(extra sim.Time, m msg) {
+	l.d.rec(obs.LRTNode(l.index), obs.KRetry, m.addr, m.node.tid, 0)
+	l.tell(extra, msgRetryReq, m.addr, m.node)
 }
 
 // onRelease processes a RELEASE (Sections III-A, III-B, III-C, III-D).
-func (l *lrt) onRelease(m relMsg) {
+func (l *lrt) onRelease(m msg) {
 	d := l.d
-	d.rec(obs.LRTNode(l.index), obs.KLRTRel, m.addr, m.tid, flagBits(m.write, m.headDrain))
+	rel := m.node
+	d.rec(obs.LRTNode(l.index), obs.KLRTRel, m.addr, rel.tid, flagBits(rel.write, m.drain))
 	ent, extra := l.lookup(m.addr)
-	ackTo := m.lcu
-	tid := m.tid
-
-	ack := func() {
-		l.reply(extra, ackTo, msgSimple(msgRelDone, m.addr, tid))
-	}
 
 	if ent == nil {
 		// Double release or release racing entry teardown: ack idempotently.
-		ack()
+		l.tell(extra, msgRelDone, m.addr, rel)
 		return
 	}
 
-	if m.headDrain {
+	if m.drain {
 		// The tail of a fully-drained read queue releases on behalf of the
 		// original head (Section III-B).
-		if m.origHead.valid {
-			l.reply(extra, m.origHead.lcu, msgSimple(msgRelDone, m.addr, m.origHead.tid))
+		if m.prev.valid {
+			l.tell(extra, msgRelDone, m.addr, m.prev)
 		}
-		rel := nodeRef{valid: true, tid: m.tid, lcu: m.lcu, write: m.write}
 		if sameRef(ent.tail, rel) {
-			l.finishHeadRelease(ent, extra, m, ack)
+			l.finishHeadRelease(ent, extra, rel)
 			return
 		}
 		// A requestor was appended behind the drained tail; the forwarded
 		// request will collect the lock from the releaser's REL entry.
 		ent.head = rel
 		ent.granted = true
-		l.reply(extra, ackTo, msgSimple(msgRetryRel, m.addr, tid))
+		l.tell(extra, msgRetryRel, m.addr, rel)
 		return
 	}
 
-	if ent.head.valid && ent.head.tid == m.tid {
-		if ent.head.lcu == m.lcu || sameRef(ent.tail, ent.head) {
+	if ent.head.valid && ent.head.tid == rel.tid {
+		if ent.head.lcu == rel.lcu || sameRef(ent.tail, ent.head) {
 			// Normal (or migrated-but-uncontended) head release.
 			if sameRef(ent.tail, ent.head) {
-				l.finishHeadRelease(ent, extra, m, ack)
+				l.finishHeadRelease(ent, extra, rel)
 				return
 			}
 			// A queue exists: a FWD_REQUEST is racing towards the releaser;
 			// tell it to hand the lock over on arrival (Section III-A).
-			l.reply(extra, ackTo, msgSimple(msgRetryRel, m.addr, tid))
+			l.tell(extra, msgRetryRel, m.addr, rel)
 			return
 		}
 		// Migrated owner with a queue: forward the release to the head node.
-		fw := fwdRelMsg{addr: m.addr, tid: m.tid, write: m.write, replyLCU: m.lcu, searchTid: ent.head.tid}
-		l.reply(extra, ent.head.lcu, msgOfFwdRel(fw))
+		l.reply(extra, ent.head.lcu, msg{kind: msgFwdRel, addr: m.addr, node: rel, tid: ent.head.tid})
 		return
 	}
 
 	if ent.readerCnt > 0 {
 		// Overflow reader release (Section III-D).
 		ent.readerCnt--
-		ack()
+		l.tell(extra, msgRelDone, m.addr, rel)
 		if ent.readerCnt == 0 && ent.head.valid && !ent.granted {
-			ent.granted = true
 			if ent.head.write && ent.waitingWriters > 0 {
 				ent.waitingWriters--
 			}
-			d.rec(obs.LRTNode(l.index), obs.KLRTGrant, m.addr, ent.head.tid, 0)
-			g := grantMsg{addr: m.addr, tid: ent.head.tid, head: true, xfer: ent.xfer, fromLRT: true}
-			l.reply(extra, ent.head.lcu, msgOfGrant(g))
+			l.grantHead(ent, extra, 0)
 		}
 		return
 	}
 
 	if ent.head.valid {
 		// Migrated reader (not the head): search the queue (Section III-C).
-		fw := fwdRelMsg{addr: m.addr, tid: m.tid, write: m.write, replyLCU: m.lcu, searchTid: ent.head.tid}
-		l.reply(extra, ent.head.lcu, msgOfFwdRel(fw))
+		l.reply(extra, ent.head.lcu, msg{kind: msgFwdRel, addr: m.addr, node: rel, tid: ent.head.tid})
 		return
 	}
 
 	// Nothing matches: spurious release; ack to unwedge the LCU.
-	ack()
+	l.tell(extra, msgRelDone, m.addr, rel)
 }
 
-// finishHeadRelease completes a release by the (sole) queue node: the lock
-// becomes free, remains with overflow readers, or the entry is deleted.
-func (l *lrt) finishHeadRelease(ent *lrtEntry, extra sim.Time, m relMsg, ack func()) {
-	if ent.readerCnt > 0 {
+// finishHeadRelease completes a release by the (sole) queue node rel: the
+// lock becomes free, remains with overflow readers, or the entry is
+// deleted.
+func (l *lrt) finishHeadRelease(ent *lrtEntry, extra sim.Time, rel nodeRef) {
+	addr := ent.addr
+	if ent.readerCnt > 0 || ent.resv.valid {
+		// Overflow readers still hold the lock, or the entry stays so the
+		// reservation holder finds the lock free.
 		ent.head, ent.tail = nodeRef{}, nodeRef{}
 		ent.granted = false
-		ack()
-		return
+	} else {
+		l.remove(addr)
 	}
-	if ent.resv.valid {
-		// Keep the entry so the reservation holder finds the lock free.
-		ent.head, ent.tail = nodeRef{}, nodeRef{}
-		ent.granted = false
-		ack()
-		return
-	}
-	l.remove(ent.addr)
-	ack()
+	l.tell(extra, msgRelDone, addr, rel)
 }
 
 // onHeadNotify updates the head pointer after a direct transfer and
 // acknowledges the previous holder (Figure 5).
-func (l *lrt) onHeadNotify(m headNotifyMsg) {
+func (l *lrt) onHeadNotify(m msg) {
 	d := l.d
-	d.rec(obs.LRTNode(l.index), obs.KLRTHead, m.addr, m.newHead.tid, m.xfer)
+	d.rec(obs.LRTNode(l.index), obs.KLRTHead, m.addr, m.node.tid, m.xfer)
 	ent, extra := l.lookup(m.addr)
 	if ent != nil && m.xfer > ent.xfer {
 		ent.xfer = m.xfer
-		ent.head = m.newHead
+		ent.head = m.node
 		ent.granted = true
-		if m.newHead.write && ent.waitingWriters > 0 {
+		if m.node.write && ent.waitingWriters > 0 {
 			ent.waitingWriters--
 		}
 	}
 	if m.prev.valid {
-		l.reply(extra, m.prev.lcu, msgSimple(msgRelDone, m.addr, m.prev.tid))
+		l.tell(extra, msgRelDone, m.addr, m.prev)
 	}
 }
 
@@ -490,19 +391,19 @@ func (l *lrt) onHeadNotify(m headNotifyMsg) {
 func (l *lrt) armResvTimer(ent *lrtEntry) {
 	l.resvSeq++
 	ent.resvSeq = l.resvSeq
-	l.d.armTimer(l.d.Opt.ResvTimeout, devMsg{kind: msgResvTimer, to: int32(l.index),
-		addr: ent.addr, aux: ent.resvSeq})
+	l.d.armTimer(l.d.Opt.ResvTimeout, msg{kind: msgResvTimer, to: int32(l.index),
+		addr: ent.addr, seq: ent.resvSeq})
 }
 
-// onResvTimer drops the reservation armed at generation seq, if it is
-// still the one pending on addr.
-func (l *lrt) onResvTimer(addr memmodel.Addr, seq uint64) {
-	ent := l.peek(addr)
-	if ent == nil || ent.resvSeq != seq || !ent.resv.valid {
+// onResvTimer drops the reservation armed at generation m.seq, if it is
+// still the one pending on m.addr.
+func (l *lrt) onResvTimer(m msg) {
+	ent := l.peek(m.addr)
+	if ent == nil || ent.resvSeq != m.seq || !ent.resv.valid {
 		return
 	}
 	ent.resv = nodeRef{}
 	if ent.free() {
-		l.remove(addr)
+		l.remove(m.addr)
 	}
 }

@@ -46,10 +46,10 @@ func TestLRTEvictionToOverflowAndBack(t *testing.T) {
 	// Touch e0 so addrs[1] is LRU.
 	l.lookup(addrs[0])
 	l.create(addrs[2]) // evicts addrs[1]
-	if l.ovfCount != 1 {
-		t.Fatalf("overflow table has %d entries, want 1", l.ovfCount)
+	if len(l.ovf) != 1 {
+		t.Fatalf("overflow table has %d entries, want 1", len(l.ovf))
 	}
-	if l.ovfPeek(addrs[1]) == nil {
+	if l.ovf[addrs[1]] == nil {
 		t.Fatal("evicted the wrong victim (LRU should be addrs[1])")
 	}
 	// Swap back: costs memory latency and displaces another entry.
@@ -86,8 +86,8 @@ func TestLRTRemove(t *testing.T) {
 	// 0x1000 was the LRU victim, so it lives in the overflow table; remove
 	// it there, then remove one resident entry.
 	l.remove(0x1000)
-	if l.ovfCount != 0 {
-		t.Fatalf("overflow still has %d entries", l.ovfCount)
+	if len(l.ovf) != 0 {
+		t.Fatalf("overflow still has %d entries", len(l.ovf))
 	}
 	l.remove(0x1040)
 	n := 0

@@ -13,77 +13,55 @@ import (
 type msgKind uint8
 
 const (
-	msgReq        msgKind = iota // reqMsg        → LRT
-	msgRel                       // relMsg        → LRT
-	msgHeadNotify                // headNotifyMsg → LRT
-	msgGrant                     // grantMsg      → LCU
-	msgFwdReq                    // fwdReqMsg     → LCU
-	msgFwdRel                    // fwdRelMsg     → LCU
-	msgWait                      // (addr, tid)   → LCU
-	msgRetryReq                  // (addr, tid)   → LCU
-	msgRelDone                   // (addr, tid)   → LCU
-	msgRetryRel                  // (addr, tid)   → LCU
+	msgReq        msgKind = iota // REQUEST: node asks for the lock      → LRT
+	msgRel                       // RELEASE: node releases it            → LRT
+	msgHeadNotify                // node became the queue head (Fig. 5)  → LRT
+	msgGrant                     // lock, read share or Head token for tid → LCU
+	msgFwdReq                    // enqueue of node behind tail tid      → LCU
+	msgFwdRel                    // node's release, searching from tid   → LCU
+	msgWait                      // tid is enqueued                      → LCU
+	msgRetryReq                  // tid's request must be re-issued      → LCU
+	msgRelDone                   // tid's release is complete            → LCU
+	msgRetryRel                  // tid's release waits for a FWD_REQ    → LCU
 	msgGrantTimer                // LCU grant timer (Section III-C)
 	msgResvTimer                 // LRT reservation timer (Section III-D)
 )
 
-// devMsg is one in-flight protocol message, stored by value in the
-// device's slab so sending allocates nothing at steady state. It is a
-// union over the typed message structs; the field-to-message mapping
-// lives in the msgOf* constructors and unpack below.
-type devMsg struct {
+// msg is one protocol message. Senders build it and handlers take it; in
+// flight it sits by value in the device's slab, so sending allocates
+// nothing at steady state. A field means the same thing in every kind
+// that carries it.
+type msg struct {
 	kind msgKind
 	to   int32 // destination LRT index or LCU core
 
 	addr memmodel.Addr
-	tid  uint64  // tid / fwdReq targetTid
-	aux  uint64  // xfer / lrtXfer / fwdRel searchTid / timer generation
-	refA nodeRef // req / grant prev / headNotify newHead / rel origHead
-	refB nodeRef // headNotify prev
-	lcu  int32   // rel lcu / fwdRel replyLCU
-	w    bool    // write / fwdReq targetWrite
-	b1   bool    // req nb / rel headDrain / grant head / fwdReq targetIsHead
-	b2   bool    // grant overflow
-	b3   bool    // grant fromLRT
-	ent  *entry  // grant timer: the armed entry
-}
+	// tid names the receiving LCU's entry the message is about: the
+	// grantee, the enqueued or retried thread, FWD_REQ's old tail,
+	// FWD_REL's next queue node to search, a grant timer's thread.
+	tid uint64
+	// node is the sender's queue node: the requestor (REQ, FWD_REQ), the
+	// releaser (REL, FWD_REL) or the new head (HEAD_NOTIFY).
+	node nodeRef
+	// prev is the previous head, whose release the LRT acknowledges
+	// (GRANT and HEAD_NOTIFY after a transfer, a draining REL).
+	prev nodeRef
+	xfer uint64 // head-transfer count (GRANT, HEAD_NOTIFY, FWD_REQ)
+	seq  uint64 // timer generation
+	ent  *entry // grant timer: the armed entry
 
-func msgOfReq(m reqMsg) devMsg {
-	return devMsg{kind: msgReq, addr: m.addr, refA: m.req, b1: m.nb}
-}
-
-func msgOfRel(m relMsg) devMsg {
-	return devMsg{kind: msgRel, addr: m.addr, tid: m.tid, lcu: int32(m.lcu),
-		w: m.write, b1: m.headDrain, refA: m.origHead}
-}
-
-func msgOfHeadNotify(m headNotifyMsg) devMsg {
-	return devMsg{kind: msgHeadNotify, addr: m.addr, refA: m.newHead, aux: m.xfer, refB: m.prev}
-}
-
-func msgOfGrant(m grantMsg) devMsg {
-	return devMsg{kind: msgGrant, addr: m.addr, tid: m.tid, b1: m.head,
-		b2: m.overflow, aux: m.xfer, refA: m.prev, b3: m.fromLRT}
-}
-
-func msgOfFwdReq(m fwdReqMsg) devMsg {
-	return devMsg{kind: msgFwdReq, addr: m.addr, refA: m.req, tid: m.targetTid,
-		w: m.targetWrite, b1: m.targetIsHead, aux: m.lrtXfer}
-}
-
-func msgOfFwdRel(m fwdRelMsg) devMsg {
-	return devMsg{kind: msgFwdRel, addr: m.addr, tid: m.tid, w: m.write,
-		lcu: int32(m.replyLCU), aux: m.searchTid}
-}
-
-func msgSimple(kind msgKind, addr memmodel.Addr, tid uint64) devMsg {
-	return devMsg{kind: kind, addr: addr, tid: tid}
+	write    bool // FWD_REQ: the old tail holds in write mode
+	head     bool // GRANT: carries the Head token; FWD_REQ: the old tail is the head
+	nb       bool // REQ: from a nonblocking entry, must not join a queue
+	drain    bool // REL: a drained read queue's tail releases for the head
+	overflow bool // GRANT: an LRT overflow-mode read grant (Section III-D)
+	fromLRT  bool // GRANT: straight from the LRT, no head notification
 }
 
 // allocMsg parks m in a slab slot and returns the slot index. Slots come
 // from a free list; the slab only grows until it covers the peak number of
 // in-flight messages, after which sending allocates nothing.
-func (d *Device) allocMsg(m devMsg) int32 {
+func (d *Device) allocMsg(m msg) int32 {
 	if n := len(d.freeMsgs); n > 0 {
 		slot := d.freeMsgs[n-1]
 		d.freeMsgs = d.freeMsgs[:n-1]
@@ -100,27 +78,27 @@ func (d *Device) allocMsg(m devMsg) int32 {
 // so both events share the slot.
 
 // coreToLRT sends m from a core to addr's home LRT.
-func (d *Device) coreToLRT(fromCore int, m devMsg) {
+func (d *Device) coreToLRT(fromCore int, m msg) {
 	l := d.homeLRT(m.addr)
 	m.to = int32(l.index)
 	d.M.Net.SendTo(topo.Core(fromCore), topo.Mem(l.index), d, uint64(d.allocMsg(m))<<1)
 }
 
 // lrtToCore sends m from an LRT to an LCU.
-func (d *Device) lrtToCore(fromLRT, toCore int, m devMsg) {
+func (d *Device) lrtToCore(fromLRT, toCore int, m msg) {
 	m.to = int32(toCore)
 	d.M.Net.SendTo(topo.Mem(fromLRT), topo.Core(toCore), d, uint64(d.allocMsg(m))<<1)
 }
 
 // coreToCore sends m from one LCU to another.
-func (d *Device) coreToCore(fromCore, toCore int, m devMsg) {
+func (d *Device) coreToCore(fromCore, toCore int, m msg) {
 	m.to = int32(toCore)
 	d.M.Net.SendTo(topo.Core(fromCore), topo.Core(toCore), d, uint64(d.allocMsg(m))<<1)
 }
 
 // armTimer delivers m to its own unit after delay: one event, no network
 // and no pipeline stage.
-func (d *Device) armTimer(delay sim.Time, m devMsg) {
+func (d *Device) armTimer(delay sim.Time, m msg) {
 	d.M.K.ScheduleRecv(delay, d, uint64(d.allocMsg(m))<<1|1)
 }
 
@@ -138,42 +116,39 @@ func (d *Device) Recv(tag uint64) {
 		return
 	}
 	m := d.msgs[slot]
-	d.msgs[slot] = devMsg{}
+	d.msgs[slot] = msg{}
 	d.freeMsgs = append(d.freeMsgs, slot)
 	d.dispatch(m)
 }
 
-// dispatch unpacks m and invokes the destination unit's handler.
-func (d *Device) dispatch(m devMsg) {
+// dispatch hands m to the destination unit's handler.
+func (d *Device) dispatch(m msg) {
 	switch m.kind {
 	case msgReq:
-		d.lrts[m.to].onRequest(reqMsg{addr: m.addr, req: m.refA, nb: m.b1})
+		d.lrts[m.to].onRequest(m)
 	case msgRel:
-		d.lrts[m.to].onRelease(relMsg{addr: m.addr, tid: m.tid, lcu: int(m.lcu),
-			write: m.w, headDrain: m.b1, origHead: m.refA})
+		d.lrts[m.to].onRelease(m)
 	case msgHeadNotify:
-		d.lrts[m.to].onHeadNotify(headNotifyMsg{addr: m.addr, newHead: m.refA, xfer: m.aux, prev: m.refB})
+		d.lrts[m.to].onHeadNotify(m)
 	case msgGrant:
-		d.lcus[m.to].onGrant(grantMsg{addr: m.addr, tid: m.tid, head: m.b1,
-			overflow: m.b2, xfer: m.aux, prev: m.refA, fromLRT: m.b3})
+		d.lcus[m.to].onGrant(m)
 	case msgFwdReq:
-		d.lcus[m.to].onFwdRequest(fwdReqMsg{addr: m.addr, req: m.refA, targetTid: m.tid,
-			targetWrite: m.w, targetIsHead: m.b1, lrtXfer: m.aux})
+		d.lcus[m.to].onFwdRequest(m)
 	case msgFwdRel:
-		d.lcus[m.to].onFwdRelease(fwdRelMsg{addr: m.addr, tid: m.tid, write: m.w,
-			replyLCU: int(m.lcu), searchTid: m.aux})
+		d.lcus[m.to].onFwdRelease(m)
 	case msgWait:
-		d.lcus[m.to].onWait(m.addr, m.tid)
+		d.lcus[m.to].onWait(m)
 	case msgRetryReq:
-		d.lcus[m.to].onRetryReq(m.addr, m.tid)
+		d.lcus[m.to].onRetryReq(m)
 	case msgRelDone:
-		d.lcus[m.to].onRelDone(m.addr, m.tid)
+		d.lcus[m.to].onRelDone(m)
 	case msgRetryRel:
-		d.lcus[m.to].onRetryRel(m.addr, m.tid)
+		// The entry stays in REL; the imminent FWD_REQ collects the lock
+		// (Section III-A).
 	case msgGrantTimer:
-		d.lcus[m.to].onGrantTimer(m.ent, m.addr, m.tid, m.aux)
+		d.lcus[m.to].onGrantTimer(m)
 	case msgResvTimer:
-		d.lrts[m.to].onResvTimer(m.addr, m.aux)
+		d.lrts[m.to].onResvTimer(m)
 	}
 }
 
@@ -181,7 +156,7 @@ func (d *Device) dispatch(m devMsg) {
 // elapsed. The zero-latency common case sends immediately; the overflow
 // case is the one remaining closure on the message path, and it is rare
 // by construction (Stats.LRTOverflowHits counts it).
-func (l *lrt) reply(extra sim.Time, toCore int, m devMsg) {
+func (l *lrt) reply(extra sim.Time, toCore int, m msg) {
 	if extra == 0 {
 		l.d.lrtToCore(l.index, toCore, m)
 		return

@@ -24,10 +24,7 @@ func (d *Device) InvalidatePage(pageAddr memmodel.Addr) (invalidated int) {
 	inPage := func(a memmodel.Addr) bool { return a >= base && a < base+pageSize }
 
 	for _, u := range d.lcus {
-		all := append([]*entry{}, u.ordinary...)
-		all = append(all, u.local, u.remote)
-		all = append(all, u.forced...)
-		for _, e := range all {
+		for _, e := range u.entries {
 			if e.status == StatusFree || !inPage(e.addr) {
 				continue
 			}
@@ -38,12 +35,12 @@ func (d *Device) InvalidatePage(pageAddr memmodel.Addr) (invalidated int) {
 				// overflow holder recorded only at the LRT.
 				l := d.homeLRT(e.addr)
 				if ent := l.peek(e.addr); ent != nil {
-					if !e.write && !sameRef(ent.head, nodeRef{valid: true, tid: e.tid, lcu: u.core, write: e.write}) {
+					if !e.write && !sameRef(ent.head, u.ref(e)) {
 						// Reader mid-queue: record as overflow reader.
 						ent.readerCnt++
 					} else {
 						// Head/owner: collapse the queue to just the owner.
-						ent.head = nodeRef{valid: true, tid: e.tid, lcu: u.core, write: e.write}
+						ent.head = u.ref(e)
 						ent.tail = ent.head
 						ent.granted = true
 					}
@@ -63,18 +60,10 @@ func (d *Device) InvalidatePage(pageAddr memmodel.Addr) (invalidated int) {
 	}
 
 	// Fix up LRT queue state: any entry in the page whose queue nodes were
-	// just removed keeps only its holder bookkeeping.
+	// just removed keeps only its holder bookkeeping. Each entry is
+	// mutated on its own, so the overflow map's order cannot leak out.
 	for _, l := range d.lrts {
-		for _, set := range l.sets {
-			for _, ent := range set {
-				if inPage(ent.addr) && ent.head.valid {
-					ent.tail = ent.head
-					ent.waitingWriters = 0
-					ent.resv = nodeRef{}
-				}
-			}
-		}
-		l.ovfEach(func(ent *lrtEntry) {
+		l.each(func(ent *lrtEntry) {
 			if inPage(ent.addr) && ent.head.valid {
 				ent.tail = ent.head
 				ent.waitingWriters = 0
@@ -96,20 +85,4 @@ func (d *Device) Enq(p *sim.Proc, core int, tid uint64, addr memmodel.Addr, writ
 		return // already requested/held
 	}
 	u.acquireIssue(tid, addr, write)
-}
-
-// acquireIssue allocates an entry and sends the REQUEST without consuming
-// a grant — the issue half of acquire.
-func (u *lcu) acquireIssue(tid uint64, addr memmodel.Addr, write bool) {
-	d := u.d
-	e := u.allocLocal()
-	if e == nil {
-		return // table full; prefetch is best-effort
-	}
-	e.addr, e.tid, e.write = addr, tid, write
-	e.status = StatusIssued
-	e.nb = e.class != ClassOrdinary
-	d.Stats.Requests++
-	d.coreToLRT(u.core, msgOfReq(reqMsg{
-		addr: addr, req: nodeRef{valid: true, tid: tid, lcu: u.core, write: write}, nb: e.nb}))
 }

@@ -37,14 +37,13 @@ type page [PageWords]uint64
 // The heap — everything handed out by Alloc, which is all addresses the
 // workloads ever touch — is backed by a flat table of fixed 4 KB pages, so
 // the word load/store hot path is two array indexations with no hashing
-// and no allocation at steady state. Addresses outside the heap (or not
-// 8-byte aligned) fall back to a sparse overflow map; nothing on the
-// simulated fast path uses them.
+// and no allocation at steady state. Simulated state lives at heap
+// addresses only: a word that is not 8-byte aligned, or lies past the
+// page table, panics on Read or Write and names its address.
 type Memory struct {
-	pages    []*page         // indexed by PageOf(addr), covers [0, brk) rounded up
-	overflow map[Addr]uint64 // out-of-heap or unaligned words (lazily created)
-	brk      Addr
-	numHome  int
+	pages   []*page // indexed by PageOf(addr), covers [0, brk) rounded up
+	brk     Addr
+	numHome int
 }
 
 // heapBase is the initial brk: the heap starts at a non-zero base so that
@@ -76,23 +75,11 @@ func (m *Memory) HomeOf(a Addr) int {
 }
 
 // growPages extends (and materializes) the page table to cover [0, brk).
-// Pages are allocated eagerly so that Read/Write never allocate for heap
-// addresses. Overflow words that the new pages now cover migrate into
-// them, so a word written before the heap grew past it stays readable
-// through the paged fast path.
+// Pages are allocated eagerly so that Read/Write never allocate.
 func (m *Memory) growPages() {
 	want := int(PageOf(m.brk-1)) + 1
 	for len(m.pages) < want {
 		m.pages = append(m.pages, new(page))
-	}
-	if len(m.overflow) == 0 {
-		return
-	}
-	for a, v := range m.overflow {
-		if m.inHeap(a) {
-			m.pages[PageOf(a)][(a>>3)&(PageWords-1)] = v
-			delete(m.overflow, a)
-		}
 	}
 }
 
@@ -135,38 +122,32 @@ func (m *Memory) AllocLine() Addr {
 	return m.Alloc(LineSize, LineSize)
 }
 
-// inHeap reports whether a is an aligned word covered by the page table.
-func (m *Memory) inHeap(a Addr) bool {
-	return a&7 == 0 && PageOf(a) < uint64(len(m.pages))
+// word returns the backing slot of the aligned heap word at a. Any other
+// address panics with an offHeap, whose message is built only then, so
+// word inlines into Read and Write.
+func (m *Memory) word(a Addr) *uint64 {
+	if pi := PageOf(a); a&7 == 0 && pi < uint64(len(m.pages)) {
+		return &m.pages[pi][(a>>3)&(PageWords-1)]
+	}
+	panic(offHeap{a, m.brk})
+}
+
+// offHeap is the panic value for a word access outside the heap.
+type offHeap struct{ addr, brk Addr }
+
+func (e offHeap) Error() string {
+	return fmt.Sprintf("memmodel: word access at %#x is unaligned or past the heap (brk %#x)", e.addr, e.brk)
 }
 
 // Read returns the 8-byte word at address a (zero if never written).
-func (m *Memory) Read(a Addr) uint64 {
-	if pi := PageOf(a); a&7 == 0 && pi < uint64(len(m.pages)) {
-		return m.pages[pi][(a>>3)&(PageWords-1)]
-	}
-	return m.overflow[a]
-}
+func (m *Memory) Read(a Addr) uint64 { return *m.word(a) }
 
 // Write stores the 8-byte word v at address a.
-func (m *Memory) Write(a Addr, v uint64) {
-	if pi := PageOf(a); a&7 == 0 && pi < uint64(len(m.pages)) {
-		m.pages[pi][(a>>3)&(PageWords-1)] = v
-		return
-	}
-	if v == 0 {
-		delete(m.overflow, a)
-		return
-	}
-	if m.overflow == nil {
-		m.overflow = make(map[Addr]uint64)
-	}
-	m.overflow[a] = v
-}
+func (m *Memory) Write(a Addr, v uint64) { *m.word(a) = v }
 
 // Words returns the number of distinct non-zero words stored, for tests.
 func (m *Memory) Words() int {
-	n := len(m.overflow)
+	n := 0
 	for _, p := range m.pages {
 		for _, w := range p {
 			if w != 0 {
@@ -187,6 +168,5 @@ func (m *Memory) Reset() {
 	for _, p := range m.pages {
 		*p = page{}
 	}
-	m.overflow = nil
 	m.brk = heapBase
 }

@@ -1,7 +1,9 @@
 package memmodel
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -130,24 +132,46 @@ func TestWordAccessNoAllocs(t *testing.T) {
 	}
 }
 
-func TestOverflowMigratesOnGrowth(t *testing.T) {
+// TestOffHeapWordPanics: simulated state lives at heap addresses only, so
+// an unaligned word and a word past the page table each panic, on Read and
+// on Write, and the panic names the address.
+func TestOffHeapWordPanics(t *testing.T) {
 	m := New(1)
-	// An aligned word beyond the current brk lands in the overflow map.
-	far := m.Brk() + 4*PageWords*8
-	m.Write(far, 123)
-	if m.Read(far) != 123 {
-		t.Fatal("overflow word not readable")
+	a := m.AllocWords(4)
+	pastTable := Addr(len(m.pages)) << PageShift
+	for _, tc := range []struct {
+		name string
+		addr Addr
+	}{
+		{"unaligned", a + 3},
+		{"past the page table", pastTable},
+		{"far past the page table", pastTable + 64*PageWords*8},
+	} {
+		for _, op := range []struct {
+			name string
+			do   func()
+		}{
+			{"Read", func() { m.Read(tc.addr) }},
+			{"Write", func() { m.Write(tc.addr, 1) }},
+		} {
+			t.Run(tc.name+"/"+op.name, func(t *testing.T) {
+				defer func() {
+					r := recover()
+					if r == nil {
+						t.Fatalf("%s(%#x) did not panic", op.name, tc.addr)
+					}
+					if msg := fmt.Sprint(r); !strings.Contains(msg, fmt.Sprintf("%#x", tc.addr)) {
+						t.Fatalf("panic %q does not name %#x", msg, tc.addr)
+					}
+				}()
+				op.do()
+			})
+		}
 	}
-	// Grow the heap past it: the word must migrate into the paged store.
-	for m.Brk() <= far {
-		m.Alloc(PageWords*8, 8)
-	}
-	if m.Read(far) != 123 {
-		t.Fatal("overflow word lost when the heap grew past it")
-	}
-	m.Write(far, 0)
-	if m.Read(far) != 0 {
-		t.Fatal("migrated word not writable")
+	// The last page's words past brk are still in the table.
+	m.Write(pastTable-8, 5)
+	if m.Read(pastTable-8) != 5 {
+		t.Fatal("word in the last page past brk not readable")
 	}
 }
 
@@ -165,25 +189,15 @@ func (s *mapStore) write(a Addr, v uint64) {
 }
 
 // TestDifferentialVsMapStore drives random Alloc/Read/Write/CAS sequences
-// against the paged store and the old map-based store in lockstep,
-// including unaligned and out-of-heap addresses (the overflow path) and
-// heap growth across previously-overflowed words.
+// against the paged store and the old map-based store in lockstep, with
+// the heap growing (sometimes by whole pages) as it goes.
 func TestDifferentialVsMapStore(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	m := New(4)
 	oracle := &mapStore{words: make(map[Addr]uint64)}
 
 	var addrs []Addr
-	pick := func() Addr {
-		switch rng.Intn(10) {
-		case 0: // unaligned
-			return addrs[rng.Intn(len(addrs))] + Addr(rng.Intn(8))
-		case 1: // out-of-heap (may later be engulfed by growth)
-			return m.Brk() + Addr(rng.Intn(4*PageWords))*8
-		default:
-			return addrs[rng.Intn(len(addrs))]
-		}
-	}
+	pick := func() Addr { return addrs[rng.Intn(len(addrs))] }
 	for i := 0; i < 8; i++ {
 		addrs = append(addrs, m.AllocWords(16))
 	}
@@ -233,7 +247,7 @@ func TestResetClearsButKeepsPages(t *testing.T) {
 	m := New(2)
 	a := m.AllocWords(PageWords * 3)
 	m.Write(a, 9)
-	m.Write(m.Brk()+64, 5) // overflow entry
+	m.Write(a+PageWords*8, 5)
 	m.Reset()
 	if m.Words() != 0 {
 		t.Fatalf("Words() = %d after Reset, want 0", m.Words())

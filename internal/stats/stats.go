@@ -1,8 +1,8 @@
 // Package stats provides the small statistical toolkit used by the
 // benchmark harnesses: means, standard deviations, Student-t 95%
-// confidence intervals (Figure 13 reports them), geometric means, speedup
-// helpers, percentiles, and a fixed log-bucket histogram for latency
-// distributions (the observability layer's acquire/transfer metrics).
+// confidence intervals (Figure 13 reports them), geometric means, and a
+// fixed log-bucket histogram for latency distributions (the observability
+// layer's acquire/transfer metrics, with their percentiles).
 package stats
 
 import (
@@ -10,7 +10,6 @@ import (
 	"io"
 	"math"
 	"math/bits"
-	"sort"
 )
 
 // Mean returns the arithmetic mean of xs (0 for empty input).
@@ -71,53 +70,6 @@ func GeoMean(xs []float64) float64 {
 		s += math.Log(x)
 	}
 	return math.Exp(s / float64(len(xs)))
-}
-
-// Speedup returns base/new, the conventional speedup factor.
-func Speedup(base, new float64) float64 {
-	if new == 0 {
-		return math.Inf(1)
-	}
-	return base / new
-}
-
-// Median returns the median of xs.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) of xs using
-// linear interpolation between closest ranks. It copies and sorts, so the
-// input is not modified.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	rank := p / 100 * float64(len(s)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := rank - float64(lo)
-	return s[lo] + frac*(s[hi]-s[lo])
 }
 
 // Histogram counts uint64 samples in fixed logarithmic buckets: exact
@@ -322,21 +274,4 @@ func (h *Histogram) Buckets() []Bucket {
 		out = append(out, Bucket{Lo: lo, Hi: hi, Count: c})
 	}
 	return out
-}
-
-// MinMax returns the smallest and largest element of xs.
-func MinMax(xs []float64) (min, max float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max
 }

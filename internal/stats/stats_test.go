@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -45,31 +46,6 @@ func TestGeoMean(t *testing.T) {
 	}
 }
 
-func TestMedian(t *testing.T) {
-	if Median([]float64{3, 1, 2}) != 2 {
-		t.Fatal("odd median wrong")
-	}
-	if Median([]float64{4, 1, 2, 3}) != 2.5 {
-		t.Fatal("even median wrong")
-	}
-}
-
-func TestSpeedup(t *testing.T) {
-	if Speedup(200, 100) != 2 {
-		t.Fatal("speedup wrong")
-	}
-	if !math.IsInf(Speedup(1, 0), 1) {
-		t.Fatal("zero denominator should be +inf")
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	lo, hi := MinMax([]float64{3, -1, 7, 2})
-	if lo != -1 || hi != 7 {
-		t.Fatalf("minmax = %v,%v", lo, hi)
-	}
-}
-
 // Property: mean is bounded by min and max.
 func TestMeanBoundedProperty(t *testing.T) {
 	f := func(xs []float64) bool {
@@ -82,7 +58,7 @@ func TestMeanBoundedProperty(t *testing.T) {
 		if len(clean) == 0 {
 			return true
 		}
-		lo, hi := MinMax(clean)
+		lo, hi := slices.Min(clean), slices.Max(clean)
 		m := Mean(clean)
 		return m >= lo-1e-6 && m <= hi+1e-6
 	}
@@ -109,25 +85,7 @@ func TestStdDevProperty(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Percentile and Histogram (observability-layer metrics).
-
-func TestPercentileExactSmall(t *testing.T) {
-	xs := []float64{40, 10, 20, 30}
-	for _, tc := range []struct{ p, want float64 }{
-		{0, 10}, {100, 40}, {50, 25}, {25, 17.5}, {75, 32.5},
-	} {
-		if got := Percentile(xs, tc.p); !almost(got, tc.want) {
-			t.Errorf("Percentile(%v) = %v, want %v", tc.p, got, tc.want)
-		}
-	}
-	if got := Percentile(nil, 50); got != 0 {
-		t.Errorf("Percentile(nil) = %v, want 0", got)
-	}
-	// The input must not be reordered.
-	if xs[0] != 40 {
-		t.Errorf("Percentile mutated its input: %v", xs)
-	}
-}
+// Histogram (observability-layer metrics).
 
 func TestHistogramSmallValuesExact(t *testing.T) {
 	var h Histogram
