@@ -15,14 +15,11 @@ import (
 	"testing"
 
 	"fairrw/fairlock"
+	"fairrw/internal/apps"
 	"fairrw/internal/bench"
 	"fairrw/internal/machine"
 	"fairrw/internal/microbench"
-	"fairrw/internal/ssb"
 	"fairrw/internal/stmbench"
-
-	"fairrw/internal/apps"
-	"fairrw/internal/core"
 )
 
 // BenchmarkFig09 measures the CS microbenchmark (LCU vs SSB) per model,
@@ -121,12 +118,7 @@ func BenchmarkFig13(b *testing.B) {
 				var cycles float64
 				for i := 0; i < b.N; i++ {
 					m := machine.ModelA()
-					switch lock {
-					case "lcu":
-						core.New(m, core.Options{})
-					case "ssb":
-						ssb.New(m, ssb.Options{})
-					}
+					microbench.InstallDevice(m, lock, 0)
 					cycles = float64(apps.Run(m, apps.Config{
 						App: app.name, Lock: lock, Threads: app.threads, Seed: 7,
 					}))

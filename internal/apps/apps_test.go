@@ -3,21 +3,15 @@ package apps
 import (
 	"testing"
 
-	"fairrw/internal/core"
 	"fairrw/internal/machine"
+	"fairrw/internal/microbench"
 	"fairrw/internal/sim"
-	"fairrw/internal/ssb"
 )
 
 func runOnce(t *testing.T, app, lock string, threads int, flt int) sim.Time {
 	t.Helper()
 	m := machine.ModelA()
-	switch lock {
-	case "lcu":
-		core.New(m, core.Options{FLTSize: flt})
-	case "ssb":
-		ssb.New(m, ssb.Options{})
-	}
+	microbench.InstallDevice(m, lock, flt)
 	return Run(m, Config{App: app, Lock: lock, Threads: threads, Seed: 7})
 }
 

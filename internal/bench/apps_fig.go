@@ -6,10 +6,9 @@ import (
 	"text/tabwriter"
 
 	"fairrw/internal/apps"
-	"fairrw/internal/core"
 	"fairrw/internal/machine"
+	"fairrw/internal/microbench"
 	"fairrw/internal/obs"
-	"fairrw/internal/ssb"
 	"fairrw/internal/stats"
 	"fairrw/internal/sweep"
 	"fairrw/internal/swlocks"
@@ -17,17 +16,12 @@ import (
 
 func runApp(m *machine.Machine, app string, threads int, lock string, flt int, seed int64, o obs.Options) (float64, *obs.Capture) {
 	m.Reset()
-	switch lock {
-	case "lcu":
-		core.New(m, core.Options{FLTSize: flt})
-	case "ssb":
-		ssb.New(m, ssb.Options{})
-	}
+	hw := microbench.InstallDevice(m, lock, flt)
 	mk := apps.Factory(lock)
 	var cap *obs.Capture
 	if o.Enabled() {
 		cap = m.EnableObs(o, fmt.Sprintf("%s/%s t=%d", app, lock, threads))
-		if lock != "lcu" && lock != "ssb" {
+		if !hw {
 			// Software locks need the tracing wrapper; each instance gets a
 			// distinct id in allocation order (deterministic: the app builds
 			// its locks single-threaded before spawning).

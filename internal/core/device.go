@@ -12,13 +12,16 @@ type Options struct {
 	// FLTSize enables the Free Lock Table extension (Section IV-C) with
 	// that many saved-lock slots per LCU. Zero disables it.
 	FLTSize int
-	// ResvTimeout bounds how long an LRT reservation may block other
-	// requestors (Section III-D). Zero selects a default.
-	ResvTimeout sim.Time
-	// RetryBackoff is the software-visible delay between a RETRY and the
-	// re-issued request. Zero selects a default.
-	RetryBackoff sim.Time
 }
+
+const (
+	// resvTimeout bounds how long an LRT reservation may block other
+	// requestors (Section III-D), in cycles.
+	resvTimeout sim.Time = 20_000
+	// retryBackoff is the software-visible delay between a RETRY and the
+	// re-issued request, in LCU access latencies.
+	retryBackoff = 4
+)
 
 // Stats counts protocol events, exposed to tests and benchmark harnesses.
 type Stats struct {
@@ -61,12 +64,6 @@ type Device struct {
 
 // New builds the device for m and installs it as the machine's lock device.
 func New(m *machine.Machine, opt Options) *Device {
-	if opt.ResvTimeout == 0 {
-		opt.ResvTimeout = 20_000
-	}
-	if opt.RetryBackoff == 0 {
-		opt.RetryBackoff = 4 * m.P.LCULat
-	}
 	d := &Device{M: m, Opt: opt}
 	d.lcus = make([]*lcu, m.P.Cores)
 	for i := range d.lcus {
@@ -118,7 +115,7 @@ func (d *Device) WaitEvent(p *sim.Proc, core int, tid uint64, addr memmodel.Addr
 	u := d.lcus[core]
 	e := u.find(addr, tid)
 	if e == nil {
-		p.Wait(d.Opt.RetryBackoff)
+		p.Wait(retryBackoff * d.M.P.LCULat)
 		return
 	}
 	if e.status == StatusRcv || e.status == StatusRdRel {

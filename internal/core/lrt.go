@@ -391,7 +391,7 @@ func (l *lrt) onHeadNotify(m msg) {
 func (l *lrt) armResvTimer(ent *lrtEntry) {
 	l.resvSeq++
 	ent.resvSeq = l.resvSeq
-	l.d.armTimer(l.d.Opt.ResvTimeout, msg{kind: msgResvTimer, to: int32(l.index),
+	l.d.armTimer(resvTimeout, msg{kind: msgResvTimer, to: int32(l.index),
 		addr: ent.addr, seq: ent.resvSeq})
 }
 

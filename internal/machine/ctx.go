@@ -20,7 +20,6 @@ type Ctx struct {
 	core         int
 	running      bool
 	waitingToRun bool
-	migrations   int
 }
 
 // Spawn creates a simulated thread with the given software thread-id,
@@ -41,9 +40,6 @@ func (m *Machine) Spawn(name string, tid uint64, core int, body func(c *Ctx)) *C
 
 // Core returns the core the thread currently runs on.
 func (c *Ctx) Core() int { return c.core }
-
-// Migrations returns how many times the thread has migrated.
-func (c *Ctx) Migrations() int { return c.migrations }
 
 // ensureRunning blocks until the scheduler has dispatched this thread on
 // its current core.
@@ -188,7 +184,6 @@ func (c *Ctx) Migrate(core int) {
 	c.M.sched[c.core].remove(c)
 	c.core = core
 	c.running = false
-	c.migrations++
 	c.P.Wait(c.M.P.SwitchCost) // OS migration overhead
 	c.M.sched[core].add(c)
 	c.ensureRunning()

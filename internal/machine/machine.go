@@ -132,7 +132,7 @@ func newMachine(k *sim.Kernel, net *topo.Network, mem *memmodel.Memory, sys *coh
 }
 
 // EnableObs attaches an observability capture to the machine and every
-// instrumented subsystem (kernel, interconnect, memory system). name
+// instrumented subsystem (interconnect, memory system). name
 // labels the run in exported traces. It returns the capture so a harness
 // can collect it after the run.
 func (m *Machine) EnableObs(o obs.Options, name string) *obs.Capture {
@@ -142,7 +142,6 @@ func (m *Machine) EnableObs(o obs.Options, name string) *obs.Capture {
 	}
 	cap := obs.New(o, obs.Meta{Name: name, Cores: m.P.Cores, LRTs: m.P.NumMem, Links: links})
 	m.Obs = cap
-	m.K.Obs = cap
 	m.Net.Obs = cap
 	m.Sys.Obs = cap
 	return cap

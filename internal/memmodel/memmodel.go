@@ -65,9 +65,6 @@ func New(numHome int) *Memory {
 	return m
 }
 
-// NumHomes returns the number of home memory controllers.
-func (m *Memory) NumHomes() int { return m.numHome }
-
 // HomeOf returns the memory controller index owning address a. Lines are
 // interleaved across controllers, as in the evaluated systems.
 func (m *Memory) HomeOf(a Addr) int {

@@ -23,7 +23,7 @@ import (
 // Config parameterizes one microbenchmark run.
 type Config struct {
 	Model      string // "A" or "B"
-	Lock       string // lcu, ssb, tas, tatas, mcs, clh, mrsw, posix
+	Lock       string // lcu, ssb, tas, tatas, mcs, mrsw, posix
 	Threads    int
 	WritePct   int // percentage of write (exclusive) accesses; 100 = mutex
 	TotalIters int // critical-section entries across all threads
@@ -61,7 +61,7 @@ type Result struct {
 	Obs *obs.Capture
 }
 
-// NewMachine builds a machine for the named model.
+// NewMachine builds a machine for the named model, "A" or "B".
 func NewMachine(model string) *machine.Machine {
 	switch model {
 	case "A":
@@ -72,23 +72,34 @@ func NewMachine(model string) *machine.Machine {
 	panic(fmt.Sprintf("microbench: unknown model %q", model))
 }
 
-// MakeLock installs the requested lock implementation on m.
-func MakeLock(m *machine.Machine, name string, flt int) swlocks.RWLock {
+// InstallDevice installs on m the hardware lock device that the named
+// lock or STM engine runs on — the LCU/LRT (with flt FLT slots) for "lcu",
+// the SSB for "ssb" — and reports whether it did: software locks and
+// engines need none.
+func InstallDevice(m *machine.Machine, name string, flt int) bool {
 	switch name {
 	case "lcu":
 		core.New(m, core.Options{FLTSize: flt})
-		return swlocks.NewHWLock(m, "lcu")
 	case "ssb":
-		ssb.New(m, ssb.Options{})
-		return swlocks.NewHWLock(m, "ssb")
+		ssb.New(m)
+	default:
+		return false
+	}
+	return true
+}
+
+// makeLock installs the requested lock implementation on m.
+func makeLock(m *machine.Machine, name string, flt int) swlocks.RWLock {
+	if InstallDevice(m, name, flt) {
+		return swlocks.NewHWLock(m, name)
+	}
+	switch name {
 	case "tas":
 		return swlocks.NewTAS(m)
 	case "tatas":
 		return swlocks.NewTATAS(m)
 	case "mcs":
 		return swlocks.NewMCS(m)
-	case "clh":
-		return swlocks.NewCLH(m)
 	case "mrsw":
 		return swlocks.NewMRSW(m)
 	case "posix":
@@ -131,7 +142,7 @@ func execOn(m *machine.Machine, cfg Config) Result {
 	if cfg.Gap == 0 {
 		cfg.Gap = 100
 	}
-	l := MakeLock(m, cfg.Lock, cfg.FLT)
+	l := makeLock(m, cfg.Lock, cfg.FLT)
 
 	var cap *obs.Capture
 	if cfg.Obs.Enabled() {

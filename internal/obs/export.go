@@ -107,10 +107,10 @@ func writeRun(cw *chromeWriter, pid int, cap *Capture) {
 	if m := cap.M; m != nil {
 		for _, ls := range m.Links {
 			for _, b := range ls.Bins {
-				busy := float64(b.Busy) / float64(m.BinCycles) * 100
-				queued := float64(b.Wait) / float64(m.BinCycles) * 100
+				busy := float64(b.Busy) / binCycles * 100
+				queued := float64(b.Wait) / binCycles * 100
 				cw.ev(fmt.Sprintf(`{"ph":"C","pid":%d,"ts":%d,"name":%s,"args":{"busy%%":%s,"queued%%":%s}}`,
-					pid, b.Bin*m.BinCycles, q("link "+ls.Name), fnum(busy), fnum(queued)))
+					pid, b.Bin*binCycles, q("link "+ls.Name), fnum(busy), fnum(queued)))
 			}
 		}
 		for _, s := range m.Depth.Samples {

@@ -92,7 +92,7 @@ func (c *Capture) WriteFlight(w io.Writer, lastN int) {
 	}
 	WriteRecords(w, recs, 0)
 	if c.Dropped > 0 {
-		fmt.Fprintf(w, "(%d records dropped at the %d-record cap)\n", c.Dropped, c.Opt.MaxRecords)
+		fmt.Fprintf(w, "(%d records dropped at the %d-record cap)\n", c.Dropped, maxRecords)
 	}
 }
 

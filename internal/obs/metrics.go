@@ -12,8 +12,6 @@ import (
 // sampler. All updates are driven by the (single-goroutine) simulation, so
 // no locking is needed and the contents are deterministic.
 type Metrics struct {
-	BinCycles uint64
-
 	// Acquire is the distribution of cycles threads spent between first
 	// requesting a lock and entering the critical section.
 	Acquire stats.Histogram
@@ -32,11 +30,13 @@ type Metrics struct {
 	depth   int
 }
 
-func newMetrics(binCycles uint64, linkNames []string) *Metrics {
+// binCycles is the width of a link series' time bin.
+const binCycles = 10_000
+
+func newMetrics(linkNames []string) *Metrics {
 	m := &Metrics{
-		BinCycles: binCycles,
-		lastRel:   make(map[uint64]uint64),
-		waiting:   make(map[uint64]struct{}),
+		lastRel: make(map[uint64]uint64),
+		waiting: make(map[uint64]struct{}),
 	}
 	m.Links = make([]LinkSeries, len(linkNames))
 	for i, name := range linkNames {
@@ -82,12 +82,12 @@ func (m *Metrics) linkCross(id int, cycle, busy, wait uint64) {
 	if id < 0 || id >= len(m.Links) {
 		return
 	}
-	m.Links[id].add(cycle/m.BinCycles, busy, wait)
+	m.Links[id].add(cycle/binCycles, busy, wait)
 }
 
 // LinkBin aggregates one link's traffic over one time bin.
 type LinkBin struct {
-	Bin  uint64 `json:"bin"`  // bin index; start cycle = bin * BinCycles
+	Bin  uint64 `json:"bin"`  // bin index; start cycle = bin * binCycles
 	Busy uint64 `json:"busy"` // cycles of serialization occupancy charged
 	Wait uint64 `json:"wait"` // cycles messages queued behind earlier ones
 	Msgs uint64 `json:"msgs"`
@@ -173,7 +173,7 @@ func summarize(h *stats.Histogram) histSummary {
 // runMetrics is the serialized form of one run's metrics.
 type runMetrics struct {
 	Name       string        `json:"name"`
-	BinCycles  uint64        `json:"bin_cycles"`
+	BinWidth   uint64        `json:"bin_cycles"`
 	Acquire    histSummary   `json:"acquire"`
 	Transfer   histSummary   `json:"transfer"`
 	QueueDepth []DepthSample `json:"queue_depth,omitempty"`
@@ -196,7 +196,7 @@ func (c *Collector) WriteMetrics(w io.Writer) error {
 		m := cap.M
 		rm := runMetrics{
 			Name:       cap.Meta.Name,
-			BinCycles:  m.BinCycles,
+			BinWidth:   binCycles,
 			Acquire:    summarize(&m.Acquire),
 			Transfer:   summarize(&m.Transfer),
 			QueueDepth: m.Depth.Samples,

@@ -9,14 +9,17 @@
 // The layer is zero-overhead when disabled: every instrumented call site
 // holds a *Capture pointer and checks it for nil before doing anything, so
 // a run without tracing pays one predictable branch per site and performs
-// no allocation. When enabled, each simulated machine (kernel) owns its
-// own Capture; records are appended in kernel event order, which is
+// no allocation. When enabled, each simulated machine owns its own
+// Capture; records are appended in kernel event order, which is
 // deterministic, so a sweep collected in configuration order produces
-// byte-identical output at any worker count.
+// byte-identical output at any worker count. A run keeps at most 1<<18
+// records (the rest only count as dropped), and link series use
+// 10 000-cycle bins.
 //
 // Import discipline: obs depends only on internal/stats and the standard
-// library (cycles travel as plain uint64, not sim.Time), so internal/sim
-// and everything above it may depend on obs without cycles.
+// library (cycles travel as plain uint64, not sim.Time), so the layers
+// above internal/sim may depend on obs without cycles. internal/sim, the
+// event kernel, depends on no repo package and records nothing.
 package obs
 
 // Kind classifies one recorded event. Values are fixed (trace files carry
@@ -84,8 +87,8 @@ const (
 	KCacheRd
 	// KCacheOwn: an exclusive-ownership transaction completed. Aux: latency.
 	KCacheOwn
-	// KKernel: a raw simulation-kernel event dispatch (very verbose).
-	// Aux: the kernel event's kind.
+	// KKernel: reserved; no producer records it. It keeps its value so the
+	// kinds after it keep theirs.
 	KKernel
 	// KCancel: lockd revoked a queued acquire; its session ended. Aux: ns waited.
 	KCancel
@@ -135,17 +138,9 @@ type Options struct {
 	Records bool
 	// Metrics enables histograms, link occupancy and queue-depth series.
 	Metrics bool
-	// Kernel additionally logs every simulation-kernel event dispatch.
-	// Extremely verbose; off by default even when Records is on.
-	Kernel bool
 	// Cache additionally logs cache-transaction boundaries (misses and
 	// ownership transfers).
 	Cache bool
-	// MaxRecords caps the event log per run; excess events are counted in
-	// Capture.Dropped rather than stored. 0 selects a default.
-	MaxRecords int
-	// BinCycles is the metrics time-series bin width. 0 selects a default.
-	BinCycles uint64
 }
 
 // Enabled reports whether the options ask for any capture at all.
@@ -166,26 +161,21 @@ type Capture struct {
 	Meta Meta
 
 	Recs []Record
-	// Dropped counts records discarded once Recs reached MaxRecords.
+	// Dropped counts records discarded once Recs reached maxRecords.
 	Dropped uint64
 
 	// M holds the metrics recorder, nil unless Opt.Metrics.
 	M *Metrics
 }
 
-const defaultMaxRecords = 1 << 18
+// maxRecords caps a run's event log; later events only count in Dropped.
+const maxRecords = 1 << 18
 
 // New builds a Capture for a machine described by meta.
 func New(opt Options, meta Meta) *Capture {
-	if opt.MaxRecords == 0 {
-		opt.MaxRecords = defaultMaxRecords
-	}
-	if opt.BinCycles == 0 {
-		opt.BinCycles = 10_000
-	}
 	c := &Capture{Opt: opt, Meta: meta}
 	if opt.Metrics {
-		c.M = newMetrics(opt.BinCycles, meta.Links)
+		c.M = newMetrics(meta.Links)
 	}
 	return c
 }
@@ -195,19 +185,11 @@ func (c *Capture) Rec(cycle uint64, node int32, k Kind, lock, tid, aux uint64) {
 	if !c.Opt.Records {
 		return
 	}
-	if len(c.Recs) >= c.Opt.MaxRecords {
+	if len(c.Recs) >= maxRecords {
 		c.Dropped++
 		return
 	}
 	c.Recs = append(c.Recs, Record{At: cycle, Lock: lock, Tid: tid, Aux: aux, Node: node, Kind: k})
-}
-
-// KernelEvent records one raw kernel event dispatch (gated on Opt.Kernel).
-func (c *Capture) KernelEvent(cycle uint64, kind byte) {
-	if !c.Opt.Kernel {
-		return
-	}
-	c.Rec(cycle, KernelTrack, KKernel, 0, 0, uint64(kind))
 }
 
 // CacheEvent records a cache-transaction boundary (gated on Opt.Cache).

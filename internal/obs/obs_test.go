@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"unsafe"
@@ -18,8 +19,8 @@ func TestOptionsEnabled(t *testing.T) {
 	if !(Options{Metrics: true}).Enabled() {
 		t.Error("Metrics must enable capture")
 	}
-	if (Options{Kernel: true, Cache: true}).Enabled() {
-		t.Error("Kernel/Cache are refinements; alone they enable nothing")
+	if (Options{Cache: true}).Enabled() {
+		t.Error("Cache is a refinement; alone it enables nothing")
 	}
 }
 
@@ -38,23 +39,22 @@ func TestCaptureRecGatingAndCap(t *testing.T) {
 		t.Fatalf("Records disabled but %d records stored", len(off.Recs))
 	}
 
-	c := New(Options{Records: true, MaxRecords: 3}, Meta{})
-	for i := 0; i < 10; i++ {
+	c := New(Options{Records: true}, Meta{})
+	for i := 0; i < maxRecords+2; i++ {
 		c.Rec(uint64(i), 0, KReq, 1, 1, 0)
 	}
-	if len(c.Recs) != 3 {
-		t.Fatalf("got %d records, want 3 (cap)", len(c.Recs))
+	if len(c.Recs) != maxRecords {
+		t.Fatalf("got %d records, want %d (cap)", len(c.Recs), maxRecords)
 	}
-	if c.Dropped != 7 {
-		t.Fatalf("got %d dropped, want 7", c.Dropped)
+	if c.Dropped != 2 {
+		t.Fatalf("got %d dropped, want 2", c.Dropped)
 	}
 
-	// Kernel and cache events are off by default even with Records on.
+	// Cache events are off by default even with Records on.
 	c2 := New(Options{Records: true}, Meta{})
-	c2.KernelEvent(1, 'd')
 	c2.CacheEvent(1, 0, KCacheRd, 0x40, 10)
 	if len(c2.Recs) != 0 {
-		t.Fatalf("kernel/cache events recorded without their gates: %d", len(c2.Recs))
+		t.Fatalf("cache events recorded without their gate: %d", len(c2.Recs))
 	}
 }
 
@@ -106,7 +106,7 @@ func TestSamplerDeterministicCompaction(t *testing.T) {
 }
 
 func TestMetricsTransferAndWait(t *testing.T) {
-	m := newMetrics(1000, nil)
+	m := newMetrics(nil)
 
 	m.transferEnd(50, 0x10) // unmatched end: ignored
 	if m.Transfer.Count() != 0 {
@@ -142,10 +142,10 @@ func TestMetricsTransferAndWait(t *testing.T) {
 }
 
 func TestLinkSeriesBinning(t *testing.T) {
-	m := newMetrics(1000, []string{"l0", "l1"})
+	m := newMetrics([]string{"l0", "l1"})
 	m.linkCross(0, 100, 8, 0)
-	m.linkCross(0, 900, 8, 4)
-	m.linkCross(0, 1500, 8, 0)
+	m.linkCross(0, binCycles-100, 8, 4)
+	m.linkCross(0, binCycles+500, 8, 0)
 	m.linkCross(-1, 100, 8, 0) // out of range: ignored
 	m.linkCross(2, 100, 8, 0)
 	ls := m.Links[0]
@@ -264,20 +264,20 @@ func TestWriteMetricsValidJSON(t *testing.T) {
 }
 
 func TestWriteFlight(t *testing.T) {
-	c := New(Options{Records: true, MaxRecords: 4}, Meta{})
-	for i := 0; i < 6; i++ {
+	c := New(Options{Records: true}, Meta{})
+	for i := 0; i < maxRecords+2; i++ {
 		c.Rec(uint64(i*10), CoreNode(i%2), KReq, 0x80, uint64(i), 0)
 	}
 	var b bytes.Buffer
 	c.WriteFlight(&b, 2)
 	out := b.String()
-	if !strings.Contains(out, "2 earlier records elided") {
+	if want := fmt.Sprintf("%d earlier records elided", maxRecords-2); !strings.Contains(out, want) {
 		t.Errorf("missing elision header:\n%s", out)
 	}
 	if !strings.Contains(out, "REQ") || !strings.Contains(out, "core1") {
 		t.Errorf("missing record rendering:\n%s", out)
 	}
-	if !strings.Contains(out, "2 records dropped at the 4-record cap") {
+	if want := fmt.Sprintf("2 records dropped at the %d-record cap", maxRecords); !strings.Contains(out, want) {
 		t.Errorf("missing dropped footer:\n%s", out)
 	}
 	if got := strings.Count(out, "REQ"); got != 2 {

@@ -14,8 +14,6 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
-
-	"fairrw/internal/obs"
 )
 
 // Time is a point in virtual time, in cycles. ^Time(0) is "never": it
@@ -139,11 +137,6 @@ type Kernel struct {
 	nEvents uint64
 	// MaxEvents aborts the run (panic) when exceeded; 0 means no limit.
 	MaxEvents uint64
-
-	// Obs, when non-nil, receives a record per executed event (gated
-	// further by its own options). The nil check is the only cost tracing
-	// adds to the dispatch loop when disabled.
-	Obs *obs.Capture
 }
 
 // New returns an empty kernel at time 0.
@@ -384,9 +377,6 @@ func (k *Kernel) next() *runner {
 			k.now = at
 		}
 		k.nEvents++
-		if k.Obs != nil {
-			k.Obs.KernelEvent(uint64(k.now), kind)
-		}
 		if k.MaxEvents != 0 && k.nEvents > k.MaxEvents {
 			panic(fmt.Sprintf("sim: event budget exceeded (%d events, now=%d)", k.nEvents, k.now))
 		}
@@ -451,5 +441,4 @@ func (k *Kernel) Reset() {
 	k.seq = 0
 	k.limit = never
 	k.nEvents = 0
-	k.Obs = nil
 }

@@ -12,8 +12,8 @@ import (
 
 // refKernel is the differential oracle: the kernel as it was before the
 // event wheel, every event on one binary min-heap ordered by (at, seq),
-// with its Procs. It is cut down to what the traces drive (no Obs, no
-// event budget) and is otherwise the parent's code.
+// with its Procs. It is cut down to what the traces drive (no event
+// budget) and is otherwise the parent's code.
 type refKernel struct {
 	now     Time
 	events  []event

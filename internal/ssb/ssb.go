@@ -15,15 +15,14 @@ import (
 	"fairrw/internal/topo"
 )
 
-// Options tunes the SSB baseline.
-type Options struct {
-	// EntriesPerBank bounds each home controller's table (0 = 512).
-	EntriesPerBank int
-	// Backoff is the remote retry interval after a NACK (0 = 100 cycles).
-	Backoff sim.Time
-	// BankLat is the SSB lookup latency at the controller (0 = 6 cycles).
-	BankLat sim.Time
-}
+const (
+	// bankEntries bounds each home controller's table.
+	bankEntries = 512
+	// backoff is the remote retry interval after a NACK, in cycles.
+	backoff sim.Time = 100
+	// bankLat is the SSB lookup latency at the controller, in cycles.
+	bankLat sim.Time = 6
+)
 
 // Stats counts SSB protocol events.
 type Stats struct {
@@ -75,7 +74,6 @@ const (
 // receives its own messages as a sim.Receiver.
 type Device struct {
 	M     *machine.Machine
-	Opt   Options
 	banks []*bank
 
 	// ops holds the in-flight operations; freeOps lists its vacant slots.
@@ -89,20 +87,11 @@ type Device struct {
 }
 
 // New builds the SSB device for m and installs it as the lock device.
-func New(m *machine.Machine, opt Options) *Device {
-	if opt.EntriesPerBank == 0 {
-		opt.EntriesPerBank = 512
-	}
-	if opt.Backoff == 0 {
-		opt.Backoff = 100
-	}
-	if opt.BankLat == 0 {
-		opt.BankLat = 6
-	}
-	d := &Device{M: m, Opt: opt, attempt: make(map[uint64]uint64)}
+func New(m *machine.Machine) *Device {
+	d := &Device{M: m, attempt: make(map[uint64]uint64)}
 	d.banks = make([]*bank, m.P.NumMem)
 	for i := range d.banks {
-		d.banks[i] = &bank{entries: make(map[memmodel.Addr]bankEntry), cap: opt.EntriesPerBank}
+		d.banks[i] = &bank{entries: make(map[memmodel.Addr]bankEntry), cap: bankEntries}
 	}
 	m.Lock = d
 	return d
@@ -137,7 +126,7 @@ func (d *Device) Recv(tag uint64) {
 	op := &d.ops[slot]
 	switch tag & stageMask {
 	case stageArrive:
-		d.M.K.ScheduleRecv(d.Opt.BankLat, d, uint64(slot)<<stageBits|stageBank)
+		d.M.K.ScheduleRecv(bankLat, d, uint64(slot)<<stageBits|stageBank)
 	case stageBank:
 		if op.rel {
 			d.release(op)
@@ -269,7 +258,7 @@ func (d *Device) Rel(p *sim.Proc, core int, tid uint64, addr memmodel.Addr, writ
 // deterministic simulator phase-locks them and one contender can lose
 // every round indefinitely, which real-system timing noise prevents.
 func (d *Device) WaitEvent(p *sim.Proc, core int, tid uint64, addr memmodel.Addr, timeout sim.Time) {
-	b := d.Opt.Backoff
+	b := backoff
 	if timeout != 0 && timeout < b {
 		b = timeout
 	}

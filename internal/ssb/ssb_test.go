@@ -9,7 +9,7 @@ import (
 
 func TestMutualExclusion(t *testing.T) {
 	m := machine.ModelA()
-	d := New(m, Options{})
+	d := New(m)
 	lock := m.Mem.AllocLine()
 	inside := 0
 	done := 0
@@ -39,7 +39,7 @@ func TestMutualExclusion(t *testing.T) {
 
 func TestReadersShare(t *testing.T) {
 	m := machine.ModelA()
-	New(m, Options{})
+	New(m)
 	lock := m.Mem.AllocLine()
 	readers, maxReaders := 0, 0
 	bar := m.NewBarrier(5)
@@ -67,7 +67,7 @@ func TestWriterCanStarveUnderReaderChurn(t *testing.T) {
 	// than under the fair LCU. This documents the unfairness the paper
 	// contrasts against.
 	m := machine.ModelA()
-	New(m, Options{})
+	New(m)
 	lock := m.Mem.AllocLine()
 	var writerGot sim.Time
 	stop := false
@@ -103,7 +103,7 @@ func TestWriterCanStarveUnderReaderChurn(t *testing.T) {
 
 func TestRetriesCostMessages(t *testing.T) {
 	m := machine.ModelB()
-	d := New(m, Options{})
+	d := New(m)
 	lock := m.Mem.AllocLine()
 	base := m.Net.Sent
 	m.Spawn("holder", 1, 0, func(c *machine.Ctx) {
@@ -130,7 +130,10 @@ func TestRetriesCostMessages(t *testing.T) {
 
 func TestTableCapacityNACKs(t *testing.T) {
 	m := machine.ModelA()
-	d := New(m, Options{EntriesPerBank: 1})
+	d := New(m)
+	for _, b := range d.banks {
+		b.cap = 1
+	}
 	// Two locks homed at the same controller: holding one blocks table
 	// allocation for the other.
 	var a, b uint64
@@ -167,7 +170,7 @@ func TestTableCapacityNACKs(t *testing.T) {
 // once the pending-op slab and the bank's table are warm.
 func TestAcqRelNoAllocs(t *testing.T) {
 	m := machine.ModelA()
-	d := New(m, Options{})
+	d := New(m)
 	lock := m.Mem.AllocLine()
 	m.Spawn("t", 1, 0, func(c *machine.Ctx) {
 		pair := func() {

@@ -2,7 +2,7 @@ package stm
 
 import (
 	"fairrw/internal/machine"
-	"fairrw/internal/swlocks"
+	"fairrw/internal/memmodel"
 )
 
 // objMode is one access-set element with its commit lock mode.
@@ -35,13 +35,7 @@ const swLockOverhead = 15 // cycles of instructions around each lock op
 func (swLockOps) acquireSet(c *machine.Ctx, set []objMode) bool {
 	for i, om := range set {
 		c.Compute(swLockOverhead)
-		var ok bool
-		if om.write {
-			ok = swlocks.AtAddr(om.o.hdr).TryWrite(c)
-		} else {
-			ok = swlocks.AtAddr(om.o.hdr).TryRead(c)
-		}
-		if !ok {
+		if !tryLockWord(c, om.o.hdr, om.write) {
 			(swLockOps{}).releaseSet(c, set, i)
 			return false
 		}
@@ -52,11 +46,31 @@ func (swLockOps) acquireSet(c *machine.Ctx, set []objMode) bool {
 func (swLockOps) releaseSet(c *machine.Ctx, set []objMode, n int) {
 	for i := n - 1; i >= 0; i-- {
 		c.Compute(swLockOverhead)
-		if set[i].write {
-			swlocks.AtAddr(set[i].o.hdr).UnlockWrite(c)
-		} else {
-			swlocks.AtAddr(set[i].o.hdr).UnlockRead(c)
-		}
+		unlockWord(c, set[i].o.hdr, set[i].write)
+	}
+}
+
+// wordWriter is the writer bit of a header's RW word; the low bits count
+// readers.
+const wordWriter = uint64(1) << 63
+
+// tryLockWord takes the RW word at a: a write is one CAS from free, a read
+// a load and a CAS that adds a reader. It fails if a writer holds the word
+// or, for a write, anyone does.
+func tryLockWord(c *machine.Ctx, a memmodel.Addr, write bool) bool {
+	if write {
+		return c.CAS(a, 0, wordWriter)
+	}
+	v := c.Load(a)
+	return v&wordWriter == 0 && c.CAS(a, v, v+1)
+}
+
+// unlockWord drops the write or one read share of the RW word at a.
+func unlockWord(c *machine.Ctx, a memmodel.Addr, write bool) {
+	if write {
+		c.Store(a, 0)
+	} else {
+		c.FetchAdd(a, ^uint64(0)) // -1
 	}
 }
 
@@ -147,11 +161,8 @@ func (hwLockOps) releaseSet(c *machine.Ctx, set []objMode, n int) {
 // locks over the whole access set in canonical order (writes exclusive,
 // reads shared), validate versions, write back, release.
 type lockEngine struct {
-	name string
-	ops  lockOps
+	ops lockOps
 }
-
-func (e *lockEngine) Name() string { return e.name }
 
 func (e *lockEngine) Commit(t *Txn) bool {
 	// Lock in descending id order — a canonical acquisition order
@@ -184,8 +195,6 @@ func (e *lockEngine) Commit(t *Txn) bool {
 // Read-only transactions validate without writing anything — the source of
 // its speed and of its privatization unsafety.
 type fraserEngine struct{}
-
-func (e *fraserEngine) Name() string { return "fraser" }
 
 func (e *fraserEngine) Commit(t *Txn) bool {
 	set := t.sortSet()

@@ -137,7 +137,7 @@ func TestAccessSetMatchesMapOracle(t *testing.T) {
 			var cur *Txn
 			ref := &refTxn{reads: map[*Obj]uint64{}, writes: map[*Obj][]uint64{}}
 			rec := &recLockOps{t: t, cur: &cur, ref: ref}
-			tm.engine = &lockEngine{name: "rec", ops: rec}
+			tm.engine = &lockEngine{ops: rec}
 
 			const words = 3
 			objs := make([]*Obj, nObjs)

@@ -70,9 +70,9 @@ func New(m *machine.Machine, engine string) *TM {
 	tm.objs = []*Obj{nil} // id 0 = nil
 	switch engine {
 	case "swonly":
-		tm.engine = &lockEngine{name: "swonly", ops: swLockOps{}}
+		tm.engine = &lockEngine{ops: swLockOps{}}
 	case "lcu", "ssb":
-		tm.engine = &lockEngine{name: engine, ops: hwLockOps{}}
+		tm.engine = &lockEngine{ops: hwLockOps{}}
 	case "fraser":
 		tm.engine = &fraserEngine{}
 	default:
@@ -80,9 +80,6 @@ func New(m *machine.Machine, engine string) *TM {
 	}
 	return tm
 }
-
-// EngineName reports the active commit engine.
-func (tm *TM) EngineName() string { return tm.engine.Name() }
 
 // NewObj allocates a transactional object with nWords payload words.
 func (tm *TM) NewObj(nWords int) *Obj {
@@ -331,7 +328,6 @@ func swlocksBackoff(c *machine.Ctx, n *int) {
 
 // Engine is a commit strategy.
 type Engine interface {
-	Name() string
 	Commit(t *Txn) bool
 }
 

@@ -3,20 +3,14 @@ package stm
 import (
 	"testing"
 
-	"fairrw/internal/core"
 	"fairrw/internal/machine"
-	"fairrw/internal/ssb"
+	"fairrw/internal/microbench"
 )
 
 func newTM(t *testing.T, engine string) (*machine.Machine, *TM) {
 	t.Helper()
 	m := machine.ModelA()
-	switch engine {
-	case "lcu":
-		core.New(m, core.Options{})
-	case "ssb":
-		ssb.New(m, ssb.Options{})
-	}
+	microbench.InstallDevice(m, engine, 0)
 	return m, New(m, engine)
 }
 
@@ -181,4 +175,36 @@ func TestReadOnlyTxnCheapWithFraser(t *testing.T) {
 	if fr >= sw {
 		t.Fatalf("fraser read-only commit (%.0f) should be cheaper than swonly (%.0f)", fr, sw)
 	}
+}
+
+// TestWordTryLock checks the swonly engine's header RW word: readers
+// share it, a writer excludes everyone, and unlocks restore it.
+func TestWordTryLock(t *testing.T) {
+	m := machine.ModelA()
+	a := m.Mem.AllocLine()
+	m.Spawn("t", 1, 0, func(c *machine.Ctx) {
+		if !tryLockWord(c, a, false) || !tryLockWord(c, a, false) {
+			t.Error("two reads of a free word did not both succeed")
+		}
+		if tryLockWord(c, a, true) {
+			t.Error("write succeeded with readers inside")
+		}
+		unlockWord(c, a, false)
+		unlockWord(c, a, false)
+		if !tryLockWord(c, a, true) {
+			t.Error("write of a free word failed")
+		}
+		if tryLockWord(c, a, false) || tryLockWord(c, a, true) {
+			t.Error("lock succeeded under a writer")
+		}
+		unlockWord(c, a, true)
+		if !tryLockWord(c, a, false) {
+			t.Error("read after write unlock failed")
+		}
+		unlockWord(c, a, false)
+		if v := c.Load(a); v != 0 {
+			t.Errorf("word = %#x after all unlocks, want 0", v)
+		}
+	})
+	m.Run()
 }

@@ -4,11 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 
-	"fairrw/internal/core"
 	"fairrw/internal/machine"
+	"fairrw/internal/microbench"
 	"fairrw/internal/obs"
 	"fairrw/internal/sim"
-	"fairrw/internal/ssb"
 	"fairrw/internal/stm"
 )
 
@@ -49,27 +48,14 @@ type Result struct {
 
 // NewTM builds the machine + device + TM for a workload.
 func NewTM(model, engine string) (*machine.Machine, *stm.TM) {
-	var m *machine.Machine
-	switch model {
-	case "A":
-		m = machine.ModelA()
-	case "B":
-		m = machine.ModelB()
-	default:
-		panic(fmt.Sprintf("stmbench: unknown model %q", model))
-	}
+	m := microbench.NewMachine(model)
 	return m, NewTMOn(m, engine)
 }
 
 // NewTMOn installs the engine's device and a fresh TM on an existing
 // (fresh or Reset) machine.
 func NewTMOn(m *machine.Machine, engine string) *stm.TM {
-	switch engine {
-	case "lcu":
-		core.New(m, core.Options{})
-	case "ssb":
-		ssb.New(m, ssb.Options{})
-	}
+	microbench.InstallDevice(m, engine, 0)
 	return stm.New(m, engine)
 }
 

@@ -82,19 +82,6 @@ func (ht *HashTable) Delete(t *stm.Txn, key uint64) {
 	}
 }
 
-// Size counts keys without simulation cost.
-func (ht *HashTable) Size() int {
-	n := 0
-	for _, b := range ht.buckets {
-		for id := int(b.RawRead(0)); id != 0; {
-			o := ht.tm.Get(id)
-			n++
-			id = int(o.RawRead(htNext))
-		}
-	}
-	return n
-}
-
 // CheckInvariants verifies every key hashes to the bucket holding it.
 func (ht *HashTable) CheckInvariants() string {
 	for _, b := range ht.buckets {

@@ -265,19 +265,6 @@ func idOf(o *stm.Obj) int {
 	return o.ID()
 }
 
-// Size returns the number of keys (sequential check helper; no sim cost).
-func (rb *RBTree) Size() int {
-	var count func(id int) int
-	count = func(id int) int {
-		if id == 0 {
-			return 0
-		}
-		o := rb.tm.Get(id)
-		return 1 + count(int(o.RawRead(rbLeft))) + count(int(o.RawRead(rbRight)))
-	}
-	return count(int(rb.root.RawRead(0)))
-}
-
 // CheckInvariants verifies BST order and red-black properties without
 // simulation cost, returning an explanatory string or "" if valid.
 func (rb *RBTree) CheckInvariants() string {

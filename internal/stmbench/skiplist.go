@@ -131,17 +131,6 @@ func (sl *SkipList) Delete(t *stm.Txn, key uint64) {
 	}
 }
 
-// Size counts keys without simulation cost.
-func (sl *SkipList) Size() int {
-	n := 0
-	for id := int(sl.head.RawRead(slNext0)); id != 0; {
-		o := sl.tm.Get(id)
-		n++
-		id = int(o.RawRead(slNext0))
-	}
-	return n
-}
-
 // CheckInvariants verifies level-0 key ordering and tower consistency.
 func (sl *SkipList) CheckInvariants() string {
 	prev := uint64(0)

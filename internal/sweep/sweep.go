@@ -35,28 +35,24 @@ func (r Runner) workers(n int) int {
 	return w
 }
 
-// Run executes job(i) for every i in [0, n), fanning indices across the
-// pool. It returns when all jobs have completed. A panic in any job is
-// re-raised on the calling goroutine after the pool drains, so sweeps fail
-// the same way a serial loop would.
-func (r Runner) Run(n int, job func(i int)) {
-	r.RunWorkers(n, func(_, i int) { job(i) })
-}
-
-// RunWorkers is Run for jobs that keep per-worker state: job additionally
-// receives the worker index w, and no two concurrent calls share a w, so
-// the job may reuse state indexed by w — typically a machine that is Reset
-// between runs. Worker indices are dense in [0, min(Workers, n)).
-func (r Runner) RunWorkers(n int, job func(w, i int)) {
+// MapWorkers runs job(w, i) for every i in [0, n) across r's pool and
+// returns the results in index order, regardless of completion order. The
+// worker index w lies in [0, min(Workers, n)) and no two concurrent calls
+// share one, so the job may reuse state indexed by w — typically a machine
+// that is Reset between runs. A panic in any job is re-raised on the
+// calling goroutine after the pool drains, so sweeps fail the same way a
+// serial loop would.
+func MapWorkers[T any](r Runner, n int, job func(w, i int) T) []T {
 	if n <= 0 {
-		return
+		return nil
 	}
+	out := make([]T, n)
 	w := r.workers(n)
 	if w <= 1 {
 		for i := 0; i < n; i++ {
-			job(0, i)
+			out[i] = job(0, i)
 		}
-		return
+		return out
 	}
 	var (
 		next      atomic.Int64
@@ -80,7 +76,7 @@ func (r Runner) RunWorkers(n int, job func(w, i int)) {
 				if i >= n {
 					return
 				}
-				job(g, i)
+				out[i] = job(g, i)
 			}
 		}(g)
 	}
@@ -88,19 +84,5 @@ func (r Runner) RunWorkers(n int, job func(w, i int)) {
 	if panicked != nil {
 		panic(panicked)
 	}
-}
-
-// Map runs job(i) for every i in [0, n) across r's pool and returns the
-// results in index order, regardless of completion order.
-func Map[T any](r Runner, n int, job func(i int) T) []T {
-	out := make([]T, n)
-	r.Run(n, func(i int) { out[i] = job(i) })
-	return out
-}
-
-// MapWorkers is Map with per-worker state: see RunWorkers.
-func MapWorkers[T any](r Runner, n int, job func(w, i int) T) []T {
-	out := make([]T, n)
-	r.RunWorkers(n, func(w, i int) { out[i] = job(w, i) })
 	return out
 }

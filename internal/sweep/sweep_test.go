@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"fairrw/internal/microbench"
 )
@@ -11,7 +12,7 @@ import (
 func TestMapOrderAndCompleteness(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 8, 100} {
 		r := Runner{Workers: workers}
-		got := Map(r, 57, func(i int) int { return i * i })
+		got := MapWorkers(r, 57, func(_, i int) int { return i * i })
 		if len(got) != 57 {
 			t.Fatalf("workers=%d: len = %d, want 57", workers, len(got))
 		}
@@ -25,8 +26,11 @@ func TestMapOrderAndCompleteness(t *testing.T) {
 
 func TestRunZeroAndNegative(t *testing.T) {
 	var calls atomic.Int64
-	Runner{}.Run(0, func(int) { calls.Add(1) })
-	Runner{}.Run(-3, func(int) { calls.Add(1) })
+	for _, n := range []int{0, -3} {
+		if got := MapWorkers(Runner{}, n, func(_, _ int) int { calls.Add(1); return 0 }); len(got) != 0 {
+			t.Fatalf("n=%d: %d results, want none", n, len(got))
+		}
+	}
 	if calls.Load() != 0 {
 		t.Fatalf("job ran %d times for empty sweeps", calls.Load())
 	}
@@ -35,7 +39,7 @@ func TestRunZeroAndNegative(t *testing.T) {
 func TestRunEachIndexOnce(t *testing.T) {
 	const n = 200
 	counts := make([]atomic.Int64, n)
-	Runner{Workers: 7}.Run(n, func(i int) { counts[i].Add(1) })
+	MapWorkers(Runner{Workers: 7}, n, func(_, i int) struct{} { counts[i].Add(1); return struct{}{} })
 	for i := range counts {
 		if c := counts[i].Load(); c != 1 {
 			t.Fatalf("index %d ran %d times", i, c)
@@ -53,11 +57,39 @@ func TestRunPanicPropagates(t *testing.T) {
 			t.Fatalf("unexpected panic value %v", p)
 		}
 	}()
-	Runner{Workers: 4}.Run(32, func(i int) {
+	MapWorkers(Runner{Workers: 4}, 32, func(_, i int) int {
 		if i == 13 {
 			panic("boom at 13")
 		}
+		return i
 	})
+}
+
+// TestWorkerIndexExclusive checks the worker-index contract: w lies in
+// [0, min(Workers, n)) and no two concurrent jobs hold the same w. Each
+// job claims its w and sleeps, so two goroutines handed one w overlap.
+func TestWorkerIndexExclusive(t *testing.T) {
+	for _, c := range []struct{ workers, n int }{{1, 5}, {2, 40}, {4, 40}, {7, 60}, {8, 3}} {
+		limit := min(c.workers, c.n)
+		busy := make([]atomic.Bool, limit)
+		var bad atomic.Int64
+		MapWorkers(Runner{Workers: c.workers}, c.n, func(w, i int) int {
+			if w < 0 || w >= limit {
+				bad.Add(1)
+				return 0
+			}
+			if !busy[w].CompareAndSwap(false, true) {
+				bad.Add(1)
+				return 0
+			}
+			time.Sleep(200 * time.Microsecond)
+			busy[w].Store(false)
+			return 0
+		})
+		if n := bad.Load(); n != 0 {
+			t.Fatalf("workers=%d n=%d: %d jobs got a worker index out of range or in use", c.workers, c.n, n)
+		}
+	}
 }
 
 // TestParallelSimulationsDeterministic runs the same simulation config
@@ -70,7 +102,7 @@ func TestParallelSimulationsDeterministic(t *testing.T) {
 		TotalIters: 200, Seed: 42,
 	}
 	serial := microbench.Run(cfg)
-	results := Map(Runner{Workers: 8}, 8, func(i int) microbench.Result {
+	results := MapWorkers(Runner{Workers: 8}, 8, func(_, _ int) microbench.Result {
 		return microbench.Run(cfg)
 	})
 	for i, r := range results {

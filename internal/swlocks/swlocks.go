@@ -1,9 +1,8 @@
 // Package swlocks implements the software lock baselines of Section IV
 // executing on the simulated coherent memory system: TAS and TATAS
 // single-line locks, the MCS queue lock, a fair reader-writer queue lock
-// with a centralized reader counter (the MRSW baseline), a POSIX-style
-// adaptive mutex, and the per-object reader-writer word used by the
-// lock-based STM.
+// with a centralized reader counter (the MRSW baseline) and a POSIX-style
+// adaptive mutex.
 //
 // Every operation goes through machine.Ctx loads, stores and atomics, so
 // the coherence traffic — line bouncing for TAS, invalidate+refetch pairs

@@ -186,36 +186,6 @@ func TestTASGeneratesMoreCoherenceTrafficThanMCS(t *testing.T) {
 	}
 }
 
-func TestRWWord(t *testing.T) {
-	m := machine.ModelA()
-	w := NewRWWord(m)
-	m.Spawn("t", 1, 0, func(c *machine.Ctx) {
-		if !w.TryRead(c) {
-			t.Error("TryRead on free word failed")
-		}
-		if !w.TryRead(c) {
-			t.Error("second TryRead failed")
-		}
-		if w.TryWrite(c) {
-			t.Error("TryWrite succeeded with readers inside")
-		}
-		w.UnlockRead(c)
-		w.UnlockRead(c)
-		if !w.TryWrite(c) {
-			t.Error("TryWrite on free word failed")
-		}
-		if w.TryRead(c) {
-			t.Error("TryRead succeeded under a writer")
-		}
-		w.UnlockWrite(c)
-		if !w.TryRead(c) {
-			t.Error("TryRead after write unlock failed")
-		}
-		w.UnlockRead(c)
-	})
-	m.Run()
-}
-
 func TestOversubscribedQueueLockAnomaly(t *testing.T) {
 	// With more threads than cores, a preempted MCS queue node stalls
 	// everyone behind it; TATAS does not have that failure mode. This is
@@ -243,53 +213,5 @@ func TestOversubscribedQueueLockAnomaly(t *testing.T) {
 	// Oversubscription should cost far more than 40/16 x.
 	if mcs40 < mcs16*4 {
 		t.Fatalf("MCS oversubscription anomaly absent: 40t=%d vs 16t=%d", mcs40, mcs16)
-	}
-}
-
-func TestCLHExclusion(t *testing.T) {
-	exclusionRun(t, func(m *machine.Machine) RWLock { return NewCLH(m) }, 8)
-}
-
-func TestCLHFIFO(t *testing.T) {
-	m := machine.ModelA()
-	l := NewCLH(m)
-	var order []int
-	for i := 0; i < 5; i++ {
-		id := i
-		delay := sim.Time(1000 * (i + 1))
-		m.Spawn("t", uint64(i+1), i, func(c *machine.Ctx) {
-			c.Compute(delay)
-			l.Lock(c, true)
-			order = append(order, id)
-			c.Compute(10_000)
-			l.Unlock(c, true)
-		})
-	}
-	m.Run()
-	for i := range order {
-		if order[i] != i {
-			t.Fatalf("CLH order = %v, want FIFO", order)
-		}
-	}
-}
-
-func TestCLHReacquire(t *testing.T) {
-	// Node recycling across repeated acquire/release must stay sound.
-	m := machine.ModelA()
-	l := NewCLH(m)
-	count := 0
-	for i := 0; i < 2; i++ {
-		m.Spawn("t", uint64(i+1), i, func(c *machine.Ctx) {
-			for j := 0; j < 30; j++ {
-				l.Lock(c, true)
-				count++
-				c.Compute(40)
-				l.Unlock(c, true)
-			}
-		})
-	}
-	m.Run()
-	if count != 60 {
-		t.Fatalf("count = %d, want 60", count)
 	}
 }
