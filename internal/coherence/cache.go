@@ -29,8 +29,13 @@ type cacheWay struct {
 	used  uint64
 }
 
-func newCacheArray(sets, ways int) *cacheArray {
-	return &cacheArray{nsets: sets, assoc: ways, epoch: 1}
+// newCacheArrays returns n empty arrays of the given geometry as one slab.
+func newCacheArrays(n, sets, ways int) []cacheArray {
+	cs := make([]cacheArray, n)
+	for i := range cs {
+		cs[i] = cacheArray{nsets: sets, assoc: ways, epoch: 1}
+	}
+	return cs
 }
 
 // setOf returns line's set: nil while the array has never held a line.

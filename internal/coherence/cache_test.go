@@ -12,7 +12,7 @@ import (
 // answer, victim and counter must still match an array that was never used.
 func TestCacheResetMatchesFresh(t *testing.T) {
 	const sets, ways = 4, 2
-	used := newCacheArray(sets, ways)
+	used := &newCacheArrays(1, sets, ways)[0]
 	rng := rand.New(rand.NewSource(1))
 	line := func() memmodel.Addr { return memmodel.Addr(rng.Intn(24)) << memmodel.LineShift }
 	for round := 0; round < 3; round++ {
@@ -21,7 +21,7 @@ func TestCacheResetMatchesFresh(t *testing.T) {
 			used.invalidate(line())
 		}
 		used.reset()
-		fresh := newCacheArray(sets, ways)
+		fresh := &newCacheArrays(1, sets, ways)[0]
 		for i := 0; i < 500; i++ {
 			l := line()
 			switch rng.Intn(4) {

@@ -80,8 +80,8 @@ type System struct {
 	Mem *memmodel.Memory
 	P   Params
 
-	l1 []*cacheArray
-	l2 []*cacheArray
+	l1 []cacheArray // one slab per level, not one object per cache
+	l2 []cacheArray
 
 	// dir is the directory, paged in lockstep with the memory heap: entry
 	// pages materialize on first touch and entries are addressed by line
@@ -100,17 +100,10 @@ type System struct {
 
 // New builds a coherent memory system over the given network and memory.
 func New(k *sim.Kernel, net *topo.Network, mem *memmodel.Memory, p Params) *System {
-	s := &System{K: k, Net: net, Mem: mem, P: p}
-	s.l1 = make([]*cacheArray, p.Cores)
-	for i := range s.l1 {
-		s.l1[i] = newCacheArray(p.L1Sets, p.L1Ways)
-	}
 	chips := (p.Cores + p.CoresPerChip - 1) / p.CoresPerChip
-	s.l2 = make([]*cacheArray, chips)
-	for i := range s.l2 {
-		s.l2[i] = newCacheArray(p.L2Sets, p.L2Ways)
-	}
-	return s
+	return &System{K: k, Net: net, Mem: mem, P: p,
+		l1: newCacheArrays(p.Cores, p.L1Sets, p.L1Ways),
+		l2: newCacheArrays(chips, p.L2Sets, p.L2Ways)}
 }
 
 func (s *System) chipOf(core int) int { return core / s.P.CoresPerChip }
@@ -431,11 +424,11 @@ func (s *System) L1Stats(core int) (hits, misses uint64) {
 // and statistics — while keeping every backing array, so a reused machine
 // rebuilds neither cache ways nor directory pages.
 func (s *System) Reset() {
-	for _, c := range s.l1 {
-		c.reset()
+	for i := range s.l1 {
+		s.l1[i].reset()
 	}
-	for _, c := range s.l2 {
-		c.reset()
+	for i := range s.l2 {
+		s.l2[i].reset()
 	}
 	for _, p := range s.dir {
 		if p == nil {

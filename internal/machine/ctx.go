@@ -192,7 +192,7 @@ func (c *Ctx) Migrate(core int) {
 // Yield voluntarily ends the thread's timeslice.
 func (c *Ctx) Yield() {
 	c.ensureRunning()
-	s := c.M.sched[c.core]
+	s := &c.M.sched[c.core]
 	if len(s.ctxs) > 1 {
 		s.rotate(c.M)
 		c.ensureRunning()

@@ -73,7 +73,7 @@ type Machine struct {
 	// time before Run.
 	Obs *obs.Capture
 
-	sched []*coreSched
+	sched []coreSched // one slab, indexed by core
 }
 
 // ModelA builds the 32-chip in-order machine (Figure 8, left column).
@@ -123,10 +123,10 @@ func ModelB() *Machine {
 func newMachine(k *sim.Kernel, net *topo.Network, mem *memmodel.Memory, sys *coherence.System, p Params) *Machine {
 	m := &Machine{
 		K: k, Net: net, Mem: mem, Sys: sys, P: p,
-		sched: make([]*coreSched, p.Cores),
+		sched: make([]coreSched, p.Cores),
 	}
 	for i := range m.sched {
-		m.sched[i] = &coreSched{core: i}
+		m.sched[i].core = i
 	}
 	return m
 }
@@ -164,9 +164,7 @@ func (m *Machine) Reset() {
 	m.Net.Obs = nil
 	m.Lock = nil
 	m.Obs = nil
-	for _, s := range m.sched {
-		s.ctxs = s.ctxs[:0]
-		s.cur = 0
-		s.timerArmed = false
+	for i := range m.sched {
+		m.sched[i] = coreSched{core: i, ctxs: m.sched[i].ctxs[:0]}
 	}
 }

@@ -29,15 +29,17 @@ func TestModelBConstruction(t *testing.T) {
 
 // TestConstructionAllocs bounds what building a machine allocates: the
 // route table is one allocation per network, not one per node pair
-// (64×64 on A, 40×40 on B).
+// (64×64 on A, 40×40 on B), and the links, the L1s, the L2s and the core
+// schedulers are one slab each, not one object per link, cache or core.
+// The bounds are the measured counts (59 on A, 27 on B) plus 5.
 func TestConstructionAllocs(t *testing.T) {
 	for _, c := range []struct {
 		name  string
 		build func() *Machine
 		max   float64
 	}{
-		{"A", ModelA, 250},
-		{"B", ModelB, 150},
+		{"A", ModelA, 64},
+		{"B", ModelB, 32},
 	} {
 		if avg := testing.AllocsPerRun(5, func() { c.build() }); avg > c.max {
 			t.Errorf("Model%s() allocates %.0f times, want <= %.0f", c.name, avg, c.max)

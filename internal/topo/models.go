@@ -1,7 +1,7 @@
 package topo
 
 import (
-	"fmt"
+	"strconv"
 
 	"fairrw/internal/sim"
 )
@@ -29,42 +29,39 @@ func DefaultModelA() ModelAConfig {
 // chip plus a shared root. Cores and memory controllers are numbered
 // per-chip (core i and mem i live on chip i).
 func NewModelA(k *sim.Kernel, cfg ModelAConfig) *Network {
-	links, routeOf := modelA(cfg)
-	return NewNetwork(k, "modelA", links, cfg.Chips, cfg.Chips, routeOf)
+	links, chipOf, routeOf := modelA(cfg)
+	return NewNetwork(k, "modelA", links, cfg.Chips, cfg.Chips, cfg.Chips, chipOf, routeOf)
 }
 
-// modelA returns Model A's links and routes, for NewModelA and the
-// route-table tests.
-func modelA(cfg ModelAConfig) ([]*Link, RouteFunc) {
-	access := make([]*Link, cfg.Chips)
-	links := make([]*Link, 0, cfg.Chips+1)
-	for i := range access {
-		access[i] = &Link{Name: fmt.Sprintf("accessA%d", i), SerLat: cfg.AccessSerLat}
-		links = append(links, access[i])
-	}
-	planes := cfg.RootPlanes
-	if planes <= 0 {
-		planes = 1
-	}
-	roots := make([]*Link, planes)
-	for i := range roots {
-		roots[i] = &Link{Name: fmt.Sprintf("rootA%d", i), SerLat: cfg.RootSerLat}
-		links = append(links, roots[i])
-	}
-
-	chipOf := func(n NodeID) int { return n.Index % cfg.Chips }
-
-	return links, func(buf []*Link, from, to NodeID) ([]*Link, sim.Time) {
-		if from == to {
-			return buf, 0
+// modelA returns Model A's links, node placement and routes, for NewModelA
+// and the route-table tests.
+func modelA(cfg ModelAConfig) ([]*Link, func(NodeID) int, RouteFunc) {
+	links := newLinks(cfg.Chips+max(cfg.RootPlanes, 1), func(i int) (string, sim.Time) {
+		if i < cfg.Chips {
+			return "accessA" + strconv.Itoa(i), cfg.AccessSerLat
 		}
+		return "rootA" + strconv.Itoa(i-cfg.Chips), cfg.RootSerLat
+	})
+	access, roots := links[:cfg.Chips], links[cfg.Chips:]
+	chipOf := func(n NodeID) int { return n.Index % cfg.Chips }
+	return links, chipOf, func(buf []*Link, cf, ct int) ([]*Link, sim.Time) {
 		// Model A memory latency is uniform (Fig. 8: local = remote =
 		// 186 cycles), so every route crosses the hierarchy root, even
 		// a core talking to its own chip's memory controller.
-		cf, ct := chipOf(from), chipOf(to)
 		root := roots[ct%len(roots)] // plane by destination chip
 		return append(buf, access[cf], root, access[ct]), cfg.OneWay
 	}
+}
+
+// newLinks returns n links allocated as one slab, link i named and timed
+// by spec(i).
+func newLinks(n int, spec func(i int) (string, sim.Time)) []*Link {
+	slab, links := make([]Link, n), make([]*Link, n)
+	for i := range slab {
+		slab[i].Name, slab[i].SerLat = spec(i)
+		links[i] = &slab[i]
+	}
+	return links
 }
 
 // ModelBConfig parameterizes the Model B (4-chip × 8-core m-CMP, Sun T5440
@@ -94,37 +91,27 @@ func DefaultModelB() ModelBConfig {
 // controllers 0..7 map to chip j/2. Cross-chip traffic is spread across
 // the hubs deterministically by (source, destination) chip pair.
 func NewModelB(k *sim.Kernel, cfg ModelBConfig) *Network {
-	links, routeOf := modelB(cfg)
-	return NewNetwork(k, "modelB", links, cfg.Chips*cfg.CoresPerChip, cfg.Chips*cfg.MemPerChip, routeOf)
+	links, chipOf, routeOf := modelB(cfg)
+	return NewNetwork(k, "modelB", links, cfg.Chips*cfg.CoresPerChip, cfg.Chips*cfg.MemPerChip, cfg.Chips, chipOf, routeOf)
 }
 
-// modelB returns Model B's links and routes, for NewModelB and the
-// route-table tests.
-func modelB(cfg ModelBConfig) ([]*Link, RouteFunc) {
-	xbar := make([]*Link, cfg.Chips)
-	links := make([]*Link, 0, cfg.Chips+cfg.Hubs)
-	for i := range xbar {
-		xbar[i] = &Link{Name: fmt.Sprintf("xbarB%d", i), SerLat: cfg.XbarSerLat}
-		links = append(links, xbar[i])
-	}
-	hubs := make([]*Link, cfg.Hubs)
-	for i := range hubs {
-		hubs[i] = &Link{Name: fmt.Sprintf("hubB%d", i), SerLat: cfg.HubSerLat}
-		links = append(links, hubs[i])
-	}
-
+// modelB returns Model B's links, node placement and routes, for NewModelB
+// and the route-table tests.
+func modelB(cfg ModelBConfig) ([]*Link, func(NodeID) int, RouteFunc) {
+	links := newLinks(cfg.Chips+cfg.Hubs, func(i int) (string, sim.Time) {
+		if i < cfg.Chips {
+			return "xbarB" + strconv.Itoa(i), cfg.XbarSerLat
+		}
+		return "hubB" + strconv.Itoa(i-cfg.Chips), cfg.HubSerLat
+	})
+	xbar, hubs := links[:cfg.Chips], links[cfg.Chips:]
 	chipOf := func(n NodeID) int {
 		if n.Kind == CoreNode {
 			return n.Index / cfg.CoresPerChip
 		}
 		return n.Index / cfg.MemPerChip
 	}
-
-	return links, func(buf []*Link, from, to NodeID) ([]*Link, sim.Time) {
-		if from == to {
-			return buf, 0
-		}
-		cf, ct := chipOf(from), chipOf(to)
+	return links, chipOf, func(buf []*Link, cf, ct int) ([]*Link, sim.Time) {
 		if cf == ct {
 			return append(buf, xbar[cf]), cfg.IntraOneWay
 		}

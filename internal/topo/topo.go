@@ -11,6 +11,7 @@ package topo
 
 import (
 	"fmt"
+	"math"
 
 	"fairrw/internal/obs"
 	"fairrw/internal/sim"
@@ -127,28 +128,29 @@ const (
 
 // route is one precomputed source→destination path: the shared links a
 // message crosses, in order, as indices into Network.Links, plus the total
-// propagation latency (the uncongested one-way latency). It holds no
-// pointer, so the whole route table is one allocation the collector never
-// scans.
+// propagation latency (the uncongested one-way latency). It packs into 8
+// bytes and holds no pointer, so the whole route table is one allocation
+// the collector never scans.
 type route struct {
 	hops [maxHops]uint8
 	n    uint8
-	prop sim.Time
+	prop uint32
 }
 
-// Network routes messages between nodes over an all-pairs route table
-// precomputed at construction into one flat array of fixed-size routes, so
-// the per-message path lookup is two index operations and allocates
-// nothing, and the table is one allocation, not one per node pair.
+// Network routes messages between nodes. The topology is evaluated once
+// per chip pair at construction; its routes are then copied into a flat
+// node-pair table of fixed-size routes, so the per-message path lookup is
+// one table index and allocates nothing, and the table is one
+// allocation, not one per node pair. A node sending to itself crosses
+// nothing.
 type Network struct {
 	K     *sim.Kernel
 	Name  string
 	Links []*Link // byHop[:len(links)]
 
-	numCores int
-	numMems  int
-	routes   []route          // [idx(from)*nodes + idx(to)]
-	byHop    *[maxLinks]*Link // Links padded to every index a hop can hold: no bounds check
+	numCores, numMems int
+	routes            []route          // [idx(from)*nodes + idx(to)]
+	byHop             *[maxLinks]*Link // Links padded to every index a hop can hold: no bounds check
 
 	// Obs, when non-nil, receives per-link occupancy records.
 	Obs *obs.Capture
@@ -157,51 +159,66 @@ type Network struct {
 	Sent uint64
 }
 
-// RouteFunc describes a topology: it appends to buf the shared links a
-// message crosses from one node to another, in order, and returns the
-// extended slice plus the propagation latency. It is evaluated once per
-// node pair when the Network is built, never on the message path, and buf
-// is reused across pairs.
-type RouteFunc func(buf []*Link, from, to NodeID) (links []*Link, propagation sim.Time)
+// RouteFunc describes a topology by chip: it appends to buf the shared
+// links a message crosses from one chip to another (or within one chip),
+// in order, and returns the extended slice plus the propagation latency.
+// It is evaluated once per chip pair when the Network is built, never on
+// the message path, and buf is reused across pairs.
+type RouteFunc func(buf []*Link, fromChip, toChip int) (links []*Link, propagation sim.Time)
 
-// NewNetwork builds a network over the given links for a machine with
-// numCores cores and numMems memory controllers, precomputing the
-// all-pairs route table from routeOf. It panics if there are more than
-// maxLinks links, or if routeOf returns a route longer than maxHops or a
-// link outside links.
-func NewNetwork(k *sim.Kernel, name string, links []*Link, numCores, numMems int, routeOf RouteFunc) *Network {
+// NewNetwork builds a network over links for numCores cores and numMems
+// memory controllers spread over chips chips by chipOf, routed by routeOf.
+// It panics on more than maxLinks links, a link slower than one booking
+// bucket, a node placed outside [0, chips), or a route with more than
+// maxHops links, a link not in links or a propagation a route cannot hold.
+func NewNetwork(k *sim.Kernel, name string, links []*Link, numCores, numMems, chips int, chipOf func(NodeID) int, routeOf RouteFunc) *Network {
 	if len(links) > maxLinks {
 		panic(fmt.Sprintf("topo: %s has %d links, more than the %d a hop index can name", name, len(links), maxLinks))
 	}
 	byHop := new([maxLinks]*Link)
 	copy(byHop[:], links)
-	n := &Network{
-		K: k, Name: name, Links: byHop[:len(links):len(links)],
-		numCores: numCores, numMems: numMems,
-		byHop: byHop,
-	}
+	n := &Network{K: k, Name: name, Links: byHop[:len(links):len(links)],
+		numCores: numCores, numMems: numMems, byHop: byHop}
 	for i, l := range links {
+		if l.SerLat > linkBucketLen {
+			panic(fmt.Sprintf("topo: %s link %q occupies %d cycles per message, more than its %d-cycle booking bucket", name, l.Name, l.SerLat, linkBucketLen))
+		}
 		l.ID = i
 	}
-	nodes := numCores + numMems
-	n.routes = make([]route, nodes*nodes)
+	byChip := make([]route, chips*chips)
 	buf := make([]*Link, 0, maxHops)
-	for fi := 0; fi < nodes; fi++ {
-		for ti := 0; ti < nodes; ti++ {
-			from, to := n.nodeOf(fi), n.nodeOf(ti)
-			ls, prop := routeOf(buf[:0], from, to)
-			if len(ls) > maxHops {
-				panic(fmt.Sprintf("topo: %s route %v→%v crosses %d links, more than maxHops (%d)", name, from, to, len(ls), maxHops))
-			}
-			r := route{n: uint8(len(ls)), prop: prop}
-			for h, l := range ls {
-				if uint(l.ID) >= uint(len(links)) || links[l.ID] != l {
-					panic(fmt.Sprintf("topo: %s route %v→%v crosses link %q, which is not in the network", name, from, to, l.Name))
-				}
-				r.hops[h] = uint8(l.ID)
-			}
-			n.routes[fi*nodes+ti] = r
+	for c := range byChip {
+		cf, ct := c/chips, c%chips
+		ls, prop := routeOf(buf[:0], cf, ct)
+		if len(ls) > maxHops {
+			panic(fmt.Sprintf("topo: %s route chip%d→chip%d crosses %d links, more than maxHops (%d)", name, cf, ct, len(ls), maxHops))
 		}
+		if prop > math.MaxUint32 {
+			panic(fmt.Sprintf("topo: %s route chip%d→chip%d has propagation %d, more than a route holds", name, cf, ct, prop))
+		}
+		r := route{n: uint8(len(ls)), prop: uint32(prop)}
+		for h, l := range ls {
+			if uint(l.ID) >= uint(len(links)) || links[l.ID] != l {
+				panic(fmt.Sprintf("topo: %s route chip%d→chip%d crosses link %q, which is not in the network", name, cf, ct, l.Name))
+			}
+			r.hops[h] = uint8(l.ID)
+		}
+		byChip[c] = r
+	}
+	nodes := numCores + numMems
+	chipAt := make([]int, nodes)
+	for i := range chipAt {
+		if chipAt[i] = chipOf(n.nodeOf(i)); uint(chipAt[i]) >= uint(chips) {
+			panic(fmt.Sprintf("topo: %s puts %v on chip %d, outside [0, %d)", name, n.nodeOf(i), chipAt[i], chips))
+		}
+	}
+	n.routes = make([]route, nodes*nodes)
+	for fi, cf := range chipAt {
+		row, chipRow := n.routes[fi*nodes:][:nodes], byChip[cf*chips:][:chips]
+		for ti, ct := range chipAt {
+			row[ti] = chipRow[ct]
+		}
+		row[fi] = route{}
 	}
 	return n
 }
@@ -267,7 +284,7 @@ func (n *Network) DelayAt(start sim.Time, from, to NodeID) sim.Time {
 		}
 		t = t2
 	}
-	return (t - start) + r.prop
+	return (t - start) + sim.Time(r.prop)
 }
 
 // SendTo delivers a message: it computes the congested one-way latency
@@ -281,7 +298,7 @@ func (n *Network) SendTo(from, to NodeID, r sim.Receiver, tag uint64) {
 // without charging link occupancy. Used for calibration and for modelling
 // transactions whose queueing is charged elsewhere.
 func (n *Network) Uncongested(from, to NodeID) sim.Time {
-	return n.routeOf(from, to).prop
+	return sim.Time(n.routeOf(from, to).prop)
 }
 
 // ResetStats clears all link and network counters.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"fairrw/internal/sim"
 )
@@ -135,38 +136,62 @@ func TestSendDelivers(t *testing.T) {
 	}
 }
 
-// TestRouteTableMatchesRouteFunc checks every precomputed route of both
-// models against a fresh evaluation of the topology's RouteFunc: the same
-// links in the same order and the same propagation.
-func TestRouteTableMatchesRouteFunc(t *testing.T) {
+// TestRoutesFollowNodeRule checks every node pair of both models against
+// the node rule: a node sending to itself crosses nothing, and any other
+// pair takes what the topology's RouteFunc returns for the pair's chips —
+// the same links in the same order and the same propagation. It also
+// checks that the build evaluates each chip pair exactly once and that a
+// route packs into 8 bytes.
+func TestRoutesFollowNodeRule(t *testing.T) {
+	if size := unsafe.Sizeof(route{}); size != 8 {
+		t.Fatalf("a route is %d bytes, want 8", size)
+	}
 	acfg, bcfg := DefaultModelA(), DefaultModelB()
-	aLinks, aRoute := modelA(acfg)
-	bLinks, bRoute := modelB(bcfg)
+	aLinks, aChip, aRoute := modelA(acfg)
+	bLinks, bChip, bRoute := modelB(bcfg)
 	for _, m := range []struct {
-		name        string
-		links       []*Link
-		cores, mems int
-		routeOf     RouteFunc
+		name               string
+		links              []*Link
+		cores, mems, chips int
+		chipOf             func(NodeID) int
+		routeOf            RouteFunc
+		calls              int
 	}{
-		{"A", aLinks, acfg.Chips, acfg.Chips, aRoute},
-		{"B", bLinks, bcfg.Chips * bcfg.CoresPerChip, bcfg.Chips * bcfg.MemPerChip, bRoute},
+		{"A", aLinks, acfg.Chips, acfg.Chips, acfg.Chips, aChip, aRoute, 1024},
+		{"B", bLinks, bcfg.Chips * bcfg.CoresPerChip, bcfg.Chips * bcfg.MemPerChip, bcfg.Chips, bChip, bRoute, 16},
 	} {
-		n := NewNetwork(sim.New(), m.name, m.links, m.cores, m.mems, m.routeOf)
+		calls := map[[2]int]int{}
+		counted := func(buf []*Link, cf, ct int) ([]*Link, sim.Time) {
+			calls[[2]int{cf, ct}]++
+			return m.routeOf(buf, cf, ct)
+		}
+		n := NewNetwork(sim.New(), m.name, m.links, m.cores, m.mems, m.chips, m.chipOf, counted)
+		total := 0
+		for pair, c := range calls {
+			if c != 1 {
+				t.Errorf("model %s: chip pair %v evaluated %d times, want once", m.name, pair, c)
+			}
+			total += c
+		}
+		if total != m.calls || len(calls) != m.chips*m.chips {
+			t.Fatalf("model %s: %d RouteFunc calls over %d chip pairs, want %d over %d", m.name, total, len(calls), m.calls, m.chips*m.chips)
+		}
 		nodes := m.cores + m.mems
 		for fi := 0; fi < nodes; fi++ {
 			for ti := 0; ti < nodes; ti++ {
 				from, to := n.nodeOf(fi), n.nodeOf(ti)
-				want, wantProp := m.routeOf(nil, from, to)
 				r := n.routeOf(from, to)
 				got := make([]*Link, r.n)
 				for h := range got {
 					got[h] = n.Links[r.hops[h]]
 				}
-				if from == to && (len(got) != 0 || r.prop != 0) {
-					t.Fatalf("model %s: self-route %v crosses %d links, propagation %d; want none", m.name, from, len(got), r.prop)
+				var want []*Link
+				var wantProp sim.Time
+				if from != to {
+					want, wantProp = m.routeOf(nil, m.chipOf(from), m.chipOf(to))
 				}
-				if len(got) != len(want) || r.prop != wantProp {
-					t.Fatalf("model %s %v→%v: %d links, prop %d; RouteFunc says %d links, prop %d",
+				if len(got) != len(want) || sim.Time(r.prop) != wantProp {
+					t.Fatalf("model %s %v→%v: %d links, prop %d; the node rule says %d links, prop %d",
 						m.name, from, to, len(got), r.prop, len(want), wantProp)
 				}
 				for h := range want {
@@ -192,30 +217,54 @@ func TestNewNetworkRejectsUnindexableRoutes(t *testing.T) {
 		build()
 	}
 	links := []*Link{{Name: "l0"}, {Name: "l1"}, {Name: "l2"}, {Name: "l3"}}
+	oneChip := func(NodeID) int { return 0 }
 	wantPanic("4-hop route", "crosses 4 links, more than maxHops (3)", func() {
-		NewNetwork(sim.New(), "long", links, 2, 0, func(buf []*Link, from, to NodeID) ([]*Link, sim.Time) {
+		NewNetwork(sim.New(), "long", links, 2, 0, 1, oneChip, func(buf []*Link, cf, ct int) ([]*Link, sim.Time) {
 			return append(buf, links...), 1
 		})
 	})
 	wantPanic("foreign link", `link "stray"`, func() {
-		NewNetwork(sim.New(), "stray", links, 2, 0, func(buf []*Link, from, to NodeID) ([]*Link, sim.Time) {
+		NewNetwork(sim.New(), "stray", links, 2, 0, 1, oneChip, func(buf []*Link, cf, ct int) ([]*Link, sim.Time) {
 			return append(buf, &Link{Name: "stray"}), 1
 		})
 	})
 	wantPanic("foreign link, negative ID", `link "stray"`, func() {
-		NewNetwork(sim.New(), "stray", links, 2, 0, func(buf []*Link, from, to NodeID) ([]*Link, sim.Time) {
+		NewNetwork(sim.New(), "stray", links, 2, 0, 1, oneChip, func(buf []*Link, cf, ct int) ([]*Link, sim.Time) {
 			return append(buf, &Link{Name: "stray", ID: -1}), 1
 		})
 	})
+	wantPanic("propagation past a route", "has propagation 4294967296, more than a route holds", func() {
+		NewNetwork(sim.New(), "far", links, 2, 0, 1, oneChip, func(buf []*Link, cf, ct int) ([]*Link, sim.Time) {
+			return buf, 1 << 32
+		})
+	})
+	for _, chip := range []int{-1, 2} {
+		wantPanic("node off the chips", fmt.Sprintf("puts core0 on chip %d, outside [0, 2)", chip), func() {
+			NewNetwork(sim.New(), "lost", links, 2, 0, 2, func(NodeID) int { return chip }, func(buf []*Link, cf, ct int) ([]*Link, sim.Time) {
+				return buf, 0
+			})
+		})
+	}
 	many := make([]*Link, maxLinks+1)
 	for i := range many {
 		many[i] = &Link{Name: "l"}
 	}
 	wantPanic("257 links", "has 257 links, more than the 256", func() {
-		NewNetwork(sim.New(), "wide", many, 2, 0, func(buf []*Link, from, to NodeID) ([]*Link, sim.Time) {
+		NewNetwork(sim.New(), "wide", many, 2, 0, 1, oneChip, func(buf []*Link, cf, ct int) ([]*Link, sim.Time) {
 			return buf, 0
 		})
 	})
+	// A link slower than one booking bucket would queue every message into
+	// the next bucket forever.
+	slow := DefaultModelB()
+	slow.HubSerLat = linkBucketLen + 1
+	wantPanic("link slower than a bucket", `link "hubB0" occupies 65 cycles per message, more than its 64-cycle booking bucket`, func() {
+		NewModelB(sim.New(), slow)
+	})
+	slow.HubSerLat = linkBucketLen
+	if d := NewModelB(sim.New(), slow).Delay(Core(0), Core(31)); d != 2+64+2+60 {
+		t.Fatalf("a link of one full bucket: Delay = %d, want %d", d, 2+64+2+60)
+	}
 	a := NewModelA(sim.New(), DefaultModelA())
 	wantPanic("core beyond the table", "core32 beyond the 32-core route table", func() { a.Delay(Core(32), Core(0)) })
 	wantPanic("controller beyond the table", "mem32 beyond the 32-controller route table", func() { a.Delay(Core(0), Mem(32)) })
@@ -259,15 +308,32 @@ func TestDelayAtNoAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkDelayAt measures the per-message route cost on the model B
-// cross-chip path (3 links: access, hub, access).
+// BenchmarkDelayAt measures the per-message route cost, sweeping every
+// core→controller pair of each model in turn, so the row reads the route
+// table's layout rather than one cached route.
 func BenchmarkDelayAt(b *testing.B) {
-	k := sim.New()
-	n := NewModelB(k, DefaultModelB())
-	b.ReportAllocs()
-	b.ResetTimer()
-	var tm sim.Time
-	for i := 0; i < b.N; i++ {
-		tm += n.DelayAt(tm, Core(0), Core(8))
+	for _, m := range []struct {
+		name  string
+		build func(*sim.Kernel) *Network
+	}{
+		{"A", func(k *sim.Kernel) *Network { return NewModelA(k, DefaultModelA()) }},
+		{"B", func(k *sim.Kernel) *Network { return NewModelB(k, DefaultModelB()) }},
+	} {
+		b.Run(m.name, func(b *testing.B) {
+			n := m.build(sim.New())
+			b.ReportAllocs()
+			b.ResetTimer()
+			var tm sim.Time
+			c, mem := 0, 0
+			for i := 0; i < b.N; i++ {
+				tm += n.DelayAt(tm, Core(c), Mem(mem))
+				if c++; c == n.numCores {
+					c = 0
+					if mem++; mem == n.numMems {
+						mem = 0
+					}
+				}
+			}
+		})
 	}
 }
