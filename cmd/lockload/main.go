@@ -34,12 +34,11 @@
 //	lockload -open -ratesweep 5000,10000,20000,40000      # latency curve
 //	lockload -zipf 1.3 -prom client.prom                  # skewed keys, prom out
 //	lockload -cluster :7601,:7602,:7603 -zipf 1.2         # routed cluster loop
-//	lockload -check BENCH_lockd.json                      # validate bench doc
 //
 // -warmup excludes a leading window from every statistic (histograms
-// reset when it closes). -json emits machine-readable results for
-// assembling BENCH_lockd.json; -check validates such a document and is
-// wired into CI so the committed numbers always parse. -prom writes the
+// reset when it closes), and the window ends when -duration does: a
+// pair still in flight then is not counted. -json emits the rows as a
+// JSON array, which CI's smokes assert on. -prom writes the
 // client-observed latency histograms in the same Prometheus text schema
 // lockd's admin plane exports (lockload_latency_seconds vs
 // lockd_wait_seconds), so client- and server-attributed time can be
@@ -67,8 +66,7 @@ import (
 	"fairrw/internal/stats"
 )
 
-// point is one run's result, shaped for both the human table and the
-// JSON document committed as BENCH_lockd.json.
+// point is one run's result, shaped for both the human table and -json.
 type point struct {
 	Mode    string  `json:"mode"` // "closed", "open", or "cluster"
 	Server  string  `json:"server,omitempty"`
@@ -85,10 +83,9 @@ type point struct {
 	ClusterEpoch   uint64             `json:"cluster_epoch,omitempty"`
 	NodeShare      map[string]float64 `json:"node_share,omitempty"`
 
-	// Host/server metadata, so a committed row is self-describing: a
-	// "workers=4" number means nothing without knowing how many
-	// schedulable CPUs the generator and the daemon actually had.
-	// (Rows recorded before PR 14 carry one more field here; it is ignored.)
+	// Host/server metadata, so a row is self-describing: a "workers=4"
+	// number means nothing without knowing how many schedulable CPUs
+	// the generator and the daemon actually had.
 	GoMaxProcs    int `json:"gomaxprocs,omitempty"`
 	NumCPU        int `json:"num_cpu,omitempty"`
 	ServerWorkers int `json:"server_workers,omitempty"`
@@ -114,20 +111,6 @@ type point struct {
 	MaxUS  float64 `json:"max_us"`
 }
 
-// benchDoc is the schema of BENCH_lockd.json. CI runs `lockload -check`
-// against the committed file, so the required keys below are enforced,
-// not aspirational.
-type benchDoc struct {
-	Host              string  `json:"host"`
-	Date              string  `json:"date"`
-	GoVersion         string  `json:"go_version"`
-	BaselineOpsPerSec float64 `json:"baseline_ops_per_sec"`
-	ClosedLoop        []point `json:"closed_loop"`
-	OpenLoop          []point `json:"open_loop"`
-	ClusterLoop       []point `json:"cluster_loop,omitempty"`
-	Notes             string  `json:"notes,omitempty"`
-}
-
 // worker carries one goroutine's tallies; merged after the run.
 type worker struct {
 	pairs    uint64
@@ -141,13 +124,17 @@ type worker struct {
 	nodeOps map[string]uint64
 	epoch   uint64
 	members int
+
+	gen uint32 // the warmup generation the tallies belong to
 }
 
-func (w *worker) reset() {
-	w.pairs, w.timeouts, w.errors, w.failover = 0, 0, 0, 0
-	w.lat.Reset()
-	for k := range w.nodeOps {
-		delete(w.nodeOps, k)
+// sync resets the tallies when the warmup window closes (gen moves).
+func (w *worker) sync(gen *atomic.Uint32) {
+	if g := gen.Load(); g != w.gen {
+		w.gen = g
+		w.pairs, w.timeouts, w.errors, w.failover = 0, 0, 0, 0
+		w.lat.Reset()
+		clear(w.nodeOps)
 	}
 }
 
@@ -166,7 +153,6 @@ type runCfg struct {
 	zipf     float64 // key-skew exponent; 0 = uniform
 	wait     time.Duration
 	lease    time.Duration
-	hold     time.Duration
 }
 
 // picker draws key indexes: uniform, or Zipfian when -zipf is set (key
@@ -179,43 +165,33 @@ func (cfg *runCfg) picker(rng *rand.Rand, n int) func() int {
 	return func() int { return rng.Intn(n) }
 }
 
-func main() {
-	var (
-		addr       = flag.String("addr", "127.0.0.1:7600", "lockd address")
-		conns      = flag.Int("conns", 8, "concurrent client goroutines (one connection + session each)")
-		duration   = flag.Duration("duration", 5*time.Second, "measurement window per run (after warmup)")
-		warmup     = flag.Duration("warmup", 0, "leading window excluded from all statistics")
-		readPct    = flag.Int("readpct", 90, "percentage of acquires that are shared")
-		keys       = flag.Int("keys", 16, "distinct lock names")
-		depth      = flag.Int("depth", 1, "closed loop: transactions pipelined per flush")
-		open       = flag.Bool("open", false, "open-loop mode: Poisson arrivals, latency from scheduled arrival")
-		rate       = flag.Float64("rate", 10000, "open loop: target transactions/s across all connections")
-		zipf       = flag.Float64("zipf", 0, "Zipfian key skew exponent (> 1; 0 = uniform keys)")
-		clusterArg = flag.String("cluster", "", "comma-separated cluster seed addresses; route every op through the cluster-aware Router")
-		promPath   = flag.String("prom", "", "write client-side latency histograms in Prometheus text format here (\"-\" = stdout)")
-		wait       = flag.Duration("wait", time.Second, "acquire wait bound (FIFO timed acquire)")
-		lease      = flag.Duration("lease", 10*time.Second, "session lease")
-		hold       = flag.Duration("hold", 0, "closed loop, depth 1: critical-section hold time")
-		sweepArg   = flag.String("sweep", "", "closed loop: comma-separated read percentages, one run per point")
-		rateSweep  = flag.String("ratesweep", "", "open loop: comma-separated transaction rates, one run per point")
-		jsonOut    = flag.Bool("json", false, "emit a JSON array of run results instead of the table")
-		checkPath  = flag.String("check", "", "validate a BENCH_lockd.json document and exit")
-	)
-	flag.Parse()
+var (
+	addr       = flag.String("addr", "127.0.0.1:7600", "lockd address")
+	conns      = flag.Int("conns", 8, "concurrent client goroutines (one connection + session each)")
+	duration   = flag.Duration("duration", 5*time.Second, "measurement window per run (after warmup)")
+	warmup     = flag.Duration("warmup", 0, "leading window excluded from all statistics")
+	readPct    = flag.Int("readpct", 90, "percentage of acquires that are shared")
+	keys       = flag.Int("keys", 16, "distinct lock names")
+	depth      = flag.Int("depth", 1, "closed loop: transactions pipelined per flush")
+	open       = flag.Bool("open", false, "open-loop mode: Poisson arrivals, latency from scheduled arrival")
+	rate       = flag.Float64("rate", 10000, "open loop: target transactions/s across all connections")
+	zipf       = flag.Float64("zipf", 0, "Zipfian key skew exponent (> 1; 0 = uniform keys)")
+	clusterArg = flag.String("cluster", "", "comma-separated cluster seed addresses; route every op through the cluster-aware Router")
+	promPath   = flag.String("prom", "", "write client-side latency histograms in Prometheus text format here (\"-\" = stdout)")
+	wait       = flag.Duration("wait", time.Second, "acquire wait bound (FIFO timed acquire)")
+	lease      = flag.Duration("lease", 10*time.Second, "session lease")
+	sweepArg   = flag.String("sweep", "", "closed loop: comma-separated read percentages, one run per point")
+	rateSweep  = flag.String("ratesweep", "", "open loop: comma-separated transaction rates, one run per point")
+	jsonOut    = flag.Bool("json", false, "emit a JSON array of run results instead of the table")
+)
 
-	if *checkPath != "" {
-		if err := checkBenchDoc(*checkPath); err != nil {
-			fmt.Fprintf(os.Stderr, "lockload: %s: %v\n", *checkPath, err)
-			os.Exit(1)
-		}
-		fmt.Printf("lockload: %s: ok\n", *checkPath)
-		return
-	}
+func main() {
+	flag.Parse()
 
 	cfg := runCfg{
 		addr: *addr, conns: *conns, duration: *duration, warmup: *warmup,
 		readPct: *readPct, keys: *keys, depth: *depth, rate: *rate,
-		open: *open, zipf: *zipf, wait: *wait, lease: *lease, hold: *hold,
+		open: *open, zipf: *zipf, wait: *wait, lease: *lease,
 	}
 	if *clusterArg != "" {
 		for _, s := range strings.Split(*clusterArg, ",") {
@@ -238,32 +214,30 @@ func main() {
 		log.Fatal("lockload: -zipf must be > 1 (or 0 for uniform)")
 	}
 	if cfg.cluster {
-		// The stats/serverInfo side channels talk to one member directly.
+		// The Stats side channel talks to one member directly.
 		cfg.addr = cfg.seeds[0]
 	}
 
-	type runSpec struct {
-		readPct int
-		rate    float64
-	}
-	specs := []runSpec{{*readPct, *rate}}
+	runs := []runCfg{cfg}
 	if *open && *rateSweep != "" {
-		specs = specs[:0]
+		runs = runs[:0]
 		for _, s := range strings.Split(*rateSweep, ",") {
 			r, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
 			if err != nil || r <= 0 {
 				log.Fatalf("lockload: bad -ratesweep point %q", s)
 			}
-			specs = append(specs, runSpec{*readPct, r})
+			cfg.rate = r
+			runs = append(runs, cfg)
 		}
 	} else if !*open && *sweepArg != "" {
-		specs = specs[:0]
+		runs = runs[:0]
 		for _, s := range strings.Split(*sweepArg, ",") {
 			p, err := strconv.Atoi(strings.TrimSpace(s))
 			if err != nil || p < 0 || p > 100 {
 				log.Fatalf("lockload: bad -sweep point %q", s)
 			}
-			specs = append(specs, runSpec{p, *rate})
+			cfg.readPct = p
+			runs = append(runs, cfg)
 		}
 	}
 
@@ -282,17 +256,11 @@ func main() {
 		fmt.Printf("%7s %10s %12s %12s %9s %9s %9s %9s %9s %7s %7s\n",
 			"read%", "rate", "pairs", "ops/s", "p50(us)", "p95(us)", "p99(us)", "p999(us)", "timeouts", "errors", "failov")
 	}
-	srvWorkers := serverWorkers(cfg.addr)
 	var results []point
 	var hists []stats.Histogram
 	var failed bool
-	for _, spec := range specs {
-		c := cfg
-		c.readPct, c.rate = spec.readPct, spec.rate
+	for _, c := range runs {
 		p, lat := run(c)
-		p.GoMaxProcs = runtime.GOMAXPROCS(0)
-		p.NumCPU = runtime.NumCPU()
-		p.ServerWorkers = srvWorkers
 		results = append(results, p)
 		hists = append(hists, lat)
 		if p.Errors > 0 {
@@ -309,6 +277,20 @@ func main() {
 		}
 	}
 
+	// One best-effort Stats call after the runs fills both the rows'
+	// server_workers and the summary line; no answer leaves them out.
+	var srv serverStats
+	srvOK := false
+	if c, err := client.Dial(cfg.addr); err == nil {
+		raw, err := c.Stats()
+		srvOK = err == nil && json.Unmarshal(raw, &srv) == nil
+		c.Close()
+	}
+	for i := range results {
+		results[i].GoMaxProcs = runtime.GOMAXPROCS(0)
+		results[i].NumCPU = runtime.NumCPU()
+		results[i].ServerWorkers = srv.ServerWorkers
+	}
 	if *promPath != "" {
 		if err := writeProm(*promPath, results, hists); err != nil {
 			log.Fatalf("lockload: write prom: %v", err)
@@ -320,115 +302,21 @@ func main() {
 		if err := enc.Encode(results); err != nil {
 			log.Fatal(err)
 		}
-	} else if c, err := client.Dial(cfg.addr); err == nil {
-		if raw, err := c.Stats(); err == nil {
-			var snap lockmgr.Snapshot
-			if json.Unmarshal(raw, &snap) == nil {
-				fmt.Printf("server: %d shared + %d excl grants, %d timeouts, %d lease expirations, %d entries, wait p99 %.1fus\n",
-					snap.SharedGrants, snap.ExclGrants, snap.Timeouts,
-					snap.LeaseExpirations, snap.Entries, snap.WaitP99US)
-			}
-		}
-		c.Close()
+	} else if srvOK {
+		fmt.Printf("server: %d shared + %d excl grants, %d timeouts, %d lease expirations, %d entries, wait p99 %.1fus\n",
+			srv.SharedGrants, srv.ExclGrants, srv.Timeouts,
+			srv.LeaseExpirations, srv.Entries, srv.WaitP99US)
 	}
 	if failed {
 		os.Exit(1)
 	}
 }
 
-// serverWorkers asks the target daemon for its worker count through the
-// Stats payload. Best effort: a server predating the field, or no server
-// at all, yields zero and the bench rows simply omit the metadata.
-func serverWorkers(addr string) int {
-	c, err := client.Dial(addr)
-	if err != nil {
-		return 0
-	}
-	defer c.Close()
-	raw, err := c.Stats()
-	if err != nil {
-		return 0
-	}
-	var info struct {
-		ServerWorkers int `json:"server_workers"`
-	}
-	if json.Unmarshal(raw, &info) != nil {
-		return 0
-	}
-	return info.ServerWorkers
-}
-
-// checkBenchDoc enforces BENCH_lockd.json's contract: it parses, it
-// names its host and toolchain, it records the pre-change baseline, and
-// its open-loop curve has at least 4 rate points with sane percentiles.
-func checkBenchDoc(path string) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var doc benchDoc
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return fmt.Errorf("parse: %w", err)
-	}
-	if doc.Host == "" || doc.Date == "" || doc.GoVersion == "" {
-		return fmt.Errorf("missing host/date/go_version")
-	}
-	if doc.BaselineOpsPerSec <= 0 {
-		return fmt.Errorf("baseline_ops_per_sec must be > 0")
-	}
-	if len(doc.ClosedLoop) == 0 {
-		return fmt.Errorf("closed_loop is empty")
-	}
-	if len(doc.OpenLoop) < 4 {
-		return fmt.Errorf("open_loop has %d points, need >= 4", len(doc.OpenLoop))
-	}
-	all := append(append([]point{}, doc.ClosedLoop...), doc.OpenLoop...)
-	all = append(all, doc.ClusterLoop...)
-	for i, p := range all {
-		if p.Errors > 0 {
-			return fmt.Errorf("point %d: recorded with %d errors", i, p.Errors)
-		}
-		if p.OpsPerSec <= 0 {
-			return fmt.Errorf("point %d: ops_per_sec missing", i)
-		}
-		if p.P50US <= 0 || p.P99US < p.P50US {
-			return fmt.Errorf("point %d: implausible percentiles p50=%v p99=%v", i, p.P50US, p.P99US)
-		}
-		// New-style rows carry host metadata; a row that names the server's
-		// worker count must also name the CPU budget it ran under, or the
-		// number cannot be interpreted.
-		if p.ServerWorkers != 0 && (p.GoMaxProcs <= 0 || p.NumCPU <= 0) {
-			return fmt.Errorf("point %d: server_workers=%d without gomaxprocs/num_cpu", i, p.ServerWorkers)
-		}
-	}
-	for i, p := range doc.OpenLoop {
-		if p.Mode != "open" || p.Rate <= 0 {
-			return fmt.Errorf("open_loop[%d]: not an open-loop point", i)
-		}
-	}
-	for i, p := range doc.ClusterLoop {
-		if p.Mode != "cluster" {
-			return fmt.Errorf("cluster_loop[%d]: not a cluster point", i)
-		}
-		if p.ClusterMembers < 1 {
-			return fmt.Errorf("cluster_loop[%d]: cluster_members missing", i)
-		}
-		if len(p.NodeShare) == 0 || len(p.NodeShare) > p.ClusterMembers {
-			return fmt.Errorf("cluster_loop[%d]: node_share has %d members for a %d-member cluster",
-				i, len(p.NodeShare), p.ClusterMembers)
-		}
-		var sum float64
-		for addr, s := range p.NodeShare {
-			if s <= 0 || s > 1 {
-				return fmt.Errorf("cluster_loop[%d]: implausible share %v for %s", i, s, addr)
-			}
-			sum += s
-		}
-		if sum < 0.999 || sum > 1.001 {
-			return fmt.Errorf("cluster_loop[%d]: node_share sums to %v, want 1", i, sum)
-		}
-	}
-	return nil
+// serverStats is the daemon's Stats payload: the manager snapshot plus
+// the daemon's worker count.
+type serverStats struct {
+	lockmgr.Snapshot
+	ServerWorkers int `json:"server_workers"`
 }
 
 // writeProm renders each run's client-observed latency histogram in the
@@ -437,21 +325,20 @@ func checkBenchDoc(path string) error {
 // lockd_wait_seconds attributes a transaction's time: what the server
 // never saw (wire + batching + event loop) is the difference.
 func writeProm(path string, results []point, hists []stats.Histogram) error {
+	labels := make([]string, len(results))
+	for i, p := range results {
+		labels[i] = fmt.Sprintf(`mode=%q,read_pct="%d",conns="%d",depth="%d",rate="%g"`,
+			p.Mode, p.ReadPct, p.Conns, p.Depth, p.Rate)
+	}
 	var buf strings.Builder
 	fmt.Fprintf(&buf, "# TYPE lockload_latency_seconds histogram\n")
 	for i := range results {
-		p := &results[i]
-		labels := fmt.Sprintf(`mode=%q,read_pct="%d",conns="%d",depth="%d",rate="%g"`,
-			p.Mode, p.ReadPct, p.Conns, p.Depth, p.Rate)
-		hists[i].WritePromSeries(&buf, "lockload_latency_seconds", labels, 1e-9)
+		hists[i].WritePromSeries(&buf, "lockload_latency_seconds", labels[i], 1e-9)
 	}
 	fmt.Fprintf(&buf, "# TYPE lockload_pairs_total counter\n")
-	for i := range results {
-		p := &results[i]
-		labels := fmt.Sprintf(`mode=%q,read_pct="%d",conns="%d",depth="%d",rate="%g"`,
-			p.Mode, p.ReadPct, p.Conns, p.Depth, p.Rate)
-		fmt.Fprintf(&buf, "lockload_pairs_total{%s} %d\n", labels, p.Pairs)
-		fmt.Fprintf(&buf, "lockload_timeouts_total{%s} %d\n", labels, p.Timeouts)
+	for i, p := range results {
+		fmt.Fprintf(&buf, "lockload_pairs_total{%s} %d\n", labels[i], p.Pairs)
+		fmt.Fprintf(&buf, "lockload_timeouts_total{%s} %d\n", labels[i], p.Timeouts)
 	}
 	if path == "-" {
 		_, err := os.Stdout.WriteString(buf.String())
@@ -461,19 +348,20 @@ func writeProm(path string, results []point, hists []stats.Histogram) error {
 }
 
 // run drives one measurement window and folds the workers' tallies.
-// The returned histogram is the merged transaction-latency distribution
-// (ns), kept whole for -prom output.
+// The window is [warmup end, stop]: elapsed is read when stop is
+// signalled, not after the workers drain, and a worker tallies nothing
+// that completes after it. The returned histogram is the merged
+// transaction-latency distribution (ns), kept whole for -prom output.
 func run(cfg runCfg) (point, stats.Histogram) {
-	var stop atomic.Bool
-	var gen atomic.Uint32 // bumped when the warmup window closes
+	done := make(chan struct{}) // closed when the window ends
+	var gen atomic.Uint32       // bumped when the warmup window closes
 	workers := make([]worker, cfg.conns)
 	names := make([]string, cfg.keys)
 	for i := range names {
 		names[i] = fmt.Sprintf("key-%04d", i)
 	}
 	var wg sync.WaitGroup
-	for w := 0; w < cfg.conns; w++ {
-		w := w
+	for w := range cfg.conns {
 		if cfg.cluster {
 			workers[w].nodeOps = make(map[string]uint64)
 		}
@@ -482,11 +370,11 @@ func run(cfg runCfg) (point, stats.Histogram) {
 			defer wg.Done()
 			switch {
 			case cfg.cluster:
-				runCluster(cfg, w, names, &workers[w], &stop, &gen)
-			case cfg.open:
-				runOpen(cfg, w, names, &workers[w], &stop, &gen)
+				runCluster(cfg, w, names, &workers[w], done, &gen)
+			case cfg.open || cfg.depth > 1:
+				runBatch(cfg, w, names, &workers[w], done, &gen)
 			default:
-				runClosed(cfg, w, names, &workers[w], &stop, &gen)
+				runHeld(cfg, w, names, &workers[w], done, &gen)
 			}
 		}()
 	}
@@ -496,9 +384,9 @@ func run(cfg runCfg) (point, stats.Histogram) {
 	gen.Add(1) // workers reset their tallies; measurement starts now
 	measStart := time.Now()
 	time.Sleep(cfg.duration)
-	stop.Store(true)
-	wg.Wait()
+	close(done)
 	elapsed := time.Since(measStart)
+	wg.Wait()
 
 	var total worker
 	for i := range workers {
@@ -548,6 +436,16 @@ func run(cfg runCfg) (point, stats.Histogram) {
 	return p, total.lat
 }
 
+// ended reports whether the measurement window has closed.
+func ended(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
+}
+
 // runCluster is the cluster-mode worker: one Router per goroutine, every
 // transaction routed to its name's rendezvous owner, latency measured
 // per acquire+release pair (no pipelining — a Router op is a full round
@@ -555,7 +453,7 @@ func run(cfg runCfg) (point, stats.Histogram) {
 // explains — no reachable owner within the retry budget, a session the
 // survivor expired at its deadline, a hold that died with its node — count as
 // failover errors; anything else is a hard error and stops the worker.
-func runCluster(cfg runCfg, w int, names []string, res *worker, stop *atomic.Bool, gen *atomic.Uint32) {
+func runCluster(cfg runCfg, w int, names []string, res *worker, done <-chan struct{}, gen *atomic.Uint32) {
 	r, err := client.NewRouter(client.RouterConfig{Seeds: cfg.seeds, Lease: cfg.lease})
 	if err != nil {
 		log.Printf("lockload: worker %d: router: %v", w, err)
@@ -569,12 +467,8 @@ func runCluster(cfg runCfg, w int, names []string, res *worker, stop *atomic.Boo
 	}()
 	rng := rand.New(rand.NewSource(int64(w) + 1))
 	pick := cfg.picker(rng, len(names))
-	var lastGen uint32
-	for !stop.Load() {
-		if g := gen.Load(); g != lastGen {
-			lastGen = g
-			res.reset()
-		}
+	for !ended(done) {
+		res.sync(gen)
 		key := names[pick()]
 		excl := rng.Intn(100) >= cfg.readPct
 		t0 := time.Now()
@@ -591,12 +485,12 @@ func runCluster(cfg runCfg, w int, names []string, res *worker, stop *atomic.Boo
 			res.errors++
 			return
 		}
-		if cfg.hold > 0 {
-			time.Sleep(cfg.hold)
-		}
 		relErr := r.Release(key, excl)
 		switch {
 		case relErr == nil:
+			if ended(done) {
+				return // the pair finished outside the window
+			}
 			res.pairs++
 			res.lat.Add(uint64(time.Since(t0)))
 			res.nodeOps[r.Owner(key)]++
@@ -632,12 +526,29 @@ func dialWorker(cfg runCfg, w int, res *worker) (*client.Conn, uint64, bool) {
 	return c, sid, true
 }
 
-// runClosed is the closed-loop worker. At depth 1 it pipelines the
-// previous transaction's release with the next acquire (holding each
-// lock across the flush gap, honoring -hold); at depth > 1 it pipelines
-// depth complete acquire+release transactions per flush and records the
-// flush round trip as the latency of each.
-func runClosed(cfg runCfg, w int, names []string, res *worker, stop *atomic.Bool, gen *atomic.Uint32) {
+// pairOutcome reduces a pair's acquire and release answers to one: nil
+// for a complete pair, ErrTimeout for a timed-out acquire whose release
+// answered NotHeld (it held nothing, so no other answer is sound), and
+// an error for anything else.
+func pairOutcome(acqErr, relErr error) error {
+	switch {
+	case acqErr == nil && relErr == nil:
+		return nil
+	case errors.Is(acqErr, lockmgr.ErrTimeout) && errors.Is(relErr, lockmgr.ErrNotHeld):
+		return lockmgr.ErrTimeout
+	}
+	return fmt.Errorf("pair: %v / %v", acqErr, relErr)
+}
+
+// runBatch is the worker for complete pairs: every flush carries whole
+// acquire+release pairs, and every pair in it is timed from the batch's
+// start. Closed (depth > 1), a batch is depth pairs sent as soon as the
+// previous batch answers. Open, it is one pair per Poisson arrival at
+// rate/conns per second, and its clock starts at the scheduled arrival:
+// if the previous pair ran long the next one starts late but its clock
+// started on schedule — queueing delay is charged to the response time,
+// never hidden in the arrival process.
+func runBatch(cfg runCfg, w int, names []string, res *worker, done <-chan struct{}, gen *atomic.Uint32) {
 	c, sid, ok := dialWorker(cfg, w, res)
 	if !ok {
 		return
@@ -646,74 +557,82 @@ func runClosed(cfg runCfg, w int, names []string, res *worker, stop *atomic.Bool
 	defer c.CloseSession(sid)
 	rng := rand.New(rand.NewSource(int64(w) + 1))
 	pick := cfg.picker(rng, len(names))
-	var lastGen uint32
+	pairs := cfg.depth
+	if cfg.open {
+		pairs = 1
+	}
+	lambda := cfg.rate / float64(cfg.conns) // open loop: this worker's arrivals/s
 	var errs []error
-
-	if cfg.depth > 1 {
-		type slot struct {
-			key  string
-			excl bool
-		}
-		slots := make([]slot, cfg.depth)
-		for !stop.Load() {
-			if g := gen.Load(); g != lastGen {
-				lastGen = g
-				res.reset()
-			}
-			for i := range slots {
-				slots[i] = slot{names[pick()], rng.Intn(100) >= cfg.readPct}
-			}
-			t0 := time.Now()
-			for _, s := range slots {
-				c.QueueAcquire(sid, s.key, s.excl, cfg.wait)
-				c.QueueRelease(sid, s.key, s.excl)
-			}
-			var err error
-			errs, err = c.Flush(errs[:0])
-			if err != nil {
-				log.Printf("lockload: worker %d: flush: %v", w, err)
-				res.errors++
-				return
-			}
-			rtt := uint64(time.Since(t0))
-			for i := 0; i < len(errs); i += 2 {
-				acqErr, relErr := errs[i], errs[i+1]
-				switch {
-				case acqErr == lockmgr.ErrTimeout:
-					res.timeouts++
-					if relErr != lockmgr.ErrNotHeld {
-						log.Printf("lockload: worker %d: release after timeout: %v", w, relErr)
-						res.errors++
-						return
-					}
-				case acqErr != nil || relErr != nil:
-					log.Printf("lockload: worker %d: pair: %v / %v", w, acqErr, relErr)
-					res.errors++
+	start := time.Now() // the batch's start: its scheduled arrival when open
+	for !ended(done) {
+		res.sync(gen)
+		if cfg.open {
+			start = start.Add(time.Duration(rng.ExpFloat64() / lambda * 1e9))
+			if d := time.Until(start); d > 0 {
+				select {
+				case <-done:
 					return
-				default:
-					res.pairs++
-					res.lat.Add(rtt)
+				case <-time.After(d):
 				}
 			}
+		} else {
+			start = time.Now()
 		}
+		for i := 0; i < pairs; i++ {
+			key := names[pick()]
+			excl := rng.Intn(100) >= cfg.readPct
+			c.QueueAcquire(sid, key, excl, cfg.wait)
+			c.QueueRelease(sid, key, excl)
+		}
+		var err error
+		errs, err = c.Flush(errs[:0])
+		if err != nil {
+			log.Printf("lockload: worker %d: flush: %v", w, err)
+			res.errors++
+			return
+		}
+		lat := uint64(time.Since(start))
+		for i := 0; i < len(errs); i += 2 {
+			switch err := pairOutcome(errs[i], errs[i+1]); {
+			case err != nil && err != lockmgr.ErrTimeout:
+				log.Printf("lockload: worker %d: %v", w, err)
+				res.errors++
+				return
+			case ended(done):
+				// The window closed while this batch was in flight.
+			case err != nil:
+				res.timeouts++
+			default:
+				res.pairs++
+				res.lat.Add(lat)
+			}
+		}
+	}
+}
+
+// runHeld is the closed loop at depth 1: the previous transaction's
+// release is pipelined with the next acquire, so the lock is held across
+// the flush gap and a pair costs one write and one (coalesced) read on
+// each side. Clock reads are a measurable slice of the budget, so
+// latency samples 1-in-16. The last hold is released by the deferred
+// CloseSession, outside the window.
+func runHeld(cfg runCfg, w int, names []string, res *worker, done <-chan struct{}, gen *atomic.Uint32) {
+	c, sid, ok := dialWorker(cfg, w, res)
+	if !ok {
 		return
 	}
-
-	// Depth 1: the previous iteration's release is pipelined with the
-	// next acquire, so the lock is held across the flush gap and a pair
-	// costs one write and one (coalesced) read on each side. Clock reads
-	// are a measurable slice of the budget, so latency samples 1-in-16.
+	defer c.Close()
+	defer c.CloseSession(sid)
+	rng := rand.New(rand.NewSource(int64(w) + 1))
+	pick := cfg.picker(rng, len(names))
+	var errs []error
 	const latSample = 16
 	var seq uint64
 	var t0 time.Time
-	held := false
 	var heldKey string
-	var heldExcl bool
-	for !stop.Load() {
-		if g := gen.Load(); g != lastGen {
-			lastGen = g
-			res.reset()
-		}
+	var held, heldExcl bool
+	for !ended(done) {
+		res.sync(gen)
 		key := names[pick()]
 		excl := rng.Intn(100) >= cfg.readPct
 		sampled := seq&(latSample-1) == 0
@@ -732,96 +651,27 @@ func runClosed(cfg runCfg, w int, names []string, res *worker, stop *atomic.Bool
 			res.errors++
 			return
 		}
-		if held {
-			if errs[0] != nil {
-				log.Printf("lockload: worker %d: release: %v", w, errs[0])
-				res.errors++
-				return
-			}
-			res.pairs++
-		}
 		acqErr := errs[len(errs)-1]
-		if acqErr == lockmgr.ErrTimeout {
-			res.timeouts++
-			held = false
-			continue
+		if held && errs[0] != nil {
+			log.Printf("lockload: worker %d: release: %v", w, errs[0])
+			res.errors++
+			return
 		}
-		if acqErr != nil {
+		if acqErr != nil && !errors.Is(acqErr, lockmgr.ErrTimeout) {
 			log.Printf("lockload: worker %d: acquire: %v", w, acqErr)
 			res.errors++
 			return
 		}
-		if sampled {
-			res.lat.Add(uint64(time.Since(t0)))
-		}
-		held, heldKey, heldExcl = true, key, excl
-		if cfg.hold > 0 {
-			time.Sleep(cfg.hold)
-		}
-	}
-	if held {
-		if err := c.Release(sid, heldKey, heldExcl); err == nil {
-			res.pairs++
-		}
-	}
-}
-
-// runOpen is the open-loop worker: Poisson arrivals at rate/conns
-// transactions/s, every transaction timed from its scheduled arrival.
-// If the previous transaction ran long the next one starts late but its
-// latency clock started on schedule — queueing delay is charged to the
-// response time, never hidden in the arrival process.
-func runOpen(cfg runCfg, w int, names []string, res *worker, stop *atomic.Bool, gen *atomic.Uint32) {
-	c, sid, ok := dialWorker(cfg, w, res)
-	if !ok {
-		return
-	}
-	defer c.Close()
-	defer c.CloseSession(sid)
-	rng := rand.New(rand.NewSource(int64(w) + 1))
-	pick := cfg.picker(rng, len(names))
-	lambda := cfg.rate / float64(cfg.conns) // this worker's arrivals/s
-	var lastGen uint32
-	var errs []error
-
-	next := time.Now()
-	for !stop.Load() {
-		if g := gen.Load(); g != lastGen {
-			lastGen = g
-			res.reset()
-		}
-		next = next.Add(time.Duration(rng.ExpFloat64() / lambda * 1e9))
-		if d := time.Until(next); d > 0 {
-			time.Sleep(d)
-		}
-		key := names[pick()]
-		excl := rng.Intn(100) >= cfg.readPct
-		c.QueueAcquire(sid, key, excl, cfg.wait)
-		c.QueueRelease(sid, key, excl)
-		var err error
-		errs, err = c.Flush(errs[:0])
-		if err != nil {
-			log.Printf("lockload: worker %d: flush: %v", w, err)
-			res.errors++
-			return
-		}
-		acqErr, relErr := errs[0], errs[1]
-		switch {
-		case acqErr == lockmgr.ErrTimeout:
-			res.timeouts++
-			if relErr != lockmgr.ErrNotHeld {
-				log.Printf("lockload: worker %d: release after timeout: %v", w, relErr)
-				res.errors++
-				return
+		if !ended(done) { // a flush that returns after the window closes is not counted
+			if held {
+				res.pairs++
 			}
-		case acqErr != nil || relErr != nil:
-			log.Printf("lockload: worker %d: pair: %v / %v", w, acqErr, relErr)
-			res.errors++
-			return
-		default:
-			res.pairs++
-			// Latency from the scheduled arrival, not the send.
-			res.lat.Add(uint64(time.Since(next)))
+			if acqErr != nil {
+				res.timeouts++
+			} else if sampled {
+				res.lat.Add(uint64(time.Since(t0)))
+			}
 		}
+		held, heldKey, heldExcl = acqErr == nil, key, excl
 	}
 }

@@ -54,12 +54,10 @@ type Conn struct {
 	hasMember bool
 }
 
-// Dial connects to a lockd server at addr (host:port), retrying briefly
-// with the default Dialer's capped jittered backoff. For a context
-// deadline or custom retry policy use Dialer.Dial.
+// Dial connects to a lockd server at addr (host:port), making up to four
+// connect attempts with capped jittered backoff between them.
 func Dial(addr string) (*Conn, error) {
-	var d Dialer
-	return d.Dial(context.Background(), addr)
+	return dial(context.Background(), addr, 4)
 }
 
 // Close closes the connection. Sessions opened on it live on until their

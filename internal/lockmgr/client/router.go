@@ -63,11 +63,11 @@ type RouterConfig struct {
 	RetryBase, RetryMax time.Duration
 }
 
-// routerDialer dials members once per call: the Router's own retry loop
-// supplies the backoff and re-aims at survivors between attempts, so a
-// multi-attempt dial underneath it would multiply the failover delay —
-// exactly the window the cluster works to keep short.
-var routerDialer = Dialer{Attempts: 1}
+// memberDialAttempts is 1: the Router's own retry loop supplies the
+// backoff and re-aims at survivors between attempts, so a multi-attempt
+// dial underneath it would multiply the failover delay — exactly the
+// window the cluster works to keep short.
+const memberDialAttempts = 1
 
 // routedNode is one member the Router has dialed: an op conn, a
 // keepalive conn, and the session shared by both.
@@ -124,7 +124,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 func (r *Router) bootstrap() error {
 	var lastErr error
 	for _, seed := range r.cfg.Seeds {
-		c, err := routerDialer.Dial(context.Background(), seed)
+		c, err := dial(context.Background(), seed, memberDialAttempts)
 		if err != nil {
 			lastErr = err
 			continue
@@ -282,7 +282,7 @@ func (r *Router) nodeConn(addr string) (*routedNode, error) {
 		if now := time.Now(); now.Before(n.downUntil) {
 			return nil, fmt.Errorf("lockd client: %s cooling down after failed dial", addr)
 		}
-		c, err := routerDialer.Dial(context.Background(), addr)
+		c, err := dial(context.Background(), addr, memberDialAttempts)
 		if err != nil {
 			n.downUntil = time.Now().Add(r.cfg.RetryMax / 2)
 			return nil, err
@@ -467,7 +467,7 @@ func (r *Router) keepAliveNode(n *routedNode) {
 	n.kaMu.Lock()
 	defer n.kaMu.Unlock()
 	if n.kaConn == nil {
-		c, err := routerDialer.Dial(context.Background(), n.addr)
+		c, err := dial(context.Background(), n.addr, memberDialAttempts)
 		if err != nil {
 			return // node likely dead; the op path will reroute
 		}

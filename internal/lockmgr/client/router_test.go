@@ -1,7 +1,6 @@
 package client_test
 
 import (
-	"context"
 	"errors"
 	"net"
 	"sync/atomic"
@@ -14,51 +13,6 @@ import (
 	"fairrw/internal/lockmgr/server"
 	"fairrw/internal/lockmgr/wire"
 )
-
-// deadAddr reserves a loopback port and closes it, yielding an address
-// that refuses connections.
-func deadAddr(t *testing.T) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr
-}
-
-// TestDialerBackoff: a dialer pointed at a refusing port spends its
-// attempts with backoff between them, then reports the dial error —
-// and a cancelled context cuts the wait short.
-func TestDialerBackoff(t *testing.T) {
-	addr := deadAddr(t)
-	d := client.Dialer{Attempts: 3, Base: 5 * time.Millisecond, Max: 10 * time.Millisecond}
-	t0 := time.Now()
-	_, err := d.Dial(context.Background(), addr)
-	if err == nil {
-		t.Fatal("dial to refusing port succeeded")
-	}
-	// Two inter-attempt backoffs, each at least base/2.
-	if elapsed := time.Since(t0); elapsed < 5*time.Millisecond {
-		t.Errorf("3 attempts took %v, want >= 5ms of backoff", elapsed)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		cancel()
-	}()
-	slow := client.Dialer{Attempts: 1000, Base: 50 * time.Millisecond, Max: 50 * time.Millisecond}
-	t0 = time.Now()
-	_, err = slow.Dial(ctx, addr)
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("cancelled dial: %v, want context.Canceled", err)
-	}
-	if elapsed := time.Since(t0); elapsed > time.Second {
-		t.Errorf("cancelled dial returned after %v, want promptly", elapsed)
-	}
-}
 
 // TestRouterSingleNode: a Router seeded with a plain, non-clustered
 // lockd treats it as a cluster of one — every op routes there, and
