@@ -7,7 +7,8 @@ import (
 	"testing"
 )
 
-// The benchmark matrix behind BENCH_fairlock.json: goroutine count ×
+// The benchmark matrix behind BENCH_fairlock.json (no longer a file in
+// the tree: `git show d41e800:BENCH_fairlock.json`): goroutine count ×
 // read ratio × critical-section length × flavor, with the flavor
 // innermost so one process run alternates fair/ref/sync on each cell and
 // adjacent output rows compare directly. Every row self-describes its

@@ -13,12 +13,11 @@ import (
 // so an op has the same result and the same effect on the counters
 // whichever way it arrives (differential_test.go holds the two to that).
 // What ExecBatch adds is amortization — one clock read and one hold of
-// Manager.mu for the whole batch, grant and timeout counters and the wait
-// and hold histograms updated once with batch totals, after the hold —
-// and the completion list: a release in the batch grants the acquires
-// queued behind it then and there, and ExecBatch hands those outcomes
-// back with the batch's own results, so the waiter is answered in the
-// releaser's round.
+// Manager.mu for the whole batch, in which each op books its own counters
+// and samples as its scalar method's hold does — and the completion list:
+// a release in the batch grants the acquires queued behind it then and
+// there, and ExecBatch hands those outcomes back with the batch's own
+// results, so the waiter is answered in the releaser's round.
 //
 // ExecBatch never blocks: where Manager.Acquire waits on a channel, a
 // batch acquire that has to wait is queued for its op's Waiter and
@@ -68,7 +67,6 @@ type BatchOp struct {
 // execution itself does not allocate. The zero value is ready to use.
 type BatchScratch struct {
 	blocked []int32      // tags with a queued acquire this batch
-	holdNS  []int64      // hold times observed this batch
 	done    []Completion // queued acquires this batch resolved
 }
 
@@ -95,7 +93,7 @@ func (sc *BatchScratch) isBlocked(tag int32) bool {
 // (and OutSID for opens). See the comment at the top of this file for
 // semantics; sc must not be shared between concurrent ExecBatch calls.
 func (m *Manager) ExecBatch(ops []BatchOp, sc *BatchScratch) {
-	sc.blocked, sc.holdNS, sc.done = sc.blocked[:0], sc.holdNS[:0], sc.done[:0]
+	sc.blocked, sc.done = sc.blocked[:0], sc.done[:0]
 	if len(ops) == 0 {
 		return
 	}
@@ -103,7 +101,6 @@ func (m *Manager) ExecBatch(ops []BatchOp, sc *BatchScratch) {
 
 	// Execute in submission order, in one hold, each op through the same
 	// function its scalar method calls.
-	var sharedGrants, exclGrants, timeouts uint64
 	m.mu.Lock()
 	for i := range ops {
 		op := &ops[i]
@@ -121,42 +118,16 @@ func (m *Manager) ExecBatch(ops []BatchOp, sc *BatchScratch) {
 			op.Err = m.closeSession(s, now, &sc.done)
 		case BatchAcquire:
 			op.Err = acquire(m, s, op.Name, op.Excl, time.Duration(op.Wait), op.Waiter, op.Tag, now, &sc.done)
-			switch {
-			case op.Err == nil && op.Excl:
-				exclGrants++
-			case op.Err == nil:
-				sharedGrants++
-			case op.Err == ErrWouldBlock:
+			if op.Err == ErrWouldBlock {
 				sc.blocked = append(sc.blocked, op.Tag)
-			case op.Err == ErrTimeout:
-				timeouts++
 			}
 		case BatchRelease:
-			var held int64
-			if held, op.Err = release(m, s, op.Name, op.Excl, now, &sc.done); op.Err == nil {
-				sc.holdNS = append(sc.holdNS, held)
-			}
+			op.Err = release(m, s, op.Name, op.Excl, now, &sc.done)
 		default:
 			op.Err = ErrName
 		}
 	}
 	m.mu.Unlock()
-
-	// Counters and the wait and hold histograms, once per batch.
-	if sharedGrants > 0 {
-		m.c.sharedGrants.Add(sharedGrants)
-	}
-	if exclGrants > 0 {
-		m.c.exclGrants.Add(exclGrants)
-	}
-	if n := uint64(len(sc.holdNS)); n > 0 {
-		m.c.releases.Add(n)
-	}
-	if timeouts > 0 {
-		m.c.timeouts.Add(timeouts)
-	}
-	m.observeWait(0, sharedGrants+exclGrants)
-	m.observeHold(sc.holdNS...)
 	sc.done = m.settle(sc.done, true)
 }
 
@@ -174,7 +145,7 @@ func (m *Manager) openAt(lease time.Duration, now time.Time) (uint64, error) {
 	s.lease.s = s
 	m.sessions[s.id] = s
 	m.schedule(&s.lease, s.deadline)
-	m.c.sessionsOpened.Add(1)
+	m.c.sessionsOpened++
 	return s.id, nil
 }
 
@@ -188,6 +159,6 @@ func (m *Manager) keepAliveSession(s *Session, lease time.Duration, now time.Tim
 	if s.deadline.Before(s.lease.at) { // cut short: due then, not when the old deadline surfaces
 		m.schedule(&s.lease, s.deadline)
 	}
-	m.c.keepalives.Add(1)
+	m.c.keepalives++
 	return nil
 }

@@ -81,7 +81,7 @@ type diffRun struct {
 
 func newDiffRun(ops []diffOp) *diffRun {
 	rec := introspect.NewRecorder(1, 4096)
-	m := New(Config{DefaultLease: time.Hour, MaxLease: time.Hour, IdleTTL: time.Hour, Recorder: rec})
+	m := New(Config{MaxLease: time.Hour, IdleTTL: time.Hour, Recorder: rec})
 	return &diffRun{m: m, rec: rec, sc: m.NewBatchScratch(), ops: ops, errs: make([]error, len(ops))}
 }
 

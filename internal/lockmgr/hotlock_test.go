@@ -15,9 +15,8 @@ import (
 // reflects everything the test did, not what survived the idle GC.
 func slowCfg() Config {
 	return Config{
-		DefaultLease: time.Minute,
-		MaxLease:     time.Minute,
-		IdleTTL:      time.Hour,
+		MaxLease: time.Minute,
+		IdleTTL:  time.Hour,
 	}
 }
 

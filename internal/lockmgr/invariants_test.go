@@ -72,7 +72,7 @@ func (m *Manager) invariantErr() error {
 			return fmt.Errorf("%q: the queue head (excl %v) fits the holders but still waits", name, h.Write)
 		}
 	}
-	if w := m.c.waiting.Load(); w != int64(len(queued)) {
+	if w := m.c.waiting; w != int64(len(queued)) {
 		return fmt.Errorf("waiting gauge %d, %d acquires queued", w, len(queued))
 	}
 	onLists := 0
@@ -106,10 +106,10 @@ func TestCheckInvariantsSeesAQueue(t *testing.T) {
 	queue(t, m, b, "k", true, time.Minute)
 	queue(t, m, c, "k", false, -1)
 	checkInvariants(t, m)
-	m.c.waiting.Add(1)
-	defer m.c.waiting.Add(-1)
 	m.mu.Lock()
+	m.c.waiting++
 	err := m.invariantErr()
+	m.c.waiting--
 	m.mu.Unlock()
 	if err == nil {
 		t.Fatal("a waiting gauge one too high passed the check")
@@ -125,7 +125,7 @@ func TestCheckInvariantsSeesAQueue(t *testing.T) {
 //
 //	go test -run '^$' -bench IdleWalkHold -benchtime 5x ./internal/lockmgr
 func BenchmarkIdleWalkHold(b *testing.B) {
-	cfg := Config{DefaultLease: time.Hour, MaxLease: time.Hour, IdleTTL: time.Hour}
+	cfg := Config{MaxLease: time.Hour, IdleTTL: time.Hour}
 	for _, n := range []int{10_000, 100_000} {
 		b.Run(fmt.Sprintf("collectIdle/%dk", n/1000), func(b *testing.B) {
 			m := New(cfg)

@@ -66,10 +66,9 @@ func validName[T string | []byte](name T) bool {
 
 // Config parameterizes a Manager. The zero value selects the defaults.
 type Config struct {
-	// DefaultLease is used when a session opens with lease <= 0.
-	// Default 10s. A lease not renewed expires at its deadline.
-	DefaultLease time.Duration
-	// MaxLease caps requested leases. Default 1m.
+	// MaxLease caps requested leases. Default 1m. A session that opens
+	// with lease <= 0 gets 10s (defaultLease), capped the same way; a
+	// lease not renewed expires at its deadline.
 	MaxLease time.Duration
 	// IdleTTL is how long an entry with no holders and no waiters
 	// survives: a collection pass runs every IdleTTL while the table has
@@ -92,10 +91,10 @@ type Config struct {
 	SlowLockFn func(name string, sid uint64, excl bool, wait time.Duration)
 }
 
+// defaultLease is the lease of a session opened with lease <= 0.
+const defaultLease = 10 * time.Second
+
 func (c Config) withDefaults() Config {
-	if c.DefaultLease <= 0 {
-		c.DefaultLease = 10 * time.Second
-	}
 	if c.MaxLease <= 0 {
 		c.MaxLease = time.Minute
 	}
@@ -153,8 +152,9 @@ type Session struct {
 // outcomes an op completes are collected while it is held and settled
 // after it is released, so Waiter.Complete (which may run a server loop
 // that calls ExecBatch), SlowLockFn and the completions' flight events are
-// all called with mu free. The counters are atomics; waitMu and holdMu,
-// like the recorder's ring lock, are leaves taken with nothing else held.
+// all called with mu free. The counters and the wait and hold histograms
+// are booked under mu too, in the hold that makes each event, so a Stats
+// snapshot is one consistent cut.
 type Manager struct {
 	cfg Config
 	clk clock
@@ -172,11 +172,9 @@ type Manager struct {
 	timer     timer
 	timerAt   time.Time // when timer fires next; zero = not armed
 
-	c      counters
-	waitMu sync.Mutex
-	wait   stats.Histogram // grant wait, nanoseconds
-	holdMu sync.Mutex
-	holdH  stats.Histogram // hold time (grant to release), nanoseconds
+	c     counters
+	wait  stats.Histogram // grant wait, nanoseconds
+	holdH stats.Histogram // hold time (grant to release), nanoseconds
 }
 
 // New creates a Manager. It starts no goroutine: the manager's one timer
@@ -234,10 +232,10 @@ func (m *Manager) MaxLease() time.Duration { return m.cfg.MaxLease }
 // no lease of its outlives the quarantine the survivors wait out.
 func (m *Manager) RevokeAllSessions() int { return m.expireAll(true, false) }
 
-// clampLease applies the configured default and cap.
+// clampLease applies the default lease and the configured cap.
 func (m *Manager) clampLease(lease time.Duration) time.Duration {
 	if lease <= 0 {
-		lease = m.cfg.DefaultLease
+		lease = defaultLease
 	}
 	return min(lease, m.cfg.MaxLease)
 }
@@ -304,21 +302,21 @@ func (m *Manager) expireSession(s *Session, expired bool, now time.Time, done *[
 	for _, h := range holds {
 		if h.excl {
 			h.e.lk.Drop(true)
-			m.c.revokedHolds.Add(1)
+			m.c.revokedHolds++
 		}
 		for range h.shared {
 			h.e.lk.Drop(false)
 		}
-		m.c.revokedHolds.Add(uint64(h.shared))
+		m.c.revokedHolds += uint64(h.shared)
 		m.admit(h.e, now, done)
 	}
 	delete(m.sessions, s.id)
 	if expired {
-		m.c.expirations.Add(1)
+		m.c.expirations++
 		m.cfg.Recorder.Record(uint32(s.id), obs.Record{
 			At: uint64(now.UnixNano()), Tid: s.id, Aux: uint64(len(holds)), Node: obs.LRTNode(0), Kind: obs.KExpire})
 	} else {
-		m.c.sessionsClosed.Add(1)
+		m.c.sessionsClosed++
 	}
 	return true
 }
@@ -364,19 +362,19 @@ func (s *Session) grant(h *hold, e *entry, excl bool, grantNS int64) {
 // check, then one hold of the given mode comes off the session (the only
 // deleter from the hold table) and off the lock, and whoever that lets in
 // is granted on the spot — their completions land in done, so a queued
-// acquire is answered in its releaser's round. It returns the hold time.
-// name may alias a parse buffer: the hold lookup does not copy it. mu is
-// held.
-func release[T string | []byte](m *Manager, s *Session, name T, excl bool, now time.Time, done *[]Completion) (int64, error) {
+// acquire is answered in its releaser's round. It books the release and
+// its hold time. name may alias a parse buffer: the hold lookup does not
+// copy it. mu is held.
+func release[T string | []byte](m *Manager, s *Session, name T, excl bool, now time.Time, done *[]Completion) error {
 	if !validName(name) {
-		return 0, ErrName
+		return ErrName
 	}
 	if err := m.live(s, now, done); err != nil {
-		return 0, err
+		return err
 	}
 	h := s.holds[string(name)]
 	if h == nil || (excl && !h.excl) || (!excl && h.shared == 0) {
-		return 0, ErrNotHeld
+		return ErrNotHeld
 	}
 	e := h.e
 	if excl {
@@ -385,21 +383,23 @@ func release[T string | []byte](m *Manager, s *Session, name T, excl bool, now t
 		h.shared--
 	}
 	e.lk.Drop(excl)
-	held := now.UnixNano() - h.grantNS
+	m.c.releases++
+	m.holdH.Add(uint64(max(now.UnixNano()-h.grantNS, 0)))
 	if !h.excl && h.shared == 0 {
 		delete(s.holds, e.name)
 		s.free = h
 	}
 	m.admit(e, now, done)
-	return held, nil
+	return nil
 }
 
 // acquire is the acquire both entry points run, under mu, so nothing in
 // it can race the session's revocation or another arrival. A lock that is
-// free for the mode with nobody queued is granted. Otherwise wait == 0 is
-// ErrTimeout, and wait != 0 queues the acquire for w and answers
-// ErrWouldBlock — unless w is nil, in which case nothing changed. Only an
-// acquire executed to a result or queued counts as an arrival.
+// free for the mode with nobody queued is granted, and booked with no
+// wait. Otherwise wait == 0 is ErrTimeout, booked as a timeout, and wait
+// != 0 queues the acquire for w and answers ErrWouldBlock — unless w is
+// nil, in which case nothing changed. Only an acquire executed to a result
+// or queued counts as an arrival.
 func acquire[T string | []byte](m *Manager, s *Session, name T, excl bool, wait time.Duration, w Waiter, tag int32, now time.Time, done *[]Completion) error {
 	if !validName(name) {
 		return ErrName
@@ -408,7 +408,7 @@ func acquire[T string | []byte](m *Manager, s *Session, name T, excl bool, wait 
 	if e == nil {
 		e = &entry{name: string(name), hash: introspect.Hash(name)} // the one name copy
 		m.entries[e.name] = e
-		m.c.entriesCreated.Add(1)
+		m.c.entriesCreated++
 		m.schedule(&m.gc, now.Add(m.cfg.IdleTTL)) // a no-op while a pass is pending
 	}
 	err := m.live(s, now, done)
@@ -421,8 +421,10 @@ func acquire[T string | []byte](m *Manager, s *Session, name T, excl bool, wait 
 			err = ErrHeld
 		case e.lk.TryAcquire(excl):
 			s.grant(h, e, excl, now.UnixNano())
+			m.granted(excl, 0)
 		case wait == 0:
 			err = ErrTimeout
+			m.c.timeouts++
 		default:
 			err = ErrWouldBlock
 			if w != nil {
@@ -460,19 +462,9 @@ func (m *Manager) Acquire(sid uint64, name string, excl bool, wait time.Duration
 		ch := make(chanWaiter, 1)
 		acquire(m, s, name, excl, wait, ch, 0, now, &done)
 		m.mu.Unlock()
-		return <-ch // settle, wherever the wait ends, books the outcome
+		return <-ch // complete, wherever the wait ends, books the outcome
 	}
 	m.unlock(done)
-	switch {
-	case err == nil && excl:
-		m.c.exclGrants.Add(1)
-		m.observeWait(0, 1)
-	case err == nil:
-		m.c.sharedGrants.Add(1)
-		m.observeWait(0, 1)
-	case err == ErrTimeout:
-		m.c.timeouts.Add(1)
-	}
 	return err
 }
 
@@ -486,14 +478,9 @@ func (m *Manager) Release(sid uint64, name string, excl bool) error {
 	var done []Completion
 	now := m.clk.now()
 	m.mu.Lock()
-	held, err := release(m, m.sessions[sid], name, excl, now, &done)
+	err := release(m, m.sessions[sid], name, excl, now, &done)
 	m.unlock(done)
-	if err != nil {
-		return err
-	}
-	m.c.releases.Add(1)
-	m.observeHold(held)
-	return nil
+	return err
 }
 
 // collectIdle deletes the entries that have been idle for IdleTTL at now
@@ -502,7 +489,7 @@ func (m *Manager) collectIdle(now time.Time) int {
 	for name, e := range m.entries {
 		if e.lk.Idle() && now.Sub(e.idleAt) >= m.cfg.IdleTTL {
 			delete(m.entries, name)
-			m.c.entriesGCed.Add(1)
+			m.c.entriesGCed++
 		}
 	}
 	return len(m.entries)

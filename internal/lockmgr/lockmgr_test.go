@@ -9,9 +9,8 @@ import (
 // fastCfg keeps test leases and the idle GC short.
 func fastCfg() Config {
 	return Config{
-		DefaultLease: time.Second,
-		MaxLease:     10 * time.Second,
-		IdleTTL:      50 * time.Millisecond,
+		MaxLease: 10 * time.Second,
+		IdleTTL:  50 * time.Millisecond,
 	}
 }
 

@@ -1,34 +1,33 @@
 package lockmgr
 
 import (
-	"sync/atomic"
+	"time"
 
 	"fairrw/internal/stats"
 )
 
-// counters are the manager's obs-style monotonic counters plus the live
-// waiter gauge. All fields are updated with atomics on the request paths;
-// Stats() reads them without stopping the world, so a snapshot is
-// internally consistent only per-field (the convention internal/obs uses
-// for its run counters).
+// counters are the manager's monotonic counters plus the live waiter
+// gauge. Like the table they count, they are guarded by Manager.mu, and
+// each is booked in the hold that makes its event, so Stats reads one
+// consistent cut: grants match wait samples and releases hold samples.
 type counters struct {
-	sharedGrants   atomic.Uint64
-	exclGrants     atomic.Uint64
-	releases       atomic.Uint64
-	timeouts       atomic.Uint64
-	keepalives     atomic.Uint64
-	sessionsOpened atomic.Uint64
-	sessionsClosed atomic.Uint64
-	expirations    atomic.Uint64
-	revokedHolds   atomic.Uint64
-	entriesCreated atomic.Uint64
-	entriesGCed    atomic.Uint64
-	waiting        atomic.Int64
+	sharedGrants   uint64
+	exclGrants     uint64
+	releases       uint64
+	timeouts       uint64
+	keepalives     uint64
+	sessionsOpened uint64
+	sessionsClosed uint64
+	expirations    uint64
+	revokedHolds   uint64
+	entriesCreated uint64
+	entriesGCed    uint64
+	waiting        int64
 }
 
-// Snapshot is one consistent-enough view of the manager's counters and
-// wait-latency distribution, shaped for JSON dumping (cmd/lockd -metrics,
-// the wire Stats op).
+// Snapshot is one consistent view of the manager's counters, table sizes
+// and wait and hold distributions, read in one hold of Manager.mu and
+// shaped for JSON dumping (cmd/lockd -metrics, the wire Stats op).
 type Snapshot struct {
 	SharedGrants     uint64 `json:"shared_grants"`
 	ExclGrants       uint64 `json:"excl_grants"`
@@ -60,81 +59,68 @@ type Snapshot struct {
 	HoldMaxUS  float64 `json:"hold_max_us"`
 }
 
-// observeWait records n grants that each waited ns in queue: one
-// contended grant, or a batch's uncontended (zero-wait) grants under a
-// single histogram-lock hold.
-func (m *Manager) observeWait(ns, n uint64) {
-	if n == 0 {
-		return
+// granted books one grant in mode excl and its queue wait: 0 on the try
+// path (acquire), the measured wait for a queued acquire (complete). mu is
+// held.
+func (m *Manager) granted(excl bool, waited time.Duration) {
+	if excl {
+		m.c.exclGrants++
+	} else {
+		m.c.sharedGrants++
 	}
-	m.waitMu.Lock()
-	m.wait.AddN(ns, n)
-	m.waitMu.Unlock()
-}
-
-// observeHold records releases' hold times (grant to release), a whole
-// batch's under one lock hold.
-func (m *Manager) observeHold(ns ...int64) {
-	if len(ns) == 0 {
-		return
-	}
-	m.holdMu.Lock()
-	for _, d := range ns {
-		m.holdH.Add(uint64(max(d, 0)))
-	}
-	m.holdMu.Unlock()
+	m.wait.Add(uint64(waited))
 }
 
 // Stats returns a snapshot of the manager's counters, table sizes, and
-// wait-latency percentiles (p50/p99 via internal/stats histograms).
+// wait and hold percentiles (internal/stats histograms). The hold of mu
+// only copies; the percentiles are computed after it.
 func (m *Manager) Stats() Snapshot {
-	s := Snapshot{
-		SharedGrants:     m.c.sharedGrants.Load(),
-		ExclGrants:       m.c.exclGrants.Load(),
-		Releases:         m.c.releases.Load(),
-		Timeouts:         m.c.timeouts.Load(),
-		Keepalives:       m.c.keepalives.Load(),
-		SessionsOpened:   m.c.sessionsOpened.Load(),
-		SessionsClosed:   m.c.sessionsClosed.Load(),
-		LeaseExpirations: m.c.expirations.Load(),
-		RevokedHolds:     m.c.revokedHolds.Load(),
-		EntriesCreated:   m.c.entriesCreated.Load(),
-		EntriesGCed:      m.c.entriesGCed.Load(),
-		Entries:          m.EntryCount(),
-		Sessions:         m.SessionCount(),
-		Waiting:          m.c.waiting.Load(),
+	m.mu.Lock()
+	c, entries, sessions := m.c, len(m.entries), len(m.sessions)
+	wait, hold := m.wait, m.holdH
+	m.mu.Unlock()
+	return Snapshot{
+		SharedGrants:     c.sharedGrants,
+		ExclGrants:       c.exclGrants,
+		Releases:         c.releases,
+		Timeouts:         c.timeouts,
+		Keepalives:       c.keepalives,
+		SessionsOpened:   c.sessionsOpened,
+		SessionsClosed:   c.sessionsClosed,
+		LeaseExpirations: c.expirations,
+		RevokedHolds:     c.revokedHolds,
+		EntriesCreated:   c.entriesCreated,
+		EntriesGCed:      c.entriesGCed,
+		Entries:          entries,
+		Sessions:         sessions,
+		Waiting:          c.waiting,
+
+		WaitCount:     wait.Count(),
+		WaitMeanUS:    wait.Mean() / 1e3,
+		WaitP50US:     wait.Percentile(50) / 1e3,
+		WaitP99US:     wait.Percentile(99) / 1e3,
+		WaitMaxUS:     float64(wait.Max()) / 1e3,
+		WaitTotalSecs: wait.Mean() * float64(wait.Count()) / 1e9,
+
+		HoldCount:  hold.Count(),
+		HoldMeanUS: hold.Mean() / 1e3,
+		HoldP50US:  hold.Percentile(50) / 1e3,
+		HoldP99US:  hold.Percentile(99) / 1e3,
+		HoldMaxUS:  float64(hold.Max()) / 1e3,
 	}
-	m.waitMu.Lock()
-	s.WaitCount = m.wait.Count()
-	s.WaitMeanUS = m.wait.Mean() / 1e3
-	s.WaitP50US = m.wait.Percentile(50) / 1e3
-	s.WaitP99US = m.wait.Percentile(99) / 1e3
-	s.WaitMaxUS = float64(m.wait.Max()) / 1e3
-	s.WaitTotalSecs = m.wait.Mean() * float64(m.wait.Count()) / 1e9
-	m.waitMu.Unlock()
-	m.holdMu.Lock()
-	s.HoldCount = m.holdH.Count()
-	s.HoldMeanUS = m.holdH.Mean() / 1e3
-	s.HoldP50US = m.holdH.Percentile(50) / 1e3
-	s.HoldP99US = m.holdH.Percentile(99) / 1e3
-	s.HoldMaxUS = float64(m.holdH.Max()) / 1e3
-	m.holdMu.Unlock()
-	return s
 }
 
 // WaitHistogram returns a copy of the grant-wait histogram (ns samples)
 // for exposition (the admin plane's Prometheus histogram).
 func (m *Manager) WaitHistogram() stats.Histogram {
-	m.waitMu.Lock()
-	h := m.wait
-	m.waitMu.Unlock()
-	return h
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.wait
 }
 
 // HoldHistogram returns a copy of the hold-time histogram (ns samples).
 func (m *Manager) HoldHistogram() stats.Histogram {
-	m.holdMu.Lock()
-	h := m.holdH
-	m.holdMu.Unlock()
-	return h
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.holdH
 }

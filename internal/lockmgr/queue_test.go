@@ -157,7 +157,7 @@ func TestQueueMatchesModel(t *testing.T) {
 func queueVsModel(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	cfg := slowCfg()
-	cfg.DefaultLease, cfg.MaxLease = 10000*time.Hour, 10000*time.Hour
+	cfg.MaxLease = 10000 * time.Hour
 	m := newTest(t, cfg)
 	sc := m.NewBatchScratch()
 	var rw recWaiter
@@ -165,7 +165,7 @@ func queueVsModel(t *testing.T, seed int64) {
 	models := make([]fairq.Lock[int], len(names))
 	actors := make([]*qActor, 12)
 	for i := range actors {
-		actors[i] = &qActor{sid: mustOpen(t, m, 0)}
+		actors[i] = &qActor{sid: mustOpen(t, m, cfg.MaxLease)}
 	}
 	seq := 0
 
@@ -292,7 +292,7 @@ func queueVsModel(t *testing.T, seed int64) {
 				cps = cps[1:]
 			}
 			want := leave(a)
-			a.state, a.sid = 0, mustOpen(t, m, 0)
+			a.state, a.sid = 0, mustOpen(t, m, cfg.MaxLease)
 			settle(cps, a.name, want)
 		}
 	}

@@ -18,9 +18,10 @@ import (
 // serves the same metrics in two encodings — Prometheus text for
 // scrapers and JSON (the manager snapshot schema the wire Stats op and
 // -metrics files already use, extended with worker and hot-lock tables)
-// — plus the flight recorder and net/http/pprof. Every endpoint reads
-// through the same lock-free counters the request path updates, so a
-// scrape never stops a worker loop.
+// — plus the flight recorder and net/http/pprof. The manager's numbers
+// are read in one short hold of Manager.mu, the one its ops take, so a
+// scrape delays a worker loop by a copy at most and its numbers agree
+// with each other; the workers' own counters stay lock-free.
 
 // DefaultHotLocks is the hot-lock table depth served when a request
 // does not pass ?k=, and the depth cmd/lockd writes to its -metrics file.

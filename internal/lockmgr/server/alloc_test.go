@@ -18,9 +18,8 @@ import (
 // counter is process-global, not per-goroutine.
 func quietCfg() lockmgr.Config {
 	return lockmgr.Config{
-		DefaultLease: time.Hour,
-		MaxLease:     time.Hour,
-		IdleTTL:      time.Hour,
+		MaxLease: time.Hour,
+		IdleTTL:  time.Hour,
 	}
 }
 

@@ -13,18 +13,18 @@ import (
 // TestStatsRaceHammer pits every observability read path (Stats,
 // HotLocks, histogram copies, flight-recorder snapshots) against every
 // write path at once: batch execution, scalar contended acquires, and
-// lease expiry on short-lived sessions. It asserts nothing beyond "no
-// error, no panic" — its teeth are `go test -race`, which is how the
-// admin plane's scrape-during-load contract is enforced.
+// lease expiry on short-lived sessions. Under `go test -race` that
+// enforces the admin plane's scrape-during-load contract; and every
+// snapshot must be one consistent cut: each grant has its wait sample and
+// each release its hold sample, whatever was in flight when it was taken.
 func TestStatsRaceHammer(t *testing.T) {
 	rec := introspect.NewRecorder(4, 64)
 	m := newTest(t, Config{
-		DefaultLease: time.Second,
-		MaxLease:     time.Second,
-		IdleTTL:      5 * time.Millisecond,
-		Recorder:     rec,
-		SlowLock:     time.Microsecond,
-		SlowLockFn:   func(string, uint64, bool, time.Duration) {},
+		MaxLease:   time.Second,
+		IdleTTL:    5 * time.Millisecond,
+		Recorder:   rec,
+		SlowLock:   time.Microsecond,
+		SlowLockFn: func(string, uint64, bool, time.Duration) {},
 	})
 
 	var stop atomic.Bool
@@ -87,7 +87,17 @@ func TestStatsRaceHammer(t *testing.T) {
 	})
 
 	// Readers: the scrape surface.
-	start(func() { m.Stats() })
+	var scrapes, broken atomic.Uint64
+	start(func() {
+		s := m.Stats()
+		scrapes.Add(1)
+		if s.SharedGrants+s.ExclGrants != s.WaitCount || s.Releases != s.HoldCount {
+			if broken.Add(1) == 1 {
+				t.Errorf("inconsistent snapshot: %d+%d grants, %d wait samples; %d releases, %d hold samples",
+					s.SharedGrants, s.ExclGrants, s.WaitCount, s.Releases, s.HoldCount)
+			}
+		}
+	})
 	start(func() { m.HotLocks(8) })
 	start(func() {
 		m.WaitHistogram()
@@ -99,6 +109,9 @@ func TestStatsRaceHammer(t *testing.T) {
 	stop.Store(true)
 	wg.Wait()
 
+	if n := broken.Load(); n > 0 {
+		t.Errorf("%d of %d snapshots were inconsistent", n, scrapes.Load())
+	}
 	snap := m.Stats()
 	if snap.SharedGrants+snap.ExclGrants == 0 {
 		t.Fatal("hammer made no grants; test is vacuous")

@@ -13,8 +13,8 @@ import (
 // rule (queue_test.go holds the table to that model step for step). Every
 // way a wait can end — a release that lets it in, its deadline, its
 // session's expiry or close, its connection's death — goes through
-// complete, under Manager.mu, and leaves a Completion that settle books
-// and delivers once mu is released. Whatever happens because time passed
+// complete, under Manager.mu, which books the outcome; settle records
+// and delivers it once mu is released. Whatever happens because time passed
 // — a wait's timeout, a lease's expiry, the collection of idle entries —
 // is an item on one deadline heap behind one timer that runs only expire.
 
@@ -105,7 +105,7 @@ func (m *Manager) enqueue(v queued, excl bool, wait time.Duration) {
 		n.V.snext.V.sprev = n
 	}
 	v.s.waits = n
-	m.c.waiting.Add(1)
+	m.c.waiting++
 	if wait > 0 {
 		n.V.dl.n = n
 		m.schedule(&n.V.dl, v.t0.Add(min(wait, v.s.deadline.Sub(v.t0))))
@@ -230,9 +230,10 @@ func (m *Manager) CancelWait(sid uint64, w Waiter) {
 // complete ends n's wait with err — nil is a grant, which complete makes
 // itself unless n's session was revoked meanwhile (or the manager is
 // closing: Close promises queued acquires ErrExpired, not a grant it is
-// about to revoke). It is the only way out of
-// the queue: n leaves the FIFO, its session's list and the deadline heap,
-// the outcome is appended to done, the node is recycled. mu is held.
+// about to revoke). It is the only way out of the queue: n leaves the
+// FIFO, its session's list and the deadline heap, a grant (with its wait)
+// or a timeout is booked, the outcome is appended to done, the node is
+// recycled. mu is held.
 func (m *Manager) complete(n *waitNode, err error, now time.Time, done *[]Completion) {
 	v, e, s := &n.V, n.V.e, n.V.s
 	if err == nil {
@@ -252,12 +253,16 @@ func (m *Manager) complete(n *waitNode, err error, now time.Time, done *[]Comple
 		v.snext.V.sprev = v.sprev
 	}
 	e.lk.Remove(n)
-	m.c.waiting.Add(-1)
+	m.c.waiting--
 	m.unschedule(&v.dl)
 	waited := now.Sub(v.t0)
-	if err == nil {
+	switch err {
+	case nil:
+		m.granted(n.Write, waited)
 		e.waitNS += int64(waited)
 		e.maxWaitNS = max(e.maxWaitNS, int64(waited))
+	case ErrTimeout:
+		m.c.timeouts++
 	}
 	*done = append(*done, Completion{W: v.w, Tag: v.tag, SID: s.id, Hash: e.hash,
 		Err: err, Wait: waited, name: e.name, excl: n.Write, at: now.UnixNano()})
@@ -275,31 +280,24 @@ func (m *Manager) admit(e *entry, now time.Time, done *[]Completion) {
 	}
 }
 
-// settle books each completed wait — grant and timeout counters, the wait
-// histogram, flight events, the slow-lock report; only an acquire that
-// queued has queue wait to attribute — and delivers it to its Waiter, with
-// mu free. From
-// ExecBatch (batch) the caller's own waiters are not called: their
-// completions are returned, for it to answer in the same round.
+// settle records each completed wait — its flight event and the slow-lock
+// report; only an acquire that queued has queue wait to attribute — and
+// delivers it to its Waiter, with mu free. From ExecBatch (batch) the
+// caller's own waiters are not called: their completions are returned, for
+// it to answer in the same round.
 func (m *Manager) settle(done []Completion, batch bool) []Completion {
 	kept := done[:0]
 	for _, cp := range done {
 		rec := obs.Record{At: uint64(cp.at), Lock: uint64(cp.Hash), Tid: cp.SID, Aux: uint64(cp.Wait),
 			Node: obs.LRTNode(0), Kind: obs.KCancel}
-		switch {
-		case cp.Err == nil && cp.excl:
-			m.c.exclGrants.Add(1)
+		switch cp.Err {
+		case nil:
 			rec.Kind = obs.KLRTGrant
-		case cp.Err == nil:
-			m.c.sharedGrants.Add(1)
-			rec.Kind = obs.KLRTGrant
-		case cp.Err == ErrTimeout:
-			m.c.timeouts.Add(1)
+		case ErrTimeout:
 			rec.Kind = obs.KTimeout
 		}
 		m.cfg.Recorder.Record(cp.Hash, rec)
 		if cp.Err == nil {
-			m.observeWait(uint64(cp.Wait), 1)
 			if t := m.cfg.SlowLock; t > 0 && cp.Wait >= t {
 				rec.Kind = obs.KSlow
 				m.cfg.Recorder.Record(cp.Hash, rec)
