@@ -19,8 +19,11 @@
 //
 // -trace writes Chrome trace-event JSON: open it at https://ui.perfetto.dev
 // (or chrome://tracing) to see per-core, per-LRT and link-occupancy tracks
-// for every simulated run. -metrics writes acquire-latency/transfer-time
-// histograms, queue-depth samples and per-link occupancy bins as JSON.
+// for every simulated run. Each run's trace keeps its first 2^18 events;
+// when a run has more, lcusim says on stderr how many runs were truncated
+// and how many events they dropped. -metrics writes acquire-latency and
+// transfer-time histograms, queue-depth samples and per-link occupancy
+// bins as JSON.
 package main
 
 import (
@@ -186,6 +189,9 @@ func main() {
 			fatalf("writing %s: %v", *traceOut, err)
 		}
 		fmt.Fprintf(os.Stderr, "lcusim: trace written to %s (open at https://ui.perfetto.dev)\n", *traceOut)
+		if runs, dropped := cfg.Obs.Truncated(); runs > 0 {
+			fmt.Fprintf(os.Stderr, "lcusim: trace truncated: %d of %d runs hit the per-run record cap, %d records dropped\n", runs, len(cfg.Obs.Caps), dropped)
+		}
 	}
 	if metricsF != nil {
 		if err := cfg.Obs.WriteMetrics(metricsF); err != nil {

@@ -35,11 +35,19 @@ type benchRWLock interface {
 // sleeping or allocating.
 func spin(n int) {
 	for i := 0; i < n; i++ {
-		benchSink++
+		benchSink.n++
 	}
 }
 
-var benchSink int
+// benchSink is padded onto cache lines of its own. Unpadded, the linker
+// places it beside runtime globals, and which ones depends on the rest of
+// the binary: two builds of the same lock read BenchmarkMutexContended/fair
+// 46 and 75 ns/op (EXPERIMENTS.md, "fairlock waits one way").
+var benchSink struct {
+	_ [128]byte
+	n int
+	_ [128]byte
+}
 
 // rwFlavor is one column of the matrix: which implementation.
 type rwFlavor struct {

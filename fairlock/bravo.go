@@ -78,23 +78,19 @@ func casDecPositive(sl *rslot) bool {
 }
 
 // drainSlots waits for fast-path readers (published before the bias was
-// revoked) to leave. Every writer runs this after it owns the writer bit
+// revoked) to leave. Every writer runs it after it owns the writer bit
 // and before entering its critical section; with an empty table it is
-// numSlots uncontended loads.
-func (m *RWMutex) drainSlots() { m.drainSlotsUntil(time.Time{}, nil) }
-
-// drainSlotsUntil is drainSlots bounded by a deadline (zero means none)
-// and by cancel (nil means never). It returns false — with slots possibly
-// still populated — once the deadline passes or cancel is closed; bounded
-// write acquisitions use this so they can honor their bound even against
-// a reader that will never leave, e.g. a slot credit held by the calling
-// goroutine itself (an upgrade attempt, which the reference lock resolves
-// by timing out). A populated drain records its cost and inhibits
-// re-enabling the bias for a multiple of it (BRAVO's adaptive revocation
-// policy). A transiently negative reader half (a blind RUnlock decrement
-// about to be undone) reads as non-zero and just extends the spin by an
-// iteration.
-func (m *RWMutex) drainSlotsUntil(deadline time.Time, cancel <-chan struct{}) bool {
+// numSlots uncontended loads. A non-zero deadline bounds the wait: past
+// it drainSlots returns false, with slots possibly still populated.
+// Bounded write acquisitions rely on that to honor their bound even
+// against a reader that will never leave, e.g. a slot credit held by the
+// calling goroutine itself (an upgrade attempt, which the reference lock
+// resolves by timing out). A populated drain records its cost and
+// inhibits re-enabling the bias for a multiple of it (BRAVO's adaptive
+// revocation policy). A transiently negative reader half (a blind RUnlock
+// decrement about to be undone) reads as non-zero and just extends the
+// spin by an iteration.
+func (m *RWMutex) drainSlots(deadline time.Time) bool {
 	if !m.everBiased.Load() {
 		// The bias has never been on, so no reader ever published in a
 		// slot: write-heavy locks skip the table scan entirely.
@@ -111,11 +107,6 @@ func (m *RWMutex) drainSlotsUntil(deadline time.Time, cancel <-chan struct{}) bo
 		for spins := 0; slotReaders(m.slots[i].word.Load()) != 0; spins++ {
 			if !deadline.IsZero() && !time.Now().Before(deadline) {
 				return false
-			}
-			select {
-			case <-cancel:
-				return false
-			default:
 			}
 			if spins < 64 {
 				runtime.Gosched()

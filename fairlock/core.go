@@ -62,16 +62,16 @@ type core struct {
 	everBiased   atomic.Bool  // bias was enabled at least once (drain gate)
 }
 
-// lockSlow is the blocking acquire after the fast path failed: spin, then
-// park on the FIFO until granted.
-func (c *core) lockSlow(write bool) {
+// slow is the one contended acquire, entered after a fast path failed:
+// spin, then take a place in the FIFO, then wait there until granted or
+// until the deadline passes (zero: no bound). It reports whether the
+// lock was granted; without a deadline it always is.
+func (c *core) slow(write bool, deadline time.Time) bool {
 	if c.spinAcquire(write) {
-		return
+		return true
 	}
-	if w := c.enqueue(write); w != nil {
-		<-w.V
-		putWaiter(w)
-	}
+	w := c.enqueue(write)
+	return w == nil || c.wait(w, deadline)
 }
 
 // spinAcquire retries the fast path spinGrants times, yielding before
@@ -226,27 +226,23 @@ func (c *core) admit() {
 	}
 }
 
-// wait parks on the queued waiter w until it is granted, cancel is closed
-// or the deadline passes; a nil cancel or a zero deadline never fires, and
-// the timer exists only while a deadline is waited on. A waiter that gives
-// up leaves the queue in O(1) (the LCU's expired-trylock entry is skipped
-// by its grant timer; here it is unlinked synchronously). It reports
-// whether the lock was granted: a grant that races the give-up wins.
-func (c *core) wait(w *waiter, cancel <-chan struct{}, deadline time.Time) bool {
-	var timeout <-chan time.Time
-	if !deadline.IsZero() {
-		t := time.NewTimer(time.Until(deadline))
-		defer t.Stop()
-		timeout = t.C
+// wait parks on the queued waiter w until it is granted or the deadline
+// passes. A zero deadline is a plain receive, and the timer exists only
+// while a deadline is waited on. A waiter that times out leaves the queue
+// in O(1) (the LCU's expired-trylock entry is skipped by its grant timer;
+// here it is unlinked synchronously). It reports whether the lock was
+// granted: a grant that races the timeout wins.
+func (c *core) wait(w *waiter, deadline time.Time) bool {
+	if deadline.IsZero() {
+		<-w.V
+		putWaiter(w)
+		return true
 	}
+	t := time.NewTimer(time.Until(deadline))
+	defer t.Stop()
 	select {
 	case <-w.V:
-	case <-cancel:
-		if c.abandon(w) {
-			return false
-		}
-		<-w.V
-	case <-timeout:
+	case <-t.C:
 		if c.abandon(w) {
 			return false
 		}
@@ -256,9 +252,9 @@ func (c *core) wait(w *waiter, cancel <-chan struct{}, deadline time.Time) bool 
 	return true
 }
 
-// abandon unlinks a waiter whose timeout or cancellation fired. It
-// reports whether the waiter was still queued (and is now gone); false
-// means a grant won the race and its token is (or will be) in w.V.
+// abandon unlinks a waiter whose timeout fired. It reports whether the
+// waiter was still queued (and is now gone); false means a grant won the
+// race and its token is (or will be) in w.V.
 func (c *core) abandon(w *waiter) bool {
 	c.qmu.Lock()
 	if !c.q.Queued(w) {

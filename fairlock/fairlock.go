@@ -13,10 +13,13 @@
 // Both locks run on one queue core (core.go), the way the LCU runs one
 // queue discipline for every lock mode. The core is a single atomic state
 // word (readers | writer | bias | queue length) whose CAS gives every
-// uncontended acquire an allocation-free fast path; a short yielding spin
-// that retries that CAS before parking, never past a queued waiter; and
-// a pooled FIFO of fairq nodes (waiter.go) with one admission rule, one
-// bounded wait and one hand-off release. Mutex is the core in write mode.
+// uncontended acquire an allocation-free fast path, and one slow path
+// that every acquire which can block takes once that CAS fails: a short
+// yielding spin that retries the CAS, never past a queued waiter; then a
+// place in a pooled FIFO of fairq nodes (waiter.go) with one admission
+// rule; then a wait there, bounded for the timed acquires (a trylock is
+// the same request with a deadline) and released by one hand-off. Mutex
+// is the core in write mode.
 // RWMutex adds a BRAVO-style distributed reader table (bravo.go) that lets
 // concurrent readers scale across cores while no writer holds or waits —
 // the slot path is open exactly when TryRLock would succeed, so fairness
@@ -44,10 +47,10 @@ func (m *RWMutex) Lock() {
 	if m.state.CompareAndSwap(0, writerBit) {
 		m.grantsW.Add(1)
 	} else {
-		m.lockSlow(true)
+		m.slow(true, time.Time{})
 	}
 	if m.everBiased.Load() {
-		m.drainSlots()
+		m.drainSlots(time.Time{})
 	}
 }
 
@@ -64,7 +67,7 @@ func (m *RWMutex) RLock() {
 		m.retract(sl)
 	}
 	if !m.rlockFast() {
-		m.lockSlow(false)
+		m.slow(false, time.Time{})
 	}
 }
 
@@ -153,7 +156,7 @@ func (m *RWMutex) TryLock() bool {
 	// A reader that published between our scan and the CAS drains within
 	// the bound if it is retracting; otherwise the grant rolls back and
 	// the trylock fails — it never waits on a held read lock.
-	return m.finishWrite(time.Now().Add(tryLockDrain), nil)
+	return m.finishWrite(time.Now().Add(tryLockDrain))
 }
 
 // TryRLock attempts read mode without waiting. It fails if a writer holds
@@ -164,34 +167,15 @@ func (m *RWMutex) TryRLock() bool {
 
 // TryLockFor attempts write mode, waiting in queue up to d. On timeout the
 // waiter leaves the queue in O(1).
-func (m *RWMutex) TryLockFor(d time.Duration) bool { return m.acquire(true, time.Now().Add(d), nil) }
+func (m *RWMutex) TryLockFor(d time.Duration) bool { return m.acquire(true, time.Now().Add(d)) }
 
 // TryRLockFor attempts read mode, waiting in queue up to d.
-func (m *RWMutex) TryRLockFor(d time.Duration) bool { return m.acquire(false, time.Now().Add(d), nil) }
+func (m *RWMutex) TryRLockFor(d time.Duration) bool { return m.acquire(false, time.Now().Add(d)) }
 
-// LockCancel acquires write mode like Lock, but abandons the attempt when
-// cancel is closed — the revocation hook a lock service needs to evict the
-// queued waiters of a dead session without disturbing arrival order for
-// anyone else. It reports whether the lock was acquired. A cancelled
-// waiter leaves the queue in O(1); if the grant races the cancellation,
-// the caller owns the lock and true is returned (the service releases it
-// when it finds the session gone).
-func (m *RWMutex) LockCancel(cancel <-chan struct{}) bool {
-	return m.acquire(true, time.Time{}, cancel)
-}
-
-// RLockCancel acquires read mode like RLock, but abandons the attempt when
-// cancel is closed. It reports whether the lock was acquired (see
-// LockCancel for the grant/cancel race).
-func (m *RWMutex) RLockCancel(cancel <-chan struct{}) bool {
-	return m.acquire(false, time.Time{}, cancel)
-}
-
-// acquire is the one bounded acquire: the fast path, else a place in the
-// queue waited on until the deadline (zero: none) or until cancel is
-// closed (nil: never). A write grant then drains the slot readers under
-// the same bounds.
-func (m *RWMutex) acquire(write bool, deadline time.Time, cancel <-chan struct{}) bool {
+// acquire is the bounded acquire: the fast path, else the core's slow
+// path waited on until the deadline. A write grant then drains the slot
+// readers under the same deadline.
+func (m *RWMutex) acquire(write bool, deadline time.Time) bool {
 	var granted bool
 	if write {
 		if granted = m.state.CompareAndSwap(0, writerBit); granted {
@@ -200,23 +184,21 @@ func (m *RWMutex) acquire(write bool, deadline time.Time, cancel <-chan struct{}
 	} else {
 		granted = m.rlockFast()
 	}
-	if !granted {
-		if w := m.enqueue(write); w != nil && !m.wait(w, cancel, deadline) {
-			return false
-		}
+	if !granted && !m.slow(write, deadline) {
+		return false
 	}
-	return !write || m.finishWrite(deadline, cancel)
+	return !write || m.finishWrite(deadline)
 }
 
 // finishWrite completes a bounded write acquisition that already owns the
 // writer bit: fast-path readers must drain before the critical section,
-// but only until the deadline or cancellation. One of those readers can
-// be a slot credit held by the calling goroutine itself (an upgrade
-// attempt), which will never leave — the reference lock resolves that by
-// timing out in queue, so on expiry the grant is rolled back, un-counted,
-// and the acquire reports failure.
-func (m *RWMutex) finishWrite(deadline time.Time, cancel <-chan struct{}) bool {
-	if m.drainSlotsUntil(deadline, cancel) {
+// but only until the deadline. One of those readers can be a slot credit
+// held by the calling goroutine itself (an upgrade attempt), which will
+// never leave — the reference lock resolves that by timing out in queue,
+// so on expiry the grant is rolled back, un-counted, and the acquire
+// reports failure.
+func (m *RWMutex) finishWrite(deadline time.Time) bool {
+	if m.drainSlots(deadline) {
 		return true
 	}
 	m.rollbackWrite()

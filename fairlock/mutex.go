@@ -17,7 +17,7 @@ type Mutex struct{ c core }
 // Lock acquires the mutex, queueing FIFO behind earlier waiters.
 func (m *Mutex) Lock() {
 	if !m.TryLock() {
-		m.c.lockSlow(true)
+		m.c.slow(true, time.Time{})
 	}
 }
 
@@ -36,11 +36,7 @@ func (m *Mutex) TryLock() bool {
 // TryLockFor acquires the mutex, waiting in queue at most d. A timed-out
 // waiter unlinks itself in O(1).
 func (m *Mutex) TryLockFor(d time.Duration) bool {
-	if m.TryLock() {
-		return true
-	}
-	w := m.c.enqueue(true)
-	return w == nil || m.c.wait(w, nil, time.Now().Add(d))
+	return m.TryLock() || m.c.slow(true, time.Now().Add(d))
 }
 
 // Grants returns the cumulative number of acquisitions (diagnostics).

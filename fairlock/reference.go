@@ -69,10 +69,10 @@ func (m *RefRWMutex) release(write bool, notHeld string) {
 }
 
 // Lock acquires the lock in write (exclusive) mode.
-func (m *RefRWMutex) Lock() { m.bounded(true, time.Time{}, nil) }
+func (m *RefRWMutex) Lock() { m.bounded(true, time.Time{}) }
 
 // RLock acquires the lock in read (shared) mode.
-func (m *RefRWMutex) RLock() { m.bounded(false, time.Time{}, nil) }
+func (m *RefRWMutex) RLock() { m.bounded(false, time.Time{}) }
 
 // Unlock releases write mode. It panics if the lock is not write-held.
 func (m *RefRWMutex) Unlock() { m.release(true, "fairlock: Unlock of non-write-locked RefRWMutex") }
@@ -87,31 +87,16 @@ func (m *RefRWMutex) TryLock() bool { return m.try(true) }
 func (m *RefRWMutex) TryRLock() bool { return m.try(false) }
 
 // TryLockFor attempts write mode, waiting in queue up to d.
-func (m *RefRWMutex) TryLockFor(d time.Duration) bool { return m.bounded(true, time.Now().Add(d), nil) }
+func (m *RefRWMutex) TryLockFor(d time.Duration) bool { return m.bounded(true, time.Now().Add(d)) }
 
 // TryRLockFor attempts read mode, waiting in queue up to d.
-func (m *RefRWMutex) TryRLockFor(d time.Duration) bool {
-	return m.bounded(false, time.Now().Add(d), nil)
-}
-
-// LockCancel acquires write mode, abandoning the attempt when cancel is
-// closed. It reports whether the lock was acquired.
-func (m *RefRWMutex) LockCancel(cancel <-chan struct{}) bool {
-	return m.bounded(true, time.Time{}, cancel)
-}
-
-// RLockCancel acquires read mode, abandoning the attempt when cancel is
-// closed. It reports whether the lock was acquired.
-func (m *RefRWMutex) RLockCancel(cancel <-chan struct{}) bool {
-	return m.bounded(false, time.Time{}, cancel)
-}
+func (m *RefRWMutex) TryRLockFor(d time.Duration) bool { return m.bounded(false, time.Now().Add(d)) }
 
 // bounded is the one acquire: an immediate grant, else a place in the
-// queue waited on until granted, the deadline passes (zero: never) or
-// cancel is closed (nil: never). A waiter that gives up leaves the queue
-// and lets in whoever it was blocking; one whose grant won the race holds
-// the lock.
-func (m *RefRWMutex) bounded(write bool, deadline time.Time, cancel <-chan struct{}) bool {
+// queue waited on until granted or until the deadline passes (zero:
+// never). A waiter that times out leaves the queue and lets in whoever it
+// was blocking; one whose grant won the race holds the lock.
+func (m *RefRWMutex) bounded(write bool, deadline time.Time) bool {
 	if m.try(write) {
 		return true
 	}
@@ -130,7 +115,6 @@ func (m *RefRWMutex) bounded(write bool, deadline time.Time, cancel <-chan struc
 	case <-w.V:
 		return true
 	case <-timeout:
-	case <-cancel:
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()

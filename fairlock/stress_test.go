@@ -11,8 +11,8 @@ import (
 	"fairrw/internal/fairq"
 )
 
-// TestStressGrantVsTimeoutRW hammers the grant-vs-timeout race in
-// RWMutex.tryFor with microsecond deadlines: a timed waiter whose grant
+// TestStressGrantVsTimeoutRW hammers the grant-vs-timeout race in the
+// timed acquires with microsecond deadlines: a timed waiter whose grant
 // races its timer must either cleanly leave the queue or end up holding
 // the lock (and release it correctly). Exclusion is checked on every
 // acquisition; run under -race in CI.
@@ -344,10 +344,10 @@ func TestWaiterPoolHygiene(t *testing.T) {
 	}
 }
 
-// TestStressCancelRevocation mixes cancellable acquires with the spin
-// and BRAVO bias revocation at small timeouts, checking exclusion on
-// every acquisition (run with -race and GOMAXPROCS=8 in CI).
-func TestStressCancelRevocation(t *testing.T) {
+// TestStressTimedRevocation mixes timed acquires with the spin and BRAVO
+// bias revocation at small timeouts, checking exclusion on every
+// acquisition (run with -race and GOMAXPROCS=8 in CI).
+func TestStressTimedRevocation(t *testing.T) {
 	var m RWMutex
 	var writers, readers int32
 	check := func(write bool) {
@@ -379,24 +379,15 @@ func TestStressCancelRevocation(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(g)))
 			for i := 0; i < iters; i++ {
+				d := time.Duration(rng.Intn(60)) * time.Microsecond
 				switch g % 4 {
-				case 0: // cancellable writer, sometimes already cancelled
-					cancel := make(chan struct{})
-					if rng.Intn(4) == 0 {
-						close(cancel)
-					} else {
-						time.AfterFunc(time.Duration(rng.Intn(60))*time.Microsecond,
-							func() { close(cancel) })
-					}
-					if m.LockCancel(cancel) {
+				case 0: // timed writer, sometimes with a zero bound
+					if m.TryLockFor(d) {
 						check(true)
 						m.Unlock()
 					}
-				case 1: // cancellable reader
-					cancel := make(chan struct{})
-					time.AfterFunc(time.Duration(rng.Intn(60))*time.Microsecond,
-						func() { close(cancel) })
-					if m.RLockCancel(cancel) {
+				case 1: // timed reader
+					if m.TryRLockFor(d) {
 						check(false)
 						m.RUnlock()
 					}

@@ -77,38 +77,21 @@ func (m *Map) Contains(addr string) bool {
 // Owner returns the member owning name, or "" on an empty map. The
 // lookup is allocation-free: one pass hashing the name, one pass mixing
 // it against each precomputed member hash.
-func (m *Map) Owner(name string) string {
-	i := m.OwnerIndex(name)
-	if i < 0 {
-		return ""
-	}
-	return m.members[i]
-}
-
-// OwnerIndex is Owner returning the member's index, -1 on an empty map.
-// Ties (astronomically unlikely with 64-bit scores) break to the lower
-// index; since members are sorted that choice is order-independent too.
-func (m *Map) OwnerIndex(name string) int {
-	if len(m.members) == 0 {
-		return -1
-	}
-	h := hash64(name)
-	best, bestScore := 0, mix64(h^m.hashes[0])
-	for i := 1; i < len(m.hashes); i++ {
-		if s := mix64(h ^ m.hashes[i]); s > bestScore {
-			best, bestScore = i, s
-		}
-	}
-	return best
-}
+func (m *Map) Owner(name string) string { return owner(m, name) }
 
 // OwnerBytes is Owner for a name still aliasing a decode buffer, so the
 // server's parse loop can gate ops without materializing a string.
-func (m *Map) OwnerBytes(name []byte) string {
+func (m *Map) OwnerBytes(name []byte) string { return owner(m, name) }
+
+// owner is the one rendezvous lookup behind Owner and OwnerBytes: the
+// member whose score for name is highest. Ties (astronomically unlikely
+// with 64-bit scores) break to the lower index; since members are sorted
+// that choice is order-independent too.
+func owner[T string | []byte](m *Map, name T) string {
 	if len(m.members) == 0 {
 		return ""
 	}
-	h := hash64bytes(name)
+	h := hash64(name)
 	best, bestScore := 0, mix64(h^m.hashes[0])
 	for i := 1; i < len(m.hashes); i++ {
 		if s := mix64(h ^ m.hashes[i]); s > bestScore {
@@ -147,19 +130,9 @@ func FromMembership(wm *wire.Membership) (*Map, error) {
 	return NewMap(wm.Epoch, wm.Members)
 }
 
-// hash64 is FNV-1a 64 over the string bytes — stable across processes
-// (unlike maphash), cheap, and already the family used by the manager's
-// shard router.
-func hash64(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-func hash64bytes(s []byte) uint64 {
+// hash64 is FNV-1a 64 over the name's bytes: stable across processes
+// (unlike maphash) and cheap.
+func hash64[T string | []byte](s T) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])

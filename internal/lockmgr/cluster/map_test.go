@@ -149,7 +149,7 @@ func TestOwnerBytesMatchesOwner(t *testing.T) {
 
 func TestEmptyAndSingleMaps(t *testing.T) {
 	empty := mustMap(t, 0, nil)
-	if empty.Owner("x") != "" || empty.OwnerIndex("x") != -1 {
+	if empty.Owner("x") != "" || empty.OwnerBytes([]byte("x")) != "" {
 		t.Fatal("empty map claimed an owner")
 	}
 	solo := mustMap(t, 1, []string{"n1:1"})

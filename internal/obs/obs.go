@@ -276,3 +276,16 @@ func (c *Collector) Add(cap *Capture) {
 		c.Caps = append(c.Caps, cap)
 	}
 }
+
+// Truncated reports how many runs hit the per-run record cap and how many
+// records they dropped between them: their event logs, and so the trace,
+// hold only each such run's first maxRecords events.
+func (c *Collector) Truncated() (runs int, dropped uint64) {
+	for _, cap := range c.Caps {
+		if cap.Dropped > 0 {
+			runs++
+			dropped += cap.Dropped
+		}
+	}
+	return runs, dropped
+}

@@ -49,6 +49,12 @@ func TestCaptureRecGatingAndCap(t *testing.T) {
 	if c.Dropped != 2 {
 		t.Fatalf("got %d dropped, want 2", c.Dropped)
 	}
+	var col Collector
+	col.Add(New(Options{Records: true}, Meta{}))
+	col.Add(c)
+	if runs, dropped := col.Truncated(); runs != 1 || dropped != 2 {
+		t.Fatalf("Truncated() = %d runs, %d dropped; want 1, 2", runs, dropped)
+	}
 
 	// Cache events are off by default even with Records on.
 	c2 := New(Options{Records: true}, Meta{})

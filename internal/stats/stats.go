@@ -125,23 +125,6 @@ func (h *Histogram) Add(v uint64) {
 	h.n++
 }
 
-// AddN records n identical samples in one update (a batch of
-// uncontended grants, say) at the cost of a single bucket increment.
-func (h *Histogram) AddN(v, n uint64) {
-	if n == 0 {
-		return
-	}
-	h.counts[histBucket(v)] += n
-	h.sum += v * n
-	if h.n == 0 || v < h.min {
-		h.min = v
-	}
-	if v > h.max {
-		h.max = v
-	}
-	h.n += n
-}
-
 // Reset discards every recorded sample, returning h to its zero state.
 // Load generators use it to drop warmup samples: record from the start,
 // Reset when the warmup window closes, and only steady-state samples
