@@ -189,8 +189,8 @@ func main() {
 			fatalf("writing %s: %v", *traceOut, err)
 		}
 		fmt.Fprintf(os.Stderr, "lcusim: trace written to %s (open at https://ui.perfetto.dev)\n", *traceOut)
-		if runs, dropped := cfg.Obs.Truncated(); runs > 0 {
-			fmt.Fprintf(os.Stderr, "lcusim: trace truncated: %d of %d runs hit the per-run record cap, %d records dropped\n", runs, len(cfg.Obs.Caps), dropped)
+		if runs, dropped, kept := cfg.Obs.Truncated(); runs > 0 {
+			fmt.Fprintf(os.Stderr, "lcusim: trace truncated: %d of %d runs hit the per-run record cap, %d records dropped; each kept its last %d records\n", runs, len(cfg.Obs.Caps), dropped, kept)
 		}
 	}
 	if metricsF != nil {

@@ -43,8 +43,8 @@ import (
 
 	"fairrw/internal/lockmgr"
 	"fairrw/internal/lockmgr/cluster"
-	"fairrw/internal/lockmgr/introspect"
 	"fairrw/internal/lockmgr/server"
+	"fairrw/internal/obs"
 )
 
 // The node is the server's cluster gate; keep the contract pinned at
@@ -123,7 +123,7 @@ func main() {
 	// One flight-recorder ring per event loop (the server runs GOMAXPROCS
 	// loops and keys by loop index); the manager's grant/expiry events hash
 	// across the same rings.
-	rec := introspect.NewRecorder(runtime.GOMAXPROCS(0), flightEvents)
+	rec := obs.NewRecorder(runtime.GOMAXPROCS(0), flightEvents)
 	slowFn := func(name string, sid uint64, excl bool, wait time.Duration) {
 		log.Printf("lockd: slowlock lock=%q sid=%d excl=%v wait=%v", name, sid, excl, wait)
 	}

@@ -52,16 +52,28 @@ func slotReaders(v uint64) int32 { return int32(uint32(v)) }
 
 // slotIndex hashes the current goroutine to a reader slot from the
 // address of a stack local, the same trick the BRAVO paper uses with the
-// thread's stack pointer: distinct goroutines live on distinct stacks, and
-// the same goroutine's RLock and RUnlock frames sit within the same 8 KiB
-// window, so the pair lands on the same slot without needing a goroutine
-// id. A mismatch (stack growth between lock and unlock, or a
-// cross-goroutine RUnlock) is only a performance event — credit release
-// falls back to the central count and then to scanning the table.
+// thread's stack pointer. A goroutine starts on a 2 KiB stack, aligned to
+// its size, and goroutines started together get neighbouring stacks. The
+// slot is the address's 2 KiB window plus its 32 KiB block (numSlots
+// windows): neighbouring 2 KiB stacks land on distinct slots, and so do
+// neighbouring grown ones (4 KiB and up), whose frames would otherwise
+// fall only in every second or fourth window. One goroutine's RLock and
+// RUnlock frames sit in the same window, so the pair lands on the same
+// slot without needing a goroutine id. A mismatch (frames that straddle a
+// window, stack growth between lock and unlock, or a cross-goroutine
+// RUnlock) is only a performance event — credit release falls back to
+// the central count and then to scanning the table; creditHunts counts
+// those fallbacks.
 func slotIndex() uint32 {
 	var x byte
-	return uint32(uintptr(unsafe.Pointer(&x))>>13) % numSlots
+	a := uintptr(unsafe.Pointer(&x))
+	return uint32(a>>11+a>>15) % numSlots
 }
+
+// creditHunts counts biased RUnlocks whose hashed slot held no credit, so
+// they hunted for it (releaseReadCredit). Tests read it to measure how
+// often an RLock and its RUnlock meet on one slot.
+var creditHunts atomic.Uint64
 
 // casDecPositive removes one reader credit from the packed slot word iff
 // its reader half is currently positive, never driving it below zero.

@@ -108,6 +108,7 @@ func (m *RWMutex) RUnlock() {
 			return
 		}
 		sl.word.Add(1)
+		creditHunts.Add(1)
 	}
 	m.releaseReadCredit(sl, true)
 }

@@ -1,11 +1,14 @@
 package fairlock
 
 import (
+	"os"
+	"os/exec"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestMutualExclusion(t *testing.T) {
@@ -383,5 +386,90 @@ func TestStressMixed(t *testing.T) {
 	wg.Wait()
 	if m.QueueLen() != 0 {
 		t.Fatalf("queue len %d after quiescence", m.QueueLen())
+	}
+}
+
+// TestSlotsSpreadGoroutines: goroutines started together publish their
+// biased read credits in distinct BRAVO slots, and each one's RUnlock
+// finds its credit in the slot its RLock published it to.
+//
+// The spread holds for goroutines still on the stacks they started on. New
+// goroutines reuse exited ones' stacks, which after other tests lie
+// anywhere, so the check runs in a fresh process: this test binary, re-run
+// on this test alone. A stack that grows moves to wherever the runtime
+// puts it (under -race every one grows before its RLock); then the spread
+// is only logged. The pairing rate is counted (creditHunts), not assumed,
+// after each goroutine's first pair, across which its stack may still move.
+func TestSlotsSpreadGoroutines(t *testing.T) {
+	if os.Getenv("FAIRLOCK_SPREAD_CHILD") == "" {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestSlotsSpreadGoroutines$", "-test.v", "-test.count=1")
+		cmd.Env = append(os.Environ(), "FAIRLOCK_SPREAD_CHILD=1")
+		out, err := cmd.CombinedOutput()
+		t.Logf("fresh process:\n%s", out)
+		if err != nil {
+			t.Fatalf("fresh process: %v", err)
+		}
+		return
+	}
+	var m RWMutex
+	for i := 0; i < 500; i++ { // enough central grants to enable the bias
+		m.RLock()
+		m.RUnlock()
+	}
+	if m.state.Load()&biasBit == 0 {
+		t.Fatal("read bias did not enable after sustained read traffic")
+	}
+	const g, pairs = 4, 1000
+	var moved atomic.Int32
+	var held, first, done sync.WaitGroup
+	release, loop := make(chan struct{}), make(chan struct{})
+	held.Add(g)
+	first.Add(g)
+	done.Add(g)
+	for i := 0; i < g; i++ {
+		go func() {
+			defer done.Done()
+			var x byte
+			start := uintptr(unsafe.Pointer(&x))
+			m.RLock()
+			if uintptr(unsafe.Pointer(&x)) != start {
+				moved.Add(1)
+			}
+			held.Done()
+			<-release
+			m.RUnlock()
+			first.Done()
+			<-loop
+			for j := 0; j < pairs; j++ {
+				m.RLock()
+				m.RUnlock()
+			}
+		}()
+	}
+	held.Wait()
+	var used []int
+	for i := range m.slots {
+		if slotReaders(m.slots[i].word.Load()) != 0 {
+			used = append(used, i)
+		}
+	}
+	close(release)
+	first.Wait()
+	hunts := creditHunts.Load()
+	close(loop)
+	done.Wait()
+	switch {
+	case moved.Load() > 0:
+		t.Logf("%d of %d stacks moved before RLock; their credits sit in slots %v", moved.Load(), g, used)
+	case len(used) != g:
+		t.Errorf("%d goroutines hold read credits in slots %v, want %d distinct slots", g, used, g)
+	}
+	missed := creditHunts.Load() - hunts
+	t.Logf("%d of %d RUnlocks hunted for their credit", missed, g*pairs)
+	if missed != 0 {
+		t.Errorf("%d of %d RUnlocks missed their RLock's slot", missed, g*pairs)
+	}
+	if !m.slotsEmpty() || m.state.Load()&readerMask != 0 {
+		t.Fatal("read credits left over after every reader unlocked")
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"fairrw/internal/lockmgr/introspect"
+	"fairrw/internal/obs"
 )
 
 // TestExecBatchBasics drives a mixed batch end to end: open, grants in
@@ -263,7 +263,7 @@ func TestLapsedLeaseRejectedOnEveryOp(t *testing.T) {
 // nothing in the flight recorder, which attributes queue wait.
 func TestFailedTryIsNotAQueueEvent(t *testing.T) {
 	cfg := slowCfg()
-	cfg.Recorder = introspect.NewRecorder(1, 32)
+	cfg.Recorder = obs.NewRecorder(1, 32)
 	m := newTest(t, cfg)
 	holder, other := mustOpen(t, m, time.Minute), mustOpen(t, m, time.Minute)
 	if err := m.Acquire(holder, "k", true, 0); err != nil {

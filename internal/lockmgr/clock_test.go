@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"fairrw/internal/lockmgr/introspect"
 	"fairrw/internal/obs"
 )
 
@@ -149,7 +148,7 @@ func ended(t *testing.T, w *recWaiter) (err error, ok bool) {
 func TestLeaseExpiresExactlyAtDeadline(t *testing.T) {
 	const lease = 100 * time.Millisecond
 	cfg := fastCfg()
-	cfg.Recorder = introspect.NewRecorder(1, 64)
+	cfg.Recorder = obs.NewRecorder(1, 64)
 	m, fc := newFake(t, cfg)
 	dead := mustOpen(t, m, lease)
 	if err := m.Acquire(dead, "k", true, 0); err != nil {
@@ -355,7 +354,7 @@ func TestNoGoroutine(t *testing.T) {
 // wall-clock read inside the recorder.
 func TestFlightTimestampsAreTheManagersClock(t *testing.T) {
 	cfg := fastCfg()
-	cfg.Recorder = introspect.NewRecorder(1, 64)
+	cfg.Recorder = obs.NewRecorder(1, 64)
 	cfg.SlowLock = 20 * time.Millisecond
 	m, fc := newFake(t, cfg)
 	t0 := fc.Now()

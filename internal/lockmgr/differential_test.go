@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"fairrw/internal/lockmgr/introspect"
+	"fairrw/internal/obs"
 )
 
 // The differential test: one random op stream, three ways to run it —
@@ -72,7 +72,7 @@ func diffStream(rng *rand.Rand, n int) []diffOp {
 // diffRun is one manager executing the stream one way.
 type diffRun struct {
 	m    *Manager
-	rec  *introspect.Recorder
+	rec  *obs.Recorder
 	sc   *BatchScratch
 	ops  []diffOp
 	sids []uint64 // by Open ordinal
@@ -80,7 +80,7 @@ type diffRun struct {
 }
 
 func newDiffRun(ops []diffOp) *diffRun {
-	rec := introspect.NewRecorder(1, 4096)
+	rec := obs.NewRecorder(1, 4096)
 	m := New(Config{MaxLease: time.Hour, IdleTTL: time.Hour, Recorder: rec})
 	return &diffRun{m: m, rec: rec, sc: m.NewBatchScratch(), ops: ops, errs: make([]error, len(ops))}
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"fairrw/internal/lockmgr/introspect"
 	"fairrw/internal/obs"
 )
 
@@ -150,7 +149,7 @@ func TestHoldHistogram(t *testing.T) {
 // LRT_GRANT record (with measured wait) and a timeout leaves its own;
 // both dump with the lock's hash.
 func TestFlightRecorderGrantPath(t *testing.T) {
-	rec := introspect.NewRecorder(2, 32)
+	rec := obs.NewRecorder(2, 32)
 	cfg := slowCfg()
 	cfg.Recorder = rec
 	cfg.SlowLock = time.Microsecond // everything contended is "slow"
@@ -184,7 +183,7 @@ func TestFlightRecorderGrantPath(t *testing.T) {
 		t.Fatalf("want ErrTimeout over reader, got %v", err)
 	}
 
-	h := uint64(introspect.Hash("flk"))
+	h := uint64(obs.Hash("flk"))
 	var sawGrant, sawSlow, sawTimeout bool
 	for _, r := range rec.Events() {
 		if r.Lock != h {
@@ -224,7 +223,7 @@ func TestFlightRecorderGrantPath(t *testing.T) {
 // live (recorder wired, slow-lock armed, hold histogram recording).
 func TestManagerPairAllocs(t *testing.T) {
 	cfg := slowCfg()
-	cfg.Recorder = introspect.NewRecorder(2, 32)
+	cfg.Recorder = obs.NewRecorder(2, 32)
 	cfg.SlowLock = time.Second
 	cfg.SlowLockFn = func(string, uint64, bool, time.Duration) {}
 	m := newTest(t, cfg)

@@ -9,15 +9,9 @@ import (
 	"fairrw/internal/obs"
 )
 
-// TestNilRecorder: every method must be a no-op on a nil receiver —
-// that is the whole "observability off" contract.
-func TestNilRecorder(t *testing.T) {
-	var r *Recorder
-	r.Record(0, obs.Record{Kind: obs.KEnq})
-	if recs := r.Events(); recs != nil {
-		t.Fatalf("nil recorder Events() = %v, want nil", recs)
-	}
-}
+// These tests drive obs.Recorder through the two names the benchmark
+// imports; the ring, shard, nil-receiver and hash tests are in
+// internal/obs. They move there with the rest when the package goes.
 
 func TestRecorderRetainsAndOrders(t *testing.T) {
 	r := NewRecorder(1, 8)
@@ -73,22 +67,6 @@ func TestEventsTiesKeepRecordOrder(t *testing.T) {
 	}
 }
 
-// TestRecorderSharding: keys land in key&mask rings; ring count rounds
-// up to a power of two.
-func TestRecorderSharding(t *testing.T) {
-	r := NewRecorder(3, 4) // rounds up to 4 rings
-	if got := len(r.rings); got != 4 {
-		t.Fatalf("rings = %d, want 4", got)
-	}
-	// 8 distinct keys across 4 rings: 2 records per ring, none evicted.
-	for k := uint32(0); k < 8; k++ {
-		r.Record(k, obs.Record{At: uint64(k) + 1, Kind: obs.KGrant})
-	}
-	if recs := r.Events(); len(recs) != 8 {
-		t.Fatalf("len(Events) = %d, want 8", len(recs))
-	}
-}
-
 func TestRecorderConcurrent(t *testing.T) {
 	r := NewRecorder(4, 64)
 	var wg sync.WaitGroup
@@ -116,7 +94,7 @@ func TestRecorderConcurrent(t *testing.T) {
 // the track, the actor, the lock and the aux value; times are since t0.
 // A nil recorder's (empty) history renders as the empty marker.
 func TestFlightRendering(t *testing.T) {
-	h := uint64(Hash("k"))
+	h := uint64(obs.Hash("k"))
 	for _, tc := range []struct {
 		rec  obs.Record
 		want string
@@ -162,46 +140,5 @@ func TestRecordAllocFree(t *testing.T) {
 	rec := obs.Record{At: 1, Kind: obs.KLRTGrant, Tid: 3, Lock: 4}
 	if n := testing.AllocsPerRun(100, func() { r.Record(1, rec) }); n != 0 {
 		t.Fatalf("Record allocates %v/op, want 0", n)
-	}
-}
-
-// TestHashMatchesBytes: the string and byte-slice hashes must agree —
-// the server hashes wire names as bytes, the manager as strings, and
-// flight-event correlation depends on them colliding on purpose.
-func TestHashMatchesBytes(t *testing.T) {
-	for _, s := range []string{"", "k", "key-0007", "a longer lock name"} {
-		if Hash(s) != Hash([]byte(s)) {
-			t.Fatalf("Hash(%q) = %08x, Hash(bytes) = %08x", s, Hash(s), Hash([]byte(s)))
-		}
-	}
-	if Hash("a") == Hash("b") {
-		t.Fatal("distinct names hash equal")
-	}
-}
-
-func TestPromWriter(t *testing.T) {
-	var sb strings.Builder
-	pw := &PromWriter{W: &sb}
-	pw.Counter("x_total", "", 3)
-	pw.Counter("x_total", `worker="1"`, 4) // same family: one TYPE header
-	pw.Gauge("g", `name="a\"b"`, 1.5)
-	out := sb.String()
-	if strings.Count(out, "# TYPE x_total counter") != 1 {
-		t.Fatalf("TYPE header not deduped:\n%s", out)
-	}
-	for _, want := range []string{
-		"x_total 3\n", `x_total{worker="1"} 4`, "# TYPE g gauge", `g{name="a\"b"} 1.5`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestEscapeLabel(t *testing.T) {
-	got := EscapeLabel("a\"b\\c\nd")
-	want := `a\"b\\c\nd`
-	if got != want {
-		t.Fatalf("EscapeLabel = %q, want %q", got, want)
 	}
 }

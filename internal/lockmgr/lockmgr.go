@@ -38,7 +38,6 @@ import (
 	"time"
 
 	"fairrw/internal/fairq"
-	"fairrw/internal/lockmgr/introspect"
 	"fairrw/internal/obs"
 	"fairrw/internal/stats"
 )
@@ -80,7 +79,7 @@ type Config struct {
 	// The try path is not recorded, grant or failed try alike — neither
 	// has queue wait, which is the quantity the flight recorder
 	// attributes — so the manager fast path never touches it.
-	Recorder *introspect.Recorder
+	Recorder *obs.Recorder
 	// SlowLock is the slow-acquire threshold: a grant whose queue wait
 	// reaches it is reported to SlowLockFn (and recorded as obs.KSlow).
 	// Zero disables; only contended acquires ever check it.
@@ -111,7 +110,7 @@ func (c Config) withDefaults() Config {
 // cycle and a profile lives as long as its lock.
 type entry struct {
 	name   string
-	hash   uint32 // introspect.Hash(name), as in flight events
+	hash   uint32 // obs.Hash(name), as in flight events
 	idleAt time.Time
 
 	lk fairq.Lock[queued] // holders and queued acquires, in arrival order
@@ -406,7 +405,7 @@ func acquire[T string | []byte](m *Manager, s *Session, name T, excl bool, wait 
 	}
 	e := m.entries[string(name)] // alloc-free lookup
 	if e == nil {
-		e = &entry{name: string(name), hash: introspect.Hash(name)} // the one name copy
+		e = &entry{name: string(name), hash: obs.Hash(name)} // the one name copy
 		m.entries[e.name] = e
 		m.c.entriesCreated++
 		m.schedule(&m.gc, now.Add(m.cfg.IdleTTL)) // a no-op while a pass is pending

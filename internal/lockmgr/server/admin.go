@@ -7,9 +7,9 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
+	"strings"
 
 	"fairrw/internal/lockmgr"
-	"fairrw/internal/lockmgr/introspect"
 	"fairrw/internal/obs"
 	"fairrw/internal/stats"
 )
@@ -123,7 +123,7 @@ func (s *Server) WritevSizeHistogram() stats.Histogram {
 }
 
 // Recorder returns the server's flight recorder (nil when disabled).
-func (s *Server) Recorder() *introspect.Recorder { return s.rec }
+func (s *Server) Recorder() *obs.Recorder { return s.rec }
 
 // WriteFlight renders the flight recorder, oldest record first, with
 // obs.WriteRecords: times are ns since the first record shown.
@@ -170,34 +170,65 @@ func (s *Server) Metrics(bi BuildInfo, topK int) MetricsPayload {
 	return p
 }
 
+// promWriter renders counters and gauges in the Prometheus text exposition
+// format (version 0.0.4). It emits a family's # TYPE line once, before its
+// first sample, so labelled series of one family (per-worker counters,
+// per-lock gauges) declare the type exactly once, which is what scrapers
+// require. Histograms are rendered by stats.Histogram.WriteProm.
+type promWriter struct {
+	w     io.Writer
+	typed map[string]bool
+}
+
+// sample emits one sample of family name; labels is the brace-free label
+// list (`worker="3"`), empty for an unlabelled series.
+func (p *promWriter) sample(typ, name, labels string, v any) {
+	if !p.typed[name] {
+		p.typed[name] = true
+		fmt.Fprintf(p.w, "# TYPE %s %s\n", name, typ)
+	}
+	if labels != "" {
+		name += "{" + labels + "}"
+	}
+	fmt.Fprintf(p.w, "%s %v\n", name, v)
+}
+
+func (p *promWriter) counter(name, labels string, v uint64) { p.sample("counter", name, labels, v) }
+func (p *promWriter) gauge(name, labels string, v float64)  { p.sample("gauge", name, labels, v) }
+
+// escapeLabel escapes a label value per the exposition format: backslash,
+// double quote and newline. Lock names are caller-controlled bytes, so the
+// hot-lock table escapes them before they land in a label.
+var escapeLabel = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`).Replace
+
 // WriteProm renders the full metrics set in the Prometheus text
 // exposition format: manager counters and gauges, wait/hold/batch-size
 // histograms, per-worker series labelled worker="i", and the top-k
 // hot-lock table labelled by lock name.
 func (s *Server) WriteProm(w io.Writer, bi BuildInfo, topK int) {
 	snap := s.m.Stats()
-	pw := &introspect.PromWriter{W: w}
+	pw := &promWriter{w: w, typed: map[string]bool{}}
 
-	pw.Gauge("lockd_build_info", fmt.Sprintf(`version=%q,go=%q`, bi.Version, bi.GoVersion), 1)
+	pw.gauge("lockd_build_info", fmt.Sprintf(`version=%q,go=%q`, bi.Version, bi.GoVersion), 1)
 
-	pw.Counter("lockd_shared_grants_total", "", snap.SharedGrants)
-	pw.Counter("lockd_excl_grants_total", "", snap.ExclGrants)
-	pw.Counter("lockd_releases_total", "", snap.Releases)
-	pw.Counter("lockd_timeouts_total", "", snap.Timeouts)
-	pw.Counter("lockd_keepalives_total", "", snap.Keepalives)
-	pw.Counter("lockd_sessions_opened_total", "", snap.SessionsOpened)
-	pw.Counter("lockd_sessions_closed_total", "", snap.SessionsClosed)
-	pw.Counter("lockd_lease_expirations_total", "", snap.LeaseExpirations)
-	pw.Counter("lockd_revoked_holds_total", "", snap.RevokedHolds)
-	pw.Counter("lockd_entries_created_total", "", snap.EntriesCreated)
-	pw.Counter("lockd_entries_gced_total", "", snap.EntriesGCed)
-	pw.Gauge("lockd_entries", "", float64(snap.Entries))
-	pw.Gauge("lockd_sessions", "", float64(snap.Sessions))
-	pw.Gauge("lockd_waiting", "", float64(snap.Waiting))
+	pw.counter("lockd_shared_grants_total", "", snap.SharedGrants)
+	pw.counter("lockd_excl_grants_total", "", snap.ExclGrants)
+	pw.counter("lockd_releases_total", "", snap.Releases)
+	pw.counter("lockd_timeouts_total", "", snap.Timeouts)
+	pw.counter("lockd_keepalives_total", "", snap.Keepalives)
+	pw.counter("lockd_sessions_opened_total", "", snap.SessionsOpened)
+	pw.counter("lockd_sessions_closed_total", "", snap.SessionsClosed)
+	pw.counter("lockd_lease_expirations_total", "", snap.LeaseExpirations)
+	pw.counter("lockd_revoked_holds_total", "", snap.RevokedHolds)
+	pw.counter("lockd_entries_created_total", "", snap.EntriesCreated)
+	pw.counter("lockd_entries_gced_total", "", snap.EntriesGCed)
+	pw.gauge("lockd_entries", "", float64(snap.Entries))
+	pw.gauge("lockd_sessions", "", float64(snap.Sessions))
+	pw.gauge("lockd_waiting", "", float64(snap.Waiting))
 
 	if s.cluster != nil {
-		pw.Gauge("lockd_cluster_epoch", "", float64(s.cluster.Epoch()))
-		pw.Gauge("lockd_cluster_members", "", float64(s.cluster.MemberCount()))
+		pw.gauge("lockd_cluster_epoch", "", float64(s.cluster.Epoch()))
+		pw.gauge("lockd_cluster_members", "", float64(s.cluster.MemberCount()))
 	}
 
 	wh := s.m.WaitHistogram()
@@ -211,33 +242,33 @@ func (s *Server) WriteProm(w io.Writer, bi BuildInfo, topK int) {
 
 	for _, ws := range s.WorkerStats() {
 		l := fmt.Sprintf(`worker="%d"`, ws.Worker)
-		pw.Gauge("lockd_worker_conns", l, float64(ws.Conns))
-		pw.Counter("lockd_worker_wakeups_total", l, ws.Wakeups)
-		pw.Counter("lockd_worker_donations_total", l, ws.Donations)
-		pw.Counter("lockd_worker_batches_total", l, ws.Batches)
-		pw.Counter("lockd_worker_batch_ops_total", l, ws.BatchOps)
-		pw.Counter("lockd_worker_parks_total", l, ws.Parks)
-		pw.Counter("lockd_worker_unparks_total", l, ws.Unparks)
-		pw.Counter("lockd_worker_condemned_total", l, ws.Condemned)
-		pw.Counter("lockd_worker_drained_total", l, ws.Drained)
-		pw.Counter("lockd_worker_flushes_total", l, ws.Flushes)
-		pw.Counter("lockd_worker_inline_writes_total", l, ws.InlineWrites)
-		pw.Counter("lockd_worker_flush_stalls_total", l, ws.FlushStalls)
-		pw.Counter("lockd_worker_backpressure_total", l, ws.Backpressure)
-		pw.Counter("lockd_worker_home_ops_total", l, ws.HomeOps)
-		pw.Counter("lockd_worker_out_blocked_total", l, ws.OutBlocked)
-		pw.Counter("lockd_worker_writevs_total", l, ws.Writevs)
-		pw.Counter("lockd_worker_writev_chunks_total", l, ws.WritevChunks)
-		pw.Counter("lockd_worker_writev_bytes_total", l, ws.WritevBytes)
-		pw.Counter("lockd_worker_write_errs_total", l, ws.WriteErrs)
+		pw.gauge("lockd_worker_conns", l, float64(ws.Conns))
+		pw.counter("lockd_worker_wakeups_total", l, ws.Wakeups)
+		pw.counter("lockd_worker_donations_total", l, ws.Donations)
+		pw.counter("lockd_worker_batches_total", l, ws.Batches)
+		pw.counter("lockd_worker_batch_ops_total", l, ws.BatchOps)
+		pw.counter("lockd_worker_parks_total", l, ws.Parks)
+		pw.counter("lockd_worker_unparks_total", l, ws.Unparks)
+		pw.counter("lockd_worker_condemned_total", l, ws.Condemned)
+		pw.counter("lockd_worker_drained_total", l, ws.Drained)
+		pw.counter("lockd_worker_flushes_total", l, ws.Flushes)
+		pw.counter("lockd_worker_inline_writes_total", l, ws.InlineWrites)
+		pw.counter("lockd_worker_flush_stalls_total", l, ws.FlushStalls)
+		pw.counter("lockd_worker_backpressure_total", l, ws.Backpressure)
+		pw.counter("lockd_worker_home_ops_total", l, ws.HomeOps)
+		pw.counter("lockd_worker_out_blocked_total", l, ws.OutBlocked)
+		pw.counter("lockd_worker_writevs_total", l, ws.Writevs)
+		pw.counter("lockd_worker_writev_chunks_total", l, ws.WritevChunks)
+		pw.counter("lockd_worker_writev_bytes_total", l, ws.WritevBytes)
+		pw.counter("lockd_worker_write_errs_total", l, ws.WriteErrs)
 	}
 
 	for _, hl := range s.m.HotLocks(topK) {
-		l := fmt.Sprintf(`lock="%s"`, introspect.EscapeLabel(hl.Name))
-		pw.Counter("lockd_hot_lock_acquires_total", l, hl.Acquires)
-		pw.Gauge("lockd_hot_lock_wait_seconds_total", l, hl.WaitTotalUS*1e-6)
-		pw.Gauge("lockd_hot_lock_wait_max_seconds", l, hl.WaitMaxUS*1e-6)
-		pw.Gauge("lockd_hot_lock_queue_len", l, float64(hl.QueueLen))
+		l := fmt.Sprintf(`lock="%s"`, escapeLabel(hl.Name))
+		pw.counter("lockd_hot_lock_acquires_total", l, hl.Acquires)
+		pw.gauge("lockd_hot_lock_wait_seconds_total", l, hl.WaitTotalUS*1e-6)
+		pw.gauge("lockd_hot_lock_wait_max_seconds", l, hl.WaitMaxUS*1e-6)
+		pw.gauge("lockd_hot_lock_queue_len", l, float64(hl.QueueLen))
 	}
 }
 

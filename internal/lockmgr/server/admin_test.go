@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"fairrw/internal/lockmgr"
-	"fairrw/internal/lockmgr/introspect"
 	"fairrw/internal/obs"
 )
 
@@ -20,7 +19,7 @@ import (
 // the admin handler mounted on an httptest server.
 func startObservedServer(t *testing.T) (addr string, srv *Server, admin *httptest.Server) {
 	t.Helper()
-	rec := introspect.NewRecorder(4, 256)
+	rec := obs.NewRecorder(4, 256)
 	cfg := testCfg()
 	cfg.IdleTTL = time.Hour // keep entries alive for the hot-lock checks
 	cfg.Recorder = rec
@@ -268,5 +267,26 @@ func TestAdminPlaneNoRecorder(t *testing.T) {
 	mbody, _ := get(t, admin.URL+"/metrics")
 	if !strings.Contains(mbody, "lockd_build_info") {
 		t.Fatalf("/metrics without recorder missing build info:\n%s", mbody)
+	}
+}
+
+func TestPromWriter(t *testing.T) {
+	var sb strings.Builder
+	pw := &promWriter{w: &sb, typed: map[string]bool{}}
+	pw.counter("x_total", "", 3)
+	pw.counter("x_total", `worker="1"`, 4) // same family: one TYPE header
+	pw.gauge("g", `name="a\"b"`, 1.5)
+	want := "# TYPE x_total counter\nx_total 3\nx_total{worker=\"1\"} 4\n" +
+		"# TYPE g gauge\ng{name=\"a\\\"b\"} 1.5\n"
+	if out := sb.String(); out != want {
+		t.Fatalf("output\n%s\nwant\n%s", out, want)
+	}
+}
+
+func TestEscapeLabel(t *testing.T) {
+	got := escapeLabel("a\"b\\c\nd")
+	want := `a\"b\\c\nd`
+	if got != want {
+		t.Fatalf("escapeLabel = %q, want %q", got, want)
 	}
 }

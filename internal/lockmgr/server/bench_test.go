@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"os"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -153,6 +156,7 @@ func BenchmarkPipelinedTwoClients(b *testing.B) {
 	rounds := (b.N + clients*depth - 1) / (clients * depth)
 	b.ReportAllocs()
 	b.ResetTimer()
+	sys0 := readSyscalls()
 	var wg sync.WaitGroup
 	for i := range cls {
 		wg.Add(1)
@@ -182,7 +186,7 @@ func BenchmarkPipelinedTwoClients(b *testing.B) {
 		}(cls[i])
 	}
 	wg.Wait()
-	reportPaths(b, srv, clients*depth*rounds)
+	reportPaths(b, srv, clients*depth*rounds, sys0)
 }
 
 // BenchmarkHandoffTwoClients is the go-test twin of the repo benchmark's
@@ -220,6 +224,7 @@ func BenchmarkHandoffTwoClients(b *testing.B) {
 	pairs := (b.N + clients - 1) / clients
 	b.ReportAllocs()
 	b.ResetTimer()
+	sys0 := readSyscalls()
 	var wg sync.WaitGroup
 	for i := range cls {
 		wg.Add(1)
@@ -238,13 +243,15 @@ func BenchmarkHandoffTwoClients(b *testing.B) {
 		}(cls[i])
 	}
 	wg.Wait()
-	reportPaths(b, srv, clients*pairs)
+	reportPaths(b, srv, clients*pairs, sys0)
 }
 
 // reportPaths adds to a twin benchmark's row which server paths its pairs
-// took: how many acquires parked, and the share of response chunks the
-// loop wrote itself (the rest were left to a drain).
-func reportPaths(b *testing.B, srv *Server, pairs int) {
+// took: how many acquires parked, the share of response chunks the loop
+// wrote itself (the rest were left to a drain), and the read and write
+// syscalls per pair since sys0, client and server sides together.
+func reportPaths(b *testing.B, srv *Server, pairs int, sys0 syscalls) {
+	sys1 := readSyscalls()
 	b.StopTimer()
 	var parks, inline, flushes uint64
 	for _, ws := range srv.WorkerStats() {
@@ -254,4 +261,33 @@ func reportPaths(b *testing.B, srv *Server, pairs int) {
 	}
 	b.ReportMetric(float64(parks)/float64(pairs), "parks/pair")
 	b.ReportMetric(float64(inline)/float64(flushes), "inline-share")
+	if sys0.ok && sys1.ok {
+		b.ReportMetric(float64(sys1.reads-sys0.reads)/float64(pairs), "reads/pair")
+		b.ReportMetric(float64(sys1.writes-sys0.writes)/float64(pairs), "writes/pair")
+	}
+}
+
+// syscalls is the process's read and write syscall counts so far (syscr
+// and syscw in /proc/self/io); ok is false where that file is unreadable.
+type syscalls struct {
+	reads, writes uint64
+	ok            bool
+}
+
+func readSyscalls() (s syscalls) {
+	b, err := os.ReadFile("/proc/self/io")
+	if err != nil {
+		return s
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		k, v, _ := strings.Cut(line, ": ")
+		n, err := strconv.ParseUint(v, 10, 64)
+		switch {
+		case k == "syscr" && err == nil:
+			s.reads, s.ok = n, true
+		case k == "syscw" && err == nil:
+			s.writes = n
+		}
+	}
+	return s
 }

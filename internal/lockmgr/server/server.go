@@ -27,8 +27,8 @@ import (
 	"time"
 
 	"fairrw/internal/lockmgr"
-	"fairrw/internal/lockmgr/introspect"
 	"fairrw/internal/lockmgr/wire"
+	"fairrw/internal/obs"
 )
 
 // Config tunes the runtime. The zero value is ready to use.
@@ -45,7 +45,7 @@ type Config struct {
 	// event loop writes its own ring. Share it with the manager's
 	// Config.Recorder so one dump interleaves both layers' views of the
 	// same acquire.
-	Recorder *introspect.Recorder
+	Recorder *obs.Recorder
 	// Cluster, when non-nil, gates named ops by distributed ownership
 	// (implemented by cluster.Node): an acquire or release for a name
 	// this node does not own under the current membership is answered
@@ -94,8 +94,8 @@ func (c *Config) fill() {
 type Server struct {
 	m       *lockmgr.Manager
 	cfg     Config
-	rec     *introspect.Recorder // alias of cfg.Recorder (nil = disabled)
-	cluster Cluster              // alias of cfg.Cluster (nil = not clustered)
+	rec     *obs.Recorder // alias of cfg.Recorder (nil = disabled)
+	cluster Cluster       // alias of cfg.Cluster (nil = not clustered)
 
 	workers []*worker
 	wg      sync.WaitGroup // one count per conn (accept to removeConn) and per running drain

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"fairrw/internal/lockmgr"
-	"fairrw/internal/lockmgr/introspect"
 	"fairrw/internal/lockmgr/wire"
 	"fairrw/internal/obs"
 	"fairrw/internal/stats"
@@ -346,7 +345,7 @@ func (w *worker) encode() {
 			c.parsePos = w.opEnd[i]
 			c.want = wantNone
 			w.st.parks.Add(1)
-			w.srv.rec.Record(uint32(w.idx), obs.Record{Lock: uint64(introspect.Hash(op.Name)),
+			w.srv.rec.Record(uint32(w.idx), obs.Record{Lock: uint64(obs.Hash(op.Name)),
 				Tid: op.SID, Aux: uint64(max(op.Wait, 0)), Node: obs.ConnNode(c.id), Kind: obs.KEnq})
 			continue
 		}

@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"fairrw/internal/lockmgr/introspect"
+	"fairrw/internal/obs"
 )
 
 // TestStatsRaceHammer pits every observability read path (Stats,
@@ -18,7 +18,7 @@ import (
 // snapshot must be one consistent cut: each grant has its wait sample and
 // each release its hold sample, whatever was in flight when it was taken.
 func TestStatsRaceHammer(t *testing.T) {
-	rec := introspect.NewRecorder(4, 64)
+	rec := obs.NewRecorder(4, 64)
 	m := newTest(t, Config{
 		MaxLease:   time.Second,
 		IdleTTL:    5 * time.Millisecond,

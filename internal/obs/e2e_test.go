@@ -30,15 +30,15 @@ func capture(t *testing.T, lock string) *obs.Capture {
 // coherence, links — under tracing and checks the capture's shape.
 func TestEndToEndLCU(t *testing.T) {
 	c := capture(t, "lcu")
-	if len(c.Recs) == 0 {
+	if len(c.Records()) == 0 {
 		t.Fatal("no records captured")
 	}
 	// Kernel event order implies nondecreasing cycles.
 	kinds := map[obs.Kind]int{}
-	for i, r := range c.Recs {
+	for i, r := range c.Records() {
 		kinds[r.Kind]++
-		if i > 0 && r.At < c.Recs[i-1].At {
-			t.Fatalf("records out of time order at %d: %d after %d", i, r.At, c.Recs[i-1].At)
+		if i > 0 && r.At < c.Records()[i-1].At {
+			t.Fatalf("records out of time order at %d: %d after %d", i, r.At, c.Records()[i-1].At)
 		}
 	}
 	for _, k := range []obs.Kind{obs.KReq, obs.KGrant, obs.KAcq, obs.KUnlock, obs.KXfer, obs.KLRTReq} {
@@ -66,7 +66,7 @@ func TestEndToEndLCU(t *testing.T) {
 func TestEndToEndSoftwareLock(t *testing.T) {
 	c := capture(t, "mcs")
 	acq, unl := 0, 0
-	for _, r := range c.Recs {
+	for _, r := range c.Records() {
 		switch r.Kind {
 		case obs.KAcq:
 			acq++
@@ -83,7 +83,7 @@ func TestEndToEndSoftwareLock(t *testing.T) {
 	// Software locks spin on coherent memory, so cache transactions must
 	// show up (the HW-lock path never touches the coherence fabric).
 	cache := 0
-	for _, r := range c.Recs {
+	for _, r := range c.Records() {
 		if r.Kind == obs.KCacheRd || r.Kind == obs.KCacheOwn {
 			cache++
 		}

@@ -77,7 +77,7 @@ func writeRun(cw *chromeWriter, pid int, cap *Capture) {
 	// a "wait" span ending at the acquire instant.
 	type lockKey struct{ tid, lock uint64 }
 	held := map[lockKey]Record{}
-	for _, r := range cap.Recs {
+	for _, r := range cap.Records() {
 		switch r.Kind {
 		case KAcq:
 			waited, mode := r.Aux>>1, rwMode(r.Aux&1 != 0)

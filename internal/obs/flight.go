@@ -85,14 +85,14 @@ func trackName(node int32) string {
 // core.DumpState's structural snapshot with the event history that led
 // there.
 func (c *Capture) WriteFlight(w io.Writer, lastN int) {
-	recs := c.Recs
+	recs := c.Records()
 	if lastN > 0 && len(recs) > lastN {
 		fmt.Fprintf(w, "... %d earlier records elided ...\n", len(recs)-lastN)
 		recs = recs[len(recs)-lastN:]
 	}
 	WriteRecords(w, recs, 0)
-	if c.Dropped > 0 {
-		fmt.Fprintf(w, "(%d records dropped at the %d-record cap)\n", c.Dropped, maxRecords)
+	if d := c.Dropped(); d > 0 {
+		fmt.Fprintf(w, "(%d records dropped at the %d-record cap)\n", d, maxRecords)
 	}
 }
 

@@ -200,8 +200,8 @@ func (c *Collector) WriteMetrics(w io.Writer) error {
 			Acquire:    summarize(&m.Acquire),
 			Transfer:   summarize(&m.Transfer),
 			QueueDepth: m.Depth.Samples,
-			Records:    len(cap.Recs),
-			Dropped:    cap.Dropped,
+			Records:    len(cap.recs.buf),
+			Dropped:    cap.Dropped(),
 		}
 		for _, ls := range m.Links {
 			if len(ls.Bins) > 0 {

@@ -2,9 +2,10 @@
 // lockd, and the simulator's observability layer. An event is a Record: the
 // simulator's LCU/LRT/SSB devices record their protocol steps in cycles
 // into a per-run Capture, and lockd (the software LRT) records its grant
-// path in UnixNano into a flight-recorder ring (internal/lockmgr/introspect).
-// Both render through WriteRecords; a Capture also exports as Chrome
-// trace-event JSON (viewable in Perfetto) and cycle-binned metrics JSON.
+// path in UnixNano into a sharded Recorder. Both keep their records in one
+// ring type that keeps the newest, and both render through WriteRecords; a
+// Capture also exports as Chrome trace-event JSON (viewable in Perfetto)
+// and cycle-binned metrics JSON.
 //
 // The layer is zero-overhead when disabled: every instrumented call site
 // holds a *Capture pointer and checks it for nil before doing anything, so
@@ -12,8 +13,8 @@
 // no allocation. When enabled, each simulated machine owns its own
 // Capture; records are appended in kernel event order, which is
 // deterministic, so a sweep collected in configuration order produces
-// byte-identical output at any worker count. A run keeps at most 1<<18
-// records (the rest only count as dropped), and link series use
+// byte-identical output at any worker count. A run keeps its last 1<<18
+// records (the older ones only count as dropped), and link series use
 // 10 000-cycle bins.
 //
 // Import discipline: obs depends only on internal/stats and the standard
@@ -160,20 +161,18 @@ type Capture struct {
 	Opt  Options
 	Meta Meta
 
-	Recs []Record
-	// Dropped counts records discarded once Recs reached maxRecords.
-	Dropped uint64
-
 	// M holds the metrics recorder, nil unless Opt.Metrics.
 	M *Metrics
+
+	recs ring // the event log: the run's last maxRecords records
 }
 
-// maxRecords caps a run's event log; later events only count in Dropped.
+// maxRecords caps a run's event log; older events only count as dropped.
 const maxRecords = 1 << 18
 
 // New builds a Capture for a machine described by meta.
 func New(opt Options, meta Meta) *Capture {
-	c := &Capture{Opt: opt, Meta: meta}
+	c := &Capture{Opt: opt, Meta: meta, recs: ring{max: maxRecords}}
 	if opt.Metrics {
 		c.M = newMetrics(meta.Links)
 	}
@@ -185,12 +184,19 @@ func (c *Capture) Rec(cycle uint64, node int32, k Kind, lock, tid, aux uint64) {
 	if !c.Opt.Records {
 		return
 	}
-	if len(c.Recs) >= maxRecords {
-		c.Dropped++
-		return
-	}
-	c.Recs = append(c.Recs, Record{At: cycle, Lock: lock, Tid: tid, Aux: aux, Node: node, Kind: k})
+	c.recs.put(Record{At: cycle, Lock: lock, Tid: tid, Aux: aux, Node: node, Kind: k})
 }
+
+// Records returns the kept event log, oldest first: a copy once it wrapped.
+func (c *Capture) Records() []Record {
+	if c.recs.dropped() == 0 {
+		return c.recs.buf
+	}
+	return c.recs.appendTo(nil)
+}
+
+// Dropped counts the oldest records the event log let go at its cap.
+func (c *Capture) Dropped() uint64 { return c.recs.dropped() }
 
 // CacheEvent records a cache-transaction boundary (gated on Opt.Cache).
 // lat is the transaction's total latency; the transaction started at
@@ -277,15 +283,15 @@ func (c *Collector) Add(cap *Capture) {
 	}
 }
 
-// Truncated reports how many runs hit the per-run record cap and how many
-// records they dropped between them: their event logs, and so the trace,
-// hold only each such run's first maxRecords events.
-func (c *Collector) Truncated() (runs int, dropped uint64) {
+// Truncated reports how many runs hit the per-run record cap, how many
+// records they dropped between them, and how many each kept: their event
+// logs, and so the trace, hold only each such run's last kept events.
+func (c *Collector) Truncated() (runs int, dropped uint64, kept int) {
 	for _, cap := range c.Caps {
-		if cap.Dropped > 0 {
+		if d := cap.Dropped(); d > 0 {
 			runs++
-			dropped += cap.Dropped
+			dropped += d
 		}
 	}
-	return runs, dropped
+	return runs, dropped, maxRecords
 }

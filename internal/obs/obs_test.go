@@ -35,32 +35,35 @@ func TestRecordSize(t *testing.T) {
 func TestCaptureRecGatingAndCap(t *testing.T) {
 	off := New(Options{Metrics: true}, Meta{})
 	off.Rec(1, 0, KReq, 1, 1, 0)
-	if len(off.Recs) != 0 {
-		t.Fatalf("Records disabled but %d records stored", len(off.Recs))
+	if len(off.Records()) != 0 {
+		t.Fatalf("Records disabled but %d records stored", len(off.Records()))
 	}
 
 	c := New(Options{Records: true}, Meta{})
 	for i := 0; i < maxRecords+2; i++ {
 		c.Rec(uint64(i), 0, KReq, 1, 1, 0)
 	}
-	if len(c.Recs) != maxRecords {
-		t.Fatalf("got %d records, want %d (cap)", len(c.Recs), maxRecords)
+	if len(c.Records()) != maxRecords {
+		t.Fatalf("got %d records, want %d (cap)", len(c.Records()), maxRecords)
 	}
-	if c.Dropped != 2 {
-		t.Fatalf("got %d dropped, want 2", c.Dropped)
+	if c.Dropped() != 2 {
+		t.Fatalf("got %d dropped, want 2", c.Dropped())
+	}
+	if recs := c.Records(); recs[0].At != 2 || recs[maxRecords-1].At != maxRecords+1 {
+		t.Fatalf("kept records %d..%d, want the last: 2..%d", recs[0].At, recs[maxRecords-1].At, maxRecords+1)
 	}
 	var col Collector
 	col.Add(New(Options{Records: true}, Meta{}))
 	col.Add(c)
-	if runs, dropped := col.Truncated(); runs != 1 || dropped != 2 {
-		t.Fatalf("Truncated() = %d runs, %d dropped; want 1, 2", runs, dropped)
+	if runs, dropped, kept := col.Truncated(); runs != 1 || dropped != 2 || kept != maxRecords {
+		t.Fatalf("Truncated() = %d runs, %d dropped, %d kept; want 1, 2, %d", runs, dropped, kept, maxRecords)
 	}
 
 	// Cache events are off by default even with Records on.
 	c2 := New(Options{Records: true}, Meta{})
 	c2.CacheEvent(1, 0, KCacheRd, 0x40, 10)
-	if len(c2.Recs) != 0 {
-		t.Fatalf("cache events recorded without their gate: %d", len(c2.Recs))
+	if len(c2.Records()) != 0 {
+		t.Fatalf("cache events recorded without their gate: %d", len(c2.Records()))
 	}
 }
 
@@ -68,14 +71,14 @@ func TestLockAcquiredAuxPacking(t *testing.T) {
 	c := New(Options{Records: true, Metrics: true}, Meta{})
 	c.LockAcquired(500, 2, 7, 0x99, 123, true)
 	c.LockAcquired(600, 3, 8, 0x99, 0, false)
-	if len(c.Recs) != 2 {
-		t.Fatalf("got %d records, want 2", len(c.Recs))
+	if len(c.Records()) != 2 {
+		t.Fatalf("got %d records, want 2", len(c.Records()))
 	}
-	r := c.Recs[0]
+	r := c.Records()[0]
 	if r.Aux>>1 != 123 || r.Aux&1 != 1 {
 		t.Errorf("write acquire aux = %#x, want waited 123 | write bit", r.Aux)
 	}
-	if r2 := c.Recs[1]; r2.Aux != 0 {
+	if r2 := c.Records()[1]; r2.Aux != 0 {
 		t.Errorf("read acquire with no wait: aux = %#x, want 0", r2.Aux)
 	}
 	if got := c.M.Acquire.Count(); got != 2 {
@@ -288,5 +291,27 @@ func TestWriteFlight(t *testing.T) {
 	}
 	if got := strings.Count(out, "REQ"); got != 2 {
 		t.Errorf("got %d record lines, want 2:\n%s", got, out)
+	}
+}
+
+// TestWriteFlightShowsRunsLastRecords: past the cap the log keeps the
+// run's newest records, so the flight dump's last lines are the run's
+// last events, not the last of its first maxRecords.
+func TestWriteFlightShowsRunsLastRecords(t *testing.T) {
+	c := New(Options{Records: true}, Meta{})
+	const n = maxRecords + 1000
+	for i := 0; i < n; i++ {
+		c.Rec(uint64(i), CoreNode(0), KRel, 0x80, uint64(i), 0)
+	}
+	var b bytes.Buffer
+	c.WriteFlight(&b, 2)
+	lines := strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n")
+	if len(lines) != 4 {
+		t.Fatalf("got %d lines, want header, 2 records, footer:\n%s", len(lines), b.String())
+	}
+	for i, tid := range []int{n - 2, n - 1} {
+		if want := fmt.Sprintf("[%10d] core0   REL       t%-4d 0x80 aux=0", tid, tid); lines[1+i] != want {
+			t.Errorf("line %d = %q, want %q", 1+i, lines[1+i], want)
+		}
 	}
 }
