@@ -7,14 +7,14 @@
 // self-limited system. -depth pipelines several transactions per flush,
 // which amortizes the per-syscall cost that dominates loopback runs.
 //
-// Open loop (-open -rate R): arrivals follow a Poisson process at R
+// Open loop (-rate R): arrivals follow a Poisson process at R
 // transactions/second across all connections, and each transaction's
 // latency is measured from its *scheduled* arrival time, not from when
 // the client got around to sending it. When the server falls behind,
 // queueing delay therefore lands in the histogram instead of silently
 // stretching the arrival gaps — the coordination-omission correction
-// that makes latency-under-load curves honest. -ratesweep produces one
-// run per rate point.
+// that makes latency-under-load curves honest. -readpct and -rate take
+// comma-separated lists, one run per (rate, read %) pair.
 //
 // Cluster loop (-cluster a,b,c): each worker drives a cluster-aware
 // Router seeded with the given members; ops route to each name's
@@ -31,7 +31,8 @@
 //
 //	lockload -conns 8 -duration 5s -readpct 90            # closed loop
 //	lockload -depth 4 -json                               # pipelined, JSON out
-//	lockload -open -ratesweep 5000,10000,20000,40000      # latency curve
+//	lockload -rate 5000,10000,20000,40000                 # latency curve
+//	lockload -readpct 0,50,90,100 -depth 4                # read-ratio sweep
 //	lockload -zipf 1.3 -prom client.prom                  # skewed keys, prom out
 //	lockload -cluster :7601,:7602,:7603 -zipf 1.2         # routed cluster loop
 //
@@ -147,8 +148,7 @@ type runCfg struct {
 	readPct  int
 	keys     int
 	depth    int
-	rate     float64 // open loop only; transactions/s across all conns
-	open     bool
+	rate     float64 // open loop: transactions/s across all conns; 0 = closed loop
 	cluster  bool
 	zipf     float64 // key-skew exponent; 0 = uniform
 	wait     time.Duration
@@ -170,18 +170,15 @@ var (
 	conns      = flag.Int("conns", 8, "concurrent client goroutines (one connection + session each)")
 	duration   = flag.Duration("duration", 5*time.Second, "measurement window per run (after warmup)")
 	warmup     = flag.Duration("warmup", 0, "leading window excluded from all statistics")
-	readPct    = flag.Int("readpct", 90, "percentage of acquires that are shared")
+	readPct    = flag.String("readpct", "90", "percentage of acquires that are shared (comma-separated: one run per point)")
 	keys       = flag.Int("keys", 16, "distinct lock names")
 	depth      = flag.Int("depth", 1, "closed loop: transactions pipelined per flush")
-	open       = flag.Bool("open", false, "open-loop mode: Poisson arrivals, latency from scheduled arrival")
-	rate       = flag.Float64("rate", 10000, "open loop: target transactions/s across all connections")
+	rate       = flag.String("rate", "", "open loop: Poisson arrivals at this many transactions/s across all connections, latency from scheduled arrival (comma-separated: one run per point; unset = closed loop)")
 	zipf       = flag.Float64("zipf", 0, "Zipfian key skew exponent (> 1; 0 = uniform keys)")
 	clusterArg = flag.String("cluster", "", "comma-separated cluster seed addresses; route every op through the cluster-aware Router")
 	promPath   = flag.String("prom", "", "write client-side latency histograms in Prometheus text format here (\"-\" = stdout)")
 	wait       = flag.Duration("wait", time.Second, "acquire wait bound (FIFO timed acquire)")
 	lease      = flag.Duration("lease", 10*time.Second, "session lease")
-	sweepArg   = flag.String("sweep", "", "closed loop: comma-separated read percentages, one run per point")
-	rateSweep  = flag.String("ratesweep", "", "open loop: comma-separated transaction rates, one run per point")
 	jsonOut    = flag.Bool("json", false, "emit a JSON array of run results instead of the table")
 )
 
@@ -190,22 +187,20 @@ func main() {
 
 	cfg := runCfg{
 		addr: *addr, conns: *conns, duration: *duration, warmup: *warmup,
-		readPct: *readPct, keys: *keys, depth: *depth, rate: *rate,
-		open: *open, zipf: *zipf, wait: *wait, lease: *lease,
+		keys: *keys, depth: *depth, zipf: *zipf, wait: *wait, lease: *lease,
 	}
-	if *clusterArg != "" {
-		for _, s := range strings.Split(*clusterArg, ",") {
-			if s = strings.TrimSpace(s); s != "" {
-				cfg.seeds = append(cfg.seeds, s)
-			}
-		}
-		cfg.cluster = len(cfg.seeds) > 0
+	readPcts := points("readpct", *readPct, func(p float64) bool { return p >= 0 && p <= 100 && p == float64(int(p)) })
+	rates := []float64{0}
+	if *rate != "" {
+		rates = points("rate", *rate, func(r float64) bool { return r > 0 })
 	}
+	cfg.seeds = strings.FieldsFunc(*clusterArg, func(r rune) bool { return r == ',' || r == ' ' })
+	cfg.cluster = len(cfg.seeds) > 0
 	if cfg.depth < 1 {
 		log.Fatal("lockload: -depth must be >= 1")
 	}
-	if cfg.cluster && *open {
-		log.Fatal("lockload: -cluster and -open are mutually exclusive (the Router is a synchronous closed-loop client)")
+	if cfg.cluster && *rate != "" {
+		log.Fatal("lockload: -cluster and -rate are mutually exclusive (the Router is a synchronous closed-loop client)")
 	}
 	if cfg.cluster && cfg.depth > 1 {
 		log.Fatal("lockload: -cluster requires -depth 1 (Router ops are unpipelined round trips)")
@@ -218,25 +213,10 @@ func main() {
 		cfg.addr = cfg.seeds[0]
 	}
 
-	runs := []runCfg{cfg}
-	if *open && *rateSweep != "" {
-		runs = runs[:0]
-		for _, s := range strings.Split(*rateSweep, ",") {
-			r, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-			if err != nil || r <= 0 {
-				log.Fatalf("lockload: bad -ratesweep point %q", s)
-			}
-			cfg.rate = r
-			runs = append(runs, cfg)
-		}
-	} else if !*open && *sweepArg != "" {
-		runs = runs[:0]
-		for _, s := range strings.Split(*sweepArg, ",") {
-			p, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || p < 0 || p > 100 {
-				log.Fatalf("lockload: bad -sweep point %q", s)
-			}
-			cfg.readPct = p
+	var runs []runCfg
+	for _, r := range rates {
+		for _, p := range readPcts {
+			cfg.rate, cfg.readPct = r, int(p)
 			runs = append(runs, cfg)
 		}
 	}
@@ -244,7 +224,7 @@ func main() {
 	if !*jsonOut {
 		mode := "closed loop"
 		target := cfg.addr
-		if *open {
+		if *rate != "" {
 			mode = "open loop"
 		}
 		if cfg.cluster {
@@ -268,7 +248,7 @@ func main() {
 		}
 		if !*jsonOut {
 			rateCol := "-"
-			if *open {
+			if p.Rate > 0 {
 				rateCol = fmt.Sprintf("%.0f", p.Rate)
 			}
 			fmt.Printf("%7d %10s %12d %12.0f %9.1f %9.1f %9.1f %9.1f %9d %7d %7d\n",
@@ -310,6 +290,20 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
+}
+
+// points parses a flag's comma-separated list of numbers, each of which
+// must satisfy ok.
+func points(name, list string, ok func(float64) bool) []float64 {
+	var out []float64
+	for _, s := range strings.Split(list, ",") {
+		v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+		if err != nil || !ok(v) {
+			log.Fatalf("lockload: bad -%s point %q", name, s)
+		}
+		out = append(out, v)
+	}
+	return out
 }
 
 // serverStats is the daemon's Stats payload: the manager snapshot plus
@@ -371,7 +365,7 @@ func run(cfg runCfg) (point, stats.Histogram) {
 			switch {
 			case cfg.cluster:
 				runCluster(cfg, w, names, &workers[w], done, &gen)
-			case cfg.open || cfg.depth > 1:
+			case cfg.rate > 0 || cfg.depth > 1:
 				runBatch(cfg, w, names, &workers[w], done, &gen)
 			default:
 				runHeld(cfg, w, names, &workers[w], done, &gen)
@@ -427,7 +421,7 @@ func run(cfg runCfg) (point, stats.Histogram) {
 				p.NodeShare[addr] = float64(n) / float64(served)
 			}
 		}
-	case cfg.open:
+	case cfg.rate > 0:
 		p.Mode, p.Rate = "open", cfg.rate
 		p.AchievedRate = float64(total.pairs) / elapsed.Seconds()
 	default:
@@ -557,8 +551,9 @@ func runBatch(cfg runCfg, w int, names []string, res *worker, done <-chan struct
 	defer c.CloseSession(sid)
 	rng := rand.New(rand.NewSource(int64(w) + 1))
 	pick := cfg.picker(rng, len(names))
+	open := cfg.rate > 0
 	pairs := cfg.depth
-	if cfg.open {
+	if open {
 		pairs = 1
 	}
 	lambda := cfg.rate / float64(cfg.conns) // open loop: this worker's arrivals/s
@@ -566,7 +561,7 @@ func runBatch(cfg runCfg, w int, names []string, res *worker, done <-chan struct
 	start := time.Now() // the batch's start: its scheduled arrival when open
 	for !ended(done) {
 		res.sync(gen)
-		if cfg.open {
+		if open {
 			start = start.Add(time.Duration(rng.ExpFloat64() / lambda * 1e9))
 			if d := time.Until(start); d > 0 {
 				select {

@@ -40,7 +40,7 @@ func startServer(t *testing.T) string {
 func testCfg(addr string) runCfg {
 	return runCfg{
 		addr: addr, conns: 2, duration: 200 * time.Millisecond, warmup: 50 * time.Millisecond,
-		readPct: 90, keys: 8, depth: 1, rate: 2000, wait: time.Second, lease: 10 * time.Second,
+		readPct: 90, keys: 8, depth: 1, wait: time.Second, lease: 10 * time.Second,
 	}
 }
 
@@ -52,16 +52,16 @@ func TestRunModes(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		depth int
-		open  bool
+		rate  float64
 		mode  string
 	}{
-		{"closed-depth1", 1, false, "closed"},
-		{"closed-depth4", 4, false, "closed"},
-		{"open", 1, true, "open"},
+		{"closed-depth1", 1, 0, "closed"},
+		{"closed-depth4", 4, 0, "closed"},
+		{"open", 1, 2000, "open"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := testCfg(addr)
-			cfg.depth, cfg.open = tc.depth, tc.open
+			cfg.depth, cfg.rate = tc.depth, tc.rate
 			p, lat := run(cfg)
 			if p.Mode != tc.mode || p.Errors != 0 || p.Pairs == 0 {
 				t.Fatalf("mode %q, %d errors, %d pairs; want %q, 0 errors, some pairs", p.Mode, p.Errors, p.Pairs, tc.mode)
@@ -82,7 +82,7 @@ func TestRunModes(t *testing.T) {
 // pair it sends.
 func TestOpenWindowEndsAtStop(t *testing.T) {
 	cfg := testCfg(startServer(t))
-	cfg.conns, cfg.open, cfg.rate = 1, true, 1
+	cfg.conns, cfg.rate = 1, 1
 	cfg.duration, cfg.warmup = 100*time.Millisecond, 0
 	p, _ := run(cfg)
 	if p.DurS < 0.1 || p.DurS > 0.15 {
@@ -160,7 +160,7 @@ func TestFlagBudget(t *testing.T) {
 		}
 	})
 	want := []string{"addr", "cluster", "conns", "depth", "duration", "json", "keys", "lease",
-		"open", "prom", "rate", "ratesweep", "readpct", "sweep", "wait", "warmup", "zipf"}
+		"prom", "rate", "readpct", "wait", "warmup", "zipf"}
 	if !slices.Equal(names, want) {
 		t.Fatalf("lockload flags %v (%d), want %v (%d)", names, len(names), want, len(want))
 	}

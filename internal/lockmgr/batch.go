@@ -145,7 +145,7 @@ func (m *Manager) openAt(lease time.Duration, now time.Time) (uint64, error) {
 	s.lease.s = s
 	m.sessions[s.id] = s
 	m.schedule(&s.lease, s.deadline)
-	m.c.sessionsOpened++
+	m.c.SessionsOpened++
 	return s.id, nil
 }
 
@@ -159,6 +159,6 @@ func (m *Manager) keepAliveSession(s *Session, lease time.Duration, now time.Tim
 	if s.deadline.Before(s.lease.at) { // cut short: due then, not when the old deadline surfaces
 		m.schedule(&s.lease, s.deadline)
 	}
-	m.c.keepalives++
+	m.c.Keepalives++
 	return nil
 }

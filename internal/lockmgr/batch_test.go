@@ -116,7 +116,7 @@ func TestExecBatchRefcounts(t *testing.T) {
 		t.Fatalf("expired-session acquire: %v", ops[2].Err)
 	}
 	fc.Advance(time.Millisecond)
-	if n := m.EntryCount(); n != 1 {
+	if n := m.Stats().Entries; n != 1 {
 		t.Fatalf("idle entries not collected after IdleTTL: %d left, want the held one", n)
 	}
 }

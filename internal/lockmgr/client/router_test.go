@@ -85,6 +85,31 @@ func (h *handoffCluster) Epoch() uint64               { return h.then.Epoch }
 func (h *handoffCluster) MemberCount() int            { return len(h.then.Members) }
 func (h *handoffCluster) StatusJSON() ([]byte, error) { return []byte("{}"), nil }
 
+// serveGated runs a server on ln whose Cluster gate is h, until the
+// test ends.
+func serveGated(t *testing.T, ln net.Listener, h *handoffCluster) {
+	t.Helper()
+	srv := server.NewWithConfig(lockmgr.New(lockmgr.Config{}), server.Config{Workers: 1, Cluster: h})
+	done := make(chan struct{})
+	go func() {
+		srv.Serve(ln)
+		close(done)
+	}()
+	t.Cleanup(func() {
+		srv.Shutdown(2 * time.Second)
+		<-done
+	})
+}
+
+func listen(t *testing.T) net.Listener {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ln
+}
+
 // TestRouterReaimsOnNotOwner: an op aimed at a member that answers
 // NotOwner adopts the attached (newer) membership and lands the op on
 // the node it names, without exhausting retries.
@@ -95,26 +120,12 @@ func TestRouterReaimsOnNotOwner(t *testing.T) {
 
 	// A bootstraps the Router into an {A,B} map, then NotOwners every
 	// op while pointing at the epoch-2 {B} map.
-	mA := lockmgr.New(lockmgr.Config{})
-	lnA, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	lnA := listen(t)
 	addrA := lnA.Addr().String()
-	h := &handoffCluster{
+	serveGated(t, lnA, &handoffCluster{
 		first: wire.Membership{Epoch: 1, Members: []string{addrA, addrB}},
 		then:  wire.Membership{Epoch: 2, Members: []string{addrB}},
-	}
-	srvA := server.NewWithConfig(mA, server.Config{Workers: 1, Cluster: h})
-	doneA := make(chan struct{})
-	go func() {
-		srvA.Serve(lnA)
-		close(doneA)
-	}()
-	defer func() {
-		srvA.Shutdown(2 * time.Second)
-		<-doneA
-	}()
+	})
 
 	// Pick a name the bootstrap map routes to A, so the first attempt
 	// hits the NotOwner path.
@@ -133,11 +144,7 @@ func TestRouterReaimsOnNotOwner(t *testing.T) {
 		t.Fatal("no candidate name rendezvous-routes to A")
 	}
 
-	r, err := client.NewRouter(client.RouterConfig{
-		Seeds:     []string{addrA},
-		RetryBase: time.Millisecond,
-		RetryMax:  10 * time.Millisecond,
-	})
+	r, err := client.NewRouter(client.RouterConfig{Seeds: []string{addrA}})
 	if err != nil {
 		t.Fatalf("router: %v", err)
 	}
@@ -157,5 +164,30 @@ func TestRouterReaimsOnNotOwner(t *testing.T) {
 	}
 	if got := r.Owner(name); got != addrB {
 		t.Errorf("post-handoff owner %s, want %s", got, addrB)
+	}
+}
+
+// TestRouterAcquireKeepsItsDeadline: against a member that answers
+// every op NotOwner while naming itself the only owner, no re-aim can
+// succeed. A timed Acquire must still end at its deadline with
+// ErrNoQuorum, not after the whole re-aim budget (about 1.6 s).
+func TestRouterAcquireKeepsItsDeadline(t *testing.T) {
+	ln := listen(t)
+	addr := ln.Addr().String()
+	self := wire.Membership{Epoch: 1, Members: []string{addr}}
+	serveGated(t, ln, &handoffCluster{first: self, then: self})
+
+	r, err := client.NewRouter(client.RouterConfig{Seeds: []string{addr}})
+	if err != nil {
+		t.Fatalf("router: %v", err)
+	}
+	defer r.Close()
+	const wait, bound = 100 * time.Millisecond, 300 * time.Millisecond
+	for i := 0; i < 3; i++ {
+		start := time.Now()
+		err := r.Acquire("k", true, wait)
+		if el := time.Since(start); !errors.Is(err, client.ErrNoQuorum) || el > bound {
+			t.Fatalf("call %d: %v after %v, want ErrNoQuorum within %v", i, err, el, bound)
+		}
 	}
 }

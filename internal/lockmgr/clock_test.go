@@ -295,11 +295,11 @@ func TestIdleGCBounds(t *testing.T) {
 			t.Fatal(err)
 		}
 		fc.Advance(ttl - 1)
-		if m.EntryCount() != 2 {
+		if m.Stats().Entries != 2 {
 			t.Fatalf("phase %v: collected %v after going idle, before IdleTTL", phase, ttl-1)
 		}
 		fc.Advance(ttl + 1)
-		if m.EntryCount() != 1 {
+		if m.Stats().Entries != 1 {
 			t.Fatalf("phase %v: still there 2x IdleTTL after going idle", phase)
 		}
 		if err := m.CloseSession(sid); err != nil {

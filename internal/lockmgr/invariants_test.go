@@ -72,7 +72,7 @@ func (m *Manager) invariantErr() error {
 			return fmt.Errorf("%q: the queue head (excl %v) fits the holders but still waits", name, h.Write)
 		}
 	}
-	if w := m.c.waiting; w != int64(len(queued)) {
+	if w := m.c.Waiting; w != int64(len(queued)) {
 		return fmt.Errorf("waiting gauge %d, %d acquires queued", w, len(queued))
 	}
 	onLists := 0
@@ -107,9 +107,9 @@ func TestCheckInvariantsSeesAQueue(t *testing.T) {
 	queue(t, m, c, "k", false, -1)
 	checkInvariants(t, m)
 	m.mu.Lock()
-	m.c.waiting++
+	m.c.Waiting++
 	err := m.invariantErr()
-	m.c.waiting--
+	m.c.Waiting--
 	m.mu.Unlock()
 	if err == nil {
 		t.Fatal("a waiting gauge one too high passed the check")

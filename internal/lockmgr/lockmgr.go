@@ -171,7 +171,7 @@ type Manager struct {
 	timer     timer
 	timerAt   time.Time // when timer fires next; zero = not armed
 
-	c     counters
+	c     Counters
 	wait  stats.Histogram // grant wait, nanoseconds
 	holdH stats.Histogram // hold time (grant to release), nanoseconds
 }
@@ -301,21 +301,21 @@ func (m *Manager) expireSession(s *Session, expired bool, now time.Time, done *[
 	for _, h := range holds {
 		if h.excl {
 			h.e.lk.Drop(true)
-			m.c.revokedHolds++
+			m.c.RevokedHolds++
 		}
 		for range h.shared {
 			h.e.lk.Drop(false)
 		}
-		m.c.revokedHolds += uint64(h.shared)
+		m.c.RevokedHolds += uint64(h.shared)
 		m.admit(h.e, now, done)
 	}
 	delete(m.sessions, s.id)
 	if expired {
-		m.c.expirations++
+		m.c.LeaseExpirations++
 		m.cfg.Recorder.Record(uint32(s.id), obs.Record{
 			At: uint64(now.UnixNano()), Tid: s.id, Aux: uint64(len(holds)), Node: obs.LRTNode(0), Kind: obs.KExpire})
 	} else {
-		m.c.sessionsClosed++
+		m.c.SessionsClosed++
 	}
 	return true
 }
@@ -382,7 +382,7 @@ func release[T string | []byte](m *Manager, s *Session, name T, excl bool, now t
 		h.shared--
 	}
 	e.lk.Drop(excl)
-	m.c.releases++
+	m.c.Releases++
 	m.holdH.Add(uint64(max(now.UnixNano()-h.grantNS, 0)))
 	if !h.excl && h.shared == 0 {
 		delete(s.holds, e.name)
@@ -407,7 +407,7 @@ func acquire[T string | []byte](m *Manager, s *Session, name T, excl bool, wait 
 	if e == nil {
 		e = &entry{name: string(name), hash: obs.Hash(name)} // the one name copy
 		m.entries[e.name] = e
-		m.c.entriesCreated++
+		m.c.EntriesCreated++
 		m.schedule(&m.gc, now.Add(m.cfg.IdleTTL)) // a no-op while a pass is pending
 	}
 	err := m.live(s, now, done)
@@ -423,7 +423,7 @@ func acquire[T string | []byte](m *Manager, s *Session, name T, excl bool, wait 
 			m.granted(excl, 0)
 		case wait == 0:
 			err = ErrTimeout
-			m.c.timeouts++
+			m.c.Timeouts++
 		default:
 			err = ErrWouldBlock
 			if w != nil {
@@ -488,7 +488,7 @@ func (m *Manager) collectIdle(now time.Time) int {
 	for name, e := range m.entries {
 		if e.lk.Idle() && now.Sub(e.idleAt) >= m.cfg.IdleTTL {
 			delete(m.entries, name)
-			m.c.entriesGCed++
+			m.c.EntriesGCed++
 		}
 	}
 	return len(m.entries)
@@ -503,14 +503,6 @@ func (m *Manager) QueueLen(name string) int {
 		return e.lk.Len()
 	}
 	return 0
-}
-
-// EntryCount returns the number of entries currently in the table,
-// including idle ones not collected yet.
-func (m *Manager) EntryCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.entries)
 }
 
 // SessionCount returns the number of live sessions.

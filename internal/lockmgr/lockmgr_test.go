@@ -287,7 +287,7 @@ func TestEntryGC(t *testing.T) {
 			t.Fatalf("acquire %s: %v", name, err)
 		}
 	}
-	if n := m.EntryCount(); n != 3 {
+	if n := m.Stats().Entries; n != 3 {
 		t.Fatalf("entries = %d, want 3", n)
 	}
 	for _, name := range []string{"a", "b"} {
@@ -296,7 +296,7 @@ func TestEntryGC(t *testing.T) {
 		}
 	}
 	fc.Advance(cfg.IdleTTL)
-	if n := m.EntryCount(); n != 1 {
+	if n := m.Stats().Entries; n != 1 {
 		t.Fatalf("idle entries not collected after IdleTTL: %d left", n)
 	}
 	st := m.Stats()

@@ -6,29 +6,11 @@ import (
 	"fairrw/internal/stats"
 )
 
-// counters are the manager's monotonic counters plus the live waiter
+// Counters are the manager's monotonic counters plus the live waiter
 // gauge. Like the table they count, they are guarded by Manager.mu, and
 // each is booked in the hold that makes its event, so Stats reads one
 // consistent cut: grants match wait samples and releases hold samples.
-type counters struct {
-	sharedGrants   uint64
-	exclGrants     uint64
-	releases       uint64
-	timeouts       uint64
-	keepalives     uint64
-	sessionsOpened uint64
-	sessionsClosed uint64
-	expirations    uint64
-	revokedHolds   uint64
-	entriesCreated uint64
-	entriesGCed    uint64
-	waiting        int64
-}
-
-// Snapshot is one consistent view of the manager's counters, table sizes
-// and wait and hold distributions, read in one hold of Manager.mu and
-// shaped for JSON dumping (cmd/lockd -metrics, the wire Stats op).
-type Snapshot struct {
+type Counters struct {
 	SharedGrants     uint64 `json:"shared_grants"`
 	ExclGrants       uint64 `json:"excl_grants"`
 	Releases         uint64 `json:"releases"`
@@ -40,10 +22,17 @@ type Snapshot struct {
 	RevokedHolds     uint64 `json:"revoked_holds"`
 	EntriesCreated   uint64 `json:"entries_created"`
 	EntriesGCed      uint64 `json:"entries_gced"`
+	Waiting          int64  `json:"waiting"`
+}
 
-	Entries  int   `json:"entries"`
-	Sessions int   `json:"sessions"`
-	Waiting  int64 `json:"waiting"`
+// Snapshot is one consistent view of the manager's counters, table sizes
+// and wait and hold distributions, read in one hold of Manager.mu and
+// shaped for JSON dumping (cmd/lockd -metrics, the wire Stats op).
+type Snapshot struct {
+	Counters
+
+	Entries  int `json:"entries"`
+	Sessions int `json:"sessions"`
 
 	WaitCount     uint64  `json:"wait_count"`
 	WaitMeanUS    float64 `json:"wait_mean_us"`
@@ -64,9 +53,9 @@ type Snapshot struct {
 // held.
 func (m *Manager) granted(excl bool, waited time.Duration) {
 	if excl {
-		m.c.exclGrants++
+		m.c.ExclGrants++
 	} else {
-		m.c.sharedGrants++
+		m.c.SharedGrants++
 	}
 	m.wait.Add(uint64(waited))
 }
@@ -80,20 +69,9 @@ func (m *Manager) Stats() Snapshot {
 	wait, hold := m.wait, m.holdH
 	m.mu.Unlock()
 	return Snapshot{
-		SharedGrants:     c.sharedGrants,
-		ExclGrants:       c.exclGrants,
-		Releases:         c.releases,
-		Timeouts:         c.timeouts,
-		Keepalives:       c.keepalives,
-		SessionsOpened:   c.sessionsOpened,
-		SessionsClosed:   c.sessionsClosed,
-		LeaseExpirations: c.expirations,
-		RevokedHolds:     c.revokedHolds,
-		EntriesCreated:   c.entriesCreated,
-		EntriesGCed:      c.entriesGCed,
-		Entries:          entries,
-		Sessions:         sessions,
-		Waiting:          c.waiting,
+		Counters: c,
+		Entries:  entries,
+		Sessions: sessions,
 
 		WaitCount:     wait.Count(),
 		WaitMeanUS:    wait.Mean() / 1e3,

@@ -105,7 +105,7 @@ func (m *Manager) enqueue(v queued, excl bool, wait time.Duration) {
 		n.V.snext.V.sprev = n
 	}
 	v.s.waits = n
-	m.c.waiting++
+	m.c.Waiting++
 	if wait > 0 {
 		n.V.dl.n = n
 		m.schedule(&n.V.dl, v.t0.Add(min(wait, v.s.deadline.Sub(v.t0))))
@@ -253,7 +253,7 @@ func (m *Manager) complete(n *waitNode, err error, now time.Time, done *[]Comple
 		v.snext.V.sprev = v.sprev
 	}
 	e.lk.Remove(n)
-	m.c.waiting--
+	m.c.Waiting--
 	m.unschedule(&v.dl)
 	waited := now.Sub(v.t0)
 	switch err {
@@ -262,7 +262,7 @@ func (m *Manager) complete(n *waitNode, err error, now time.Time, done *[]Comple
 		e.waitNS += int64(waited)
 		e.maxWaitNS = max(e.maxWaitNS, int64(waited))
 	case ErrTimeout:
-		m.c.timeouts++
+		m.c.Timeouts++
 	}
 	*done = append(*done, Completion{W: v.w, Tag: v.tag, SID: s.id, Hash: e.hash,
 		Err: err, Wait: waited, name: e.name, excl: n.Write, at: now.UnixNano()})
