@@ -13,8 +13,11 @@
 // the client got around to sending it. When the server falls behind,
 // queueing delay therefore lands in the histogram instead of silently
 // stretching the arrival gaps — the coordination-omission correction
-// that makes latency-under-load curves honest. -readpct and -rate take
-// comma-separated lists, one run per (rate, read %) pair.
+// that makes latency-under-load curves honest. How late the generator
+// itself sent is reported beside it (late_p50_us, late_p99_us: send time
+// minus scheduled arrival), so a run whose client could not keep its
+// schedule shows as one. -readpct and -rate take comma-separated lists,
+// one run per (rate, read %) pair.
 //
 // Cluster loop (-cluster a,b,c): each worker drives a cluster-aware
 // Router seeded with the given members; ops route to each name's
@@ -110,6 +113,9 @@ type point struct {
 	P999US float64 `json:"p999_us"`
 	MeanUS float64 `json:"mean_us"`
 	MaxUS  float64 `json:"max_us"`
+	// Open loop: how late the sends left, after their scheduled arrival.
+	LateP50US *float64 `json:"late_p50_us,omitempty"`
+	LateP99US *float64 `json:"late_p99_us,omitempty"`
 }
 
 // worker carries one goroutine's tallies; merged after the run.
@@ -119,6 +125,7 @@ type worker struct {
 	errors   uint64
 	failover uint64
 	lat      stats.Histogram // transaction latency, ns
+	late     stats.Histogram // open loop: send time minus scheduled arrival, ns
 
 	// Cluster mode: successful pairs per serving member, and the
 	// membership this worker's Router ended the run with.
@@ -135,6 +142,7 @@ func (w *worker) sync(gen *atomic.Uint32) {
 		w.gen = g
 		w.pairs, w.timeouts, w.errors, w.failover = 0, 0, 0, 0
 		w.lat.Reset()
+		w.late.Reset()
 		clear(w.nodeOps)
 	}
 }
@@ -233,8 +241,8 @@ func main() {
 		}
 		fmt.Printf("lockload: %s, %d conns, depth %d, %v/run (+%v warmup), %d keys, wait %v -> %s\n",
 			mode, cfg.conns, cfg.depth, cfg.duration, cfg.warmup, cfg.keys, cfg.wait, target)
-		fmt.Printf("%7s %10s %12s %12s %9s %9s %9s %9s %9s %7s %7s\n",
-			"read%", "rate", "pairs", "ops/s", "p50(us)", "p95(us)", "p99(us)", "p999(us)", "timeouts", "errors", "failov")
+		fmt.Printf("%7s %10s %12s %12s %9s %9s %9s %9s %10s %10s %9s %7s %7s\n",
+			"read%", "rate", "pairs", "ops/s", "p50(us)", "p95(us)", "p99(us)", "p999(us)", "late50(us)", "late99(us)", "timeouts", "errors", "failov")
 	}
 	var results []point
 	var hists []stats.Histogram
@@ -247,13 +255,14 @@ func main() {
 			failed = true
 		}
 		if !*jsonOut {
-			rateCol := "-"
+			rateCol, late50, late99 := "-", "-", "-"
 			if p.Rate > 0 {
 				rateCol = fmt.Sprintf("%.0f", p.Rate)
+				late50, late99 = fmt.Sprintf("%.1f", *p.LateP50US), fmt.Sprintf("%.1f", *p.LateP99US)
 			}
-			fmt.Printf("%7d %10s %12d %12.0f %9.1f %9.1f %9.1f %9.1f %9d %7d %7d\n",
+			fmt.Printf("%7d %10s %12d %12.0f %9.1f %9.1f %9.1f %9.1f %10s %10s %9d %7d %7d\n",
 				p.ReadPct, rateCol, p.Pairs, p.OpsPerSec,
-				p.P50US, p.P95US, p.P99US, p.P999US, p.Timeouts, p.Errors, p.FailoverErrs)
+				p.P50US, p.P95US, p.P99US, p.P999US, late50, late99, p.Timeouts, p.Errors, p.FailoverErrs)
 		}
 	}
 
@@ -389,6 +398,7 @@ func run(cfg runCfg) (point, stats.Histogram) {
 		total.errors += workers[i].errors
 		total.failover += workers[i].failover
 		total.lat.Merge(&workers[i].lat)
+		total.late.Merge(&workers[i].late)
 	}
 	p := point{
 		ReadPct: cfg.readPct, Conns: cfg.conns, DurS: elapsed.Seconds(),
@@ -424,6 +434,8 @@ func run(cfg runCfg) (point, stats.Histogram) {
 	case cfg.rate > 0:
 		p.Mode, p.Rate = "open", cfg.rate
 		p.AchievedRate = float64(total.pairs) / elapsed.Seconds()
+		late50, late99 := total.late.Percentile(50)/1e3, total.late.Percentile(99)/1e3
+		p.LateP50US, p.LateP99US = &late50, &late99
 	default:
 		p.Mode, p.Depth = "closed", cfg.depth
 	}
@@ -541,7 +553,8 @@ func pairOutcome(acqErr, relErr error) error {
 // rate/conns per second, and its clock starts at the scheduled arrival:
 // if the previous pair ran long the next one starts late but its clock
 // started on schedule — queueing delay is charged to the response time,
-// never hidden in the arrival process.
+// never hidden in the arrival process. How late it started is recorded
+// too, in late.
 func runBatch(cfg runCfg, w int, names []string, res *worker, done <-chan struct{}, gen *atomic.Uint32) {
 	c, sid, ok := dialWorker(cfg, w, res)
 	if !ok {
@@ -570,6 +583,7 @@ func runBatch(cfg runCfg, w int, names []string, res *worker, done <-chan struct
 				case <-time.After(d):
 				}
 			}
+			res.late.Add(uint64(max(time.Since(start), 0)))
 		} else {
 			start = time.Now()
 		}

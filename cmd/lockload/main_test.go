@@ -72,6 +72,12 @@ func TestRunModes(t *testing.T) {
 			if lat.Count() == 0 {
 				t.Fatal("empty latency histogram")
 			}
+			if open := tc.mode == "open"; (p.LateP50US != nil) != open || (p.LateP99US != nil) != open {
+				t.Fatalf("late_p50_us %v, late_p99_us %v: want both present iff the loop is open", p.LateP50US, p.LateP99US)
+			}
+			if p.LateP50US != nil && (*p.LateP50US < 0 || *p.LateP99US < *p.LateP50US) {
+				t.Fatalf("late p50 %.1fus, p99 %.1fus: want 0 <= p50 <= p99", *p.LateP50US, *p.LateP99US)
+			}
 		})
 	}
 }

@@ -43,6 +43,8 @@ const (
 	BatchOpen
 	BatchKeepAlive
 	BatchCloseSession
+	// BatchNone executes nothing and keeps its Err: the caller answers it.
+	BatchNone
 )
 
 // BatchOp is one operation in a batch. Name aliases the caller's buffer
@@ -123,6 +125,7 @@ func (m *Manager) ExecBatch(ops []BatchOp, sc *BatchScratch) {
 			}
 		case BatchRelease:
 			op.Err = release(m, s, op.Name, op.Excl, now, &sc.done)
+		case BatchNone:
 		default:
 			op.Err = ErrName
 		}

@@ -1,6 +1,7 @@
 package lockmgr
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -93,6 +94,43 @@ func TestExecBatchWouldBlockAndDeferral(t *testing.T) {
 	}
 	if got := m.Stats().Timeouts; got != 1 {
 		t.Fatalf("timeouts = %d, want 1 (would-block must not count)", got)
+	}
+}
+
+// TestExecBatchNone: a BatchNone op executes nothing and keeps the Err
+// its caller gave it, whatever its session or name; behind a queued
+// acquire of its Tag it is deferred like any op. It never moves a counter
+// or creates an entry.
+func TestExecBatchNone(t *testing.T) {
+	m := New(Config{})
+	defer m.Close()
+	sc := m.NewBatchScratch()
+
+	holder, _ := m.Open(time.Second)
+	other, _ := m.Open(time.Second)
+	if err := m.Acquire(holder, "k", true, 0); err != nil {
+		t.Fatal(err)
+	}
+	before := m.Stats()
+	owed := errors.New("answered by the caller")
+	ops := []BatchOp{
+		{Kind: BatchNone, Tag: 1, SID: other, Name: []byte("k"), Excl: true, Err: owed},   // held name: untouched
+		{Kind: BatchNone, Tag: 1, SID: other, Name: []byte("new"), Err: owed},             // no entry made
+		{Kind: BatchNone, Tag: 1, SID: 999999, Name: []byte("k"), Err: owed},              // unknown session: no expiry
+		{Kind: BatchAcquire, Tag: 2, SID: other, Name: []byte("k"), Excl: true, Wait: -1}, // would block
+		{Kind: BatchNone, Tag: 2, SID: other, Err: owed},                                  // deferred behind it
+		{Kind: BatchNone, Tag: 3, Err: owed},                                              // another tag: untouched
+	}
+	m.ExecBatch(ops, sc)
+	want := []error{owed, owed, owed, ErrWouldBlock, ErrDeferred, owed}
+	for i, w := range want {
+		if ops[i].Err != w {
+			t.Fatalf("op %d: got %v, want %v", i, ops[i].Err, w)
+		}
+	}
+	after := m.Stats()
+	if after.Counters != before.Counters || after.Entries != before.Entries || after.Sessions != before.Sessions {
+		t.Fatalf("BatchNone ops moved the manager: before %+v, after %+v", before, after)
 	}
 }
 

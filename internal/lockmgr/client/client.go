@@ -48,6 +48,8 @@ type Conn struct {
 	wbuf    []byte
 	pending int
 	closed  bool
+	resp    wire.Response // exchange's last response; its Payload aliases rbuf
+	out     [1]error      // a one-frame exchange's outcome
 
 	// Last membership seen in a NotOwner response or ClusterInfo reply.
 	member    wire.Membership
@@ -72,7 +74,8 @@ func (c *Conn) Close() error {
 	return c.nc.Close()
 }
 
-// roundTrip sends req and decodes the single response.
+// roundTrip is the exchange of one frame: it sends req and returns its
+// response, with the outcome the response's status maps to.
 func (c *Conn) roundTrip(req *wire.Request) (wire.Response, error) {
 	if c.closed {
 		return wire.Response{}, ErrClientClosed
@@ -81,22 +84,38 @@ func (c *Conn) roundTrip(req *wire.Request) (wire.Response, error) {
 		return wire.Response{}, errors.New("lockd client: Flush queued requests before a synchronous call")
 	}
 	var err error
-	c.wbuf, err = wire.AppendRequestFrame(c.wbuf[:0], req)
+	if c.wbuf, err = wire.AppendRequestFrame(c.wbuf[:0], req); err != nil {
+		return wire.Response{}, err
+	}
+	out, err := c.exchange(1, c.out[:0])
 	if err != nil {
 		return wire.Response{}, err
 	}
-	if _, err := c.nc.Write(c.wbuf); err != nil {
-		return wire.Response{}, err
-	}
-	p, err := wire.ReadFrame(c.br, &c.rbuf)
+	return c.resp, out[0]
+}
+
+// exchange is the one request path: it writes the n frames in wbuf in one
+// write, then reads their n responses in order, appending each one's
+// outcome to errs. The second result is a transport error; after one the
+// connection is unusable.
+func (c *Conn) exchange(n int, errs []error) ([]error, error) {
+	_, err := c.nc.Write(c.wbuf)
+	c.wbuf = c.wbuf[:0]
 	if err != nil {
-		return wire.Response{}, err
+		return errs, err
 	}
-	resp, err := wire.DecodeResponse(p)
-	if err == nil {
-		c.noteMembership(&resp)
+	for ; n > 0; n-- {
+		p, err := wire.ReadFrame(c.br, &c.rbuf)
+		if err == nil {
+			c.resp, err = wire.DecodeResponse(p)
+		}
+		if err != nil {
+			return errs, err
+		}
+		c.noteMembership(&c.resp)
+		errs = append(errs, statusErr(c.resp.Status))
 	}
-	return resp, err
+	return errs, nil
 }
 
 // noteMembership captures the membership payload a NotOwner response
@@ -145,51 +164,36 @@ func (c *Conn) Open(lease time.Duration) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := statusErr(resp.Status); err != nil {
-		return 0, err
-	}
 	return resp.SID, nil
 }
 
 // KeepAlive extends sid's lease to now+lease on the server.
 func (c *Conn) KeepAlive(sid uint64, lease time.Duration) error {
-	resp, err := c.roundTrip(&wire.Request{Op: wire.OpKeepAlive, SID: sid, Lease: int64(lease)})
-	if err != nil {
-		return err
-	}
-	return statusErr(resp.Status)
+	_, err := c.roundTrip(&wire.Request{Op: wire.OpKeepAlive, SID: sid, Lease: int64(lease)})
+	return err
 }
 
 // CloseSession gracefully ends sid, releasing its holds.
 func (c *Conn) CloseSession(sid uint64) error {
-	resp, err := c.roundTrip(&wire.Request{Op: wire.OpClose, SID: sid})
-	if err != nil {
-		return err
-	}
-	return statusErr(resp.Status)
+	_, err := c.roundTrip(&wire.Request{Op: wire.OpClose, SID: sid})
+	return err
 }
 
 // Acquire takes name for sid. wait follows lockmgr.Acquire: 0 try, >0
 // timed, <0 wait until granted or the lease lapses.
 func (c *Conn) Acquire(sid uint64, name string, excl bool, wait time.Duration) error {
-	resp, err := c.roundTrip(&wire.Request{
+	_, err := c.roundTrip(&wire.Request{
 		Op: wire.OpAcquire, SID: sid, Wait: int64(wait), Excl: excl, Name: name,
 	})
-	if err != nil {
-		return err
-	}
-	return statusErr(resp.Status)
+	return err
 }
 
 // Release drops one hold of sid on name.
 func (c *Conn) Release(sid uint64, name string, excl bool) error {
-	resp, err := c.roundTrip(&wire.Request{
+	_, err := c.roundTrip(&wire.Request{
 		Op: wire.OpRelease, SID: sid, Excl: excl, Name: name,
 	})
-	if err != nil {
-		return err
-	}
-	return statusErr(resp.Status)
+	return err
 }
 
 // QueueAcquire appends an acquire request to the connection's write
@@ -242,24 +246,7 @@ func (c *Conn) Flush(errs []error) ([]error, error) {
 	if n == 0 {
 		return errs, nil
 	}
-	_, err := c.nc.Write(c.wbuf)
-	c.wbuf = c.wbuf[:0]
-	if err != nil {
-		return errs, err
-	}
-	for i := 0; i < n; i++ {
-		p, err := wire.ReadFrame(c.br, &c.rbuf)
-		if err != nil {
-			return errs, err
-		}
-		resp, err := wire.DecodeResponse(p)
-		if err != nil {
-			return errs, err
-		}
-		c.noteMembership(&resp)
-		errs = append(errs, statusErr(resp.Status))
-	}
-	return errs, nil
+	return c.exchange(n, errs)
 }
 
 // ClusterInfo fetches the server's current cluster membership. On a
@@ -267,9 +254,6 @@ func (c *Conn) Flush(errs []error) ([]error, error) {
 func (c *Conn) ClusterInfo() (wire.Membership, error) {
 	resp, err := c.roundTrip(&wire.Request{Op: wire.OpClusterInfo})
 	if err != nil {
-		return wire.Membership{}, err
-	}
-	if err := statusErr(resp.Status); err != nil {
 		return wire.Membership{}, err
 	}
 	if len(resp.Payload) == 0 {
@@ -287,9 +271,6 @@ func (c *Conn) ClusterInfo() (wire.Membership, error) {
 func (c *Conn) Stats() ([]byte, error) {
 	resp, err := c.roundTrip(&wire.Request{Op: wire.OpStats})
 	if err != nil {
-		return nil, err
-	}
-	if err := statusErr(resp.Status); err != nil {
 		return nil, err
 	}
 	return append([]byte(nil), resp.Payload...), nil

@@ -69,6 +69,30 @@ const (
 	retryMax  = 500 * time.Millisecond
 )
 
+// replySlack is how long past a timed acquire's deadline the Router
+// still waits for the answer: the owner answers ErrTimeout at the
+// deadline itself, and that answer has to arrive.
+const replySlack = 100 * time.Millisecond
+
+// armed sets the socket deadline of c's next exchange and returns c: by,
+// or none if by is zero. Conn's own methods set no deadline; the Router
+// arms one before every exchange, so a member that accepts and then stops
+// answering holds no caller, keepalive or Close without bound. A deadline
+// that fires fails the exchange, and the conn is dropped with it.
+func armed(c *Conn, by time.Time) *Conn {
+	_ = c.nc.SetDeadline(by) // fails only on a closed conn, and so does the exchange after it
+	return c
+}
+
+// within is the deadline of a membership poll or a session open: the
+// op's deadline, or dialTimeout from now for an op without one.
+func within(deadline time.Time) time.Time {
+	if deadline.IsZero() {
+		return time.Now().Add(dialTimeout)
+	}
+	return deadline
+}
+
 // memberDialAttempts is 1: the Router's own retry loop supplies the
 // backoff and re-aims at survivors between attempts, so a multi-attempt
 // dial underneath it would multiply the failover delay — exactly the
@@ -123,7 +147,7 @@ func (r *Router) bootstrap() error {
 			lastErr = err
 			continue
 		}
-		wm, err := c.ClusterInfo()
+		wm, err := armed(c, time.Now().Add(dialTimeout)).ClusterInfo()
 		c.Close()
 		if err != nil {
 			lastErr = err
@@ -146,8 +170,10 @@ func (r *Router) bootstrap() error {
 
 // Close closes every per-node connection and stops the keepalive loop.
 // Sessions are closed best-effort so holds release immediately instead
-// of waiting out their leases.
+// of waiting out their leases. A keepalive in flight ends within Lease/3,
+// and the session closes are given until Lease/3 after Close began.
 func (r *Router) Close() error {
+	by := time.Now().Add(r.cfg.Lease / 3)
 	r.stopped.Do(func() { close(r.stop) })
 	r.wg.Wait()
 	r.mu.Lock()
@@ -157,7 +183,7 @@ func (r *Router) Close() error {
 	for _, n := range nodes {
 		if n.conn != nil {
 			if n.sid != 0 {
-				n.conn.CloseSession(n.sid)
+				armed(n.conn, by).CloseSession(n.sid)
 			}
 			n.conn.Close()
 		}
@@ -245,7 +271,7 @@ func (r *Router) refresh(deadline time.Time, skip string) {
 		if err != nil {
 			continue
 		}
-		wm, err := n.conn.ClusterInfo()
+		wm, err := armed(n.conn, within(deadline)).ClusterInfo()
 		if err != nil {
 			r.dropConn(n)
 			continue
@@ -303,7 +329,7 @@ func (r *Router) node(deadline time.Time, addr string) (*routedNode, error) {
 		return nil, err
 	}
 	if n.sid == 0 {
-		sid, err := n.conn.Open(r.cfg.Lease)
+		sid, err := armed(n.conn, within(deadline)).Open(r.cfg.Lease)
 		if err != nil {
 			r.dropConn(n)
 			return nil, err
@@ -336,25 +362,31 @@ func (r *Router) dropConn(n *routedNode) {
 // early timeout is sent again — the keepalive loop renews the session
 // meanwhile. At the deadline Acquire returns ErrTimeout if the owner's
 // last answer was a timeout, and ErrNoQuorum, wrapping the last routing
-// error, otherwise.
+// error, otherwise. An owner that stops answering fails a timed attempt
+// replySlack past the deadline and a try after Lease; an unbounded
+// acquire waits for its answer as long as its session lives.
 func (r *Router) Acquire(name string, excl bool, wait time.Duration) error {
 	var deadline time.Time
 	if wait > 0 {
 		deadline = time.Now().Add(wait)
 	}
 	return r.do(name, deadline, func(n *routedNode) error {
-		w := wait
-		if w > 0 { // do calls op with time left; never send 0 (try) or less (unbounded)
-			w = max(time.Until(deadline), 1)
+		w, by := wait, time.Time{}
+		switch {
+		case wait > 0: // do calls op with time left; never send 0 (try) or less (unbounded)
+			w, by = max(time.Until(deadline), 1), deadline.Add(replySlack)
+		case wait == 0:
+			by = time.Now().Add(r.cfg.Lease)
 		}
-		return n.conn.Acquire(n.sid, name, excl, w)
+		return armed(n.conn, by).Acquire(n.sid, name, excl, w)
 	})
 }
 
-// Release routes a release to name's current owner.
+// Release routes a release to name's current owner; an owner that stops
+// answering fails the attempt after Lease.
 func (r *Router) Release(name string, excl bool) error {
 	return r.do(name, time.Time{}, func(n *routedNode) error {
-		return n.conn.Release(n.sid, name, excl)
+		return armed(n.conn, time.Now().Add(r.cfg.Lease)).Release(n.sid, name, excl)
 	})
 }
 
@@ -464,11 +496,17 @@ func (r *Router) keepAliveLoop() {
 		}
 		r.mu.Unlock()
 		for _, n := range nodes {
+			select {
+			case <-r.stop: // before each node: a tick ready beside stop may have won the select
+				return
+			default:
+			}
 			r.keepAliveNode(n)
 		}
 	}
 }
 
+// keepAliveNode renews n's session, dial included, within Lease/3.
 func (r *Router) keepAliveNode(n *routedNode) {
 	r.mu.Lock()
 	sid := n.sid
@@ -476,16 +514,19 @@ func (r *Router) keepAliveNode(n *routedNode) {
 	if sid == 0 {
 		return
 	}
+	by := time.Now().Add(r.cfg.Lease / 3)
 	n.kaMu.Lock()
 	defer n.kaMu.Unlock()
 	if n.kaConn == nil {
-		c, err := dial(context.Background(), n.addr, memberDialAttempts)
+		ctx, cancel := context.WithDeadline(context.Background(), by)
+		c, err := dial(ctx, n.addr, memberDialAttempts)
+		cancel()
 		if err != nil {
 			return // node likely dead; the op path will reroute
 		}
 		n.kaConn = c
 	}
-	if err := n.kaConn.KeepAlive(sid, r.cfg.Lease); err != nil && !errors.Is(err, lockmgr.ErrExpired) {
+	if err := armed(n.kaConn, by).KeepAlive(sid, r.cfg.Lease); err != nil && !errors.Is(err, lockmgr.ErrExpired) {
 		n.kaConn.Close()
 		n.kaConn = nil
 	}

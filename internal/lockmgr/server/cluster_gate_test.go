@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"net"
 	"net/http"
@@ -150,10 +151,10 @@ func TestClusterGateFenced(t *testing.T) {
 	}
 }
 
-// TestClusterGateBehindParkedAcquire: a gated frame pipelined behind an
-// acquire that parks must be answered after the park resolves — wire
-// responses stay in request order even when the want short-circuits the
-// manager entirely.
+// TestClusterGateBehindParkedAcquire: frames the server answers itself —
+// a gated acquire, OpClusterInfo, OpStats — pipelined behind an acquire
+// that parks are answered after the park resolves, once each, in request
+// order, although none of them reaches the manager.
 func TestClusterGateBehindParkedAcquire(t *testing.T) {
 	addr, m, _ := startClusteredServer(t)
 
@@ -170,29 +171,16 @@ func TestClusterGateBehindParkedAcquire(t *testing.T) {
 		t.Fatalf("holder acquire: %v", err)
 	}
 
-	c2, err := client.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	sid2, err := c2.Open(time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	type flushResult struct {
-		errs []error
-		err  error
-	}
-	resCh := make(chan flushResult, 1)
-	go func() {
-		c2.QueueAcquire(sid2, "mine-x", true, 5*time.Second) // parks behind c1
-		c2.QueueAcquire(sid2, "theirs-y", true, 0)           // gated: NotOwner, but must wait its turn
-		errs, err := c2.Flush(nil)
-		resCh <- flushResult{errs, err}
-	}()
+	rc := dialRaw(t, addr)
+	sid2 := rc.open(t, time.Minute)
+	rc.write(
+		&wire.Request{Op: wire.OpAcquire, SID: sid2, Excl: true, Wait: int64(5 * time.Second), Name: "mine-x"}, // parks behind c1
+		&wire.Request{Op: wire.OpAcquire, SID: sid2, Excl: true, Name: "theirs-y"},                             // gated: NotOwner, but must wait its turn
+		&wire.Request{Op: wire.OpClusterInfo},
+		&wire.Request{Op: wire.OpStats},
+	)
 
-	// Wait until c2 is parked, then release; c2's flush must then
-	// resolve both frames in order.
+	// Wait until the acquire is parked: nothing may be answered yet.
 	deadline := time.Now().Add(5 * time.Second)
 	for m.QueueLen("mine-x") < 1 {
 		if time.Now().After(deadline) {
@@ -200,31 +188,37 @@ func TestClusterGateBehindParkedAcquire(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	select {
-	case r := <-resCh:
-		t.Fatalf("flush returned while parked: %v %v", r.errs, r.err)
-	case <-time.After(20 * time.Millisecond):
-	}
+	rc.expectSilence(20 * time.Millisecond)
 	if err := c1.Release(sid1, "mine-x", true); err != nil {
 		t.Fatalf("release: %v", err)
 	}
-	select {
-	case r := <-resCh:
-		if r.err != nil {
-			t.Fatalf("flush: %v", r.err)
-		}
-		if len(r.errs) != 2 {
-			t.Fatalf("got %d results, want 2", len(r.errs))
-		}
-		if r.errs[0] != nil {
-			t.Errorf("parked acquire resolved %v, want nil", r.errs[0])
-		}
-		if !errors.Is(r.errs[1], client.ErrNotOwner) {
-			t.Errorf("gated frame resolved %v, want ErrNotOwner", r.errs[1])
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("flush never returned after the release")
+
+	if resp := rc.read(5 * time.Second); resp.Status != wire.StatusOK {
+		t.Fatalf("parked acquire: status %d, want OK", resp.Status)
 	}
+	for _, what := range []string{"gated acquire", "cluster info"} {
+		resp := rc.read(5 * time.Second)
+		want := wire.StatusNotOwner
+		if what == "cluster info" {
+			want = wire.StatusOK
+		}
+		if resp.Status != want {
+			t.Fatalf("%s: status %d, want %d", what, resp.Status, want)
+		}
+		if wm, err := wire.DecodeMembership(resp.Payload); err != nil || wm.Epoch != 7 || len(wm.Members) != 3 {
+			t.Fatalf("%s: membership %+v (%v), want epoch 7 with 3 members", what, wm, err)
+		}
+	}
+	stats := rc.read(5 * time.Second)
+	var sp statsPayload
+	if stats.Status != wire.StatusOK || json.Unmarshal(stats.Payload, &sp) != nil {
+		t.Fatalf("stats: status %d, payload %q", stats.Status, stats.Payload)
+	}
+	if sp.ExclGrants != 2 || sp.ClusterEpoch != 7 || sp.ClusterMembers != 3 {
+		t.Errorf("stats: %d excl grants, epoch %d, %d members; want 2, 7, 3", sp.ExclGrants, sp.ClusterEpoch, sp.ClusterMembers)
+	}
+	// Nothing is answered twice after the grant re-parses the frames.
+	rc.expectSilence(200 * time.Millisecond)
 }
 
 // TestClusterInfo: clustered servers answer OpClusterInfo with the

@@ -63,7 +63,6 @@ type conn struct {
 	wbuf      []byte       // encoded responses awaiting the cycle's flush
 	parked    bool         // an acquire of this conn's is queued in the manager
 	parkSID   uint64       // its session, for CancelWait
-	want      uint8        // parse stopped at a frame answered inline between batches
 	dead      bool         // connection condemned; cleanup pending
 	removed   bool         // retired from the worker; ignore late events
 	eofSeen   bool         // worker has observed the reader's eof
@@ -96,16 +95,6 @@ type conn struct {
 	outBytes    atomic.Int64 // bytes in outq not yet written (worker reads for wblocked)
 	writeFailed atomic.Bool  // the drain hit a write error; worker must condemn
 }
-
-// want values: frames the parse loop cannot answer from the batch
-// results. They stop the parse (preserving per-connection response
-// order) and are answered between batches by answerWant.
-const (
-	wantNone     = 0
-	wantStats    = 1 // OpStats: metrics snapshot JSON
-	wantInfo     = 2 // OpClusterInfo: membership payload
-	wantNotOwner = 3 // acquire/release gated off by cluster ownership
-)
 
 // readLoop is the reader goroutine: blocking (netpoller-driven) reads
 // into inbox, waking the owning worker whenever new bytes land. It

@@ -155,6 +155,34 @@ func TestStatsPipelinedBehindParkedAcquire(t *testing.T) {
 	rc.expectSilence(200 * time.Millisecond)
 }
 
+// TestStatsSnapshotEndsAtItsFrame: an OpStats frame ends its conn's parse
+// for the round, so its snapshot covers the frames before it and none
+// after, even a frame that arrived in the same write.
+func TestStatsSnapshotEndsAtItsFrame(t *testing.T) {
+	addr, _ := startServer(t, testCfg())
+	rc := dialRaw(t, addr)
+	sid := rc.open(t, 5*time.Second)
+	rc.write(
+		&wire.Request{Op: wire.OpAcquire, SID: sid, Excl: true, Name: "y"},
+		&wire.Request{Op: wire.OpStats},
+		&wire.Request{Op: wire.OpAcquire, SID: sid, Excl: true, Name: "z"},
+	)
+	if resp := rc.read(5 * time.Second); resp.Status != wire.StatusOK {
+		t.Fatalf("acquire y: status %d, want OK", resp.Status)
+	}
+	stats := rc.read(5 * time.Second)
+	var snap lockmgr.Snapshot
+	if stats.Status != wire.StatusOK || json.Unmarshal(stats.Payload, &snap) != nil {
+		t.Fatalf("stats: status %d, payload %q", stats.Status, stats.Payload)
+	}
+	if snap.ExclGrants != 1 {
+		t.Errorf("snapshot counts %d excl grants, want 1: y before the stats frame, not z after it", snap.ExclGrants)
+	}
+	if resp := rc.read(5 * time.Second); resp.Status != wire.StatusOK {
+		t.Fatalf("acquire z: status %d, want OK", resp.Status)
+	}
+}
+
 // findServerConn locates the server-side conn for a client socket.
 func findServerConn(t *testing.T, srv *Server, local net.Addr) *conn {
 	t.Helper()

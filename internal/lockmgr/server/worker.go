@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"sync"
 	"sync/atomic"
 
@@ -88,11 +89,11 @@ type worker struct {
 	loopMu sync.Mutex // held by whoever is being the loop
 
 	// All fields below are guarded by loopMu.
-	sc     *lockmgr.BatchScratch
-	ops    []lockmgr.BatchOp // ops[i].Waiter is the conn that sent it
-	opEnd  []int             // parse cursor just past ops[i]'s frame
-	ready  []*conn           // conns to service this cycle
-	wantCs []*conn           // conns whose parse stopped at an inline-answered frame
+	sc      *lockmgr.BatchScratch
+	ops     []lockmgr.BatchOp // ops[i].Waiter is the conn that sent it
+	opEnd   []int             // parse cursor just past ops[i]'s frame
+	ready   []*conn           // conns to service this cycle
+	payload []byte            // membership payload of the frame being answered
 }
 
 func newWorker(s *Server, idx int) *worker {
@@ -233,24 +234,22 @@ func (w *worker) process() {
 
 // round takes every complete frame of every ready conn into one
 // ExecBatch and encodes the responses; it reports whether it found any
-// work. Later rounds pick up what a want frame held back.
+// work. Later rounds pick up what a stats frame held back.
 func (w *worker) round() bool {
 	w.ops = w.ops[:0]
 	w.opEnd = w.opEnd[:0]
-	w.wantCs = w.wantCs[:0]
 	for _, c := range w.ready {
 		w.parseConn(c)
 	}
-	if len(w.ops) == 0 && len(w.wantCs) == 0 {
+	n := len(w.ops)
+	if n == 0 {
 		return false
 	}
-	if n := len(w.ops); n > 0 {
-		w.st.batches.Add(1)
-		w.st.batchOps.Add(uint64(n))
-		w.bhMu.Lock()
-		w.batchH.Add(uint64(n))
-		w.bhMu.Unlock()
-	}
+	w.st.batches.Add(1)
+	w.st.batchOps.Add(uint64(n))
+	w.bhMu.Lock()
+	w.batchH.Add(uint64(n))
+	w.bhMu.Unlock()
 	w.srv.m.ExecBatch(w.ops, w.sc)
 	w.encode()
 	// The parked acquires this batch resolved: ours are answered here, in
@@ -262,25 +261,42 @@ func (w *worker) round() bool {
 			cp.W.Complete(cp)
 		}
 	}
-	for _, c := range w.wantCs {
-		w.answerWant(c)
-	}
 	for _, c := range w.ready {
 		c.compact()
 	}
 	return true
 }
 
+// The answers a frame the server answers itself owes, carried in its
+// BatchNone op's Err from parseConn to encode.
+var (
+	errStats    = errors.New("server: stats snapshot")
+	errInfo     = errors.New("server: cluster membership")
+	errNotOwner = errors.New("server: refused by the cluster gate or the fence")
+)
+
 // parseConn decodes every complete frame in c's pending buffer into the
-// worker's batch, stopping at a parked acquire, a paused write queue
-// (wblocked), a want frame — OpStats, OpClusterInfo, or a named op the
-// cluster gate refuses, all answered between batches to keep
-// per-connection order — the first malformed frame (which condemns the
-// stream), or the first incomplete frame.
+// worker's batch, one op per frame, stopping at a parked acquire, a
+// paused write queue (wblocked), an OpStats frame (its snapshot covers the
+// frames before it and none after), the first malformed frame (which
+// condemns the stream), or the first incomplete frame.
+//
+// Frames the batch cannot answer join it as BatchNone ops, answered by
+// encode in request order: OpStats and OpClusterInfo are served from
+// server state, and so is any op the cluster refuses. The gate runs here,
+// so a name this node does not own never reaches the manager's table: an
+// acquire or release the cluster does not let this node execute is
+// answered StatusNotOwner with the membership attached, so the client can
+// re-aim (names ExecBatch rejects anyway skip the gate). On a fenced
+// (isolated) node OpOpen and OpKeepAlive are refused too: granting or
+// renewing a lease from a quorum-less minority would let a partitioned
+// client outlive the majority's failover quarantine. OpClose stays
+// ungated — releasing everything is always safe.
 func (w *worker) parseConn(c *conn) {
 	var req wire.RawRequest
 	named := uint64(0)
-	for !c.parked && !c.dead && c.want == wantNone && !c.wblocked {
+	cl := w.srv.cluster
+	for !c.parked && !c.dead && !c.wblocked {
 		buf := c.pending[c.parsePos:]
 		if len(buf) < 4 {
 			break
@@ -298,33 +314,42 @@ func (w *worker) parseConn(c *conn) {
 			break
 		}
 		c.parsePos += 4 + n
-		// Want frames stop the parse and are answered between batches
-		// (after this round's encode, so per-connection order holds). The
-		// cluster gate runs here: a name this node does not own must
-		// never reach the manager's table.
-		if wk := w.wantOf(&req); wk != wantNone {
-			c.want = wk
-			w.wantCs = append(w.wantCs, c)
-			break
-		}
-		op := lockmgr.BatchOp{Tag: c.id, SID: req.SID, Excl: req.Excl, Wait: req.Wait,
+		op := lockmgr.BatchOp{Kind: lockmgr.BatchNone, Tag: c.id, SID: req.SID, Excl: req.Excl, Wait: req.Wait,
 			Lease: req.Lease, Name: req.Name, Waiter: c}
 		switch req.Op {
-		case wire.OpOpen:
-			op.Kind = lockmgr.BatchOpen
-		case wire.OpKeepAlive:
-			op.Kind = lockmgr.BatchKeepAlive
+		case wire.OpStats:
+			op.Err = errStats
+		case wire.OpClusterInfo:
+			op.Err = errInfo
+		case wire.OpOpen, wire.OpKeepAlive:
+			switch {
+			case cl != nil && cl.Isolated():
+				op.Err = errNotOwner
+			case req.Op == wire.OpOpen:
+				op.Kind = lockmgr.BatchOpen
+			default:
+				op.Kind = lockmgr.BatchKeepAlive
+			}
 		case wire.OpClose:
 			op.Kind = lockmgr.BatchCloseSession
-		case wire.OpAcquire:
-			op.Kind = lockmgr.BatchAcquire
-			named++
-		case wire.OpRelease:
-			op.Kind = lockmgr.BatchRelease
-			named++
+		case wire.OpAcquire, wire.OpRelease:
+			acq := req.Op == wire.OpAcquire
+			switch {
+			case cl != nil && len(req.Name) > 0 && len(req.Name) <= lockmgr.MaxNameLen && !cl.GateOp(req.Name, acq):
+				op.Err = errNotOwner
+			case acq:
+				op.Kind = lockmgr.BatchAcquire
+				named++
+			default:
+				op.Kind = lockmgr.BatchRelease
+				named++
+			}
 		}
 		w.ops = append(w.ops, op)
 		w.opEnd = append(w.opEnd, c.parsePos)
+		if op.Err == errStats {
+			break
+		}
 	}
 	if named > 0 {
 		w.st.namedOps.Add(named)
@@ -332,10 +357,11 @@ func (w *worker) parseConn(c *conn) {
 }
 
 // encode turns the executed batch into response frames in each conn's
-// write buffer. A would-block acquire is queued in the manager by now and
-// parks its conn: nothing is answered, the parse cursor rewinds to just
-// past its frame so what was deferred behind it (a want frame included)
-// re-parses after the completion, and the loop moves on.
+// write buffer, one per frame in request order; a BatchNone op gets the
+// answer its Err names. A would-block acquire is queued in the manager by
+// now and parks its conn: nothing is answered, the parse cursor rewinds to
+// just past its frame so what was deferred behind it re-parses after the
+// completion, and the loop moves on.
 func (w *worker) encode() {
 	for i := range w.ops {
 		op := &w.ops[i]
@@ -343,7 +369,6 @@ func (w *worker) encode() {
 		if op.Err == lockmgr.ErrWouldBlock {
 			c.parked, c.parkSID = true, op.SID
 			c.parsePos = w.opEnd[i]
-			c.want = wantNone
 			w.st.parks.Add(1)
 			w.srv.rec.Record(uint32(w.idx), obs.Record{Lock: uint64(obs.Hash(op.Name)),
 				Tid: op.SID, Aux: uint64(max(op.Wait, 0)), Node: obs.ConnNode(c.id), Kind: obs.KEnq})
@@ -353,6 +378,9 @@ func (w *worker) encode() {
 			continue // deferred frames re-parse after the park resolves
 		}
 		resp := wire.Response{Status: statusOf(op.Err), SID: op.OutSID}
+		if op.Kind == lockmgr.BatchNone {
+			resp.Status, resp.Payload = w.answer(op.Err)
+		}
 		var err error
 		c.wbuf, err = wire.AppendResponseFrame(c.wbuf, &resp)
 		if err != nil {
@@ -361,38 +389,6 @@ func (w *worker) encode() {
 		}
 		c.flushMark = true
 	}
-}
-
-// wantOf classifies a decoded request as a want frame: one the batch
-// cannot answer. OpStats and OpClusterInfo are served from server
-// state; an acquire or release whose name the cluster gate refuses —
-// this node does not own it under the current membership, or quorum is
-// lost — is answered StatusNotOwner with the membership attached so the
-// client can re-aim. Names ExecBatch would reject anyway skip the gate.
-// On a fenced (isolated) node OpOpen and OpKeepAlive are refused too:
-// granting or renewing a lease from a quorum-less minority would let a
-// partitioned client outlive the majority's failover quarantine.
-// OpClose stays ungated — releasing everything is always safe.
-func (w *worker) wantOf(req *wire.RawRequest) uint8 {
-	switch req.Op {
-	case wire.OpStats:
-		return wantStats
-	case wire.OpClusterInfo:
-		return wantInfo
-	case wire.OpOpen, wire.OpKeepAlive:
-		if cl := w.srv.cluster; cl != nil && cl.Isolated() {
-			return wantNotOwner
-		}
-	case wire.OpAcquire, wire.OpRelease:
-		cl := w.srv.cluster
-		if cl == nil || len(req.Name) == 0 || len(req.Name) > lockmgr.MaxNameLen {
-			return wantNone
-		}
-		if !cl.GateOp(req.Name, req.Op == wire.OpAcquire) {
-			return wantNotOwner
-		}
-	}
-	return wantNone
 }
 
 // statsPayload is the wire Stats response: the manager snapshot plus
@@ -405,54 +401,34 @@ type statsPayload struct {
 	ClusterEpoch   uint64 `json:"cluster_epoch,omitempty"`
 }
 
-// answerWant executes one want frame inline between batches.
-func (w *worker) answerWant(c *conn) {
-	kind := c.want
-	c.want = wantNone
-	if c.dead || kind == wantNone {
-		return // wantNone: an acquire ahead of the frame parked and took it back
-	}
-	payload := wire.GetBuffer()
-	defer payload.Free()
-	var resp wire.Response
-	switch kind {
-	case wantStats:
+// answer is the response a BatchNone op owes: its sentinel's status, and
+// a payload valid until the next call.
+func (w *worker) answer(err error) (wire.Status, []byte) {
+	cl := w.srv.cluster
+	if err == errStats {
 		sp := statsPayload{Snapshot: w.srv.m.Stats(), ServerWorkers: len(w.srv.workers)}
-		if cl := w.srv.cluster; cl != nil {
+		if cl != nil {
 			sp.ClusterMembers = cl.MemberCount()
 			sp.ClusterEpoch = cl.Epoch()
 		}
 		j, err := json.Marshal(sp)
-		resp.Status = wire.StatusOK
 		if err != nil {
-			resp.Status = wire.StatusErr
-		} else {
-			payload.B = append(payload.B, j...)
-			resp.Payload = payload.B
+			return wire.StatusErr, nil
 		}
-	case wantInfo:
-		// A non-clustered server answers OK with an empty payload: "I am
-		// the whole cluster" — the client treats the dialed address as
-		// the sole owner.
-		resp.Status = wire.StatusOK
-		if cl := w.srv.cluster; cl != nil {
-			payload.B = cl.AppendMembership(payload.B)
-			resp.Payload = payload.B
-		}
-	case wantNotOwner:
-		resp.Status = wire.StatusNotOwner
-		if cl := w.srv.cluster; cl != nil {
-			payload.B = cl.AppendMembership(payload.B)
-			resp.Payload = payload.B
-		}
+		return wire.StatusOK, j
 	}
-	var err error
-	c.wbuf, err = wire.AppendResponseFrame(c.wbuf, &resp)
-	if err != nil {
-		c.dead = true
-		return
+	st := wire.StatusNotOwner
+	if err == errInfo {
+		st = wire.StatusOK
 	}
-	c.flushMark = true
+	if cl == nil {
+		// A non-clustered server answers OpClusterInfo OK with an empty
+		// payload: "I am the whole cluster" — the client treats the
+		// dialed address as the sole owner.
+		return st, nil
+	}
+	w.payload = cl.AppendMembership(w.payload[:0])
+	return st, w.payload
 }
 
 // flush writes a conn's coalesced responses. When nothing of the conn's
