@@ -74,6 +74,17 @@ func (c *Conn) Close() error {
 	return c.nc.Close()
 }
 
+// Armed sets the socket deadline of c's exchanges to by, or to none if
+// by is zero, and returns c. Conn's other methods set no deadline, so the
+// plain client path issues the same syscalls as ever; a caller that must
+// not wait on a silent peer without bound (the Router, a cluster
+// heartbeat) arms one before every exchange. A deadline that fires fails
+// the exchange, and the conn is unusable after it.
+func (c *Conn) Armed(by time.Time) *Conn {
+	_ = c.nc.SetDeadline(by) // fails only on a closed conn, and so does the exchange after it
+	return c
+}
+
 // roundTrip is the exchange of one frame: it sends req and returns its
 // response, with the outcome the response's status maps to.
 func (c *Conn) roundTrip(req *wire.Request) (wire.Response, error) {

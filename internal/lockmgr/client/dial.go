@@ -29,10 +29,9 @@ func backoff(base, max time.Duration, attempt int) time.Duration {
 }
 
 // dial connects to addr, retrying with backoff until it succeeds, the
-// attempts are spent, or ctx is done. The context deadline also bounds
-// each individual connect.
+// attempts are spent, or ctx is done (seen between attempts). The
+// context deadline also bounds each individual connect.
 func dial(ctx context.Context, addr string, attempts int) (*Conn, error) {
-	var nd net.Dialer
 	var lastErr error
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
@@ -44,11 +43,10 @@ func dial(ctx context.Context, addr string, attempts int) (*Conn, error) {
 			case <-t.C:
 			}
 		}
-		actx, cancel := context.WithTimeout(ctx, dialTimeout)
-		nc, err := nd.DialContext(actx, "tcp", addr)
-		cancel()
+		by, _ := ctx.Deadline()
+		c, err := DialBy(addr, by)
 		if err == nil {
-			return &Conn{nc: nc, br: bufio.NewReaderSize(nc, 4096)}, nil
+			return c, nil
 		}
 		lastErr = err
 		if ctx.Err() != nil {
@@ -56,4 +54,19 @@ func dial(ctx context.Context, addr string, attempts int) (*Conn, error) {
 		}
 	}
 	return nil, lastErr
+}
+
+// DialBy makes one connect attempt to addr, given until by (no deadline
+// if by is zero) and at most dialTimeout. It is the dial of a caller
+// with its own retry loop: the Router re-aims at survivors between
+// attempts and a cluster heartbeat counts a failed dial as a missed
+// beat, so Dial's attempts and backoff underneath either would only
+// stretch the failover the cluster works to keep short.
+func DialBy(addr string, by time.Time) (*Conn, error) {
+	nd := net.Dialer{Timeout: dialTimeout, Deadline: by}
+	nc, err := nd.Dial("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	return &Conn{nc: nc, br: bufio.NewReaderSize(nc, 4096)}, nil
 }

@@ -1,14 +1,13 @@
 package client
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
 	"time"
 
 	"fairrw/internal/lockmgr"
-	"fairrw/internal/lockmgr/cluster"
+	"fairrw/internal/lockmgr/owner"
 	"fairrw/internal/lockmgr/wire"
 )
 
@@ -35,7 +34,7 @@ type Router struct {
 	cfg RouterConfig
 
 	mu    sync.Mutex // guards map_, nodes, closed (ops are single-goroutine; the keepalive loop is not)
-	map_  *cluster.Map
+	map_  *owner.Map
 	nodes map[string]*routedNode
 
 	stop    chan struct{}
@@ -74,16 +73,6 @@ const (
 // deadline itself, and that answer has to arrive.
 const replySlack = 100 * time.Millisecond
 
-// armed sets the socket deadline of c's next exchange and returns c: by,
-// or none if by is zero. Conn's own methods set no deadline; the Router
-// arms one before every exchange, so a member that accepts and then stops
-// answering holds no caller, keepalive or Close without bound. A deadline
-// that fires fails the exchange, and the conn is dropped with it.
-func armed(c *Conn, by time.Time) *Conn {
-	_ = c.nc.SetDeadline(by) // fails only on a closed conn, and so does the exchange after it
-	return c
-}
-
 // within is the deadline of a membership poll or a session open: the
 // op's deadline, or dialTimeout from now for an op without one.
 func within(deadline time.Time) time.Time {
@@ -92,12 +81,6 @@ func within(deadline time.Time) time.Time {
 	}
 	return deadline
 }
-
-// memberDialAttempts is 1: the Router's own retry loop supplies the
-// backoff and re-aims at survivors between attempts, so a multi-attempt
-// dial underneath it would multiply the failover delay — exactly the
-// window the cluster works to keep short.
-const memberDialAttempts = 1
 
 // routedNode is one member the Router has dialed: an op conn, a
 // keepalive conn, and the session shared by both.
@@ -142,12 +125,12 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 func (r *Router) bootstrap() error {
 	var lastErr error
 	for _, seed := range r.cfg.Seeds {
-		c, err := dial(context.Background(), seed, memberDialAttempts)
+		c, err := DialBy(seed, time.Time{})
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		wm, err := armed(c, time.Now().Add(dialTimeout)).ClusterInfo()
+		wm, err := c.Armed(time.Now().Add(dialTimeout)).ClusterInfo()
 		c.Close()
 		if err != nil {
 			lastErr = err
@@ -157,7 +140,7 @@ func (r *Router) bootstrap() error {
 			// Not clustered: this seed owns everything.
 			wm = wire.Membership{Epoch: 0, Members: []string{seed}}
 		}
-		m, err := cluster.FromMembership(&wm)
+		m, err := owner.FromMembership(&wm)
 		if err != nil {
 			lastErr = err
 			continue
@@ -183,7 +166,7 @@ func (r *Router) Close() error {
 	for _, n := range nodes {
 		if n.conn != nil {
 			if n.sid != 0 {
-				armed(n.conn, by).CloseSession(n.sid)
+				n.conn.Armed(by).CloseSession(n.sid)
 			}
 			n.conn.Close()
 		}
@@ -222,7 +205,7 @@ func (r *Router) Owner(name string) string {
 // one, closing conns to members that left. Epochs only rise, so "newer"
 // is a plain comparison and stale NotOwner payloads are ignored.
 func (r *Router) adopt(wm wire.Membership) {
-	m, err := cluster.FromMembership(&wm)
+	m, err := owner.FromMembership(&wm)
 	if err != nil || m.Len() == 0 {
 		return
 	}
@@ -271,7 +254,7 @@ func (r *Router) refresh(deadline time.Time, skip string) {
 		if err != nil {
 			continue
 		}
-		wm, err := armed(n.conn, within(deadline)).ClusterInfo()
+		wm, err := n.conn.Armed(within(deadline)).ClusterInfo()
 		if err != nil {
 			r.dropConn(n)
 			continue
@@ -288,9 +271,8 @@ func (r *Router) refresh(deadline time.Time, skip string) {
 // ClusterInfo needs no session, and a session opened as a refresh side
 // effect just before a failover is exactly the stale lease that later
 // under-bounds a parked acquire (see Acquire). A non-zero deadline bounds
-// the dial (its context is made only when a dial runs, so an op on a
-// dialed member arms no timer); a dial it cut short is not the member's
-// fault and arms no cooldown.
+// the dial; a dial it cut short is not the member's fault and arms no
+// cooldown.
 func (r *Router) nodeConn(deadline time.Time, addr string) (*routedNode, error) {
 	r.mu.Lock()
 	n := r.nodes[addr]
@@ -303,12 +285,7 @@ func (r *Router) nodeConn(deadline time.Time, addr string) (*routedNode, error) 
 		if now := time.Now(); now.Before(n.downUntil) {
 			return nil, fmt.Errorf("lockd client: %s cooling down after failed dial", addr)
 		}
-		ctx, cancel := context.Background(), context.CancelFunc(func() {})
-		if !deadline.IsZero() {
-			ctx, cancel = context.WithDeadline(ctx, deadline)
-		}
-		c, err := dial(ctx, addr, memberDialAttempts)
-		cancel()
+		c, err := DialBy(addr, deadline)
 		if err != nil {
 			if deadline.IsZero() || time.Now().Before(deadline) {
 				n.downUntil = time.Now().Add(retryMax / 2)
@@ -329,7 +306,7 @@ func (r *Router) node(deadline time.Time, addr string) (*routedNode, error) {
 		return nil, err
 	}
 	if n.sid == 0 {
-		sid, err := armed(n.conn, within(deadline)).Open(r.cfg.Lease)
+		sid, err := n.conn.Armed(within(deadline)).Open(r.cfg.Lease)
 		if err != nil {
 			r.dropConn(n)
 			return nil, err
@@ -378,7 +355,7 @@ func (r *Router) Acquire(name string, excl bool, wait time.Duration) error {
 		case wait == 0:
 			by = time.Now().Add(r.cfg.Lease)
 		}
-		return armed(n.conn, by).Acquire(n.sid, name, excl, w)
+		return n.conn.Armed(by).Acquire(n.sid, name, excl, w)
 	})
 }
 
@@ -386,7 +363,7 @@ func (r *Router) Acquire(name string, excl bool, wait time.Duration) error {
 // answering fails the attempt after Lease.
 func (r *Router) Release(name string, excl bool) error {
 	return r.do(name, time.Time{}, func(n *routedNode) error {
-		return armed(n.conn, time.Now().Add(r.cfg.Lease)).Release(n.sid, name, excl)
+		return n.conn.Armed(time.Now().Add(r.cfg.Lease)).Release(n.sid, name, excl)
 	})
 }
 
@@ -518,15 +495,13 @@ func (r *Router) keepAliveNode(n *routedNode) {
 	n.kaMu.Lock()
 	defer n.kaMu.Unlock()
 	if n.kaConn == nil {
-		ctx, cancel := context.WithDeadline(context.Background(), by)
-		c, err := dial(ctx, n.addr, memberDialAttempts)
-		cancel()
+		c, err := DialBy(n.addr, by)
 		if err != nil {
 			return // node likely dead; the op path will reroute
 		}
 		n.kaConn = c
 	}
-	if err := armed(n.kaConn, by).KeepAlive(sid, r.cfg.Lease); err != nil && !errors.Is(err, lockmgr.ErrExpired) {
+	if err := n.kaConn.Armed(by).KeepAlive(sid, r.cfg.Lease); err != nil && !errors.Is(err, lockmgr.ErrExpired) {
 		n.kaConn.Close()
 		n.kaConn = nil
 	}

@@ -1,8 +1,8 @@
 // Integration tests for the distributed lockmgr cluster: three real
 // lockd servers (manager + event-loop server + cluster node) on
-// loopback TCP, driven by real clients and Routers. External test
-// package because the client imports cluster (for the map), so an
-// in-package test importing client would cycle.
+// loopback TCP, driven by real clients and Routers. An external test
+// package: it reaches the cluster only through what cmd/lockd and the
+// clients use.
 package cluster_test
 
 import (
@@ -38,6 +38,14 @@ type testCluster struct {
 // once it passes.
 func startCluster(t *testing.T, n int, fw time.Duration) *testCluster {
 	t.Helper()
+	return startClusterVia(t, n, fw, nil)
+}
+
+// startClusterVia is startCluster with member 0 known to every member,
+// itself included, by the address front returns for its listener's
+// (a proxy in front of it); nil front is startCluster.
+func startClusterVia(t *testing.T, n int, fw time.Duration, front func(backend string) string) *testCluster {
+	t.Helper()
 	tc := &testCluster{t: t}
 	lns := make([]net.Listener, n)
 	for i := range lns {
@@ -46,7 +54,11 @@ func startCluster(t *testing.T, n int, fw time.Duration) *testCluster {
 			t.Fatalf("listen: %v", err)
 		}
 		lns[i] = ln
-		tc.addrs = append(tc.addrs, ln.Addr().String())
+		addr := ln.Addr().String()
+		if i == 0 && front != nil {
+			addr = front(addr)
+		}
+		tc.addrs = append(tc.addrs, addr)
 	}
 	for i := range lns {
 		m := lockmgr.New(lockmgr.Config{MaxLease: fw})

@@ -1,29 +1,40 @@
+// Package cluster runs one lockd member of a cluster: the current
+// ownership map (package owner), heartbeats to every peer, and the
+// quarantine that makes failover safe.
 package cluster
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"fairrw/internal/lockmgr"
+	"fairrw/internal/lockmgr/client"
+	"fairrw/internal/lockmgr/owner"
 	"fairrw/internal/lockmgr/wire"
 )
+
+// Map and NewMap forward to package owner; they stay only because the
+// frozen benchmark (benchmark/ladder_svc.go) calls cluster.NewMap.
+type Map = owner.Map
+
+// NewMap is owner.NewMap.
+func NewMap(epoch uint64, members []string) (*Map, error) { return owner.NewMap(epoch, members) }
 
 // Node is one lockd process's view of the cluster: the current
 // ownership map, outbound heartbeats to every peer, and the quarantine
 // machinery that makes failover safe.
 //
 // Liveness is symmetric and unilateral: every node holds a session on
-// every peer (OpOpen + periodic OpKeepAlive over the ordinary wire
-// protocol — a heartbeat is just a tiny client) and declares a peer dead
-// after SuspectAfter consecutive transport failures. On death the peer
-// is removed from the map at a bumped epoch, so its names rehash to
-// survivors; rendezvous hashing guarantees nothing else moves.
+// every peer (OpOpen + periodic OpKeepAlive on a client.Conn — a
+// heartbeat is just a tiny client) and declares a peer dead after
+// SuspectAfter consecutive misses. On death the peer is removed from the
+// map at a bumped epoch, so its names rehash to survivors; rendezvous
+// hashing guarantees nothing else moves.
 //
 // Safety: a client of the dead node may still believe it holds a lock —
 // its lease, granted by the dead node, runs for up to MaxLease past its
@@ -63,7 +74,7 @@ type Node struct {
 	initialN int
 	quorum   int // initialN/2 + 1
 
-	cur      atomic.Pointer[Map]
+	cur      atomic.Pointer[owner.Map]
 	isolated atomic.Bool
 	nquar    atomic.Int32 // fast-path gate: 0 = no active quarantines
 
@@ -105,7 +116,7 @@ type Config struct {
 
 // quarantine tracks one dead member's names through their unsafe window.
 type quarantine struct {
-	prev     *Map // membership before the death: prev.Owner(name)==dead ⇒ name moved
+	prev     *owner.Map // membership before the death: prev.Owner(name)==dead ⇒ name moved
 	dead     string
 	ghostSID uint64
 	deadline time.Time
@@ -124,7 +135,7 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.Manager == nil {
 		return nil, errors.New("cluster: Config.Manager is required")
 	}
-	m, err := NewMap(1, cfg.Members)
+	m, err := owner.NewMap(1, cfg.Members)
 	if err != nil {
 		return nil, err
 	}
@@ -172,7 +183,7 @@ func (n *Node) Interval() time.Duration { return n.interval }
 func (n *Node) Self() string { return n.cfg.Self }
 
 // Current returns the current ownership map.
-func (n *Node) Current() *Map { return n.cur.Load() }
+func (n *Node) Current() *owner.Map { return n.cur.Load() }
 
 // Epoch reports the current membership epoch (part of the server's
 // Cluster interface, scraped as lockd_cluster_epoch).
@@ -300,16 +311,19 @@ func (n *Node) declareDead(ps *peerState) bool {
 }
 
 // heartbeat keeps one session alive on a peer and declares it dead
-// after SuspectAfter consecutive transport failures. Any response —
-// even StatusExpired after a peer restart — counts as liveness; only
-// dials and round trips that fail at the transport count as misses.
+// after SuspectAfter consecutive misses. The dial and every exchange get
+// one beat. Only an OK answer acks. An Expired answer (the peer
+// restarted or revoked our session, or our lease ran out) reopens on the
+// same conn in the same beat. A transport error, a late answer, a fenced
+// peer's NotOwner or any other status is a miss, and the peer is
+// redialled next beat: counting NotOwner as a miss is what lets a
+// majority remove a member that fenced itself.
 func (n *Node) heartbeat(ps *peerState) {
 	defer n.wg.Done()
 	var (
-		conn   net.Conn
+		conn   *client.Conn
 		sid    uint64
 		misses int
-		buf    []byte
 	)
 	defer func() {
 		if conn != nil {
@@ -319,6 +333,7 @@ func (n *Node) heartbeat(ps *peerState) {
 	// The session we hold on the peer needs to outlive a few missed
 	// beats so a slow scheduler doesn't churn sessions.
 	lease := time.Duration(SuspectAfter+2) * n.interval
+	beat := func() time.Time { return time.Now().Add(n.interval) }
 	bootDeadline := time.Now().Add(bootGraceBeats * n.interval)
 	everAcked := false
 	t := time.NewTicker(n.interval)
@@ -329,37 +344,28 @@ func (n *Node) heartbeat(ps *peerState) {
 			return
 		case <-t.C:
 		}
-		ok := false
-		if conn == nil {
-			c, err := net.DialTimeout("tcp", ps.addr, n.interval)
-			if err == nil {
-				if sid, err = hbRound(c, n.interval, &buf, wire.OpOpen, 0, lease); err == nil {
-					conn, ok = c, true
-				} else {
-					c.Close()
-				}
-			}
-		} else {
-			_, err := hbRound(conn, n.interval, &buf, wire.OpKeepAlive, sid, lease)
-			if err == nil {
-				ok = true
-			} else if errors.Is(err, errHBExpired) {
-				// Peer is alive but forgot us (restart, or our lease ran out); reopen
-				// next tick on the same conn.
-				if sid, err = hbRound(conn, n.interval, &buf, wire.OpOpen, 0, lease); err == nil {
-					ok = true
-				}
-			}
-			if !ok {
-				conn.Close()
-				conn = nil
-			}
+		select {
+		case <-n.stop: // a tick ready beside stop may have won the select
+			return
+		default:
 		}
-		if ok {
+		var err error
+		if conn == nil {
+			if conn, err = client.DialBy(ps.addr, beat()); err == nil {
+				sid, err = conn.Armed(beat()).Open(lease)
+			}
+		} else if err = conn.Armed(beat()).KeepAlive(sid, lease); errors.Is(err, lockmgr.ErrExpired) {
+			sid, err = conn.Armed(beat()).Open(lease)
+		}
+		if err == nil {
 			misses = 0
 			everAcked = true
 			ps.lastAck.Store(time.Now().UnixNano())
 			continue
+		}
+		if conn != nil {
+			conn.Close()
+			conn = nil
 		}
 		if !everAcked && time.Now().Before(bootDeadline) {
 			continue // peer still booting; misses don't count yet
@@ -372,38 +378,6 @@ func (n *Node) heartbeat(ps *peerState) {
 			// so the declaration is retried rather than silently lost.
 		}
 	}
-}
-
-var errHBExpired = errors.New("cluster: heartbeat session expired")
-
-// hbRound performs one request/response exchange on a heartbeat conn.
-// It returns the response SID (the new session id for OpOpen).
-func hbRound(c net.Conn, timeout time.Duration, buf *[]byte, op wire.Op, sid uint64, lease time.Duration) (uint64, error) {
-	frame, err := wire.AppendRequestFrame((*buf)[:0], &wire.Request{Op: op, SID: sid, Lease: int64(lease)})
-	if err != nil {
-		return 0, err
-	}
-	if err := c.SetDeadline(time.Now().Add(timeout)); err != nil {
-		return 0, err
-	}
-	if _, err := c.Write(frame); err != nil {
-		return 0, err
-	}
-	p, err := wire.ReadFrame(c, buf)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := wire.DecodeResponse(p)
-	if err != nil {
-		return 0, err
-	}
-	if resp.Status == wire.StatusExpired {
-		return 0, errHBExpired
-	}
-	if resp.Status != wire.StatusOK {
-		return 0, fmt.Errorf("cluster: heartbeat op %d: status %d", op, resp.Status)
-	}
-	return resp.SID, nil
 }
 
 // AppendMembership appends the current membership's wire encoding to
