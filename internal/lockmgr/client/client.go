@@ -12,7 +12,6 @@ package client
 
 import (
 	"bufio"
-	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -59,7 +58,7 @@ type Conn struct {
 // Dial connects to a lockd server at addr (host:port), making up to four
 // connect attempts with capped jittered backoff between them.
 func Dial(addr string) (*Conn, error) {
-	return dial(context.Background(), addr, 4)
+	return dial(addr, 4)
 }
 
 // Close closes the connection. Sessions opened on it live on until their

@@ -2,7 +2,6 @@ package client
 
 import (
 	"bufio"
-	"context"
 	"math/rand"
 	"net"
 	"time"
@@ -28,32 +27,20 @@ func backoff(base, max time.Duration, attempt int) time.Duration {
 	return b/2 + time.Duration(rand.Int63n(int64(b)))
 }
 
-// dial connects to addr, retrying with backoff until it succeeds, the
-// attempts are spent, or ctx is done (seen between attempts). The
-// context deadline also bounds each individual connect.
-func dial(ctx context.Context, addr string, attempts int) (*Conn, error) {
-	var lastErr error
+// dial connects to addr, retrying with backoff until it succeeds or the
+// attempts are spent, and then reports the last attempt's error.
+func dial(addr string, attempts int) (*Conn, error) {
+	var err error
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
-			t := time.NewTimer(backoff(dialBase, dialMax, attempt-1))
-			select {
-			case <-ctx.Done():
-				t.Stop()
-				return nil, ctx.Err()
-			case <-t.C:
-			}
+			time.Sleep(backoff(dialBase, dialMax, attempt-1))
 		}
-		by, _ := ctx.Deadline()
-		c, err := DialBy(addr, by)
-		if err == nil {
+		var c *Conn
+		if c, err = DialBy(addr, time.Time{}); err == nil {
 			return c, nil
 		}
-		lastErr = err
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
 	}
-	return nil, lastErr
+	return nil, err
 }
 
 // DialBy makes one connect attempt to addr, given until by (no deadline

@@ -57,11 +57,10 @@ type WorkerStats struct {
 	// Always zero: the forwarding plane and the second write stage they counted are gone; benchmark/svc.go still reads them.
 	FwdRuns, FwdOps, FwdInline, FlushEscalations uint64 `json:"-"`
 
-	// Socket writes: the loop's inline writes plus the drains' writev passes.
-	Writevs      uint64 `json:"writevs"`       // writes issued
-	WritevChunks uint64 `json:"writev_chunks"` // per-conn chunks summed over writes
-	WritevBytes  uint64 `json:"writev_bytes"`  // bytes written
-	WriteErrs    uint64 `json:"write_errs"`    // conns condemned on write errors
+	// Socket writes of either kind: the loop's inline writes plus the drains' passes.
+	Writevs     uint64 `json:"writevs"`      // writes issued
+	WritevBytes uint64 `json:"writev_bytes"` // bytes written
+	WriteErrs   uint64 `json:"write_errs"`   // conns condemned on write errors
 }
 
 // WorkerStats snapshots every worker's event-loop counters.
@@ -87,10 +86,9 @@ func (s *Server) WorkerStats() []WorkerStats {
 			HomeOps:    w.st.namedOps.Load(),
 			OutBlocked: w.st.outBlocked.Load(),
 
-			Writevs:      w.st.writevs.Load(),
-			WritevChunks: w.st.writevBufs.Load(),
-			WritevBytes:  w.st.writevBytes.Load(),
-			WriteErrs:    w.st.writeErrs.Load(),
+			Writevs:     w.st.writevs.Load(),
+			WritevBytes: w.st.writevBytes.Load(),
+			WriteErrs:   w.st.writeErrs.Load(),
 		}
 	}
 	return out
@@ -103,20 +101,6 @@ func (s *Server) BatchSizeHistogram() stats.Histogram {
 		w.bhMu.Lock()
 		wh := w.batchH
 		w.bhMu.Unlock()
-		h.Merge(&wh)
-	}
-	return h
-}
-
-// WritevSizeHistogram merges the per-worker chunks-per-writev
-// histograms: how many queued response chunks each drain pass coalesced
-// into one writev. Inline writes are always one chunk and are not in it.
-func (s *Server) WritevSizeHistogram() stats.Histogram {
-	var h stats.Histogram
-	for _, w := range s.workers {
-		w.wvMu.Lock()
-		wh := w.wvH
-		w.wvMu.Unlock()
 		h.Merge(&wh)
 	}
 	return h
@@ -237,8 +221,6 @@ func (s *Server) WriteProm(w io.Writer, bi BuildInfo, topK int) {
 	hh.WriteProm(w, "lockd_hold_seconds", "", 1e-9)
 	bh := s.BatchSizeHistogram()
 	bh.WriteProm(w, "lockd_batch_ops", "", 1)
-	wvh := s.WritevSizeHistogram()
-	wvh.WriteProm(w, "lockd_writev_chunks", "", 1)
 
 	for _, ws := range s.WorkerStats() {
 		l := fmt.Sprintf(`worker="%d"`, ws.Worker)
@@ -258,7 +240,6 @@ func (s *Server) WriteProm(w io.Writer, bi BuildInfo, topK int) {
 		pw.counter("lockd_worker_home_ops_total", l, ws.HomeOps)
 		pw.counter("lockd_worker_out_blocked_total", l, ws.OutBlocked)
 		pw.counter("lockd_worker_writevs_total", l, ws.Writevs)
-		pw.counter("lockd_worker_writev_chunks_total", l, ws.WritevChunks)
 		pw.counter("lockd_worker_writev_bytes_total", l, ws.WritevBytes)
 		pw.counter("lockd_worker_write_errs_total", l, ws.WriteErrs)
 	}

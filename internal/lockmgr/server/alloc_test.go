@@ -31,7 +31,7 @@ func quietCfg() lockmgr.Config {
 // The test is the loop: it holds the worker's loopMu for the duration
 // (being the loop, exactly as a donating reader goroutine would) and
 // drives round directly against a fabricated conn, stopping short of
-// the socket write (TestWritevDrainPassAllocs covers the slow one).
+// the socket write (TestDrainPassAllocs covers the slow one).
 func TestPipelinedReadAllocs(t *testing.T) {
 	srv := NewWithConfig(lockmgr.New(quietCfg()), Config{Workers: 2})
 	defer srv.Shutdown(time.Second)
@@ -50,8 +50,6 @@ func TestPipelinedReadAllocs(t *testing.T) {
 	w := srv.workers[0]
 	c := &conn{id: 1, w: w}
 	c.cond = sync.NewCond(&c.mu)
-	wb := wire.GetBuffer()
-	c.wb, c.wbuf = wb, wb.B
 
 	w.loopMu.Lock()
 	defer w.release()
@@ -87,13 +85,13 @@ func TestPipelinedReadAllocs(t *testing.T) {
 	}
 }
 
-// TestWritevDrainPassAllocs pins the slow-write path — flush queues the
-// chunk and starts the conn's drain, the drain takes the queue, issues one
-// net.Buffers WriteTo, releases the pooled owners and exits — at zero
-// allocations in steady state, the goroutine start included. The conn is
-// given no descriptor, so every flush takes this path; the peer reads
-// continuously, so no pass waits.
-func TestWritevDrainPassAllocs(t *testing.T) {
+// TestDrainPassAllocs pins the slow-write path — flush appends the bytes
+// to the conn's queue and starts its drain, the drain swaps the queue with
+// its spare array, issues one write and exits — at zero allocations in
+// steady state, the goroutine start included. The conn is given no
+// descriptor, so every flush takes this path; the peer reads continuously,
+// so no pass waits.
+func TestDrainPassAllocs(t *testing.T) {
 	srv := NewWithConfig(lockmgr.New(quietCfg()), Config{Workers: 1})
 	defer srv.Shutdown(time.Second)
 
@@ -126,8 +124,6 @@ func TestWritevDrainPassAllocs(t *testing.T) {
 	w := srv.workers[0]
 	c := &conn{id: 1, nc: nc, w: w}
 	c.cond = sync.NewCond(&c.mu)
-	wb := wire.GetBuffer()
-	c.wb, c.wbuf = wb, wb.B
 
 	w.loopMu.Lock() // the test is the loop
 	defer w.release()
@@ -144,14 +140,14 @@ func TestWritevDrainPassAllocs(t *testing.T) {
 		}
 	}
 	for i := 0; i < 64; i++ {
-		pass() // warm: deadline timer, iovec cache, double-buffer arrays, goroutine free list
+		pass() // warm: deadline timer, the queue's two arrays, goroutine free list
 	}
 	writevs := w.st.writevs.Load()
 	if allocs := testing.AllocsPerRun(100, pass); allocs != 0 {
 		t.Fatalf("drain pass allocates %.1f times, want 0", allocs)
 	}
 	if got := w.st.writevs.Load() - writevs; got != 101 {
-		t.Fatalf("101 passes took %d writevs, want one drain pass each", got)
+		t.Fatalf("101 passes took %d writes, want one drain pass each", got)
 	}
 	if ws := srv.WorkerStats()[0]; ws.FlushStalls != 0 || ws.InlineWrites != 0 {
 		t.Fatalf("flush_stalls %d inline_writes %d on a descriptor-less conn, want 0 and 0", ws.FlushStalls, ws.InlineWrites)

@@ -37,7 +37,7 @@ const readChunk = 16 << 10
 //   - the owning worker's loop moves inbox into pending, parses frames,
 //     and writes the socket with one non-blocking write per cycle;
 //   - the drain goroutine exists only while the peer is behind: it starts
-//     when that write leaves bytes over, writes everything queued (fmu) in
+//     when that write leaves bytes over, writes the queued bytes (fmu) in
 //     order with blocking writes, and exits when the queue runs dry;
 //   - Shutdown only touches the net.Conn (deadlines, Close), never the
 //     buffers.
@@ -57,42 +57,32 @@ type conn struct {
 	closed bool       // worker dropped the conn; reader must not block
 
 	// Worker-owned state; no other goroutine touches these.
-	pending   []byte       // unparsed frame bytes (inbox is appended here)
-	parsePos  int          // parse cursor into pending
-	wb        *wire.Buffer // pooled backing store for wbuf
-	wbuf      []byte       // encoded responses awaiting the cycle's flush
-	parked    bool         // an acquire of this conn's is queued in the manager
-	parkSID   uint64       // its session, for CancelWait
-	dead      bool         // connection condemned; cleanup pending
-	removed   bool         // retired from the worker; ignore late events
-	eofSeen   bool         // worker has observed the reader's eof
-	peerGone  bool         // ... and the reader's gone
-	inReady   bool         // already collected into the worker's ready set
-	flushMark bool         // wbuf touched this cycle; flush before it ends
-	wrote     int          // writeOnce's result
+	pending   []byte // unparsed frame bytes (inbox is appended here)
+	parsePos  int    // parse cursor into pending
+	wbuf      []byte // encoded responses awaiting the cycle's flush
+	parked    bool   // an acquire of this conn's is queued in the manager
+	parkSID   uint64 // its session, for CancelWait
+	dead      bool   // connection condemned; cleanup pending
+	removed   bool   // retired from the worker; ignore late events
+	eofSeen   bool   // worker has observed the reader's eof
+	peerGone  bool   // ... and the reader's gone
+	inReady   bool   // already collected into the worker's ready set
+	flushMark bool   // wbuf touched this cycle; flush before it ends
+	wrote     int    // writeOnce's result
 	rawWrite  func(fd uintptr) bool
 	drainFn   func() // c.drain, built once: no closure per go statement
 	wblocked  bool   // queued bytes over maxOutq; parse paused
 
 	// The slow-write queue, guarded by fmu (worker appends, drain takes).
-	// outq is non-empty only while fqueued.
+	// out is non-empty only while fqueued.
 	fmu          sync.Mutex
-	outq         [][]byte       // response chunks awaiting writev, in order
-	outb         []*wire.Buffer // pooled owners of outq's chunks
-	outqAlt      [][]byte       // double-buffer: the array the drain is writing
-	outbAlt      []*wire.Buffer
-	fqueued      bool // a drain is running; the loop queues behind it
-	closeOnFlush bool // worker dropped the conn; the drain closes it when done
-	fdropped     bool // socket closed for good: discard further chunks
+	out          []byte // response bytes awaiting the drain, in order
+	spare        []byte // the array the drain wrote last; the next pass swaps it in
+	fqueued      bool   // a drain is running; the loop queues behind it
+	closeOnFlush bool   // worker dropped the conn; the drain closes it when done
+	fdropped     bool   // socket closed for good: discard further bytes
 
-	// wv is the drain's writev view for the pass in progress. It lives
-	// on the conn (already heap-allocated) rather than the stack because
-	// net.Buffers.WriteTo takes a pointer receiver through the
-	// buffersWriter interface — a stack-local header would escape and
-	// cost one allocation per writev pass.
-	wv net.Buffers
-
-	outBytes    atomic.Int64 // bytes in outq not yet written (worker reads for wblocked)
+	outBytes    atomic.Int64 // queued bytes not yet written (worker reads for wblocked)
 	writeFailed atomic.Bool  // the drain hit a write error; worker must condemn
 }
 
@@ -155,7 +145,7 @@ func (c *conn) take() {
 	c.mu.Unlock()
 }
 
-// drainBusy reports whether a drain holds (or is writing) earlier chunks
+// drainBusy reports whether a drain holds (or is writing) earlier bytes
 // of c's, which anything new must queue behind.
 func (c *conn) drainBusy() bool {
 	c.fmu.Lock()
@@ -183,23 +173,31 @@ func (c *conn) writeOnce() int {
 
 // drain is the slow-write path, the only one: a goroutine worker.flush
 // starts when its one non-blocking write left bytes of c's over and that
-// lives until the queue runs dry. It writes the queued chunks in order,
-// one writev per pass with the full writeTimeout, so a peer that stops
-// reading occupies this goroutine and nothing else: the loop never waits
-// on a socket and no other conn queues behind this one. Per-conn order
-// holds because fqueued stays set from the start of the drain until it
-// observes an empty queue under fmu — the loop writes inline only while
-// !fqueued, and starts at most one drain at a time.
+// lives until the queue runs dry. Each pass takes everything queued and
+// writes it with one blocking write under the full writeTimeout, so a peer
+// that stops reading occupies this goroutine and nothing else: the loop
+// never waits on a socket and no other conn queues behind this one.
+// Per-conn order holds because fqueued stays set from the start of the
+// drain until it observes an empty queue under fmu — the loop writes
+// inline only while !fqueued, and starts at most one drain at a time.
 func (c *conn) drain() {
 	w := c.w
 	defer w.srv.wg.Done()
 	for {
 		c.fmu.Lock()
-		if len(c.outq) == 0 {
+		if len(c.out) == 0 {
 			// Drop the deadline before the loop may write inline again:
 			// once it fires, every write on the socket fails until it is reset.
 			c.nc.SetWriteDeadline(time.Time{})
 			c.fqueued = false
+			// A burst can grow the arrays far past any frame; keep only
+			// what a frame's worth of responses needs for the conn's life.
+			if cap(c.out) > wire.MaxFrame {
+				c.out = nil
+			}
+			if cap(c.spare) > wire.MaxFrame {
+				c.spare = nil
+			}
 			closeNow := c.closeOnFlush
 			c.fdropped = closeNow
 			c.fmu.Unlock()
@@ -209,44 +207,31 @@ func (c *conn) drain() {
 			}
 			return
 		}
-		// Take the queued chunks, leaving the alternate array for the
-		// worker to fill; the arrays swap roles every pass so the steady
-		// state allocates nothing.
-		bufs, owners := c.outq, c.outb
-		c.outq, c.outb = c.outqAlt[:0], c.outbAlt[:0]
-		c.outqAlt, c.outbAlt = bufs, owners
+		// Take the queue, leaving the array written last for the worker to
+		// fill: the two swap roles every pass, so the steady state
+		// allocates nothing.
+		buf := c.out
+		c.out, c.spare = c.spare[:0], buf
 		c.fmu.Unlock()
 
-		total := 0
-		for _, b := range bufs {
-			total += len(b)
-		}
 		c.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
-		c.wv = net.Buffers(bufs)
-		n, err := c.wv.WriteTo(c.nc)
-		c.wv = nil
-		w.st.wrote(len(bufs), int(n))
-		w.wvMu.Lock()
-		w.wvH.Add(uint64(len(bufs)))
-		w.wvMu.Unlock()
-		for i, wb := range owners {
-			owners[i] = nil
-			wb.Free()
-		}
+		n, err := c.nc.Write(buf)
+		w.st.wrote(n)
 		if err != nil {
-			c.condemn(total)
+			c.condemn(len(buf))
 			return
 		}
 		// Retire the pass from the queue accounting, telling the worker if
 		// the conn was parse-paused over maxOutq and is now under it.
-		if left := c.outBytes.Add(int64(-total)); left <= maxOutq && left+int64(total) > maxOutq {
+		total := int64(len(buf))
+		if left := c.outBytes.Add(-total); left <= maxOutq && left+total > maxOutq {
 			w.bring(event{c: c})
 		}
 	}
 }
 
 // condemn retires a conn whose socket failed or whose peer took nothing
-// for writeTimeout: drop the chunks still queued behind the failed pass
+// for writeTimeout: drop the bytes still queued behind the failed pass
 // (failed is that pass's byte count), close the socket — which also ends
 // the reader's blocking Read — and hand the conn to its worker for
 // cleanup, or finish the retirement here if the worker had already dropped
@@ -255,14 +240,8 @@ func (c *conn) condemn(failed int) {
 	w := c.w
 	w.st.writeErrs.Add(1)
 	c.fmu.Lock()
-	for _, b := range c.outq {
-		failed += len(b)
-	}
-	for i, wb := range c.outb {
-		c.outb[i] = nil
-		wb.Free()
-	}
-	c.outq, c.outb = c.outq[:0], c.outb[:0]
+	failed += len(c.out)
+	c.out = nil
 	c.fdropped, c.fqueued = true, false
 	dropped := c.closeOnFlush
 	c.fmu.Unlock()

@@ -81,7 +81,7 @@ type Cluster interface {
 }
 
 // writeTimeout bounds how long a peer that is behind may take to accept
-// one writev of its queued responses before the conn is condemned.
+// one write of its queued responses before the conn is condemned.
 const writeTimeout = 10 * time.Second
 
 func (c *Config) fill() {
@@ -168,9 +168,6 @@ func (s *Server) Serve(ln net.Listener) error {
 			c.rc, _ = sc.SyscallConn() // no descriptor (net.Pipe): every write takes the drain
 		}
 		c.cond = sync.NewCond(&c.mu)
-		wb := wire.GetBuffer()
-		c.wb = wb
-		c.wbuf = wb.B
 		s.conns[c] = struct{}{}
 		s.wg.Add(1) // beside the draining check: cannot race Shutdown's Wait at zero
 		s.mu.Unlock()

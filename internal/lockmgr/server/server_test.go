@@ -26,7 +26,14 @@ func startServerCfg(t *testing.T, mcfg lockmgr.Config, scfg Config) (addr string
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
-	srv = NewWithConfig(lockmgr.New(mcfg), scfg)
+	return ln.Addr().String(), serveOn(t, ln, mcfg, scfg)
+}
+
+// serveOn serves a new Manager+Server on ln until the test's cleanup
+// shuts it down.
+func serveOn(t *testing.T, ln net.Listener, mcfg lockmgr.Config, scfg Config) *Server {
+	t.Helper()
+	srv := NewWithConfig(lockmgr.New(mcfg), scfg)
 	served := make(chan error, 1)
 	go func() { served <- srv.Serve(ln) }()
 	t.Cleanup(func() {
@@ -40,7 +47,7 @@ func startServerCfg(t *testing.T, mcfg lockmgr.Config, scfg Config) (addr string
 			t.Error("Serve did not return after Shutdown")
 		}
 	})
-	return ln.Addr().String(), srv
+	return srv
 }
 
 func testCfg() lockmgr.Config {

@@ -32,7 +32,6 @@ type wstats struct {
 	inline       atomic.Uint64 // of those, written whole by the loop itself
 	flushStalls  atomic.Uint64 // drains started because a socket refused bytes
 	writevs      atomic.Uint64 // socket writes issued: inline writes and drain passes
-	writevBufs   atomic.Uint64 // chunks summed over those writes
 	writevBytes  atomic.Uint64 // bytes summed over those writes
 	writeErrs    atomic.Uint64 // conns condemned on a write error
 	backpressure atomic.Uint64 // reader blocked on the full-inbox bound
@@ -42,10 +41,9 @@ type wstats struct {
 	_            [24]byte
 }
 
-// wrote books one socket write of the given chunks and bytes.
-func (st *wstats) wrote(chunks, bytes int) {
+// wrote books one socket write of the given bytes.
+func (st *wstats) wrote(bytes int) {
 	st.writevs.Add(1)
-	st.writevBufs.Add(uint64(chunks))
 	st.writevBytes.Add(uint64(bytes))
 }
 
@@ -80,8 +78,6 @@ type worker struct {
 	st     wstats
 	bhMu   sync.Mutex      // guards batchH against the admin scraper
 	batchH stats.Histogram // ops per executed batch
-	wvMu   sync.Mutex      // guards wvH: drains and the admin scraper
-	wvH    stats.Histogram // chunks per drain writev
 
 	evMu sync.Mutex // guards evs and every conn's listed
 	evs  []event    // brought while the loop was busy
@@ -435,12 +431,12 @@ func (w *worker) answer(err error) (wire.Status, []byte) {
 // is queued, the loop writes the socket itself: one non-blocking attempt,
 // which on a healthy peer takes everything. What is left — a short write,
 // a full socket buffer, a conn with no file descriptor (net.Pipe), or
-// anything at all while earlier chunks are still queued — joins the conn's
-// queue, the slow-peer path: the grown chunk keeps its pooled owner, the
-// conn gets a fresh buffer, and a drain goroutine is started for the conn
-// unless one is already running. A conn whose queue exceeds maxOutq is
-// parse-paused (wblocked) until its drain catches up, turning a peer that
-// reads too slowly into TCP backpressure instead of unbounded queue growth.
+// anything at all while earlier bytes are still queued — is appended to
+// the conn's queue, the slow-peer path, and a drain goroutine is started
+// for the conn unless one is already running; wbuf itself is reset and
+// kept. A conn whose queue exceeds maxOutq is parse-paused (wblocked)
+// until its drain catches up, turning a peer that reads too slowly into
+// TCP backpressure instead of unbounded queue growth.
 //
 // The drain is counted in srv.wg so Shutdown waits for queued responses
 // to be written. That Add cannot race Shutdown's Wait at a zero counter:
@@ -456,7 +452,7 @@ func (w *worker) flush(c *conn) {
 	sent := 0
 	if c.rc != nil && !c.drainBusy() {
 		if sent = c.writeOnce(); sent > 0 {
-			w.st.wrote(1, sent)
+			w.st.wrote(sent)
 		}
 		if sent == len(c.wbuf) {
 			w.st.inline.Add(1)
@@ -464,20 +460,15 @@ func (w *worker) flush(c *conn) {
 			return
 		}
 	}
-	wb, buf := c.wb, c.wbuf[sent:]
-	wb.B = c.wbuf // the chunk travels with its grown backing array
-	nb := wire.GetBuffer()
-	c.wb, c.wbuf = nb, nb.B
-	out := c.outBytes.Add(int64(len(buf)))
+	left := c.wbuf[sent:]
+	c.wbuf = c.wbuf[:0]
 	c.fmu.Lock()
 	if c.fdropped {
 		c.fmu.Unlock()
-		c.outBytes.Add(int64(-len(buf)))
-		wb.Free()
 		return
 	}
-	c.outq = append(c.outq, buf)
-	c.outb = append(c.outb, wb)
+	c.out = append(c.out, left...)
+	out := c.outBytes.Add(int64(len(left)))
 	start := !c.fqueued
 	c.fqueued = true
 	c.fmu.Unlock()
@@ -551,12 +542,6 @@ func (w *worker) drop(c *conn) {
 	c.removed = true
 	c.dead = true
 	w.st.conns.Add(-1)
-	if wb := c.wb; wb != nil {
-		wb.B = c.wbuf // return the grown backing array, not the original
-		c.wbuf = nil
-		c.wb = nil
-		wb.Free()
-	}
 	c.fmu.Lock()
 	closeNow := !c.fqueued
 	if closeNow {

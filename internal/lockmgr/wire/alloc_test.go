@@ -37,65 +37,6 @@ func TestEncodeDecodeSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestBufferPoolReuse: GetBuffer hands back recycled backing arrays and
-// drops oversized ones instead of pinning them in the pool.
-func TestBufferPoolReuse(t *testing.T) {
-	b := GetBuffer()
-	if len(b.B) != 0 {
-		t.Fatalf("pooled buffer not reset: len %d", len(b.B))
-	}
-	b.B = append(b.B, make([]byte, MaxFrame+1)...)
-	b.Free() // oversized: must be dropped
-	c := GetBuffer()
-	if cap(c.B) > MaxFrame {
-		t.Fatalf("oversized buffer returned to pool: cap %d", cap(c.B))
-	}
-	c.Free()
-}
-
-// TestBufferRetainBound sweeps Free across capacities straddling
-// MaxRetain: no sequence of frees may ever let a later GetBuffer hand
-// back a backing array larger than the bound. This is the memory-ceiling
-// contract — a response burst can grow a chunk to megabytes, and
-// retaining such one-off giants would pin their memory in the pool for
-// the life of the process.
-func TestBufferRetainBound(t *testing.T) {
-	for _, extra := range []int{-1, 0, 1, MaxRetain} {
-		b := GetBuffer()
-		b.B = append(b.B, make([]byte, MaxRetain+extra)...)
-		b.Free()
-	}
-	for i := 0; i < 64; i++ {
-		b := GetBuffer()
-		if cap(b.B) > MaxRetain {
-			t.Fatalf("GetBuffer returned cap %d > MaxRetain %d", cap(b.B), MaxRetain)
-		}
-		b.Free()
-	}
-}
-
-// TestBufferPoolSteadyStateAllocs pins the pooled get→grow→free cycle
-// at zero allocations for chunks within the retain bound — the server
-// does this once per coalesced response chunk it has to queue, so a miss
-// here is a per-flush allocation.
-func TestBufferPoolSteadyStateAllocs(t *testing.T) {
-	var chunk [512]byte
-	// Warm the per-P pool slot.
-	for i := 0; i < 8; i++ {
-		b := GetBuffer()
-		b.B = append(b.B, chunk[:]...)
-		b.Free()
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		b := GetBuffer()
-		b.B = append(b.B, chunk[:]...)
-		b.Free()
-	})
-	if allocs != 0 {
-		t.Fatalf("pooled buffer cycle allocs = %.1f, want 0", allocs)
-	}
-}
-
 // BenchmarkDecodeRequestRaw measures the zero-copy request decode.
 func BenchmarkDecodeRequestRaw(b *testing.B) {
 	f, _ := AppendRequestFrame(nil, &Request{
