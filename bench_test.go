@@ -30,9 +30,10 @@ func BenchmarkFig09(b *testing.B) {
 			for _, wp := range []int{100, 75, 50, 25} {
 				name := fmt.Sprintf("model%s/%s/%d%%w", model, lock, wp)
 				b.Run(name, func(b *testing.B) {
+					m := microbench.NewMachine(model)
 					var cpc float64
 					for i := 0; i < b.N; i++ {
-						r := microbench.Run(microbench.Config{
+						r := microbench.RunOn(m, microbench.Config{
 							Model: model, Lock: lock, Threads: 16,
 							WritePct: wp, TotalIters: 2000, Seed: 42,
 						})
@@ -52,9 +53,10 @@ func BenchmarkFig10(b *testing.B) {
 		for _, threads := range []int{16, 40} {
 			name := fmt.Sprintf("modelA/%s/%dt", lock, threads)
 			b.Run(name, func(b *testing.B) {
+				m := machine.ModelA()
 				var cpc float64
 				for i := 0; i < b.N; i++ {
-					r := microbench.Run(microbench.Config{
+					r := microbench.RunOn(m, microbench.Config{
 						Model: "A", Lock: lock, Threads: threads,
 						WritePct: 100, TotalIters: 2000, Seed: 42,
 					})
@@ -71,9 +73,10 @@ func BenchmarkFig11(b *testing.B) {
 	for _, engine := range []string{"swonly", "lcu", "fraser", "ssb"} {
 		for _, threads := range []int{1, 16} {
 			b.Run(fmt.Sprintf("%s/%dt", engine, threads), func(b *testing.B) {
+				m := machine.ModelA()
 				var mean float64
 				for i := 0; i < b.N; i++ {
-					r := stmbench.Run(stmbench.Workload{
+					r := stmbench.RunOn(m, stmbench.Workload{
 						Model: "A", Engine: engine, Structure: "rb",
 						MaxNodes: 1 << 8, Threads: threads, ReadPct: 75,
 						OpsPerThr: 60, Seed: 42,
@@ -92,9 +95,10 @@ func BenchmarkFig12(b *testing.B) {
 	for _, structure := range []string{"rb", "skip", "hash"} {
 		for _, engine := range []string{"swonly", "lcu"} {
 			b.Run(fmt.Sprintf("%s/%s", structure, engine), func(b *testing.B) {
+				m := machine.ModelA()
 				var mean float64
 				for i := 0; i < b.N; i++ {
-					r := stmbench.Run(stmbench.Workload{
+					r := stmbench.RunOn(m, stmbench.Workload{
 						Model: "A", Engine: engine, Structure: structure,
 						MaxNodes: 1 << 12, Threads: 16, ReadPct: 75,
 						OpsPerThr: 60, Seed: 42,
@@ -115,13 +119,12 @@ func BenchmarkFig13(b *testing.B) {
 	}{{"fluidanimate", 32}, {"cholesky", 16}, {"radiosity", 16}} {
 		for _, lock := range []string{"posix", "lcu", "ssb"} {
 			b.Run(app.name+"/"+lock, func(b *testing.B) {
+				m := machine.ModelA()
 				var cycles float64
 				for i := 0; i < b.N; i++ {
-					m := machine.ModelA()
-					microbench.InstallDevice(m, lock, 0)
-					cycles = float64(apps.Run(m, apps.Config{
+					cycles = float64(apps.RunOn(m, apps.Config{
 						App: app.name, Lock: lock, Threads: app.threads, Seed: 7,
-					}))
+					}).Cycles)
 				}
 				b.ReportMetric(cycles, "cycles")
 			})

@@ -10,7 +10,7 @@
 //
 // Usage:
 //
-//	lcusim [-iters N] [-stmops N] [-runs N] [-parallel N] [-allocstats]
+//	lcusim [-iters N] [-stmops N] [-runs N] [-parallel N]
 //	       [-cpuprofile F] [-memprofile F] [-trace F] [-metrics F] <target>...
 //	lcusim tracecheck <trace.json>    # validate a trace file (CI smoke)
 //
@@ -65,7 +65,6 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON (Perfetto-viewable) to this file")
 	metricsOut := flag.String("metrics", "", "write run metrics (histograms, link occupancy) as JSON to this file")
-	allocstats := flag.Bool("allocstats", false, "report per-target allocation stats (runtime.MemStats delta) on stderr")
 	flag.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: lcusim [flags] <target>...")
 		fmt.Fprintln(os.Stderr, "       lcusim tracecheck <trace.json>  (validate a trace file)")
@@ -117,11 +116,7 @@ func main() {
 
 	// Validate every target before creating files or running anything, so a
 	// typo can't waste a long sweep (or truncate an in-flight CPU profile).
-	type target struct {
-		name string
-		f    func()
-	}
-	var todo []target
+	var todo []func()
 	for _, t := range targets {
 		for _, x := range expand(t) {
 			f, ok := run[x]
@@ -129,7 +124,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "lcusim: unknown target %q\n", x)
 				os.Exit(2)
 			}
-			todo = append(todo, target{x, f})
+			todo = append(todo, f)
 		}
 	}
 
@@ -163,22 +158,8 @@ func main() {
 		}}
 	}
 
-	for _, t := range todo {
-		if !*allocstats {
-			t.f()
-			continue
-		}
-		// Allocation stats go to stderr so stdout stays byte-identical to a
-		// run without the flag.
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		t.f()
-		runtime.ReadMemStats(&after)
-		fmt.Fprintf(os.Stderr, "lcusim: allocstats %-7s %8.2f MB  %10d allocs  (%d GCs)\n",
-			t.name,
-			float64(after.TotalAlloc-before.TotalAlloc)/(1<<20),
-			after.Mallocs-before.Mallocs,
-			after.NumGC-before.NumGC)
+	for _, f := range todo {
+		f()
 	}
 
 	if traceF != nil {

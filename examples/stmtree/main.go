@@ -6,14 +6,16 @@ package main
 import (
 	"fmt"
 
+	"fairrw/internal/microbench"
 	"fairrw/internal/stmbench"
 )
 
 func main() {
 	fmt.Println("RB-tree, 2^10 keys, 16 threads, 75% read-only, model B")
 	fmt.Println()
+	m := microbench.NewMachine("B")
 	for _, engine := range []string{"swonly", "lcu", "fraser"} {
-		r := stmbench.Run(stmbench.Workload{
+		r := stmbench.RunOn(m, stmbench.Workload{
 			Model: "B", Engine: engine, Structure: "rb",
 			MaxNodes: 1 << 10, Threads: 16, ReadPct: 75,
 			OpsPerThr: 100, Seed: 7,

@@ -17,45 +17,57 @@
 package apps
 
 import (
+	"fmt"
 	"math/rand"
 
 	"fairrw/internal/machine"
+	"fairrw/internal/microbench"
+	"fairrw/internal/obs"
 	"fairrw/internal/sim"
 	"fairrw/internal/swlocks"
 )
 
-// Config selects and sizes an application run.
+// Config selects an application run.
 type Config struct {
 	App     string // fluidanimate, cholesky, radiosity
-	Lock    string // posix, lcu, ssb (lock factory names; see LockFactory)
+	Lock    string // a swlocks.New name; Figure 13 compares posix, lcu and ssb
 	Threads int
-	Scale   int // problem size multiplier (1 = default)
 	Seed    int64
+	FLT     int // FLT slots for the lcu ablation (0 = off)
+	// Obs enables observability capture for the run (zero value = off).
+	Obs obs.Options
 }
 
-// LockFactory builds one lock instance for the configured kind. The
-// machine must already have the matching device installed for lcu/ssb.
-type LockFactory func(m *machine.Machine) swlocks.RWLock
+// Result carries the measured outcome of a run.
+type Result struct {
+	// Cycles is the parallel section's execution time.
+	Cycles sim.Time
+	// Obs is the run's observability capture (nil unless Config.Obs asked
+	// for one).
+	Obs *obs.Capture
+}
 
-// Factory returns a LockFactory for the named lock kind.
-func Factory(kind string) LockFactory {
-	switch kind {
-	case "posix":
-		return func(m *machine.Machine) swlocks.RWLock { return swlocks.NewPosix(m) }
-	case "lcu", "ssb":
-		return func(m *machine.Machine) swlocks.RWLock { return swlocks.NewHWLock(m, kind) }
+// RunOn executes the named application on m, resetting it first, and
+// measures its parallel section. Figure 13 runs every application on
+// model A.
+func RunOn(m *machine.Machine, cfg Config) Result {
+	m.Reset()
+	hw := microbench.InstallDevice(m, cfg.Lock, cfg.FLT)
+	mk := func() swlocks.RWLock { return swlocks.New(m, cfg.Lock) }
+	var cap *obs.Capture
+	if cfg.Obs.Enabled() {
+		cap = m.EnableObs(cfg.Obs, fmt.Sprintf("%s/%s t=%d", cfg.App, cfg.Lock, cfg.Threads))
+		if !hw {
+			// Software locks need the tracing wrapper; each instance gets a
+			// distinct id in allocation order (deterministic: the app builds
+			// its locks single-threaded before spawning).
+			var nextID uint64
+			mk = func() swlocks.RWLock {
+				nextID++
+				return swlocks.Trace(swlocks.New(m, cfg.Lock), nextID)
+			}
+		}
 	}
-	panic("apps: unknown lock kind " + kind)
-}
-
-// Run executes the named application and returns the parallel-section
-// execution time in cycles.
-func Run(m *machine.Machine, cfg Config) sim.Time {
-	return RunWith(m, Factory(cfg.Lock), cfg)
-}
-
-// RunWith runs the application with an explicit lock factory (ablations).
-func RunWith(m *machine.Machine, mk LockFactory, cfg Config) sim.Time {
 	start := m.K.Now()
 	switch cfg.App {
 	case "fluidanimate":
@@ -68,7 +80,7 @@ func RunWith(m *machine.Machine, mk LockFactory, cfg Config) sim.Time {
 		panic("apps: unknown app " + cfg.App)
 	}
 	m.Run()
-	return m.K.Now() - start
+	return Result{Cycles: m.K.Now() - start, Obs: cap}
 }
 
 // fluidanimate: threads own horizontal bands of a cell grid and apply
@@ -77,16 +89,13 @@ func RunWith(m *machine.Machine, mk LockFactory, cfg Config) sim.Time {
 // per-cell lock. Boundary-row locks bounce between the two neighbouring
 // threads, so lock transfer time matters; accesses are randomized, so no
 // cross-thread dependency chain forms.
-func fluidanimate(m *machine.Machine, mk LockFactory, cfg Config) {
-	if cfg.Scale == 0 {
-		cfg.Scale = 1
-	}
+func fluidanimate(m *machine.Machine, mk func() swlocks.RWLock, cfg Config) {
 	n := 32
 	steps := 4
-	updatesPerStep := 128 * cfg.Scale
+	updatesPerStep := 128
 	locks := make([]swlocks.RWLock, n*n)
 	for i := range locks {
-		locks[i] = mk(m)
+		locks[i] = mk()
 	}
 	bar := m.NewBarrier(cfg.Threads)
 	for t := 0; t < cfg.Threads; t++ {
@@ -115,16 +124,13 @@ func fluidanimate(m *machine.Machine, mk LockFactory, cfg Config) {
 
 // cholesky: a central task queue hands out column tasks; each task is
 // compute-heavy with a short per-column lock for the update.
-func cholesky(m *machine.Machine, mk LockFactory, cfg Config) {
-	if cfg.Scale == 0 {
-		cfg.Scale = 1
-	}
-	nTasks := 96 * cfg.Scale
-	queueLock := mk(m)
+func cholesky(m *machine.Machine, mk func() swlocks.RWLock, cfg Config) {
+	nTasks := 96
+	queueLock := mk()
 	next := m.Mem.AllocLine()
 	colLocks := make([]swlocks.RWLock, 32)
 	for i := range colLocks {
-		colLocks[i] = mk(m)
+		colLocks[i] = mk()
 	}
 	for t := 0; t < cfg.Threads; t++ {
 		tid := uint64(t + 1)
@@ -153,15 +159,12 @@ func cholesky(m *machine.Machine, mk LockFactory, cfg Config) {
 
 // radiosity: each thread pops work from its own locked queue; when empty
 // it steals from a victim. Queue locks are overwhelmingly thread-private.
-func radiosity(m *machine.Machine, mk LockFactory, cfg Config) {
-	if cfg.Scale == 0 {
-		cfg.Scale = 1
-	}
-	tasksPer := 300 * cfg.Scale
+func radiosity(m *machine.Machine, mk func() swlocks.RWLock, cfg Config) {
+	tasksPer := 300
 	qlocks := make([]swlocks.RWLock, cfg.Threads)
 	qcount := make([]machineAddr, cfg.Threads)
 	for i := range qlocks {
-		qlocks[i] = mk(m)
+		qlocks[i] = mk()
 		qcount[i] = m.Mem.AllocLine()
 		m.Mem.Write(qcount[i], uint64(tasksPer))
 	}

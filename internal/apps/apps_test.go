@@ -4,15 +4,12 @@ import (
 	"testing"
 
 	"fairrw/internal/machine"
-	"fairrw/internal/microbench"
 	"fairrw/internal/sim"
 )
 
 func runOnce(t *testing.T, app, lock string, threads int, flt int) sim.Time {
 	t.Helper()
-	m := machine.ModelA()
-	microbench.InstallDevice(m, lock, flt)
-	return Run(m, Config{App: app, Lock: lock, Threads: threads, Seed: 7})
+	return RunOn(machine.ModelA(), Config{App: app, Lock: lock, Threads: threads, Seed: 7, FLT: flt}).Cycles
 }
 
 func TestAllAppsAllLocksComplete(t *testing.T) {

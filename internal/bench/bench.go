@@ -3,11 +3,12 @@
 // Figure 8 (model parameters), Figures 9-10 (critical-section transfer
 // time), Figures 11-12 (STM benchmarks) and Figure 13 (applications).
 //
-// All knobs live in Config rather than package globals, so concurrent
-// sweeps are race-free. Each Fig* method enumerates its configurations,
-// fans the independent simulations out across a sweep.Runner (every run
-// owns its machine and kernel), then renders the collected results in
-// enumeration order — output is byte-identical at any worker count.
+// Every knob a caller sets lives in Config, and the paper's fixed sweeps
+// are package values nothing writes, so concurrent sweeps are race-free.
+// Each Fig* method enumerates its configurations, fans the independent
+// simulations out across a sweep.Runner (every run owns its machine and
+// kernel), then renders the collected results in enumeration order —
+// output is byte-identical at any worker count.
 package bench
 
 import (
@@ -46,32 +47,18 @@ type Config struct {
 
 	// Fig9Threads is the thread-count sweep of Figure 9.
 	Fig9Threads []int
-	// Fig9WritePcts is the write-percentage sweep of Figures 9 and 10.
-	Fig9WritePcts []int
 	// Fig10Threads extends past the core count to expose the preemption
 	// anomaly of queue-based software locks.
 	Fig10Threads []int
 
-	// Fig11Threads is the thread sweep of Figure 11.
-	Fig11Threads []int
-	// Fig11Engines are the compared systems (Fraser = nonblocking, unsafe
-	// privatization; sw-only = lock-based with software RW words; lcu /
-	// ssb = lock-based over the hardware devices).
-	Fig11Engines []string
-	// Fig11Nodes is the RB-tree key space of Figure 11.
-	Fig11Nodes int
 	// Fig12Sizes are the structure sizes of Figure 12. The paper uses
 	// 2^15 and 2^19 keys; the defaults are smaller for simulation runtime
 	// (the shape — root congestion for rb/skip, none for hash — is
 	// size-stable; see EXPERIMENTS.md).
 	Fig12Sizes []int
-	// Fig12Structures are the three benchmarks of Figure 12.
-	Fig12Structures []string
 
 	// Fig13Apps lists the applications with the paper's thread counts.
 	Fig13Apps []App
-	// Fig13Locks are the compared lock models.
-	Fig13Locks []string
 	// FLTSlots configures the optional Free Lock Table ablation appended
 	// to Figure 13 when > 0.
 	FLTSlots int
@@ -83,27 +70,40 @@ type Config struct {
 	Obs *obs.Collector
 }
 
+// The sweeps below are the paper's and no caller varies them.
+var (
+	// fig9WritePcts is the write-percentage sweep of Figures 9 and 10.
+	fig9WritePcts = []int{100, 75, 50, 25}
+	// fig11Threads is the thread sweep of Figure 11.
+	fig11Threads = []int{1, 2, 4, 8, 16, 32}
+	// stmEngines are the compared systems of Figures 11 and 12 (Fraser =
+	// nonblocking, unsafe privatization; sw-only = lock-based with
+	// software RW words; lcu / ssb = lock-based over the hardware devices).
+	stmEngines = []string{"swonly", "lcu", "fraser", "ssb"}
+	// fig12Structures are the three benchmarks of Figure 12.
+	fig12Structures = []string{"rb", "skip", "hash"}
+	// fig13Locks are the lock models Figure 13 compares.
+	fig13Locks = []string{"posix", "lcu", "ssb"}
+)
+
+// fig11Nodes is the RB-tree key space of Figure 11.
+const fig11Nodes = 1 << 8
+
 // Default returns the harness defaults used by cmd/lcusim.
 func Default() Config {
 	return Config{
-		Iters:           8000,
-		STMOps:          60,
-		Fig13Runs:       5,
-		Fig9Threads:     []int{4, 8, 16, 24, 32},
-		Fig9WritePcts:   []int{100, 75, 50, 25},
-		Fig10Threads:    []int{4, 8, 16, 24, 32, 40, 48},
-		Fig11Threads:    []int{1, 2, 4, 8, 16, 32},
-		Fig11Engines:    []string{"swonly", "lcu", "fraser", "ssb"},
-		Fig11Nodes:      1 << 8,
-		Fig12Sizes:      []int{1 << 10, 1 << 13},
-		Fig12Structures: []string{"rb", "skip", "hash"},
+		Iters:        8000,
+		STMOps:       60,
+		Fig13Runs:    5,
+		Fig9Threads:  []int{4, 8, 16, 24, 32},
+		Fig10Threads: []int{4, 8, 16, 24, 32, 40, 48},
+		Fig12Sizes:   []int{1 << 10, 1 << 13},
 		Fig13Apps: []App{
 			{"fluidanimate", 32},
 			{"cholesky", 16},
 			{"radiosity", 16},
 		},
-		Fig13Locks: []string{"posix", "lcu", "ssb"},
-		FLTSlots:   4,
+		FLTSlots: 4,
 	}
 }
 
@@ -130,12 +130,19 @@ func machinePool(n int) func(w int, model string) *machine.Machine {
 
 // sweepMicro fans the microbenchmark configurations across the pool, with
 // each worker reusing one machine per model across its share of the sweep
-// points. Results come back in enumeration order.
+// points. Results come back, and captures join the collector, in
+// enumeration order.
 func (c Config) sweepMicro(cfgs []microbench.Config) []microbench.Result {
 	pool := machinePool(len(cfgs))
-	return sweep.MapWorkers(c.runner(), len(cfgs), func(w, i int) microbench.Result {
-		return microbench.RunOn(pool(w, cfgs[i].Model), cfgs[i])
+	results := sweep.MapWorkers(c.runner(), len(cfgs), func(w, i int) microbench.Result {
+		cfg := cfgs[i]
+		cfg.Obs = c.obsOpt()
+		return microbench.RunOn(pool(w, cfg.Model), cfg)
 	})
+	for _, r := range results {
+		c.collect(r.Obs)
+	}
+	return results
 }
 
 // obsOpt returns the per-run capture options (zero value = disabled).
@@ -146,6 +153,13 @@ func (c Config) obsOpt() obs.Options {
 	return c.Obs.Opt
 }
 
+// collect adds one run's capture to the collector, if there is one.
+func (c Config) collect(cap *obs.Capture) {
+	if c.Obs != nil {
+		c.Obs.Add(cap)
+	}
+}
+
 // Fig9 regenerates Figure 9 (CS execution time, LCU vs SSB) for the given
 // model ("A" => Fig. 9a, "B" => Fig. 9b).
 func (c Config) Fig9(w io.Writer, model string) {
@@ -153,27 +167,22 @@ func (c Config) Fig9(w io.Writer, model string) {
 	var cfgs []microbench.Config
 	for _, th := range c.Fig9Threads {
 		for _, lock := range []string{"lcu", "ssb"} {
-			for _, wp := range c.Fig9WritePcts {
+			for _, wp := range fig9WritePcts {
 				cfgs = append(cfgs, microbench.Config{
 					Model: model, Lock: lock, Threads: th, WritePct: wp,
-					TotalIters: c.Iters, Seed: 42, Obs: c.obsOpt(),
+					TotalIters: c.Iters, Seed: 42,
 				})
 			}
 		}
 	}
 	results := c.sweepMicro(cfgs)
-	if c.Obs != nil {
-		for _, r := range results {
-			c.Obs.Add(r.Obs)
-		}
-	}
 
 	fmt.Fprintf(w, "Figure 9%s — CS execution time (cycles/CS), LCU vs SSB, model %s\n",
 		map[string]string{"A": "a", "B": "b"}[model], model)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "threads")
 	for _, lock := range []string{"lcu", "ssb"} {
-		for _, wp := range c.Fig9WritePcts {
+		for _, wp := range fig9WritePcts {
 			fmt.Fprintf(tw, "\t%s-%d%%w", lock, wp)
 		}
 	}
@@ -184,7 +193,7 @@ func (c Config) Fig9(w io.Writer, model string) {
 	for _, th := range c.Fig9Threads {
 		fmt.Fprintf(tw, "%d", th)
 		for _, lock := range []string{"lcu", "ssb"} {
-			for _, wp := range c.Fig9WritePcts {
+			for _, wp := range fig9WritePcts {
 				r := results[idx]
 				idx++
 				fmt.Fprintf(tw, "\t%.0f", r.CyclesPerCS)
@@ -213,7 +222,7 @@ func (c Config) Fig10(w io.Writer, model string) {
 	locks := []string{"lcu", "tas", "tatas", "mcs", "mrsw"}
 	writePcts := func(lock string) []int {
 		if lock == "lcu" || lock == "mrsw" {
-			return c.Fig9WritePcts
+			return fig9WritePcts
 		}
 		return []int{100}
 	}
@@ -223,17 +232,12 @@ func (c Config) Fig10(w io.Writer, model string) {
 			for _, wp := range writePcts(lock) {
 				cfgs = append(cfgs, microbench.Config{
 					Model: model, Lock: lock, Threads: th, WritePct: wp,
-					TotalIters: c.Iters, Seed: 42, Obs: c.obsOpt(),
+					TotalIters: c.Iters, Seed: 42,
 				})
 			}
 		}
 	}
 	results := c.sweepMicro(cfgs)
-	if c.Obs != nil {
-		for _, r := range results {
-			c.Obs.Add(r.Obs)
-		}
-	}
 
 	fmt.Fprintf(w, "Figure 10%s — CS execution time (cycles/CS), LCU vs software locks, model %s\n",
 		map[string]string{"A": "a", "B": "b"}[model], model)
@@ -241,7 +245,7 @@ func (c Config) Fig10(w io.Writer, model string) {
 	fmt.Fprintf(tw, "threads")
 	for _, lock := range locks {
 		if lock == "lcu" || lock == "mrsw" {
-			for _, wp := range c.Fig9WritePcts {
+			for _, wp := range fig9WritePcts {
 				fmt.Fprintf(tw, "\t%s-%d%%w", lock, wp)
 			}
 		} else {

@@ -2,8 +2,12 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
+	"regexp"
 	"strings"
 	"testing"
+
+	"fairrw/internal/machine"
 )
 
 func TestTable1Renders(t *testing.T) {
@@ -17,6 +21,9 @@ func TestTable1Renders(t *testing.T) {
 	}
 }
 
+// TestTable8Renders also checks every Figure 8 row the models' parameters
+// determine against machine.Params and coherence.Params, so the printed
+// table cannot drift from the simulated machines.
 func TestTable8Renders(t *testing.T) {
 	var b bytes.Buffer
 	Table8(&b)
@@ -24,6 +31,31 @@ func TestTable8Renders(t *testing.T) {
 	for _, want := range []string{"186", "315", "8+2", "16-way"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table 8 missing %q", want)
+		}
+	}
+	rows := map[string][]string{}
+	for _, line := range strings.Split(out, "\n") {
+		if cells := regexp.MustCompile(` {2,}`).Split(strings.TrimSpace(line), -1); len(cells) == 3 {
+			rows[cells[0]] = cells[1:]
+		}
+	}
+	for col, m := range []*machine.Machine{machine.ModelA(), machine.ModelB()} {
+		p, cp := m.P, m.Sys.P
+		for label, want := range map[string]string{
+			"Cores":                         fmt.Sprintf("%d (%dx%d)", p.Cores, p.Cores/p.CoresPerChip, p.CoresPerChip),
+			"Chips":                         fmt.Sprint(p.Cores / p.CoresPerChip),
+			"L1 access latency (cycles)":    fmt.Sprint(cp.L1Lat),
+			"L2 access latency (cycles)":    fmt.Sprint(cp.L2Lat),
+			"Local memory latency (cycles)": fmt.Sprint(p.MemLat),
+			"LCU entries":                   fmt.Sprintf("%d+2", p.LCUOrdinary),
+			"LCU latency (cycles)":          fmt.Sprint(p.LCULat),
+			"LRT modules":                   fmt.Sprint(p.NumMem),
+			fmt.Sprintf("LRT entries (%d-way)", p.LRTAssoc): fmt.Sprint(p.LRTEntries),
+			"LRT latency (cycles)":                          fmt.Sprint(p.LRTLat),
+		} {
+			if got := rows[label]; len(got) != 2 || got[col] != want {
+				t.Errorf("table 8, model %s: row %q reads %q, want %q", p.Name, label, got, want)
+			}
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"fairrw/internal/obs"
+	"fairrw/internal/stats"
 )
 
 // The differential test: one random op stream, three ways to run it —
@@ -206,6 +207,7 @@ func (r *diffRun) state(t *testing.T) diffState {
 	st.Stats.WaitMeanUS, st.Stats.WaitP50US, st.Stats.WaitP99US = 0, 0, 0
 	st.Stats.WaitMaxUS, st.Stats.WaitTotalSecs = 0, 0
 	st.Stats.HoldMeanUS, st.Stats.HoldP50US, st.Stats.HoldP99US, st.Stats.HoldMaxUS = 0, 0, 0, 0
+	st.Stats.Wait, st.Stats.Hold = stats.Histogram{}, stats.Histogram{}
 	return st
 }
 

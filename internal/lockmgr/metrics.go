@@ -46,6 +46,11 @@ type Snapshot struct {
 	HoldP50US  float64 `json:"hold_p50_us"`
 	HoldP99US  float64 `json:"hold_p99_us"`
 	HoldMaxUS  float64 `json:"hold_max_us"`
+
+	// Wait and Hold are the distributions the fields above summarise
+	// (ns samples), for renderers that want every bucket (/metrics).
+	Wait stats.Histogram `json:"-"`
+	Hold stats.Histogram `json:"-"`
 }
 
 // granted books one grant in mode excl and its queue wait: 0 on the try
@@ -85,20 +90,8 @@ func (m *Manager) Stats() Snapshot {
 		HoldP50US:  hold.Percentile(50) / 1e3,
 		HoldP99US:  hold.Percentile(99) / 1e3,
 		HoldMaxUS:  float64(hold.Max()) / 1e3,
+
+		Wait: wait,
+		Hold: hold,
 	}
-}
-
-// WaitHistogram returns a copy of the grant-wait histogram (ns samples)
-// for exposition (the admin plane's Prometheus histogram).
-func (m *Manager) WaitHistogram() stats.Histogram {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.wait
-}
-
-// HoldHistogram returns a copy of the hold-time histogram (ns samples).
-func (m *Manager) HoldHistogram() stats.Histogram {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.holdH
 }

@@ -18,10 +18,12 @@ import (
 // serves the same metrics in two encodings — Prometheus text for
 // scrapers and JSON (the manager snapshot schema the wire Stats op and
 // -metrics files already use, extended with worker and hot-lock tables)
-// — plus the flight recorder and net/http/pprof. The manager's numbers
-// are read in one short hold of Manager.mu, the one its ops take, so a
-// scrape delays a worker loop by a copy at most and its numbers agree
-// with each other; the workers' own counters stay lock-free.
+// — plus the flight recorder and net/http/pprof. The manager's counters
+// and its wait and hold histograms are read in one short hold of
+// Manager.mu (Stats), the one its ops take, so a scrape delays a worker
+// loop by a copy at most and those numbers agree with each other; the
+// hot-lock table is a second hold, and the workers' own counters stay
+// lock-free.
 
 // DefaultHotLocks is the hot-lock table depth served when a request
 // does not pass ?k=, and the depth cmd/lockd writes to its -metrics file.
@@ -215,10 +217,8 @@ func (s *Server) WriteProm(w io.Writer, bi BuildInfo, topK int) {
 		pw.gauge("lockd_cluster_members", "", float64(s.cluster.MemberCount()))
 	}
 
-	wh := s.m.WaitHistogram()
-	wh.WriteProm(w, "lockd_wait_seconds", "", 1e-9)
-	hh := s.m.HoldHistogram()
-	hh.WriteProm(w, "lockd_hold_seconds", "", 1e-9)
+	snap.Wait.WriteProm(w, "lockd_wait_seconds", "", 1e-9)
+	snap.Hold.WriteProm(w, "lockd_hold_seconds", "", 1e-9)
 	bh := s.BatchSizeHistogram()
 	bh.WriteProm(w, "lockd_batch_ops", "", 1)
 

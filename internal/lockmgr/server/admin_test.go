@@ -6,7 +6,10 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -287,5 +290,63 @@ func TestEscapeLabel(t *testing.T) {
 	want := `a\"b\\c\nd`
 	if got != want {
 		t.Fatalf("escapeLabel = %q, want %q", got, want)
+	}
+}
+
+// TestPromScrapeIsOneCut: under a 4-goroutine acquire/release hammer,
+// every /metrics rendering's wait-histogram count equals its shared plus
+// exclusive grants. The manager books a grant and its wait sample in one
+// hold, so the two agree exactly when the scrape reads them in one hold.
+func TestPromScrapeIsOneCut(t *testing.T) {
+	m := lockmgr.New(testCfg())
+	srv := NewWithConfig(m, Config{Workers: 1})
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	defer func() {
+		stop.Store(true)
+		wg.Wait()
+	}()
+	for g := 0; g < 4; g++ {
+		sid, err := m.Open(time.Minute)
+		if err != nil {
+			t.Fatal(err)
+		}
+		excl := g%2 == 0
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				if m.Acquire(sid, "k", excl, time.Second) == nil {
+					m.Release(sid, "k", excl)
+				}
+			}
+		}()
+	}
+
+	sample := func(body, name string) uint64 {
+		for _, line := range strings.Split(body, "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				n, err := strconv.ParseUint(v, 10, 64)
+				if err != nil {
+					t.Fatalf("%s: %v", line, err)
+				}
+				return n
+			}
+		}
+		t.Fatalf("scrape has no %s:\n%s", name, body)
+		return 0
+	}
+	var waits uint64
+	for i := 0; i < 200; i++ {
+		var sb strings.Builder
+		srv.WriteProm(&sb, BuildInfo{}, 0)
+		body := sb.String()
+		shared, excl := sample(body, "lockd_shared_grants_total"), sample(body, "lockd_excl_grants_total")
+		if waits = sample(body, "lockd_wait_seconds_count"); waits != shared+excl {
+			t.Fatalf("scrape %d: lockd_wait_seconds_count %d, want %d shared + %d excl grants", i, waits, shared, excl)
+		}
+	}
+	if waits == 0 {
+		t.Fatal("the hammer made no grants; the test is vacuous")
 	}
 }

@@ -133,12 +133,16 @@ func (c *conn) readLoop() {
 // or behind a peer that is not reading responses, so the bytes stay in
 // the inbox until it hits maxInbox and the reader blocks — that is where
 // the backpressure bound lives; unpark's own noteReady (or the one the
-// drain's report brings) takes whatever accumulated.
+// drain's report brings) takes whatever accumulated. An inbox a burst
+// grew past a frame is dropped once emptied, as trim does for pending.
 func (c *conn) take() {
 	c.mu.Lock()
 	if len(c.inbox) > 0 && !c.parked && !c.wblocked {
 		c.pending = append(c.pending, c.inbox...)
 		c.inbox = c.inbox[:0]
+		if cap(c.inbox) > wire.MaxFrame {
+			c.inbox = nil
+		}
 		c.cond.Signal()
 	}
 	c.eofSeen, c.peerGone = c.eof, c.gone
@@ -252,6 +256,18 @@ func (c *conn) condemn(failed int) {
 		w.srv.removeConn(c)
 	} else {
 		w.bring(event{c: c})
+	}
+}
+
+// trim drops pending and wbuf when a burst grew them past a frame and the
+// cycle left them empty, the rule the drain applies to out and spare, so a
+// conn at rest keeps no burst-sized array. Loop holder only.
+func (c *conn) trim() {
+	if len(c.pending) == 0 && cap(c.pending) > wire.MaxFrame {
+		c.pending = nil
+	}
+	if len(c.wbuf) == 0 && cap(c.wbuf) > wire.MaxFrame {
+		c.wbuf = nil
 	}
 }
 

@@ -133,18 +133,16 @@ func TestShutdownGraceBoundsStalledDrain(t *testing.T) {
 	}
 }
 
-// TestMaxOutqPauseAndResume: a peer that streams requests but reads
-// nothing has its parse paused once the responses it is owed pass
-// maxOutq, and resumed by its drain's report once it reads again. Every
-// response then arrives, in order and exactly once; the conn's next round
-// trip is written inline again; and the drain, gone, has left no array
-// larger than a frame on the conn (the queue grew past maxOutq, far over
-// wire.MaxFrame, to pause the parse).
+// floodPastMaxOutq is a peer that streams requests but reads nothing
+// until its parse is paused on maxOutq, then reads every response back,
+// checking that each arrives in order and exactly once. It returns the
+// server, the server's side of the conn, the client and its session.
 //
 // The peer is a Unix socket: a shrunk buffer holds responses back there
 // as it does on TCP, but reading them back out does not crawl the way a
 // window far under loopback TCP's 64 KB segment does.
-func TestMaxOutqPauseAndResume(t *testing.T) {
+func floodPastMaxOutq(t *testing.T) (*Server, *conn, *rawClient, uint64) {
+	t.Helper()
 	ln, err := net.Listen("unix", filepath.Join(t.TempDir(), "lockd.sock"))
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +223,17 @@ func TestMaxOutqPauseAndResume(t *testing.T) {
 	if err := <-read; err != nil {
 		t.Fatal(err)
 	}
+	return srv, sc, cl, sid
+}
 
+// TestMaxOutqPauseAndResume: a flooding peer's parse is paused once the
+// responses it is owed pass maxOutq, and resumed by its drain's report
+// once it reads again. Every response then arrives, in order and exactly
+// once; the conn's next round trip is written inline again; and the
+// drain, gone, has left no array larger than a frame on the conn (the
+// queue grew past maxOutq, far over wire.MaxFrame, to pause the parse).
+func TestMaxOutqPauseAndResume(t *testing.T) {
+	srv, sc, cl, sid := floodPastMaxOutq(t)
 	eventually(t, "the drain to exit", func() bool { return !sc.drainBusy() })
 	sc.fmu.Lock()
 	outCap, spareCap := cap(sc.out), cap(sc.spare)
@@ -247,5 +255,28 @@ func TestMaxOutqPauseAndResume(t *testing.T) {
 	if ws := srv.WorkerStats()[0]; ws.Writevs != before.Writevs+1 || ws.FlushStalls != before.FlushStalls {
 		t.Fatalf("writes %d -> %d, flush_stalls %d -> %d: the round trip did not take one inline write",
 			before.Writevs, ws.Writevs, before.FlushStalls, ws.FlushStalls)
+	}
+}
+
+// TestIdleConnKeepsNoBurstArrays: once the flood is answered and the conn
+// idles, none of its five arrays keeps the burst's size. The flood grows
+// each past wire.MaxFrame: the inbox and pending hold the requests parked
+// behind the pause, wbuf a round's responses, out and spare the queue.
+func TestIdleConnKeepsNoBurstArrays(t *testing.T) {
+	_, sc, _, _ := floodPastMaxOutq(t)
+	eventually(t, "the drain to exit", func() bool { return !sc.drainBusy() })
+	sc.w.loopMu.Lock() // the test is the loop: no cycle is running
+	caps := map[string]int{"pending": cap(sc.pending), "wbuf": cap(sc.wbuf)}
+	sc.w.release()
+	sc.mu.Lock()
+	caps["inbox"] = cap(sc.inbox)
+	sc.mu.Unlock()
+	sc.fmu.Lock()
+	caps["out"], caps["spare"] = cap(sc.out), cap(sc.spare)
+	sc.fmu.Unlock()
+	for name, n := range caps {
+		if n > wire.MaxFrame {
+			t.Errorf("idle conn keeps %s at cap %d, want <= %d", name, n, wire.MaxFrame)
+		}
 	}
 }

@@ -223,6 +223,7 @@ func (w *worker) process() {
 	}
 	for _, c := range w.ready {
 		c.inReady = false
+		c.trim()
 		w.cleanupIfDone(c)
 	}
 	w.ready = w.ready[:0]

@@ -12,7 +12,7 @@ import (
 func BenchmarkMicrobenchRun(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Run(Config{
+		RunOn(NewMachine("A"), Config{
 			Model: "A", Lock: "lcu", Threads: 8, WritePct: 75,
 			TotalIters: 800, Seed: 42,
 		})

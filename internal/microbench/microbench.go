@@ -27,13 +27,15 @@ type Config struct {
 	Threads    int
 	WritePct   int // percentage of write (exclusive) accesses; 100 = mutex
 	TotalIters int // critical-section entries across all threads
-	CSWork     sim.Time
-	Gap        sim.Time
 	Seed       int64
 	FLT        int // FLT slots for the lcu ablation (0 = off)
 	// Obs enables observability capture for the run (zero value = off).
 	Obs obs.Options
 }
+
+// Every thread computes csWork cycles inside each critical section and gap
+// cycles between two of them.
+const csWork, gap sim.Time = 100, 100
 
 // ErrNoIterations reports a run in which no thread completed a single
 // critical section (e.g. a wedged lock under a bounded-event run), so
@@ -88,39 +90,10 @@ func InstallDevice(m *machine.Machine, name string, flt int) bool {
 	return true
 }
 
-// makeLock installs the requested lock implementation on m.
-func makeLock(m *machine.Machine, name string, flt int) swlocks.RWLock {
-	if InstallDevice(m, name, flt) {
-		return swlocks.NewHWLock(m, name)
-	}
-	switch name {
-	case "tas":
-		return swlocks.NewTAS(m)
-	case "tatas":
-		return swlocks.NewTATAS(m)
-	case "mcs":
-		return swlocks.NewMCS(m)
-	case "mrsw":
-		return swlocks.NewMRSW(m)
-	case "posix":
-		return swlocks.NewPosix(m)
-	}
-	panic(fmt.Sprintf("microbench: unknown lock %q", name))
-}
-
-// Run executes the microbenchmark on a machine built for the occasion and
-// returns its measurements.
-func Run(cfg Config) Result {
-	if cfg.Threads <= 0 {
-		return Result{Config: cfg, Err: ErrNoIterations}
-	}
-	return execOn(NewMachine(cfg.Model), cfg)
-}
-
 // RunOn executes the microbenchmark on m, resetting it first. The machine
-// must have been built for cfg.Model. Reusing one machine across the
-// points of a sweep skips per-point construction of the kernel, caches,
-// directory and route tables; results are identical to Run's.
+// must have been built for cfg.Model; reusing one across the points of a
+// sweep skips per-point construction of the kernel, caches, directory and
+// route tables.
 func RunOn(m *machine.Machine, cfg Config) Result {
 	if m.P.Name != cfg.Model {
 		panic(fmt.Sprintf("microbench: machine is model %q, config wants %q", m.P.Name, cfg.Model))
@@ -129,25 +102,16 @@ func RunOn(m *machine.Machine, cfg Config) Result {
 		return Result{Config: cfg, Err: ErrNoIterations}
 	}
 	m.Reset()
-	return execOn(m, cfg)
-}
-
-func execOn(m *machine.Machine, cfg Config) Result {
 	if cfg.TotalIters == 0 {
 		cfg.TotalIters = 8000
 	}
-	if cfg.CSWork == 0 {
-		cfg.CSWork = 100
-	}
-	if cfg.Gap == 0 {
-		cfg.Gap = 100
-	}
-	l := makeLock(m, cfg.Lock, cfg.FLT)
+	hw := InstallDevice(m, cfg.Lock, cfg.FLT)
+	l := swlocks.New(m, cfg.Lock)
 
 	var cap *obs.Capture
 	if cfg.Obs.Enabled() {
 		cap = m.EnableObs(cfg.Obs, fmt.Sprintf("%s/%s t=%d w=%d%%", cfg.Model, cfg.Lock, cfg.Threads, cfg.WritePct))
-		if _, hw := l.(*swlocks.HWLock); !hw {
+		if !hw {
 			// Hardware locks are traced by Ctx.HwLock; software locks need
 			// the wrapper.
 			l = swlocks.Trace(l, 1)
@@ -175,9 +139,9 @@ func execOn(m *machine.Machine, cfg Config) Result {
 					writerWaits = append(writerWaits, float64(c.P.Now()-t0))
 				}
 				res.PerThread[idx]++
-				c.Compute(cfg.CSWork)
+				c.Compute(csWork)
 				l.Unlock(c, write)
-				c.Compute(cfg.Gap)
+				c.Compute(gap)
 			}
 		})
 	}

@@ -7,7 +7,7 @@ func run(t *testing.T, cfg Config) Result {
 	if cfg.TotalIters == 0 {
 		cfg.TotalIters = 1600
 	}
-	return Run(cfg)
+	return RunOn(NewMachine(cfg.Model), cfg)
 }
 
 func TestAllLocksComplete(t *testing.T) {
@@ -102,7 +102,7 @@ func TestFairnessLCUvsSSB(t *testing.T) {
 func TestNoIterationsYieldsErrNotNaN(t *testing.T) {
 	// Threads <= 0 can never complete a critical section; the result must
 	// carry ErrNoIterations with zeroed metrics, not NaN/Inf.
-	r := Run(Config{Model: "A", Lock: "lcu", Threads: 0, WritePct: 100})
+	r := RunOn(NewMachine("A"), Config{Model: "A", Lock: "lcu", Threads: 0, WritePct: 100})
 	if r.Err != ErrNoIterations {
 		t.Fatalf("Err = %v, want ErrNoIterations", r.Err)
 	}

@@ -12,7 +12,7 @@ import (
 // capture runs a small contended microbenchmark with tracing on.
 func capture(t *testing.T, lock string) *obs.Capture {
 	t.Helper()
-	res := microbench.Run(microbench.Config{
+	res := microbench.RunOn(microbench.NewMachine("A"), microbench.Config{
 		Model: "A", Lock: lock, Threads: 8, WritePct: 50,
 		TotalIters: 400, Seed: 42,
 		Obs: obs.Options{Records: true, Metrics: true, Cache: true},

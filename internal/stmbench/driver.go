@@ -46,12 +46,6 @@ type Result struct {
 	Obs *obs.Capture
 }
 
-// NewTM builds the machine + device + TM for a workload.
-func NewTM(model, engine string) (*machine.Machine, *stm.TM) {
-	m := microbench.NewMachine(model)
-	return m, NewTMOn(m, engine)
-}
-
 // NewTMOn installs the engine's device and a fresh TM on an existing
 // (fresh or Reset) machine.
 func NewTMOn(m *machine.Machine, engine string) *stm.TM {
@@ -87,23 +81,14 @@ func Populate(m *machine.Machine, s Structure, w Workload) {
 	m.Run()
 }
 
-// Run executes the workload on a machine built for the occasion.
-func Run(w Workload) Result {
-	m, tm := NewTM(w.Model, w.Engine)
-	return execOn(m, tm, w)
-}
-
 // RunOn executes the workload on m, resetting it first. The machine must
-// have been built for w.Model; results are identical to Run's.
+// have been built for w.Model.
 func RunOn(m *machine.Machine, w Workload) Result {
 	if m.P.Name != w.Model {
 		panic(fmt.Sprintf("stmbench: machine is model %q, workload wants %q", m.P.Name, w.Model))
 	}
 	m.Reset()
-	return execOn(m, NewTMOn(m, w.Engine), w)
-}
-
-func execOn(m *machine.Machine, tm *stm.TM, w Workload) Result {
+	tm := NewTMOn(m, w.Engine)
 	if w.OpsPerThr == 0 {
 		w.OpsPerThr = 200
 	}

@@ -11,7 +11,8 @@ import (
 // seqCheck runs a single-threaded op sequence against a Go map oracle.
 func seqCheck(t *testing.T, mk func(tm *stm.TM) Structure, inv func() string, ops int, seed int64) {
 	t.Helper()
-	m, tm := NewTM("A", "fraser")
+	m := machine.ModelA()
+	tm := NewTMOn(m, "fraser")
 	s := mk(tm)
 	oracle := map[uint64]uint64{}
 	rng := rand.New(rand.NewSource(seed))
@@ -76,7 +77,8 @@ func concurrentCheck(t *testing.T, engine, structure string) {
 		Model: "A", Engine: engine, Structure: structure,
 		MaxNodes: 128, Threads: 8, ReadPct: 60, OpsPerThr: 40, Seed: 99,
 	}
-	m, tm := NewTM(w.Model, w.Engine)
+	m := machine.ModelA()
+	tm := NewTMOn(m, w.Engine)
 	s := Build(tm, w)
 	Populate(m, s, w)
 	done := 0
@@ -134,14 +136,14 @@ func TestAbortsHappenUnderContention(t *testing.T) {
 		Model: "A", Engine: "fraser", Structure: "rb",
 		MaxNodes: 16, Threads: 8, ReadPct: 0, OpsPerThr: 30, Seed: 3,
 	}
-	r := Run(w)
+	r := RunOn(machine.ModelA(), w)
 	if r.AbortsPerCommit == 0 {
 		t.Fatal("tiny write-hot tree should produce aborts")
 	}
 }
 
 func TestRunReportsDissection(t *testing.T) {
-	r := Run(Workload{
+	r := RunOn(machine.ModelA(), Workload{
 		Model: "A", Engine: "lcu", Structure: "rb",
 		MaxNodes: 256, Threads: 4, ReadPct: 75, OpsPerThr: 30, Seed: 5,
 	})
@@ -160,8 +162,8 @@ func TestSwOnlyCommitCongestsRootVsLCU(t *testing.T) {
 	sw.Engine = "swonly"
 	lc := base
 	lc.Engine = "lcu"
-	rsw := Run(sw)
-	rlc := Run(lc)
+	rsw := RunOn(machine.ModelA(), sw)
+	rlc := RunOn(machine.ModelA(), lc)
 	if rlc.MeanTxnCycles >= rsw.MeanTxnCycles {
 		t.Fatalf("LCU STM (%.0f) should beat sw-only (%.0f) at 16 threads",
 			rlc.MeanTxnCycles, rsw.MeanTxnCycles)
@@ -171,8 +173,8 @@ func TestSwOnlyCommitCongestsRootVsLCU(t *testing.T) {
 func TestDeterministicSTM(t *testing.T) {
 	w := Workload{Model: "A", Engine: "swonly", Structure: "skip",
 		MaxNodes: 128, Threads: 6, ReadPct: 50, OpsPerThr: 25, Seed: 8}
-	a := Run(w)
-	b := Run(w)
+	a := RunOn(machine.ModelA(), w)
+	b := RunOn(machine.ModelA(), w)
 	if a.TotalCycles != b.TotalCycles || a.MeanTxnCycles != b.MeanTxnCycles {
 		t.Fatalf("nondeterministic STM run: %v vs %v", a.TotalCycles, b.TotalCycles)
 	}

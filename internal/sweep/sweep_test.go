@@ -101,9 +101,9 @@ func TestParallelSimulationsDeterministic(t *testing.T) {
 		Model: "A", Lock: "lcu", Threads: 4, WritePct: 75,
 		TotalIters: 200, Seed: 42,
 	}
-	serial := microbench.Run(cfg)
+	serial := microbench.RunOn(microbench.NewMachine("A"), cfg)
 	results := MapWorkers(Runner{Workers: 8}, 8, func(_, _ int) microbench.Result {
-		return microbench.Run(cfg)
+		return microbench.RunOn(microbench.NewMachine("A"), cfg)
 	})
 	for i, r := range results {
 		if r.TotalCycles != serial.TotalCycles || r.CyclesPerCS != serial.CyclesPerCS {

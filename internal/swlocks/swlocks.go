@@ -25,6 +25,27 @@ type RWLock interface {
 	Name() string
 }
 
+// New builds one lock of the named kind on m: "lcu" and "ssb" drive the
+// machine's hardware lock device, which must already be installed; tas,
+// tatas, mcs, mrsw and posix are software locks.
+func New(m *machine.Machine, name string) RWLock {
+	switch name {
+	case "lcu", "ssb":
+		return NewHWLock(m, name)
+	case "tas":
+		return NewTAS(m)
+	case "tatas":
+		return NewTATAS(m)
+	case "mcs":
+		return NewMCS(m)
+	case "mrsw":
+		return NewMRSW(m)
+	case "posix":
+		return NewPosix(m)
+	}
+	panic("swlocks: unknown lock " + name)
+}
+
 // backoff applies capped exponential backoff; n is per-call attempt state.
 func backoff(c *machine.Ctx, n *int) {
 	d := sim.Time(64) << uint(*n)
